@@ -151,22 +151,6 @@ def mat_inv(a) -> list[list[RatFunc]]:
     return out
 
 
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(v, s):
-    return [s * x for x in v]
-
-
-def vec_is_zero(v) -> bool:
-    return all(is_zero_scalar(x) for x in v)
-
-
 def _wrap_factor(s: str) -> str:
     if any(ch in s for ch in "+*/") or "-" in s[1:]:
         return f"({s})"
@@ -258,15 +242,6 @@ class MetricLieAlgebra:
             name=name,
             dim=dim,
             brackets=tuple(tuple(tuple(row) for row in plane) for plane in C),
-            metric=tuple(tuple(row) for row in G),
-        )
-
-    def with_metric(self, metric: Sequence[Sequence[object]], name: str | None = None) -> "MetricLieAlgebra":
-        G = [[ratfunc(x) for x in row] for row in metric]
-        return MetricLieAlgebra(
-            name=name or self.name,
-            dim=self.dim,
-            brackets=self.brackets,
             metric=tuple(tuple(row) for row in G),
         )
 

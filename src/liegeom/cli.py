@@ -24,7 +24,6 @@ from .report import (
     validate_report,
 )
 from .scalars import DivisionByZeroFunction, PoleAtEvaluationPoint
-from .solvers import InterpolationDegreeExceeded
 
 _SINGLE_COMMANDS = (
     "soliton", "killing", "geodesic", "walker", "ledger", "harmonic", "energy"
@@ -139,7 +138,6 @@ def main(argv=None) -> int:
         PoleAtEvaluationPoint,
         DivisionByZeroFunction,
         CaseAnalysisIncomplete,
-        InterpolationDegreeExceeded,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

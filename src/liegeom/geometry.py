@@ -693,7 +693,7 @@ class HarmonicityReport:
     section_kernel: list[list[RatFunc]]
 
 
-def harmonicity_classify(alg: MetricLieAlgebra, degree_bound: int | None = None) -> HarmonicityReport:
+def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     """Critical vector fields of the energy functional and their quality.
 
     The critical families are the eigenspaces of the rough Laplacian;
@@ -704,9 +704,7 @@ def harmonicity_classify(alg: MetricLieAlgebra, degree_bound: int | None = None)
     """
     n = alg.dim
     L = rough_laplacian(alg)
-    decomp = (
-        eigen_analyze(L) if degree_bound is None else eigen_analyze(L, degree_bound)
-    )
+    decomp = eigen_analyze(L)
     singular = set(alg.singular_parameters())
     families = []
     for pair in decomp.pairs:

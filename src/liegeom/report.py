@@ -230,8 +230,9 @@ def ledger_section(alg: MetricLieAlgebra) -> dict:
     return out
 
 
-def harmonic_section(alg: MetricLieAlgebra) -> dict:
-    h: HarmonicityReport = harmonicity_classify(alg)
+def harmonic_section(alg: MetricLieAlgebra, h: HarmonicityReport | None = None) -> dict:
+    if h is None:
+        h = harmonicity_classify(alg)
     fams = []
     for f in h.families:
         fams.append({
@@ -257,8 +258,8 @@ def harmonic_section(alg: MetricLieAlgebra) -> dict:
     }
 
 
-def energy_section(alg: MetricLieAlgebra) -> dict:
-    rep = energy_report(alg)
+def energy_section(alg: MetricLieAlgebra, harmonicity: HarmonicityReport | None = None) -> dict:
+    rep = energy_report(alg, harmonicity)
     fams = []
     for f in rep.families:
         fams.append({
@@ -313,7 +314,7 @@ def full_report(
     notes: tuple[ReferenceNote, ...] = (),
     soliton_convention: str = "paper",
 ) -> dict:
-    return {
+    doc = {
         "schema": SCHEMA,
         "report": "full",
         "algebra": algebra_section(alg),
@@ -326,9 +327,12 @@ def full_report(
         "geodesic": geodesic_section(alg),
         "walker": walker_section(alg),
         "ledger": ledger_section(alg),
-        "harmonicity": harmonic_section(alg),
-        "energy": energy_section(alg),
     }
+    # the harmonic and energy sections share one classification
+    h = harmonicity_classify(alg)
+    doc["harmonicity"] = harmonic_section(alg, h)
+    doc["energy"] = energy_section(alg, h)
+    return doc
 
 
 def single_report(kind: str, alg: MetricLieAlgebra, **kwargs) -> dict:

@@ -555,23 +555,6 @@ def ratfunc(value) -> RatFunc:
     return RatFunc(value)
 
 
-def ratfunc_arith(lhs: RatFunc, rhs: RatFunc, op: str) -> RatFunc:
-    """Field arithmetic dispatch, mostly for table-driven tests."""
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs / rhs
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def ratfunc_eval(f: RatFunc, point: Fraction) -> Fraction:
-    return f.eval(point)
-
-
 # ---------------------------------------------------------------------------
 # scalar text syntax
 
@@ -838,22 +821,8 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        idx = self.names.index(name)
-        if self.is_zero:
-            return -1
-        return max(e[idx] for e in self.terms)
-
     def coefficient(self, expo: Sequence[int]) -> RatFunc:
         return self.terms.get(tuple(expo), ZERO)
-
-    def variables_present(self) -> tuple[str, ...]:
-        present = set()
-        for expo in self.terms:
-            for i, e in enumerate(expo):
-                if e > 0:
-                    present.add(self.names[i])
-        return tuple(n for n in self.names if n in present)
 
     def set_var(self, name: str, value) -> "MultiPoly":
         """Substitute one indeterminate by a scalar; names are kept."""
@@ -953,16 +922,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({str(self)!r})"
-
-
-def multipoly_is_zero(q: MultiPoly) -> bool:
-    """Exact zero test; true iff the canonical term map is empty."""
-    return q.is_zero
-
-
-def symbolic_vector(names: Sequence[str]) -> list[MultiPoly]:
-    """The generic vector whose components are the given indeterminates."""
-    return [MultiPoly.var(names, n) for n in names]
 
 
 def component_names(dim: int) -> tuple[str, ...]:

@@ -12,19 +12,21 @@ sequence, so rank, consistency, and kernel all specialize.
 
 `eigen_analyze` finds the eigenvalues of an operator that are themselves
 rational functions of the parameter.  The characteristic polynomial is
-computed exactly; eigenvalue candidates are reconstructed from exact
-eigenvalues at prime sample points by Cauchy rational interpolation, then
-certified (or discarded) by exact polynomial division.  Whatever cannot be
-certified is returned untouched as a residual factor, with a linear or
-square-discriminant quadratic residual resolved exactly as a last step.
-No floating point is involved anywhere.
+computed exactly and made squarefree and monic over Q[eps]; that fixes a
+proven degree bound on its rational-function roots.  Each rational root at
+one parameter value where the polynomial stays squarefree is Newton-lifted
+in the parameter up to that bound and kept if it solves the polynomial
+exactly, so the list is complete.  What has no rational-function root is
+returned untouched as a residual factor.  No floating point is involved
+anywhere.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable, Sequence
 
 from .scalars import (
@@ -34,23 +36,17 @@ from .scalars import (
     RatFunc,
     ONE,
     ZERO,
+    poly_div_exact,
+    poly_lcm,
     poly_rational_roots,
     ratfunc,
     scalar_is_zero,
+    square_free_part,
 )
 
 
 class NotLinearError(ValueError):
     """An equation handed to the linear-system builder has degree > 1."""
-
-
-class InterpolationDegreeExceeded(ArithmeticError):
-    """The spectral data needs higher degree than the interpolation bound.
-
-    Raised when a characteristic polynomial coefficient already has
-    numerator or denominator degree above the configured bound, so no
-    eigenvalue reconstruction at that bound could be trusted.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +128,6 @@ def rref_solve(rows: Sequence[Sequence], rhs: Sequence, record: Callable | None 
         kernel.append(v)
     status = "unique" if not free_cols else "underdetermined"
     return SolveResult(status, r, tuple(pivot_cols), particular, kernel)
-
-
-def fraction_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Kernel basis of a rational matrix, reduced echelon form."""
-    if not rows:
-        return []
-    res = rref_solve(rows, [Fraction(0)] * len(rows))
-    return res.kernel
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +340,6 @@ class FieldPoly:
                 out[i + j] = out[i + j] + a * b
         return FieldPoly(out)
 
-    def scale(self, s: RatFunc) -> "FieldPoly":
-        return FieldPoly([c * s for c in self.coeffs])
-
     def divmod(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("FieldPoly division by zero")
@@ -378,16 +363,15 @@ class FieldPoly:
         lead = self.coeffs[-1]
         return FieldPoly([c / lead for c in self.coeffs])
 
-    def specialize(self, eps0: Fraction) -> Poly:
-        """Evaluate all coefficients at a parameter value; the result is an
-        ordinary rational polynomial in the spectral variable."""
-        return Poly([c.eval(eps0) for c in self.coeffs])
+    def derivative(self) -> "FieldPoly":
+        return FieldPoly([c * k for k, c in enumerate(self.coeffs)][1:])
 
-    def coeff_degree(self) -> int:
-        d = 0
-        for c in self.coeffs:
-            d = max(d, c.num.degree, c.den.degree)
-        return d
+    def gcd(self, other: "FieldPoly") -> "FieldPoly":
+        """Monic gcd by the Euclidean algorithm."""
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -447,7 +431,7 @@ def charpoly(matrix: Sequence[Sequence[RatFunc]]) -> FieldPoly:
 
 
 # ---------------------------------------------------------------------------
-# rational-function eigenvalues by sample-and-interpolate
+# rational-function eigenvalues by Newton lifting
 
 
 @dataclass
@@ -461,156 +445,89 @@ class EigenPair:
 class EigenDecomposition:
     """Certified rational-function spectrum of a parametric operator.
 
-    `pairs` carries eigenvalues certified by exact division of the
-    characteristic polynomial; `residual` is the uncertified cofactor
-    (constant 1 when the spectrum was fully resolved).  The degrees always
-    satisfy sum(multiplicities) + residual.degree == dim.
+    `pairs` carries every eigenvalue that is a rational function of the
+    parameter, ascending as eps -> +oo; `residual` is the cofactor of the
+    characteristic polynomial that has no such root (constant 1 when the
+    spectrum was fully resolved).  The degrees always satisfy
+    sum(multiplicities) + residual.degree == dim.
     """
 
     charpoly: FieldPoly
     pairs: list[EigenPair]
     residual: FieldPoly
-    samples: list[Fraction]
 
 
-DEFAULT_DEGREE_BOUND = 8
+def _horner(coeffs: Sequence, x: Poly, terms: int | None = None) -> Poly:
+    """sum_k coeffs[k] * x^k, keeping only the lowest `terms` coefficients
+    of every partial sum when `terms` is given."""
+    acc = Poly()
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        if terms is not None:
+            acc = Poly(acc.coeffs[:terms])
+    return acc
 
 
-def _primes(count: int, skip: Callable[[Fraction], bool]) -> list[Fraction]:
-    out: list[Fraction] = []
-    n = 2
-    while len(out) < count:
-        if all(n % p for p in range(2, int(math.isqrt(n)) + 1)):
-            v = Fraction(n)
-            if not skip(v):
-                out.append(v)
-        n += 1
-    return out
+def _rational_roots(p: FieldPoly) -> list[RatFunc]:
+    """Every root of p in Q(eps), ascending as eps -> +oo.
 
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def poly_sqrt(p: Poly) -> Poly | None:
-    """Exact square root of a rational polynomial, or None."""
-    if p.is_zero:
-        return Poly()
-    if p.degree % 2:
-        return None
-    k = p.degree // 2
-    top = _fraction_sqrt(p.coeffs[-1])
-    if top is None:
-        return None
-    s = [Fraction(0)] * (k + 1)
-    s[k] = top
-    for j in range(k - 1, -1, -1):
-        acc = Fraction(0)
-        for i in range(j + 1, k):
-            l = k + j - i
-            if j + 1 <= l <= k:
-                acc += s[i] * s[l]
-        s[j] = (p.coeffs[k + j] - acc) / (2 * top)
-    cand = Poly(s)
-    return cand if cand * cand == p else None
-
-
-def ratfunc_sqrt(f: RatFunc) -> RatFunc | None:
-    """Exact square root in the field, or None if f is not a square."""
-    if f.is_zero:
-        return ZERO
-    # canonical form: if f = s^2 then num and den are themselves squares
-    sn = poly_sqrt(f.num)
-    sd = poly_sqrt(f.den)
-    if sn is None or sd is None:
-        return None
-    return RatFunc(sn, sd)
-
-
-def _cauchy_interpolate(
-    points: list[tuple[Fraction, Fraction]], bound: int
-) -> RatFunc | None:
-    """Rational function of num/den degree <= bound through the points.
-
-    Sets up the homogeneous linear conditions N(x) - y D(x) = 0 and takes a
-    kernel vector; the candidate is then re-checked against every point.
+    With s the squarefree part of p and D the lcm of its coefficient
+    denominators, q(nu) = D^m s(nu/D) is monic over Q[eps], and the roots
+    of s are nu/D for the roots nu of q in Q[eps] (Q[eps] is integrally
+    closed).  Such a root of degree d makes the top term nu^m cancel
+    against some q_k nu^k, so d <= deg q_k / (m - k) for that k.  At a
+    point eps0 where q stays squarefree every root of q specializes to a
+    simple rational root and is its unique Newton lift in t = eps - eps0;
+    lifting each rational root up to t^bound and keeping the lifts that
+    solve q exactly finds them all.
     """
-    rows = []
-    for x, y in points:
-        row = [x**j for j in range(bound + 1)]
-        row += [-y * x**j for j in range(bound + 1)]
-        rows.append(row)
-    ker = fraction_kernel(rows)
-    if not ker:
-        return None
-    for vec in ker:
-        num = Poly(vec[: bound + 1])
-        den = Poly(vec[bound + 1:])
-        if den.is_zero:
-            continue
-        f = RatFunc(num, den)
-        try:
-            if all(f.eval(x) == y for x, y in points):
-                return f
-        except PoleAtEvaluationPoint:
-            continue
-    return None
+    s = p.divmod(p.gcd(p.derivative()))[0].monic()
+    m = s.degree
+    D = Poly((1,))
+    for c in s.coeffs:
+        D = poly_lcm(D, c.den)
+    q = [c.num * poly_div_exact(D ** (m - k), c.den) for k, c in enumerate(s.coeffs)]
+    bound = max((q[k].degree // (m - k) for k in range(m) if not q[k].is_zero), default=0)
+    # 0, 1, -1, 2, -2, ...: q is squarefree, so only the finitely many roots
+    # of its discriminant fail
+    for k in itertools.count():
+        eps0 = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
+        q0 = Poly([c.eval(eps0) for c in q])
+        if square_free_part(q0).degree == m:
+            break
+    shifted = [_horner(c.coeffs, Poly((eps0, 1))) for c in q]
+    roots = []
+    for r0, _ in poly_rational_roots(q0):
+        slope = q0.derivative().eval(r0)
+        nu = Poly((r0,))
+        for k in range(1, bound + 1):
+            value = _horner(shifted, nu, k + 1)
+            if value.degree == k:
+                nu = nu + Poly([0] * k + [-value.coeffs[k] / slope])
+        nu = _horner(nu.coeffs, Poly((-eps0, 1)))
+        if _horner(q, nu).is_zero:
+            roots.append(RatFunc(nu, D))
+    # distinct roots: the leading coefficient of a difference is nonzero
+    return sorted(roots, key=cmp_to_key(lambda f, g: (f - g).num.leading))
 
 
-def eigen_analyze(
-    matrix: Sequence[Sequence[RatFunc]],
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-) -> EigenDecomposition:
+def eigen_analyze(matrix: Sequence[Sequence[RatFunc]]) -> EigenDecomposition:
     """Find all eigenvalues of the operator that are rational functions of
     the parameter, with exact eigenvectors and multiplicities.
 
-    Strategy: sample the characteristic polynomial at enough primes to pin
-    any rational function within the degree bound, read off the exact
-    rational eigenvalues per sample, track them across samples by sorted
-    position, reconstruct each track by Cauchy interpolation, and certify
-    by exact division.  Eigenvalues that are not rational functions stay in
-    the residual factor; linear residuals and quadratic residuals with
-    square discriminant are resolved exactly before giving up.
+    The characteristic polynomial is computed exactly, its rational-function
+    roots are found by Newton lifting from one rational parameter value and
+    certified exactly (`_rational_roots`), and each multiplicity is read off
+    by repeated exact division.  Eigenvalues that are not rational
+    functions stay in the residual factor.  No floating point is involved.
     """
     n = len(matrix)
     matrix = [[ratfunc(x) for x in row] for row in matrix]
     p = charpoly(matrix)
-    if p.coeff_degree() > degree_bound:
-        raise InterpolationDegreeExceeded(
-            f"characteristic coefficients reach degree {p.coeff_degree()}, "
-            f"bound is {degree_bound}"
-        )
-
-    def is_pole(x: Fraction) -> bool:
-        return any(c.den.eval(x) == 0 for c in p.coeffs)
-
-    samples = _primes(2 * degree_bound + 3, is_pole)
-
-    per_sample: list[list[Fraction]] = []
-    for x in samples:
-        spec = p.specialize(x)
-        roots: list[Fraction] = []
-        for r, mult in poly_rational_roots(spec):
-            roots.extend([r] * mult)
-        per_sample.append(sorted(roots))
-
-    track_count = min(len(r) for r in per_sample)
-    candidates: list[RatFunc] = []
-    for pos in range(track_count):
-        pts = [(x, per_sample[i][pos]) for i, x in enumerate(samples)]
-        f = _cauchy_interpolate(pts, degree_bound)
-        if f is not None and f not in candidates:
-            candidates.append(f)
-
-    residual = p.monic()
+    residual = p
     pairs: list[EigenPair] = []
     mu = FieldPoly.variable()
-    for f in candidates:
+    for f in _rational_roots(p):
         factor = mu - FieldPoly((f,))
         mult = 0
         while residual.degree >= 1:
@@ -619,52 +536,13 @@ def eigen_analyze(
                 break
             residual = quo
             mult += 1
-        if mult:
-            vecs = kernel_basis(
-                [
-                    [matrix[i][j] - (f if i == j else ZERO) for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-            pairs.append(EigenPair(f, mult, vecs))
-
-    # a leftover linear or square-discriminant quadratic factor still has
-    # exact rational-function roots; peel those before reporting a residual
-    changed = True
-    while changed and residual.degree >= 1:
-        changed = False
-        extracted: list[RatFunc] = []
-        if residual.degree == 1:
-            extracted = [-residual.coeffs[0] / residual.coeffs[1]]
-        elif residual.degree == 2:
-            a2, a1, a0 = residual.coeffs[2], residual.coeffs[1], residual.coeffs[0]
-            disc = a1 * a1 - 4 * a2 * a0
-            s = ratfunc_sqrt(disc)
-            if s is not None:
-                extracted = [(-a1 + s) / (2 * a2), (-a1 - s) / (2 * a2)]
-        for f in extracted:
-            factor = mu - FieldPoly((f,))
-            mult = 0
-            while residual.degree >= 1:
-                quo, rem = residual.divmod(factor)
-                if not rem.is_zero:
-                    break
-                residual = quo
-                mult += 1
-            if not mult:
-                continue
-            changed = True
-            existing = next((pr for pr in pairs if pr.value == f), None)
-            if existing is not None:
-                existing.multiplicity += mult
-            else:
-                vecs = kernel_basis(
-                    [
-                        [matrix[i][j] - (f if i == j else ZERO) for j in range(n)]
-                        for i in range(n)
-                    ]
-                )
-                pairs.append(EigenPair(f, mult, vecs))
+        vecs = kernel_basis(
+            [
+                [matrix[i][j] - (f if i == j else ZERO) for j in range(n)]
+                for i in range(n)
+            ]
+        )
+        pairs.append(EigenPair(f, mult, vecs))
 
     assert sum(pr.multiplicity for pr in pairs) + max(residual.degree, 0) == n
-    return EigenDecomposition(p, pairs, residual, samples)
+    return EigenDecomposition(p, pairs, residual)

@@ -1,18 +1,29 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liegeom.scalars import EPS, ONE, ZERO, MultiPoly, Poly, parse_scalar, scalar_str
+from liegeom.algebra import MetricLieAlgebra
+from liegeom.geometry import rough_laplacian
+from liegeom.scalars import (
+    EPS,
+    ONE,
+    ZERO,
+    MultiPoly,
+    Poly,
+    RatFunc,
+    parse_scalar,
+    scalar_str,
+)
 from liegeom.solvers import (
-    InterpolationDegreeExceeded,
     NotLinearError,
     charpoly,
     eigen_analyze,
     kernel_basis,
     linear_system_from_equations,
-    poly_sqrt,
     rank_one_conditions,
-    ratfunc_sqrt,
     rref_solve,
     solve_parametric,
 )
@@ -169,25 +180,50 @@ def test_eigen_berger_laplacian_matrix():
         ("-2*eps", 1), ("(-4+4*eps-2*eps^2)/eps", 2)]
 
 
-def test_eigen_degree_bound():
-    with pytest.raises(InterpolationDegreeExceeded):
-        eigen_analyze([[EPS ** 3]], degree_bound=2)
+def test_eigen_high_degree_value():
+    dec = eigen_analyze([[EPS ** 9]])
+    assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [("eps^9", 1)]
+    assert dec.residual.degree == 0
 
 
-# ---------------------------------------------------------------------------
-# square roots
+def test_eigen_crossing_values():
+    # eps crosses 5 and 11 between small sample points; all three are found
+    M = [[EPS, ZERO, ZERO], [ZERO, 5 * ONE, ZERO], [ZERO, ZERO, 11 * ONE]]
+    dec = eigen_analyze(M)
+    assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [
+        ("5", 1), ("11", 1), ("eps", 1)]
+    assert dec.residual.degree == 0
 
 
-def test_poly_sqrt():
-    x = Poly.x()
-    s = poly_sqrt((1 + x) ** 2)
-    assert s is not None and s * s == (1 + x) ** 2
-    assert poly_sqrt(x ** 2 + 1) is None
-    assert poly_sqrt(x) is None
+def test_eigen_r4_laplacian_fully_resolved():
+    # solvable r4 with an eps-dependent bracket and the identity metric
+    I4 = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    alg = MetricLieAlgebra.from_brackets(
+        4, {(0, 3): {0: 1}, (1, 3): {1: EPS / 5}, (2, 3): {2: 2}}, I4)
+    dec = eigen_analyze(rough_laplacian(alg))
+    assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [
+        ("-5-1/25*eps^2", 1), ("-1/25*eps^2", 1), ("-4", 1), ("-1", 1)]
+    assert dec.residual.degree == 0
 
 
-def test_ratfunc_sqrt():
-    f = parse_scalar("4*eps^2/(1-2*eps+eps^2)")
-    s = ratfunc_sqrt(f)
-    assert s is not None and s * s == f
-    assert ratfunc_sqrt(EPS) is None
+small_polys = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=3).map(Poly)
+small_ratfuncs = st.tuples(small_polys, small_polys.filter(lambda p: not p.is_zero)).map(
+    lambda nd: RatFunc(nd[0], nd[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.lists(small_ratfuncs, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_eigen_triangular_spectrum_is_the_diagonal(rows):
+    n = len(rows)
+    M = [[rows[i][j] if j >= i else ZERO for j in range(n)] for i in range(n)]
+    dec = eigen_analyze(M)
+    found = Counter()
+    for p in dec.pairs:
+        found[p.value] += p.multiplicity
+    assert found == Counter(M[i][i] for i in range(n))
+    assert dec.residual.degree == 0
+    # ascending as eps -> +oo
+    for a, b in zip(dec.pairs, dec.pairs[1:]):
+        assert (b.value - a.value).num.leading > 0
