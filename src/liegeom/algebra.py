@@ -34,6 +34,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .scalars import (
+    MultiPoly,
     Poly,
     RatFunc,
     ONE,
@@ -48,9 +49,6 @@ MAX_DIM = 4
 
 class SingularMetric(ArithmeticError):
     """Inversion of a Gram matrix whose determinant is identically zero."""
-
-
-is_zero_scalar = scalar_is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,10 @@ def transpose(a):
 
 
 def mat_det(a):
-    """Laplace expansion; fine for the n <= 4 matrices this package sees."""
+    """Laplace expansion; fine for the n <= 4 matrices this package sees.
+
+    Entries may be of any exact scalar type, `Poly` over Q(eps) included;
+    the result has the entries' type."""
     n = len(a)
     if n == 1:
         return a[0][0]
@@ -119,21 +120,21 @@ def mat_det(a):
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     acc = None
     for j in range(n):
-        if is_zero_scalar(a[0][j]):
+        if scalar_is_zero(a[0][j]):
             continue
         minor = [row[:j] + row[j + 1:] for row in a[1:]]
         term = a[0][j] * mat_det(minor)
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
-    return ZERO if acc is None else acc
+    return a[0][0] * 0 if acc is None else acc
 
 
 def mat_inv(a) -> list[list[RatFunc]]:
     """Inverse by the adjugate; entries must be RatFunc."""
     n = len(a)
     det = mat_det(a)
-    if is_zero_scalar(det):
+    if scalar_is_zero(det):
         raise SingularMetric("matrix determinant is identically zero")
     if n == 1:
         return [[ONE / det]]
@@ -151,32 +152,14 @@ def mat_inv(a) -> list[list[RatFunc]]:
     return out
 
 
-def _wrap_factor(s: str) -> str:
-    if any(ch in s for ch in "+*/") or "-" in s[1:]:
-        return f"({s})"
-    return s
-
-
-def vector_str(coords: Sequence, labels: Sequence[str] | None = None) -> str:
-    """Render a coordinate vector as a combination of X1..Xn."""
+def vector_str(coords: Sequence) -> str:
+    """Render a coordinate vector as a combination of X1..Xn: the linear
+    `MultiPoly` in X1..Xn with these coefficients."""
     n = len(coords)
-    labels = labels or [f"X{i+1}" for i in range(n)]
-    parts = []
-    for c, lab in zip(coords, labels):
-        if is_zero_scalar(c):
-            continue
-        cs = str(c)
-        if cs == "1":
-            body = lab
-        elif cs == "-1":
-            body = f"-{lab}"
-        else:
-            body = f"{_wrap_factor(cs)}*{lab}"
-        if parts and not body.startswith("-"):
-            parts.append("+" + body)
-        else:
-            parts.append(body)
-    return "".join(parts) if parts else "0"
+    names = tuple(f"X{i+1}" for i in range(n))
+    return str(MultiPoly(names, {
+        tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coords)
+    }))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +260,7 @@ class MetricLieAlgebra:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if not is_zero_scalar(C[i][j][k] + C[j][i][k]):
+                    if not scalar_is_zero(C[i][j][k] + C[j][i][k]):
                         out.append(Violation(
                             "antisymmetry",
                             f"[X{i+1},X{j+1}] and [X{j+1},X{i+1}] disagree in the X{k+1} component",
@@ -291,7 +274,7 @@ class MetricLieAlgebra:
                             acc = acc + C[j][k][m] * C[i][m][l]
                             acc = acc + C[k][i][m] * C[j][m][l]
                             acc = acc + C[i][j][m] * C[k][m][l]
-                        if not is_zero_scalar(acc):
+                        if not scalar_is_zero(acc):
                             out.append(Violation(
                                 "jacobi",
                                 f"cyclic bracket sum on (X{i+1},X{j+1},X{k+1}) has nonzero X{l+1} component {acc}",
@@ -302,7 +285,7 @@ class MetricLieAlgebra:
                     out.append(Violation(
                         "metric-symmetry", f"g[{i+1}][{j+1}] != g[{j+1}][{i+1}]"
                     ))
-        if is_zero_scalar(mat_det([list(r) for r in G])):
+        if scalar_is_zero(mat_det([list(r) for r in G])):
             out.append(Violation(
                 "metric-nondegenerate", "determinant of the metric is identically zero"
             ))
@@ -311,6 +294,10 @@ class MetricLieAlgebra:
     def singular_parameters(self) -> list[Fraction]:
         """Rational parameter values where the data stops making sense:
         poles of any entry, and zeros of the metric determinant."""
+        return list(self._singular_parameters)
+
+    @cached_property
+    def _singular_parameters(self) -> tuple[Fraction, ...]:
         bad: set[Fraction] = set()
         def pole_roots(f: RatFunc):
             if f.den.degree > 0:
@@ -323,12 +310,12 @@ class MetricLieAlgebra:
         for row in self.metric:
             for x in row:
                 pole_roots(x)
-        det = mat_det([list(r) for r in self.metric])
+        det = self.metric_det
         if not det.is_zero:
             pole_roots(det)
             for r, _ in poly_rational_roots(det.num):
                 bad.add(r)
-        return sorted(bad)
+        return tuple(sorted(bad))
 
     # -- basic operations --------------------------------------------------
 
@@ -337,10 +324,10 @@ class MetricLieAlgebra:
         n = self.dim
         out = [ZERO for _ in range(n)]
         for i in range(n):
-            if is_zero_scalar(u[i]):
+            if scalar_is_zero(u[i]):
                 continue
             for j in range(n):
-                if is_zero_scalar(v[j]):
+                if scalar_is_zero(v[j]):
                     continue
                 for k in range(n):
                     c = self.brackets[i][j][k]
@@ -353,10 +340,10 @@ class MetricLieAlgebra:
         n = self.dim
         acc = ZERO
         for i in range(n):
-            if is_zero_scalar(u[i]):
+            if scalar_is_zero(u[i]):
                 continue
             for j in range(n):
-                if is_zero_scalar(v[j]):
+                if scalar_is_zero(v[j]):
                     continue
                 acc = acc + u[i] * v[j] * self.metric[i][j]
         return acc
@@ -408,10 +395,10 @@ class MetricLieAlgebra:
         K = self.nabla_basis
         out = [ZERO for _ in range(n)]
         for i in range(n):
-            if is_zero_scalar(u[i]):
+            if scalar_is_zero(u[i]):
                 continue
             for j in range(n):
-                if is_zero_scalar(v[j]):
+                if scalar_is_zero(v[j]):
                     continue
                 for k in range(n):
                     c = K[i][j][k]
@@ -436,7 +423,7 @@ class MetricLieAlgebra:
         out = zeros(n)
         for i in range(n):
             for j in range(n):
-                if i == j or is_zero_scalar(u[i]) or is_zero_scalar(v[j]):
+                if i == j or scalar_is_zero(u[i]) or scalar_is_zero(v[j]):
                     continue
                 op = self.curvature_operator(i, j)
                 w = u[i] * v[j]
@@ -517,7 +504,7 @@ class MetricLieAlgebra:
         basis = self.lie_derivative_metric_basis
         out = zeros(n)
         for m in range(n):
-            if is_zero_scalar(v[m]):
+            if scalar_is_zero(v[m]):
                 continue
             for i in range(n):
                 for j in range(n):
@@ -585,7 +572,7 @@ class MetricLieAlgebra:
                 for r in range(n):
                     for s in range(n):
                         w = Pm[r][i] * Pm[s][j]
-                        if is_zero_scalar(w):
+                        if scalar_is_zero(w):
                             continue
                         for k in range(n):
                             if not C[r][s][k].is_zero:

@@ -34,7 +34,6 @@ from typing import Sequence
 
 from .algebra import (
     MetricLieAlgebra,
-    is_zero_scalar,
     mat_add,
     mat_mul,
     mat_scale,
@@ -50,6 +49,7 @@ from .scalars import (
     component_names,
     poly_rational_roots,
     ratfunc,
+    scalar_is_zero,
 )
 from .solvers import (
     EigenDecomposition,
@@ -392,7 +392,7 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
     n = alg.dim
     names = component_names(n)
     V = [MultiPoly.var(names, nm) for nm in names]
-    eqs = [e for e in alg.nabla(V, V) if not is_zero_scalar(e)]
+    eqs = [e for e in alg.nabla(V, V) if not scalar_is_zero(e)]
     components, caveats = solve_zero_set(eqs, names)
     candidates = (caveats | _coefficient_roots(eqs)) - set(alg.singular_parameters())
     branches = []
@@ -407,7 +407,7 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
 def geodesic_check(alg: MetricLieAlgebra, coords: Sequence) -> bool:
     """Exact test of nabla_V V = 0 for one concrete invariant vector."""
     v = [ratfunc(c) for c in coords]
-    return all(is_zero_scalar(x) for x in alg.nabla(v, v))
+    return all(scalar_is_zero(x) for x in alg.nabla(v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -473,70 +473,63 @@ def _component_witness(eqs: list[MultiPoly], names, components) -> list[RatFunc]
     return None
 
 
-def walker_check(alg: MetricLieAlgebra, numeric_scan: bool = True) -> WalkerVerdict:
-    """Decide whether the metric admits an invariant null parallel line
-    field (the invariant core of a Walker structure).
+def _null_parallel_witness(eqs: list[MultiPoly], names) -> tuple[
+    list[RatFunc] | None, list[frozenset[str]] | None, set[Fraction]
+]:
+    """Decide whether the Walker equations have a nonzero solution.
 
-    The symbolic route classifies the common zero set of the parallelism
-    minors plus the null condition; an independent numeric route scans the
-    null cone at sample parameter values and must agree, otherwise
-    CaseAnalysisIncomplete is raised rather than reporting either answer.
+    Returns (witness, components, caveats) from `solve_zero_set`; the
+    witness is None exactly when every component is the origin.  When the
+    case analysis is stuck, a grid witness still decides (components None,
+    no caveats).  A nontrivial component without a rational witness, or a
+    stuck analysis without a grid witness, raises CaseAnalysisIncomplete.
     """
-    n = alg.dim
-    names = component_names(n)
-    eqs = _walker_equations(alg, names)
-
-    components = None
-    caveats: set[Fraction] = set()
-    witness = None
     try:
         components, caveats = solve_zero_set(eqs, names)
-        nontrivial = [c for c in components if len(c) < n]
-        if nontrivial:
-            witness = _component_witness(eqs, names, nontrivial)
-            if witness is None:
-                witness = _grid_witness(eqs, names)
-            if witness is None:
-                raise CaseAnalysisIncomplete(
-                    "zero set has a nontrivial component but no rational witness was found"
-                )
-            verdict = True
-        else:
-            verdict = False
     except CaseAnalysisIncomplete:
         witness = _grid_witness(eqs, names)
         if witness is None:
             raise
-        verdict = True
+        return witness, None, set()
+    nontrivial = [c for c in components if len(c) < len(names)]
+    if not nontrivial:
+        return None, components, caveats
+    witness = _component_witness(eqs, names, nontrivial) or _grid_witness(eqs, names)
+    if witness is None:
+        raise CaseAnalysisIncomplete(
+            "zero set has a nontrivial component but no rational witness was found"
+        )
+    return witness, components, caveats
+
+
+def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
+    """Decide whether the metric admits an invariant null parallel line
+    field (the invariant core of a Walker structure).
+
+    The symbolic route classifies the common zero set of the parallelism
+    minors plus the null condition, generically and at every candidate
+    parameter value, with one decision routine; an independent numeric
+    route scans the null cone at sample parameter values and must agree,
+    otherwise CaseAnalysisIncomplete is raised rather than reporting
+    either answer.
+    """
+    n = alg.dim
+    names = component_names(n)
+    eqs = _walker_equations(alg, names)
+    witness, components, caveats = _null_parallel_witness(eqs, names)
+    verdict = witness is not None
 
     singular = set(alg.singular_parameters())
     exceptional: list[tuple[Fraction, bool, list[Fraction] | None]] = []
     for eps0 in sorted((caveats | _coefficient_roots(eqs)) - singular):
         spec_eqs = [e.specialize_param(eps0) for e in eqs]
-        spec_eqs = [e for e in spec_eqs if not e.is_zero]
-        try:
-            comp0, _ = solve_zero_set(spec_eqs, names)
-            nontrivial0 = [c for c in comp0 if len(c) < n]
-            if nontrivial0:
-                w0 = _component_witness(spec_eqs, names, nontrivial0)
-                if w0 is None:
-                    w0 = _grid_witness(spec_eqs, names)
-                v0 = w0 is not None
-            else:
-                w0, v0 = None, False
-        except CaseAnalysisIncomplete:
-            w0 = _grid_witness(spec_eqs, names)
-            if w0 is None:
-                raise
-            v0 = True
-        if v0 != verdict:
-            coords = None
-            if w0 is not None:
-                coords = [x.constant_value() for x in w0]
-            exceptional.append((eps0, v0, coords))
+        w0, _, _ = _null_parallel_witness([e for e in spec_eqs if not e.is_zero], names)
+        if (w0 is not None) != verdict:
+            coords = None if w0 is None else [x.constant_value() for x in w0]
+            exceptional.append((eps0, w0 is not None, coords))
 
     numeric_checks: list[tuple[Fraction, bool]] = []
-    if numeric_scan and n == 3:
+    if n == 3:
         from .numeric import null_parallel_scan
 
         override = {eps0: v for eps0, v, _ in exceptional}
@@ -585,7 +578,7 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
         for j in range(n):
             for k in range(n):
                 s = D[i][j][k] + D[j][k][i] + D[k][i][j]
-                if not is_zero_scalar(s):
+                if not scalar_is_zero(s):
                     violations.append((i + 1, j + 1, k + 1))
     names = component_names(n)
     V = [MultiPoly.var(names, nm) for nm in names]
@@ -714,7 +707,7 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
             t = MultiPoly.var(tnames, tnames[k])
             V = [acc + t * comp for acc, comp in zip(V, vec)]
         trace = harmonic_map_trace(alg, V)
-        trace_zero = all(is_zero_scalar(x) for x in trace)
+        trace_zero = all(scalar_is_zero(x) for x in trace)
         section = pair.value.is_zero
         roots: list[Fraction] = []
         if not section and pair.value.num.degree > 0:

@@ -26,6 +26,9 @@ import numpy as np
 from .algebra import MetricLieAlgebra
 
 _FRAME_TOL = 1e-9
+# null-cone scan: coarse angles, then the defect below which a line is parallel
+_SCAN_ANGLES = 720
+_SCAN_TOL = 1e-9
 
 
 class SingularMetricAtPoint(ArithmeticError):
@@ -178,12 +181,7 @@ def _parallel_defect(model: NumericModel, v: np.ndarray) -> float:
     return worst
 
 
-def null_parallel_scan(
-    alg: MetricLieAlgebra,
-    eps0,
-    angles: int = 720,
-    tol: float = 1e-9,
-) -> bool | None:
+def null_parallel_scan(alg: MetricLieAlgebra, eps0) -> bool | None:
     """Scan the null cone of a 3-dimensional Lorentzian specialization for
     a direction spanning a parallel line field.
 
@@ -213,13 +211,13 @@ def null_parallel_scan(
         return _parallel_defect(model, v)
 
     best_theta, best = 0.0, float("inf")
-    for k in range(angles):
-        theta = 2 * math.pi * k / angles
+    for k in range(_SCAN_ANGLES):
+        theta = 2 * math.pi * k / _SCAN_ANGLES
         s = score(theta)
         if s < best:
             best_theta, best = theta, s
-    lo = best_theta - 2 * math.pi / angles
-    hi = best_theta + 2 * math.pi / angles
+    lo = best_theta - 2 * math.pi / _SCAN_ANGLES
+    hi = best_theta + 2 * math.pi / _SCAN_ANGLES
     for _ in range(200):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
@@ -228,4 +226,4 @@ def null_parallel_scan(
         else:
             lo = m1
     best = min(best, score((lo + hi) / 2))
-    return best < tol
+    return best < _SCAN_TOL

@@ -36,6 +36,7 @@ from .geometry import (
 )
 from .numeric import NumericModel, evaluate_numeric
 from .scalars import fraction_str, scalar_str
+from .solvers import spectral_str
 
 SCHEMA = "1"
 
@@ -249,7 +250,7 @@ def harmonic_section(alg: MetricLieAlgebra, h: HarmonicityReport | None = None) 
         "critical_families": fams,
         "unresolved_factor_degree": max(h.decomposition.residual.degree, 0),
         "unresolved_factor": (
-            str(h.decomposition.residual)
+            spectral_str(h.decomposition.residual)
             if h.decomposition.residual.degree > 0
             else None
         ),

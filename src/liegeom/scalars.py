@@ -3,11 +3,14 @@
 Every symbolic quantity in this package is a rational function of the
 deformation parameter ``eps`` with arbitrary-precision rational
 coefficients.  This module provides that field: dense univariate
-polynomials (`Poly`, lowest degree first, no trailing zero coefficient),
-their quotients in canonical form (`RatFunc`, numerator and denominator
-coprime, denominator monic), and a sparse multivariate layer (`MultiPoly`)
-whose coefficients are again rational functions, used whenever vector
-components or Lagrange multipliers enter an identity.
+polynomials (`Poly`, lowest degree first, no trailing zero coefficient)
+with coefficients in Q or in Q(eps), their quotients in canonical form
+(`RatFunc`, numerator and denominator polynomials in eps over Q, coprime,
+denominator monic), and a sparse multivariate layer (`MultiPoly`) whose
+coefficients are again rational functions, used whenever vector
+components or Lagrange multipliers enter an identity.  A `Poly` over Q is
+a polynomial in eps; a `Poly` over Q(eps) is one in the spectral variable
+of a characteristic polynomial.
 
 Canonical forms make equality decidable by structural comparison, which is
 what the geometric verdicts downstream rely on.  Rationals are stdlib
@@ -54,6 +57,17 @@ def _fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+_ZERO_Q = Fraction(0)
+
+
+def _coefficient(value):
+    if isinstance(value, (Fraction, RatFunc)):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected int, Fraction or RatFunc, got {type(value).__name__}")
+
+
 def fraction_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -68,11 +82,17 @@ def scalar_is_zero(x) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Q
+# dense univariate polynomials over Q or Q(eps)
 
 
 class Poly:
-    """Dense polynomial in `eps` over Q, coefficients lowest degree first.
+    """Dense polynomial over one coefficient field, lowest degree first.
+
+    Over Q (ints are coerced to `Fraction`) it is a polynomial in `eps`;
+    over Q(eps) (`RatFunc` coefficients) it is a polynomial in the spectral
+    variable of a characteristic polynomial.  Arithmetic, division with
+    remainder, `monic`, `derivative`, `poly_gcd` and `square_free_part`
+    serve both; `eval`, `int_primitive` and `str` are for Q.
 
     Invariant: the coefficient tuple never ends in a zero, so the zero
     polynomial is the empty tuple and `degree` of zero is -1.
@@ -81,8 +101,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [_coefficient(c) for c in coeffs]
+        while cs and scalar_is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -109,8 +129,15 @@ class Poly:
         return self.coeffs[-1]
 
     def check_invariants(self) -> None:
-        assert all(isinstance(c, Fraction) for c in self.coeffs)
-        assert not self.coeffs or self.coeffs[-1] != 0
+        """One coefficient type (Fraction or a canonical RatFunc), no
+        trailing zero."""
+        kind = type(self.coeffs[-1]) if self.coeffs else Fraction
+        assert kind in (Fraction, RatFunc)
+        for c in self.coeffs:
+            assert type(c) is kind
+            if kind is RatFunc:
+                c.check_invariants()
+        assert not self.coeffs or not scalar_is_zero(self.coeffs[-1])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -165,9 +192,12 @@ class Poly:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        # the zero of the coefficient field, by type: arithmetic on a
+        # coefficient here would cost one field operation per product
+        zero = ZERO if isinstance(self.coeffs[-1], RatFunc) else _ZERO_Q
+        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
+            if scalar_is_zero(a):
                 continue
             for j, b in enumerate(o.coeffs):
                 out[i + j] += a * b
@@ -188,11 +218,11 @@ class Poly:
         return result
 
     def scale(self, factor) -> "Poly":
-        f = _fraction(factor)
-        return Poly(tuple(c * f for c in self.coeffs))
+        return Poly(tuple(c * factor for c in self.coeffs))
 
     def pdivmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder over Q."""
+        """Exact polynomial division with remainder over the coefficient
+        field."""
         if other.is_zero:
             raise DivisionByZeroFunction("polynomial division by zero")
         rem = list(self.coeffs)
@@ -200,12 +230,12 @@ class Poly:
         dq = len(rem) - len(div)
         if dq < 0:
             return Poly(), self
-        quo = [Fraction(0)] * (dq + 1)
+        quo = [None] * (dq + 1)
         inv_lead = 1 / div[-1]
         for k in range(dq, -1, -1):
             coeff = rem[k + len(div) - 1] * inv_lead
             quo[k] = coeff
-            if coeff != 0:
+            if not scalar_is_zero(coeff):
                 for j, d in enumerate(div):
                     rem[k + j] -= coeff * d
         return Poly(quo), Poly(rem)
@@ -290,10 +320,7 @@ def square_free_part(p: Poly) -> Poly:
     """p divided by gcd(p, p'), monic; the radical of p."""
     if p.is_zero:
         return p
-    if p.degree == 0:
-        return Poly((1,))
-    g = poly_gcd(p, p.derivative())
-    return poly_div_exact(p, g).monic()
+    return poly_div_exact(p, poly_gcd(p, p.derivative())).monic()
 
 
 def _divisors(n: int) -> list[int]:
@@ -416,8 +443,9 @@ class RatFunc:
         return self.num.coeffs[0]
 
     def check_invariants(self) -> None:
-        self.num.check_invariants()
-        self.den.check_invariants()
+        for p in (self.num, self.den):
+            p.check_invariants()
+            assert all(isinstance(c, Fraction) for c in p.coeffs)
         assert not self.den.is_zero and self.den.leading == 1
         if not self.num.is_zero:
             assert poly_gcd(self.num, self.den).degree == 0
@@ -521,6 +549,8 @@ class RatFunc:
 
 def _as_poly(value) -> Poly:
     if isinstance(value, Poly):
+        if value.coeffs and isinstance(value.coeffs[-1], RatFunc):
+            raise TypeError("a Poly over Q(eps) is no element of Q(eps)")
         return value
     if isinstance(value, (int, Fraction)):
         return Poly((value,))

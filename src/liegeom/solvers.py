@@ -12,12 +12,14 @@ sequence, so rank, consistency, and kernel all specialize.
 
 `eigen_analyze` finds the eigenvalues of an operator that are themselves
 rational functions of the parameter.  The characteristic polynomial is
-computed exactly and made squarefree and monic over Q[eps]; that fixes a
-proven degree bound on its rational-function roots.  Each rational root at
-one parameter value where the polynomial stays squarefree is Newton-lifted
-in the parameter up to that bound and kept if it solves the polynomial
-exactly, so the list is complete.  What has no rational-function root is
-returned untouched as a residual factor.  No floating point is involved
+computed exactly, as a `Poly` over Q(eps) in the spectral variable mu, by
+the same determinant routine as every other matrix (`mat_det`), and made
+squarefree and monic over Q[eps]; that fixes a proven degree bound on its
+rational-function roots.  Each rational root at one parameter value where
+the polynomial stays squarefree is Newton-lifted in the parameter up to
+that bound and kept if it solves the polynomial exactly, so the list is
+complete.  What has no rational-function root is returned untouched as a
+residual factor, printed by `spectral_str`.  No floating point is involved
 anywhere.
 """
 
@@ -29,6 +31,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Sequence
 
+from .algebra import mat_det
 from .scalars import (
     MultiPoly,
     Poly,
@@ -279,155 +282,21 @@ def rank_one_conditions(columns: Sequence[Sequence]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials with RatFunc coefficients (spectral variable)
+# characteristic polynomials: Poly over Q(eps) in the spectral variable mu
 
 
-class FieldPoly:
-    """Dense polynomial in one abstract variable over the RatFunc field.
-
-    Used for characteristic polynomials: the variable is the spectral one,
-    the coefficients are rational functions of the parameter.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence = ()):
-        cs = [ratfunc(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def variable(cls) -> "FieldPoly":
-        return cls((ZERO, ONE))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: "FieldPoly") -> "FieldPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return FieldPoly(out)
-
-    def __neg__(self) -> "FieldPoly":
-        return FieldPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "FieldPoly") -> "FieldPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "FieldPoly") -> "FieldPoly":
-        if self.is_zero or other.is_zero:
-            return FieldPoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return FieldPoly(out)
-
-    def divmod(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("FieldPoly division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return FieldPoly(), self
-        quo = [ZERO] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quo[k] = c
-            if not c.is_zero:
-                for j, d in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * d
-        return FieldPoly(quo), FieldPoly(rem)
-
-    def monic(self) -> "FieldPoly":
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        return FieldPoly([c / lead for c in self.coeffs])
-
-    def derivative(self) -> "FieldPoly":
-        return FieldPoly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def gcd(self, other: "FieldPoly") -> "FieldPoly":
-        """Monic gcd by the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero:
-                continue
-            mono = "" if k == 0 else ("mu" if k == 1 else f"mu^{k}")
-            cs = str(c)
-            if mono and cs == "1":
-                body = mono
-            elif mono and cs == "-1":
-                body = f"-{mono}"
-            elif mono:
-                wrapped = f"({cs})" if any(ch in cs for ch in "+/") or "-" in cs[1:] else cs
-                body = f"{wrapped}*{mono}"
-            else:
-                body = f"({cs})" if any(ch in cs for ch in "+/") or "-" in cs[1:] else cs
-            if parts and not body.startswith("-"):
-                parts.append("+" + body)
-            else:
-                parts.append(body)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"FieldPoly({str(self)!r})"
-
-
-def charpoly(matrix: Sequence[Sequence[RatFunc]]) -> FieldPoly:
-    """det(mu I - L), exactly, by Laplace expansion over FieldPoly."""
+def charpoly(matrix: Sequence[Sequence[RatFunc]]) -> Poly:
+    """det(mu I - L) over Q(eps), by `mat_det` on Poly entries."""
     n = len(matrix)
-    mu = FieldPoly.variable()
-    entries = [
-        [
-            (mu if i == j else FieldPoly()) - FieldPoly((matrix[i][j],))
-            for j in range(n)
-        ]
+    return mat_det([
+        [Poly((-matrix[i][j], ONE) if i == j else (-matrix[i][j],)) for j in range(n)]
         for i in range(n)
-    ]
+    ])
 
-    def det(rows):
-        k = len(rows)
-        if k == 1:
-            return rows[0][0]
-        acc = FieldPoly()
-        for j in range(k):
-            if rows[0][j].is_zero:
-                continue
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = rows[0][j] * det(minor)
-            acc = acc + (-term if j % 2 else term)
-        return acc
 
-    return det(entries)
+def spectral_str(p: Poly) -> str:
+    """A polynomial over Q(eps), printed as a MultiPoly in mu."""
+    return str(MultiPoly(("mu",), {(k,): c for k, c in enumerate(p.coeffs)}))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +321,9 @@ class EigenDecomposition:
     sum(multiplicities) + residual.degree == dim.
     """
 
-    charpoly: FieldPoly
+    charpoly: Poly
     pairs: list[EigenPair]
-    residual: FieldPoly
+    residual: Poly
 
 
 def _horner(coeffs: Sequence, x: Poly, terms: int | None = None) -> Poly:
@@ -468,7 +337,7 @@ def _horner(coeffs: Sequence, x: Poly, terms: int | None = None) -> Poly:
     return acc
 
 
-def _rational_roots(p: FieldPoly) -> list[RatFunc]:
+def _rational_roots(p: Poly) -> list[RatFunc]:
     """Every root of p in Q(eps), ascending as eps -> +oo.
 
     With s the squarefree part of p and D the lcm of its coefficient
@@ -481,7 +350,7 @@ def _rational_roots(p: FieldPoly) -> list[RatFunc]:
     lifting each rational root up to t^bound and keeping the lifts that
     solve q exactly finds them all.
     """
-    s = p.divmod(p.gcd(p.derivative()))[0].monic()
+    s = square_free_part(p)
     m = s.degree
     D = Poly((1,))
     for c in s.coeffs:
@@ -526,12 +395,11 @@ def eigen_analyze(matrix: Sequence[Sequence[RatFunc]]) -> EigenDecomposition:
     p = charpoly(matrix)
     residual = p
     pairs: list[EigenPair] = []
-    mu = FieldPoly.variable()
     for f in _rational_roots(p):
-        factor = mu - FieldPoly((f,))
+        factor = Poly((-f, ONE))
         mult = 0
         while residual.degree >= 1:
-            quo, rem = residual.divmod(factor)
+            quo, rem = residual.pdivmod(factor)
             if not rem.is_zero:
                 break
             residual = quo

@@ -232,12 +232,6 @@ def test_walker_abelian_witness(abelian_alg):
     assert abelian_alg.inner(w, w) == ZERO
 
 
-def test_walker_numeric_scan_optional(berger_alg):
-    v = walker_check(berger_alg, numeric_scan=False)
-    assert not v.is_walker
-    assert v.numeric_checks == []
-
-
 # ---------------------------------------------------------------------------
 # Ledger conditions
 

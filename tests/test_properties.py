@@ -14,6 +14,7 @@ from liegeom.scalars import (
     EPS,
     ONE,
     ZERO,
+    MultiPoly,
     Poly,
     RatFunc,
     parse_scalar,
@@ -37,33 +38,41 @@ ratfuncs = st.tuples(polys, polys.filter(lambda p: not p.is_zero)).map(
     lambda nd: RatFunc(nd[0], nd[1]))
 
 
+def checked(value):
+    """Run the value's `check_invariants` and hand the value back."""
+    value.check_invariants()
+    return value
+
+
 @given(ratfuncs)
 def test_print_parse_round_trip(f):
-    assert parse_scalar(scalar_str(f)) == f
+    assert checked(parse_scalar(scalar_str(f))) == f
 
 
 @given(ratfuncs, ratfuncs)
 def test_field_commutativity(f, g):
-    assert f + g == g + f
-    assert f * g == g * f
+    assert checked(f + g) == g + f
+    assert checked(f * g) == g * f
 
 
 @given(ratfuncs, ratfuncs, ratfuncs)
 def test_field_distributivity(f, g, h):
-    assert f * (g + h) == f * g + f * h
+    assert checked(f * (g + h)) == f * g + f * h
+    x = MultiPoly.var(("x",), "x")
+    assert checked((x * f + g) * (x * h)) == x * x * (f * h) + x * (g * h)
 
 
 @given(ratfuncs)
 def test_field_inverses(f):
-    assert f - f == ZERO
+    assert checked(f - f) == ZERO
     if not f.is_zero:
-        assert f * (ONE / f) == ONE
+        assert checked(f * (ONE / f)) == ONE
 
 
 @given(polys, polys, rationals)
 def test_poly_eval_homomorphism(p, q, v):
-    assert (p + q).eval(v) == p.eval(v) + q.eval(v)
-    assert (p * q).eval(v) == p.eval(v) * q.eval(v)
+    assert checked(p + q).eval(v) == p.eval(v) + q.eval(v)
+    assert checked(p * q).eval(v) == p.eval(v) * q.eval(v)
 
 
 # ---------------------------------------------------------------------------

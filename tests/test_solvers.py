@@ -16,6 +16,7 @@ from liegeom.scalars import (
     RatFunc,
     parse_scalar,
     scalar_str,
+    square_free_part,
 )
 from liegeom.solvers import (
     NotLinearError,
@@ -26,6 +27,7 @@ from liegeom.solvers import (
     rank_one_conditions,
     rref_solve,
     solve_parametric,
+    spectral_str,
 )
 
 
@@ -142,8 +144,36 @@ def test_rank_one_conditions():
 
 def test_charpoly_swap_matrix():
     cp = charpoly([[ZERO, ONE], [ONE, ZERO]])
-    assert str(cp) == "mu^2-1"
+    assert spectral_str(cp) == "mu^2-1"
     assert cp.degree == 2
+
+
+def test_residual_prints_as_multipoly_in_mu():
+    # mu^2 - 2*eps*mu - 1 has no rational-function root; a coefficient
+    # c*eps^k in front of a power of mu is parenthesized, as in vectors
+    dec = eigen_analyze([[2 * EPS, ONE], [ONE, ZERO]])
+    assert dec.pairs == []
+    assert spectral_str(dec.residual) == "mu^2+(-2*eps)*mu-1"
+
+
+def test_square_free_part_over_q_eps():
+    mu_eps, mu_1 = Poly((-EPS, ONE)), Poly((-ONE, ONE))
+    assert square_free_part(mu_eps * mu_eps * mu_1) == mu_eps * mu_1
+
+
+def test_poly_over_q_eps_does_not_mix_with_ratfunc():
+    with pytest.raises(TypeError):
+        Poly((-EPS, ONE)) * EPS
+    with pytest.raises(TypeError):
+        RatFunc(Poly((EPS,)))
+
+
+def test_eigen_zero_first_row_in_a_minor():
+    # in det(mu*I - M) the minor of the -1 entry starts with a zero row
+    M = [[ONE if (i, j) == (0, 1) else ZERO for j in range(4)] for i in range(4)]
+    dec = eigen_analyze(M)
+    assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [("0", 4)]
+    assert dec.residual.degree == 0
 
 
 def test_eigen_identity_matrix():
@@ -219,6 +249,8 @@ def test_eigen_triangular_spectrum_is_the_diagonal(rows):
     n = len(rows)
     M = [[rows[i][j] if j >= i else ZERO for j in range(n)] for i in range(n)]
     dec = eigen_analyze(M)
+    dec.charpoly.check_invariants()
+    dec.residual.check_invariants()
     found = Counter()
     for p in dec.pairs:
         found[p.value] += p.multiplicity
