@@ -36,7 +36,6 @@ from .geometry import (
 )
 from .numeric import NumericModel, evaluate_numeric
 from .scalars import fraction_str, scalar_str
-from .solvers import spectral_str
 
 SCHEMA = "1"
 
@@ -250,7 +249,7 @@ def harmonic_section(alg: MetricLieAlgebra, h: HarmonicityReport | None = None) 
         "critical_families": fams,
         "unresolved_factor_degree": max(h.decomposition.residual.degree, 0),
         "unresolved_factor": (
-            spectral_str(h.decomposition.residual)
+            str(h.decomposition.residual)
             if h.decomposition.residual.degree > 0
             else None
         ),

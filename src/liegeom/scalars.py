@@ -5,17 +5,20 @@ deformation parameter ``eps`` with arbitrary-precision rational
 coefficients.  This module provides that field: dense univariate
 polynomials (`Poly`, lowest degree first, no trailing zero coefficient)
 with coefficients in Q or in Q(eps), their quotients in canonical form
-(`RatFunc`, numerator and denominator polynomials in eps over Q, coprime,
-denominator monic), and a sparse multivariate layer (`MultiPoly`) whose
-coefficients are again rational functions, used whenever vector
-components or Lagrange multipliers enter an identity.  A `Poly` over Q is
-a polynomial in eps; a `Poly` over Q(eps) is one in the spectral variable
-of a characteristic polynomial.
+(`RatFunc`, a coprime pair of integer polynomials in eps), and a sparse
+multivariate layer (`MultiPoly`) whose coefficients are again rational
+functions, used whenever vector components or Lagrange multipliers enter
+an identity.  A `Poly` over Q is a polynomial in eps; a `Poly` over Q(eps)
+is one in the spectral variable of a characteristic polynomial.
 
 Canonical forms make equality decidable by structural comparison, which is
-what the geometric verdicts downstream rely on.  Rationals are stdlib
-`fractions.Fraction`, whose normalization (reduced, positive denominator)
-already matches the contract here.
+what the geometric verdicts downstream rely on.  A `RatFunc` is stored as
+two integer coefficient tuples N/D, coprime in Z[eps] contents included,
+with lc(D) > 0; its arithmetic cancels common factors with gcds in Z[eps]
+(a shortcut for constant and ``c*eps^k`` operands, the subresultant PRS
+otherwise), so no rational coefficient is ever normalized on the way.  Its
+numerator and denominator over Q, with a monic denominator, are computed
+on demand.  Rationals are stdlib `fractions.Fraction`.
 
 The text syntax for scalars accepts integers, rationals ``p/q``, the token
 ``eps``, the operators ``+ - * /``, parentheses, and ``^`` powers, e.g.
@@ -26,6 +29,7 @@ The text syntax for scalars accepts integers, rationals ``p/q``, the token
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -91,8 +95,9 @@ class Poly:
     Over Q (ints are coerced to `Fraction`) it is a polynomial in `eps`;
     over Q(eps) (`RatFunc` coefficients) it is a polynomial in the spectral
     variable of a characteristic polynomial.  Arithmetic, division with
-    remainder, `monic`, `derivative`, `poly_gcd` and `square_free_part`
-    serve both; `eval`, `int_primitive` and `str` are for Q.
+    remainder, `monic`, `derivative`, `poly_gcd`, `square_free_part` and
+    `str` serve both (over Q(eps) it prints as a `MultiPoly` in ``mu``);
+    `eval` and `int_primitive` are for Q.
 
     Invariant: the coefficient tuple never ends in a zero, so the zero
     polynomial is the empty tuple and `degree` of zero is -1.
@@ -257,20 +262,14 @@ class Poly:
 
     def int_primitive(self) -> tuple[int, ...]:
         """Integer coefficients after clearing denominators, content 1."""
-        if self.is_zero:
-            return ()
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _gcd_int(g, abs(v))
-        return tuple(v // g for v in ints)
+        (ints,) = _clear_denominators(self)
+        return _zdiv_int(ints, gcd(*ints))
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        if isinstance(self.coeffs[-1], RatFunc):
+            return str(MultiPoly(("mu",), {(k,): c for k, c in enumerate(self.coeffs)}))
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
@@ -286,12 +285,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -391,81 +384,264 @@ def poly_rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
 
 
 # ---------------------------------------------------------------------------
+# integer polynomial kernels: int tuples, lowest degree first, no trailing
+# zero, the zero polynomial is ()
+
+
+def _clear_denominators(*polys: Poly) -> list[tuple[int, ...]]:
+    """The polynomials over Q times the lcm of all their denominators."""
+    m = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [tuple(c.numerator * (m // c.denominator) for c in p.coeffs) for p in polys]
+
+
+def _zneg(a: tuple) -> tuple:
+    return tuple(-x for x in a)
+
+
+def _zdiv_int(a: tuple, c: int) -> tuple:
+    """a / c for an integer c dividing every coefficient."""
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _zadd(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _zmul(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return a if b[0] == 1 else tuple(b[0] * x for x in a)
+    if not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _zpow(a: tuple, n: int) -> tuple:
+    result = (1,)
+    while n:
+        if n & 1:
+            result = _zmul(result, a)
+        a = _zmul(a, a)
+        n >>= 1
+    return result
+
+
+def _zdiv_exact(a: tuple, b: tuple) -> tuple:
+    """a / b for a nonzero b that divides a in Z[eps]."""
+    if len(b) == 1:
+        return _zdiv_int(a, b[0])
+    db, lb = len(b) - 1, b[-1]
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        q = rem[k + db] // lb
+        quo[k] = q
+        if q:
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    return tuple(quo)
+
+
+def _zprem(u: tuple, v: tuple) -> tuple:
+    """Pseudo-remainder: lc(v)^(deg u - deg v + 1) * u mod v."""
+    dv, lv = len(v) - 1, v[-1]
+    r = list(u)
+    for k in range(len(u) - len(v), -1, -1):
+        q = r[k + dv]
+        r = [lv * x for x in r[:k + dv]]
+        for j in range(dv):
+            r[k + j] -= q * v[j]
+    while r and not r[-1]:
+        r.pop()
+    return tuple(r)
+
+
+def _zgcd(a: tuple, b: tuple) -> tuple:
+    """gcd of two nonzero polynomials in Z[eps], content included, lc > 0.
+
+    eps is prime in Z[eps], so the gcd is eps^min(valuations) times the gcd
+    of the parts without the factor eps; when one of those is a constant the
+    rest is the integer gcd of the contents, and otherwise it is the content
+    gcd times the primitive part of the last subresultant PRS remainder
+    (Knuth, TAOCP vol. 2, 4.6.1, Algorithm C), whose coefficients stay the
+    size of the subresultants.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return (gcd(*a, *b),)
+    va = next(i for i, x in enumerate(a) if x)
+    vb = next(i for i, x in enumerate(b) if x)
+    a, b = a[va:], b[vb:]
+    shift = (0,) * min(va, vb)
+    ca, cb = gcd(*a), gcd(*b)
+    c = gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return shift + (c,)
+    u, v = _zdiv_int(a, ca), _zdiv_int(b, cb)
+    if len(u) < len(v):
+        u, v = v, u
+    g = h = 1
+    while True:
+        delta = len(u) - len(v)
+        r = _zprem(u, v)
+        if not r:
+            break
+        if len(r) == 1:
+            return shift + (c,)
+        u, v = v, _zdiv_int(r, g * h**delta)
+        g = u[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    pv = gcd(*v) if v[-1] > 0 else -gcd(*v)
+    return shift + tuple(c * (x // pv) for x in v)
+
+
+def _canonical(n: tuple, d: tuple) -> tuple[tuple, tuple]:
+    """n/d with the gcd cancelled and lc(d) > 0; d is nonzero."""
+    if not n:
+        return (), (1,)
+    g = _zgcd(n, d)
+    if g != (1,):
+        n, d = _zdiv_exact(n, g), _zdiv_exact(d, g)
+    if d[-1] < 0:
+        n, d = _zneg(n), _zneg(d)
+    return n, d
+
+
+def _ratfunc(n: tuple, d: tuple) -> "RatFunc":
+    """The RatFunc with the canonical integer pair (n, d)."""
+    out = object.__new__(RatFunc)
+    out._n = n
+    out._d = d
+    return out
+
+
+def _times(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFunc":
+    """(n1/d1) * (n2/d2) for canonical pairs up to the sign of d2: each
+    numerator is cancelled against the other denominator (Henrici), which
+    leaves the product canonical."""
+    if not n1 or not n2:
+        return ZERO
+    g = _zgcd(n1, d2)
+    if g != (1,):
+        n1, d2 = _zdiv_exact(n1, g), _zdiv_exact(d2, g)
+    g = _zgcd(n2, d1)
+    if g != (1,):
+        n2, d1 = _zdiv_exact(n2, g), _zdiv_exact(d1, g)
+    n, d = _zmul(n1, n2), _zmul(d1, d2)
+    if d[-1] < 0:
+        n, d = _zneg(n), _zneg(d)
+    return _ratfunc(n, d)
+
+
+def _zhomogeneous(a: tuple, p: int, q: int) -> int:
+    """q^deg(a) * a(p/q), by Horner's rule in integers."""
+    acc, qk = 0, 1
+    for c in reversed(a):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # rational functions in canonical form
 
 
 class RatFunc:
-    """Quotient of two `Poly` in canonical form.
+    """Quotient of two polynomials in eps in canonical form.
 
-    Invariants: denominator nonzero and monic, gcd(num, den) = 1, and the
-    zero function is stored as 0/1.  Equality and hashing are structural.
+    Stored as integer coefficient tuples N/D (lowest degree first, no
+    trailing zero) that are coprime in Z[eps] with their contents included,
+    with lc(D) > 0; the zero function is ()/(1,).  Equality and hashing
+    are structural on the pair.  `num` and `den` give the same quotient
+    over Q with a monic denominator, as `Poly`s.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num=0, den=1):
         num = _as_poly(num)
         den = _as_poly(den)
         if den.is_zero:
             raise DivisionByZeroFunction("denominator is identically zero")
-        if num.is_zero:
-            self.num = Poly()
-            self.den = Poly((1,))
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = poly_div_exact(num, g)
-            den = poly_div_exact(den, g)
-        lead = den.leading
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
+        self._n, self._d = _canonical(*_clear_denominators(num, den))
 
     @classmethod
     def eps(cls) -> "RatFunc":
-        return cls(Poly.x())
+        return _ratfunc((0, 1), (1,))
+
+    @property
+    def num(self) -> Poly:
+        lead = self._d[-1]
+        return Poly(Fraction(c, lead) for c in self._n)
+
+    @property
+    def den(self) -> Poly:
+        if len(self._d) == 1:
+            return _Q_ONE
+        lead = self._d[-1]
+        return Poly(Fraction(c, lead) for c in self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self._n
 
     @property
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
+        return len(self._n) <= 1 and len(self._d) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        if self.num.is_zero:
+        if not self._n:
             return Fraction(0)
-        return self.num.coeffs[0]
+        return Fraction(self._n[0], self._d[0])
 
     def check_invariants(self) -> None:
-        for p in (self.num, self.den):
-            p.check_invariants()
-            assert all(isinstance(c, Fraction) for c in p.coeffs)
-        assert not self.den.is_zero and self.den.leading == 1
-        if not self.num.is_zero:
-            assert poly_gcd(self.num, self.den).degree == 0
-        else:
-            assert self.den == Poly((1,))
+        """The integer pair is canonical, and its form over Q is the one
+        Euclid's algorithm over Q gives: coprime, monic denominator."""
+        n, d = self._n, self._d
+        for t in (n, d):
+            assert type(t) is tuple and all(type(c) is int for c in t)
+            assert not t or t[-1] != 0
+        assert d and d[-1] > 0
+        # with no common factor over Q, Gauss's lemma leaves only the contents
+        assert gcd(*n, *d) == 1
+        num, den = self.num, self.den
+        num.check_invariants()
+        den.check_invariants()
+        assert den.leading == 1 and poly_gcd(num, den) == Poly((1,))
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._n == o._n and self._d == o._d
 
     def __hash__(self) -> int:
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self._n, self._d))
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, int):
+            return _ratfunc((other,) if other else (), (1,))
+        if isinstance(other, Fraction):
+            return _ratfunc((other.numerator,) if other else (), (other.denominator,))
+        if isinstance(other, Poly):
             return RatFunc(other)
         return None
 
@@ -473,15 +649,27 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        n1, d1, n2, d2 = self._n, self._d, o._n, o._d
+        if not n2:
+            return self
+        if not n1:
+            return o
+        if d1 == d2:
+            return _ratfunc(*_canonical(_zadd(n1, n2), d1))
+        # Henrici: with g = gcd(d1, d2), d1 = g*e1 and d2 = g*e2, the sum is
+        # t / (e1*e2*g) with t = n1*e2 + n2*e1, and t is coprime to e1 and e2
+        g = _zgcd(d1, d2)
+        e1, e2 = _zdiv_exact(d1, g), _zdiv_exact(d2, g)
+        t = _zadd(_zmul(n1, e2), _zmul(n2, e1))
+        if not t:
+            return ZERO
+        t, g = _canonical(t, g)
+        return _ratfunc(t, _zmul(_zmul(e1, e2), g))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _ratfunc(_zneg(self._n), self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -499,7 +687,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        return _times(self._n, self._d, o._n, o._d)
 
     __rmul__ = __mul__
 
@@ -509,7 +697,7 @@ class RatFunc:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZeroFunction("division by the zero function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return _times(self._n, self._d, o._d, o._n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -518,28 +706,38 @@ class RatFunc:
         return o / self
 
     def __pow__(self, n: int) -> "RatFunc":
+        num, den = self._n, self._d
         if n < 0:
             if self.is_zero:
                 raise DivisionByZeroFunction("negative power of zero")
-            return RatFunc(self.den**(-n), self.num**(-n))
-        return RatFunc(self.num**n, self.den**n)
+            num, den, n = den, num, -n
+        num, den = _zpow(num, n), _zpow(den, n)
+        if den[-1] < 0:
+            num, den = _zneg(num), _zneg(den)
+        return _ratfunc(num, den)
 
     def eval(self, x: Fraction) -> Fraction:
         x = _fraction(x)
-        dv = self.den.eval(x)
+        p, q = x.numerator, x.denominator
+        dv = _zhomogeneous(self._d, p, q)
         if dv == 0:
             raise PoleAtEvaluationPoint(f"{self} has a pole at {PARAM}={x}")
-        return self.num.eval(x) / dv
+        # N(x) / D(x) = q^(deg D - deg N) * nv / dv
+        nv = _zhomogeneous(self._n, p, q)
+        shift = len(self._d) - len(self._n)
+        if shift >= 0:
+            return Fraction(nv * q**shift, dv)
+        return Fraction(nv, dv * q**-shift)
 
     def __str__(self) -> str:
-        if self.den == Poly((1,)):
+        if len(self._d) == 1:
             return str(self.num)
         num_s = str(self.num)
         if _top_level_sum(num_s):
             num_s = f"({num_s})"
         # a monic denominator is a bare power of eps or needs parentheses
         den_s = str(self.den)
-        if self.den.degree >= 0 and len([c for c in self.den.coeffs if c != 0]) > 1:
+        if sum(1 for c in self._d if c) > 1:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
@@ -574,6 +772,8 @@ def _top_level_sum(s: str) -> bool:
 ZERO = RatFunc(0)
 ONE = RatFunc(1)
 EPS = RatFunc.eps()
+# the `den` of every RatFunc with a constant denominator; no Poly is mutated
+_Q_ONE = Poly((1,))
 
 
 def ratfunc(value) -> RatFunc:

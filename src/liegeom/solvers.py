@@ -19,7 +19,7 @@ rational-function roots.  Each rational root at one parameter value where
 the polynomial stays squarefree is Newton-lifted in the parameter up to
 that bound and kept if it solves the polynomial exactly, so the list is
 complete.  What has no rational-function root is returned untouched as a
-residual factor, printed by `spectral_str`.  No floating point is involved
+residual factor, which prints as a polynomial in mu.  No floating point is involved
 anywhere.
 """
 
@@ -292,11 +292,6 @@ def charpoly(matrix: Sequence[Sequence[RatFunc]]) -> Poly:
         [Poly((-matrix[i][j], ONE) if i == j else (-matrix[i][j],)) for j in range(n)]
         for i in range(n)
     ])
-
-
-def spectral_str(p: Poly) -> str:
-    """A polynomial over Q(eps), printed as a MultiPoly in mu."""
-    return str(MultiPoly(("mu",), {(k,): c for k, c in enumerate(p.coeffs)}))
 
 
 # ---------------------------------------------------------------------------

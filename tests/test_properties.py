@@ -18,6 +18,8 @@ from liegeom.scalars import (
     Poly,
     RatFunc,
     parse_scalar,
+    poly_div_exact,
+    poly_gcd,
     scalar_str,
 )
 from liegeom.solvers import rref_solve
@@ -37,11 +39,33 @@ polys = st.lists(rationals, min_size=0, max_size=4).map(Poly)
 ratfuncs = st.tuples(polys, polys.filter(lambda p: not p.is_zero)).map(
     lambda nd: RatFunc(nd[0], nd[1]))
 
+# the denominators of the catalog: constants and c*eps^k, besides dense ones
+monomials = st.tuples(rationals.filter(bool), st.integers(0, 4)).map(
+    lambda ck: Poly([0] * ck[1] + [ck[0]]))
+denominators = st.one_of(monomials, polys.filter(lambda p: not p.is_zero))
+
 
 def checked(value):
     """Run the value's `check_invariants` and hand the value back."""
     value.check_invariants()
     return value
+
+
+def euclid_over_q(num, den):
+    """The normalization over Q: cancel the monic gcd by Euclid's
+    algorithm, then make the denominator monic."""
+    if num.is_zero:
+        return Poly(), Poly((1,))
+    g = poly_gcd(num, den)
+    num, den = poly_div_exact(num, g), poly_div_exact(den, g)
+    return num.scale(1 / den.leading), den.monic()
+
+
+@given(polys, denominators, denominators)
+def test_ratfunc_matches_euclid_over_q(num, den, common):
+    for n, d in ((num, den), (num * common, den * common)):
+        f = checked(RatFunc(n, d))
+        assert (f.num, f.den) == euclid_over_q(n, d)
 
 
 @given(ratfuncs)

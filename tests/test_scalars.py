@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,11 @@ from liegeom.scalars import (
     Poly,
     RatFunc,
     ScalarSyntaxError,
+    _zgcd,
+    _zmul,
     component_names,
     parse_scalar,
+    poly_div_exact,
     poly_gcd,
     poly_rational_roots,
     ratfunc,
@@ -63,6 +67,54 @@ def test_poly_gcd_is_monic():
     x = Poly.x()
     g = poly_gcd(2 * (x - 1) * (x + 2), 4 * (x - 1))
     assert g == x - 1
+
+
+def test_poly_over_q_eps_not_divisible_raises_value_error():
+    # the message prints both polynomials over Q(eps), as MultiPolys in mu
+    with pytest.raises(ValueError, match=r"mu\^2\+eps\*mu\+1 is not divisible by mu\+eps"):
+        poly_div_exact(Poly((ONE, EPS, ONE)), Poly((EPS, ONE)))
+
+
+def test_integer_gcd_shortcuts_and_prs():
+    # a constant operand: the integer gcd of all the coefficients
+    assert _zgcd((6,), (4, 8)) == (2,)
+    assert _zgcd((-3, 6), (-9,)) == (3,)
+    # c*eps^k operands: eps^min(valuations) times the gcd of the contents
+    assert _zgcd((0, 0, 6), (0, 3, 9)) == (0, 3)
+    assert _zgcd((0, 0, -4), (0, 0, 0, 2, 2)) == (0, 0, 2)
+    assert _zgcd((0, 5), (1, 1)) == (1,)
+    # general case, content included and leading coefficient made positive
+    a = _zmul(_zmul((6,), (1, 1)), _zmul((1, 1), (-2, 1)))  # 6(1+e)^2(e-2)
+    b = _zmul((-4,), _zmul((1, 1), (1, 0, 1)))              # -4(1+e)(1+e^2)
+    assert _zgcd(a, b) == (2, 2)
+    assert _zgcd((0, 0) + a, (0,) + b) == (0, 2, 2)
+    assert _zgcd((1, 0, 1), (-1, 1)) == (1,)
+    # Knuth's example (TAOCP 4.6.1): every remainder drops two degrees
+    u = (-5, 2, 8, -3, -3, 0, 1, 0, 1)
+    v = (21, -9, -4, 0, 5, 0, 3)
+    assert _zgcd(u, v) == (1,)
+    assert _zgcd(_zmul(u, (2, -1)), _zmul(v, (-4, 2))) == (-2, 1)
+
+
+def test_integer_gcd_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    e = sympy.Symbol("e")
+    rng = random.Random(7)
+
+    def rand_poly(deg):
+        return tuple(rng.randint(-6, 6) for _ in range(deg)) + (rng.choice((-3, -1, 1, 2)),)
+
+    for _ in range(40):
+        common = rand_poly(rng.randint(0, 3))
+        a = _zmul(common, rand_poly(rng.randint(0, 4)))
+        b = _zmul(common, rand_poly(rng.randint(0, 4)))
+        expected = sympy.Poly(sympy.gcd(
+            sympy.Poly(list(reversed(a)), e, domain="ZZ"),
+            sympy.Poly(list(reversed(b)), e, domain="ZZ"),
+        ), e)
+        if expected.LC() < 0:
+            expected = -expected
+        assert _zgcd(a, b) == tuple(int(c) for c in reversed(expected.all_coeffs()))
 
 
 def test_rational_roots_with_multiplicity():

@@ -27,7 +27,6 @@ from liegeom.solvers import (
     rank_one_conditions,
     rref_solve,
     solve_parametric,
-    spectral_str,
 )
 
 
@@ -144,7 +143,7 @@ def test_rank_one_conditions():
 
 def test_charpoly_swap_matrix():
     cp = charpoly([[ZERO, ONE], [ONE, ZERO]])
-    assert spectral_str(cp) == "mu^2-1"
+    assert str(cp) == "mu^2-1"
     assert cp.degree == 2
 
 
@@ -153,7 +152,7 @@ def test_residual_prints_as_multipoly_in_mu():
     # c*eps^k in front of a power of mu is parenthesized, as in vectors
     dec = eigen_analyze([[2 * EPS, ONE], [ONE, ZERO]])
     assert dec.pairs == []
-    assert spectral_str(dec.residual) == "mu^2+(-2*eps)*mu-1"
+    assert str(dec.residual) == "mu^2+(-2*eps)*mu-1"
 
 
 def test_square_free_part_over_q_eps():
