@@ -35,11 +35,9 @@ from typing import Mapping, Sequence
 
 from .scalars import (
     MultiPoly,
-    Poly,
     RatFunc,
     ONE,
     ZERO,
-    poly_rational_roots,
     ratfunc,
     scalar_is_zero,
 )
@@ -236,7 +234,7 @@ class MetricLieAlgebra:
         point, which callers check via `singular_parameters`.
         """
         v = Fraction(value)
-        spec = lambda f: RatFunc(Poly((f.eval(v),)))
+        spec = lambda f: ratfunc(f.eval(v))
         C = tuple(
             tuple(tuple(spec(c) for c in row) for row in plane)
             for plane in self.brackets
@@ -298,42 +296,15 @@ class MetricLieAlgebra:
 
     @cached_property
     def _singular_parameters(self) -> tuple[Fraction, ...]:
-        bad: set[Fraction] = set()
-        def pole_roots(f: RatFunc):
-            if f.den.degree > 0:
-                for r, _ in poly_rational_roots(f.den):
-                    bad.add(r)
-        for plane in self.brackets:
-            for row in plane:
-                for c in row:
-                    pole_roots(c)
-        for row in self.metric:
-            for x in row:
-                pole_roots(x)
+        entries = [c for plane in self.brackets for row in plane for c in row]
+        entries += [x for row in self.metric for x in row]
+        bad = {r for f in entries for r, _ in f.poles()}
         det = self.metric_det
         if not det.is_zero:
-            pole_roots(det)
-            for r, _ in poly_rational_roots(det.num):
-                bad.add(r)
+            bad.update(r for r, _ in det.zeros() + det.poles())
         return tuple(sorted(bad))
 
     # -- basic operations --------------------------------------------------
-
-    def bracket_vec(self, u: Sequence, v: Sequence) -> list:
-        """[u, v] for coordinate vectors; works for generic coefficients."""
-        n = self.dim
-        out = [ZERO for _ in range(n)]
-        for i in range(n):
-            if scalar_is_zero(u[i]):
-                continue
-            for j in range(n):
-                if scalar_is_zero(v[j]):
-                    continue
-                for k in range(n):
-                    c = self.brackets[i][j][k]
-                    if not c.is_zero:
-                        out[k] = out[k] + u[i] * v[j] * c
-        return out
 
     def inner(self, u: Sequence, v: Sequence):
         """g(u, v) for coordinate vectors."""

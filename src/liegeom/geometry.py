@@ -47,7 +47,6 @@ from .scalars import (
     ONE,
     ZERO,
     component_names,
-    poly_rational_roots,
     ratfunc,
     scalar_is_zero,
 )
@@ -268,9 +267,7 @@ def _forced_vars(eq: MultiPoly, caveats: set[Fraction]) -> set[str] | None:
         coeff, expo = mono
         live = [i for i, e in enumerate(expo) if e]
         if len(live) == 1:
-            if coeff.num.degree > 0:
-                for r, _ in poly_rational_roots(coeff.num):
-                    caveats.add(r)
+            caveats.update(r for r, _ in coeff.zeros())
             return {eq.names[live[0]]}
         return None
     diag = eq.as_diagonal_quadratic()
@@ -281,9 +278,7 @@ def _forced_vars(eq: MultiPoly, caveats: set[Fraction]) -> set[str] | None:
             ratio = c / base
             if not ratio.is_constant or ratio.constant_value() <= 0:
                 return None
-        if base.num.degree > 0:
-            for r, _ in poly_rational_roots(base.num):
-                caveats.add(r)
+        caveats.update(r for r, _ in base.zeros())
         return {nm for nm, _ in items}
     return None
 
@@ -351,13 +346,7 @@ def component_str(component: frozenset[str], names: Sequence[str]) -> str:
 
 
 def _coefficient_roots(equations: Sequence[MultiPoly]) -> set[Fraction]:
-    roots: set[Fraction] = set()
-    for eq in equations:
-        for coeff in eq.terms.values():
-            if coeff.num.degree > 0:
-                for r, _ in poly_rational_roots(coeff.num):
-                    roots.add(r)
-    return roots
+    return {r for eq in equations for c in eq.terms.values() for r, _ in c.zeros()}
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +698,7 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
         trace = harmonic_map_trace(alg, V)
         trace_zero = all(scalar_is_zero(x) for x in trace)
         section = pair.value.is_zero
-        roots: list[Fraction] = []
-        if not section and pair.value.num.degree > 0:
-            roots = [
-                r for r, _ in poly_rational_roots(pair.value.num)
-                if r not in singular
-            ]
+        roots = [] if section else [r for r, _ in pair.value.zeros() if r not in singular]
         families.append(CriticalFamily(
             eigenvalue=pair.value,
             multiplicity=pair.multiplicity,
@@ -722,7 +706,7 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
             trace_vanishes=trace_zero,
             section_harmonic=section,
             map_harmonic=section and trace_zero,
-            harmonic_eps=sorted(roots) if trace_zero else [],
+            harmonic_eps=roots if trace_zero else [],
         ))
     section_kernel = kernel_basis(L)
     stacked = []

@@ -17,8 +17,10 @@ two integer coefficient tuples N/D, coprime in Z[eps] contents included,
 with lc(D) > 0; its arithmetic cancels common factors with gcds in Z[eps]
 (a shortcut for constant and ``c*eps^k`` operands, the subresultant PRS
 otherwise), so no rational coefficient is ever normalized on the way.  Its
-numerator and denominator over Q, with a monic denominator, are computed
-on demand.  Rationals are stdlib `fractions.Fraction`.
+rational zeros and poles are found on the same integer tuples, by the
+rational root theorem, and its numerator and denominator over Q, with a
+monic denominator, are computed on demand.  Rationals are stdlib
+`fractions.Fraction`.
 
 The text syntax for scalars accepts integers, rationals ``p/q``, the token
 ``eps``, the operators ``+ - * /``, parentheses, and ``^`` powers, e.g.
@@ -97,7 +99,7 @@ class Poly:
     variable of a characteristic polynomial.  Arithmetic, division with
     remainder, `monic`, `derivative`, `poly_gcd`, `square_free_part` and
     `str` serve both (over Q(eps) it prints as a `MultiPoly` in ``mu``);
-    `eval` and `int_primitive` are for Q.
+    `eval` and `poly_rational_roots` are for Q.
 
     Invariant: the coefficient tuple never ends in a zero, so the zero
     polynomial is the empty tuple and `degree` of zero is -1.
@@ -260,11 +262,6 @@ class Poly:
             return self
         return self.scale(1 / self.leading)
 
-    def int_primitive(self) -> tuple[int, ...]:
-        """Integer coefficients after clearing denominators, content 1."""
-        (ints,) = _clear_denominators(self)
-        return _zdiv_int(ints, gcd(*ints))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -316,71 +313,15 @@ def square_free_part(p: Poly) -> Poly:
     return poly_div_exact(p, poly_gcd(p, p.derivative())).monic()
 
 
-def _divisors(n: int) -> list[int]:
-    # trial division is plenty for the coefficient sizes this package sees
-    assert n >= 1
-    factors: list[tuple[int, int]] = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    divs = [1]
-    for prime, exp in factors:
-        divs = [v * prime**k for v in divs for k in range(exp + 1)]
-    return sorted(divs)
-
-
 def poly_rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities, by the rational root
-    theorem on the primitive integer form; each root verified by exact
-    evaluation.  Irrational roots are not isolated; use `square_free_part`
-    on the unfactored remainder to report them as square-free factors.
+    """All rational roots of a polynomial over Q with multiplicities,
+    ascending: `_zroots` on its integer form.  Irrational roots are not
+    isolated; use `square_free_part` on the unfactored remainder to report
+    them as square-free factors.
 
     Raises ValueError on the zero polynomial (every point is a root).
     """
-    if p.is_zero:
-        raise ValueError("the zero polynomial has every rational root")
-    roots: list[tuple[Fraction, int]] = []
-    coeffs = list(p.coeffs)
-    k = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-    q = Poly(coeffs)
-    if q.degree >= 1:
-        ints = q.int_primitive()
-        lead_divs = _divisors(abs(ints[-1]))
-        tail_divs = _divisors(abs(ints[0]))
-        candidates = sorted(
-            {
-                Fraction(sign * num, den)
-                for num in tail_divs
-                for den in lead_divs
-                for sign in (1, -1)
-            }
-        )
-        for r in candidates:
-            if q.eval(r) != 0:
-                continue
-            mult = 0
-            factor = Poly((-r, 1))
-            while True:
-                quo, rem = q.pdivmod(factor)
-                if not rem.is_zero:
-                    break
-                q = quo
-                mult += 1
-            roots.append((r, mult))
-    return sorted(roots)
+    return _zroots(*_clear_denominators(p))
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +410,35 @@ def _zprem(u: tuple, v: tuple) -> tuple:
     return tuple(r)
 
 
+def _zprs(u: tuple, v: tuple) -> list[tuple]:
+    """Subresultant PRS of u and v, deg u >= deg v > 0 (Knuth, TAOCP vol. 2,
+    4.6.1, Algorithm C): u, v, then every nonzero pseudo-remainder divided
+    by g*h^delta, so its coefficients stay the size of the subresultants.
+    The last element is a gcd of u and v up to content.
+    """
+    seq = [u, v]
+    g = h = 1
+    while True:
+        delta = len(u) - len(v)
+        r = _zprem(u, v)
+        if not r:
+            return seq
+        u, v = v, _zdiv_int(r, g * h**delta)
+        seq.append(v)
+        if len(v) == 1:
+            return seq
+        g = u[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+
+
 def _zgcd(a: tuple, b: tuple) -> tuple:
     """gcd of two nonzero polynomials in Z[eps], content included, lc > 0.
 
     eps is prime in Z[eps], so the gcd is eps^min(valuations) times the gcd
     of the parts without the factor eps; when one of those is a constant the
     rest is the integer gcd of the contents, and otherwise it is the content
-    gcd times the primitive part of the last subresultant PRS remainder
-    (Knuth, TAOCP vol. 2, 4.6.1, Algorithm C), whose coefficients stay the
-    size of the subresultants.
+    gcd times the primitive part of the last element of `_zprs`.
     """
     if len(a) == 1 or len(b) == 1:
         return (gcd(*a, *b),)
@@ -492,18 +453,9 @@ def _zgcd(a: tuple, b: tuple) -> tuple:
     u, v = _zdiv_int(a, ca), _zdiv_int(b, cb)
     if len(u) < len(v):
         u, v = v, u
-    g = h = 1
-    while True:
-        delta = len(u) - len(v)
-        r = _zprem(u, v)
-        if not r:
-            break
-        if len(r) == 1:
-            return shift + (c,)
-        u, v = v, _zdiv_int(r, g * h**delta)
-        g = u[-1]
-        if delta:
-            h = g**delta // h ** (delta - 1)
+    v = _zprs(u, v)[-1]
+    if len(v) == 1:
+        return shift + (c,)
     pv = gcd(*v) if v[-1] > 0 else -gcd(*v)
     return shift + tuple(c * (x // pv) for x in v)
 
@@ -555,6 +507,59 @@ def _zhomogeneous(a: tuple, p: int, q: int) -> int:
     return acc
 
 
+def _divisors(n: int) -> list[int]:
+    # trial division is plenty for the coefficient sizes this package sees
+    assert n >= 1
+    factors: list[tuple[int, int]] = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    divs = [1]
+    for prime, exp in factors:
+        divs = [v * prime**k for v in divs for k in range(exp + 1)]
+    return sorted(divs)
+
+
+def _zroots(a: tuple) -> list[tuple[Fraction, int]]:
+    """Rational roots of a nonzero integer polynomial with multiplicities,
+    ascending, by the rational root theorem on its primitive part: each
+    candidate p/q is tested by integer Horner and divided out as q*eps - p,
+    which by Gauss's lemma divides exactly in Z[eps].
+    """
+    if len(a) == 1:
+        return []
+    if not a:
+        raise ValueError("the zero polynomial has every rational root")
+    k = next(i for i, x in enumerate(a) if x)
+    roots = [(Fraction(0), k)] if k else []
+    a = a[k:]
+    if len(a) > 1:
+        a = _zdiv_int(a, gcd(*a))
+        candidates = sorted({
+            Fraction(sign * p, q)
+            for p in _divisors(abs(a[0]))
+            for q in _divisors(abs(a[-1]))
+            for sign in (1, -1)
+        })
+        for r in candidates:
+            p, q = r.numerator, r.denominator
+            mult = 0
+            while len(a) > 1 and _zhomogeneous(a, p, q) == 0:
+                a = _zdiv_exact(a, (-p, q))
+                mult += 1
+            if mult:
+                roots.append((r, mult))
+    return sorted(roots)
+
+
 # ---------------------------------------------------------------------------
 # rational functions in canonical form
 
@@ -565,8 +570,9 @@ class RatFunc:
     Stored as integer coefficient tuples N/D (lowest degree first, no
     trailing zero) that are coprime in Z[eps] with their contents included,
     with lc(D) > 0; the zero function is ()/(1,).  Equality and hashing
-    are structural on the pair.  `num` and `den` give the same quotient
-    over Q with a monic denominator, as `Poly`s.
+    are structural on the pair.  `zeros` and `poles` read the rational roots
+    of N and D off the tuples; `num` and `den` give the same quotient over Q
+    with a monic denominator, as `Poly`s.
     """
 
     __slots__ = ("_n", "_d")
@@ -601,6 +607,15 @@ class RatFunc:
     @property
     def is_constant(self) -> bool:
         return len(self._n) <= 1 and len(self._d) == 1
+
+    def zeros(self) -> list[tuple[Fraction, int]]:
+        """Rational roots of the numerator with multiplicities, ascending.
+        Raises ValueError on the zero function, which vanishes everywhere."""
+        return _zroots(self._n)
+
+    def poles(self) -> list[tuple[Fraction, int]]:
+        """Rational roots of the denominator with multiplicities, ascending."""
+        return _zroots(self._d)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -778,8 +793,8 @@ _Q_ONE = Poly((1,))
 
 def ratfunc(value) -> RatFunc:
     """Coerce an int, Fraction, Poly, RatFunc, or scalar text to RatFunc."""
-    if isinstance(value, RatFunc):
-        return value
+    if isinstance(value, (RatFunc, int, Fraction)):
+        return RatFunc._coerce(value)
     if isinstance(value, str):
         return parse_scalar(value)
     return RatFunc(value)
@@ -1095,7 +1110,7 @@ class MultiPoly:
         for expo, coeff in self.terms.items():
             c = coeff.eval(v)
             if c != 0:
-                out[expo] = RatFunc(Poly((c,)))
+                out[expo] = ratfunc(c)
         result = MultiPoly.__new__(MultiPoly)
         result.names = self.names
         result.terms = out

@@ -169,15 +169,6 @@ class ParametricSolution:
         return None
 
 
-def _rational_roots_of(f: RatFunc, into: set[Fraction]) -> None:
-    if f.num.degree > 0:
-        for r, _ in poly_rational_roots(f.num):
-            into.add(r)
-    if f.den.degree > 0:
-        for r, _ in poly_rational_roots(f.den):
-            into.add(r)
-
-
 def solve_parametric(
     rows: Sequence[Sequence[RatFunc]],
     rhs: Sequence[RatFunc],
@@ -190,12 +181,9 @@ def solve_parametric(
     """
     rows = [[ratfunc(x) for x in r] for r in rows]
     rhs = [ratfunc(x) for x in rhs]
-    candidates: set[Fraction] = set()
-    for r, b in zip(rows, rhs):
-        for x in list(r) + [b]:
-            if x.den.degree > 0:
-                for root, _ in poly_rational_roots(x.den):
-                    candidates.add(root)
+    candidates = {
+        root for r, b in zip(rows, rhs) for x in r + [b] for root, _ in x.poles()
+    }
 
     logged: list[RatFunc] = []
 
@@ -204,7 +192,9 @@ def solve_parametric(
 
     generic = rref_solve(rows, rhs, record=record)
     for v in logged:
-        _rational_roots_of(v, candidates)
+        # a consistency value can be identically zero: no root to record
+        if not v.is_zero:
+            candidates.update(root for root, _ in v.zeros() + v.poles())
 
     branches: list[ExceptionalBranch] = []
     for eps0 in sorted(candidates):

@@ -68,6 +68,27 @@ def test_ratfunc_matches_euclid_over_q(num, den, common):
         assert (f.num, f.den) == euclid_over_q(n, d)
 
 
+# (root, multiplicity, whether it is a pole), at most one entry per root
+chosen_roots = st.lists(
+    st.tuples(rationals, st.integers(1, 3), st.booleans()),
+    max_size=4, unique_by=lambda t: t[0])
+
+
+@given(chosen_roots, rationals.filter(bool))
+def test_zeros_and_poles_recover_chosen_roots(chosen, scale):
+    # the quadratic cofactors have no rational root and nothing cancels
+    x = Poly.x()
+    num, den = (x ** 2 + 2).scale(scale), x ** 2 - 2
+    for r, m, is_pole in chosen:
+        if is_pole:
+            den = den * (x - r) ** m
+        else:
+            num = num * (x - r) ** m
+    f = checked(RatFunc(num, den))
+    assert f.zeros() == sorted((r, m) for r, m, is_pole in chosen if not is_pole)
+    assert f.poles() == sorted((r, m) for r, m, is_pole in chosen if is_pole)
+
+
 @given(ratfuncs)
 def test_print_parse_round_trip(f):
     assert checked(parse_scalar(scalar_str(f))) == f

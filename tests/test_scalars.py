@@ -15,6 +15,7 @@ from liegeom.scalars import (
     ScalarSyntaxError,
     _zgcd,
     _zmul,
+    _zprs,
     component_names,
     parse_scalar,
     poly_div_exact,
@@ -75,6 +76,9 @@ def test_poly_over_q_eps_not_divisible_raises_value_error():
         poly_div_exact(Poly((ONE, EPS, ONE)), Poly((EPS, ONE)))
 
 
+KNUTH_PRS_PAIR = ((-5, 2, 8, -3, -3, 0, 1, 0, 1), (21, -9, -4, 0, 5, 0, 3))
+
+
 def test_integer_gcd_shortcuts_and_prs():
     # a constant operand: the integer gcd of all the coefficients
     assert _zgcd((6,), (4, 8)) == (2,)
@@ -89,11 +93,43 @@ def test_integer_gcd_shortcuts_and_prs():
     assert _zgcd(a, b) == (2, 2)
     assert _zgcd((0, 0) + a, (0,) + b) == (0, 2, 2)
     assert _zgcd((1, 0, 1), (-1, 1)) == (1,)
-    # Knuth's example (TAOCP 4.6.1): every remainder drops two degrees
-    u = (-5, 2, 8, -3, -3, 0, 1, 0, 1)
-    v = (21, -9, -4, 0, 5, 0, 3)
+    # Knuth's example (TAOCP 4.6.1): every remainder drops two degrees, and
+    # each is divided by exactly g*h^delta, so a wrong h changes the sequence
+    u, v = KNUTH_PRS_PAIR
+    assert _zprs(u, v) == [
+        u, v, (-9, 0, 3, 0, -15), (-245, 125, 65), (12300, -9326), (260708,)
+    ]
     assert _zgcd(u, v) == (1,)
     assert _zgcd(_zmul(u, (2, -1)), _zmul(v, (-4, 2))) == (-2, 1)
+
+
+def _sympy_zpoly(sympy, e, a):
+    return sympy.Poly(list(reversed(a)), e, domain="ZZ")
+
+
+def test_prs_agrees_with_sympy_subresultants():
+    sympy = pytest.importorskip("sympy")
+    e = sympy.Symbol("e")
+    rng = random.Random(11)
+
+    def rand_poly(deg):
+        return tuple(rng.randint(-6, 6) for _ in range(deg)) + (rng.choice((-3, -1, 1, 2)),)
+
+    pairs = [KNUTH_PRS_PAIR]
+    for _ in range(30):
+        common = rand_poly(rng.randint(0, 2))
+        a = _zmul(common, rand_poly(rng.randint(2, 6)))
+        b = _zmul(common, rand_poly(rng.randint(1, 4)))
+        pairs.append((a, b) if len(a) >= len(b) else (b, a))
+    for u, v in pairs:
+        expected = sympy.subresultants(
+            _sympy_zpoly(sympy, e, u).as_expr(), _sympy_zpoly(sympy, e, v).as_expr(), e
+        )
+        got = _zprs(u, v)
+        assert len(got) == len(expected)
+        for r, s in zip(got, expected):
+            s = tuple(int(c) for c in reversed(sympy.Poly(s, e).all_coeffs()))
+            assert r in (s, tuple(-c for c in s))
 
 
 def test_integer_gcd_agrees_with_sympy():
@@ -109,8 +145,7 @@ def test_integer_gcd_agrees_with_sympy():
         a = _zmul(common, rand_poly(rng.randint(0, 4)))
         b = _zmul(common, rand_poly(rng.randint(0, 4)))
         expected = sympy.Poly(sympy.gcd(
-            sympy.Poly(list(reversed(a)), e, domain="ZZ"),
-            sympy.Poly(list(reversed(b)), e, domain="ZZ"),
+            _sympy_zpoly(sympy, e, a), _sympy_zpoly(sympy, e, b)
         ), e)
         if expected.LC() < 0:
             expected = -expected
@@ -174,8 +209,60 @@ def test_ratfunc_pow_negative():
 def test_ratfunc_coercion():
     assert ratfunc(3) == RatFunc(Poly.const(3), Poly.const(1))
     assert ratfunc(Fraction(1, 2)) * 2 == ONE
+    # ints and Fractions are built as integer pairs directly, canonical
+    for c in (0, -7, Fraction(-3, 4)):
+        ratfunc(c).check_invariants()
+        assert ratfunc(c) == RatFunc(Poly.const(c))
     assert ratfunc("4-2*eps") == 4 - 2 * EPS
     assert ratfunc(EPS) is EPS
+
+
+def test_ratfunc_zeros_and_poles():
+    f = parse_scalar("(eps^2-1)/eps^3")
+    assert f.zeros() == [(Fraction(-1), 1), (Fraction(1), 1)]
+    assert f.poles() == [(Fraction(0), 3)]
+    g = parse_scalar("(2*eps-3)^2*(eps^2+2)/(3*eps+1)")
+    assert g.zeros() == [(Fraction(3, 2), 2)]
+    assert g.poles() == [(Fraction(-1, 3), 1)]
+    c = ratfunc(Fraction(5, 2))
+    assert c.zeros() == [] and c.poles() == []
+    assert ZERO.poles() == []
+    # the zero function vanishes everywhere: no list of roots is complete
+    with pytest.raises(ValueError):
+        ZERO.zeros()
+
+
+def test_ratfunc_zeros_and_poles_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    e = sympy.Symbol("e")
+    rng = random.Random(5)
+
+    def rand_side():
+        # a few linear factors q*e - p, some repeated, times a dense cofactor
+        p = rng.choice((-1, 1, 2, 3)) * e ** rng.randint(0, 2)
+        for _ in range(rng.randint(0, 4)):
+            p *= (rng.randint(1, 4) * e - rng.randint(-5, 5)) ** rng.randint(1, 3)
+        p *= sum(rng.randint(-4, 4) * e ** k for k in range(rng.randint(0, 3))) or 1
+        return sympy.Poly(p, e, domain="ZZ")
+
+    def rational_roots(p):
+        roots = {}
+        for factor, mult in sympy.factor_list(p.as_expr(), e)[1]:
+            if sympy.degree(factor, e) == 1:
+                a, b = sympy.Poly(factor, e).all_coeffs()
+                r = -sympy.Rational(b, a)
+                roots[Fraction(int(r.p), int(r.q))] = mult
+        return sorted(roots.items())
+
+    for _ in range(30):
+        num, den = rand_side(), rand_side()
+        f = RatFunc(
+            Poly(int(c) for c in reversed(num.all_coeffs())),
+            Poly(int(c) for c in reversed(den.all_coeffs())),
+        )
+        reduced_num, reduced_den = sympy.fraction(sympy.cancel(num.as_expr() / den.as_expr()))
+        assert f.zeros() == rational_roots(sympy.Poly(reduced_num, e))
+        assert f.poles() == rational_roots(sympy.Poly(reduced_den, e))
 
 
 # ---------------------------------------------------------------------------
