@@ -41,6 +41,7 @@ from .algebra import (
     vector_str,
     zeros,
 )
+from .numeric import null_parallel_scan
 from .scalars import (
     MultiPoly,
     RatFunc,
@@ -497,10 +498,11 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
 
     The symbolic route classifies the common zero set of the parallelism
     minors plus the null condition, generically and at every candidate
-    parameter value, with one decision routine; an independent numeric
-    route scans the null cone at sample parameter values and must agree,
-    otherwise CaseAnalysisIncomplete is raised rather than reporting
-    either answer.
+    parameter value, with one decision routine.  An independent numeric
+    route (`numeric.null_parallel_scan`, from the joint eigenspaces of the
+    float connection operators) must agree at every sample parameter value
+    where the metric is indefinite, in any dimension; otherwise
+    CaseAnalysisIncomplete is raised rather than reporting either answer.
     """
     n = alg.dim
     names = component_names(n)
@@ -518,23 +520,20 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
             exceptional.append((eps0, w0 is not None, coords))
 
     numeric_checks: list[tuple[Fraction, bool]] = []
-    if n == 3:
-        from .numeric import null_parallel_scan
-
-        override = {eps0: v for eps0, v, _ in exceptional}
-        for eps0 in _NUMERIC_EPS_CANDIDATES:
-            if eps0 in singular:
-                continue
-            found = null_parallel_scan(alg, eps0)
-            if found is None:
-                continue
-            expected = override.get(eps0, verdict)
-            numeric_checks.append((eps0, found == expected))
-            if found != expected:
-                raise CaseAnalysisIncomplete(
-                    f"numeric null-cone scan at eps={eps0} contradicts the "
-                    f"symbolic verdict ({found} vs {expected})"
-                )
+    override = {eps0: v for eps0, v, _ in exceptional}
+    for eps0 in _NUMERIC_EPS_CANDIDATES:
+        if eps0 in singular:
+            continue
+        found = null_parallel_scan(alg, eps0)
+        if found is None:
+            continue
+        expected = override.get(eps0, verdict)
+        numeric_checks.append((eps0, found == expected))
+        if found != expected:
+            raise CaseAnalysisIncomplete(
+                f"numeric joint-eigenspace check at eps={eps0} contradicts "
+                f"the symbolic verdict ({found} vs {expected})"
+            )
 
     return WalkerVerdict(verdict, witness, eqs, components, exceptional, numeric_checks)
 

@@ -1,34 +1,47 @@
 """Floating-point evaluation at a fixed parameter value.
 
 This is the one module where floats and orthonormal frames exist.  It
-rebuilds the whole geometry (connection, curvature, Ricci, Laplacian)
-from the specialized structure constants with numpy, independently of the
-symbolic engine, which gives the test suite a genuinely separate route to
-every number: agreement between `evaluate_numeric` and the exact engine
-evaluated at the same parameter is a two-implementation check, not a
-tautology.
+rebuilds the geometry from the specialized structure constants with numpy,
+independently of the symbolic engine, which gives the test suite a
+genuinely separate route to every number: agreement between the float
+route and the exact engine evaluated at the same parameter is a
+two-implementation check, not a tautology.
 
-The entry point refuses parameter values where the metric degenerates
-(the determinant is checked exactly before any float is produced).  The
-orthonormal frame keeps the basis order when the metric is already
-diagonal and otherwise comes from a symmetric eigendecomposition; its
-signs determine the reported signature.
+Two entry points share the specialization and the Koszul formula:
+
+* `evaluate_numeric` builds the whole model (connection, curvature, Ricci,
+  Laplacian) through an orthonormal frame.  The frame keeps the basis order
+  when the metric is already diagonal and otherwise comes from a symmetric
+  eigendecomposition; its signs determine the reported signature.
+* `null_parallel_scan` decides whether the slice has a null parallel line
+  (the numeric cross-check of `geometry.walker_check`, in any dimension).
+  It needs only the metric and the connection operators, and it decides
+  from the joint eigenspaces of those operators, not by sampling the null
+  cone.
+
+Both refuse parameter values where the metric degenerates (the determinant
+is checked exactly, before any float geometry is built).  numpy is imported
+inside the functions that compute, so importing the package, and every
+exact analysis, never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import MetricLieAlgebra
 
 _FRAME_TOL = 1e-9
-# null-cone scan: coarse angles, then the defect below which a line is parallel
-_SCAN_ANGLES = 720
-_SCAN_TOL = 1e-9
+# Walker decision, relative to the largest entry of the connection operators:
+# a singular value or matrix entry below _NULL_TOL is zero, and eigenvalues
+# closer than _CLUSTER_TOL are one eigenvalue, which absorbs the
+# ~sqrt(machine eps) split of a defective eigenvalue.
+_NULL_TOL = 1e-9
+_CLUSTER_TOL = 1e-6
+_MIX_SEED = 20240501
 
 
 class SingularMetricAtPoint(ArithmeticError):
@@ -72,6 +85,8 @@ class NumericModel:
     def grad_norm_sq(self, coords) -> float:
         """sum_a s_a g(nabla_{e_a} V, nabla_{e_a} V) in the frame; equals
         the X-basis contraction with the inverse metric."""
+        import numpy as np
+
         v = np.asarray(coords, dtype=float)
         total = 0.0
         for a in range(self.dim):
@@ -84,20 +99,47 @@ class NumericModel:
         return self.dim / 2 + self.grad_norm_sq(coords) / 2
 
 
+def _brackets_at(alg: MetricLieAlgebra, eps0: Fraction):
+    """The structure constants C[i, j, k] at eps0, in floats."""
+    import numpy as np
+
+    return np.array(
+        [[[0.0 if c.is_zero else float(c.eval(eps0)) for c in row] for row in plane]
+         for plane in alg.brackets]
+    )
+
+
+def _metric_at(alg: MetricLieAlgebra, eps0: Fraction):
+    """The exact metric rows and the float metric at eps0; raises
+    SingularMetricAtPoint where the metric degenerates."""
+    import numpy as np
+
+    G_exact = [[0 if x.is_zero else x.eval(eps0) for x in row] for row in alg.metric]
+    if alg.metric_det.eval(eps0) == 0:
+        raise SingularMetricAtPoint(f"metric of {alg.name} degenerates at eps={eps0}")
+    return G_exact, np.array(G_exact, dtype=float)
+
+
+def _koszul(C, G, Ginv):
+    """The Koszul formula in floats: K[i, j, k] with nabla_{Xi} Xj =
+    sum_k K[i,j,k] Xk, and ops[i], the matrix of nabla_{Xi}."""
+    import numpy as np
+
+    CG = C @ G  # CG[i, j, k] = g([Xi, Xj], Xk)
+    rhs = CG - np.einsum("jki->ijk", CG) + np.einsum("kij->ijk", CG)
+    K = 0.5 * np.einsum("km,ijm->ijk", Ginv, rhs)
+    ops = np.ascontiguousarray(K.transpose(0, 2, 1))  # ops[i][r][c] = K[i, c, r]
+    return K, ops
+
+
 def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
     """Specialize exactly, then rebuild the geometry in floating point."""
-    eps0 = Fraction(eps0)
-    spec = alg.at_eps(eps0)
-    if spec.metric_det.is_zero:
-        raise SingularMetricAtPoint(f"metric of {alg.name} degenerates at eps={eps0}")
-    n = alg.dim
+    import numpy as np
 
-    C = np.array(
-        [[[float(spec.brackets[i][j][k].constant_value()) for k in range(n)]
-          for j in range(n)] for i in range(n)]
-    )
-    G_exact = [[spec.metric[i][j].constant_value() for j in range(n)] for i in range(n)]
-    G = np.array([[float(x) for x in row] for row in G_exact])
+    eps0 = Fraction(eps0)
+    C = _brackets_at(alg, eps0)
+    G_exact, G = _metric_at(alg, eps0)
+    n = alg.dim
     Ginv = np.linalg.inv(G)
 
     # orthonormal frame: keep the basis order for a diagonal metric
@@ -115,17 +157,7 @@ def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
     gram = E.T @ G @ E
     assert np.max(np.abs(gram - np.diag(signs))) < _FRAME_TOL
 
-    # Koszul formula, all in floats
-    K = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            rhs = np.zeros(n)
-            for k in range(n):
-                rhs[k] = (
-                    C[i, j] @ G[:, k] - C[j, k] @ G[:, i] + C[k, i] @ G[:, j]
-                )
-            K[i, j] = 0.5 * (Ginv @ rhs)
-    ops = np.array([K[i].T for i in range(n)])  # ops[i][r][c] = K[i, c, r]
+    K, ops = _koszul(C, G, Ginv)
 
     R4 = np.zeros((n, n, n, n))
     for i in range(n):
@@ -169,61 +201,111 @@ def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
     )
 
 
-def _parallel_defect(model: NumericModel, v: np.ndarray) -> float:
-    """max over i of the second singular value of [nabla_{Xi} v | v]; zero
-    exactly when span{v} is invariant under every covariant derivative."""
-    worst = 0.0
-    for i in range(model.dim):
-        dv = model.connection_ops[i] @ v
-        s = np.linalg.svd(np.column_stack([dv, v]), compute_uv=False)
-        if len(s) > 1:
-            worst = max(worst, float(s[1]))
-    return worst
+def _null_rows(M, scale: float):
+    """Orthonormal rows spanning the null space of M, up to _NULL_TOL * scale."""
+    import numpy as np
+
+    _, s, Vt = np.linalg.svd(M)
+    return Vt[np.count_nonzero(s > _NULL_TOL * scale):]
+
+
+def _invariant_part(B, ops, scale: float):
+    """The largest subspace of span(B) that every operator maps into
+    itself, as orthonormal columns (B has orthonormal columns)."""
+    import numpy as np
+
+    while B.shape[1]:
+        outside = np.eye(len(B)) - B @ B.T
+        keep = _null_rows((outside @ ops @ B).reshape(-1, B.shape[1]), scale)
+        if len(keep) == B.shape[1]:
+            break
+        B = B @ keep.T
+    return B
+
+
+def _real_eigenspaces(M, scale: float):
+    """Orthonormal bases of the real eigenspaces of the square matrix M, as
+    columns.  Computed eigenvalues within _CLUSTER_TOL * scale of each other
+    count as one, taken at their mean; a cluster whose mean is not real has
+    no real eigenvector."""
+    import numpy as np
+
+    cluster_tol = _CLUSTER_TOL * scale
+    clusters: list[list[complex]] = []
+    for z in np.linalg.eigvals(M):
+        for c in clusters:
+            if abs(z - c[0]) < cluster_tol:
+                c.append(z)
+                break
+        else:
+            clusters.append([z])
+    spaces = []
+    for c in clusters:
+        mu = sum(c) / len(c)
+        if abs(mu.imag) < cluster_tol:
+            null = _null_rows(M - mu.real * np.eye(len(M)), scale)
+            if len(null):
+                spaces.append(null.T)
+    return spaces
 
 
 def null_parallel_scan(alg: MetricLieAlgebra, eps0) -> bool | None:
-    """Scan the null cone of a 3-dimensional Lorentzian specialization for
-    a direction spanning a parallel line field.
+    """Whether the specialization at eps0 has a null vector spanning a
+    parallel line, in any dimension.
 
-    Returns True/False when the scan applies, None when it does not
-    (wrong dimension, definite or degenerate metric).  The cone is
-    parameterized through the orthonormal frame as
-    v(theta) = e_minority + cos(theta) e_1 + sin(theta) e_2, coarse-scanned
-    and then refined by ternary search around the best angle.
+    Returns None where the question does not apply: the metric degenerates
+    at eps0, or it is definite (no null vector at all).  Otherwise a null
+    parallel line is a null common eigenvector of the connection operators
+    A_i = nabla_{Xi}, found from their joint eigenspaces.  The work list
+    starts with W = R^n and holds only subspaces that every A_i maps into
+    themselves.  For each W on it:
+
+    1. if every A_i acts on W as a scalar, every vector of W spans a
+       parallel line, and the answer is yes exactly when g restricted to W
+       is indefinite or degenerate;
+    2. otherwise W is split into the real eigenspaces of a random
+       combination of the restricted operators, and each eigenspace E is
+       shrunk to its largest invariant subspace (repeatedly, to the
+       vectors v with A_i v in E for every i) before it is listed.
+
+    The coefficients are drawn afresh for every split, from a generator
+    with a fixed seed: a combination used twice is scalar on every subspace
+    of one of its own eigenspaces, so a second split by it could not make
+    progress.  A common eigenvector lies in an eigenspace of every
+    combination, and a line that A_i preserves survives every shrink, so
+    no candidate is lost.
     """
-    if alg.dim != 3:
-        return None
+    import numpy as np
+
+    eps0 = Fraction(eps0)
     try:
-        model = evaluate_numeric(alg, eps0)
+        _, G = _metric_at(alg, eps0)
     except SingularMetricAtPoint:
         return None
-    if model.signature != "Lorentzian":
+    g_vals = np.linalg.eigvalsh(G)
+    if g_vals[0] > 0 or g_vals[-1] < 0:
         return None
-    minority_sign = -1 if model.signs.count(-1) == 1 else 1
-    base_idx = model.signs.index(minority_sign)
-    majors = [i for i in range(3) if i != base_idx]
-    e0 = model.frame[:, base_idx]
-    e1 = model.frame[:, majors[0]]
-    e2 = model.frame[:, majors[1]]
+    _, ops = _koszul(_brackets_at(alg, eps0), G, np.linalg.inv(G))
+    scale = max(1.0, float(abs(ops).max()))
+    g_tol = _NULL_TOL * float(abs(g_vals).max())
+    rng = random.Random(_MIX_SEED)
 
-    def score(theta: float) -> float:
-        v = e0 + math.cos(theta) * e1 + math.sin(theta) * e2
-        return _parallel_defect(model, v)
-
-    best_theta, best = 0.0, float("inf")
-    for k in range(_SCAN_ANGLES):
-        theta = 2 * math.pi * k / _SCAN_ANGLES
-        s = score(theta)
-        if s < best:
-            best_theta, best = theta, s
-    lo = best_theta - 2 * math.pi / _SCAN_ANGLES
-    hi = best_theta + 2 * math.pi / _SCAN_ANGLES
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if score(m1) <= score(m2):
-            hi = m2
-        else:
-            lo = m1
-    best = min(best, score((lo + hi) / 2))
-    return best < _SCAN_TOL
+    todo = [np.eye(alg.dim)]
+    while todo:
+        B = todo.pop()
+        k = B.shape[1]
+        if k == 0:
+            continue
+        restricted = B.T @ ops @ B
+        traces = np.trace(restricted, axis1=1, axis2=2)
+        deviation = restricted - traces[:, None, None] / k * np.eye(k)
+        if abs(deviation).max() < _NULL_TOL * scale:
+            g_W = np.linalg.eigvalsh(B.T @ G @ B)
+            if g_W[0] <= g_tol and g_W[-1] >= -g_tol:
+                return True
+            continue
+        coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in restricted])
+        mix = np.einsum("i,ijk->jk", coeffs, restricted)
+        for E in _real_eigenspaces(mix, scale):
+            todo.append(_invariant_part(B @ E, ops, scale))
+    return False

@@ -1,6 +1,12 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from liegeom.catalog import abelian_control, berger
+from liegeom.catalog import abelian_control, berger, loads
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +17,14 @@ def berger_alg():
 @pytest.fixture(scope="session")
 def abelian_alg():
     return abelian_control()
+
+
+@pytest.fixture(scope="session")
+def corpus_alg():
+    """The benchmark corpus algebra with a given key, parsed from the text in
+    ``bench/corpus.py`` (loaded by path) once per session."""
+    path = ROOT / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return functools.cache(lambda key: loads(corpus.TEXTS[key]))

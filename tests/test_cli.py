@@ -166,3 +166,22 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == "1"
+
+
+def test_exact_commands_do_not_import_numpy():
+    # numpy is loaded by the float layer only: not by the package import,
+    # nor by an analysis that is exact throughout
+    code = (
+        "import sys, liegeom\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from liegeom.cli import main\n"
+        "assert main(['validate', '--berger']) == 0\n"
+        "assert main(['soliton', '--berger']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "main(['eval', '--berger', '--eps', '2'])\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -223,6 +223,19 @@ def test_walker_berger_negative(berger_alg):
     assert {e for e, _ in v.numeric_checks} == {F(-1), F(-2), Fraction(-1, 2)}
 
 
+def test_walker_numeric_checks_4d(corpus_alg):
+    # the numeric check runs wherever the metric is indefinite: u(2) only
+    # for eps < 0, the oscillator at every sample value
+    u2 = walker_check(corpus_alg("u2"))
+    assert not u2.is_walker
+    assert u2.numeric_checks == [(F(-1), True), (F(-2), True), (Fraction(-1, 2), True)]
+    osc = walker_check(corpus_alg("oscillator"))
+    assert osc.is_walker
+    assert {e for e, _ in osc.numeric_checks} == {
+        F(1), F(2), F(3), Fraction(1, 2), F(-1), F(-2), Fraction(-1, 2), F(5)}
+    assert all(agrees for _, agrees in osc.numeric_checks)
+
+
 def test_walker_abelian_witness(abelian_alg):
     v = walker_check(abelian_alg)
     assert v.is_walker

@@ -55,22 +55,34 @@ def test_singular_point_rejected(berger_alg):
         evaluate_numeric(berger_alg, F(0))
 
 
-def test_signature_names(abelian_alg):
-    assert evaluate_numeric(abelian_alg, F(7)).signature == "Lorentzian"
-    neutral = MetricLieAlgebra.from_brackets(
+def neutral_abelian():
+    """The flat abelian 4-dimensional algebra with a metric of signature (2, 2)."""
+    return MetricLieAlgebra.from_brackets(
         4, {},
         [[-ONE, ZERO, ZERO, ZERO], [ZERO, -ONE, ZERO, ZERO],
          [ZERO, ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE]],
     )
-    assert evaluate_numeric(neutral, F(1)).signature not in ("Riemannian", "Lorentzian")
 
 
-def test_null_parallel_scan(berger_alg, abelian_alg):
+def test_signature_names(abelian_alg):
+    assert evaluate_numeric(abelian_alg, F(7)).signature == "Lorentzian"
+    signature = evaluate_numeric(neutral_abelian(), F(1)).signature
+    assert signature not in ("Riemannian", "Lorentzian")
+
+
+def test_null_parallel_scan(berger_alg, abelian_alg, corpus_alg):
     # flat abelian factor: every null direction is parallel
     assert null_parallel_scan(abelian_alg, F(5)) is True
+    assert null_parallel_scan(neutral_abelian(), F(1)) is True
     assert null_parallel_scan(berger_alg, F(-1)) is False
-    # scan is only defined for Lorentzian 3-dimensional slices
+    # the oscillator's central X3 is null and parallel; Heisenberg x R has
+    # null vectors but no parallel one
+    assert null_parallel_scan(corpus_alg("oscillator"), F(1)) is True
+    assert null_parallel_scan(corpus_alg("heisenberg-x-r"), F(1)) is False
+    # undefined where the metric is definite or degenerate
     assert null_parallel_scan(berger_alg, F(2)) is None
+    assert null_parallel_scan(corpus_alg("u2"), F(2)) is None
+    assert null_parallel_scan(berger_alg, F(0)) is None
 
 
 def test_numeric_matches_exact_specialization(berger_alg):
