@@ -43,6 +43,7 @@ from .scalars import (
 )
 
 MAX_DIM = 4
+_HALF = RatFunc(1, 2)
 
 
 class SingularMetric(ArithmeticError):
@@ -346,8 +347,7 @@ class MetricLieAlgebra:
                         acc = acc - C[j][k][m] * G[m][i]
                         acc = acc + C[k][i][m] * G[m][j]
                     rhs.append(acc)
-                half = RatFunc(1, 2)
-                K[i][j] = [x * half for x in mat_vec(ginv, rhs)]
+                K[i][j] = [x * _HALF for x in mat_vec(ginv, rhs)]
         return K
 
     @cached_property
@@ -377,48 +377,81 @@ class MetricLieAlgebra:
                         out[k] = out[k] + u[i] * v[j] * c
         return out
 
-    def curvature_operator(self, i: int, j: int) -> list[list[RatFunc]]:
-        """Matrix of R(Xi, Xj) = nabla_{[Xi,Xj]} - [nabla_{Xi}, nabla_{Xj}]."""
+    @cached_property
+    def _curvature_operators(self) -> dict[tuple[int, int], list[list[RatFunc]]]:
+        """R(Xi, Xj) for i < j only, keyed by (i, j)."""
         n = self.dim
         ops = self.connection_operators
-        acc = zeros(n)
-        for k in range(n):
-            c = self.brackets[i][j][k]
-            if not c.is_zero:
-                acc = mat_add(acc, mat_scale(ops[k], c))
-        return mat_sub(acc, mat_commutator(ops[i], ops[j]))
+        out = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                acc = zeros(n)
+                for k in range(n):
+                    c = self.brackets[i][j][k]
+                    if not c.is_zero:
+                        acc = mat_add(acc, mat_scale(ops[k], c))
+                out[i, j] = mat_sub(acc, mat_commutator(ops[i], ops[j]))
+        return out
+
+    def curvature_operator(self, i: int, j: int) -> list[list[RatFunc]]:
+        """Matrix of R(Xi, Xj) = nabla_{[Xi,Xj]} - [nabla_{Xi}, nabla_{Xj}].
+
+        Only the operators with i < j are computed, once per algebra; the
+        call returns a fresh copy of one of them, its negation for i > j,
+        and zeros for i = j.  R(Xj, Xi) = -R(Xi, Xj) needs nothing but an
+        antisymmetric bracket: both terms of the definition change sign
+        (and vanish for i = j).
+        """
+        if i == j:
+            return zeros(self.dim)
+        if i < j:
+            return [row[:] for row in self._curvature_operators[i, j]]
+        return [[-x for x in row] for row in self._curvature_operators[j, i]]
 
     def curvature_operator_vec(self, u: Sequence, v: Sequence) -> list[list]:
-        """R(u, v) for coordinate vectors, possibly with generic entries."""
+        """R(u, v) for coordinate vectors, possibly with generic entries:
+        the sum of (u_i v_j - u_j v_i) R(Xi, Xj) over i < j, by the
+        antisymmetry of `curvature_operator`."""
         n = self.dim
         out = zeros(n)
-        for i in range(n):
-            for j in range(n):
-                if i == j or scalar_is_zero(u[i]) or scalar_is_zero(v[j]):
-                    continue
-                op = self.curvature_operator(i, j)
-                w = u[i] * v[j]
-                for r in range(n):
-                    for c in range(n):
-                        if not op[r][c].is_zero:
-                            out[r][c] = out[r][c] + w * op[r][c]
+        for (i, j), op in self._curvature_operators.items():
+            w = u[i] * v[j] - u[j] * v[i]
+            if scalar_is_zero(w):
+                continue
+            for r in range(n):
+                for c in range(n):
+                    if not op[r][c].is_zero:
+                        out[r][c] = out[r][c] + w * op[r][c]
         return out
 
     @cached_property
     def curvature_tensor(self) -> list:
-        """R4[i][j][k][l] = g(R(Xi,Xj) Xk, Xl)."""
+        """R4[i][j][k][l] = g(R(Xi,Xj) Xk, Xl).
+
+        Only the entries with i < j and k < l are computed; the other three
+        signed copies of each are filled in by sign, and the entries with
+        i = j or k = l are zero.  Antisymmetry in (i, j) is that of
+        `curvature_operator`.  Antisymmetry in (k, l) holds because every
+        Koszul nabla_{Xi} is g-skew, which needs only an antisymmetric
+        bracket and a symmetric metric; so R(Xi, Xj), a combination of
+        nabla_{Xk} and commutators of them, is g-skew too.  Neither needs
+        the Jacobi identity, which `from_brackets` does not enforce; pair
+        symmetry and the first Bianchi identity do, so they are not used.
+        """
         n = self.dim
         G = self.metric
         R4 = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                op = self.curvature_operator(i, j)
-                for k in range(n):
-                    for l in range(n):
-                        acc = ZERO
-                        for r in range(n):
-                            acc = acc + op[r][k] * G[r][l]
-                        R4[i][j][k][l] = acc
+        for (i, j), op in self._curvature_operators.items():
+            for k in range(n):
+                col = [(r, op[r][k]) for r in range(n) if not op[r][k].is_zero]
+                for l in range(k + 1, n):
+                    acc = ZERO
+                    for r, x in col:
+                        if not G[r][l].is_zero:
+                            acc = acc + x * G[r][l]
+                    neg = -acc
+                    R4[i][j][k][l] = R4[j][i][l][k] = acc
+                    R4[j][i][k][l] = R4[i][j][l][k] = neg
         return R4
 
     @cached_property
@@ -502,25 +535,53 @@ class MetricLieAlgebra:
 
     @cached_property
     def cov_curvature(self) -> list:
-        """D[i][a][b][c][d] = (nabla_{Xi} R)(Xa, Xb, Xc, Xd)."""
+        """D[i][a][b][c][d] = (nabla_{Xi} R)(Xa, Xb, Xc, Xd)
+        = -sum_m K[i][a][m] R4[m][b][c][d] + K[i][b][m] R4[a][m][c][d]
+                 + K[i][c][m] R4[a][b][m][d] + K[i][d][m] R4[a][b][c][m].
+
+        Only the entries with a < b and c < d are computed (144 of 1024 in
+        dimension 4), and in each sum only the terms whose K and R4 factors
+        are both nonzero; the other three signed copies are filled in by
+        sign, and the entries with a = b or c = d are zero.  The sum is
+        antisymmetric in (a, b) and in (c, d) because `curvature_tensor`
+        is, for any antisymmetric bracket and symmetric metric: swapping a
+        and b swaps the first two terms and negates every R4 factor.  Pair
+        symmetry and the Bianchi identities need the Jacobi identity and
+        are not used.
+        """
         n = self.dim
         K, R4 = self.nabla_basis, self.curvature_tensor
         out = [
             [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
             for _ in range(n)
         ]
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         for i in range(n):
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        for d in range(n):
-                            acc = ZERO
-                            for m in range(n):
-                                acc = acc - K[i][a][m] * R4[m][b][c][d]
-                                acc = acc - K[i][b][m] * R4[a][m][c][d]
-                                acc = acc - K[i][c][m] * R4[a][b][m][d]
-                                acc = acc - K[i][d][m] * R4[a][b][c][m]
-                            out[i][a][b][c][d] = acc
+            # nonzero Christoffel entries of nabla_{Xi} Xa, as (m, K[i][a][m])
+            Ki = [[(m, x) for m, x in enumerate(K[i][a]) if not x.is_zero] for a in range(n)]
+            Di = out[i]
+            for a, b in pairs:
+                for c, d in pairs:
+                    acc = ZERO
+                    for m, x in Ki[a]:
+                        y = R4[m][b][c][d]
+                        if not y.is_zero:
+                            acc = acc + x * y
+                    for m, x in Ki[b]:
+                        y = R4[a][m][c][d]
+                        if not y.is_zero:
+                            acc = acc + x * y
+                    for m, x in Ki[c]:
+                        y = R4[a][b][m][d]
+                        if not y.is_zero:
+                            acc = acc + x * y
+                    for m, x in Ki[d]:
+                        y = R4[a][b][c][m]
+                        if not y.is_zero:
+                            acc = acc + x * y
+                    neg = -acc
+                    Di[a][b][c][d] = Di[b][a][d][c] = neg
+                    Di[b][a][c][d] = Di[a][b][d][c] = acc
         return out
 
     # -- basis change --------------------------------------------------------

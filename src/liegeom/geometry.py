@@ -421,13 +421,16 @@ _NUMERIC_EPS_CANDIDATES = (
 )
 
 
-def _walker_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
+def _derivatives(alg: MetricLieAlgebra, V: Sequence) -> list[list]:
+    """[nabla_{X1} V, ..., nabla_{Xn} V]."""
     n = alg.dim
+    return [alg.nabla([ONE if k == i else ZERO for k in range(n)], V) for i in range(n)]
+
+
+def _walker_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
     V = [MultiPoly.var(names, nm) for nm in names]
     eqs: list[MultiPoly] = []
-    for i in range(n):
-        basis_i = [ONE if k == i else ZERO for k in range(n)]
-        dV = alg.nabla(basis_i, V)
+    for dV in _derivatives(alg, V):
         eqs.extend(rank_one_conditions([dV, V]))
     null_cond = alg.inner(V, V)
     if not null_cond.is_zero:
@@ -641,9 +644,7 @@ def harmonic_map_trace(alg: MetricLieAlgebra, V: Sequence) -> list:
     n = alg.dim
     ginv = alg.metric_inverse
     out = None
-    for i in range(n):
-        basis_i = [ONE if k == i else ZERO for k in range(n)]
-        dV = alg.nabla(basis_i, V)
+    for i, dV in enumerate(_derivatives(alg, V)):
         op = alg.curvature_operator_vec(dV, V)
         for j in range(n):
             w = ginv[i][j]
@@ -736,10 +737,7 @@ def grad_norm_sq(alg: MetricLieAlgebra, V: Sequence):
     """sum_ij g^{ij} g(nabla_{Xi} V, nabla_{Xj} V), the vertical energy."""
     n = alg.dim
     ginv = alg.metric_inverse
-    dV = []
-    for i in range(n):
-        basis_i = [ONE if k == i else ZERO for k in range(n)]
-        dV.append(alg.nabla(basis_i, V))
+    dV = _derivatives(alg, V)
     acc = None
     for i in range(n):
         for j in range(n):
@@ -777,19 +775,16 @@ def energy_report(alg: MetricLieAlgebra, harmonicity: HarmonicityReport | None =
         k = len(fam.basis)
         gram = [[alg.inner(u, w) for w in fam.basis] for u in fam.basis]
         grad = [[None] * k for _ in range(k)]
+        d = [_derivatives(alg, u) for u in fam.basis]
         for a in range(k):
             for b in range(k):
                 acc = ZERO
                 for i in range(n):
-                    bi = [ONE if r == i else ZERO for r in range(n)]
-                    du = alg.nabla(bi, fam.basis[a])
                     for j in range(n):
                         w = ginv[i][j]
                         if w.is_zero:
                             continue
-                        bj = [ONE if r == j else ZERO for r in range(n)]
-                        dw = alg.nabla(bj, fam.basis[b])
-                        acc = acc + alg.inner(du, dw) * w
+                        acc = acc + alg.inner(d[a][i], d[b][j]) * w
                 grad[a][b] = acc
         coeff = None
         for a in range(k):
@@ -802,12 +797,11 @@ def energy_report(alg: MetricLieAlgebra, harmonicity: HarmonicityReport | None =
         proportional = coeff is not None and all(
             grad[a][b] == coeff * gram[a][b] for a in range(k) for b in range(k)
         )
-        half = Fraction(1, 2)
         fams.append(FamilyEnergy(
             eigenvalue=fam.eigenvalue,
             basis=fam.basis,
             constant=Fraction(n, 2),
-            rho2_coeff=coeff * half if proportional else None,
+            rho2_coeff=coeff * Fraction(1, 2) if proportional else None,
             gram=gram,
             grad_gram=grad,
         ))

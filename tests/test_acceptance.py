@@ -40,6 +40,7 @@ from liegeom.algebra import vector_str
 from liegeom.solvers import rref_solve
 
 import test_properties
+import test_tensor_reference
 
 
 def F(*parts):
@@ -176,15 +177,18 @@ def test_criterion_06_killing_geodesic(berger_alg):
 
 
 def l5_grid_oracle(alg, eps0, radius=3):
-    """Independent degree-5 Ledger check: specialize every tensor to plain
-    rationals at eps0, then contract numerically on an integer grid of
-    coefficient vectors.  No multivariate symbols involved."""
+    """Independent degree-5 Ledger check: specialize the algebra to plain
+    rationals at eps0, build R and nabla R there by the brute-force loops
+    of `test_tensor_reference` (not the engine's tensor layer), then
+    contract numerically on an integer grid of coefficient vectors.  No
+    multivariate symbols involved."""
     spec = alg.at_eps(eps0)
     n = spec.dim
-    R4 = [[[[spec.curvature_tensor[i][j][k][l].eval(eps0)
+    R4s, Ds = test_tensor_reference.reference_tensors(spec)
+    R4 = [[[[R4s[i][j][k][l].eval(eps0)
              for l in range(n)] for k in range(n)]
            for j in range(n)] for i in range(n)]
-    D = [[[[[spec.cov_curvature[i][a][b][c][d].eval(eps0)
+    D = [[[[[Ds[i][a][b][c][d].eval(eps0)
              for d in range(n)] for c in range(n)] for b in range(n)]
           for a in range(n)] for i in range(n)]
     ginv = [[spec.metric_inverse[i][j].eval(eps0) for j in range(n)]

@@ -1,15 +1,18 @@
 """Structural identities that must hold on every metric Lie algebra the
 generators below can produce, not just the catalog entries."""
 
+import importlib.util
 import random
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liegeom.algebra import MetricLieAlgebra, mat_det
+from liegeom.catalog import loads
 from liegeom.scalars import (
     EPS,
     ONE,
@@ -192,8 +195,30 @@ def random_algebras(count=20, seed=20260816):
 
 ALGEBRAS = random_algebras()
 
-ALG_KEYS = ["berger", "abelian-control"] + [
-    f"{i:02d}-{a.name}" for i, a in enumerate(ALGEBRAS)]
+_spec = importlib.util.spec_from_file_location(
+    "bench_corpus", Path(__file__).resolve().parent.parent / "bench" / "corpus.py")
+corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus)
+
+
+def mixed_4d_algebras(seed=20261018):
+    """The 4D corpus algebras after a seeded unimodular basis change, built
+    as the benchmark's basis-mixed workload builds them."""
+    rng = random.Random(seed)
+    out = []
+    for key in corpus.WORKLOADS["report-4d"]["algebras"]:
+        base = loads(corpus.TEXTS[key])
+        out.append(base.transform_basis(corpus.mixing_matrix(rng, base.dim),
+                                        name=f"{key}-mixed"))
+    return out
+
+
+ALGEBRAS_4D = mixed_4d_algebras()
+
+GENERATED = {f"{i:02d}-{a.name}": a for i, a in enumerate(ALGEBRAS)}
+GENERATED.update((f"4d-{a.name}", a) for a in ALGEBRAS_4D)
+
+ALG_KEYS = ["berger", "abelian-control"] + list(GENERATED)
 
 
 @pytest.fixture(params=ALG_KEYS, ids=ALG_KEYS)
@@ -202,7 +227,7 @@ def alg(request, berger_alg, abelian_alg):
         return berger_alg
     if request.param == "abelian-control":
         return abelian_alg
-    return ALGEBRAS[int(request.param[:2])]
+    return GENERATED[request.param]
 
 
 def basis_vec(n, i):
@@ -210,9 +235,9 @@ def basis_vec(n, i):
 
 
 def test_generator_is_deterministic():
-    again = random_algebras()
-    assert [a.brackets for a in again] == [a.brackets for a in ALGEBRAS]
-    assert [a.metric for a in again] == [a.metric for a in ALGEBRAS]
+    for again, first in ((random_algebras(), ALGEBRAS), (mixed_4d_algebras(), ALGEBRAS_4D)):
+        assert [a.brackets for a in again] == [a.brackets for a in first]
+        assert [a.metric for a in again] == [a.metric for a in first]
 
 
 def test_torsion_free(alg):

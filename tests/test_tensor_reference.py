@@ -1,0 +1,116 @@
+"""The tensor layer against a brute-force reference.
+
+`MetricLieAlgebra` computes the curvature operators R(Xi, Xj), the
+curvature tensor and its covariant derivative only on the independent
+index pairs and fills the rest by sign, so the antisymmetries of its
+output hold by construction and checking them proves nothing.  The
+reference below computes every ordered pair and every entry by the naive
+loops, from `connection_operators` and `brackets` alone, and the tests
+compare the two entry for entry.
+"""
+
+import random
+import zlib
+
+import pytest
+
+from liegeom.scalars import ONE, ZERO, MultiPoly
+
+import test_properties
+
+
+def reference_operators(alg):
+    """R(Xi, Xj) = nabla_{[Xi,Xj]} - [nabla_{Xi}, nabla_{Xj}] for all n^2
+    ordered pairs, as {(i, j): matrix}."""
+    n = alg.dim
+    A, C = alg.connection_operators, alg.brackets
+    rn = range(n)
+    return {
+        (i, j): [[sum((C[i][j][k] * A[k][r][c] for k in rn), start=ZERO)
+                  - sum((A[i][r][s] * A[j][s][c] - A[j][r][s] * A[i][s][c]
+                         for s in rn), start=ZERO)
+                  for c in rn] for r in rn]
+        for i in rn for j in rn
+    }
+
+
+def reference_tensors(alg):
+    """(R4, DR): all n^4 entries R4[i][j][k][l] = g(R(Xi,Xj) Xk, Xl) and
+    all n^5 entries DR[i][a][b][c][d] = (nabla_{Xi} R)(Xa, Xb, Xc, Xd)."""
+    n = alg.dim
+    A, G = alg.connection_operators, alg.metric
+    ops = reference_operators(alg)
+    rn = range(n)
+    R4 = [[[[sum((ops[i, j][r][k] * G[r][l] for r in rn), start=ZERO)
+             for l in rn] for k in rn] for j in rn] for i in rn]
+    # A[i][m][a] is the Xm-coordinate of nabla_{Xi} Xa
+    DR = [[[[[-sum((A[i][m][a] * R4[m][b][c][d] + A[i][m][b] * R4[a][m][c][d]
+                    + A[i][m][c] * R4[a][b][m][d] + A[i][m][d] * R4[a][b][c][m]
+                    for m in rn), start=ZERO)
+              for d in rn] for c in rn] for b in rn] for a in rn] for i in rn]
+    return R4, DR
+
+
+def reference_operator_vec(ops, u, v):
+    """R(u, v) = sum over all ordered (i, j) of u_i v_j R(Xi, Xj), from the
+    operators of `reference_operators`."""
+    n = len(u)
+    out = [[ZERO] * n for _ in range(n)]
+    for (i, j), op in ops.items():
+        for r in range(n):
+            for c in range(n):
+                out[r][c] = out[r][c] + u[i] * v[j] * op[r][c]
+    return out
+
+
+def first_mismatch(got, want, index=()):
+    """The index of the first entry where two nested lists differ, or None."""
+    if not isinstance(want, list):
+        return None if got == want else index
+    for k, (g, w) in enumerate(zip(got, want, strict=True)):
+        bad = first_mismatch(g, w, index + (k,))
+        if bad is not None:
+            return bad
+    return None
+
+
+def check_against_reference(alg):
+    n = alg.dim
+    ops = reference_operators(alg)
+    for (i, j), want in ops.items():
+        assert first_mismatch(alg.curvature_operator(i, j), want) is None, (i, j)
+    R4, DR = reference_tensors(alg)
+    assert first_mismatch(alg.curvature_tensor, R4) is None
+    assert first_mismatch(alg.cov_curvature, DR) is None
+    rng = random.Random(zlib.crc32(alg.name.encode()))
+    names = ("t1", "t2")
+    t = [MultiPoly.var(names, nm) for nm in names]
+    for _ in range(3):
+        u = [rng.randint(-2, 2) * ONE for _ in range(n)]
+        v = [rng.randint(-2, 2) * ONE for _ in range(n)]
+        assert first_mismatch(alg.curvature_operator_vec(u, v),
+                              reference_operator_vec(ops, u, v)) is None
+    # a generic vector, as the harmonic-map trace passes it
+    w = [t[k % 2] * rng.randint(1, 3) for k in range(n)]
+    got = alg.curvature_operator_vec(w, u)
+    want = reference_operator_vec(ops, w, u)
+    for r in range(n):
+        for c in range(n):
+            assert (got[r][c] - want[r][c]).is_zero, (r, c)
+
+
+@pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
+def test_corpus_tensors_match_reference(corpus_alg, key):
+    check_against_reference(corpus_alg(key))
+
+
+@pytest.mark.parametrize("key", list(test_properties.GENERATED))
+def test_property_tensors_match_reference(key):
+    check_against_reference(test_properties.GENERATED[key])
+
+
+def test_curvature_operator_returns_a_copy(berger_alg):
+    op = berger_alg.curvature_operator(0, 1)
+    op[0][0] = ONE
+    assert berger_alg.curvature_operator(0, 1)[0][0] == ZERO
+    assert berger_alg.curvature_operator(1, 1) == [[ZERO] * 3 for _ in range(3)]
