@@ -54,13 +54,8 @@ class SingularMetric(ArithmeticError):
 # small exact matrix helpers, generic over the scalar type
 
 
-def zeros(rows: int, cols: int | None = None) -> list[list]:
-    cols = rows if cols is None else cols
-    return [[ZERO for _ in range(cols)] for _ in range(rows)]
-
-
-def identity(n: int) -> list[list]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+def zeros(n: int) -> list[list]:
+    return [[ZERO for _ in range(n)] for _ in range(n)]
 
 
 def mat_add(a, b):
@@ -583,6 +578,14 @@ class MetricLieAlgebra:
                     Di[a][b][c][d] = Di[b][a][d][c] = neg
                     Di[b][a][c][d] = Di[a][b][d][c] = acc
         return out
+
+    @cached_property
+    def harmonicity(self):
+        """`geometry.harmonicity_classify` of this algebra, computed once:
+        the harmonic and the energy analyses both read it."""
+        from .geometry import harmonicity_classify  # geometry imports this module
+
+        return harmonicity_classify(self)
 
     # -- basis change --------------------------------------------------------
 

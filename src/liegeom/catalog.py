@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import MetricLieAlgebra, Violation
+from .algebra import MAX_DIM, MetricLieAlgebra, Violation
 from .scalars import (
     DivisionByZeroFunction,
     ScalarSyntaxError,
@@ -187,8 +187,8 @@ def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
                 raise ParseError(f"bad dimension {body[4:].strip()!r}", lineno)
     if dim is None:
         raise ParseError("missing 'dim:' line", len(lines) or 1)
-    if not 1 <= dim <= 4:
-        raise ParseError(f"dimension {dim} not in 1..4", 1)
+    if not 1 <= dim <= MAX_DIM:
+        raise ParseError(f"dimension {dim} not in 1..{MAX_DIM}", 1)
 
     name = "unnamed"
     brackets: dict[tuple[int, int], dict[int, object]] = {}

@@ -1,13 +1,18 @@
 """Geometric verdicts: solitons, symmetries, distinguished vector fields.
 
 Every analysis here follows the same pattern.  Pose the defining condition
-as exact equations over the scalar field (linear systems for Killing
-fields and Ricci solitons, polynomial systems for geodesic and null
-parallel fields), resolve them symbolically, and report both the generic
-answer and the finitely many rational parameter values where the answer
-changes.  Nothing is sampled and nothing is approximated; when the
-polynomial case analysis cannot finish with its safe inference rules it
-raises `CaseAnalysisIncomplete` instead of guessing.
+exactly over the scalar field, resolve it symbolically, and report both
+the generic answer and the finitely many rational parameter values where
+the answer changes.  The Einstein, soliton and Killing conditions are
+linear: one equation per metric entry i <= j, whose coefficient row and
+right-hand side are read off the metric, Ricci and Lie-derivative tensors
+and handed to `solvers.solve_parametric`.  The geodesic and null parallel
+conditions are polynomial systems in the components of the field.
+Verdicts are never sampled or approximated: the Walker analysis adds a
+float cross-check at sample parameter values, but a disagreement there
+refuses rather than decides.  When the polynomial case analysis cannot
+finish with its safe inference rules it raises `CaseAnalysisIncomplete`
+instead of guessing.
 
 The conditions themselves:
 
@@ -57,7 +62,6 @@ from .solvers import (
     ParametricSolution,
     eigen_analyze,
     kernel_basis,
-    linear_system_from_equations,
     rank_one_conditions,
     solve_parametric,
 )
@@ -69,6 +73,20 @@ class CaseAnalysisIncomplete(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # Einstein and Ricci soliton
+
+
+def _upper(n: int) -> list[tuple[int, int]]:
+    """The entries i <= j of a symmetric n x n matrix, row by row: one
+    linear equation each in the Einstein, soliton and Killing systems."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _affine_equation(names: tuple[str, ...], row: Sequence, rhs) -> MultiPoly:
+    """sum_k row[k] * names[k] - rhs, the equation (= 0) of one system row."""
+    n = len(names)
+    terms = {tuple(int(k == m) for m in range(n)): c for k, c in enumerate(row)}
+    terms[(0,) * n] = -rhs
+    return MultiPoly(names, terms)
 
 
 @dataclass
@@ -85,15 +103,9 @@ def einstein_check(alg: MetricLieAlgebra) -> EinsteinVerdict:
     the exceptional values come out of the same complete candidate search
     as every other solve.
     """
-    names = ("lam",)
-    lam = MultiPoly.var(names, "lam")
     ric, G = alg.ricci, alg.metric
-    eqs = []
-    for i in range(alg.dim):
-        for j in range(i, alg.dim):
-            eqs.append(MultiPoly.const(names, ric[i][j]) - lam * G[i][j])
-    rows, rhs = linear_system_from_equations(eqs, names)
-    sol = solve_parametric(rows, rhs, names)
+    upper = _upper(alg.dim)
+    sol = solve_parametric([[G[i][j]] for i, j in upper], [ric[i][j] for i, j in upper], ("lam",))
     generic = sol.generic.status == "unique"
     lam_val = sol.generic.particular[0] if generic else None
     singular = set(alg.singular_parameters())
@@ -152,23 +164,18 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
         raise ValueError(f"unknown soliton convention {convention!r}")
     n = alg.dim
     names = tuple(f"x{i+1}" for i in range(n)) + ("lam",)
-    xs = [MultiPoly.var(names, f"x{i+1}") for i in range(n)]
-    lam = MultiPoly.var(names, "lam")
     factor = 2 if convention == "doubled" else 1
     lie = alg.lie_derivative_metric_basis
     ric, G = alg.ricci, alg.metric
-    eqs = []
-    for i in range(n):
-        for j in range(i, n):
-            acc = MultiPoly.zero(names)
-            for m in range(n):
-                if not lie[m][i][j].is_zero:
-                    acc = acc + xs[m] * lie[m][i][j]
-            acc = acc - lam * (factor * G[i][j]) + MultiPoly.const(names, factor * ric[i][j])
-            if not acc.is_zero:
-                eqs.append(acc)
-    rows, rhs = linear_system_from_equations(eqs, names)
+    rows, rhs = [], []
+    for i, j in _upper(n):
+        row = [lie[m][i][j] for m in range(n)] + [-factor * G[i][j]]
+        b = -factor * ric[i][j]
+        if not (b.is_zero and all(x.is_zero for x in row)):
+            rows.append(row)
+            rhs.append(b)
     sol = solve_parametric(rows, rhs, names)
+    eqs = [_affine_equation(names, row, b) for row, b in zip(rows, rhs)]
 
     generic_ok = sol.generic.status != "inconsistent"
     witness = None
@@ -232,18 +239,9 @@ def killing_solve(alg: MetricLieAlgebra) -> KillingVerdict:
     """Invariant Killing fields: the kernel of X -> Lie_X g."""
     n = alg.dim
     names = tuple(f"x{i+1}" for i in range(n))
-    xs = [MultiPoly.var(names, nm) for nm in names]
     lie = alg.lie_derivative_metric_basis
-    eqs = []
-    for i in range(n):
-        for j in range(i, n):
-            acc = MultiPoly.zero(names)
-            for m in range(n):
-                if not lie[m][i][j].is_zero:
-                    acc = acc + xs[m] * lie[m][i][j]
-            eqs.append(acc)
-    rows, rhs = linear_system_from_equations(eqs, names)
-    sol = solve_parametric(rows, rhs, names)
+    rows = [[lie[m][i][j] for m in range(n)] for i, j in _upper(n)]
+    sol = solve_parametric(rows, [ZERO] * len(rows), names)
     singular = set(alg.singular_parameters())
     branches = [b for b in sol.branches if b.eps not in singular]
     return KillingVerdict(sol, sol.generic.kernel, branches)
@@ -755,7 +753,7 @@ def energy_density(alg: MetricLieAlgebra, V: Sequence):
     return grad_norm_sq(alg, V) * half + Fraction(alg.dim, 2)
 
 
-def energy_report(alg: MetricLieAlgebra, harmonicity: HarmonicityReport | None = None) -> EnergyReport:
+def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     """Energy along each critical family, reduced against the squared
     length when the gradient form is proportional to the induced metric.
 
@@ -764,14 +762,12 @@ def energy_report(alg: MetricLieAlgebra, harmonicity: HarmonicityReport | None =
     of a member of signed squared length rho^2 is n/2 + (c/2) rho^2.
     """
     n = alg.dim
-    if harmonicity is None:
-        harmonicity = harmonicity_classify(alg)
     names = component_names(n)
     V = [MultiPoly.var(names, nm) for nm in names]
     density = energy_density(alg, V)
     fams = []
     ginv = alg.metric_inverse
-    for fam in harmonicity.families:
+    for fam in alg.harmonicity.families:
         k = len(fam.basis)
         gram = [[alg.inner(u, w) for w in fam.basis] for u in fam.basis]
         grad = [[None] * k for _ in range(k)]

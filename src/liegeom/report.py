@@ -28,7 +28,6 @@ from .geometry import (
     einstein_check,
     energy_report,
     geodesic_classify,
-    harmonicity_classify,
     killing_solve,
     ledger_check,
     ricci_soliton_solve,
@@ -230,9 +229,8 @@ def ledger_section(alg: MetricLieAlgebra) -> dict:
     return out
 
 
-def harmonic_section(alg: MetricLieAlgebra, h: HarmonicityReport | None = None) -> dict:
-    if h is None:
-        h = harmonicity_classify(alg)
+def harmonic_section(alg: MetricLieAlgebra) -> dict:
+    h: HarmonicityReport = alg.harmonicity
     fams = []
     for f in h.families:
         fams.append({
@@ -258,8 +256,8 @@ def harmonic_section(alg: MetricLieAlgebra, h: HarmonicityReport | None = None) 
     }
 
 
-def energy_section(alg: MetricLieAlgebra, harmonicity: HarmonicityReport | None = None) -> dict:
-    rep = energy_report(alg, harmonicity)
+def energy_section(alg: MetricLieAlgebra) -> dict:
+    rep = energy_report(alg)
     fams = []
     for f in rep.families:
         fams.append({
@@ -314,7 +312,7 @@ def full_report(
     notes: tuple[ReferenceNote, ...] = (),
     soliton_convention: str = "paper",
 ) -> dict:
-    doc = {
+    return {
         "schema": SCHEMA,
         "report": "full",
         "algebra": algebra_section(alg),
@@ -327,12 +325,9 @@ def full_report(
         "geodesic": geodesic_section(alg),
         "walker": walker_section(alg),
         "ledger": ledger_section(alg),
+        "harmonicity": harmonic_section(alg),
+        "energy": energy_section(alg),
     }
-    # the harmonic and energy sections share one classification
-    h = harmonicity_classify(alg)
-    doc["harmonicity"] = harmonic_section(alg, h)
-    doc["energy"] = energy_section(alg, h)
-    return doc
 
 
 def single_report(kind: str, alg: MetricLieAlgebra, **kwargs) -> dict:

@@ -1061,14 +1061,6 @@ class MultiPoly:
             result = result * self
         return result
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def coefficient(self, expo: Sequence[int]) -> RatFunc:
-        return self.terms.get(tuple(expo), ZERO)
-
     def set_var(self, name: str, value) -> "MultiPoly":
         """Substitute one indeterminate by a scalar; names are kept."""
         idx = self.names.index(name)
@@ -1170,7 +1162,6 @@ class MultiPoly:
 
 
 def component_names(dim: int) -> tuple[str, ...]:
-    """Coordinate indeterminate names for a generic invariant vector."""
-    if dim <= 4:
-        return ("a", "b", "c", "d")[:dim]
-    return tuple(f"a{i+1}" for i in range(dim))
+    """Coordinate indeterminate names for a generic invariant vector (the
+    dimension is at most 4, `algebra.MAX_DIM`)."""
+    return ("a", "b", "c", "d")[:dim]

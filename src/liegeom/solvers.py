@@ -29,11 +29,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import mat_det
 from .scalars import (
-    MultiPoly,
     Poly,
     PoleAtEvaluationPoint,
     RatFunc,
@@ -48,10 +47,6 @@ from .scalars import (
 )
 
 
-class NotLinearError(ValueError):
-    """An equation handed to the linear-system builder has degree > 1."""
-
-
 # ---------------------------------------------------------------------------
 # exact reduced-row-echelon solving over any exact field
 
@@ -63,32 +58,34 @@ class SolveResult:
     status is 'unique', 'underdetermined', or 'inconsistent'; `particular`
     (free variables set to zero) is None exactly when inconsistent; the
     kernel basis is in reduced echelon form, one vector per free column,
-    ordered by free column index.
+    ordered by free column index.  `watch` holds the scalars whose
+    vanishing could alter the outcome: each pivot used, in order, then the
+    right-hand side of each row that eliminated to zero.
     """
 
     status: str
     rank: int
-    pivot_cols: tuple[int, ...]
     particular: list | None
     kernel: list[list]
+    watch: list
 
     @property
     def kernel_dim(self) -> int:
         return len(self.kernel)
 
 
-def rref_solve(rows: Sequence[Sequence], rhs: Sequence, record: Callable | None = None) -> SolveResult:
+def rref_solve(rows: Sequence[Sequence], rhs: Sequence) -> SolveResult:
     """Gauss-Jordan elimination over an exact field (Fraction or RatFunc).
 
-    `record(kind, value)` is invoked with ('pivot', v) for each pivot used
-    and ('consistency', v) for the right-hand side of each identically-zero
-    row, letting a parametric caller collect the scalars whose vanishing
-    could alter the outcome.
+    The pivots used and the right-hand sides of the identically-zero rows
+    come back in `SolveResult.watch`, so that a parametric caller can find
+    the parameter values where the elimination could go differently.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     A = [list(r) + [b] for r, b in zip(rows, rhs)]
     pivot_cols: list[int] = []
+    watch = []
     r = 0
     for c in range(n):
         pr = next((i for i in range(r, m) if not scalar_is_zero(A[i][c])), None)
@@ -96,8 +93,7 @@ def rref_solve(rows: Sequence[Sequence], rhs: Sequence, record: Callable | None 
             continue
         A[r], A[pr] = A[pr], A[r]
         pivot = A[r][c]
-        if record is not None:
-            record("pivot", pivot)
+        watch.append(pivot)
         A[r] = [x / pivot for x in A[r]]
         for i in range(m):
             if i != r and not scalar_is_zero(A[i][c]):
@@ -107,15 +103,10 @@ def rref_solve(rows: Sequence[Sequence], rhs: Sequence, record: Callable | None 
         r += 1
         if r == m:
             break
-    consistent = True
-    for i in range(r, m):
-        tail = A[i][n]
-        if record is not None:
-            record("consistency", tail)
-        if not scalar_is_zero(tail):
-            consistent = False
-    if not consistent:
-        return SolveResult("inconsistent", r, tuple(pivot_cols), None, [])
+    tails = [A[i][n] for i in range(r, m)]
+    watch.extend(tails)
+    if not all(scalar_is_zero(t) for t in tails):
+        return SolveResult("inconsistent", r, None, [], watch)
     zero = rows[0][0] * 0 if m else ZERO
     one = zero + 1
     particular = [zero for _ in range(n)]
@@ -130,7 +121,7 @@ def rref_solve(rows: Sequence[Sequence], rhs: Sequence, record: Callable | None 
             v[c] = zero - A[i][fc]
         kernel.append(v)
     status = "unique" if not free_cols else "underdetermined"
-    return SolveResult(status, r, tuple(pivot_cols), particular, kernel)
+    return SolveResult(status, r, particular, kernel, watch)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +135,6 @@ class ExceptionalBranch:
     eps: Fraction
     status: str
     result: SolveResult | None
-
-    def describe(self) -> str:
-        if self.result is None:
-            return f"eps={self.eps}: {self.status}"
-        return (
-            f"eps={self.eps}: {self.status}, rank {self.result.rank}, "
-            f"kernel dim {self.result.kernel_dim}"
-        )
 
 
 @dataclass
@@ -177,21 +160,17 @@ def solve_parametric(
     """Solve A(eps) x = b(eps), reporting the generic outcome plus every
     rational parameter value where rank, consistency, or kernel dimension
     changes.  Branches where the system itself is undefined (an entry has
-    a pole) are reported with status 'singular'.
+    a pole) are reported with status 'singular'.  The candidate values are
+    the poles of the entries and the zeros and poles of the generic
+    elimination's `SolveResult.watch`.
     """
     rows = [[ratfunc(x) for x in r] for r in rows]
     rhs = [ratfunc(x) for x in rhs]
     candidates = {
         root for r, b in zip(rows, rhs) for x in r + [b] for root, _ in x.poles()
     }
-
-    logged: list[RatFunc] = []
-
-    def record(kind, value):
-        logged.append(value)
-
-    generic = rref_solve(rows, rhs, record=record)
-    for v in logged:
+    generic = rref_solve(rows, rhs)
+    for v in generic.watch:
         # a consistency value can be identically zero: no root to record
         if not v.is_zero:
             candidates.update(root for root, _ in v.zeros() + v.poles())
@@ -213,32 +192,6 @@ def solve_parametric(
         if differs:
             branches.append(ExceptionalBranch(eps0, res.status, res))
     return ParametricSolution(tuple(unknowns), generic, sorted(candidates), branches)
-
-
-def linear_system_from_equations(
-    equations: Sequence[MultiPoly], unknowns: Sequence[str]
-) -> tuple[list[list[RatFunc]], list[RatFunc]]:
-    """Split affine equations (= 0) into coefficient rows and right sides.
-
-    Each equation must have total degree <= 1 in the unknowns; the constant
-    term moves to the right-hand side with its sign flipped.
-    """
-    unknowns = tuple(unknowns)
-    rows, rhs = [], []
-    for eq in equations:
-        if eq.total_degree() > 1:
-            raise NotLinearError(f"equation of degree {eq.total_degree()}: {eq}")
-        if eq.names != unknowns:
-            raise ValueError("equation indeterminates do not match the unknowns")
-        row = []
-        for name in unknowns:
-            idx = unknowns.index(name)
-            expo = tuple(1 if i == idx else 0 for i in range(len(unknowns)))
-            row.append(eq.coefficient(expo))
-        const = eq.coefficient(tuple(0 for _ in unknowns))
-        rows.append(row)
-        rhs.append(-const)
-    return rows, rhs
 
 
 def kernel_basis(matrix: Sequence[Sequence[RatFunc]]) -> list[list[RatFunc]]:

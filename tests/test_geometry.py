@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from liegeom import geometry
 from liegeom.algebra import MetricLieAlgebra, vector_str
+from liegeom.catalog import berger
 from liegeom.geometry import (
     CaseAnalysisIncomplete,
     component_str,
@@ -20,6 +22,7 @@ from liegeom.geometry import (
     solve_zero_set,
     walker_check,
 )
+from liegeom.report import energy_section, harmonic_section
 from liegeom.scalars import (
     EPS,
     ONE,
@@ -333,6 +336,22 @@ def test_energy_family_coefficients(berger_alg):
         for i in range(k):
             for j in range(k):
                 assert fam.grad_gram[i][j] == 2 * fam.rho2_coeff * fam.gram[i][j]
+
+
+def test_harmonicity_is_classified_once_per_algebra(monkeypatch):
+    # the harmonic and energy sections share the algebra's one classification
+    calls = []
+    original = geometry.eigen_analyze
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(geometry, "eigen_analyze", counting)
+    alg = berger()
+    harmonic_section(alg)
+    energy_section(alg)
+    assert len(calls) == 1
 
 
 def test_grad_norm_sq_matches_density(berger_alg):

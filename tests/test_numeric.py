@@ -1,12 +1,17 @@
 import math
+import random
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from liegeom.algebra import MetricLieAlgebra
+from liegeom.geometry import rough_laplacian
 from liegeom.numeric import SingularMetricAtPoint, evaluate_numeric, null_parallel_scan
-from liegeom.scalars import ONE, ZERO
+from liegeom.scalars import EPS, ONE, ZERO
+
+import test_properties
 
 
 def F(*parts):
@@ -93,3 +98,62 @@ def test_numeric_matches_exact_specialization(berger_alg):
     exact_scal = float(berger_alg.scalar_curvature.eval(F(1, 2)))
     assert math.isclose(m.scalar_curvature, exact_scal, rel_tol=1e-12)
     assert spec.validate() == []
+
+
+# ---------------------------------------------------------------------------
+# the exact engine against the float route, on the whole corpus
+
+
+def relative_error(exact, approx) -> float:
+    """Largest entry of |exact - approx| over the largest entry of |exact|
+    (over 1 when exact vanishes)."""
+    exact = np.array(exact, dtype=float)
+    scale = np.max(np.abs(exact)) or 1.0
+    return float(np.max(np.abs(exact - np.asarray(approx)))) / scale
+
+
+def sample_eps(alg, rng, count=2):
+    """`count` distinct seeded parameter values where the algebra is regular."""
+    singular = set(alg.singular_parameters())
+    out = []
+    while len(out) < count:
+        eps0 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        if eps0 not in singular and eps0 not in out:
+            out.append(eps0)
+    return out
+
+
+def non_unimodular():
+    """[X3,X1] = X1, [X3,X2] = X1 + X2.  The trace of ad(X3) makes the field
+    H = sum g^{ij} nabla_{Xi} Xj nonzero, and ad(X3) is not normal, so
+    nabla_H is nonzero too: the term of the rough Laplacian that vanishes on
+    every corpus algebra (r4 has H != 0, but nabla_{X4} = 0)."""
+    return MetricLieAlgebra.from_brackets(
+        3,
+        {(0, 2): {0: -1}, (1, 2): {0: -1, 1: -1}},
+        [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, EPS]],
+        name="non-unimodular",
+    )
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["basis", "mixed"])
+@pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS) + ["non-unimodular"])
+def test_exact_engine_matches_numeric(corpus_alg, key, mixed):
+    # Ricci, scalar curvature and the rough Laplacian, evaluated exactly at
+    # eps0, against `evaluate_numeric`'s independent float construction
+    rng = random.Random(zlib.crc32(key.encode()))
+    alg = non_unimodular() if key == "non-unimodular" else corpus_alg(key)
+    if mixed:
+        P = test_properties.corpus.mixing_matrix(rng, alg.dim)
+        alg = alg.transform_basis(P, name=f"{key}/mixed")
+    laplacian = rough_laplacian(alg)
+    for eps0 in sample_eps(alg, rng):
+        m = evaluate_numeric(alg, eps0)
+        pairs = [
+            (alg.ricci, m.ricci),
+            ([[alg.scalar_curvature]], [[m.scalar_curvature]]),
+            (laplacian, m.laplacian),
+        ]
+        for exact, approx in pairs:
+            exact = [[float(x.eval(eps0)) for x in row] for row in exact]
+            assert relative_error(exact, approx) < 1e-12, eps0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from liegeom.algebra import MetricLieAlgebra, mat_det
 from liegeom.catalog import loads
+from liegeom.geometry import einstein_check, killing_solve, ricci_soliton_solve
 from liegeom.scalars import (
     EPS,
     ONE,
@@ -321,6 +322,25 @@ def test_scalar_curvature_is_a_frame_invariant(alg):
     rng = random.Random(zlib.crc32(alg.name.encode()))
     moved = alg.transform_basis(random_invertible(rng, alg.dim))
     assert moved.scalar_curvature == alg.scalar_curvature
+
+
+def linear_verdicts(alg):
+    """The basis-free content of the Einstein, Killing and soliton solves."""
+    ein = einstein_check(alg)
+    kil = killing_solve(alg)
+    sol = ricci_soliton_solve(alg)
+    return (
+        (ein.generic, ein.lam, [eps for eps, _ in ein.exceptional]),
+        (len(kil.basis), [(b.eps, b.result.kernel_dim) for b in kil.exceptional]),
+        (sol.generic_soliton, [(b.eps, b.kind) for b in sol.exceptional]),
+    )
+
+
+def test_linear_verdicts_are_frame_invariants(alg):
+    # the same seeded basis change as the scalar curvature test
+    rng = random.Random(zlib.crc32(alg.name.encode()))
+    moved = alg.transform_basis(random_invertible(rng, alg.dim))
+    assert linear_verdicts(moved) == linear_verdicts(alg)
 
 
 def test_solver_back_substitution(alg):

@@ -19,11 +19,9 @@ from liegeom.scalars import (
     square_free_part,
 )
 from liegeom.solvers import (
-    NotLinearError,
     charpoly,
     eigen_analyze,
     kernel_basis,
-    linear_system_from_equations,
     rank_one_conditions,
     rref_solve,
     solve_parametric,
@@ -62,6 +60,16 @@ def test_rref_inconsistent():
     assert res.particular is None
 
 
+def test_rref_watch_lists_pivots_then_zero_row_right_sides():
+    # pivot 2 in column 0, pivot -1/2 in column 1; the third row
+    # eliminates to 0 = 1
+    res = rref_solve(
+        [[F(2), F(1)], [F(1), F(0)], [F(3), F(1)]], [F(3), F(1), F(5)]
+    )
+    assert res.watch == [F(2), Fraction(-1, 2), F(1)]
+    assert res.status == "inconsistent"
+
+
 # ---------------------------------------------------------------------------
 # parametric elimination
 
@@ -98,27 +106,6 @@ def test_parametric_pole_branch_is_singular():
     branch = sol.branch_at(Fraction(0))
     assert branch is not None and branch.status == "singular"
     assert branch.result is None
-
-
-# ---------------------------------------------------------------------------
-# equation intake
-
-
-def test_linear_system_from_equations():
-    names = ("x", "y")
-    x = MultiPoly.var(names, "x")
-    y = MultiPoly.var(names, "y")
-    rows, rhs = linear_system_from_equations([x + y - 2, x * EPS - y], names)
-    assert rows == [[ONE, ONE], [EPS, -ONE]]
-    assert rhs == [2 * ONE, ZERO]
-
-
-def test_linear_system_rejects_quadratics():
-    names = ("x", "y")
-    x = MultiPoly.var(names, "x")
-    y = MultiPoly.var(names, "y")
-    with pytest.raises(NotLinearError):
-        linear_system_from_equations([x * y], names)
 
 
 def test_kernel_basis():
