@@ -81,11 +81,21 @@ def _upper(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _affine_equation(names: tuple[str, ...], row: Sequence, rhs) -> MultiPoly:
-    """sum_k row[k] * names[k] - rhs, the equation (= 0) of one system row."""
+def _polynomial(names: tuple[str, ...], entries) -> MultiPoly:
+    """The MultiPoly sum c * x_{i1} * ... * x_{ik} over the (index tuple,
+    coefficient) entries, with x the indeterminates `names`.  Coefficients
+    that share an exponent are added before the one MultiPoly is built,
+    which drops the zeros."""
     n = len(names)
-    terms = {tuple(int(k == m) for m in range(n)): c for k, c in enumerate(row)}
-    terms[(0,) * n] = -rhs
+    terms: dict[tuple[int, ...], RatFunc] = {}
+    for idx, c in entries:
+        if c.is_zero:
+            continue
+        expo = [0] * n
+        for i in idx:
+            expo[i] += 1
+        expo = tuple(expo)
+        terms[expo] = terms[expo] + c if expo in terms else c
     return MultiPoly(names, terms)
 
 
@@ -175,7 +185,9 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
             rows.append(row)
             rhs.append(b)
     sol = solve_parametric(rows, rhs, names)
-    eqs = [_affine_equation(names, row, b) for row, b in zip(rows, rhs)]
+    # one affine equation sum_k row[k] * names[k] - b = 0 per row
+    eqs = [_polynomial(names, [((k,), c) for k, c in enumerate(row)] + [((), -b)])
+           for row, b in zip(rows, rhs)]
 
     generic_ok = sol.generic.status != "inconsistent"
     witness = None
@@ -559,6 +571,14 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
     sum g^{ac} g^{bd} R(X,Xa,X,Xb)(nabla_X R)(X,Xc,X,Xd) must vanish for
     every X; it is computed as one degree-5 polynomial identity in the
     components of X, so the verdict is exact.
+
+    Order of the contraction: A[a][b] = R(X,Xa,X,Xb) and
+    B[c][d] = (nabla_X R)(X,Xc,X,Xd) are read off the coefficient tensors
+    as one polynomial each; both indices of B are raised by g^{-1} with
+    scalar multiples only, C[a][b] = sum_cd g^{ac} g^{bd} B[c][d], one index
+    at a time; and only then are polynomials multiplied,
+    l5 = sum_ab A[a][b] C[a][b]: at most n^2 products.  Neither A nor B is
+    assumed symmetric (pair symmetry needs the Jacobi identity).
     """
     n = alg.dim
     D = alg.cov_ricci
@@ -570,43 +590,35 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
                 if not scalar_is_zero(s):
                     violations.append((i + 1, j + 1, k + 1))
     names = component_names(n)
-    V = [MultiPoly.var(names, nm) for nm in names]
     R4, DR = alg.curvature_tensor, alg.cov_curvature
     ginv = alg.metric_inverse
+    rn = range(n)
+    A = [[_polynomial(names, (((i, k), R4[i][a][k][b]) for i in rn for k in rn))
+          for b in rn] for a in rn]
+    B = [[_polynomial(names, (((m, i, k), DR[m][i][c][k][d])
+                              for m in rn for i in rn for k in rn))
+          for d in rn] for c in rn]
 
-    # A[a][b] = R(V, Xa, V, Xb), quadratic in the components of V
-    A = [[MultiPoly.zero(names) for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = MultiPoly.zero(names)
-            for i in range(n):
-                for k in range(n):
-                    c = R4[i][a][k][b]
-                    if not c.is_zero:
-                        acc = acc + V[i] * V[k] * c
-            A[a][b] = acc
-    # B[c][d] = (nabla_V R)(V, Xc, V, Xd), cubic
-    B = [[MultiPoly.zero(names) for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        for d in range(n):
-            acc = MultiPoly.zero(names)
-            for m in range(n):
-                for i in range(n):
-                    for k in range(n):
-                        w = DR[m][i][c][k][d]
-                        if not w.is_zero:
-                            acc = acc + V[m] * V[i] * V[k] * w
-            B[c][d] = acc
-    l5 = MultiPoly.zero(names)
-    for a in range(n):
-        for c in range(n):
-            if ginv[a][c].is_zero:
+    def combine(parts):
+        """sum w * T over (w, T), scalars times exponent -> coefficient dicts."""
+        acc: dict[tuple[int, ...], RatFunc] = {}
+        for w, T in parts:
+            if w.is_zero:
                 continue
-            for b in range(n):
-                for d in range(n):
-                    if ginv[b][d].is_zero:
-                        continue
-                    l5 = l5 + (A[a][b] * B[c][d]) * (ginv[a][c] * ginv[b][d])
+            for expo, x in T.items():
+                y = w * x
+                acc[expo] = acc[expo] + y if expo in acc else y
+        return acc
+
+    # E[a][d] = sum_c g^{ac} B[c][d], then C[a][b] = sum_d g^{bd} E[a][d]
+    E = [[combine((ginv[a][c], B[c][d].terms) for c in rn) for d in rn] for a in rn]
+    C = [[MultiPoly(names, combine((ginv[b][d], E[a][d]) for d in rn)) for b in rn]
+         for a in rn]
+    l5 = MultiPoly.zero(names)
+    for a in rn:
+        for b in rn:
+            if not (A[a][b].is_zero or C[a][b].is_zero):
+                l5 = l5 + A[a][b] * C[a][b]
     return LedgerReport(not violations, violations, l5, l5.is_zero)
 
 
@@ -726,25 +738,69 @@ class FamilyEnergy:
 
 @dataclass
 class EnergyReport:
+    """The energy section.  `density_generic` is n/2 + |nabla V|^2 / 2 as a
+    polynomial in the components of V: a `MultiPoly` whenever the
+    connection is not flat, but the plain `RatFunc` n/2 on a flat one
+    (every nabla_{Xi} Xj = 0), where there is no polynomial part.  The two
+    print differently ("(3/2)" as a MultiPoly constant term, "3/2" as a
+    RatFunc), and the report prints it as it is."""
+
     dim: int
-    density_generic: MultiPoly
+    density_generic: MultiPoly | RatFunc
     families: list[FamilyEnergy]
 
 
-def grad_norm_sq(alg: MetricLieAlgebra, V: Sequence):
-    """sum_ij g^{ij} g(nabla_{Xi} V, nabla_{Xj} V), the vertical energy."""
+def _gradient_form(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
+    """Q[p][q] = sum_ij g^{ij} g(nabla_{Xi} Xp, nabla_{Xj} Xq), the symmetric
+    form with |nabla V|^2 = sum_pq Q[p][q] V_p V_q for invariant V.
+
+    From `nabla_basis` K: lower the last index, L[i][p][l] =
+    sum_k K[i][p][k] g_kl, raise the first, M[j][p][l] = sum_i g^{ij}
+    L[i][p][l], and pair, Q[p][q] = sum_jl M[j][p][l] K[j][q][l], skipping
+    zero factors throughout.  Only p <= q is computed; g and g^{-1} are
+    symmetric, so Q is too.
+    """
     n = alg.dim
-    ginv = alg.metric_inverse
-    dV = _derivatives(alg, V)
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            w = ginv[i][j]
-            if w.is_zero:
-                continue
-            term = alg.inner(dV[i], dV[j]) * w
-            acc = term if acc is None else acc + term
-    return acc if acc is not None else ZERO
+    K, G, ginv = alg.nabla_basis, alg.metric, alg.metric_inverse
+    rn = range(n)
+
+    def dot(pairs):
+        acc = ZERO
+        for x, y in pairs:
+            if not (x.is_zero or y.is_zero):
+                acc = acc + x * y
+        return acc
+
+    L = [[[dot((K[i][p][k], G[k][l]) for k in rn) for l in rn] for p in rn] for i in rn]
+    M = [[[dot((ginv[i][j], L[i][p][l]) for i in rn) for l in rn] for p in rn] for j in rn]
+    Q = zeros(n)
+    for p in rn:
+        for q in range(p, n):
+            Q[p][q] = Q[q][p] = dot((M[j][p][l], K[j][q][l]) for j in rn for l in rn)
+    return Q
+
+
+def _bilinear(Q: list[list[RatFunc]], u: Sequence, v: Sequence):
+    """u^T Q v, as sum_p u_p (Q v)_p: n products of components, the rest
+    scalar multiples.  A `RatFunc` zero when no term survives."""
+    acc = ZERO
+    for p, up in enumerate(u):
+        if scalar_is_zero(up):
+            continue
+        w = ZERO
+        for q, vq in enumerate(v):
+            if not (Q[p][q].is_zero or scalar_is_zero(vq)):
+                w = w + vq * Q[p][q]
+        if not scalar_is_zero(w):
+            acc = acc + up * w
+    return acc
+
+
+def grad_norm_sq(alg: MetricLieAlgebra, V: Sequence):
+    """sum_ij g^{ij} g(nabla_{Xi} V, nabla_{Xj} V), the vertical energy, as
+    V^T Q V with Q the gradient form of `_gradient_form`.  The components
+    of V may be `RatFunc`s or `MultiPoly`s."""
+    return _bilinear(_gradient_form(alg), V, V)
 
 
 def energy_density(alg: MetricLieAlgebra, V: Sequence):
@@ -757,31 +813,25 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     """Energy along each critical family, reduced against the squared
     length when the gradient form is proportional to the induced metric.
 
-    On a family spanned by eigenvectors the identity checked is
-    Q = c * Gram with Q the gradient Gram matrix; when it holds the energy
-    of a member of signed squared length rho^2 is n/2 + (c/2) rho^2.
+    The gradient form Q of `_gradient_form` is computed once.  The generic
+    density n/2 + (1/2) sum_pq Q[p][q] V_p V_q is built from its entries as
+    one polynomial.  On a family spanned by eigenvectors u_a the gradient
+    Gram matrix is u_a^T Q u_b, and the identity checked is
+    grad Gram = c * Gram; when it holds the energy of a member of signed
+    squared length rho^2 is n/2 + (c/2) rho^2.
     """
     n = alg.dim
-    names = component_names(n)
-    V = [MultiPoly.var(names, nm) for nm in names]
-    density = energy_density(alg, V)
+    half = Fraction(1, 2)
+    Q = _gradient_form(alg)
+    density = ratfunc(Fraction(n, 2))
+    if not all(x.is_zero for plane in alg.nabla_basis for row in plane for x in row):
+        entries = [((p, q), Q[p][q] * half) for p in range(n) for q in range(n)]
+        density = _polynomial(component_names(n), entries + [((), density)])
     fams = []
-    ginv = alg.metric_inverse
     for fam in alg.harmonicity.families:
         k = len(fam.basis)
         gram = [[alg.inner(u, w) for w in fam.basis] for u in fam.basis]
-        grad = [[None] * k for _ in range(k)]
-        d = [_derivatives(alg, u) for u in fam.basis]
-        for a in range(k):
-            for b in range(k):
-                acc = ZERO
-                for i in range(n):
-                    for j in range(n):
-                        w = ginv[i][j]
-                        if w.is_zero:
-                            continue
-                        acc = acc + alg.inner(d[a][i], d[b][j]) * w
-                grad[a][b] = acc
+        grad = [[_bilinear(Q, u, w) for w in fam.basis] for u in fam.basis]
         coeff = None
         for a in range(k):
             for b in range(k):
@@ -797,7 +847,7 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
             eigenvalue=fam.eigenvalue,
             basis=fam.basis,
             constant=Fraction(n, 2),
-            rho2_coeff=coeff * Fraction(1, 2) if proportional else None,
+            rho2_coeff=coeff * half if proportional else None,
             gram=gram,
             grad_gram=grad,
         ))

@@ -8,6 +8,7 @@ transcribed from the published tabulations and cross-checked against the
 engine's two independent computation routes.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -179,39 +180,34 @@ def test_criterion_06_killing_geodesic(berger_alg):
 def l5_grid_oracle(alg, eps0, radius=3):
     """Independent degree-5 Ledger check: specialize the algebra to plain
     rationals at eps0, build R and nabla R there by the brute-force loops
-    of `test_tensor_reference` (not the engine's tensor layer), then
-    contract numerically on an integer grid of coefficient vectors.  No
-    multivariate symbols involved."""
+    of `test_tensor_reference` (not the engine's tensor layer), contract
+    numerically at every point of the integer grid [-radius, radius]^n of
+    coefficient vectors, and compare with the engine's degree-5 polynomial
+    evaluated there.  No multivariate symbols involved on the oracle side.
+    Returns the first grid point where the two differ, or None."""
+    l5 = ledger_check(alg).l5_poly
     spec = alg.at_eps(eps0)
     n = spec.dim
+    rn = range(n)
+    names = component_names(n)
     R4s, Ds = test_tensor_reference.reference_tensors(spec)
-    R4 = [[[[R4s[i][j][k][l].eval(eps0)
-             for l in range(n)] for k in range(n)]
-           for j in range(n)] for i in range(n)]
-    D = [[[[[Ds[i][a][b][c][d].eval(eps0)
-             for d in range(n)] for c in range(n)] for b in range(n)]
-          for a in range(n)] for i in range(n)]
-    ginv = [[spec.metric_inverse[i][j].eval(eps0) for j in range(n)]
-            for i in range(n)]
-    rng = range(-radius, radius + 1)
-    for xa in rng:
-        for xb in rng:
-            for xc in rng:
-                x = (F(xa), F(xb), F(xc))
-                A = [[sum(x[i] * x[j] * R4[i][a][j][b]
-                          for i in range(n) for j in range(n))
-                      for b in range(n)] for a in range(n)]
-                B = [[sum(x[i] * x[p] * x[q] * D[i][p][c][q][d]
-                          for i in range(n) for p in range(n)
-                          for q in range(n))
-                      for d in range(n)] for c in range(n)]
-                total = sum(
-                    ginv[a][c] * ginv[b][d] * A[a][b] * B[c][d]
-                    for a in range(n) for b in range(n)
-                    for c in range(n) for d in range(n))
-                if total != 0:
-                    return False
-    return True
+    R4 = [[[[R4s[i][j][k][l].eval(eps0) for l in rn] for k in rn]
+           for j in rn] for i in rn]
+    D = [[[[[Ds[i][a][b][c][d].eval(eps0) for d in rn] for c in rn] for b in rn]
+          for a in rn] for i in rn]
+    ginv = [[spec.metric_inverse[i][j].eval(eps0) for j in rn] for i in rn]
+    for point in itertools.product(range(-radius, radius + 1), repeat=n):
+        x = [F(v) for v in point]
+        A = [[sum(x[i] * x[j] * R4[i][a][j][b] for i in rn for j in rn)
+              for b in rn] for a in rn]
+        B = [[sum(x[i] * x[p] * x[q] * D[i][p][c][q][d]
+                  for i in rn for p in rn for q in rn)
+              for d in rn] for c in rn]
+        total = sum(ginv[a][c] * ginv[b][d] * A[a][b] * B[c][d]
+                    for a in rn for b in rn for c in rn for d in rn)
+        if l5.evaluate(dict(zip(names, x)), eps0) != total:
+            return point
+    return None
 
 
 def test_criterion_07_ledger(berger_alg, abelian_alg):
@@ -221,9 +217,20 @@ def test_criterion_07_ledger(berger_alg, abelian_alg):
     assert flat.l3_holds and flat.l5_holds
     assert rep.l5_holds
     for eps0 in (F(2), F(-1), F(1, 2)):
-        assert l5_grid_oracle(berger_alg, eps0), eps0
+        assert l5_grid_oracle(berger_alg, eps0) is None, eps0
     print("ACCEPTANCE 07 PASS: L3 holds; L5 confirmed by symbolic route and "
           "by the grid oracle at eps in {2, -1, 1/2}")
+
+
+def test_l5_grid_oracle_on_nonzero_l5(corpus_alg):
+    # where l5 does not vanish the oracle compares values, not zeros
+    solvable = test_properties.GENERATED["02-solvable/basis-change"]
+    r4 = corpus_alg("r4")
+    assert not ledger_check(solvable).l5_holds and not ledger_check(r4).l5_holds
+    for eps0 in (F(2), F(-1, 2)):
+        assert l5_grid_oracle(solvable, eps0, radius=2) is None, eps0
+    for eps0 in (F(3), F(-5, 2)):
+        assert l5_grid_oracle(r4, eps0, radius=1) is None, eps0
 
 
 def test_criterion_08_walker(berger_alg, abelian_alg):

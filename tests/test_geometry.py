@@ -28,6 +28,7 @@ from liegeom.scalars import (
     ONE,
     ZERO,
     MultiPoly,
+    RatFunc,
     component_names,
     scalar_str,
 )
@@ -323,6 +324,17 @@ def test_energy_density_generic(berger_alg):
     rep = energy_report(berger_alg)
     assert str(rep.density_generic) == (
         "eps^2*a^2+((2-2*eps+eps^2)/eps)*b^2+((2-2*eps+eps^2)/eps)*c^2+(3/2)")
+
+
+def test_energy_density_is_a_ratfunc_on_a_flat_connection(abelian_alg, berger_alg):
+    # flat: no polynomial part, the RatFunc n/2 prints without parentheses
+    flat = energy_report(abelian_alg).density_generic
+    assert isinstance(flat, RatFunc)
+    assert energy_section(abelian_alg)["density_generic"] == "3/2"
+    # curved: a MultiPoly whose constant term prints in parentheses
+    curved = energy_report(berger_alg).density_generic
+    assert isinstance(curved, MultiPoly)
+    assert str(curved).endswith("+(3/2)")
 
 
 def test_energy_family_coefficients(berger_alg):

@@ -27,6 +27,8 @@ from liegeom.solvers import (
     solve_parametric,
 )
 
+import test_properties
+
 
 def F(x):
     return Fraction(x)
@@ -245,3 +247,44 @@ def test_eigen_triangular_spectrum_is_the_diagonal(rows):
     # ascending as eps -> +oo
     for a, b in zip(dec.pairs, dec.pairs[1:]):
         assert (b.value - a.value).num.leading > 0
+
+
+def _sympy_ratfunc(sympy, eps, f):
+    """A `RatFunc` as a sympy expression in the symbol eps."""
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * eps**k
+                    for k, c in enumerate(p.coeffs)), start=sympy.Integer(0))
+    return expr(f.num) / expr(f.den)
+
+
+@pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
+def test_laplacian_spectrum_matches_sympy_factorization(corpus_alg, key):
+    # sympy computes det(mu I - L) itself and factors it over Q(eps): by
+    # Gauss's lemma that is its numerator factored over Q in (mu, eps),
+    # factors free of mu being units.  The linear factors and their
+    # multiplicities are the rational eigenvalues; the rest is the residual.
+    sympy = pytest.importorskip("sympy")
+    eps, mu = sympy.symbols("eps mu")
+    L = rough_laplacian(corpus_alg(key))
+    n = len(L)
+    M = sympy.Matrix([[_sympy_ratfunc(sympy, eps, x) for x in row] for row in L])
+    cp = sympy.cancel((mu * sympy.eye(n) - M).det(method="berkowitz"))
+    engine_cp = sum((_sympy_ratfunc(sympy, eps, c) * mu**k
+                     for k, c in enumerate(charpoly(L).coeffs)), start=sympy.Integer(0))
+    assert sympy.cancel(cp - engine_cp) == 0
+    numerator, _ = sympy.fraction(cp)
+    roots, rest = [], 0
+    for factor, mult in sympy.factor_list(numerator, mu, eps)[1]:
+        degree = sympy.degree(factor, mu)
+        if degree == 1:
+            a, b = sympy.Poly(factor, mu).all_coeffs()
+            roots.append((sympy.cancel(-b / a), mult))
+        else:
+            rest += degree * mult
+    dec = eigen_analyze(L)
+    assert len(roots) == len(dec.pairs)
+    for pair in dec.pairs:
+        value = _sympy_ratfunc(sympy, eps, pair.value)
+        (mult,) = [m for r, m in roots if sympy.cancel(r - value) == 0]
+        assert mult == pair.multiplicity, scalar_str(pair.value)
+    assert rest == max(dec.residual.degree, 0)

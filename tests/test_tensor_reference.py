@@ -7,14 +7,23 @@ output hold by construction and checking them proves nothing.  The
 reference below computes every ordered pair and every entry by the naive
 loops, from `connection_operators` and `brackets` alone, and the tests
 compare the two entry for entry.
+
+The same goes for the two polynomial forms built from those tensors.  The
+engine contracts g^{-1} into the coefficient tensors before it multiplies
+polynomials; the references below multiply first, as the definitions read:
+the degree-5 Ledger polynomial as every product A[a][b] * B[c][d] scaled by
+g^{ac} g^{bd}, and the gradient form as sum g^{ij} g(nabla_{Xi} u,
+nabla_{Xj} v) of the covariant derivatives themselves.
 """
 
 import random
 import zlib
+from fractions import Fraction
 
 import pytest
 
-from liegeom.scalars import ONE, ZERO, MultiPoly
+from liegeom.geometry import energy_report, grad_norm_sq, ledger_check
+from liegeom.scalars import ONE, ZERO, MultiPoly, component_names
 
 import test_properties
 
@@ -99,6 +108,73 @@ def check_against_reference(alg):
             assert (got[r][c] - want[r][c]).is_zero, (r, c)
 
 
+def reference_l5(alg):
+    """sum g^{ac} g^{bd} R(V,Xa,V,Xb) (nabla_V R)(V,Xc,V,Xd) as n^4
+    products of polynomials, from `reference_tensors`."""
+    n = alg.dim
+    names = component_names(n)
+    V = [MultiPoly.var(names, nm) for nm in names]
+    R4, DR = reference_tensors(alg)
+    ginv = alg.metric_inverse
+    rn = range(n)
+    zero = MultiPoly.zero(names)
+    A = [[sum((V[i] * V[k] * R4[i][a][k][b] for i in rn for k in rn), start=zero)
+          for b in rn] for a in rn]
+    B = [[sum((V[m] * V[i] * V[k] * DR[m][i][c][k][d]
+               for m in rn for i in rn for k in rn), start=zero)
+          for d in rn] for c in rn]
+    return sum((A[a][b] * B[c][d] * (ginv[a][c] * ginv[b][d])
+                for a in rn for b in rn for c in rn for d in rn), start=zero)
+
+
+def reference_gradient(alg, u, v):
+    """sum_ij g^{ij} g(nabla_{Xi} u, nabla_{Xj} v)."""
+    n = alg.dim
+    ginv = alg.metric_inverse
+    basis = [[ONE if k == i else ZERO for k in range(n)] for i in range(n)]
+    du = [alg.nabla(e, u) for e in basis]
+    dv = [alg.nabla(e, v) for e in basis]
+    acc = ZERO
+    for i in range(n):
+        for j in range(n):
+            if not ginv[i][j].is_zero:
+                acc = acc + alg.inner(du[i], dv[j]) * ginv[i][j]
+    return acc
+
+
+def check_forms_against_reference(alg):
+    """Compare the Ledger polynomial, the gradient form and the energy
+    density with the references; return the number of terms of l5."""
+    n = alg.dim
+    names = component_names(n)
+    V = [MultiPoly.var(names, nm) for nm in names]
+    l5 = ledger_check(alg).l5_poly
+    assert l5 == reference_l5(alg)
+    grad = reference_gradient(alg, V, V)
+    assert grad_norm_sq(alg, V) == grad
+    rep = energy_report(alg)
+    density = grad * Fraction(1, 2) + Fraction(n, 2)
+    assert rep.density_generic == density
+    # the printed form too: a flat connection leaves the RatFunc n/2
+    assert str(rep.density_generic) == str(density)
+    for fam in rep.families:
+        for a, u in enumerate(fam.basis):
+            assert grad_norm_sq(alg, u) == reference_gradient(alg, u, u)
+            for b, w in enumerate(fam.basis):
+                assert fam.grad_gram[a][b] == reference_gradient(alg, u, w), (a, b)
+    return len(l5.terms)
+
+
+@pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
+def test_corpus_forms_match_reference(corpus_alg, key):
+    check_forms_against_reference(corpus_alg(key))
+
+
+@pytest.mark.parametrize("key", list(test_properties.GENERATED))
+def test_property_forms_match_reference(key):
+    check_forms_against_reference(test_properties.GENERATED[key])
+
+
 @pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
 def test_corpus_tensors_match_reference(corpus_alg, key):
     check_against_reference(corpus_alg(key))
@@ -114,3 +190,14 @@ def test_curvature_operator_returns_a_copy(berger_alg):
     op[0][0] = ONE
     assert berger_alg.curvature_operator(0, 1)[0][0] == ZERO
     assert berger_alg.curvature_operator(1, 1) == [[ZERO] * 3 for _ in range(3)]
+
+
+def test_reference_forms_include_nonzero_l5():
+    # the l5 comparison above is not all zeros against zeros
+    nonzero = {key: len(ledger_check(alg).l5_poly.terms)
+               for key, alg in test_properties.GENERATED.items()
+               if not ledger_check(alg).l5_holds}
+    assert sorted(nonzero) == ["02-solvable/basis-change", "06-solvable/basis-change",
+                               "10-solvable/basis-change", "14-solvable/basis-change",
+                               "18-solvable/basis-change", "4d-r4-mixed"]
+    assert min(nonzero.values()) >= 14
