@@ -20,10 +20,11 @@ The sign pattern of the curvature convention makes the unit round sphere
 come out Einstein with ric = 2g, which is the normalization every golden
 value in the test suite is pinned to.
 
-Vector and operator values are plain lists (of scalars, and of rows); the
-scalar entries may be `RatFunc` or, when generic coefficients are being
-solved for, `MultiPoly`.  All helpers here are written against the common
-arithmetic of those two types.
+Vector and operator values are plain lists (of scalars, and of rows) with
+`RatFunc` entries: the engine reads every polynomial condition off the
+coefficient tensors instead of passing generic vectors.  The helpers use
+only the arithmetic `RatFunc` shares with `MultiPoly`, and the naive
+references in the tests still call them with generic `MultiPoly` entries.
 """
 
 from __future__ import annotations
@@ -404,9 +405,9 @@ class MetricLieAlgebra:
         return [[-x for x in row] for row in self._curvature_operators[j, i]]
 
     def curvature_operator_vec(self, u: Sequence, v: Sequence) -> list[list]:
-        """R(u, v) for coordinate vectors, possibly with generic entries:
-        the sum of (u_i v_j - u_j v_i) R(Xi, Xj) over i < j, by the
-        antisymmetry of `curvature_operator`."""
+        """R(u, v) for coordinate vectors: the sum of
+        (u_i v_j - u_j v_i) R(Xi, Xj) over i < j, by the antisymmetry of
+        `curvature_operator`."""
         n = self.dim
         out = zeros(n)
         for (i, j), op in self._curvature_operators.items():

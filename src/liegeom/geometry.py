@@ -7,7 +7,10 @@ the answer changes.  The Einstein, soliton and Killing conditions are
 linear: one equation per metric entry i <= j, whose coefficient row and
 right-hand side are read off the metric, Ricci and Lie-derivative tensors
 and handed to `solvers.solve_parametric`.  The geodesic and null parallel
-conditions are polynomial systems in the components of the field.
+conditions are polynomial systems in the components of the field, and each
+of their quadratic forms is read off `nabla_basis` and `metric` as one
+`MultiPoly`, as the Ledger and energy forms are; the harmonic-map trace is
+decided on `RatFunc` vectors alone.
 Verdicts are never sampled or approximated: the Walker analysis adds a
 float cross-check at sample parameter values, but a disagreement there
 refuses rather than decides.  When the polynomial case analysis cannot
@@ -62,7 +65,6 @@ from .solvers import (
     ParametricSolution,
     eigen_analyze,
     kernel_basis,
-    rank_one_conditions,
     solve_parametric,
 )
 
@@ -389,10 +391,8 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
     parameter values where the union changes (for example where every
     equation collapses and all fields become geodesic).
     """
-    n = alg.dim
-    names = component_names(n)
-    V = [MultiPoly.var(names, nm) for nm in names]
-    eqs = [e for e in alg.nabla(V, V) if not scalar_is_zero(e)]
+    names = component_names(alg.dim)
+    eqs = _geodesic_equations(alg, names)
     components, caveats = solve_zero_set(eqs, names)
     candidates = (caveats | _coefficient_roots(eqs)) - set(alg.singular_parameters())
     branches = []
@@ -431,21 +431,32 @@ _NUMERIC_EPS_CANDIDATES = (
 )
 
 
-def _derivatives(alg: MetricLieAlgebra, V: Sequence) -> list[list]:
-    """[nabla_{X1} V, ..., nabla_{Xn} V]."""
-    n = alg.dim
-    return [alg.nabla([ONE if k == i else ZERO for k in range(n)], V) for i in range(n)]
+def _geodesic_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
+    """The components of nabla_V V for V = sum_i x_i Xi, read off
+    `nabla_basis` K: the k-th is sum_ij K[i][j][k] x_i x_j.  Zero forms are
+    dropped."""
+    K = alg.nabla_basis
+    rn = range(alg.dim)
+    forms = (_polynomial(names, (((i, j), K[i][j][k]) for i in rn for j in rn)) for k in rn)
+    return [e for e in forms if not e.is_zero]
 
 
 def _walker_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
-    V = [MultiPoly.var(names, nm) for nm in names]
-    eqs: list[MultiPoly] = []
-    for dV in _derivatives(alg, V):
-        eqs.extend(rank_one_conditions([dV, V]))
-    null_cond = alg.inner(V, V)
-    if not null_cond.is_zero:
-        eqs.append(null_cond)
-    return eqs
+    """The null parallel conditions on V = sum_i x_i Xi, read off
+    `nabla_basis` K and `metric` G: for each i and each r < s the 2x2 minor
+    (nabla_{Xi} V)_r x_s - (nabla_{Xi} V)_s x_r of the columns
+    [nabla_{Xi} V, V], with (nabla_{Xi} V)_r = sum_j K[i][j][r] x_j; then
+    g(V, V) = sum_pq G[p][q] x_p x_q.  Zero forms are dropped."""
+    n = alg.dim
+    K, G = alg.nabla_basis, alg.metric
+    rn = range(n)
+    forms = [
+        _polynomial(names, [((j, s), K[i][j][r]) for j in rn]
+                    + [((j, r), -K[i][j][s]) for j in rn])
+        for i in rn for r in rn for s in range(r + 1, n)
+    ]
+    forms.append(_polynomial(names, (((p, q), G[p][q]) for p in rn for q in rn)))
+    return [e for e in forms if not e.is_zero]
 
 
 def _grid_witness(eqs: list[MultiPoly], names) -> list[RatFunc] | None:
@@ -654,7 +665,8 @@ def harmonic_map_trace(alg: MetricLieAlgebra, V: Sequence) -> list:
     n = alg.dim
     ginv = alg.metric_inverse
     out = None
-    for i, dV in enumerate(_derivatives(alg, V)):
+    for i in range(n):
+        dV = alg.nabla([ONE if k == i else ZERO for k in range(n)], V)
         op = alg.curvature_operator_vec(dV, V)
         for j in range(n):
             w = ginv[i][j]
@@ -694,19 +706,18 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     fields (the trivial critical points) are reported separately as the
     joint kernel of all covariant derivative operators.
     """
-    n = alg.dim
     L = rough_laplacian(alg)
     decomp = eigen_analyze(L)
     singular = set(alg.singular_parameters())
     families = []
     for pair in decomp.pairs:
-        tnames = tuple(f"t{k+1}" for k in range(len(pair.vectors)))
-        V = [MultiPoly.zero(tnames) for _ in range(n)]
-        for k, vec in enumerate(pair.vectors):
-            t = MultiPoly.var(tnames, tnames[k])
-            V = [acc + t * comp for acc, comp in zip(V, vec)]
-        trace = harmonic_map_trace(alg, V)
-        trace_zero = all(scalar_is_zero(x) for x in trace)
+        # The trace is a quadratic form in V, so by polarization it vanishes
+        # on span{u_k} exactly when it vanishes at every u_k and every
+        # u_k + u_l: the values at the u_k alone miss the cross terms.
+        us = pair.vectors
+        probes = us + [[x + y for x, y in zip(us[k], us[l])]
+                       for k in range(len(us)) for l in range(k + 1, len(us))]
+        trace_zero = all(scalar_is_zero(x) for u in probes for x in harmonic_map_trace(alg, u))
         section = pair.value.is_zero
         roots = [] if section else [r for r, _ in pair.value.zeros() if r not in singular]
         families.append(CriticalFamily(

@@ -202,28 +202,6 @@ def kernel_basis(matrix: Sequence[Sequence[RatFunc]]) -> list[list[RatFunc]]:
     return res.kernel
 
 
-def rank_one_conditions(columns: Sequence[Sequence]) -> list:
-    """All 2x2 minors of the matrix with the given columns.
-
-    The minors vanish simultaneously exactly when the columns are linearly
-    dependent, which is how distribution-parallelism conditions are posed.
-    """
-    ncols = len(columns)
-    nrows = len(columns[0])
-    out = []
-    for c1 in range(ncols):
-        for c2 in range(c1 + 1, ncols):
-            for r1 in range(nrows):
-                for r2 in range(r1 + 1, nrows):
-                    minor = (
-                        columns[c1][r1] * columns[c2][r2]
-                        - columns[c1][r2] * columns[c2][r1]
-                    )
-                    if not scalar_is_zero(minor):
-                        out.append(minor)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomials: Poly over Q(eps) in the spectral variable mu
 

@@ -4,7 +4,7 @@ import pytest
 
 from liegeom import geometry
 from liegeom.algebra import MetricLieAlgebra, vector_str
-from liegeom.catalog import berger
+from liegeom.catalog import berger, loads
 from liegeom.geometry import (
     CaseAnalysisIncomplete,
     component_str,
@@ -14,6 +14,7 @@ from liegeom.geometry import (
     geodesic_check,
     geodesic_classify,
     grad_norm_sq,
+    harmonic_map_trace,
     harmonicity_classify,
     killing_solve,
     ledger_check,
@@ -22,7 +23,7 @@ from liegeom.geometry import (
     solve_zero_set,
     walker_check,
 )
-from liegeom.report import energy_section, harmonic_section
+from liegeom.report import energy_section, geodesic_section, harmonic_section, walker_section
 from liegeom.scalars import (
     EPS,
     ONE,
@@ -30,8 +31,11 @@ from liegeom.scalars import (
     MultiPoly,
     RatFunc,
     component_names,
+    scalar_is_zero,
     scalar_str,
 )
+
+import test_properties
 
 
 def F(x):
@@ -364,6 +368,38 @@ def test_harmonicity_is_classified_once_per_algebra(monkeypatch):
     harmonic_section(alg)
     energy_section(alg)
     assert len(calls) == 1
+
+
+def test_trace_flag_sees_the_cross_terms(corpus_alg):
+    # on heisenberg the 3-dimensional family has a zero curvature trace at
+    # each basis vector but not on their span: the verdict needs the
+    # probes u_k + u_l as well
+    alg = corpus_alg("heisenberg")
+    (fam,) = [f for f in alg.harmonicity.families if len(f.basis) == 3]
+    for u in fam.basis:
+        assert all(scalar_is_zero(x) for x in harmonic_map_trace(alg, u))
+    assert not fam.trace_vanishes
+
+
+def test_analyses_multiply_no_multipolys(monkeypatch):
+    # the geodesic, Walker, harmonic and energy conditions are read off the
+    # coefficient tensors or decided on RatFunc vectors; only the Ledger l5
+    # multiplies polynomials
+    calls = []
+    original = MultiPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    for alg in (berger(), loads(test_properties.corpus.TEXTS["u2"])):
+        geodesic_section(alg)
+        walker_section(alg)
+        harmonic_section(alg)
+        energy_section(alg)
+    assert len(calls) == 0
 
 
 def test_grad_norm_sq_matches_density(berger_alg):

@@ -11,7 +11,6 @@ from liegeom.scalars import (
     EPS,
     ONE,
     ZERO,
-    MultiPoly,
     Poly,
     RatFunc,
     parse_scalar,
@@ -22,7 +21,6 @@ from liegeom.solvers import (
     charpoly,
     eigen_analyze,
     kernel_basis,
-    rank_one_conditions,
     rref_solve,
     solve_parametric,
 )
@@ -115,15 +113,6 @@ def test_kernel_basis():
     assert len(ker) == 2
     for v in ker:
         assert v[0] + v[1] == ZERO
-
-
-def test_rank_one_conditions():
-    u = [MultiPoly.var(("a", "b"), "a"), MultiPoly.var(("a", "b"), "b")]
-    v = [MultiPoly.const(("a", "b"), 1), MultiPoly.const(("a", "b"), 2)]
-    minors = rank_one_conditions([u, v])
-    assert len(minors) == 1
-    assert str(minors[0]) == "2*a-b"
-    assert rank_one_conditions([v, [2 * x for x in v]]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ polynomials; the references below multiply first, as the definitions read:
 the degree-5 Ledger polynomial as every product A[a][b] * B[c][d] scaled by
 g^{ac} g^{bd}, and the gradient form as sum g^{ij} g(nabla_{Xi} u,
 nabla_{Xj} v) of the covariant derivatives themselves.
+
+The geodesic and Walker equations and the harmonic-map trace flag are read
+off `nabla_basis` and `metric`, or decided on `RatFunc` probe vectors; the
+references build them as the definitions read, on vectors of `MultiPoly`
+indeterminates: nabla_V V, the 2x2 minors of [nabla_{Xi} V, V] and g(V, V),
+and the trace on the whole family vector sum_k t_k u_k.  A second geodesic
+reference uses the brackets and the metric alone (Koszul), without the
+connection.
 """
 
 import random
@@ -22,8 +30,15 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom.geometry import energy_report, grad_norm_sq, ledger_check
-from liegeom.scalars import ONE, ZERO, MultiPoly, component_names
+from liegeom.geometry import (
+    _geodesic_equations,
+    _walker_equations,
+    energy_report,
+    grad_norm_sq,
+    harmonic_map_trace,
+    ledger_check,
+)
+from liegeom.scalars import ONE, ZERO, MultiPoly, component_names, scalar_is_zero
 
 import test_properties
 
@@ -99,7 +114,7 @@ def check_against_reference(alg):
         v = [rng.randint(-2, 2) * ONE for _ in range(n)]
         assert first_mismatch(alg.curvature_operator_vec(u, v),
                               reference_operator_vec(ops, u, v)) is None
-    # a generic vector, as the harmonic-map trace passes it
+    # a generic vector, as `reference_trace_vanishes` below passes it
     w = [t[k % 2] * rng.randint(1, 3) for k in range(n)]
     got = alg.curvature_operator_vec(w, u)
     want = reference_operator_vec(ops, w, u)
@@ -201,3 +216,129 @@ def test_reference_forms_include_nonzero_l5():
                                "10-solvable/basis-change", "14-solvable/basis-change",
                                "18-solvable/basis-change", "4d-r4-mixed"]
     assert min(nonzero.values()) >= 14
+
+
+# ---------------------------------------------------------------------------
+# geodesic, Walker and harmonic-map conditions
+
+
+def generic_vector(names):
+    return [MultiPoly.var(names, nm) for nm in names]
+
+
+def reference_geodesic(alg, names):
+    """The nonzero components of nabla_V V for a generic V."""
+    V = generic_vector(names)
+    return [e for e in alg.nabla(V, V) if not e.is_zero]
+
+
+def rank_one_conditions(columns):
+    """All nonzero 2x2 minors of the matrix with the given columns, column
+    pair by column pair, then row pair by row pair."""
+    ncols, nrows = len(columns), len(columns[0])
+    out = []
+    for c1 in range(ncols):
+        for c2 in range(c1 + 1, ncols):
+            for r1 in range(nrows):
+                for r2 in range(r1 + 1, nrows):
+                    minor = (columns[c1][r1] * columns[c2][r2]
+                             - columns[c1][r2] * columns[c2][r1])
+                    if not scalar_is_zero(minor):
+                        out.append(minor)
+    return out
+
+
+def reference_walker(alg, names):
+    """The minors of [nabla_{Xi} V, V] for each i, then g(V, V) if nonzero."""
+    n = alg.dim
+    V = generic_vector(names)
+    eqs = []
+    for i in range(n):
+        e = [ONE if k == i else ZERO for k in range(n)]
+        eqs.extend(rank_one_conditions([alg.nabla(e, V), V]))
+    null = alg.inner(V, V)
+    if not null.is_zero:
+        eqs.append(null)
+    return eqs
+
+
+def reference_trace_vanishes(alg, vectors):
+    """Whether the harmonic-map trace vanishes on the family vector
+    sum_k t_k u_k, identically in the t's."""
+    tnames = tuple(f"t{k + 1}" for k in range(len(vectors)))
+    V = [MultiPoly.zero(tnames) for _ in range(alg.dim)]
+    for k, u in enumerate(vectors):
+        t = MultiPoly.var(tnames, tnames[k])
+        V = [acc + t * x for acc, x in zip(V, u)]
+    return all(scalar_is_zero(x) for x in harmonic_map_trace(alg, V))
+
+
+def koszul_geodesic(alg, names):
+    """nabla_V V from the brackets and the metric alone.  The Koszul formula
+    gives g(nabla_V V, Xk) = g([Xk, V], V) = sum_ijm C[k][i][m] G[m][j] V_i V_j
+    for every nondegenerate metric (Kowalski-Szenthe); raising the index with
+    g^{-1} gives the components, of which the nonzero ones are kept."""
+    n = alg.dim
+    C, G, ginv = alg.brackets, alg.metric, alg.metric_inverse
+    V = generic_vector(names)
+    rn = range(n)
+    zero = MultiPoly.zero(names)
+    lowered = [sum((V[i] * V[j] * (C[k][i][m] * G[m][j])
+                    for i in rn for j in rn for m in rn), start=zero) for k in rn]
+    raised = [sum((lowered[k] * ginv[l][k] for k in rn), start=zero) for l in rn]
+    return [e for e in raised if not e.is_zero]
+
+
+def assert_same_forms(got, want):
+    assert [str(e) for e in got] == [str(e) for e in want]
+    assert got == want
+
+
+def check_conditions_against_reference(alg):
+    names = component_names(alg.dim)
+    assert_same_forms(_geodesic_equations(alg, names), reference_geodesic(alg, names))
+    assert_same_forms(_walker_equations(alg, names), reference_walker(alg, names))
+    h = alg.harmonicity
+    assert [f.trace_vanishes for f in h.families] == [
+        reference_trace_vanishes(alg, pair.vectors) for pair in h.decomposition.pairs]
+
+
+MIXING_SEEDS = (None, 1, 2, 3)
+CORPUS_CASES = [(key, seed) for key in test_properties.corpus.TEXTS for seed in MIXING_SEEDS]
+CORPUS_IDS = [f"{key}-{'unmixed' if seed is None else f'mixed{seed}'}"
+              for key, seed in CORPUS_CASES]
+
+
+def corpus_case(corpus_alg, key, seed):
+    """A corpus algebra, as parsed or after the basis change of
+    `corpus.mixing_matrix` under the given seed (a fresh object, so its
+    cached tensors are computed anew)."""
+    alg = corpus_alg(key)
+    if seed is None:
+        return alg
+    P = test_properties.corpus.mixing_matrix(random.Random(seed), alg.dim)
+    return alg.transform_basis(P, name=f"{key}-mixed{seed}")
+
+
+@pytest.mark.parametrize(("key", "seed"), CORPUS_CASES, ids=CORPUS_IDS)
+def test_corpus_conditions_match_reference(corpus_alg, key, seed):
+    check_conditions_against_reference(corpus_case(corpus_alg, key, seed))
+
+
+@pytest.mark.parametrize("key", list(test_properties.GENERATED))
+def test_property_conditions_match_reference(key):
+    check_conditions_against_reference(test_properties.GENERATED[key])
+
+
+@pytest.mark.parametrize(("key", "seed"), CORPUS_CASES, ids=CORPUS_IDS)
+def test_corpus_geodesic_equations_match_koszul(corpus_alg, key, seed):
+    alg = corpus_case(corpus_alg, key, seed)
+    names = component_names(alg.dim)
+    assert_same_forms(_geodesic_equations(alg, names), koszul_geodesic(alg, names))
+
+
+@pytest.mark.parametrize("key", list(test_properties.GENERATED))
+def test_property_geodesic_equations_match_koszul(key):
+    alg = test_properties.GENERATED[key]
+    names = component_names(alg.dim)
+    assert_same_forms(_geodesic_equations(alg, names), koszul_geodesic(alg, names))
