@@ -25,6 +25,14 @@ Vector and operator values are plain lists (of scalars, and of rows) with
 coefficient tensors instead of passing generic vectors.  The helpers use
 only the arithmetic `RatFunc` shares with `MultiPoly`, and the naive
 references in the tests still call them with generic `MultiPoly` entries.
+
+Every contraction runs over the nonzero entries of each factor only (the
+`nonzero` helper), and a tensor contracted more than once is lowered once
+(`_nabla_lowered`).  A left-invariant metric in an adapted frame has few
+nonzero structure constants and often a diagonal Gram matrix, so the
+dense sums were mostly products with a zero factor.  Exact arithmetic
+with canonical `RatFunc`s makes the result independent of the order of
+the terms.
 """
 
 from __future__ import annotations
@@ -53,48 +61,52 @@ class SingularMetric(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # small exact matrix helpers, generic over the scalar type
+#
+# They form no product with a zero factor: `nonzero` lists the nonzero
+# entries of a row, and `add_scaled`/`add_product` accumulate in place over
+# such lists.  An entry that no product reaches is the `RatFunc` ZERO.
 
 
 def zeros(n: int) -> list[list]:
     return [[ZERO for _ in range(n)] for _ in range(n)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def nonzero(row) -> list[tuple[int, object]]:
+    """The (index, entry) pairs of the nonzero entries of a row."""
+    return [(k, x) for k, x in enumerate(row) if not scalar_is_zero(x)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def add_scaled(out, s, a) -> None:
+    """out += s * a in place; `a` given by the `nonzero` lists of its rows."""
+    for orow, row in zip(out, a):
+        for c, x in row:
+            orow[c] = orow[c] + s * x
 
 
-def mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
+def add_product(out, a, b, negate: bool = False) -> None:
+    """out += a b in place (out -= a b when `negate`); `a` and `b` given by
+    the `nonzero` lists of their rows."""
+    for orow, row in zip(out, a):
+        for s, x in row:
+            for c, y in b[s]:
+                p = x * y
+                orow[c] = orow[c] - p if negate else orow[c] + p
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for r in range(1, k):
-                acc = acc + a[i][r] * b[r][j]
-            row.append(acc)
-        out.append(row)
+    out = [[ZERO for _ in b[0]] for _ in a]
+    add_product(out, [nonzero(row) for row in a], [nonzero(row) for row in b])
     return out
 
 
-def mat_commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def mat_vec(a, v):
+    nz = nonzero(v)
     out = []
     for row in a:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
+        acc = ZERO
+        for k, y in nz:
+            if not scalar_is_zero(row[k]):
+                acc = acc + row[k] * y
         out.append(acc)
     return out
 
@@ -111,14 +123,14 @@ def mat_det(a):
     n = len(a)
     if n == 1:
         return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     acc = None
     for j in range(n):
         if scalar_is_zero(a[0][j]):
             continue
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = a[0][j] * mat_det(minor)
+        minor = mat_det([row[:j] + row[j + 1:] for row in a[1:]])
+        if scalar_is_zero(minor):
+            continue
+        term = a[0][j] * minor
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -255,7 +267,8 @@ class MetricLieAlgebra:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if not scalar_is_zero(C[i][j][k] + C[j][i][k]):
+                    x, y = C[i][j][k], C[j][i][k]
+                    if not (x.is_zero and y.is_zero or (x + y).is_zero):
                         out.append(Violation(
                             "antisymmetry",
                             f"[X{i+1},X{j+1}] and [X{j+1},X{i+1}] disagree in the X{k+1} component",
@@ -263,12 +276,15 @@ class MetricLieAlgebra:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
+                    # [Xc, [Xa, Xb]] summed cyclically, over nonzero [Xa, Xb] only:
+                    # (Xm-coefficient of [Xa, Xb], coefficients of [Xc, Xm])
+                    terms = [(x, C[c][m]) for a, b, c in ((j, k, i), (k, i, j), (i, j, k))
+                             for m, x in nonzero(C[a][b])]
                     for l in range(n):
                         acc = ZERO
-                        for m in range(n):
-                            acc = acc + C[j][k][m] * C[i][m][l]
-                            acc = acc + C[k][i][m] * C[j][m][l]
-                            acc = acc + C[i][j][m] * C[k][m][l]
+                        for x, row in terms:
+                            if not row[l].is_zero:
+                                acc = acc + x * row[l]
                         if not scalar_is_zero(acc):
                             out.append(Violation(
                                 "jacobi",
@@ -305,15 +321,13 @@ class MetricLieAlgebra:
 
     def inner(self, u: Sequence, v: Sequence):
         """g(u, v) for coordinate vectors."""
-        n = self.dim
+        G = self.metric
+        nv = nonzero(v)
         acc = ZERO
-        for i in range(n):
-            if scalar_is_zero(u[i]):
-                continue
-            for j in range(n):
-                if scalar_is_zero(v[j]):
-                    continue
-                acc = acc + u[i] * v[j] * self.metric[i][j]
+        for i, x in nonzero(u):
+            for j, y in nv:
+                if not G[i][j].is_zero:
+                    acc = acc + x * y * G[i][j]
         return acc
 
     @cached_property
@@ -327,24 +341,30 @@ class MetricLieAlgebra:
     # -- connection and curvature ------------------------------------------
 
     @cached_property
-    def nabla_basis(self) -> list[list[list[RatFunc]]]:
-        """K[i][j] = coordinates of nabla_{Xi} Xj, from the Koszul formula."""
+    def _nabla_lowered(self) -> list[list[list[RatFunc]]]:
+        """Kl[i][j][k] = g(nabla_{Xi} Xj, Xk), by the Koszul formula
+        2 Kl[i][j][k] = Cl[i][j][k] - Cl[j][k][i] + Cl[k][i][j] with
+        Cl[i][j][k] = g([Xi, Xj], Xk).  Each bracket is lowered once, and
+        each nonzero entry of Cl is scattered, halved, to the three entries
+        of Kl it appears in."""
         n = self.dim
-        C, G = self.brackets, self.metric
+        Gt = transpose(self.metric)
+        Kl = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                for c, x in nonzero(mat_vec(Gt, self.brackets[a][b])):
+                    h = x * _HALF
+                    Kl[a][b][c] = Kl[a][b][c] + h
+                    Kl[c][a][b] = Kl[c][a][b] - h
+                    Kl[b][c][a] = Kl[b][c][a] + h
+        return Kl
+
+    @cached_property
+    def nabla_basis(self) -> list[list[list[RatFunc]]]:
+        """K[i][j] = coordinates of nabla_{Xi} Xj: the lowered Koszul
+        values raised by g^{-1}."""
         ginv = self.metric_inverse
-        K = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                rhs = []
-                for k in range(n):
-                    acc = ZERO
-                    for m in range(n):
-                        acc = acc + C[i][j][m] * G[m][k]
-                        acc = acc - C[j][k][m] * G[m][i]
-                        acc = acc + C[k][i][m] * G[m][j]
-                    rhs.append(acc)
-                K[i][j] = [x * _HALF for x in mat_vec(ginv, rhs)]
-        return K
+        return [[mat_vec(ginv, row) for row in plane] for plane in self._nabla_lowered]
 
     @cached_property
     def connection_operators(self) -> list[list[list[RatFunc]]]:
@@ -358,36 +378,41 @@ class MetricLieAlgebra:
 
     def nabla(self, u: Sequence, v: Sequence) -> list:
         """nabla_u v for invariant vectors with constant coefficients."""
-        n = self.dim
         K = self.nabla_basis
-        out = [ZERO for _ in range(n)]
-        for i in range(n):
-            if scalar_is_zero(u[i]):
-                continue
-            for j in range(n):
-                if scalar_is_zero(v[j]):
-                    continue
-                for k in range(n):
-                    c = K[i][j][k]
-                    if not c.is_zero:
-                        out[k] = out[k] + u[i] * v[j] * c
+        nv = nonzero(v)
+        out = [ZERO for _ in range(self.dim)]
+        for i, x in nonzero(u):
+            for j, y in nv:
+                w = x * y
+                for k, c in nonzero(K[i][j]):
+                    out[k] = out[k] + w * c
         return out
+
+    @cached_property
+    def _connection_rows(self) -> list[list[list[tuple[int, RatFunc]]]]:
+        """The `nonzero` lists of the rows of each nabla_{Xi}."""
+        return [[nonzero(row) for row in op] for op in self.connection_operators]
 
     @cached_property
     def _curvature_operators(self) -> dict[tuple[int, int], list[list[RatFunc]]]:
         """R(Xi, Xj) for i < j only, keyed by (i, j)."""
         n = self.dim
-        ops = self.connection_operators
+        rows = self._connection_rows
         out = {}
         for i in range(n):
             for j in range(i + 1, n):
                 acc = zeros(n)
-                for k in range(n):
-                    c = self.brackets[i][j][k]
-                    if not c.is_zero:
-                        acc = mat_add(acc, mat_scale(ops[k], c))
-                out[i, j] = mat_sub(acc, mat_commutator(ops[i], ops[j]))
+                for k, c in nonzero(self.brackets[i][j]):
+                    add_scaled(acc, c, rows[k])
+                add_product(acc, rows[j], rows[i])
+                add_product(acc, rows[i], rows[j], negate=True)
+                out[i, j] = acc
         return out
+
+    @cached_property
+    def _curvature_rows(self) -> dict[tuple[int, int], list[list[tuple[int, RatFunc]]]]:
+        """The `nonzero` lists of the rows of each R(Xi, Xj), i < j."""
+        return {key: [nonzero(row) for row in op] for key, op in self._curvature_operators.items()}
 
     def curvature_operator(self, i: int, j: int) -> list[list[RatFunc]]:
         """Matrix of R(Xi, Xj) = nabla_{[Xi,Xj]} - [nabla_{Xi}, nabla_{Xj}].
@@ -408,16 +433,13 @@ class MetricLieAlgebra:
         """R(u, v) for coordinate vectors: the sum of
         (u_i v_j - u_j v_i) R(Xi, Xj) over i < j, by the antisymmetry of
         `curvature_operator`."""
-        n = self.dim
-        out = zeros(n)
-        for (i, j), op in self._curvature_operators.items():
-            w = u[i] * v[j] - u[j] * v[i]
-            if scalar_is_zero(w):
-                continue
-            for r in range(n):
-                for c in range(n):
-                    if not op[r][c].is_zero:
-                        out[r][c] = out[r][c] + w * op[r][c]
+        out = zeros(self.dim)
+        nv = nonzero(v)
+        uv = {(i, j): x * y for i, x in nonzero(u) for j, y in nv if i != j}
+        for (i, j), rows in self._curvature_rows.items():
+            w = uv.get((i, j), ZERO) - uv.get((j, i), ZERO)
+            if not scalar_is_zero(w):
+                add_scaled(out, w, rows)
         return out
 
     @cached_property
@@ -455,46 +477,42 @@ class MetricLieAlgebra:
         """ric[i][j] = sum_{k,l} g^{kl} R4[i][k][j][l]."""
         n = self.dim
         R4 = self.curvature_tensor
-        ginv = self.metric_inverse
+        gnz = [(k, l, w) for k in range(n) for l, w in nonzero(self.metric_inverse[k])]
         out = zeros(n)
         for i in range(n):
             for j in range(n):
                 acc = ZERO
-                for k in range(n):
-                    for l in range(n):
-                        if not ginv[k][l].is_zero:
-                            acc = acc + ginv[k][l] * R4[i][k][j][l]
+                for k, l, w in gnz:
+                    if not R4[i][k][j][l].is_zero:
+                        acc = acc + w * R4[i][k][j][l]
                 out[i][j] = acc
         return out
 
     @cached_property
     def scalar_curvature(self) -> RatFunc:
-        n = self.dim
-        ginv = self.metric_inverse
         ric = self.ricci
         acc = ZERO
-        for i in range(n):
-            for j in range(n):
-                acc = acc + ginv[i][j] * ric[i][j]
+        for i, row in enumerate(self.metric_inverse):
+            for j, w in nonzero(row):
+                if not ric[i][j].is_zero:
+                    acc = acc + w * ric[i][j]
         return acc
 
     # -- Lie and covariant derivatives --------------------------------------
 
     @cached_property
     def lie_derivative_metric_basis(self) -> list[list[list[RatFunc]]]:
-        """L[m][i][j] = (Lie_{Xm} g)(Xi, Xj) = g(nabla_{Xi}Xm, Xj) + g(Xi, nabla_{Xj}Xm)."""
+        """L[m][i][j] = (Lie_{Xm} g)(Xi, Xj) = g(nabla_{Xi}Xm, Xj) + g(Xi, nabla_{Xj}Xm)
+        = Kl[i][m][j] + Kl[j][m][i], read off the lowered connection of
+        `_nabla_lowered` (the metric is symmetric); symmetric in i, j."""
         n = self.dim
-        K, G = self.nabla_basis, self.metric
+        Kl = self._nabla_lowered
         out = []
         for m in range(n):
             mat = zeros(n)
             for i in range(n):
-                for j in range(n):
-                    acc = ZERO
-                    for r in range(n):
-                        acc = acc + K[i][m][r] * G[r][j]
-                        acc = acc + K[j][m][r] * G[i][r]
-                    mat[i][j] = acc
+                for j in range(i, n):
+                    mat[i][j] = mat[j][i] = Kl[i][m][j] + Kl[j][m][i]
             out.append(mat)
         return out
 
@@ -515,19 +533,21 @@ class MetricLieAlgebra:
     @cached_property
     def cov_ricci(self) -> list[list[list[RatFunc]]]:
         """D[i][j][k] = (nabla_{Xi} ric)(Xj, Xk); for invariant tensors only
-        the connection terms contribute."""
-        n = self.dim
+        the connection terms contribute:
+        D[i][j][k] = -(sum_m K[i][j][m] ric[m][k] + sum_m K[i][k][m] ric[j][m]).
+
+        Both sums are K lowered by Ricci once, P[i][j] = ric^T K[i][j] and
+        Q[i][k] = ric K[i][k], so that D[i][j][k] = -(P[i][j][k] + Q[i][k][j]).
+        Every (j, k) is computed, and P and Q are both formed: the symmetry
+        of Ricci needs the Jacobi identity, which `from_brackets` does not
+        enforce.
+        """
+        rn = range(self.dim)
         K, ric = self.nabla_basis, self.ricci
-        out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = ZERO
-                    for m in range(n):
-                        acc = acc - K[i][j][m] * ric[m][k]
-                        acc = acc - K[i][k][m] * ric[j][m]
-                    out[i][j][k] = acc
-        return out
+        ricT = transpose(ric)
+        P = [[mat_vec(ricT, row) for row in plane] for plane in K]
+        Q = [[mat_vec(ric, row) for row in plane] for plane in K]
+        return [[[-(P[i][j][k] + Q[i][k][j]) for k in rn] for j in rn] for i in rn]
 
     @cached_property
     def cov_curvature(self) -> list:

@@ -42,10 +42,9 @@ from typing import Sequence
 
 from .algebra import (
     MetricLieAlgebra,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_sub,
+    add_product,
+    add_scaled,
+    nonzero,
     vector_str,
     zeros,
 )
@@ -594,12 +593,10 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
     n = alg.dim
     D = alg.cov_ricci
     violations = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = D[i][j][k] + D[j][k][i] + D[k][i][j]
-                if not scalar_is_zero(s):
-                    violations.append((i + 1, j + 1, k + 1))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        terms = [x for x in (D[i][j][k], D[j][k][i], D[k][i][j]) if not x.is_zero]
+        if not sum(terms, ZERO).is_zero:
+            violations.append((i + 1, j + 1, k + 1))
     names = component_names(n)
     R4, DR = alg.curvature_tensor, alg.cov_curvature
     ginv = alg.metric_inverse
@@ -639,23 +636,24 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
 
 def rough_laplacian(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
     """Matrix of sum_ij g^{ij} (nabla_i nabla_j - nabla_{nabla_i Xj}) acting
-    on invariant fields."""
+    on invariant fields.
+
+    Each operator nabla_{Xi} is read as the `nonzero` lists of its rows
+    (`_connection_rows`).  For each nonzero g^{ij} the bracket
+    T = nabla_i nabla_j - sum_k K[i][j][k] nabla_k is formed from products
+    of nonzero entries only, and its nonzero entries, times g^{ij}, are
+    added to the result in place."""
     n = alg.dim
-    ops = alg.connection_operators
     K = alg.nabla_basis
-    ginv = alg.metric_inverse
+    rows = alg._connection_rows
     L = zeros(n)
-    for i in range(n):
-        for j in range(n):
-            w = ginv[i][j]
-            if w.is_zero:
-                continue
-            term = mat_mul(ops[i], ops[j])
-            corr = zeros(n)
-            for k in range(n):
-                if not K[i][j][k].is_zero:
-                    corr = mat_add(corr, mat_scale(ops[k], K[i][j][k]))
-            L = mat_add(L, mat_scale(mat_sub(term, corr), w))
+    for i, grow in enumerate(alg.metric_inverse):
+        for j, w in nonzero(grow):
+            T = zeros(n)
+            add_product(T, rows[i], rows[j])
+            for k, c in nonzero(K[i][j]):
+                add_scaled(T, -c, rows[k])
+            add_scaled(L, w, [nonzero(row) for row in T])
     return L
 
 
@@ -663,18 +661,15 @@ def harmonic_map_trace(alg: MetricLieAlgebra, V: Sequence) -> list:
     """The curvature trace sum_ij g^{ij} R(nabla_{Xi} V, V) Xj, the term
     that separates harmonic sections from harmonic maps."""
     n = alg.dim
-    ginv = alg.metric_inverse
-    out = None
-    for i in range(n):
+    out = [ZERO] * n
+    for i, grow in enumerate(alg.metric_inverse):
         dV = alg.nabla([ONE if k == i else ZERO for k in range(n)], V)
         op = alg.curvature_operator_vec(dV, V)
-        for j in range(n):
-            w = ginv[i][j]
-            if w.is_zero:
-                continue
-            col = [op[r][j] * w for r in range(n)]
-            out = col if out is None else [x + y for x, y in zip(out, col)]
-    return out if out is not None else [ZERO] * n
+        for j, w in nonzero(grow):
+            for r in range(n):
+                if not scalar_is_zero(op[r][j]):
+                    out[r] = out[r] + op[r][j] * w
+    return out
 
 
 @dataclass
@@ -765,14 +760,14 @@ def _gradient_form(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
     """Q[p][q] = sum_ij g^{ij} g(nabla_{Xi} Xp, nabla_{Xj} Xq), the symmetric
     form with |nabla V|^2 = sum_pq Q[p][q] V_p V_q for invariant V.
 
-    From `nabla_basis` K: lower the last index, L[i][p][l] =
-    sum_k K[i][p][k] g_kl, raise the first, M[j][p][l] = sum_i g^{ij}
-    L[i][p][l], and pair, Q[p][q] = sum_jl M[j][p][l] K[j][q][l], skipping
-    zero factors throughout.  Only p <= q is computed; g and g^{-1} are
-    symmetric, so Q is too.
+    From the lowered Koszul values L[i][p][l] = g(nabla_{Xi} Xp, Xl)
+    (`_nabla_lowered`): raise the first index, M[j][p][l] = sum_i g^{ij}
+    L[i][p][l], and pair with `nabla_basis` K, Q[p][q] =
+    sum_jl M[j][p][l] K[j][q][l], skipping zero factors throughout.  Only
+    p <= q is computed; g and g^{-1} are symmetric, so Q is too.
     """
     n = alg.dim
-    K, G, ginv = alg.nabla_basis, alg.metric, alg.metric_inverse
+    K, L, ginv = alg.nabla_basis, alg._nabla_lowered, alg.metric_inverse
     rn = range(n)
 
     def dot(pairs):
@@ -782,7 +777,6 @@ def _gradient_form(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
                 acc = acc + x * y
         return acc
 
-    L = [[[dot((K[i][p][k], G[k][l]) for k in rn) for l in rn] for p in rn] for i in rn]
     M = [[[dot((ginv[i][j], L[i][p][l]) for i in rn) for l in rn] for p in rn] for j in rn]
     Q = zeros(n)
     for p in rn:
@@ -836,7 +830,7 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     Q = _gradient_form(alg)
     density = ratfunc(Fraction(n, 2))
     if not all(x.is_zero for plane in alg.nabla_basis for row in plane for x in row):
-        entries = [((p, q), Q[p][q] * half) for p in range(n) for q in range(n)]
+        entries = [((p, q), x * half) for p in range(n) for q, x in nonzero(Q[p])]
         density = _polynomial(component_names(n), entries + [((), density)])
     fams = []
     for fam in alg.harmonicity.families:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Sequence
 
-from .algebra import mat_det
+from .algebra import mat_det, nonzero
 from .scalars import (
     Poly,
     PoleAtEvaluationPoint,
@@ -94,11 +94,13 @@ def rref_solve(rows: Sequence[Sequence], rhs: Sequence) -> SolveResult:
         A[r], A[pr] = A[pr], A[r]
         pivot = A[r][c]
         watch.append(pivot)
-        A[r] = [x / pivot for x in A[r]]
+        A[r] = [x if scalar_is_zero(x) else x / pivot for x in A[r]]
+        prow = nonzero(A[r])
         for i in range(m):
             if i != r and not scalar_is_zero(A[i][c]):
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+                f, row = A[i][c], A[i]
+                for k, y in prow:
+                    row[k] = row[k] - f * y
         pivot_cols.append(c)
         r += 1
         if r == m:
@@ -322,7 +324,7 @@ def eigen_analyze(matrix: Sequence[Sequence[RatFunc]]) -> EigenDecomposition:
             mult += 1
         vecs = kernel_basis(
             [
-                [matrix[i][j] - (f if i == j else ZERO) for j in range(n)]
+                [matrix[i][j] - f if i == j else matrix[i][j] for j in range(n)]
                 for i in range(n)
             ]
         )

@@ -35,6 +35,32 @@ def test_jacobi_violation_detected():
     )
     laws = {v.law for v in alg.validate()}
     assert laws == {"jacobi"}
+    assert [str(v) for v in alg.validate()] == [
+        "jacobi: cyclic bracket sum on (X1,X2,X3) has nonzero X1 component 2",
+    ]
+
+
+def test_jacobi_violation_messages_4d():
+    # every nonzero component of every cyclic sum, in order, with its value
+    alg = MetricLieAlgebra.from_brackets(
+        4,
+        {(0, 1): {2: 1, 3: 1}, (0, 2): {1: -1, 3: "eps"}, (1, 2): {0: 1, 3: -1},
+         (2, 3): {1: 2}, (1, 3): {2: "1/eps"}, (0, 3): {0: 3}},
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "eps", 0], [0, 0, 0, 1]],
+    )
+    prefix = "jacobi: cyclic bracket sum on"
+    assert [str(v) for v in alg.validate()] == [
+        f"{prefix} (X1,X2,X3) has nonzero X1 component -3",
+        f"{prefix} (X1,X2,X3) has nonzero X2 component 2",
+        f"{prefix} (X1,X2,X3) has nonzero X3 component -1",
+        f"{prefix} (X1,X2,X4) has nonzero X2 component (-1-2*eps)/eps",
+        f"{prefix} (X1,X2,X4) has nonzero X3 component 3",
+        f"{prefix} (X1,X2,X4) has nonzero X4 component 4",
+        f"{prefix} (X1,X3,X4) has nonzero X2 component -3",
+        f"{prefix} (X1,X3,X4) has nonzero X3 component (1+2*eps)/eps",
+        f"{prefix} (X1,X3,X4) has nonzero X4 component 2+3*eps",
+        f"{prefix} (X2,X3,X4) has nonzero X1 component -3",
+    ]
 
 
 def test_scaling_one_bracket_keeps_jacobi():

@@ -23,7 +23,13 @@ from liegeom.geometry import (
     solve_zero_set,
     walker_check,
 )
-from liegeom.report import energy_section, geodesic_section, harmonic_section, walker_section
+from liegeom.report import (
+    energy_section,
+    full_report,
+    geodesic_section,
+    harmonic_section,
+    walker_section,
+)
 from liegeom.scalars import (
     EPS,
     ONE,
@@ -400,6 +406,29 @@ def test_analyses_multiply_no_multipolys(monkeypatch):
         harmonic_section(alg)
         energy_section(alg)
     assert len(calls) == 0
+
+
+def test_full_report_forms_few_zero_factor_products(monkeypatch):
+    # every contraction of the tensor layer runs over the nonzero entries of
+    # its factors; dense loops formed 1668 such products on berger and 4084
+    # on u2 (construction or parsing included), and 15% of that is the bound
+    counts = []
+    originals = {name: getattr(RatFunc, name) for name in ("__mul__", "__rmul__")}
+
+    def counting(name):
+        def product(self, other):
+            if scalar_is_zero(self) or scalar_is_zero(other):
+                counts[-1] += 1
+            return originals[name](self, other)
+        return product
+
+    for name in originals:
+        monkeypatch.setattr(RatFunc, name, counting(name))
+    for build in (berger, lambda: loads(test_properties.corpus.TEXTS["u2"])):
+        counts.append(0)
+        full_report(build())
+    assert counts[0] <= 0.15 * 1668
+    assert counts[1] <= 0.15 * 4084
 
 
 def test_grad_norm_sq_matches_density(berger_alg):

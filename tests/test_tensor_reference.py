@@ -15,6 +15,13 @@ the degree-5 Ledger polynomial as every product A[a][b] * B[c][d] scaled by
 g^{ac} g^{bd}, and the gradient form as sum g^{ij} g(nabla_{Xi} u,
 nabla_{Xj} v) of the covariant derivatives themselves.
 
+The connection and the tensors contracted from it (`nabla_basis`,
+`lie_derivative_metric_basis`, `ricci`, `cov_ricci`, `rough_laplacian`) are
+formed over the nonzero entries of each factor only, and some read a
+lowered copy of the connection; their references below are the dense loops
+of each definition, from `brackets`, `metric` and `metric_inverse`, with
+the curvature tensor of `reference_tensors`.
+
 The geodesic and Walker equations and the harmonic-map trace flag are read
 off `nabla_basis` and `metric`, or decided on `RatFunc` probe vectors; the
 references build them as the definitions read, on vectors of `MultiPoly`
@@ -30,6 +37,7 @@ from fractions import Fraction
 
 import pytest
 
+from liegeom.algebra import MetricLieAlgebra
 from liegeom.geometry import (
     _geodesic_equations,
     _walker_equations,
@@ -37,6 +45,7 @@ from liegeom.geometry import (
     grad_norm_sq,
     harmonic_map_trace,
     ledger_check,
+    rough_laplacian,
 )
 from liegeom.scalars import ONE, ZERO, MultiPoly, component_names, scalar_is_zero
 
@@ -342,3 +351,92 @@ def test_property_geodesic_equations_match_koszul(key):
     alg = test_properties.GENERATED[key]
     names = component_names(alg.dim)
     assert_same_forms(_geodesic_equations(alg, names), koszul_geodesic(alg, names))
+
+
+# ---------------------------------------------------------------------------
+# the connection and the tensors contracted from it
+
+
+def reference_nabla(alg):
+    """K[i][j][l], the Xl-coordinate of nabla_{Xi} Xj, by the Koszul formula
+    2 g(nabla_{Xi} Xj, Xk) = g([Xi,Xj],Xk) - g([Xj,Xk],Xi) + g([Xk,Xi],Xj)
+    and g^{-1}."""
+    n = alg.dim
+    C, G, ginv = alg.brackets, alg.metric, alg.metric_inverse
+    rn = range(n)
+    koszul = [[[sum((C[i][j][m] * G[m][k] - C[j][k][m] * G[m][i] + C[k][i][m] * G[m][j]
+                     for m in rn), start=ZERO)
+                for k in rn] for j in rn] for i in rn]
+    return [[[sum((ginv[l][k] * koszul[i][j][k] for k in rn), start=ZERO) * Fraction(1, 2)
+              for l in rn] for j in rn] for i in rn]
+
+
+def reference_lie_derivatives(alg, K):
+    """L[m][i][j] = g(nabla_{Xi} Xm, Xj) + g(Xi, nabla_{Xj} Xm)."""
+    n = alg.dim
+    G = alg.metric
+    rn = range(n)
+    return [[[sum((K[i][m][r] * G[r][j] + G[i][r] * K[j][m][r] for r in rn), start=ZERO)
+              for j in rn] for i in rn] for m in rn]
+
+
+def reference_ricci(alg, R4):
+    """ric[i][j] = sum_kl g^{kl} R4[i][k][j][l]."""
+    n = alg.dim
+    ginv = alg.metric_inverse
+    rn = range(n)
+    return [[sum((ginv[k][l] * R4[i][k][j][l] for k in rn for l in rn), start=ZERO)
+             for j in rn] for i in rn]
+
+
+def reference_cov_ricci(K, ric):
+    """(nabla_{Xi} ric)(Xj, Xk) = -ric(nabla_{Xi} Xj, Xk) - ric(Xj, nabla_{Xi} Xk)."""
+    rn = range(len(ric))
+    return [[[-sum((K[i][j][m] * ric[m][k] + K[i][k][m] * ric[j][m] for m in rn), start=ZERO)
+              for k in rn] for j in rn] for i in rn]
+
+
+def reference_laplacian(alg, K):
+    """sum_ij g^{ij} (A_i A_j - sum_k K[i][j][k] A_k), where the matrix A_i
+    of nabla_{Xi} has column j equal to nabla_{Xi} Xj."""
+    n = alg.dim
+    ginv = alg.metric_inverse
+    rn = range(n)
+    A = [[[K[i][c][r] for c in rn] for r in rn] for i in rn]
+    return [[sum((ginv[i][j] * (sum((A[i][r][s] * A[j][s][c] for s in rn), start=ZERO)
+                                - sum((K[i][j][k] * A[k][r][c] for k in rn), start=ZERO))
+                  for i in rn for j in rn), start=ZERO)
+             for c in rn] for r in rn]
+
+
+def check_connection_against_reference(alg):
+    K = reference_nabla(alg)
+    assert first_mismatch(alg.nabla_basis, K) is None
+    assert first_mismatch(alg.lie_derivative_metric_basis, reference_lie_derivatives(alg, K)) is None
+    ric = reference_ricci(alg, reference_tensors(alg)[0])
+    assert first_mismatch(alg.ricci, ric) is None
+    assert first_mismatch(alg.cov_ricci, reference_cov_ricci(K, ric)) is None
+    assert first_mismatch(rough_laplacian(alg), reference_laplacian(alg, K)) is None
+
+
+@pytest.mark.parametrize(("key", "seed"), CORPUS_CASES, ids=CORPUS_IDS)
+def test_corpus_connection_tensors_match_reference(corpus_alg, key, seed):
+    check_connection_against_reference(corpus_case(corpus_alg, key, seed))
+
+
+@pytest.mark.parametrize("key", list(test_properties.GENERATED))
+def test_property_connection_tensors_match_reference(key):
+    check_connection_against_reference(test_properties.GENERATED[key])
+
+
+def test_non_lie_bracket_connection_tensors_match_reference():
+    # without the Jacobi identity Ricci need not be symmetric, and both
+    # sums of `cov_ricci` must then be lowered separately
+    alg = MetricLieAlgebra.from_brackets(
+        4,
+        {(0, 1): {2: 1, 3: 1}, (0, 2): {1: -1, 3: "eps"}, (1, 2): {0: 1, 3: -1},
+         (2, 3): {1: 2}, (1, 3): {2: "1/eps"}, (0, 3): {0: 3}},
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "eps", 0], [0, 0, 0, 1]],
+    )
+    assert alg.ricci[0][1] != alg.ricci[1][0]
+    check_connection_against_reference(alg)
