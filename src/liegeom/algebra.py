@@ -134,7 +134,9 @@ def mat_det(a):
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
-    return a[0][0] * 0 if acc is None else acc
+    if acc is not None:
+        return acc
+    return ZERO if isinstance(a[0][0], RatFunc) else a[0][0] * 0
 
 
 def mat_inv(a) -> list[list[RatFunc]]:

@@ -179,9 +179,11 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
     lie = alg.lie_derivative_metric_basis
     ric, G = alg.ricci, alg.metric
     rows, rhs = [], []
+    def scaled(x):  # -factor * x, multiplying only a nonzero x by 2
+        return -x if factor == 1 or x.is_zero else x * -factor
     for i, j in _upper(n):
-        row = [lie[m][i][j] for m in range(n)] + [-factor * G[i][j]]
-        b = -factor * ric[i][j]
+        row = [lie[m][i][j] for m in range(n)] + [scaled(G[i][j])]
+        b = scaled(ric[i][j])
         if not (b.is_zero and all(x.is_zero for x in row)):
             rows.append(row)
             rhs.append(b)

@@ -296,13 +296,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return Poly()
-    g = poly_gcd(a, b)
-    return (a.pdivmod(g)[0] * b).monic()
-
-
 def poly_div_exact(a: Poly, b: Poly) -> Poly:
     quo, rem = a.pdivmod(b)
     if not rem.is_zero:
@@ -982,6 +975,13 @@ class MultiPoly:
             assert isinstance(coeff, RatFunc) and not coeff.is_zero
             coeff.check_invariants()
 
+    def _with_terms(self, terms: dict[tuple[int, ...], RatFunc]) -> "MultiPoly":
+        """The MultiPoly in the same indeterminates with these clean terms."""
+        result = MultiPoly.__new__(MultiPoly)
+        result.names = self.names
+        result.terms = terms
+        return result
+
     def _compat(self, other: "MultiPoly") -> None:
         if self.names != other.names:
             raise ValueError(f"indeterminate mismatch: {self.names} vs {other.names}")
@@ -1011,18 +1011,12 @@ class MultiPoly:
                 out.pop(expo, None)
             else:
                 out[expo] = s
-        result = MultiPoly.__new__(MultiPoly)
-        result.names = self.names
-        result.terms = out
-        return result
+        return self._with_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        result = MultiPoly.__new__(MultiPoly)
-        result.names = self.names
-        result.terms = {e: -c for e, c in self.terms.items()}
-        return result
+        return self._with_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -1050,10 +1044,7 @@ class MultiPoly:
                     out.pop(expo, None)
                 else:
                     out[expo] = s
-        result = MultiPoly.__new__(MultiPoly)
-        result.names = self.names
-        result.terms = out
-        return result
+        return self._with_terms(out)
 
     __rmul__ = __mul__
 
@@ -1066,16 +1057,24 @@ class MultiPoly:
         return result
 
     def set_var(self, name: str, value) -> "MultiPoly":
-        """Substitute one indeterminate by a scalar; names are kept."""
+        """Substitute one indeterminate by a scalar; names are kept.  The
+        terms come in the order of a term-by-term sum, and a zero value
+        drops the terms that contain the indeterminate."""
         idx = self.names.index(name)
         val = ratfunc(value)
-        out = MultiPoly.zero(self.names)
+        out: dict[tuple[int, ...], RatFunc] = {}
         for expo, coeff in self.terms.items():
             e = expo[idx]
-            new_expo = tuple(0 if i == idx else v for i, v in enumerate(expo))
-            scaled = coeff * val**e if e else coeff
-            out = out + MultiPoly(self.names, {new_expo: scaled})
-        return out
+            if e and val.is_zero:
+                continue
+            new_expo = expo[:idx] + (0,) + expo[idx + 1:]
+            s = coeff * val**e if e else coeff
+            s = out[new_expo] + s if new_expo in out else s
+            if s.is_zero:
+                del out[new_expo]
+            else:
+                out[new_expo] = s
+        return self._with_terms(out)
 
     def evaluate(self, point: Mapping[str, Fraction], eps_value: Fraction) -> Fraction:
         """Exact value with all indeterminates and eps given."""
@@ -1092,11 +1091,11 @@ class MultiPoly:
         """Substitute every indeterminate; the parameter stays symbolic."""
         acc = ZERO
         for expo, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * ratfunc(point[self.names[i]]) ** e
-            acc = acc + term
+            powers = [ratfunc(point[x]) ** e for x, e in zip(self.names, expo) if e]
+            if not any(p.is_zero for p in powers):
+                for p in powers:
+                    coeff = coeff * p
+                acc = acc + coeff
         return acc
 
     def specialize_param(self, eps_value: Fraction) -> "MultiPoly":
@@ -1107,10 +1106,7 @@ class MultiPoly:
             c = coeff.eval(v)
             if c != 0:
                 out[expo] = ratfunc(c)
-        result = MultiPoly.__new__(MultiPoly)
-        result.names = self.names
-        result.terms = out
-        return result
+        return self._with_terms(out)
 
     def as_monomial(self) -> tuple[RatFunc, tuple[int, ...]] | None:
         if len(self.terms) != 1:

@@ -13,14 +13,13 @@ sequence, so rank, consistency, and kernel all specialize.
 `eigen_analyze` finds the eigenvalues of an operator that are themselves
 rational functions of the parameter.  The characteristic polynomial is
 computed exactly, as a `Poly` over Q(eps) in the spectral variable mu, by
-the same determinant routine as every other matrix (`mat_det`), and made
-squarefree and monic over Q[eps]; that fixes a proven degree bound on its
-rational-function roots.  Each rational root at one parameter value where
-the polynomial stays squarefree is Newton-lifted in the parameter up to
-that bound and kept if it solves the polynomial exactly, so the list is
-complete.  What has no rational-function root is returned untouched as a
-residual factor, which prints as a polynomial in mu.  No floating point is involved
-anywhere.
+`mat_det`, and cleared of denominators into a monic polynomial over Z[eps];
+the rest runs on the integer tuples of `scalars`.  The integer roots of its
+squarefree part at one parameter value are Newton-lifted up to a proven
+degree bound, and exact division certifies each lift and counts its
+multiplicity, so the list is complete.  The remaining factor is returned as
+a residual, which prints as a polynomial in mu.  No floating point is
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from typing import Sequence
 
 from .algebra import mat_det, nonzero
@@ -38,12 +37,18 @@ from .scalars import (
     RatFunc,
     ONE,
     ZERO,
-    poly_div_exact,
-    poly_lcm,
-    poly_rational_roots,
+    _canonical,
+    _ratfunc,
+    _zadd,
+    _zdiv_exact,
+    _zgcd,
+    _zhomogeneous,
+    _zmul,
+    _zneg,
+    _zpow,
+    _zroots,
     ratfunc,
     scalar_is_zero,
-    square_free_part,
 )
 
 
@@ -109,7 +114,7 @@ def rref_solve(rows: Sequence[Sequence], rhs: Sequence) -> SolveResult:
     watch.extend(tails)
     if not all(scalar_is_zero(t) for t in tails):
         return SolveResult("inconsistent", r, None, [], watch)
-    zero = rows[0][0] * 0 if m else ZERO
+    zero = rows[0][0] * 0 if m and not isinstance(rows[0][0], RatFunc) else ZERO
     one = zero + 1
     particular = [zero for _ in range(n)]
     for i, c in enumerate(pivot_cols):
@@ -120,7 +125,7 @@ def rref_solve(rows: Sequence[Sequence], rhs: Sequence) -> SolveResult:
         v = [zero for _ in range(n)]
         v[fc] = one
         for i, c in enumerate(pivot_cols):
-            v[c] = zero - A[i][fc]
+            v[c] = -A[i][fc]
         kernel.append(v)
     status = "unique" if not free_cols else "underdetermined"
     return SolveResult(status, r, particular, kernel, watch)
@@ -244,84 +249,139 @@ class EigenDecomposition:
     residual: Poly
 
 
-def _horner(coeffs: Sequence, x: Poly, terms: int | None = None) -> Poly:
-    """sum_k coeffs[k] * x^k, keeping only the lowest `terms` coefficients
-    of every partial sum when `terms` is given."""
-    acc = Poly()
-    for c in reversed(coeffs):
-        acc = acc * x + c
-        if terms is not None:
-            acc = Poly(acc.coeffs[:terms])
+# polynomials in nu over Z[eps]: lists of the integer tuples of `scalars`,
+# lowest degree first, no trailing zero coefficient
+
+
+def _zsubs(a: Sequence[tuple], x: tuple, terms: int | None = None) -> tuple:
+    """sum_k a[k] x^k in Z[eps], each partial sum cut to `terms` terms."""
+    acc = ()
+    for c in reversed(a):
+        acc = _zadd(_zmul(acc, x), c)[:terms]
     return acc
 
 
-def _rational_roots(p: Poly) -> list[RatFunc]:
-    """Every root of p in Q(eps), ascending as eps -> +oo.
+def _zshift(a: tuple, c: int) -> tuple:
+    """a(eps + c)."""
+    return _zsubs([(x,) if x else () for x in a], (c, 1))
 
-    With s the squarefree part of p and D the lcm of its coefficient
-    denominators, q(nu) = D^m s(nu/D) is monic over Q[eps], and the roots
-    of s are nu/D for the roots nu of q in Q[eps] (Q[eps] is integrally
-    closed).  Such a root of degree d makes the top term nu^m cancel
-    against some q_k nu^k, so d <= deg q_k / (m - k) for that k.  At a
-    point eps0 where q stays squarefree every root of q specializes to a
-    simple rational root and is its unique Newton lift in t = eps - eps0;
-    lifting each rational root up to t^bound and keeping the lifts that
-    solve q exactly finds them all.
+
+def _zpdivmod(u: list, v: list) -> tuple[list, list]:
+    """The remainder of lc(v)^(deg u - deg v + 1) u by v (`scalars._zprem`
+    one level up), and the quotient, which is exact when v is monic."""
+    dv = len(v) - 1
+    r, quo = list(u), []
+    for k in range(len(u) - 1 - dv, -1, -1):
+        c = r[k + dv]
+        quo.append(c)
+        r = [_zmul(v[-1], x) for x in r[:k + dv]]
+        for j in range(dv):
+            r[k + j] = _zadd(r[k + j], _zneg(_zmul(c, v[j])))
+    while r and not r[-1]:
+        r.pop()
+    return quo[::-1], r
+
+
+def _zprimitive(a: list) -> list:
+    """a divided by the gcd in Z[eps] of its coefficients, lc(lc(a)) > 0."""
+    g = reduce(_zgcd, (c for c in a if c))
+    g = _zneg(g) if (g[-1] < 0) != (a[-1][-1] < 0) else g
+    return a if g == (1,) else [_zdiv_exact(c, g) for c in a]
+
+
+def _zsquarefree(q: list) -> list:
+    """q / gcd(q, dq/dnu) for a monic q, by the primitive pseudo-remainder
+    sequence.  The primitive gcd divides q, so it is monic too."""
+    u, v = q, _zprimitive([_zmul((k,), q[k]) for k in range(1, len(q))])
+    while len(v) > 1:
+        r = _zpdivmod(u, v)[1]
+        if not r:
+            return _zpdivmod(q, v)[0]
+        u, v = v, _zprimitive(r)
+    return q
+
+
+def _newton_lift(s: Sequence[tuple], r0: int, slope: int, bound: int) -> tuple | None:
+    """The root in Z[t] of s(t, nu) through the simple root nu(0) = r0, where
+    ds/dnu(0, r0) = slope, up to t^bound; None when a coefficient of the
+    Newton lift leaves Z, and then s has no root in Z[t] there."""
+    nu = (r0,) if r0 else ()
+    for j in range(1, bound + 1):
+        value = _zsubs(s, nu, j + 1)
+        if len(value) > j and value[j]:
+            c, rest = divmod(-value[j], slope)
+            if rest:
+                return None
+            nu = nu + (0,) * (j - len(nu)) + (c,)
+    return nu
+
+
+def _rational_roots(p: Poly) -> tuple[list[tuple[RatFunc, int]], Poly]:
+    """The roots of a monic p in Q(eps) with multiplicities, ascending as
+    eps -> +oo, and the cofactor of p that has none.
+
+    With D the lcm of the denominators of p, q(nu) = D^m p(nu/D) is monic
+    over the integrally closed Z[eps]: the roots of p are nu/D for the roots
+    nu in Z[eps] of the squarefree part s of q.  Such a root of degree d
+    makes the top term nu^k of s cancel against some s_j nu^j, so d <=
+    deg s_j / (k - j).  At an integer eps0 where s stays squarefree each
+    root is the Newton lift in eps - eps0 of a simple integer root.  Exact
+    division of q by nu - root certifies a lift and counts its multiplicity;
+    the last quotient, rescaled, is the cofactor.
     """
-    s = square_free_part(p)
-    m = s.degree
-    D = Poly((1,))
-    for c in s.coeffs:
-        D = poly_lcm(D, c.den)
-    q = [c.num * poly_div_exact(D ** (m - k), c.den) for k, c in enumerate(s.coeffs)]
-    bound = max((q[k].degree // (m - k) for k in range(m) if not q[k].is_zero), default=0)
-    # 0, 1, -1, 2, -2, ...: q is squarefree, so only the finitely many roots
+    D = (1,)
+    for c in p.coeffs:
+        D = _zmul(D, _zdiv_exact(c._d, _zgcd(D, c._d)))
+    m = p.degree
+    q = [_zmul(c._n, _zdiv_exact(_zpow(D, m - k), c._d)) for k, c in enumerate(p.coeffs)]
+    s = _zsquarefree(q)
+    k = len(s) - 1
+    bound = max(((len(s[j]) - 1) // (k - j) for j in range(k) if s[j]), default=0)
+    # 0, 1, -1, 2, -2, ...: s is squarefree, so only the finitely many roots
     # of its discriminant fail
-    for k in itertools.count():
-        eps0 = Fraction((k + 1) // 2 * (1 if k % 2 else -1))
-        q0 = Poly([c.eval(eps0) for c in q])
-        if square_free_part(q0).degree == m:
+    for i in itertools.count():
+        eps0 = (i + 1) // 2 * (1 if i % 2 else -1)
+        s0 = tuple(_zhomogeneous(c, eps0, 1) for c in s)
+        ds0 = tuple(j * c for j, c in enumerate(s0))[1:]
+        if len(_zgcd(s0, ds0)) == 1:
             break
-    shifted = [_horner(c.coeffs, Poly((eps0, 1))) for c in q]
+    shifted = [_zshift(c, eps0) for c in s]
     roots = []
-    for r0, _ in poly_rational_roots(q0):
-        slope = q0.derivative().eval(r0)
-        nu = Poly((r0,))
-        for k in range(1, bound + 1):
-            value = _horner(shifted, nu, k + 1)
-            if value.degree == k:
-                nu = nu + Poly([0] * k + [-value.coeffs[k] / slope])
-        nu = _horner(nu.coeffs, Poly((-eps0, 1)))
-        if _horner(q, nu).is_zero:
-            roots.append(RatFunc(nu, D))
-    # distinct roots: the leading coefficient of a difference is nonzero
-    return sorted(roots, key=cmp_to_key(lambda f, g: (f - g).num.leading))
+    for r0, _ in _zroots(s0):
+        nu = _newton_lift(shifted, int(r0), _zhomogeneous(ds0, int(r0), 1), bound)
+        if nu is None:
+            continue
+        nu, mult = _zshift(nu, -eps0), 0
+        # the remainder of the first division is q(nu), the certificate
+        while len(q) > 1:
+            quo, rem = _zpdivmod(q, [_zneg(nu), (1,)])
+            if rem:
+                break
+            q, mult = quo, mult + 1
+        if mult:
+            roots.append((nu, mult))
+    # lc(D) > 0, and distinct roots differ in a nonzero leading coefficient
+    roots.sort(key=cmp_to_key(lambda a, b: _zadd(a[0], _zneg(b[0]))[-1]))
+    d = len(q) - 1
+    residual = Poly(_ratfunc(*_canonical(c, _zpow(D, d - j))) for j, c in enumerate(q))
+    return [(_ratfunc(*_canonical(nu, D)), mult) for nu, mult in roots], residual
 
 
 def eigen_analyze(matrix: Sequence[Sequence[RatFunc]]) -> EigenDecomposition:
     """Find all eigenvalues of the operator that are rational functions of
     the parameter, with exact eigenvectors and multiplicities.
 
-    The characteristic polynomial is computed exactly, its rational-function
-    roots are found by Newton lifting from one rational parameter value and
-    certified exactly (`_rational_roots`), and each multiplicity is read off
-    by repeated exact division.  Eigenvalues that are not rational
-    functions stay in the residual factor.  No floating point is involved.
+    The characteristic polynomial is computed exactly; its roots in Q(eps),
+    their multiplicities and the residual factor come from
+    `_rational_roots`, and each eigenspace is the reduced echelon kernel of
+    L - lambda I.  No floating point is involved.
     """
     n = len(matrix)
     matrix = [[ratfunc(x) for x in row] for row in matrix]
     p = charpoly(matrix)
-    residual = p
+    roots, residual = _rational_roots(p)
     pairs: list[EigenPair] = []
-    for f in _rational_roots(p):
-        factor = Poly((-f, ONE))
-        mult = 0
-        while residual.degree >= 1:
-            quo, rem = residual.pdivmod(factor)
-            if not rem.is_zero:
-                break
-            residual = quo
-            mult += 1
+    for f, mult in roots:
         vecs = kernel_basis(
             [
                 [matrix[i][j] - f if i == j else matrix[i][j] for j in range(n)]

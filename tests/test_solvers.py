@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liegeom.algebra import MetricLieAlgebra
+from liegeom.catalog import loads
 from liegeom.geometry import rough_laplacian
 from liegeom.scalars import (
     EPS,
@@ -277,3 +278,43 @@ def test_laplacian_spectrum_matches_sympy_factorization(corpus_alg, key):
         (mult,) = [m for r, m in roots if sympy.cancel(r - value) == 0]
         assert mult == pair.multiplicity, scalar_str(pair.value)
     assert rest == max(dec.residual.degree, 0)
+
+
+def test_newton_lift_stops_where_a_coefficient_leaves_z():
+    # s = nu^2 - (eps^2 + 3*eps + 4): at eps = 0 the roots are +-2, and the
+    # next coefficient of either lift is +-3/4, so s has no root in Z[eps]
+    from liegeom.solvers import _newton_lift
+
+    s = [(-4, -3, -1), (), (1,)]
+    assert _newton_lift(s, 2, 4, 1) is None
+    assert _newton_lift(s, -2, -4, 1) is None
+    # s = (nu - eps^2 - 1) * (nu + 3*eps), lifted from eps = 0
+    s = [(0, -3, 0, -3), (-1, 3, -1), (1,)]
+    assert _newton_lift(s, 1, 1, 2) == (1, 0, 1)
+    assert _newton_lift(s, 0, -1, 2) == (0, -3)
+
+
+def _ratfunc_calls(monkeypatch, run):
+    names = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+             "__truediv__", "__rtruediv__")
+    calls = [0]
+
+    def counting(method):
+        def counted(self, other):
+            calls[0] += 1
+            return method(self, other)
+        return counted
+
+    with monkeypatch.context() as m:
+        for name in names:
+            m.setattr(RatFunc, name, counting(getattr(RatFunc, name)))
+        run()
+    return calls[0]
+
+
+@pytest.mark.parametrize(("key", "before"), [("u2", 305), ("berger", 190)])
+def test_spectral_step_ratfunc_work(monkeypatch, key, before):
+    # roots, multiplicities and the residual come from integer tuples; the
+    # route over Q(eps) made 305 (u2) and 190 (berger) RatFunc operations
+    L = rough_laplacian(loads(test_properties.corpus.TEXTS[key]))
+    assert _ratfunc_calls(monkeypatch, lambda: eigen_analyze(L)) <= before // 2
