@@ -23,16 +23,18 @@ value in the test suite is pinned to.
 Vector and operator values are plain lists (of scalars, and of rows) with
 `RatFunc` entries: the engine reads every polynomial condition off the
 coefficient tensors instead of passing generic vectors.  The helpers use
-only the arithmetic `RatFunc` shares with `MultiPoly`, and the naive
-references in the tests still call them with generic `MultiPoly` entries.
+only the arithmetic `RatFunc` shares with `MultiPoly`: `bilinear`, the one
+evaluator of a quadratic form on vectors, takes the `MultiPoly` components
+of `geometry.grad_norm_sq` and of the naive references in the tests.
 
 Every contraction runs over the nonzero entries of each factor only (the
 `nonzero` helper), and a tensor contracted more than once is lowered once
-(`_nabla_lowered`).  A left-invariant metric in an adapted frame has few
-nonzero structure constants and often a diagonal Gram matrix, so the
-dense sums were mostly products with a zero factor.  Exact arithmetic
-with canonical `RatFunc`s makes the result independent of the order of
-the terms.
+(`_nabla_lowered`) or raised once (`_nabla_dual`, the only place where
+g^{-1} meets the connection in the harmonic and energy layer).  A
+left-invariant metric in an adapted frame has few nonzero structure
+constants and often a diagonal Gram matrix, so the dense sums were mostly
+products with a zero factor.  Exact arithmetic with canonical `RatFunc`s
+makes the result independent of the order of the terms.
 """
 
 from __future__ import annotations
@@ -109,6 +111,23 @@ def mat_vec(a, v):
                 acc = acc + row[k] * y
         out.append(acc)
     return out
+
+
+def bilinear(Q, u, v):
+    """u^T Q v, as sum_p u_p (Q v)_p: n products of components, the rest
+    scalar multiples.  `Q` has `RatFunc` entries; the components of u and
+    v may be `RatFunc`s or `MultiPoly`s.  A `RatFunc` zero when no term
+    survives."""
+    nv = nonzero(v)
+    acc = ZERO
+    for p, up in nonzero(u):
+        w = ZERO
+        for q, vq in nv:
+            if not Q[p][q].is_zero:
+                w = w + vq * Q[p][q]
+        if not scalar_is_zero(w):
+            acc = acc + up * w
+    return acc
 
 
 def transpose(a):
@@ -323,14 +342,7 @@ class MetricLieAlgebra:
 
     def inner(self, u: Sequence, v: Sequence):
         """g(u, v) for coordinate vectors."""
-        G = self.metric
-        nv = nonzero(v)
-        acc = ZERO
-        for i, x in nonzero(u):
-            for j, y in nv:
-                if not G[i][j].is_zero:
-                    acc = acc + x * y * G[i][j]
-        return acc
+        return bilinear(self.metric, u, v)
 
     @cached_property
     def metric_inverse(self) -> list[list[RatFunc]]:
@@ -378,6 +390,19 @@ class MetricLieAlgebra:
             for i in range(n)
         ]
 
+    @cached_property
+    def _nabla_dual(self) -> list[list[list[RatFunc]]]:
+        """M[j][p] = coordinates of nabla_{X^j} Xp = sum_i g^{ij} K[i][p],
+        along the dual basis X^j = sum_i g^{ij} Xi: the rough Laplacian, the
+        gradient form and the harmonic-map trace all read g^{-1} here."""
+        n = self.dim
+        M = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i, grow in enumerate(self.metric_inverse):
+            Ki = [nonzero(v) for v in self.nabla_basis[i]]
+            for j, w in nonzero(grow):
+                add_scaled(M[j], w, Ki)
+        return M
+
     def nabla(self, u: Sequence, v: Sequence) -> list:
         """nabla_u v for invariant vectors with constant coefficients."""
         K = self.nabla_basis
@@ -411,11 +436,6 @@ class MetricLieAlgebra:
                 out[i, j] = acc
         return out
 
-    @cached_property
-    def _curvature_rows(self) -> dict[tuple[int, int], list[list[tuple[int, RatFunc]]]]:
-        """The `nonzero` lists of the rows of each R(Xi, Xj), i < j."""
-        return {key: [nonzero(row) for row in op] for key, op in self._curvature_operators.items()}
-
     def curvature_operator(self, i: int, j: int) -> list[list[RatFunc]]:
         """Matrix of R(Xi, Xj) = nabla_{[Xi,Xj]} - [nabla_{Xi}, nabla_{Xj}].
 
@@ -430,19 +450,6 @@ class MetricLieAlgebra:
         if i < j:
             return [row[:] for row in self._curvature_operators[i, j]]
         return [[-x for x in row] for row in self._curvature_operators[j, i]]
-
-    def curvature_operator_vec(self, u: Sequence, v: Sequence) -> list[list]:
-        """R(u, v) for coordinate vectors: the sum of
-        (u_i v_j - u_j v_i) R(Xi, Xj) over i < j, by the antisymmetry of
-        `curvature_operator`."""
-        out = zeros(self.dim)
-        nv = nonzero(v)
-        uv = {(i, j): x * y for i, x in nonzero(u) for j, y in nv if i != j}
-        for (i, j), rows in self._curvature_rows.items():
-            w = uv.get((i, j), ZERO) - uv.get((j, i), ZERO)
-            if not scalar_is_zero(w):
-                add_scaled(out, w, rows)
-        return out
 
     @cached_property
     def curvature_tensor(self) -> list:

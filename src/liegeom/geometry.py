@@ -10,7 +10,8 @@ and handed to `solvers.solve_parametric`.  The geodesic and null parallel
 conditions are polynomial systems in the components of the field, and each
 of their quadratic forms is read off `nabla_basis` and `metric` as one
 `MultiPoly`, as the Ledger and energy forms are; the harmonic-map trace is
-decided on `RatFunc` vectors alone.
+a tensor of symmetric forms, read off the raised connection and the
+curvature operators and evaluated on each critical family by polarization.
 Verdicts are never sampled or approximated: the Walker analysis adds a
 float cross-check at sample parameter values, but a disagreement there
 refuses rather than decides.  When the polynomial case analysis cannot
@@ -44,6 +45,7 @@ from .algebra import (
     MetricLieAlgebra,
     add_product,
     add_scaled,
+    bilinear,
     nonzero,
     vector_str,
     zeros,
@@ -52,7 +54,6 @@ from .numeric import null_parallel_scan
 from .scalars import (
     MultiPoly,
     RatFunc,
-    ONE,
     ZERO,
     component_names,
     ratfunc,
@@ -98,6 +99,11 @@ def _polynomial(names: tuple[str, ...], entries) -> MultiPoly:
         expo = tuple(expo)
         terms[expo] = terms[expo] + c if expo in terms else c
     return MultiPoly(names, terms)
+
+
+def _product(x, y):
+    """x * y, without forming the product when a factor is zero."""
+    return ZERO if scalar_is_zero(x) or scalar_is_zero(y) else x * y
 
 
 @dataclass
@@ -224,7 +230,7 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
         coords = res.particular[:n]
         spec = alg.at_eps(eps0)
         einstein = all(
-            spec.ricci[i][j] == lam0 * spec.metric[i][j]
+            spec.ricci[i][j] == _product(lam0, spec.metric[i][j])
             for i in range(n) for j in range(n)
         )
         kind = "einstein" if einstein else "soliton"
@@ -640,38 +646,46 @@ def rough_laplacian(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
     """Matrix of sum_ij g^{ij} (nabla_i nabla_j - nabla_{nabla_i Xj}) acting
     on invariant fields.
 
-    Each operator nabla_{Xi} is read as the `nonzero` lists of its rows
-    (`_connection_rows`).  For each nonzero g^{ij} the bracket
-    T = nabla_i nabla_j - sum_k K[i][j][k] nabla_k is formed from products
-    of nonzero entries only, and its nonzero entries, times g^{ij}, are
-    added to the result in place."""
+    With M = `_nabla_dual`, B_j the matrix of nabla_{X^j} (column p holds
+    M[j][p]) and H = sum_j M[j][j] the mean-curvature vector, this is
+    L = sum_j B_j A_j - sum_k H_k A_k, A_k the matrix of nabla_{Xk}: n
+    operator products, each formed from the nonzero entries of its factors
+    (the A_k as `_connection_rows`)."""
     n = alg.dim
-    K = alg.nabla_basis
-    rows = alg._connection_rows
+    M, rows = alg._nabla_dual, alg._connection_rows
+    rn = range(n)
     L = zeros(n)
-    for i, grow in enumerate(alg.metric_inverse):
-        for j, w in nonzero(grow):
-            T = zeros(n)
-            add_product(T, rows[i], rows[j])
-            for k, c in nonzero(K[i][j]):
-                add_scaled(T, -c, rows[k])
-            add_scaled(L, w, [nonzero(row) for row in T])
+    for j in rn:
+        add_product(L, [nonzero([M[j][p][r] for p in rn]) for r in rn], rows[j])
+    H = [sum((M[j][j][k] for j in rn if not M[j][j][k].is_zero), ZERO) for k in rn]
+    for k, h in nonzero(H):
+        add_scaled(L, -h, rows[k])
     return L
 
 
-def harmonic_map_trace(alg: MetricLieAlgebra, V: Sequence) -> list:
-    """The curvature trace sum_ij g^{ij} R(nabla_{Xi} V, V) Xj, the term
-    that separates harmonic sections from harmonic maps."""
+def _trace_form(alg: MetricLieAlgebra) -> list[list[list[RatFunc]]]:
+    """The symmetric forms S[r] = T[r] + T[r]^T of the harmonic-map trace
+    sum_ij g^{ij} R(nabla_{Xi} V, V) Xj = sum_j R(nabla_{X^j} V, V) Xj, whose
+    r-th component is V^T T[r] V, T[r][p][q] = sum_j (R(M[j][p], Xq) Xj)_r
+    with M = `_nabla_dual`.  Each R(Xa, Xb), a < b, of
+    `_curvature_operators` enters at q = b, and as R(Xb, Xa) = -R(Xa, Xb)
+    at q = a."""
     n = alg.dim
-    out = [ZERO] * n
-    for i, grow in enumerate(alg.metric_inverse):
-        dV = alg.nabla([ONE if k == i else ZERO for k in range(n)], V)
-        op = alg.curvature_operator_vec(dV, V)
-        for j, w in nonzero(grow):
-            for r in range(n):
-                if not scalar_is_zero(op[r][j]):
-                    out[r] = out[r] + op[r][j] * w
-    return out
+    M = alg._nabla_dual
+    rn = range(n)
+    S = [zeros(n) for _ in rn]
+    for (a, b), op in alg._curvature_operators.items():
+        for j in rn:
+            col = nonzero([row[j] for row in op])
+            for p in rn:
+                for q, x in ((b, M[j][p][a]), (a, -M[j][p][b])):
+                    if x.is_zero:
+                        continue
+                    for r, z in col:
+                        v = x * z
+                        S[r][p][q] = S[r][p][q] + v
+                        S[r][q][p] = S[r][q][p] + v
+    return S
 
 
 @dataclass
@@ -698,23 +712,23 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     """Critical vector fields of the energy functional and their quality.
 
     The critical families are the eigenspaces of the rough Laplacian;
-    harmonic sections are its kernel; a family consists of harmonic maps
-    when additionally the curvature trace term vanishes on it.  Parallel
-    fields (the trivial critical points) are reported separately as the
-    joint kernel of all covariant derivative operators.
+    harmonic sections are its kernel, the eigenspace of the value zero; a
+    family consists of harmonic maps when additionally the curvature trace
+    vanishes on it.  By polarization the trace vanishes on span{u_k} exactly
+    when every form S[r] of `_trace_form` (built once, if there is a family)
+    vanishes on every pair u_k, u_l with k <= l.  Parallel fields (the
+    trivial critical points) are the joint kernel of all covariant
+    derivative operators.
     """
     L = rough_laplacian(alg)
     decomp = eigen_analyze(L)
     singular = set(alg.singular_parameters())
+    S = _trace_form(alg) if decomp.pairs else []
     families = []
     for pair in decomp.pairs:
-        # The trace is a quadratic form in V, so by polarization it vanishes
-        # on span{u_k} exactly when it vanishes at every u_k and every
-        # u_k + u_l: the values at the u_k alone miss the cross terms.
         us = pair.vectors
-        probes = us + [[x + y for x, y in zip(us[k], us[l])]
-                       for k in range(len(us)) for l in range(k + 1, len(us))]
-        trace_zero = all(scalar_is_zero(x) for u in probes for x in harmonic_map_trace(alg, u))
+        trace_zero = all(bilinear(Sr, us[k], us[l]).is_zero
+                         for k in range(len(us)) for l in range(k, len(us)) for Sr in S)
         section = pair.value.is_zero
         roots = [] if section else [r for r, _ in pair.value.zeros() if r not in singular]
         families.append(CriticalFamily(
@@ -726,11 +740,8 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
             map_harmonic=section and trace_zero,
             harmonic_eps=roots if trace_zero else [],
         ))
-    section_kernel = kernel_basis(L)
-    stacked = []
-    for op in alg.connection_operators:
-        stacked.extend(op)
-    parallel = kernel_basis(stacked)
+    section_kernel = next((pair.vectors for pair in decomp.pairs if pair.value.is_zero), [])
+    parallel = kernel_basis([row for op in alg.connection_operators for row in op])
     return HarmonicityReport(L, decomp, families, parallel, section_kernel)
 
 
@@ -762,52 +773,32 @@ def _gradient_form(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
     """Q[p][q] = sum_ij g^{ij} g(nabla_{Xi} Xp, nabla_{Xj} Xq), the symmetric
     form with |nabla V|^2 = sum_pq Q[p][q] V_p V_q for invariant V.
 
-    From the lowered Koszul values L[i][p][l] = g(nabla_{Xi} Xp, Xl)
-    (`_nabla_lowered`): raise the first index, M[j][p][l] = sum_i g^{ij}
-    L[i][p][l], and pair with `nabla_basis` K, Q[p][q] =
-    sum_jl M[j][p][l] K[j][q][l], skipping zero factors throughout.  Only
-    p <= q is computed; g and g^{-1} are symmetric, so Q is too.
+    The sum over i is the raised connection M = `_nabla_dual`: Q[p][q] =
+    sum_jl M[j][p][l] Kl[j][q][l] with Kl = `_nabla_lowered`, over nonzero
+    factors only.  Only p <= q is computed; g and g^{-1} are symmetric, so
+    Q is too.
     """
     n = alg.dim
-    K, L, ginv = alg.nabla_basis, alg._nabla_lowered, alg.metric_inverse
+    Kl = alg._nabla_lowered
+    M = [[nonzero(v) for v in plane] for plane in alg._nabla_dual]
     rn = range(n)
-
-    def dot(pairs):
-        acc = ZERO
-        for x, y in pairs:
-            if not (x.is_zero or y.is_zero):
-                acc = acc + x * y
-        return acc
-
-    M = [[[dot((ginv[i][j], L[i][p][l]) for i in rn) for l in rn] for p in rn] for j in rn]
     Q = zeros(n)
     for p in rn:
         for q in range(p, n):
-            Q[p][q] = Q[q][p] = dot((M[j][p][l], K[j][q][l]) for j in rn for l in rn)
+            acc = ZERO
+            for j in rn:
+                for l, x in M[j][p]:
+                    if not Kl[j][q][l].is_zero:
+                        acc = acc + x * Kl[j][q][l]
+            Q[p][q] = Q[q][p] = acc
     return Q
-
-
-def _bilinear(Q: list[list[RatFunc]], u: Sequence, v: Sequence):
-    """u^T Q v, as sum_p u_p (Q v)_p: n products of components, the rest
-    scalar multiples.  A `RatFunc` zero when no term survives."""
-    acc = ZERO
-    for p, up in enumerate(u):
-        if scalar_is_zero(up):
-            continue
-        w = ZERO
-        for q, vq in enumerate(v):
-            if not (Q[p][q].is_zero or scalar_is_zero(vq)):
-                w = w + vq * Q[p][q]
-        if not scalar_is_zero(w):
-            acc = acc + up * w
-    return acc
 
 
 def grad_norm_sq(alg: MetricLieAlgebra, V: Sequence):
     """sum_ij g^{ij} g(nabla_{Xi} V, nabla_{Xj} V), the vertical energy, as
     V^T Q V with Q the gradient form of `_gradient_form`.  The components
     of V may be `RatFunc`s or `MultiPoly`s."""
-    return _bilinear(_gradient_form(alg), V, V)
+    return bilinear(_gradient_form(alg), V, V)
 
 
 def energy_density(alg: MetricLieAlgebra, V: Sequence):
@@ -838,23 +829,17 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     for fam in alg.harmonicity.families:
         k = len(fam.basis)
         gram = [[alg.inner(u, w) for w in fam.basis] for u in fam.basis]
-        grad = [[_bilinear(Q, u, w) for w in fam.basis] for u in fam.basis]
-        coeff = None
-        for a in range(k):
-            for b in range(k):
-                if not gram[a][b].is_zero:
-                    coeff = grad[a][b] / gram[a][b]
-                    break
-            if coeff is not None:
-                break
+        grad = [[bilinear(Q, u, w) for w in fam.basis] for u in fam.basis]
+        coeff = next((grad[a][b] / gram[a][b] for a in range(k) for b in range(k)
+                      if not gram[a][b].is_zero), None)
         proportional = coeff is not None and all(
-            grad[a][b] == coeff * gram[a][b] for a in range(k) for b in range(k)
+            grad[a][b] == _product(coeff, gram[a][b]) for a in range(k) for b in range(k)
         )
         fams.append(FamilyEnergy(
             eigenvalue=fam.eigenvalue,
             basis=fam.basis,
             constant=Fraction(n, 2),
-            rho2_coeff=coeff * half if proportional else None,
+            rho2_coeff=_product(coeff, half) if proportional else None,
             gram=gram,
             grad_gram=grad,
         ))

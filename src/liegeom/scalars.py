@@ -207,10 +207,11 @@ class Poly:
         # coefficient here would cost one field operation per product
         zero = ZERO if isinstance(self.coeffs[-1], RatFunc) else _ZERO_Q
         out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(o.coeffs) if not scalar_is_zero(b)]
         for i, a in enumerate(self.coeffs):
             if scalar_is_zero(a):
                 continue
-            for j, b in enumerate(o.coeffs):
+            for j, b in right:
                 out[i + j] += a * b
         return Poly(out)
 

@@ -16,7 +16,6 @@ from liegeom.geometry import (
     geodesic_check,
     geodesic_classify,
     grad_norm_sq,
-    harmonic_map_trace,
     harmonicity_classify,
     killing_solve,
     ledger_check,
@@ -44,6 +43,7 @@ from liegeom.scalars import (
 )
 
 import test_properties
+from test_tensor_reference import reference_trace
 
 
 def F(x):
@@ -380,13 +380,45 @@ def test_harmonicity_is_classified_once_per_algebra(monkeypatch):
 
 def test_trace_flag_sees_the_cross_terms(corpus_alg):
     # on heisenberg the 3-dimensional family has a zero curvature trace at
-    # each basis vector but not on their span: the verdict needs the
-    # probes u_k + u_l as well
+    # each basis vector but not on their span: the verdict needs the cross
+    # terms u_k^T S[r] u_l, k < l, of the trace forms as well
     alg = corpus_alg("heisenberg")
     (fam,) = [f for f in alg.harmonicity.families if len(f.basis) == 3]
     for u in fam.basis:
-        assert all(scalar_is_zero(x) for x in harmonic_map_trace(alg, u))
+        assert all(scalar_is_zero(x) for x in reference_trace(alg, u))
     assert not fam.trace_vanishes
+
+
+ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__",
+              "__sub__", "__rsub__", "__truediv__", "__rtruediv__")
+
+
+def test_harmonic_and_energy_sections_bound_their_arithmetic(monkeypatch):
+    # the rough Laplacian, the gradient form and the trace forms read one
+    # raised connection, and the section kernel is read off the spectrum:
+    # with the tensors built, the two sections took 305, 523 and 365 RatFunc
+    # operations on berger, u2 and heisenberg with trace probes and a second
+    # rref, and 70% of that is the bound
+    calls = []
+
+    def counting(original):
+        def op(self, other):
+            calls.append(other)
+            return original(self, other)
+        return op
+
+    for build, before in ((berger, 305),
+                          (lambda: loads(test_properties.corpus.TEXTS["u2"]), 523),
+                          (lambda: loads(test_properties.corpus.TEXTS["heisenberg"]), 365)):
+        alg = build()
+        alg.nabla_basis, alg.curvature_tensor, alg.metric_inverse, alg.singular_parameters()
+        with monkeypatch.context() as m:
+            for name in ARITHMETIC:
+                m.setattr(RatFunc, name, counting(getattr(RatFunc, name)))
+            calls.clear()
+            harmonic_section(alg)
+            energy_section(alg)
+        assert len(calls) <= 0.7 * before, (alg.name, len(calls))
 
 
 def test_analyses_multiply_no_multipolys(monkeypatch):
@@ -454,6 +486,29 @@ def test_full_report_skips_zero_factors_outside_the_tensor_layer(monkeypatch):
         sites.clear()
         full_report(build())
         assert len(sites) <= 15, Counter(sites)
+
+
+def test_full_report_forms_no_zero_factor_products(monkeypatch):
+    # `Poly.__mul__` skips the zero coefficients of both factors, and the
+    # Einstein test at soliton branches and the energy proportionality check
+    # skip zero metric and Gram entries: 8 products with a zero factor were
+    # left on berger and 10 on u2
+    sites = []
+    originals = {name: getattr(RatFunc, name) for name in ("__mul__", "__rmul__")}
+
+    def counting(name):
+        def product(self, other):
+            if scalar_is_zero(self) or scalar_is_zero(other):
+                sites.append(sys._getframe(1).f_code.co_name)
+            return originals[name](self, other)
+        return product
+
+    for name in originals:
+        monkeypatch.setattr(RatFunc, name, counting(name))
+    for build in (berger, lambda: loads(test_properties.corpus.TEXTS["u2"])):
+        sites.clear()
+        full_report(build())
+        assert sites == []
 
 
 def test_grad_norm_sq_matches_density(berger_alg):
