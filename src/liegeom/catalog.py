@@ -176,19 +176,19 @@ def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
         if body:
             stripped.append((i, body))
 
-    dim = None
+    dim = dim_line = None
     for lineno, body in stripped:
         if body.startswith("dim:"):
             if dim is not None:
                 raise ParseError("duplicate dim", lineno)
             try:
-                dim = int(body[4:].strip())
+                dim, dim_line = int(body[4:].strip()), lineno
             except ValueError:
                 raise ParseError(f"bad dimension {body[4:].strip()!r}", lineno)
     if dim is None:
         raise ParseError("missing 'dim:' line", len(lines) or 1)
     if not 1 <= dim <= MAX_DIM:
-        raise ParseError(f"dimension {dim} not in 1..{MAX_DIM}", 1)
+        raise ParseError(f"dimension {dim} not in 1..{MAX_DIM}", dim_line)
 
     name = "unnamed"
     brackets: dict[tuple[int, int], dict[int, object]] = {}

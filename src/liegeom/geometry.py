@@ -7,11 +7,14 @@ the answer changes.  The Einstein, soliton and Killing conditions are
 linear: one equation per metric entry i <= j, whose coefficient row and
 right-hand side are read off the metric, Ricci and Lie-derivative tensors
 and handed to `solvers.solve_parametric`.  The geodesic and null parallel
-conditions are polynomial systems in the components of the field, and each
-of their quadratic forms is read off `nabla_basis` and `metric` as one
-`MultiPoly`, as the Ledger and energy forms are; the harmonic-map trace is
-a tensor of symmetric forms, read off the raised connection and the
-curvature operators and evaluated on each critical family by polarization.
+conditions are systems of quadratic forms in the components of the field,
+each read off `nabla_basis` and `metric` as a coefficient matrix (upper
+triangular, V^T U V the form); the case analysis reads the matrix entries
+on the coordinates not yet set to zero, and `MultiPoly` only prints the
+forms.  The Ledger and energy polynomials are read off their coefficient
+tensors too; the harmonic-map trace is a tensor of symmetric forms, read
+off the raised connection and the curvature operators and evaluated on
+each critical family by polarization.
 Verdicts are never sampled or approximated: the Walker analysis adds a
 float cross-check at sample parameter values, but a disagreement there
 refuses rather than decides.  When the polynomial case analysis cannot
@@ -52,6 +55,7 @@ from .algebra import (
 )
 from .numeric import null_parallel_scan
 from .scalars import (
+    ONE,
     MultiPoly,
     RatFunc,
     ZERO,
@@ -272,90 +276,95 @@ def killing_solve(alg: MetricLieAlgebra) -> KillingVerdict:
 # polynomial case analysis for quadratic vector-field conditions
 
 
-def _forced_vars(eq: MultiPoly, caveats: set[Fraction]) -> set[str] | None:
-    """Variables that must vanish for this single equation, by safe rules.
+def _form(n: int, entries) -> list[list[RatFunc]]:
+    """The coefficient matrix U of the quadratic form sum c * x_i * x_j over
+    the ((i, j), c) entries: U[i][j] for i <= j is the coefficient of
+    x_i x_j and every entry below the diagonal is zero, so V^T U V is the
+    form.  Zero entries are skipped, and two entries are added only when
+    they land in the same slot."""
+    U = zeros(n)
+    for (i, j), c in entries:
+        if c.is_zero:
+            continue
+        if i > j:
+            i, j = j, i
+        U[i][j] = c if U[i][j].is_zero else U[i][j] + c
+    return U
 
-    Rule 1: a single term involving one variable, c * x^k, forces x = 0
-    (recording parameter values where c vanishes as caveats).
-    Rule 2: a diagonal quadratic sum lam_i * x_i^2 whose coefficient ratios
-    are positive rational constants is a definite form up to a common
-    factor, so every x_i is forced.
-    Returns None when neither rule applies.
+
+def _slots(U) -> list[tuple[int, int]]:
+    """The nonzero slots (i, j), i <= j, of U, row by row."""
+    n = len(U)
+    return [(i, j) for i in range(n) for j in range(i, n) if not U[i][j].is_zero]
+
+
+def _form_polynomial(U, names: tuple[str, ...], slots=None) -> MultiPoly:
+    """The form of U as a `MultiPoly` in `names`, on the given slots (by
+    default every slot i <= j); used only to print."""
+    if slots is None:
+        slots = _slots(U)
+    return _polynomial(names, ((ij, U[ij[0]][ij[1]]) for ij in slots))
+
+
+def _forced(U, supp: list[tuple[int, int]]) -> set[int] | None:
+    """The coordinates that must vanish for one form on its live support
+    `supp`, by safe rules, or None when neither applies.  Rule 1: a single
+    diagonal entry, c * x_i^2, forces x_i = 0.  Rule 2: a diagonal support
+    sum lam_i * x_i^2 whose ratios lam_i / lam_0 are positive rational
+    constants is definite up to a common factor, so it forces every x_i.
     """
-    mono = eq.as_monomial()
-    if mono is not None:
-        coeff, expo = mono
-        live = [i for i, e in enumerate(expo) if e]
-        if len(live) == 1:
-            caveats.update(r for r, _ in coeff.zeros())
-            return {eq.names[live[0]]}
+    if any(i != j for i, j in supp):
         return None
-    diag = eq.as_diagonal_quadratic()
-    if diag is not None:
-        items = list(diag.items())
-        base = items[0][1]
-        for _, c in items[1:]:
-            ratio = c / base
-            if not ratio.is_constant or ratio.constant_value() <= 0:
-                return None
-        caveats.update(r for r, _ in base.zeros())
-        return {nm for nm, _ in items}
-    return None
+    base = U[supp[0][0]][supp[0][0]]
+    for i, _ in supp[1:]:
+        ratio = U[i][i] / base
+        if not ratio.is_constant or ratio.constant_value() <= 0:
+            return None
+    return {i for i, _ in supp}
 
 
-def solve_zero_set(
-    equations: Sequence[MultiPoly], names: Sequence[str]
-) -> tuple[list[frozenset[str]], set[Fraction]]:
-    """Describe the real zero set of the equations as a union of coordinate
-    subspaces {some variables = 0}, if the safe inference rules suffice.
+def solve_zero_set(forms: Sequence, names: Sequence[str]) -> list[frozenset[str]]:
+    """Describe the real zero set of the quadratic forms, given by their
+    coefficient matrices (see `_form`), as a union of coordinate subspaces
+    {some variables = 0}, if the safe inference rules suffice.
 
-    Returns (components, caveats): each component is the frozenset of
-    variables forced to zero, the union over components is the exact zero
-    set, and the caveats are rational parameter values where a rule's
-    coefficient degenerates (callers re-run the analysis there).  Raises
-    CaseAnalysisIncomplete when no rule applies to any equation.
+    Each component is the frozenset of variables forced to zero, and the
+    union over components is the exact zero set.  A coordinate set to zero
+    leaves the live set, so every coefficient a rule reads is an entry of an
+    input form, and the classifiers re-run the analysis at the rational
+    zeros of all of them (`_coefficient_roots`).  Raises
+    CaseAnalysisIncomplete, printing the forms left on the live
+    coordinates, when no rule applies.
     """
     names = tuple(names)
-    caveats: set[Fraction] = set()
+    nonzero_slots = [(U, _slots(U)) for U in forms]
 
-    def recurse(eqs: list[MultiPoly], assigned: frozenset[str]) -> list[frozenset[str]]:
-        eqs = [e for e in eqs if not e.is_zero]
-        if not eqs:
+    def recurse(live: frozenset[int], assigned: frozenset[str]) -> list[frozenset[str]]:
+        active = [(U, s) for U, slots in nonzero_slots
+                  if (s := [(i, j) for i, j in slots if i in live and j in live])]
+        if not active:
             return [assigned]
-        forced: set[str] = set()
-        for e in eqs:
-            got = _forced_vars(e, caveats)
-            if got:
-                forced |= got
+        forced: set[int] = set()
+        for U, s in active:
+            forced |= _forced(U, s) or set()
         if forced:
-            new_eqs = eqs
-            for var in forced:
-                new_eqs = [e.set_var(var, 0) for e in new_eqs]
-            return recurse(new_eqs, assigned | forced)
-        # branch on the sparsest pure monomial equation
-        best = None
-        for e in eqs:
-            mono = e.as_monomial()
-            if mono is None:
-                continue
-            live = [e.names[i] for i, ex in enumerate(mono[1]) if ex]
-            if best is None or len(live) < len(best):
-                best = live
-        if best is None:
-            raise CaseAnalysisIncomplete(
-                f"no safe rule applies to: {'; '.join(str(e) for e in eqs)}"
-            )
+            return recurse(live - forced, assigned | {names[i] for i in forced})
+        # branch on the first single cross term x_i x_j
+        cross = next((s[0] for _, s in active if len(s) == 1), None)
+        if cross is None:
+            raise CaseAnalysisIncomplete("no safe rule applies to: " + "; ".join(
+                str(_form_polynomial(U, names, s)) for U, s in active))
         out: list[frozenset[str]] = []
-        for var in best:
-            out.extend(recurse([e.set_var(var, 0) for e in eqs], assigned | {var}))
+        for var in cross:
+            out.extend(recurse(live - {var}, assigned | {names[var]}))
         return out
 
-    components = recurse(list(equations), frozenset())
+    components = recurse(frozenset(range(len(names))), frozenset())
     minimal = [
         a for a in set(components)
         if not any(b != a and b <= a for b in components)
     ]
-    return sorted(minimal, key=lambda s: (len(s), sorted(s))), caveats
+    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
 
 
 def component_str(component: frozenset[str], names: Sequence[str]) -> str:
@@ -365,8 +374,14 @@ def component_str(component: frozenset[str], names: Sequence[str]) -> str:
     return "=".join(zeroed) + "=0"
 
 
-def _coefficient_roots(equations: Sequence[MultiPoly]) -> set[Fraction]:
-    return {r for eq in equations for c in eq.terms.values() for r, _ in c.zeros()}
+def _coefficient_roots(forms: Sequence) -> set[Fraction]:
+    return {r for U in forms for row in U for c in row if not c.is_zero for r, _ in c.zeros()}
+
+
+def _at_eps(forms: Sequence, eps0: Fraction) -> list[list[list[RatFunc]]]:
+    """The forms with the parameter pinned to eps0."""
+    return [[[x if x.is_zero else ratfunc(x.eval(eps0)) for x in row] for row in U]
+            for U in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +414,14 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
     equation collapses and all fields become geodesic).
     """
     names = component_names(alg.dim)
-    eqs = _geodesic_equations(alg, names)
-    components, caveats = solve_zero_set(eqs, names)
-    candidates = (caveats | _coefficient_roots(eqs)) - set(alg.singular_parameters())
+    forms = _geodesic_forms(alg)
+    components = solve_zero_set(forms, names)
     branches = []
-    for eps0 in sorted(candidates):
-        spec = [e.specialize_param(eps0) for e in eqs]
-        comp0, _ = solve_zero_set(spec, names)
+    for eps0 in sorted(_coefficient_roots(forms) - set(alg.singular_parameters())):
+        comp0 = solve_zero_set(_at_eps(forms, eps0), names)
         if comp0 != components:
             branches.append(GeodesicBranch(eps0, comp0))
+    eqs = [_form_polynomial(U, names) for U in forms]
     return GeodesicClassification(names, eqs, components, branches)
 
 
@@ -438,89 +452,96 @@ _NUMERIC_EPS_CANDIDATES = (
 )
 
 
-def _geodesic_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
-    """The components of nabla_V V for V = sum_i x_i Xi, read off
-    `nabla_basis` K: the k-th is sum_ij K[i][j][k] x_i x_j.  Zero forms are
-    dropped."""
+def _geodesic_forms(alg: MetricLieAlgebra) -> list[list[list[RatFunc]]]:
+    """The components of nabla_V V for V = sum_i x_i Xi as coefficient
+    matrices, read off `nabla_basis` K: the k-th is sum_ij K[i][j][k] x_i x_j.
+    Zero forms are dropped."""
     K = alg.nabla_basis
-    rn = range(alg.dim)
-    forms = (_polynomial(names, (((i, j), K[i][j][k]) for i in rn for j in rn)) for k in rn)
-    return [e for e in forms if not e.is_zero]
+    n = alg.dim
+    rn = range(n)
+    forms = (_form(n, (((i, j), K[i][j][k]) for i in rn for j in rn)) for k in rn)
+    return [U for U in forms if _slots(U)]
 
 
-def _walker_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
-    """The null parallel conditions on V = sum_i x_i Xi, read off
-    `nabla_basis` K and `metric` G: for each i and each r < s the 2x2 minor
-    (nabla_{Xi} V)_r x_s - (nabla_{Xi} V)_s x_r of the columns
-    [nabla_{Xi} V, V], with (nabla_{Xi} V)_r = sum_j K[i][j][r] x_j; then
-    g(V, V) = sum_pq G[p][q] x_p x_q.  Zero forms are dropped."""
+def _walker_forms(alg: MetricLieAlgebra) -> list[list[list[RatFunc]]]:
+    """The null parallel conditions on V = sum_i x_i Xi as coefficient
+    matrices, read off `nabla_basis` K and `metric` G: for each i and each
+    r < s the 2x2 minor (nabla_{Xi} V)_r x_s - (nabla_{Xi} V)_s x_r of the
+    columns [nabla_{Xi} V, V], with (nabla_{Xi} V)_r = sum_j K[i][j][r] x_j;
+    then g(V, V) = sum_pq G[p][q] x_p x_q.  Zero forms are dropped."""
     n = alg.dim
     K, G = alg.nabla_basis, alg.metric
     rn = range(n)
     forms = [
-        _polynomial(names, [((j, s), K[i][j][r]) for j in rn]
-                    + [((j, r), -K[i][j][s]) for j in rn])
+        _form(n, [((j, s), K[i][j][r]) for j in rn] + [((j, r), -K[i][j][s]) for j in rn])
         for i in rn for r in rn for s in range(r + 1, n)
     ]
-    forms.append(_polynomial(names, (((p, q), G[p][q]) for p in rn for q in rn)))
-    return [e for e in forms if not e.is_zero]
+    forms.append(_form(n, (((p, q), G[p][q]) for p in rn for q in rn)))
+    return [U for U in forms if _slots(U)]
 
 
-def _grid_witness(eqs: list[MultiPoly], names) -> list[RatFunc] | None:
+def _geodesic_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
+    """The geodesic forms of `_geodesic_forms`, as printed."""
+    return [_form_polynomial(U, names) for U in _geodesic_forms(alg)]
+
+
+def _walker_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
+    """The Walker forms of `_walker_forms`, as printed."""
+    return [_form_polynomial(U, names) for U in _walker_forms(alg)]
+
+
+def _grid_witness(forms: Sequence, n: int) -> list[RatFunc] | None:
     """Search small integer coefficient vectors for an exact solution of
-    every equation, identically in the parameter."""
+    every form, identically in the parameter."""
     points = sorted(
-        itertools.product(_WITNESS_SEQ, repeat=len(names)),
+        itertools.product(_WITNESS_SEQ, repeat=n),
         key=lambda p: sum(abs(x) for x in p),
     )
+
+    nonzero_slots = [(U, _slots(U)) for U in forms]
+
+    def value(U, slots, pt):  # sum_{i <= j} U[i][j] p_i p_j, with integer p_i p_j
+        return sum((U[i][j] * (pt[i] * pt[j]) for i, j in slots if pt[i] and pt[j]), ZERO)
+
     for pt in points:
-        if all(x == 0 for x in pt):
-            continue
-        assignment = {nm: Fraction(v) for nm, v in zip(names, pt)}
-        if all(eq.evaluate_vars(assignment).is_zero for eq in eqs):
+        if any(pt) and all(value(U, slots, pt).is_zero for U, slots in nonzero_slots):
             return [ratfunc(Fraction(v)) for v in pt]
     return None
 
 
-def _component_witness(eqs: list[MultiPoly], names, components) -> list[RatFunc] | None:
-    for comp in components:
-        free = [nm for nm in names if nm not in comp]
-        if not free:
-            continue
-        for nm in free:
-            assignment = {x: Fraction(1) if x == nm else Fraction(0) for x in names}
-            if all(eq.evaluate_vars(assignment).is_zero for eq in eqs):
-                return [ratfunc(assignment[x]) for x in names]
-    return None
-
-
-def _null_parallel_witness(eqs: list[MultiPoly], names) -> tuple[
-    list[RatFunc] | None, list[frozenset[str]] | None, set[Fraction]
+def _null_parallel_witness(forms: Sequence, names) -> tuple[
+    list[RatFunc] | None, list[frozenset[str]] | None
 ]:
-    """Decide whether the Walker equations have a nonzero solution.
+    """Decide whether the Walker forms have a nonzero common zero.
 
-    Returns (witness, components, caveats) from `solve_zero_set`; the
-    witness is None exactly when every component is the origin.  When the
-    case analysis is stuck, a grid witness still decides (components None,
-    no caveats).  A nontrivial component without a rational witness, or a
-    stuck analysis without a grid witness, raises CaseAnalysisIncomplete.
+    Returns (witness, components) with the components of `solve_zero_set`;
+    the witness is None exactly when every component is the origin.  A unit
+    vector X_p is a witness when every form has U[p][p] = 0; the free
+    coordinates of the components are tried in order, then the grid.  When
+    the case analysis is stuck, a grid witness still decides (components
+    None).  A nontrivial component without a rational witness, or a stuck
+    analysis without a grid witness, raises CaseAnalysisIncomplete.
     """
+    n = len(names)
     try:
-        components, caveats = solve_zero_set(eqs, names)
+        components = solve_zero_set(forms, names)
     except CaseAnalysisIncomplete:
-        witness = _grid_witness(eqs, names)
+        witness = _grid_witness(forms, n)
         if witness is None:
             raise
-        return witness, None, set()
-    nontrivial = [c for c in components if len(c) < len(names)]
+        return witness, None
+    nontrivial = [c for c in components if len(c) < n]
     if not nontrivial:
-        return None, components, caveats
-    witness = _component_witness(eqs, names, nontrivial) or _grid_witness(eqs, names)
+        return None, components
+    rn = range(n)
+    p = next((p for c in nontrivial for p in rn
+              if names[p] not in c and all(U[p][p].is_zero for U in forms)), None)
+    witness = _grid_witness(forms, n) if p is None else [ONE if q == p else ZERO for q in rn]
     if witness is None:
         raise CaseAnalysisIncomplete(
             "zero set has a nontrivial component but no rational witness was found"
         )
-    return witness, components, caveats
+    return witness, components
 
 
 def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
@@ -535,17 +556,15 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
     where the metric is indefinite, in any dimension; otherwise
     CaseAnalysisIncomplete is raised rather than reporting either answer.
     """
-    n = alg.dim
-    names = component_names(n)
-    eqs = _walker_equations(alg, names)
-    witness, components, caveats = _null_parallel_witness(eqs, names)
+    names = component_names(alg.dim)
+    forms = _walker_forms(alg)
+    witness, components = _null_parallel_witness(forms, names)
     verdict = witness is not None
 
     singular = set(alg.singular_parameters())
     exceptional: list[tuple[Fraction, bool, list[Fraction] | None]] = []
-    for eps0 in sorted((caveats | _coefficient_roots(eqs)) - singular):
-        spec_eqs = [e.specialize_param(eps0) for e in eqs]
-        w0, _, _ = _null_parallel_witness([e for e in spec_eqs if not e.is_zero], names)
+    for eps0 in sorted(_coefficient_roots(forms) - singular):
+        w0, _ = _null_parallel_witness(_at_eps(forms, eps0), names)
         if (w0 is not None) != verdict:
             coords = None if w0 is None else [x.constant_value() for x in w0]
             exceptional.append((eps0, w0 is not None, coords))
@@ -566,6 +585,7 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
                 f"the symbolic verdict ({found} vs {expected})"
             )
 
+    eqs = [_form_polynomial(U, names) for U in forms]
     return WalkerVerdict(verdict, witness, eqs, components, exceptional, numeric_checks)
 
 

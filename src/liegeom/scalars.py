@@ -7,9 +7,11 @@ polynomials (`Poly`, lowest degree first, no trailing zero coefficient)
 with coefficients in Q or in Q(eps), their quotients in canonical form
 (`RatFunc`, a coprime pair of integer polynomials in eps), and a sparse
 multivariate layer (`MultiPoly`) whose coefficients are again rational
-functions, used whenever vector components or Lagrange multipliers enter
-an identity.  A `Poly` over Q is a polynomial in eps; a `Poly` over Q(eps)
-is one in the spectral variable of a characteristic polynomial.
+functions: it holds the Ledger, energy and soliton polynomials, and
+prints the quadratic conditions on a vector field that the geodesic and
+Walker analyses keep as coefficient matrices.  A `Poly` over Q is a
+polynomial in eps; a `Poly` over Q(eps) is one in the spectral variable of
+a characteristic polynomial.
 
 Canonical forms make equality decidable by structural comparison, which is
 what the geometric verdicts downstream rely on.  A `RatFunc` is stored as
@@ -1057,26 +1059,6 @@ class MultiPoly:
             result = result * self
         return result
 
-    def set_var(self, name: str, value) -> "MultiPoly":
-        """Substitute one indeterminate by a scalar; names are kept.  The
-        terms come in the order of a term-by-term sum, and a zero value
-        drops the terms that contain the indeterminate."""
-        idx = self.names.index(name)
-        val = ratfunc(value)
-        out: dict[tuple[int, ...], RatFunc] = {}
-        for expo, coeff in self.terms.items():
-            e = expo[idx]
-            if e and val.is_zero:
-                continue
-            new_expo = expo[:idx] + (0,) + expo[idx + 1:]
-            s = coeff * val**e if e else coeff
-            s = out[new_expo] + s if new_expo in out else s
-            if s.is_zero:
-                del out[new_expo]
-            else:
-                out[new_expo] = s
-        return self._with_terms(out)
-
     def evaluate(self, point: Mapping[str, Fraction], eps_value: Fraction) -> Fraction:
         """Exact value with all indeterminates and eps given."""
         total = Fraction(0)
@@ -1087,45 +1069,6 @@ class MultiPoly:
                     term *= _fraction(point[self.names[i]]) ** e
             total += term
         return total
-
-    def evaluate_vars(self, point: Mapping[str, object]) -> RatFunc:
-        """Substitute every indeterminate; the parameter stays symbolic."""
-        acc = ZERO
-        for expo, coeff in self.terms.items():
-            powers = [ratfunc(point[x]) ** e for x, e in zip(self.names, expo) if e]
-            if not any(p.is_zero for p in powers):
-                for p in powers:
-                    coeff = coeff * p
-                acc = acc + coeff
-        return acc
-
-    def specialize_param(self, eps_value: Fraction) -> "MultiPoly":
-        """Pin the parameter to a rational value; indeterminates stay."""
-        v = _fraction(eps_value)
-        out: dict[tuple[int, ...], RatFunc] = {}
-        for expo, coeff in self.terms.items():
-            c = coeff.eval(v)
-            if c != 0:
-                out[expo] = ratfunc(c)
-        return self._with_terms(out)
-
-    def as_monomial(self) -> tuple[RatFunc, tuple[int, ...]] | None:
-        if len(self.terms) != 1:
-            return None
-        ((expo, coeff),) = self.terms.items()
-        return coeff, expo
-
-    def as_diagonal_quadratic(self) -> dict[str, RatFunc] | None:
-        """If every term is coeff * x_i^2, return {x_i: coeff}, else None."""
-        if self.is_zero:
-            return None
-        out: dict[str, RatFunc] = {}
-        for expo, coeff in self.terms.items():
-            live = [(i, e) for i, e in enumerate(expo) if e]
-            if len(live) != 1 or live[0][1] != 2:
-                return None
-            out[self.names[live[0][0]]] = coeff
-        return out
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], RatFunc]]:
         return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))

@@ -104,6 +104,13 @@ def test_parse_error_reports_line_number():
     assert exc.value.line == 3
 
 
+def test_bad_dimension_reports_the_dim_line():
+    with pytest.raises(ParseError) as exc:
+        loads("# c\n\nname: x\ndim: 0\n")
+    assert exc.value.line == 4
+    assert "dimension 0 not in 1..4" in str(exc.value)
+
+
 def test_zero_denominator_coefficient_is_a_parse_error():
     with pytest.raises(ParseError):
         loads("dim: 2\nbracket: 1 2 -> 1 : 1/(eps-eps)\nmetric:\n1 0\n0 1\n")

@@ -331,52 +331,6 @@ def test_multipoly_evaluate_at_pole():
         q.evaluate({"a": Fraction(1)}, Fraction(0))
 
 
-def test_multipoly_set_var():
-    names = ("a", "b")
-    a = MultiPoly.var(names, "a")
-    b = MultiPoly.var(names, "b")
-    q = a * b + a
-    assert q.set_var("b", Fraction(0)) == a
-    assert q.set_var("a", Fraction(1)) == b + 1
-
-
-def test_multipoly_set_var_keeps_the_order_of_a_termwise_sum():
-    # the case analysis reads equations in term order, so `set_var` must give
-    # the terms in the order of the sum of one single-term MultiPoly per term
-    names = ("a", "b", "c")
-    a, b, c = (MultiPoly.var(names, x) for x in names)
-    q = a * b + c * c + a * c + b * b * (-1) + a * a * EPS + b + c * 2
-    for name, value in [("a", 0), ("a", 1), ("b", -1), ("c", EPS), ("c", 0), ("b", 1)]:
-        val = ratfunc(value)
-        want = MultiPoly.zero(names)
-        for expo, coeff in q.terms.items():
-            i = names.index(name)
-            e = expo[i]
-            want = want + MultiPoly(names, {expo[:i] + (0,) + expo[i + 1:]: coeff * val**e})
-        got = q.set_var(name, value)
-        assert list(got.terms.items()) == list(want.terms.items())
-        got.check_invariants()
-
-
-def test_multipoly_evaluate_vars_with_zero_coordinates():
-    names = ("a", "b")
-    a, b = (MultiPoly.var(names, x) for x in names)
-    q = a * a * b + b * EPS + a * 3 + 1
-    assert q.evaluate_vars({"a": ZERO, "b": EPS}) == EPS * EPS + 1
-    assert q.evaluate_vars({"a": ONE, "b": ZERO}) == ratfunc(4)
-
-
-def test_multipoly_diagonal_quadratic():
-    names = ("a", "b")
-    a = MultiPoly.var(names, "a")
-    b = MultiPoly.var(names, "b")
-    q = a * a * EPS + b * b * EPS
-    diag = q.as_diagonal_quadratic()
-    assert diag is not None
-    assert {k: scalar_str(c) for k, c in diag.items()} == {"a": "eps", "b": "eps"}
-    assert ((a * b).as_diagonal_quadratic()) is None
-
-
 def test_component_names():
     assert component_names(3) == ("a", "b", "c")
     assert component_names(4) == ("a", "b", "c", "d")

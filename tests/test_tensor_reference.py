@@ -23,9 +23,10 @@ of each definition, from `brackets`, `metric` and `metric_inverse`, with
 the curvature tensor of `reference_tensors`.
 
 The geodesic and Walker equations are read off `nabla_basis` and
-`metric`, and the harmonic-map trace flag off the symmetric trace forms
-built from the raised connection and the curvature operators; the
-references build them as the definitions read, on vectors of `MultiPoly`
+`metric` as coefficient matrices, whose layout (nothing below the
+diagonal, V^T U V the printed equation) is checked too, and the
+harmonic-map trace flag off the symmetric trace forms built from the
+raised connection and the curvature operators; the references build them as the definitions read, on vectors of `MultiPoly`
 indeterminates: nabla_V V, the 2x2 minors of [nabla_{Xi} V, V] and g(V, V),
 and the trace sum_ij g^{ij} R(nabla_{Xi} V, V) Xj on the whole family
 vector sum_k t_k u_k, from `reference_nabla` and `reference_operators`.  A
@@ -38,10 +39,12 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom.algebra import MetricLieAlgebra
+from liegeom.algebra import MetricLieAlgebra, bilinear
 from liegeom.geometry import (
     _geodesic_equations,
+    _geodesic_forms,
     _walker_equations,
+    _walker_forms,
     energy_report,
     grad_norm_sq,
     ledger_check,
@@ -306,10 +309,22 @@ def assert_same_forms(got, want):
     assert got == want
 
 
+def check_form_layout(forms, equations, names):
+    """Each coefficient matrix U keeps x_i x_j at i <= j only, and V^T U V
+    on a vector of indeterminates is the printed equation."""
+    V = generic_vector(names)
+    n = len(names)
+    for U, eq in zip(forms, equations, strict=True):
+        assert all(U[i][j].is_zero for i in range(n) for j in range(i))
+        assert bilinear(U, V, V) == eq
+
+
 def check_conditions_against_reference(alg):
     names = component_names(alg.dim)
     assert_same_forms(_geodesic_equations(alg, names), reference_geodesic(alg, names))
     assert_same_forms(_walker_equations(alg, names), reference_walker(alg, names))
+    check_form_layout(_geodesic_forms(alg), _geodesic_equations(alg, names), names)
+    check_form_layout(_walker_forms(alg), _walker_equations(alg, names), names)
     h = alg.harmonicity
     assert [f.trace_vanishes for f in h.families] == [
         reference_trace_vanishes(alg, pair.vectors) for pair in h.decomposition.pairs]
