@@ -13,9 +13,10 @@ import sys
 from fractions import Fraction
 
 from .catalog import ParseError, ValidationFailed, catalog, load
-from .geometry import CaseAnalysisIncomplete
+from .geometry import SOLITON_CONVENTIONS, CaseAnalysisIncomplete
 from .numeric import SingularMetricAtPoint
 from .report import (
+    SECTION_COMMANDS,
     eval_report,
     full_report,
     render_json,
@@ -24,10 +25,6 @@ from .report import (
     validate_report,
 )
 from .scalars import DivisionByZeroFunction, PoleAtEvaluationPoint
-
-_SINGLE_COMMANDS = (
-    "soliton", "killing", "geodesic", "walker", "ledger", "harmonic", "energy"
-)
 
 
 def _rational(text: str) -> Fraction:
@@ -64,24 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every analysis and print the full report",
     )
     p_report.add_argument(
-        "--soliton-convention", choices=("paper", "doubled"), default="paper",
+        "--soliton-convention", choices=SOLITON_CONVENTIONS, default="paper",
         help="normalization of the soliton equation: 'paper' solves "
         "Lie_X g = lam*g - ric, 'doubled' doubles the right-hand side",
     )
 
-    for name, blurb in (
-        ("soliton", "invariant Ricci soliton analysis"),
-        ("killing", "invariant Killing fields"),
-        ("geodesic", "invariant geodesic fields"),
-        ("walker", "invariant null parallel line fields"),
-        ("ledger", "odd Ledger conditions of degree 3 and 5"),
-        ("harmonic", "rough Laplacian spectrum and harmonicity"),
-        ("energy", "energy of the critical vector fields"),
-    ):
+    for name, (blurb, _) in SECTION_COMMANDS.items():
         p = sub.add_parser(name, parents=[source], help=blurb)
         if name == "soliton":
             p.add_argument(
-                "--soliton-convention", choices=("paper", "doubled"),
+                "--soliton-convention", choices=SOLITON_CONVENTIONS,
                 default="paper", help="normalization of the soliton equation",
             )
 
@@ -126,7 +115,7 @@ def main(argv=None) -> int:
             doc = eval_report(alg, args.eps)
         elif args.command == "soliton":
             doc = single_report("soliton", alg, convention=args.soliton_convention)
-        elif args.command in _SINGLE_COMMANDS:
+        elif args.command in SECTION_COMMANDS:
             doc = single_report(args.command, alg)
         else:  # pragma: no cover - argparse restricts the choices
             parser.error(f"unknown command {args.command!r}")

@@ -7,14 +7,16 @@ the answer changes.  The Einstein, soliton and Killing conditions are
 linear: one equation per metric entry i <= j, whose coefficient row and
 right-hand side are read off the metric, Ricci and Lie-derivative tensors
 and handed to `solvers.solve_parametric`.  The geodesic and null parallel
-conditions are systems of quadratic forms in the components of the field,
-each read off `nabla_basis` and `metric` as a coefficient matrix (upper
-triangular, V^T U V the form); the case analysis reads the matrix entries
-on the coordinates not yet set to zero, and `MultiPoly` only prints the
-forms.  The Ledger and energy polynomials are read off their coefficient
-tensors too; the harmonic-map trace is a tensor of symmetric forms, read
-off the raised connection and the curvature operators and evaluated on
-each critical family by polarization.
+conditions are systems of quadratic forms in the components of the field.
+Every polynomial read off a tensor (these forms, the soliton equations, the
+Ledger l5 and the energy density) is one sparse monomial dict, `_terms`:
+the sorted index tuple of each monomial maps to its nonzero `RatFunc`
+coefficient, so a quadratic form is keyed by its slots (i, j), i <= j.  The
+case analysis reads the slots on the coordinates not yet set to zero, and a
+`MultiPoly` is built from a dict only to print it.  The harmonic-map trace
+is a tensor of symmetric forms, read off the raised connection and the
+curvature operators and evaluated on each critical family by
+polarization.
 Verdicts are never sampled or approximated: the Walker analysis adds a
 float cross-check at sample parameter values, but a disagreement there
 refuses rather than decides.  When the polynomial case analysis cannot
@@ -87,22 +89,34 @@ def _upper(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _polynomial(names: tuple[str, ...], entries) -> MultiPoly:
-    """The MultiPoly sum c * x_{i1} * ... * x_{ik} over the (index tuple,
-    coefficient) entries, with x the indeterminates `names`.  Coefficients
-    that share an exponent are added before the one MultiPoly is built,
-    which drops the zeros."""
-    n = len(names)
+def _terms(entries) -> dict[tuple[int, ...], RatFunc]:
+    """The sparse monomial dict of sum c * x_{i1} * ... * x_{ik} over the
+    (index tuple, coefficient) entries: the sorted index tuple of each
+    monomial maps to its nonzero coefficient.  Zero entries are skipped,
+    entries that share a key are added, and a sum that cancels is dropped."""
     terms: dict[tuple[int, ...], RatFunc] = {}
     for idx, c in entries:
         if c.is_zero:
             continue
-        expo = [0] * n
-        for i in idx:
+        key = tuple(sorted(idx))
+        if key in terms:
+            c = terms[key] + c
+            if c.is_zero:
+                del terms[key]
+                continue
+        terms[key] = c
+    return terms
+
+
+def _polynomial(names: tuple[str, ...], terms: dict[tuple[int, ...], RatFunc]) -> MultiPoly:
+    """The `_terms` dict as a `MultiPoly` in the indeterminates `names`;
+    built only to print."""
+    def exponent(key):
+        expo = [0] * len(names)
+        for i in key:
             expo[i] += 1
-        expo = tuple(expo)
-        terms[expo] = terms[expo] + c if expo in terms else c
-    return MultiPoly(names, terms)
+        return tuple(expo)
+    return MultiPoly(names, {exponent(key): c for key, c in terms.items()})
 
 
 def _product(x, y):
@@ -199,7 +213,7 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
             rhs.append(b)
     sol = solve_parametric(rows, rhs, names)
     # one affine equation sum_k row[k] * names[k] - b = 0 per row
-    eqs = [_polynomial(names, [((k,), c) for k, c in enumerate(row)] + [((), -b)])
+    eqs = [_polynomial(names, _terms([((k,), c) for k, c in enumerate(row)] + [((), -b)]))
            for row, b in zip(rows, rhs)]
 
     generic_ok = sol.generic.status != "inconsistent"
@@ -276,84 +290,56 @@ def killing_solve(alg: MetricLieAlgebra) -> KillingVerdict:
 # polynomial case analysis for quadratic vector-field conditions
 
 
-def _form(n: int, entries) -> list[list[RatFunc]]:
-    """The coefficient matrix U of the quadratic form sum c * x_i * x_j over
-    the ((i, j), c) entries: U[i][j] for i <= j is the coefficient of
-    x_i x_j and every entry below the diagonal is zero, so V^T U V is the
-    form.  Zero entries are skipped, and two entries are added only when
-    they land in the same slot."""
-    U = zeros(n)
-    for (i, j), c in entries:
-        if c.is_zero:
-            continue
-        if i > j:
-            i, j = j, i
-        U[i][j] = c if U[i][j].is_zero else U[i][j] + c
-    return U
-
-
-def _slots(U) -> list[tuple[int, int]]:
-    """The nonzero slots (i, j), i <= j, of U, row by row."""
-    n = len(U)
-    return [(i, j) for i in range(n) for j in range(i, n) if not U[i][j].is_zero]
-
-
-def _form_polynomial(U, names: tuple[str, ...], slots=None) -> MultiPoly:
-    """The form of U as a `MultiPoly` in `names`, on the given slots (by
-    default every slot i <= j); used only to print."""
-    if slots is None:
-        slots = _slots(U)
-    return _polynomial(names, ((ij, U[ij[0]][ij[1]]) for ij in slots))
-
-
-def _forced(U, supp: list[tuple[int, int]]) -> set[int] | None:
-    """The coordinates that must vanish for one form on its live support
-    `supp`, by safe rules, or None when neither applies.  Rule 1: a single
-    diagonal entry, c * x_i^2, forces x_i = 0.  Rule 2: a diagonal support
-    sum lam_i * x_i^2 whose ratios lam_i / lam_0 are positive rational
-    constants is definite up to a common factor, so it forces every x_i.
+def _forced(items) -> set[int] | None:
+    """The coordinates that must vanish for one form, given by its live
+    (slot, coefficient) items, by safe rules, or None when neither applies.
+    Rule 1: a single diagonal entry, c * x_i^2, forces x_i = 0.  Rule 2: a
+    diagonal support sum lam_i * x_i^2 whose ratios lam_i / lam_0 are
+    positive rational constants is definite up to a common factor, so it
+    forces every x_i.
     """
-    if any(i != j for i, j in supp):
+    if any(i != j for (i, j), _ in items):
         return None
-    base = U[supp[0][0]][supp[0][0]]
-    for i, _ in supp[1:]:
-        ratio = U[i][i] / base
+    base = items[0][1]
+    for _, c in items[1:]:
+        ratio = c / base
         if not ratio.is_constant or ratio.constant_value() <= 0:
             return None
-    return {i for i, _ in supp}
+    return {i for (i, _), _ in items}
 
 
 def solve_zero_set(forms: Sequence, names: Sequence[str]) -> list[frozenset[str]]:
-    """Describe the real zero set of the quadratic forms, given by their
-    coefficient matrices (see `_form`), as a union of coordinate subspaces
-    {some variables = 0}, if the safe inference rules suffice.
+    """Describe the real zero set of the quadratic forms, given as `_terms`
+    dicts (slot (i, j), i <= j, to the coefficient of x_i x_j), as a union
+    of coordinate subspaces {some variables = 0}, if the safe inference
+    rules suffice.
 
     Each component is the frozenset of variables forced to zero, and the
-    union over components is the exact zero set.  A coordinate set to zero
-    leaves the live set, so every coefficient a rule reads is an entry of an
-    input form, and the classifiers re-run the analysis at the rational
-    zeros of all of them (`_coefficient_roots`).  Raises
-    CaseAnalysisIncomplete, printing the forms left on the live
-    coordinates, when no rule applies.
+    union over components is the exact zero set: every form vanishes on the
+    whole subspace of a component, so each of its unit vectors is a common
+    zero.  A coordinate set to zero leaves the live set, so every
+    coefficient a rule reads is an entry of an input form, and the
+    classifiers re-run the analysis at the rational zeros of all of them
+    (`_coefficient_roots`).  Raises CaseAnalysisIncomplete, printing the
+    forms left on the live coordinates, when no rule applies.
     """
     names = tuple(names)
-    nonzero_slots = [(U, _slots(U)) for U in forms]
 
     def recurse(live: frozenset[int], assigned: frozenset[str]) -> list[frozenset[str]]:
-        active = [(U, s) for U, slots in nonzero_slots
-                  if (s := [(i, j) for i, j in slots if i in live and j in live])]
+        active = [items for U in forms
+                  if (items := [(ij, c) for ij, c in U.items() if ij[0] in live and ij[1] in live])]
         if not active:
             return [assigned]
         forced: set[int] = set()
-        for U, s in active:
-            forced |= _forced(U, s) or set()
+        for items in active:
+            forced |= _forced(items) or set()
         if forced:
             return recurse(live - forced, assigned | {names[i] for i in forced})
         # branch on the first single cross term x_i x_j
-        cross = next((s[0] for _, s in active if len(s) == 1), None)
+        cross = next((items[0][0] for items in active if len(items) == 1), None)
         if cross is None:
             raise CaseAnalysisIncomplete("no safe rule applies to: " + "; ".join(
-                str(_form_polynomial(U, names, s)) for U, s in active))
+                str(_polynomial(names, dict(items))) for items in active))
         out: list[frozenset[str]] = []
         for var in cross:
             out.extend(recurse(live - {var}, assigned | {names[var]}))
@@ -375,13 +361,13 @@ def component_str(component: frozenset[str], names: Sequence[str]) -> str:
 
 
 def _coefficient_roots(forms: Sequence) -> set[Fraction]:
-    return {r for U in forms for row in U for c in row if not c.is_zero for r, _ in c.zeros()}
+    return {r for U in forms for c in U.values() for r, _ in c.zeros()}
 
 
-def _at_eps(forms: Sequence, eps0: Fraction) -> list[list[list[RatFunc]]]:
-    """The forms with the parameter pinned to eps0."""
-    return [[[x if x.is_zero else ratfunc(x.eval(eps0)) for x in row] for row in U]
-            for U in forms]
+def _at_eps(forms: Sequence, eps0: Fraction) -> list[dict[tuple[int, int], RatFunc]]:
+    """The forms with the parameter pinned to eps0; entries that vanish
+    there are dropped."""
+    return [{ij: ratfunc(v) for ij, c in U.items() if (v := c.eval(eps0))} for U in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +407,7 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
         comp0 = solve_zero_set(_at_eps(forms, eps0), names)
         if comp0 != components:
             branches.append(GeodesicBranch(eps0, comp0))
-    eqs = [_form_polynomial(U, names) for U in forms]
+    eqs = [_polynomial(names, U) for U in forms]
     return GeodesicClassification(names, eqs, components, branches)
 
 
@@ -452,20 +438,19 @@ _NUMERIC_EPS_CANDIDATES = (
 )
 
 
-def _geodesic_forms(alg: MetricLieAlgebra) -> list[list[list[RatFunc]]]:
-    """The components of nabla_V V for V = sum_i x_i Xi as coefficient
-    matrices, read off `nabla_basis` K: the k-th is sum_ij K[i][j][k] x_i x_j.
-    Zero forms are dropped."""
+def _geodesic_forms(alg: MetricLieAlgebra) -> list[dict[tuple[int, int], RatFunc]]:
+    """The components of nabla_V V for V = sum_i x_i Xi as `_terms` dicts,
+    read off `nabla_basis` K: the k-th is sum_ij K[i][j][k] x_i x_j.  Zero
+    forms are dropped."""
     K = alg.nabla_basis
-    n = alg.dim
-    rn = range(n)
-    forms = (_form(n, (((i, j), K[i][j][k]) for i in rn for j in rn)) for k in rn)
-    return [U for U in forms if _slots(U)]
+    rn = range(alg.dim)
+    forms = (_terms(((i, j), K[i][j][k]) for i in rn for j in rn) for k in rn)
+    return [U for U in forms if U]
 
 
-def _walker_forms(alg: MetricLieAlgebra) -> list[list[list[RatFunc]]]:
-    """The null parallel conditions on V = sum_i x_i Xi as coefficient
-    matrices, read off `nabla_basis` K and `metric` G: for each i and each
+def _walker_forms(alg: MetricLieAlgebra) -> list[dict[tuple[int, int], RatFunc]]:
+    """The null parallel conditions on V = sum_i x_i Xi as `_terms` dicts,
+    read off `nabla_basis` K and `metric` G: for each i and each
     r < s the 2x2 minor (nabla_{Xi} V)_r x_s - (nabla_{Xi} V)_s x_r of the
     columns [nabla_{Xi} V, V], with (nabla_{Xi} V)_r = sum_j K[i][j][r] x_j;
     then g(V, V) = sum_pq G[p][q] x_p x_q.  Zero forms are dropped."""
@@ -473,21 +458,21 @@ def _walker_forms(alg: MetricLieAlgebra) -> list[list[list[RatFunc]]]:
     K, G = alg.nabla_basis, alg.metric
     rn = range(n)
     forms = [
-        _form(n, [((j, s), K[i][j][r]) for j in rn] + [((j, r), -K[i][j][s]) for j in rn])
+        _terms([((j, s), K[i][j][r]) for j in rn] + [((j, r), -K[i][j][s]) for j in rn])
         for i in rn for r in rn for s in range(r + 1, n)
     ]
-    forms.append(_form(n, (((p, q), G[p][q]) for p in rn for q in rn)))
-    return [U for U in forms if _slots(U)]
+    forms.append(_terms(((p, q), G[p][q]) for p in rn for q in rn))
+    return [U for U in forms if U]
 
 
 def _geodesic_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
     """The geodesic forms of `_geodesic_forms`, as printed."""
-    return [_form_polynomial(U, names) for U in _geodesic_forms(alg)]
+    return [_polynomial(names, U) for U in _geodesic_forms(alg)]
 
 
 def _walker_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
     """The Walker forms of `_walker_forms`, as printed."""
-    return [_form_polynomial(U, names) for U in _walker_forms(alg)]
+    return [_polynomial(names, U) for U in _walker_forms(alg)]
 
 
 def _grid_witness(forms: Sequence, n: int) -> list[RatFunc] | None:
@@ -498,13 +483,11 @@ def _grid_witness(forms: Sequence, n: int) -> list[RatFunc] | None:
         key=lambda p: sum(abs(x) for x in p),
     )
 
-    nonzero_slots = [(U, _slots(U)) for U in forms]
-
-    def value(U, slots, pt):  # sum_{i <= j} U[i][j] p_i p_j, with integer p_i p_j
-        return sum((U[i][j] * (pt[i] * pt[j]) for i, j in slots if pt[i] and pt[j]), ZERO)
+    def value(U, pt):  # sum_{i <= j} U[(i, j)] p_i p_j, with integer p_i p_j
+        return sum((c * (pt[i] * pt[j]) for (i, j), c in U.items() if pt[i] and pt[j]), ZERO)
 
     for pt in points:
-        if any(pt) and all(value(U, slots, pt).is_zero for U, slots in nonzero_slots):
+        if any(pt) and all(value(U, pt).is_zero for U in forms):
             return [ratfunc(Fraction(v)) for v in pt]
     return None
 
@@ -515,12 +498,11 @@ def _null_parallel_witness(forms: Sequence, names) -> tuple[
     """Decide whether the Walker forms have a nonzero common zero.
 
     Returns (witness, components) with the components of `solve_zero_set`;
-    the witness is None exactly when every component is the origin.  A unit
-    vector X_p is a witness when every form has U[p][p] = 0; the free
-    coordinates of the components are tried in order, then the grid.  When
-    the case analysis is stuck, a grid witness still decides (components
-    None).  A nontrivial component without a rational witness, or a stuck
-    analysis without a grid witness, raises CaseAnalysisIncomplete.
+    the witness is None exactly when every component is the origin, and
+    otherwise the unit vector X_p of the first free coordinate p of the
+    first nontrivial component, on which every form vanishes.  When the
+    case analysis is stuck, a grid witness still decides (components None);
+    a stuck analysis without a grid witness raises CaseAnalysisIncomplete.
     """
     n = len(names)
     try:
@@ -533,15 +515,8 @@ def _null_parallel_witness(forms: Sequence, names) -> tuple[
     nontrivial = [c for c in components if len(c) < n]
     if not nontrivial:
         return None, components
-    rn = range(n)
-    p = next((p for c in nontrivial for p in rn
-              if names[p] not in c and all(U[p][p].is_zero for U in forms)), None)
-    witness = _grid_witness(forms, n) if p is None else [ONE if q == p else ZERO for q in rn]
-    if witness is None:
-        raise CaseAnalysisIncomplete(
-            "zero set has a nontrivial component but no rational witness was found"
-        )
-    return witness, components
+    p = next(p for p in range(n) if names[p] not in nontrivial[0])
+    return [ONE if q == p else ZERO for q in range(n)], components
 
 
 def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
@@ -585,7 +560,7 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
                 f"the symbolic verdict ({found} vs {expected})"
             )
 
-    eqs = [_form_polynomial(U, names) for U in forms]
+    eqs = [_polynomial(names, U) for U in forms]
     return WalkerVerdict(verdict, witness, eqs, components, exceptional, numeric_checks)
 
 
@@ -610,13 +585,15 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
     every X; it is computed as one degree-5 polynomial identity in the
     components of X, so the verdict is exact.
 
-    Order of the contraction: A[a][b] = R(X,Xa,X,Xb) and
-    B[c][d] = (nabla_X R)(X,Xc,X,Xd) are read off the coefficient tensors
-    as one polynomial each; both indices of B are raised by g^{-1} with
-    scalar multiples only, C[a][b] = sum_cd g^{ac} g^{bd} B[c][d], one index
-    at a time; and only then are polynomials multiplied,
-    l5 = sum_ab A[a][b] C[a][b]: at most n^2 products.  Neither A nor B is
-    assumed symmetric (pair symmetry needs the Jacobi identity).
+    Order of the contraction: A[a][b] = R(X,Xa,X,Xb) (degree 2) and
+    B[c][d] = (nabla_X R)(X,Xc,X,Xd) (degree 3) are read off the
+    coefficient tensors as one `_terms` dict each; both indices of A are
+    raised by g^{-1} with scalar multiples only, one index at a time, into
+    A^{cd} = sum_ab g^{ac} g^{bd} A[a][b], and only where B[c][d] is
+    nonzero; then l5 = sum_cd A^{cd} B[c][d] is one `_terms` over the
+    concatenated monomial keys.  The sum runs over every (c, d): pair
+    symmetry of A and B needs the Jacobi identity, which a directly built
+    algebra need not satisfy.
     """
     n = alg.dim
     D = alg.cov_ricci
@@ -625,37 +602,20 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
         terms = [x for x in (D[i][j][k], D[j][k][i], D[k][i][j]) if not x.is_zero]
         if not sum(terms, ZERO).is_zero:
             violations.append((i + 1, j + 1, k + 1))
-    names = component_names(n)
     R4, DR = alg.curvature_tensor, alg.cov_curvature
-    ginv = alg.metric_inverse
+    ginv = [nonzero(row) for row in alg.metric_inverse]
     rn = range(n)
-    A = [[_polynomial(names, (((i, k), R4[i][a][k][b]) for i in rn for k in rn))
-          for b in rn] for a in rn]
-    B = [[_polynomial(names, (((m, i, k), DR[m][i][c][k][d])
-                              for m in rn for i in rn for k in rn))
-          for d in rn] for c in rn]
-
-    def combine(parts):
-        """sum w * T over (w, T), scalars times exponent -> coefficient dicts."""
-        acc: dict[tuple[int, ...], RatFunc] = {}
-        for w, T in parts:
-            if w.is_zero:
-                continue
-            for expo, x in T.items():
-                y = w * x
-                acc[expo] = acc[expo] + y if expo in acc else y
-        return acc
-
-    # E[a][d] = sum_c g^{ac} B[c][d], then C[a][b] = sum_d g^{bd} E[a][d]
-    E = [[combine((ginv[a][c], B[c][d].terms) for c in rn) for d in rn] for a in rn]
-    C = [[MultiPoly(names, combine((ginv[b][d], E[a][d]) for d in rn)) for b in rn]
-         for a in rn]
-    l5 = MultiPoly.zero(names)
-    for a in rn:
-        for b in rn:
-            if not (A[a][b].is_zero or C[a][b].is_zero):
-                l5 = l5 + A[a][b] * C[a][b]
-    return LedgerReport(not violations, violations, l5, l5.is_zero)
+    B = {(c, d): Bcd for c in rn for d in rn
+         if (Bcd := _terms(((m, i, k), DR[m][i][c][k][d]) for m in rn for i in rn for k in rn))}
+    A = [[_terms(((i, k), R4[i][a][k][b]) for i in rn for k in rn) for b in rn] for a in rn]
+    # E[a, d] = sum_b g^{bd} A[a][b], then A^{cd} = sum_a g^{ac} E[a, d]
+    E = {(a, d): _terms((key, w * x) for b, w in ginv[d] for key, x in A[a][b].items())
+         for a in rn for d in {d for _, d in B}}
+    raised = {(c, d): _terms((key, w * x) for a, w in ginv[c] for key, x in E[a, d].items())
+              for c, d in B}
+    l5 = _terms((ka + kb, x * y) for cd, Bcd in B.items()
+                for ka, x in raised[cd].items() for kb, y in Bcd.items())
+    return LedgerReport(not violations, violations, _polynomial(component_names(n), l5), not l5)
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +804,7 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     density = ratfunc(Fraction(n, 2))
     if not all(x.is_zero for plane in alg.nabla_basis for row in plane for x in row):
         entries = [((p, q), x * half) for p in range(n) for q, x in nonzero(Q[p])]
-        density = _polynomial(component_names(n), entries + [((), density)])
+        density = _polynomial(component_names(n), _terms(entries + [((), density)]))
     fams = []
     for fam in alg.harmonicity.families:
         k = len(fam.basis)

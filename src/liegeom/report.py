@@ -330,21 +330,28 @@ def full_report(
     }
 
 
+# The sections that one CLI subcommand each prints alone, in the order of the
+# CLI help: name -> (help text, section builder).
+SECTION_COMMANDS = {
+    "soliton": ("invariant Ricci soliton analysis", soliton_section),
+    "killing": ("invariant Killing fields", killing_section),
+    "geodesic": ("invariant geodesic fields", geodesic_section),
+    "walker": ("invariant null parallel line fields", walker_section),
+    "ledger": ("odd Ledger conditions of degree 3 and 5", ledger_section),
+    "harmonic": ("rough Laplacian spectrum and harmonicity", harmonic_section),
+    "energy": ("energy of the critical vector fields", energy_section),
+}
+
+
 def single_report(kind: str, alg: MetricLieAlgebra, **kwargs) -> dict:
-    builders = {
-        "soliton": lambda: soliton_section(alg, kwargs.get("convention", "paper")),
-        "killing": lambda: killing_section(alg),
-        "geodesic": lambda: geodesic_section(alg),
-        "walker": lambda: walker_section(alg),
-        "ledger": lambda: ledger_section(alg),
-        "harmonic": lambda: harmonic_section(alg),
-        "energy": lambda: energy_section(alg),
-    }
+    """The document of one `SECTION_COMMANDS` section; the keyword arguments
+    go to its builder (the soliton section takes `convention`)."""
+    _, build = SECTION_COMMANDS[kind]
     return {
         "schema": SCHEMA,
         "report": kind,
         "algebra": {"name": alg.name, "dim": alg.dim},
-        kind: builders[kind](),
+        kind: build(alg, **kwargs),
     }
 
 

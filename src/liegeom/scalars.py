@@ -7,9 +7,10 @@ polynomials (`Poly`, lowest degree first, no trailing zero coefficient)
 with coefficients in Q or in Q(eps), their quotients in canonical form
 (`RatFunc`, a coprime pair of integer polynomials in eps), and a sparse
 multivariate layer (`MultiPoly`) whose coefficients are again rational
-functions: it holds the Ledger, energy and soliton polynomials, and
-prints the quadratic conditions on a vector field that the geodesic and
-Walker analyses keep as coefficient matrices.  A `Poly` over Q is a
+functions.  The analyses build their polynomials as monomial dicts of
+`RatFunc` coefficients and turn each into a `MultiPoly` only to print it;
+the `MultiPoly` arithmetic is public API, and the algebra the test
+references build their polynomials with.  A `Poly` over Q is a
 polynomial in eps; a `Poly` over Q(eps) is one in the spectral variable of
 a characteristic polynomial.
 

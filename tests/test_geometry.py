@@ -161,18 +161,17 @@ def names3():
     return component_names(3)
 
 
-def form(n, entries):
-    """The coefficient matrix of the quadratic form sum c * x_i * x_j over
-    {(i, j): c}, i <= j; every other entry is zero."""
-    U = [[ZERO] * n for _ in range(n)]
-    for (i, j), c in entries.items():
-        U[i][j] = ratfunc(c)
+def form(entries):
+    """The quadratic form sum c * x_i * x_j over {(i, j): c} in the layout of
+    `solve_zero_set`: slots i <= j, each to a nonzero `RatFunc`."""
+    U = {ij: ratfunc(c) for ij, c in entries.items()}
+    assert all(i <= j and not c.is_zero for (i, j), c in U.items())
     return U
 
 
 def test_solve_zero_set_berger_geodesic_shape():
     two = 2 * ONE - 2 * EPS
-    forms = [form(3, {(0, 2): -two}), form(3, {(0, 1): two})]
+    forms = [form({(0, 2): -two}), form({(0, 1): two})]
     comps = solve_zero_set(forms, names3())
     assert comps == [frozenset({"a"}), frozenset({"b", "c"})]
     # branching on cross terms needs no division; the coefficient roots
@@ -181,24 +180,24 @@ def test_solve_zero_set_berger_geodesic_shape():
 
 
 def test_solve_zero_set_definite_quadratic():
-    U = form(2, {(0, 0): EPS, (1, 1): EPS})
+    U = form({(0, 0): EPS, (1, 1): EPS})
     assert solve_zero_set([U], ("a", "b")) == [frozenset({"a", "b"})]
     # the rule divides by eps, so eps = 0 is a root to re-solve at
     assert geometry._coefficient_roots([U]) == {F(0)}
 
 
 def test_solve_zero_set_single_monomial():
-    assert solve_zero_set([form(2, {(0, 0): 3})], ("a", "b")) == [frozenset({"a"})]
+    assert solve_zero_set([form({(0, 0): 3})], ("a", "b")) == [frozenset({"a"})]
 
 
 def test_solve_zero_set_indefinite_raises():
     with pytest.raises(CaseAnalysisIncomplete, match="no safe rule applies to: a\\^2-b\\^2$"):
-        solve_zero_set([form(2, {(0, 0): 1, (1, 1): -1})], ("a", "b"))
+        solve_zero_set([form({(0, 0): 1, (1, 1): -1})], ("a", "b"))
 
 
 def test_solve_zero_set_prints_the_forms_on_the_live_coordinates():
     # c^2 forces c = 0, which leaves a^2 - b^2 of the second form
-    forms = [form(3, {(2, 2): EPS}), form(3, {(0, 0): 1, (1, 1): -1, (1, 2): 2})]
+    forms = [form({(2, 2): EPS}), form({(0, 0): 1, (1, 1): -1, (1, 2): 2})]
     with pytest.raises(CaseAnalysisIncomplete) as exc:
         solve_zero_set(forms, names3())
     assert str(exc.value) == "no safe rule applies to: a^2-b^2"
@@ -298,17 +297,8 @@ RATFUNC_OPERATIONS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "
                       "__truediv__", "__rtruediv__")
 
 
-@pytest.mark.parametrize(("key", "geodesic", "walker"), [
-    ("berger", 3, 8), ("u2", 3, 10), ("heisenberg", 3, 4), ("oscillator", 3, 3),
-    ("abelian", 0, 41),
-])
-def test_case_analysis_ratfunc_operations(monkeypatch, key, geodesic, walker):
-    # with the connection, g^{-1} and the singular values built beforehand,
-    # the geodesic and Walker analyses do only the few additions of entries
-    # that share a slot, the divisions of the definite-form rule and the
-    # grid witness's evaluations
-    alg = loads(test_properties.corpus.TEXTS[key])
-    alg.nabla_basis, alg.metric_inverse, alg.singular_parameters()
+def ratfunc_operations(monkeypatch, analysis, alg) -> int:
+    """The number of `RatFunc` arithmetic operations of analysis(alg)."""
     calls = [0]
 
     def counting(op):
@@ -317,14 +307,71 @@ def test_case_analysis_ratfunc_operations(monkeypatch, key, geodesic, walker):
             return op(self, other)
         return counted
 
-    for name in RATFUNC_OPERATIONS:
-        monkeypatch.setattr(RatFunc, name, counting(getattr(RatFunc, name)))
-    counts = []
-    for analysis in (geodesic_classify, walker_check):
-        calls[0] = 0
+    with monkeypatch.context() as m:
+        for name in RATFUNC_OPERATIONS:
+            m.setattr(RatFunc, name, counting(getattr(RatFunc, name)))
         analysis(alg)
-        counts.append(calls[0])
+    return calls[0]
+
+
+@pytest.mark.parametrize(("key", "geodesic", "walker"), [
+    ("berger", 3, 8), ("u2", 3, 10), ("heisenberg", 3, 4), ("oscillator", 3, 3),
+    ("abelian", 0, 41),
+])
+def test_case_analysis_ratfunc_operations(monkeypatch, key, geodesic, walker):
+    # with the connection, g^{-1} and the singular values built beforehand,
+    # the geodesic and Walker analyses do only the few additions of entries
+    # that share a slot of a form's monomial dict, the divisions of the
+    # definite-form rule and the grid witness's evaluations
+    alg = loads(test_properties.corpus.TEXTS[key])
+    alg.nabla_basis, alg.metric_inverse, alg.singular_parameters()
+    counts = [ratfunc_operations(monkeypatch, analysis, alg)
+              for analysis in (geodesic_classify, walker_check)]
     assert counts[0] <= geodesic and counts[1] <= walker, counts
+
+
+def test_every_free_unit_vector_zeroes_every_form(corpus_alg):
+    # a component of `solve_zero_set` is a leaf of its recursion, where no
+    # form keeps a slot on the free coordinates, so each free unit vector is
+    # a common zero and the Walker witness needs no test of its own; the
+    # grid serves only a stuck analysis.  Checked on the Walker and geodesic
+    # forms of the 60 algebras of the case-analysis digest, generically and
+    # at every candidate eps.
+    algebras = [corpus_case(corpus_alg, key, seed) for key, seed in CORPUS_CASES]
+    algebras += list(test_properties.GENERATED.values())
+    checked = Counter()
+    for alg in algebras:
+        names = component_names(alg.dim)
+        for kind, forms in (("walker", geometry._walker_forms(alg)),
+                            ("geodesic", geometry._geodesic_forms(alg))):
+            candidates = geometry._coefficient_roots(forms) - set(alg.singular_parameters())
+            for case in [forms] + [geometry._at_eps(forms, eps0) for eps0 in sorted(candidates)]:
+                try:
+                    components = solve_zero_set(case, names)
+                except CaseAnalysisIncomplete:
+                    continue
+                for comp in components:
+                    for p in (p for p in range(alg.dim) if names[p] not in comp):
+                        unit = [int(q == p) for q in range(alg.dim)]
+                        assert all(sum((c * (unit[i] * unit[j]) for (i, j), c in U.items()),
+                                       ZERO).is_zero for U in case), (alg.name, kind, comp, p)
+                        checked[kind] += 1
+    # the analyses that decide today give 2 Walker and 130 geodesic vectors
+    assert checked["walker"] >= 2 and checked["geodesic"] >= 130, checked
+
+
+@pytest.mark.parametrize(("key", "before"), [
+    ("berger", 90), ("sl2r", 90), ("heisenberg", 90), ("u2", 90), ("oscillator", 0),
+    ("heisenberg-x-r", 90), ("r4", 165),
+])
+def test_ledger_ratfunc_operations(monkeypatch, key, before):
+    # with the tensors built, l5 raises both indices of A (degree 2, at most
+    # 10 monomials) where B[c][d] is nonzero, instead of B (degree 3, at most
+    # 20): the counts when B was raised are the bound, and the oscillator,
+    # whose B vanishes, stays at 0
+    alg = loads(test_properties.corpus.TEXTS[key])
+    alg.cov_ricci, alg.curvature_tensor, alg.cov_curvature, alg.metric_inverse
+    assert ratfunc_operations(monkeypatch, ledger_check, alg) <= before
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +535,25 @@ def test_harmonic_and_energy_sections_bound_their_arithmetic(monkeypatch):
 
 
 def test_analyses_multiply_no_multipolys(monkeypatch):
-    # the geodesic, Walker, harmonic and energy conditions are read off the
-    # coefficient tensors or decided on RatFunc vectors; only the Ledger l5
-    # multiplies polynomials
+    # every polynomial of a report (the soliton equations, the geodesic and
+    # Walker forms, the Ledger l5 and the energy density) is a monomial dict
+    # of RatFunc coefficients read off the tensors, and a MultiPoly is built
+    # from it only to print: no MultiPoly is added or multiplied
     calls = []
-    original = MultiPoly.__mul__
 
-    def counting(self, other):
-        calls.append(other)
-        return original(self, other)
+    def counting(name, op):
+        def counted(self, *args):
+            calls.append(name)
+            return op(self, *args)
+        return counted
 
-    monkeypatch.setattr(MultiPoly, "__mul__", counting)
-    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
-    for alg in (berger(), loads(test_properties.corpus.TEXTS["u2"])):
-        geodesic_section(alg)
-        walker_section(alg)
-        harmonic_section(alg)
-        energy_section(alg)
-    assert len(calls) == 0
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(MultiPoly, name, counting(name, getattr(MultiPoly, name)))
+    for alg in (berger(), loads(test_properties.corpus.TEXTS["u2"]),
+                loads(test_properties.corpus.TEXTS["heisenberg-x-r"])):
+        full_report(alg)
+    assert calls == []
 
 
 def test_full_report_forms_few_zero_factor_products(monkeypatch):

@@ -9,8 +9,9 @@ loops, from `connection_operators` and `brackets` alone, and the tests
 compare the two entry for entry.
 
 The same goes for the two polynomial forms built from those tensors.  The
-engine contracts g^{-1} into the coefficient tensors before it multiplies
-polynomials; the references below multiply first, as the definitions read:
+engine contracts g^{-1} into the coefficient tensors and multiplies only
+their coefficients; the references below multiply polynomials first, as the
+definitions read:
 the degree-5 Ledger polynomial as every product A[a][b] * B[c][d] scaled by
 g^{ac} g^{bd}, and the gradient form as sum g^{ij} g(nabla_{Xi} u,
 nabla_{Xj} v) of the covariant derivatives themselves.
@@ -23,8 +24,9 @@ of each definition, from `brackets`, `metric` and `metric_inverse`, with
 the curvature tensor of `reference_tensors`.
 
 The geodesic and Walker equations are read off `nabla_basis` and
-`metric` as coefficient matrices, whose layout (nothing below the
-diagonal, V^T U V the printed equation) is checked too, and the
+`metric` as sparse dicts from slot (i, j) to the coefficient of x_i x_j,
+whose layout (i <= j, no zero coefficient, the sum over the slots the
+printed equation) is checked too, and the
 harmonic-map trace flag off the symmetric trace forms built from the
 raised connection and the curvature operators; the references build them as the definitions read, on vectors of `MultiPoly`
 indeterminates: nabla_V V, the 2x2 minors of [nabla_{Xi} V, V] and g(V, V),
@@ -39,7 +41,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom.algebra import MetricLieAlgebra, bilinear
+from liegeom.algebra import MetricLieAlgebra
 from liegeom.geometry import (
     _geodesic_equations,
     _geodesic_forms,
@@ -310,13 +312,13 @@ def assert_same_forms(got, want):
 
 
 def check_form_layout(forms, equations, names):
-    """Each coefficient matrix U keeps x_i x_j at i <= j only, and V^T U V
-    on a vector of indeterminates is the printed equation."""
+    """Each form keeps x_i x_j at the slot (i, j), i <= j, only, with a
+    nonzero coefficient, and sum c * V_i * V_j over its slots on a vector of
+    indeterminates is the printed equation."""
     V = generic_vector(names)
-    n = len(names)
     for U, eq in zip(forms, equations, strict=True):
-        assert all(U[i][j].is_zero for i in range(n) for j in range(i))
-        assert bilinear(U, V, V) == eq
+        assert U and all(i <= j and not c.is_zero for (i, j), c in U.items())
+        assert sum((V[i] * V[j] * c for (i, j), c in U.items()), MultiPoly.zero(names)) == eq
 
 
 def check_conditions_against_reference(alg):
