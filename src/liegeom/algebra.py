@@ -280,8 +280,13 @@ class MetricLieAlgebra:
         """Check antisymmetry, the Jacobi identity, metric symmetry, and
         that the metric is not degenerate for every parameter value.
         Returns all violations found, empty when the data is a genuine
-        metric Lie algebra.
+        metric Lie algebra: a fresh list each time, of violations computed
+        once per algebra.
         """
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
         out: list[Violation] = []
         n = self.dim
         C, G = self.brackets, self.metric
@@ -317,11 +322,11 @@ class MetricLieAlgebra:
                     out.append(Violation(
                         "metric-symmetry", f"g[{i+1}][{j+1}] != g[{j+1}][{i+1}]"
                     ))
-        if scalar_is_zero(mat_det([list(r) for r in G])):
+        if scalar_is_zero(self.metric_det):
             out.append(Violation(
                 "metric-nondegenerate", "determinant of the metric is identically zero"
             ))
-        return out
+        return tuple(out)
 
     def singular_parameters(self) -> list[Fraction]:
         """Rational parameter values where the data stops making sense:

@@ -41,9 +41,11 @@ The conditions themselves:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .algebra import (
@@ -59,6 +61,7 @@ from .numeric import null_parallel_scan
 from .scalars import (
     ONE,
     MultiPoly,
+    PoleAtEvaluationPoint,
     RatFunc,
     ZERO,
     component_names,
@@ -475,19 +478,38 @@ def _walker_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[Mul
     return [_polynomial(names, U) for U in _walker_forms(alg)]
 
 
-def _grid_witness(forms: Sequence, n: int) -> list[RatFunc] | None:
-    """Search small integer coefficient vectors for an exact solution of
-    every form, identically in the parameter."""
-    points = sorted(
+@functools.cache
+def _grid_points(n: int) -> tuple[tuple[int, ...], ...]:
+    """The points of _WITNESS_SEQ^n by increasing 1-norm, sorted once per n."""
+    return tuple(sorted(
         itertools.product(_WITNESS_SEQ, repeat=n),
         key=lambda p: sum(abs(x) for x in p),
-    )
+    ))
+
+
+def _grid_witness(forms: Sequence, n: int) -> list[RatFunc] | None:
+    """Search small integer coefficient vectors for an exact solution of
+    every form, identically in the parameter.  Each point is screened
+    first at one rational eps0 where no coefficient has a pole, in integers
+    (a form that vanishes identically vanishes there), and only the points
+    that pass are evaluated exactly, in the same order."""
+    for k in itertools.count():  # eps0 = (101 + k)/7, the first without a pole
+        try:
+            at_eps0 = [{s: c.eval(Fraction(101 + k, 7)) for s, c in U.items()} for U in forms]
+            break
+        except PoleAtEvaluationPoint:
+            pass
+    screens = []  # each form at eps0, scaled to integer coefficients
+    for U0 in at_eps0:
+        scale = lcm(*(x.denominator for x in U0.values()))
+        screens.append([(i, j, x.numerator * (scale // x.denominator)) for (i, j), x in U0.items()])
 
     def value(U, pt):  # sum_{i <= j} U[(i, j)] p_i p_j, with integer p_i p_j
         return sum((c * (pt[i] * pt[j]) for (i, j), c in U.items() if pt[i] and pt[j]), ZERO)
 
-    for pt in points:
-        if any(pt) and all(value(U, pt).is_zero for U in forms):
+    for pt in _grid_points(n):
+        if (any(pt) and all(sum(c * pt[i] * pt[j] for i, j, c in S) == 0 for S in screens)
+                and all(value(U, pt).is_zero for U in forms)):
             return [ratfunc(Fraction(v)) for v in pt]
     return None
 
@@ -527,9 +549,11 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
     minors plus the null condition, generically and at every candidate
     parameter value, with one decision routine.  An independent numeric
     route (`numeric.null_parallel_scan`, from the joint eigenspaces of the
-    float connection operators) must agree at every sample parameter value
-    where the metric is indefinite, in any dimension; otherwise
-    CaseAnalysisIncomplete is raised rather than reporting either answer.
+    float connection operators) decides all the sample parameter values
+    that are not singular in one batched call; it must agree at every one
+    where the metric is indefinite, in any dimension.  Otherwise
+    CaseAnalysisIncomplete names the first value that disagrees, rather
+    than reporting either answer.
     """
     names = component_names(alg.dim)
     forms = _walker_forms(alg)
@@ -546,10 +570,8 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
 
     numeric_checks: list[tuple[Fraction, bool]] = []
     override = {eps0: v for eps0, v, _ in exceptional}
-    for eps0 in _NUMERIC_EPS_CANDIDATES:
-        if eps0 in singular:
-            continue
-        found = null_parallel_scan(alg, eps0)
+    samples = [eps0 for eps0 in _NUMERIC_EPS_CANDIDATES if eps0 not in singular]
+    for eps0, found in zip(samples, null_parallel_scan(alg, samples)):
         if found is None:
             continue
         expected = override.get(eps0, verdict)

@@ -1,4 +1,4 @@
-"""Floating-point evaluation at a fixed parameter value.
+"""Floating-point evaluation at fixed parameter values.
 
 This is the one module where floats and orthonormal frames exist.  It
 rebuilds the geometry from the specialized structure constants with numpy,
@@ -7,22 +7,23 @@ genuinely separate route to every number: agreement between the float
 route and the exact engine evaluated at the same parameter is a
 two-implementation check, not a tautology.
 
-Two entry points share the specialization and the Koszul formula:
+Two entry points share the specialization (every entry the correctly
+rounded float of its exact value) and the Koszul formula, both over a
+leading axis of parameter values:
 
-* `evaluate_numeric` builds the whole model (connection, curvature, Ricci,
-  Laplacian) through an orthonormal frame.  The frame keeps the basis order
-  when the metric is already diagonal and otherwise comes from a symmetric
-  eigendecomposition; its signs determine the reported signature.
-* `null_parallel_scan` decides whether the slice has a null parallel line
-  (the numeric cross-check of `geometry.walker_check`, in any dimension).
-  It needs only the metric and the connection operators, and it decides
-  from the joint eigenspaces of those operators, not by sampling the null
-  cone.
+* `evaluate_numeric` builds the whole model at one value (connection,
+  curvature, Ricci, Laplacian) through an orthonormal frame.  The frame
+  keeps the basis order when the metric is already diagonal and otherwise
+  comes from a symmetric eigendecomposition; its signs determine the
+  reported signature.
+* `null_parallel_scan` decides, for a list of values in one batched pass,
+  whether each slice has a null parallel line (the numeric cross-check of
+  `geometry.walker_check`, in any dimension), from the joint eigenspaces
+  of the connection operators, not by sampling the null cone.
 
-Both refuse parameter values where the metric degenerates (the determinant
-is checked exactly, before any float geometry is built).  numpy is imported
-inside the functions that compute, so importing the package, and every
-exact analysis, never loads it.
+Both refuse parameter values where the metric degenerates, tested exactly
+before any float is computed.  numpy is imported inside the functions that
+compute, so importing the package, and every exact analysis, never loads it.
 """
 
 from __future__ import annotations
@@ -99,36 +100,37 @@ class NumericModel:
         return self.dim / 2 + self.grad_norm_sq(coords) / 2
 
 
-def _brackets_at(alg: MetricLieAlgebra, eps0: Fraction):
-    """The structure constants C[i, j, k] at eps0, in floats."""
+def _specialize(alg: MetricLieAlgebra, eps_values):
+    """The brackets C[e, i, j, k] and the metric G[e, i, j] at each
+    eps_values[e], every entry the correctly rounded float of its exact
+    value (`RatFunc.eval_float`), each distinct entry evaluated once."""
     import numpy as np
 
-    return np.array(
-        [[[0.0 if c.is_zero else float(c.eval(eps0)) for c in row] for row in plane]
-         for plane in alg.brackets]
-    )
+    n, values = alg.dim, {}  # nonzero entry -> its floats at eps_values
 
+    def at(entries, *shape):
+        out = np.zeros((len(entries), len(eps_values)))
+        for p, f in enumerate(entries):
+            if not f.is_zero:
+                if f not in values:
+                    values[f] = [f.eval_float(x) for x in eps_values]
+                out[p] = values[f]
+        return out.T.reshape(len(eps_values), *shape)
 
-def _metric_at(alg: MetricLieAlgebra, eps0: Fraction):
-    """The exact metric rows and the float metric at eps0; raises
-    SingularMetricAtPoint where the metric degenerates."""
-    import numpy as np
-
-    G_exact = [[0 if x.is_zero else x.eval(eps0) for x in row] for row in alg.metric]
-    if alg.metric_det.eval(eps0) == 0:
-        raise SingularMetricAtPoint(f"metric of {alg.name} degenerates at eps={eps0}")
-    return G_exact, np.array(G_exact, dtype=float)
+    return (at([c for plane in alg.brackets for row in plane for c in row], n, n, n),
+            at([x for row in alg.metric for x in row], n, n))
 
 
 def _koszul(C, G, Ginv):
-    """The Koszul formula in floats: K[i, j, k] with nabla_{Xi} Xj =
-    sum_k K[i,j,k] Xk, and ops[i], the matrix of nabla_{Xi}."""
+    """The Koszul formula in floats, over any leading axes: K[..., i, j, k]
+    with nabla_{Xi} Xj = sum_k K[..., i,j,k] Xk, and ops[..., i], the matrix
+    of nabla_{Xi}."""
     import numpy as np
 
-    CG = C @ G  # CG[i, j, k] = g([Xi, Xj], Xk)
-    rhs = CG - np.einsum("jki->ijk", CG) + np.einsum("kij->ijk", CG)
-    K = 0.5 * np.einsum("km,ijm->ijk", Ginv, rhs)
-    ops = np.ascontiguousarray(K.transpose(0, 2, 1))  # ops[i][r][c] = K[i, c, r]
+    CG = C @ G[..., None, :, :]  # CG[..., i, j, k] = g([Xi, Xj], Xk)
+    rhs = CG - np.einsum("...jki->...ijk", CG) + np.einsum("...kij->...ijk", CG)
+    K = 0.5 * np.einsum("...km,...ijm->...ijk", Ginv, rhs)
+    ops = np.ascontiguousarray(np.swapaxes(K, -1, -2))  # ops[..., i, r, c] = K[..., i, c, r]
     return K, ops
 
 
@@ -137,15 +139,17 @@ def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
     import numpy as np
 
     eps0 = Fraction(eps0)
-    C = _brackets_at(alg, eps0)
-    G_exact, G = _metric_at(alg, eps0)
+    if alg.metric_det.eval(eps0) == 0:
+        raise SingularMetricAtPoint(f"metric of {alg.name} degenerates at eps={eps0}")
+    C, G = (x[0] for x in _specialize(alg, [eps0]))
     n = alg.dim
     Ginv = np.linalg.inv(G)
 
-    # orthonormal frame: keep the basis order for a diagonal metric
-    if all(G_exact[i][j] == 0 for i in range(n) for j in range(n) if i != j):
-        signs = tuple(1 if G_exact[i][i] > 0 else -1 for i in range(n))
-        E = np.diag([1.0 / math.sqrt(abs(float(G_exact[i][i]))) for i in range(n)])
+    # orthonormal frame: keep the basis order for a diagonal metric (a float
+    # entry is zero, or positive, exactly when its exact value is)
+    if not np.any(G - np.diag(np.diag(G))):
+        signs = tuple(1 if G[i, i] > 0 else -1 for i in range(n))
+        E = np.diag([1.0 / math.sqrt(abs(G[i, i])) for i in range(n)])
     else:
         w, U = np.linalg.eigh(G)
         if np.min(np.abs(w)) < _FRAME_TOL:
@@ -181,131 +185,123 @@ def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
     frame_ricci = E.T @ ricci @ E
 
     return NumericModel(
-        eps=eps0,
-        dim=n,
-        signs=signs,
-        signature=_signature_name(signs),
-        brackets=C,
-        metric=G,
-        metric_inv=Ginv,
-        frame=E,
-        nabla=K,
-        connection_ops=ops,
-        curvature=R4,
-        ricci=ricci,
-        scalar_curvature=scal,
-        laplacian=lap,
-        laplacian_eigenvalues=eigenvalues,
-        frame_curvature=frame_R4,
-        frame_ricci=frame_ricci,
+        eps=eps0, dim=n, signs=signs, signature=_signature_name(signs),
+        brackets=C, metric=G, metric_inv=Ginv, frame=E, nabla=K, connection_ops=ops,
+        curvature=R4, ricci=ricci, scalar_curvature=scal,
+        laplacian=lap, laplacian_eigenvalues=eigenvalues,
+        frame_curvature=frame_R4, frame_ricci=frame_ricci,
     )
 
 
-def _null_rows(M, scale: float):
-    """Orthonormal rows spanning the null space of M, up to _NULL_TOL * scale."""
-    import numpy as np
+def null_parallel_scan(alg: MetricLieAlgebra, eps_values) -> list[bool | None]:
+    """Whether the specialization at each of eps_values has a null vector
+    spanning a parallel line, in any dimension: one answer per value.
 
-    _, s, Vt = np.linalg.svd(M)
-    return Vt[np.count_nonzero(s > _NULL_TOL * scale):]
-
-
-def _invariant_part(B, ops, scale: float):
-    """The largest subspace of span(B) that every operator maps into
-    itself, as orthonormal columns (B has orthonormal columns)."""
-    import numpy as np
-
-    while B.shape[1]:
-        outside = np.eye(len(B)) - B @ B.T
-        keep = _null_rows((outside @ ops @ B).reshape(-1, B.shape[1]), scale)
-        if len(keep) == B.shape[1]:
-            break
-        B = B @ keep.T
-    return B
-
-
-def _real_eigenspaces(M, scale: float):
-    """Orthonormal bases of the real eigenspaces of the square matrix M, as
-    columns.  Computed eigenvalues within _CLUSTER_TOL * scale of each other
-    count as one, taken at their mean; a cluster whose mean is not real has
-    no real eigenvector."""
-    import numpy as np
-
-    cluster_tol = _CLUSTER_TOL * scale
-    clusters: list[list[complex]] = []
-    for z in np.linalg.eigvals(M):
-        for c in clusters:
-            if abs(z - c[0]) < cluster_tol:
-                c.append(z)
-                break
-        else:
-            clusters.append([z])
-    spaces = []
-    for c in clusters:
-        mu = sum(c) / len(c)
-        if abs(mu.imag) < cluster_tol:
-            null = _null_rows(M - mu.real * np.eye(len(M)), scale)
-            if len(null):
-                spaces.append(null.T)
-    return spaces
-
-
-def null_parallel_scan(alg: MetricLieAlgebra, eps0) -> bool | None:
-    """Whether the specialization at eps0 has a null vector spanning a
-    parallel line, in any dimension.
-
-    Returns None where the question does not apply: the metric degenerates
-    at eps0, or it is definite (no null vector at all).  Otherwise a null
-    parallel line is a null common eigenvector of the connection operators
-    A_i = nabla_{Xi}, found from their joint eigenspaces.  The work list
-    starts with W = R^n and holds only subspaces that every A_i maps into
-    themselves.  For each W on it:
-
-    1. if every A_i acts on W as a scalar, every vector of W spans a
-       parallel line, and the answer is yes exactly when g restricted to W
-       is indefinite or degenerate;
-    2. otherwise W is split into the real eigenspaces of a random
-       combination of the restricted operators, and each eigenspace E is
-       shrunk to its largest invariant subspace (repeatedly, to the
-       vectors v with A_i v in E for every i) before it is listed.
-
-    The coefficients are drawn afresh for every split, from a generator
-    with a fixed seed: a combination used twice is scalar on every subspace
-    of one of its own eigenspaces, so a second split by it could not make
-    progress.  A common eigenvector lies in an eigenspace of every
-    combination, and a line that A_i preserves survives every shrink, so
-    no candidate is lost.
+    None where the metric degenerates (tested exactly) or is definite.
+    Otherwise a null parallel line is a null common eigenvector of the
+    connection operators A_i = nabla_{Xi}.  One pass serves every value:
+    one specialization, one batched `eigh` of g (definiteness and g^-1), one
+    batched Koszul, and one work list of subspaces W, from W = R^n at each
+    indefinite value, taken by dimension, largest first, each step one
+    batched call over the stack of that dimension.  An invariant W on which
+    every A_i is scalar answers yes iff g restricted to W is indefinite or
+    degenerate.  Any other is split into the real eigenspaces of a random
+    combination of the restricted A_i (eigenvalues within _CLUSTER_TOL are
+    one, at their mean), each shrunk to its largest invariant subspace;
+    every split draws fresh seeded coefficients, since a combination used
+    twice could not split further.  A line v is decided directly: invariant
+    iff the stacked residual |(I - v v^T) A_i v| is at most _NULL_TOL times
+    the largest entry of the A_i, null iff |g(v, v)| is at most _NULL_TOL
+    times the largest |eigenvalue| of g.  A common eigenvector lies in an
+    eigenspace of every combination and survives every shrink.
     """
     import numpy as np
 
-    eps0 = Fraction(eps0)
-    try:
-        _, G = _metric_at(alg, eps0)
-    except SingularMetricAtPoint:
-        return None
-    g_vals = np.linalg.eigvalsh(G)
-    if g_vals[0] > 0 or g_vals[-1] < 0:
-        return None
-    _, ops = _koszul(_brackets_at(alg, eps0), G, np.linalg.inv(G))
-    scale = max(1.0, float(abs(ops).max()))
-    g_tol = _NULL_TOL * float(abs(g_vals).max())
-    rng = random.Random(_MIX_SEED)
+    eps_values = [Fraction(x) for x in eps_values]
+    live = [e for e, x in enumerate(eps_values) if alg.metric_det.eval(x) != 0]
+    C, G = _specialize(alg, [eps_values[e] for e in live])
+    g_vals, U = np.linalg.eigh(G)
+    indefinite = (g_vals[:, 0] <= 0) & (g_vals[:, -1] >= 0)
+    live = [e for e, keep in zip(live, indefinite) if keep]
+    if not live:
+        return [None] * len(eps_values)
+    G, g_vals, U = G[indefinite], g_vals[indefinite], U[indefinite]
+    _, ops = _koszul(C[indefinite], G, (U / g_vals[:, None]) @ np.swapaxes(U, 1, 2))
+    scale = np.maximum(1.0, abs(ops).max(axis=(1, 2, 3)))
+    g_tol = _NULL_TOL * abs(g_vals).max(axis=1)
+    found = np.zeros(len(live), dtype=bool)
+    n, rng = alg.dim, random.Random(_MIX_SEED)
+    # by dimension k, chunks (value indices, n x k bases): subspaces every A_i
+    # maps into themselves, and subspaces to shrink (lines to test)
+    invariant = {n: [(np.arange(len(live)), np.repeat(np.eye(n)[None], len(live), axis=0))]}
+    shrink: dict[int, list] = {}
 
-    todo = [np.eye(alg.dim)]
-    while todo:
-        B = todo.pop()
-        k = B.shape[1]
-        if k == 0:
+    while invariant or shrink:
+        k = max([*invariant, *shrink])
+        if k in shrink:
+            idx, B = (np.concatenate(parts) for parts in zip(*shrink.pop(k)))
+            if k == 1:
+                v = B[..., 0]
+                Av = np.einsum("eirc,ec->eir", ops[idx], v)
+                residual = Av - np.einsum("eir,er->ei", Av, v)[..., None] * v[:, None]
+                stays = np.sqrt((residual ** 2).sum(axis=(1, 2))) <= _NULL_TOL * scale[idx]
+                null = abs(np.einsum("er,erc,ec->e", v, G[idx], v)) <= g_tol[idx]
+                found[idx[stays & null]] = True
+            else:
+                outside = np.eye(n) - B @ np.swapaxes(B, 1, 2)
+                M = (outside[:, None] @ ops[idx] @ B[:, None]).reshape(len(idx), -1, k)
+                for d, chunk in _null_parts(M, idx, B, scale).items():
+                    (invariant if d == k else shrink).setdefault(d, []).append(chunk)
+        if k not in invariant:
             continue
-        restricted = B.T @ ops @ B
-        traces = np.trace(restricted, axis1=1, axis2=2)
-        deviation = restricted - traces[:, None, None] / k * np.eye(k)
-        if abs(deviation).max() < _NULL_TOL * scale:
-            g_W = np.linalg.eigvalsh(B.T @ G @ B)
-            if g_W[0] <= g_tol and g_W[-1] >= -g_tol:
-                return True
-            continue
-        coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in restricted])
-        mix = np.einsum("i,ijk->jk", coeffs, restricted)
-        for E in _real_eigenspaces(mix, scale):
-            todo.append(_invariant_part(B @ E, ops, scale))
-    return False
+        idx, B = (np.concatenate(parts) for parts in zip(*invariant.pop(k)))
+        Bt = np.swapaxes(B, 1, 2)
+        R = Bt[:, None] @ ops[idx] @ B[:, None]
+        trace = np.trace(R, axis1=2, axis2=3)
+        deviation = abs(R - trace[..., None, None] / k * np.eye(k)).max(axis=(1, 2, 3))
+        scalar = deviation < _NULL_TOL * scale[idx]
+        if scalar.any():
+            e = idx[scalar]
+            g_W = np.linalg.eigvalsh((Bt @ G[idx] @ B)[scalar])
+            found[e[(g_W[:, 0] <= g_tol[e]) & (g_W[:, -1] >= -g_tol[e])]] = True
+        split = ~scalar & ~found[idx]
+        if split.any():
+            _split(idx[split], B[split], R[split], rng, scale, shrink)
+    verdicts = dict(zip(live, found.tolist()))
+    return [verdicts.get(e) for e in range(len(eps_values))]
+
+
+def _null_parts(M, idx, B, scale) -> dict:
+    """B[j] times an orthonormal basis of the null space of M[j], up to
+    _NULL_TOL * scale[idx[j]], for each j, as chunks by dimension."""
+    import numpy as np
+
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)
+    rank, k = np.count_nonzero(s > _NULL_TOL * scale[idx, None], axis=1), M.shape[-1]
+    return {k - r: (idx[rank == r], B[rank == r] @ np.swapaxes(Vt[rank == r, r:], 1, 2))
+            for r in sorted(set(rank.tolist()) - {k})}
+
+
+def _split(idx, B, R, rng, scale, shrink) -> None:
+    """List in `shrink`, by dimension, the real eigenspaces in each subspace
+    B[j] (of value idx[j]) of a random combination of its operators R[j]."""
+    import numpy as np
+
+    coeffs = np.array([[rng.uniform(-1.0, 1.0) for _ in range(R.shape[1])] for _ in idx])
+    mix = np.einsum("ei,eirc->erc", coeffs, R)
+    real = []  # (j, mean) of each real cluster of eigenvalues of mix[j]
+    for j, (values, x) in enumerate(zip(np.linalg.eigvals(mix).tolist(), scale[idx].tolist())):
+        cluster_tol = _CLUSTER_TOL * x
+        clusters: dict[int, list[int]] = {}  # first member -> members
+        for a, z in enumerate(values):
+            first = next((b for b in clusters if abs(z - values[b]) < cluster_tol), a)
+            clusters.setdefault(first, []).append(a)
+        for c in clusters.values():
+            mu = complex(sum(values[a] for a in c) / len(c))
+            if abs(mu.imag) < cluster_tol:
+                real.append((j, mu.real))
+    if real:  # the null spaces of mix - mu I
+        j, mu = np.array([j for j, _ in real]), np.array([mu for _, mu in real])
+        M = mix[j] - mu[:, None, None] * np.eye(mix.shape[-1])
+        for d, chunk in _null_parts(M, idx[j], B[j], scale).items():
+            shrink.setdefault(d, []).append(chunk)

@@ -732,8 +732,8 @@ class RatFunc:
             num, den = _zneg(num), _zneg(den)
         return _ratfunc(num, den)
 
-    def eval(self, x: Fraction) -> Fraction:
-        x = _fraction(x)
+    def _eval_ints(self, x: Fraction) -> tuple[int, int]:
+        """Integers (a, b) with a / b the value at x."""
         p, q = x.numerator, x.denominator
         dv = _zhomogeneous(self._d, p, q)
         if dv == 0:
@@ -742,8 +742,18 @@ class RatFunc:
         nv = _zhomogeneous(self._n, p, q)
         shift = len(self._d) - len(self._n)
         if shift >= 0:
-            return Fraction(nv * q**shift, dv)
-        return Fraction(nv, dv * q**-shift)
+            return nv * q**shift, dv
+        return nv, dv * q**-shift
+
+    def eval(self, x: Fraction) -> Fraction:
+        return Fraction(*self._eval_ints(_fraction(x)))
+
+    def eval_float(self, x: Fraction) -> float:
+        """float(self.eval(x)) without the Fraction: one int/int division,
+        which Python rounds correctly (over a positive divisor, so that a
+        zero is +0.0)."""
+        a, b = self._eval_ints(_fraction(x))
+        return a / b if b > 0 else -a / -b
 
     def __str__(self) -> str:
         if len(self._d) == 1:

@@ -38,6 +38,10 @@ def test_jacobi_violation_detected():
     assert [str(v) for v in alg.validate()] == [
         "jacobi: cyclic bracket sum on (X1,X2,X3) has nonzero X1 component 2",
     ]
+    # the violations are computed once, and each call hands out a fresh list
+    first = alg.validate()
+    first.clear()
+    assert len(alg.validate()) == 1 and alg.validate() is not alg.validate()
 
 
 def test_jacobi_violation_messages_4d():

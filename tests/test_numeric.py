@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from liegeom.algebra import MetricLieAlgebra
-from liegeom.geometry import rough_laplacian
+from liegeom.geometry import rough_laplacian, walker_check
 from liegeom.numeric import SingularMetricAtPoint, evaluate_numeric, null_parallel_scan
 from liegeom.scalars import EPS, ONE, ZERO
 
@@ -76,18 +76,46 @@ def test_signature_names(abelian_alg):
 
 
 def test_null_parallel_scan(berger_alg, abelian_alg, corpus_alg):
+    def scan(alg, *eps_values):
+        return null_parallel_scan(alg, [F(x) for x in eps_values])
+
     # flat abelian factor: every null direction is parallel
-    assert null_parallel_scan(abelian_alg, F(5)) is True
-    assert null_parallel_scan(neutral_abelian(), F(1)) is True
-    assert null_parallel_scan(berger_alg, F(-1)) is False
+    assert scan(abelian_alg, 5) == [True]
+    assert scan(neutral_abelian(), 1) == [True]
     # the oscillator's central X3 is null and parallel; Heisenberg x R has
     # null vectors but no parallel one
-    assert null_parallel_scan(corpus_alg("oscillator"), F(1)) is True
-    assert null_parallel_scan(corpus_alg("heisenberg-x-r"), F(1)) is False
-    # undefined where the metric is definite or degenerate
-    assert null_parallel_scan(berger_alg, F(2)) is None
-    assert null_parallel_scan(corpus_alg("u2"), F(2)) is None
-    assert null_parallel_scan(berger_alg, F(0)) is None
+    assert scan(corpus_alg("oscillator"), 1) == [True]
+    assert scan(corpus_alg("heisenberg-x-r"), 1) == [False]
+    # undefined where the metric is definite or degenerate; one call takes
+    # the values together and answers each in order
+    assert scan(berger_alg, 2, -1, 0, -2) == [None, False, None, False]
+    assert scan(corpus_alg("u2"), 2) == [None]
+    assert scan(berger_alg) == []
+
+
+@pytest.mark.parametrize(("key", "bound"), [
+    ("berger", 3), ("abelian", 3), ("sl2r", 3), ("e2", 3), ("heisenberg", 3),
+    ("u2", 4), ("oscillator", 4), ("heisenberg-x-r", 4),
+])
+def test_walker_check_linalg_calls(monkeypatch, corpus_alg, key, bound):
+    # the cross-check decides all sample eps in one pass of batched calls:
+    # eigh of the metrics (definiteness and g^-1), then one call per stack.
+    # One call per value and subspace took 20, 24, 32, 23, 32, 26, 56 and 68
+    alg = corpus_alg(key)
+    calls = [0]
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counting(fn))
+    walker_check(alg)
+    assert 0 < calls[0] <= bound, calls[0]
 
 
 def test_numeric_matches_exact_specialization(berger_alg):

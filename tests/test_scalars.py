@@ -191,6 +191,19 @@ def test_ratfunc_eval_and_poles():
         f.eval(Fraction(0))
 
 
+def test_ratfunc_eval_float_is_the_rounded_exact_value():
+    # one correctly rounded division, and a zero over a negative
+    # denominator value is +0.0, as float(Fraction) gives
+    cases = [("(-4+4*eps-2*eps^2)/eps", Fraction(1, 3)), ("1/(3*eps^5-7)", Fraction(-22, 7)),
+             ("(eps+1)/(eps-2)", Fraction(-1)), ("eps^9/(eps+1)", Fraction(10**6, 3))]
+    for text, x in cases:
+        f = parse_scalar(text)
+        assert f.eval_float(x).hex() == float(f.eval(x)).hex(), text
+    assert parse_scalar("(eps+1)/(eps-2)").eval_float(Fraction(-1)).hex() == "0x0.0p+0"
+    with pytest.raises(PoleAtEvaluationPoint):
+        parse_scalar("(-4+4*eps-2*eps^2)/eps").eval_float(Fraction(0))
+
+
 def test_ratfunc_field_axioms_spot():
     f = parse_scalar("(2-2*eps+eps^2)/eps")
     g = parse_scalar("4-2*eps")
