@@ -14,7 +14,7 @@ Conventions used throughout:
       2 g(nabla_x y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y)
   * curvature operator R(x,y) = nabla_{[x,y]} - [nabla_x, nabla_y]
   * covariant 4-tensor R(x,y,z,w) = g(R(x,y)z, w)
-  * Ricci by the metric trace ric(x,y) = sum g^{kl} R(x, Xk, y, Xl)
+  * Ricci by the trace ric(x,y) = tr(z -> R(x,z)y) = sum g^{kl} R(x, Xk, y, Xl)
 
 The sign pattern of the curvature convention makes the unit round sphere
 come out Einstein with ric = 2g, which is the normalization every golden
@@ -398,8 +398,8 @@ class MetricLieAlgebra:
     @cached_property
     def _nabla_dual(self) -> list[list[list[RatFunc]]]:
         """M[j][p] = coordinates of nabla_{X^j} Xp = sum_i g^{ij} K[i][p],
-        along the dual basis X^j = sum_i g^{ij} Xi: the rough Laplacian, the
-        gradient form and the harmonic-map trace all read g^{-1} here."""
+        along the dual basis X^j = sum_i g^{ij} Xi: the rough Laplacian (and
+        through it the energy) and the harmonic-map trace read g^{-1} here."""
         n = self.dim
         M = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
         for i, grow in enumerate(self.metric_inverse):
@@ -488,18 +488,20 @@ class MetricLieAlgebra:
 
     @cached_property
     def ricci(self) -> list[list[RatFunc]]:
-        """ric[i][j] = sum_{k,l} g^{kl} R4[i][k][j][l]."""
-        n = self.dim
-        R4 = self.curvature_tensor
-        gnz = [(k, l, w) for k in range(n) for l, w in nonzero(self.metric_inverse[k])]
-        out = zeros(n)
-        for i in range(n):
-            for j in range(n):
-                acc = ZERO
-                for k, l, w in gnz:
-                    if not R4[i][k][j][l].is_zero:
-                        acc = acc + w * R4[i][k][j][l]
-                out[i][j] = acc
+        """ric[i][j] = sum_k (R(Xi, Xk) Xj)_k, the trace of Z -> R(Xi, Z) Xj.
+
+        This is the metric trace sum_{k,l} g^{kl} g(R(Xi, Xk) Xj, Xl): g^{-1}
+        cancels the lowering by g.  Each R(Xa, Xb), a < b, of
+        `_curvature_operators` adds its row b to row a of ric (k = b), and
+        as R(Xb, Xa) = -R(Xa, Xb) subtracts its row a from row b (k = a).
+        Neither g^{-1} nor `curvature_tensor` is read, and the Jacobi
+        identity is not used."""
+        out = zeros(self.dim)
+        for (a, b), op in self._curvature_operators.items():
+            for j, x in nonzero(op[b]):
+                out[a][j] = out[a][j] + x
+            for j, x in nonzero(op[a]):
+                out[b][j] = out[b][j] - x
         return out
 
     @cached_property

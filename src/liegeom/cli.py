@@ -119,10 +119,10 @@ def main(argv=None) -> int:
             doc = single_report(args.command, alg)
         else:  # pragma: no cover - argparse restricts the choices
             parser.error(f"unknown command {args.command!r}")
-    except (ParseError, ValidationFailed, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
+        ParseError,
+        ValidationFailed,
+        OSError,
         SingularMetricAtPoint,
         PoleAtEvaluationPoint,
         DivisionByZeroFunction,

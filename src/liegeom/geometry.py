@@ -36,7 +36,10 @@ The conditions themselves:
     and the degree-5 contraction
       sum g^{ac} g^{bd} R(X,Xa,X,Xb) (nabla_X R)(X,Xc,X,Xd) = 0 for all X
   * critical vector fields of the energy functional: eigenvectors of the
-    rough Laplacian sum g^{ij} (nabla_i nabla_j - nabla_{nabla_i Xj})
+    rough Laplacian L = sum g^{ij} (nabla_i nabla_j - nabla_{nabla_i Xj});
+    every nabla_X is g-skew, so |nabla V|^2 = -g(LV, V), and on a critical
+    family with eigenvalue lam that is not null the energy is
+    E(V) = n/2 - (lam/2) g(V, V)
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .algebra import (
     add_product,
     add_scaled,
     bilinear,
+    mat_mul,
     nonzero,
     vector_str,
     zeros,
@@ -249,9 +253,9 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
             continue
         lam0 = res.particular[n]
         coords = res.particular[:n]
-        spec = alg.at_eps(eps0)
+        # eps0 is not singular, so no entry of ric or g has a pole there
         einstein = all(
-            spec.ricci[i][j] == _product(lam0, spec.metric[i][j])
+            ric[i][j].eval(eps0) == lam0 * G[i][j].eval(eps0)
             for i in range(n) for j in range(n)
         )
         kind = "einstein" if einstein else "soliton"
@@ -466,16 +470,6 @@ def _walker_forms(alg: MetricLieAlgebra) -> list[dict[tuple[int, int], RatFunc]]
     ]
     forms.append(_terms(((p, q), G[p][q]) for p in rn for q in rn))
     return [U for U in forms if U]
-
-
-def _geodesic_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
-    """The geodesic forms of `_geodesic_forms`, as printed."""
-    return [_polynomial(names, U) for U in _geodesic_forms(alg)]
-
-
-def _walker_equations(alg: MetricLieAlgebra, names: tuple[str, ...]) -> list[MultiPoly]:
-    """The Walker forms of `_walker_forms`, as printed."""
-    return [_polynomial(names, U) for U in _walker_forms(alg)]
 
 
 @functools.cache
@@ -771,36 +765,14 @@ class EnergyReport:
     families: list[FamilyEnergy]
 
 
-def _gradient_form(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
-    """Q[p][q] = sum_ij g^{ij} g(nabla_{Xi} Xp, nabla_{Xj} Xq), the symmetric
-    form with |nabla V|^2 = sum_pq Q[p][q] V_p V_q for invariant V.
-
-    The sum over i is the raised connection M = `_nabla_dual`: Q[p][q] =
-    sum_jl M[j][p][l] Kl[j][q][l] with Kl = `_nabla_lowered`, over nonzero
-    factors only.  Only p <= q is computed; g and g^{-1} are symmetric, so
-    Q is too.
-    """
-    n = alg.dim
-    Kl = alg._nabla_lowered
-    M = [[nonzero(v) for v in plane] for plane in alg._nabla_dual]
-    rn = range(n)
-    Q = zeros(n)
-    for p in rn:
-        for q in range(p, n):
-            acc = ZERO
-            for j in rn:
-                for l, x in M[j][p]:
-                    if not Kl[j][q][l].is_zero:
-                        acc = acc + x * Kl[j][q][l]
-            Q[p][q] = Q[q][p] = acc
-    return Q
-
-
 def grad_norm_sq(alg: MetricLieAlgebra, V: Sequence):
     """sum_ij g^{ij} g(nabla_{Xi} V, nabla_{Xj} V), the vertical energy, as
-    V^T Q V with Q the gradient form of `_gradient_form`.  The components
-    of V may be `RatFunc`s or `MultiPoly`s."""
-    return bilinear(_gradient_form(alg), V, V)
+    -g(LV, V) = -V^T (G L) V with L the rough Laplacian.  Every nabla_X is
+    g-skew, so g(nabla_{Xj} V, nabla_{Xi} V) = -g(nabla_{Xi} nabla_{Xj} V, V),
+    and the term -nabla_H of L, H = sum_ij g^{ij} nabla_{Xi} Xj, adds
+    g(nabla_H V, V) = 0.  The components of V may be `RatFunc`s or
+    `MultiPoly`s."""
+    return -bilinear(mat_mul(alg.metric, rough_laplacian(alg)), V, V)
 
 
 def energy_density(alg: MetricLieAlgebra, V: Sequence):
@@ -810,39 +782,36 @@ def energy_density(alg: MetricLieAlgebra, V: Sequence):
 
 
 def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
-    """Energy along each critical family, reduced against the squared
-    length when the gradient form is proportional to the induced metric.
+    """Energy along each critical family: n/2 - (lam/2) rho^2.
 
-    The gradient form Q of `_gradient_form` is computed once.  The generic
-    density n/2 + (1/2) sum_pq Q[p][q] V_p V_q is built from its entries as
-    one polynomial.  On a family spanned by eigenvectors u_a the gradient
-    Gram matrix is u_a^T Q u_b, and the identity checked is
-    grad Gram = c * Gram; when it holds the energy of a member of signed
-    squared length rho^2 is n/2 + (c/2) rho^2.
+    With |nabla V|^2 = -g(LV, V) (see `grad_norm_sq`) and L the rough
+    Laplacian of `alg.harmonicity`, the generic density
+    n/2 - (1/2) sum_pq GL[p][q] V_p V_q, GL = G L, is built from the entries
+    of GL as one polynomial; (p, q) and (q, p) meet at one sorted slot.  A
+    family is an eigenspace of L with eigenvalue lam, so its gradient Gram
+    matrix is -lam times its Gram matrix, and a member of signed squared
+    length rho^2 = g(V, V) has energy n/2 - (lam/2) rho^2.  On a null family
+    (every Gram entry zero) the energy is n/2 and says nothing about lam:
+    its rho^2 coefficient is None.
     """
     n = alg.dim
     half = Fraction(1, 2)
-    Q = _gradient_form(alg)
     density = ratfunc(Fraction(n, 2))
     if not all(x.is_zero for plane in alg.nabla_basis for row in plane for x in row):
-        entries = [((p, q), x * half) for p in range(n) for q, x in nonzero(Q[p])]
+        GL = mat_mul(alg.metric, alg.harmonicity.laplacian)
+        entries = [((p, q), x * -half) for p in range(n) for q, x in nonzero(GL[p])]
         density = _polynomial(component_names(n), _terms(entries + [((), density)]))
     fams = []
     for fam in alg.harmonicity.families:
-        k = len(fam.basis)
         gram = [[alg.inner(u, w) for w in fam.basis] for u in fam.basis]
-        grad = [[bilinear(Q, u, w) for w in fam.basis] for u in fam.basis]
-        coeff = next((grad[a][b] / gram[a][b] for a in range(k) for b in range(k)
-                      if not gram[a][b].is_zero), None)
-        proportional = coeff is not None and all(
-            grad[a][b] == _product(coeff, gram[a][b]) for a in range(k) for b in range(k)
-        )
+        minus_lam = -fam.eigenvalue
+        null = all(x.is_zero for row in gram for x in row)
         fams.append(FamilyEnergy(
             eigenvalue=fam.eigenvalue,
             basis=fam.basis,
             constant=Fraction(n, 2),
-            rho2_coeff=_product(coeff, half) if proportional else None,
+            rho2_coeff=None if null else _product(minus_lam, half),
             gram=gram,
-            grad_gram=grad,
+            grad_gram=[[_product(minus_lam, x) for x in row] for row in gram],
         ))
     return EnergyReport(n, density, fams)

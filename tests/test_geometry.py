@@ -507,8 +507,8 @@ ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__",
 
 
 def test_harmonic_and_energy_sections_bound_their_arithmetic(monkeypatch):
-    # the rough Laplacian, the gradient form and the trace forms read one
-    # raised connection, and the section kernel is read off the spectrum:
+    # the rough Laplacian and the trace forms read one raised connection, the
+    # energy reads the Laplacian, and the section kernel is read off the spectrum:
     # with the tensors built, the two sections took 305, 523 and 365 RatFunc
     # operations on berger, u2 and heisenberg with trace probes and a second
     # rref, and 70% of that is the bound
@@ -605,9 +605,8 @@ def test_full_report_skips_zero_factors_outside_the_tensor_layer(monkeypatch):
 
 def test_full_report_forms_no_zero_factor_products(monkeypatch):
     # `Poly.__mul__` skips the zero coefficients of both factors, and the
-    # Einstein test at soliton branches and the energy proportionality check
-    # skip zero metric and Gram entries: 8 products with a zero factor were
-    # left on berger and 10 on u2
+    # energy's -lam * Gram skips a zero eigenvalue and zero Gram entries: 8
+    # products with a zero factor were left on berger and 10 on u2
     sites = []
     originals = {name: getattr(RatFunc, name) for name in ("__mul__", "__rmul__")}
 

@@ -8,20 +8,23 @@ reference below computes every ordered pair and every entry by the naive
 loops, from `connection_operators` and `brackets` alone, and the tests
 compare the two entry for entry.
 
-The same goes for the two polynomial forms built from those tensors.  The
+The same goes for the two polynomials built from those tensors.  The
 engine contracts g^{-1} into the coefficient tensors and multiplies only
-their coefficients; the references below multiply polynomials first, as the
-definitions read:
-the degree-5 Ledger polynomial as every product A[a][b] * B[c][d] scaled by
-g^{ac} g^{bd}, and the gradient form as sum g^{ij} g(nabla_{Xi} u,
-nabla_{Xj} v) of the covariant derivatives themselves.
+their coefficients, and reads the energy off the rough Laplacian L as
+|nabla V|^2 = -g(LV, V); the references below multiply polynomials first,
+as the definitions read: the degree-5 Ledger polynomial as every product
+A[a][b] * B[c][d] scaled by g^{ac} g^{bd}, and the energy as
+sum g^{ij} g(nabla_{Xi} u, nabla_{Xj} v) of the covariant derivatives
+themselves, on generic vectors and on every pair of family vectors.
 
 The connection and the tensors contracted from it (`nabla_basis`,
 `lie_derivative_metric_basis`, `ricci`, `cov_ricci`, `rough_laplacian`) are
 formed over the nonzero entries of each factor only, and some read a
 lowered copy of the connection; their references below are the dense loops
 of each definition, from `brackets`, `metric` and `metric_inverse`, with
-the curvature tensor of `reference_tensors`.
+the curvature tensor of `reference_tensors`.  The kind of every soliton
+branch is checked against the Ricci tensor of the algebra specialized at
+its eps (`at_eps`), computed anew there.
 
 The geodesic and Walker equations are read off `nabla_basis` and
 `metric` as sparse dicts from slot (i, j) to the coefficient of x_i x_j,
@@ -42,19 +45,37 @@ from fractions import Fraction
 import pytest
 
 from liegeom.algebra import MetricLieAlgebra
+from liegeom.catalog import loads
 from liegeom.geometry import (
-    _geodesic_equations,
     _geodesic_forms,
-    _walker_equations,
+    _polynomial,
     _walker_forms,
     energy_report,
     grad_norm_sq,
     ledger_check,
+    ricci_soliton_solve,
     rough_laplacian,
 )
 from liegeom.scalars import ONE, ZERO, MultiPoly, component_names, scalar_is_zero
 
 import test_properties
+
+
+MIXING_SEEDS = (None, 1, 2, 3)
+CORPUS_CASES = [(key, seed) for key in test_properties.corpus.TEXTS for seed in MIXING_SEEDS]
+CORPUS_IDS = [f"{key}-{'unmixed' if seed is None else f'mixed{seed}'}"
+              for key, seed in CORPUS_CASES]
+
+
+def corpus_case(corpus_alg, key, seed):
+    """A corpus algebra, as parsed or after the basis change of
+    `corpus.mixing_matrix` under the given seed (a fresh object, so its
+    cached tensors are computed anew)."""
+    alg = corpus_alg(key)
+    if seed is None:
+        return alg
+    P = test_properties.corpus.mixing_matrix(random.Random(seed), alg.dim)
+    return alg.transform_basis(P, name=f"{key}-mixed{seed}")
 
 
 def reference_operators(alg):
@@ -157,7 +178,7 @@ def reference_gradient(alg, u, v):
 
 
 def check_forms_against_reference(alg):
-    """Compare the Ledger polynomial, the gradient form and the energy
+    """Compare the Ledger polynomial, |nabla V|^2 and the energy
     density with the references; return the number of terms of l5."""
     n = alg.dim
     names = component_names(n)
@@ -179,9 +200,12 @@ def check_forms_against_reference(alg):
     return len(l5.terms)
 
 
-@pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
-def test_corpus_forms_match_reference(corpus_alg, key):
-    check_forms_against_reference(corpus_alg(key))
+@pytest.mark.parametrize(("key", "seed"), CORPUS_CASES,
+                         ids=[key if seed is None else f"{key}-mixed{seed}"
+                              for key, seed in CORPUS_CASES])
+def test_corpus_forms_match_reference(corpus_alg, key, seed):
+    # the mixed cases give dense metrics; an unmixed case is named by its key
+    check_forms_against_reference(corpus_case(corpus_alg, key, seed))
 
 
 @pytest.mark.parametrize("key", list(test_properties.GENERATED))
@@ -321,32 +345,21 @@ def check_form_layout(forms, equations, names):
         assert sum((V[i] * V[j] * c for (i, j), c in U.items()), MultiPoly.zero(names)) == eq
 
 
+def printed(forms, names):
+    """The forms as the report prints them: one `MultiPoly` each."""
+    return [_polynomial(names, U) for U in forms]
+
+
 def check_conditions_against_reference(alg):
     names = component_names(alg.dim)
-    assert_same_forms(_geodesic_equations(alg, names), reference_geodesic(alg, names))
-    assert_same_forms(_walker_equations(alg, names), reference_walker(alg, names))
-    check_form_layout(_geodesic_forms(alg), _geodesic_equations(alg, names), names)
-    check_form_layout(_walker_forms(alg), _walker_equations(alg, names), names)
+    geodesic, walker = _geodesic_forms(alg), _walker_forms(alg)
+    assert_same_forms(printed(geodesic, names), reference_geodesic(alg, names))
+    assert_same_forms(printed(walker, names), reference_walker(alg, names))
+    check_form_layout(geodesic, printed(geodesic, names), names)
+    check_form_layout(walker, printed(walker, names), names)
     h = alg.harmonicity
     assert [f.trace_vanishes for f in h.families] == [
         reference_trace_vanishes(alg, pair.vectors) for pair in h.decomposition.pairs]
-
-
-MIXING_SEEDS = (None, 1, 2, 3)
-CORPUS_CASES = [(key, seed) for key in test_properties.corpus.TEXTS for seed in MIXING_SEEDS]
-CORPUS_IDS = [f"{key}-{'unmixed' if seed is None else f'mixed{seed}'}"
-              for key, seed in CORPUS_CASES]
-
-
-def corpus_case(corpus_alg, key, seed):
-    """A corpus algebra, as parsed or after the basis change of
-    `corpus.mixing_matrix` under the given seed (a fresh object, so its
-    cached tensors are computed anew)."""
-    alg = corpus_alg(key)
-    if seed is None:
-        return alg
-    P = test_properties.corpus.mixing_matrix(random.Random(seed), alg.dim)
-    return alg.transform_basis(P, name=f"{key}-mixed{seed}")
 
 
 @pytest.mark.parametrize(("key", "seed"), CORPUS_CASES, ids=CORPUS_IDS)
@@ -363,14 +376,14 @@ def test_property_conditions_match_reference(key):
 def test_corpus_geodesic_equations_match_koszul(corpus_alg, key, seed):
     alg = corpus_case(corpus_alg, key, seed)
     names = component_names(alg.dim)
-    assert_same_forms(_geodesic_equations(alg, names), koszul_geodesic(alg, names))
+    assert_same_forms(printed(_geodesic_forms(alg), names), koszul_geodesic(alg, names))
 
 
 @pytest.mark.parametrize("key", list(test_properties.GENERATED))
 def test_property_geodesic_equations_match_koszul(key):
     alg = test_properties.GENERATED[key]
     names = component_names(alg.dim)
-    assert_same_forms(_geodesic_equations(alg, names), koszul_geodesic(alg, names))
+    assert_same_forms(printed(_geodesic_forms(alg), names), koszul_geodesic(alg, names))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +460,36 @@ def test_corpus_connection_tensors_match_reference(corpus_alg, key, seed):
 @pytest.mark.parametrize("key", list(test_properties.GENERATED))
 def test_property_connection_tensors_match_reference(key):
     check_connection_against_reference(test_properties.GENERATED[key])
+
+
+def check_soliton_kinds_against_specialization(alg):
+    """A soliton branch is "einstein" exactly when ric = lam g holds for the
+    algebra specialized at its eps, with the tensors computed anew there."""
+    n = alg.dim
+    for b in ricci_soliton_solve(alg).exceptional:
+        if b.kind in ("einstein", "soliton"):
+            spec = alg.at_eps(b.eps)
+            einstein = all(spec.ricci[i][j] == b.lam * spec.metric[i][j]
+                           for i in range(n) for j in range(n))
+            assert b.kind == ("einstein" if einstein else "soliton"), b
+
+
+@pytest.mark.parametrize(("key", "seed"), CORPUS_CASES, ids=CORPUS_IDS)
+def test_corpus_soliton_kinds_match_specialization(corpus_alg, key, seed):
+    check_soliton_kinds_against_specialization(corpus_case(corpus_alg, key, seed))
+
+
+@pytest.mark.parametrize("key", list(test_properties.GENERATED))
+def test_property_soliton_kinds_match_specialization(key):
+    check_soliton_kinds_against_specialization(test_properties.GENERATED[key])
+
+
+@pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
+def test_ricci_reads_no_curvature_tensor(key):
+    # the Ricci tensor is the trace of the curvature operators
+    alg = loads(test_properties.corpus.TEXTS[key])
+    alg.ricci
+    assert "curvature_tensor" not in alg.__dict__
 
 
 def test_non_lie_bracket_connection_tensors_match_reference():
