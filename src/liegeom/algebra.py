@@ -45,12 +45,12 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .scalars import (
-    MultiPoly,
     RatFunc,
     ONE,
     ZERO,
     ratfunc,
     scalar_is_zero,
+    terms_str,
 )
 
 MAX_DIM = 4
@@ -181,13 +181,10 @@ def mat_inv(a) -> list[list[RatFunc]]:
 
 
 def vector_str(coords: Sequence) -> str:
-    """Render a coordinate vector as a combination of X1..Xn: the linear
-    `MultiPoly` in X1..Xn with these coefficients."""
-    n = len(coords)
-    names = tuple(f"X{i+1}" for i in range(n))
-    return str(MultiPoly(names, {
-        tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coords)
-    }))
+    """Render a coordinate vector as a combination of X1..Xn, as the linear
+    `MultiPoly` in X1..Xn with these coefficients prints; the coordinates
+    are `RatFunc`s or rationals."""
+    return terms_str((f"X{i+1}", c) for i, c in enumerate(coords))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ the sorted index tuple of each monomial maps to its nonzero `RatFunc`
 coefficient, so a quadratic form is keyed by its slots (i, j), i <= j.  The
 case analysis reads the slots on the coordinates not yet set to zero, and a
 `MultiPoly` is built from a dict only to print it.  The harmonic-map trace
-is a tensor of symmetric forms, read off the raised connection and the
-curvature operators and evaluated on each critical family by
-polarization.
+is tested on each critical family by polarization: the raised connection
+is contracted with the family vectors first, then with the curvature
+operators, one component of the trace at a time.
 Verdicts are never sampled or approximated: the Walker analysis adds a
 float cross-check at sample parameter values, but a disagreement there
 refuses rather than decides.  When the polynomial case analysis cannot
@@ -57,7 +57,9 @@ from .algebra import (
     add_scaled,
     bilinear,
     mat_mul,
+    mat_vec,
     nonzero,
+    transpose,
     vector_str,
     zeros,
 )
@@ -659,29 +661,45 @@ def rough_laplacian(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
     return L
 
 
-def _trace_form(alg: MetricLieAlgebra) -> list[list[list[RatFunc]]]:
-    """The symmetric forms S[r] = T[r] + T[r]^T of the harmonic-map trace
-    sum_ij g^{ij} R(nabla_{Xi} V, V) Xj = sum_j R(nabla_{X^j} V, V) Xj, whose
-    r-th component is V^T T[r] V, T[r][p][q] = sum_j (R(M[j][p], Xq) Xj)_r
-    with M = `_nabla_dual`.  Each R(Xa, Xb), a < b, of
-    `_curvature_operators` enters at q = b, and as R(Xb, Xa) = -R(Xa, Xb)
-    at q = a."""
+def _trace_vanishes(alg: MetricLieAlgebra, us: list[list[RatFunc]]) -> bool:
+    """Whether the harmonic-map trace t(V) = sum_ij g^{ij} R(nabla_{Xi} V, V) Xj
+    = sum_j R(nabla_{X^j} V, V) Xj vanishes on span{u_k}.  By polarization it
+    does exactly when t(u_k, u_l) = sum_j R(nabla_{X^j} u_k, u_l) Xj +
+    R(nabla_{X^j} u_l, u_k) Xj is zero for every k <= l (for k = l one of
+    the two equal halves is enough).
+
+    nabla_{X^j} u = sum_p u_p M[j][p], M = `_nabla_dual`, is formed once per
+    vector.  R(x, y) = sum_{a<b} (x_a y_b - x_b y_a) R(Xa, Xb) over
+    `_curvature_operators`, so for each j the wedge coefficients of the pair
+    are formed from the nonzero components, and t(u_k, u_l) one component at
+    a time: the test stops at the first nonzero one."""
     n = alg.dim
-    M = alg._nabla_dual
     rn = range(n)
-    S = [zeros(n) for _ in rn]
-    for (a, b), op in alg._curvature_operators.items():
-        for j in rn:
-            col = nonzero([row[j] for row in op])
-            for p in rn:
-                for q, x in ((b, M[j][p][a]), (a, -M[j][p][b])):
-                    if x.is_zero:
-                        continue
-                    for r, z in col:
-                        v = x * z
-                        S[r][p][q] = S[r][p][q] + v
-                        S[r][q][p] = S[r][q][p] + v
-    return S
+    M, ops = alg._nabla_dual, alg._curvature_operators
+    vectors = [nonzero(u) for u in us]
+    # D[k][j] = nabla_{X^j} u_k, as a `nonzero` list
+    D = [[nonzero(mat_vec(transpose(M[j]), u)) for j in rn] for u in us]
+    for k, l in itertools.combinations_with_replacement(range(len(us)), 2):
+        halves = [(D[k], vectors[l])] + ([(D[l], vectors[k])] if k != l else [])
+        # W[j][a, b] = the wedge coefficient of R(Xa, Xb) in the j-th term
+        W = [{} for _ in rn]
+        for Dx, y in halves:
+            for j in rn:
+                for a, xa in Dx[j]:
+                    for b, yb in y:
+                        if a != b:
+                            key, v = ((a, b), xa * yb) if a < b else ((b, a), -(xa * yb))
+                            W[j][key] = W[j][key] + v if key in W[j] else v
+        for r in rn:
+            acc = ZERO
+            for j in rn:
+                for key, w in W[j].items():
+                    z = ops[key][r][j]
+                    if not w.is_zero and not z.is_zero:
+                        acc = acc + w * z
+            if not acc.is_zero:
+                return False
+    return True
 
 
 @dataclass
@@ -711,20 +729,17 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     harmonic sections are its kernel, the eigenspace of the value zero; a
     family consists of harmonic maps when additionally the curvature trace
     vanishes on it.  By polarization the trace vanishes on span{u_k} exactly
-    when every form S[r] of `_trace_form` (built once, if there is a family)
-    vanishes on every pair u_k, u_l with k <= l.  Parallel fields (the
+    when the polarized trace vanishes on every pair u_k, u_l with k <= l
+    (`_trace_vanishes`).  Parallel fields (the
     trivial critical points) are the joint kernel of all covariant
     derivative operators.
     """
     L = rough_laplacian(alg)
     decomp = eigen_analyze(L)
     singular = set(alg.singular_parameters())
-    S = _trace_form(alg) if decomp.pairs else []
     families = []
     for pair in decomp.pairs:
-        us = pair.vectors
-        trace_zero = all(bilinear(Sr, us[k], us[l]).is_zero
-                         for k in range(len(us)) for l in range(k, len(us)) for Sr in S)
+        trace_zero = _trace_vanishes(alg, pair.vectors)
         section = pair.value.is_zero
         roots = [] if section else [r for r, _ in pair.value.zeros() if r not in singular]
         families.append(CriticalFamily(
@@ -791,8 +806,9 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     family is an eigenspace of L with eigenvalue lam, so its gradient Gram
     matrix is -lam times its Gram matrix, and a member of signed squared
     length rho^2 = g(V, V) has energy n/2 - (lam/2) rho^2.  On a null family
-    (every Gram entry zero) the energy is n/2 and says nothing about lam:
-    its rho^2 coefficient is None.
+    (every Gram entry zero) every member has rho^2 = 0 and energy exactly
+    n/2, which says nothing about lam: its rho^2 coefficient is None, and
+    the report prints the constant n/2 as its energy.
     """
     n = alg.dim
     half = Fraction(1, 2)

@@ -39,14 +39,10 @@ from .scalars import fraction_str, scalar_str
 SCHEMA = "1"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return fraction_str(x)
-    return str(x)
-
-
 def _matrix(rows) -> list[list[str]]:
-    return [[_fmt(x) for x in row] for row in rows]
+    # `str` prints a Fraction as `fraction_str` does; no entry is tested
+    # against Fraction, whose `isinstance` goes through an ABC
+    return [[str(x) for x in row] for row in rows]
 
 
 def _float_str(x: float) -> str:
@@ -267,10 +263,11 @@ def energy_section(alg: MetricLieAlgebra) -> dict:
             "rho2_coefficient": (
                 scalar_str(f.rho2_coeff) if f.rho2_coeff is not None else None
             ),
+            # a null family (rho^2 = 0 on every member) has the constant energy
             "energy": (
                 f"{fraction_str(f.constant)} + ({scalar_str(f.rho2_coeff)})*rho^2"
                 if f.rho2_coeff is not None
-                else "not proportional to squared length"
+                else fraction_str(f.constant)
             ),
         })
     return {

@@ -28,7 +28,14 @@ monic denominator, are computed on demand.  Rationals are stdlib
 The text syntax for scalars accepts integers, rationals ``p/q``, the token
 ``eps``, the operators ``+ - * /``, parentheses, and ``^`` powers, e.g.
 ``(eps^2-2*eps+2)/eps``.  `parse_scalar` and the canonical printer
-(`str` on the value) round-trip.
+(`str` on the value) round-trip.  The printer reads the integer pair
+itself: N and D each over lc(D), every coefficient reduced by one integer
+gcd, through `_eps_poly_str`, the one printer of a polynomial in eps (a
+`Poly` over Q prints through it too, its denominators cleared).
+`terms_str` joins the terms of a `MultiPoly`, of a `Poly` over Q(eps) in
+``mu`` and of `algebra.vector_str`, and decides each coefficient's sign
+and parentheses from the tuples as well, so no `Fraction`, `Poly` or
+`MultiPoly` is built in order to print.
 """
 
 from __future__ import annotations
@@ -105,7 +112,8 @@ class Poly:
     over Q(eps) (`RatFunc` coefficients) it is a polynomial in the spectral
     variable of a characteristic polynomial.  Arithmetic, division with
     remainder, `monic`, `derivative`, `poly_gcd`, `square_free_part` and
-    `str` serve both (over Q(eps) it prints as a `MultiPoly` in ``mu``);
+    `str` serve both (over Q(eps) it prints as a `MultiPoly` in ``mu``
+    would);
     `eval` and `poly_rational_roots` are for Q.
 
     Invariant: the coefficient tuple never ends in a zero, so the zero
@@ -271,22 +279,10 @@ class Poly:
         return self.scale(1 / self.leading)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        if isinstance(self.coeffs[-1], RatFunc):
-            return str(MultiPoly(("mu",), {(k,): c for k, c in enumerate(self.coeffs)}))
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                body = fraction_str(abs(c))
-            else:
-                mono = PARAM if k == 1 else f"{PARAM}^{k}"
-                body = mono if abs(c) == 1 else f"{fraction_str(abs(c))}*{mono}"
-            sign = "-" if c < 0 else ("+" if parts else "")
-            parts.append(sign + body)
-        return "".join(parts)
+        if self.coeffs and isinstance(self.coeffs[-1], RatFunc):
+            return terms_str((_power("mu", k), c) for k, c in reversed(list(enumerate(self.coeffs))))
+        (a,) = _clear_denominators(self)
+        return _eps_poly_str(a, lcm(*(c.denominator for c in self.coeffs)))
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"
@@ -562,6 +558,77 @@ def _zroots(a: tuple) -> list[tuple[Fraction, int]]:
 
 
 # ---------------------------------------------------------------------------
+# the canonical printer, on the integer tuples
+
+
+def _power(name: str, k: int) -> str:
+    """name^k as printed: empty for k = 0, the bare name for k = 1."""
+    return "" if not k else name if k == 1 else f"{name}^{k}"
+
+
+def _eps_poly_str(a: tuple, q: int) -> str:
+    """The polynomial sum_k (a[k]/q) eps^k over a q > 0, lowest degree
+    first, each coefficient reduced by one integer gcd; a coefficient 1 is
+    left off its power of eps, and the zero polynomial prints as 0."""
+    parts = []
+    for k, c in enumerate(a):
+        if not c:
+            continue
+        g = gcd(c, q)
+        p, r = abs(c) // g, q // g
+        body = str(p) if r == 1 else f"{p}/{r}"
+        if k:
+            body = _power(PARAM, k) if p == r == 1 else f"{body}*{_power(PARAM, k)}"
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
+
+
+def _ratfunc_str(n: tuple, d: tuple) -> str:
+    """The text of the canonical pair n/d: N and D each over lc(D), so the
+    denominator is monic.  A denominator that is not constant is a bare
+    power of eps or a parenthesized sum; over it, a numerator that is a
+    sum is parenthesized too."""
+    q = d[-1]
+    num = _eps_poly_str(n, q)
+    if len(d) == 1:
+        return num
+    if len(n) - n.count(0) > 1:
+        num = f"({num})"
+    den = _eps_poly_str(d, q)
+    if len(d) - d.count(0) > 1:
+        den = f"({den})"
+    return f"{num}/{den}"
+
+
+def terms_str(terms: Iterable[tuple[str, object]]) -> str:
+    """The sum of the (monomial text, coefficient) terms in the order given,
+    as a `MultiPoly` prints: "" is the constant monomial, a coefficient is
+    any scalar `ratfunc` takes, and zero terms are skipped.  A
+    coefficient 1 is left off its monomial, -1 leaves a "-"; any other
+    coefficient is parenthesized when it is a sum or has a '/' or, in
+    front of a monomial, a '*'.  A term joins the ones before it with a
+    '+' unless it starts with '-'."""
+    parts = []
+    for mono, c in terms:
+        if type(c) is not RatFunc:
+            c = ratfunc(c)
+        n, d = c._n, c._d
+        if not n:
+            continue
+        if mono and d == (1,) and n in ((1,), (-1,)):
+            body = mono if n[0] == 1 else f"-{mono}"
+        else:
+            cs = _ratfunc_str(n, d)
+            # one term over 1 is the only coefficient that is no sum and has
+            # no '/'; of those, a power of eps times |c| != 1 has a '*'
+            if d != (1,) or len(n) - n.count(0) > 1 or (mono and len(n) > 1 and abs(n[-1]) != 1):
+                cs = f"({cs})"
+            body = f"{cs}*{mono}" if mono else cs
+        parts.append(body if not parts or body[0] == "-" else "+" + body)
+    return "".join(parts) or "0"
+
+
+# ---------------------------------------------------------------------------
 # rational functions in canonical form
 
 
@@ -756,16 +823,7 @@ class RatFunc:
         return a / b if b > 0 else -a / -b
 
     def __str__(self) -> str:
-        if len(self._d) == 1:
-            return str(self.num)
-        num_s = str(self.num)
-        if _top_level_sum(num_s):
-            num_s = f"({num_s})"
-        # a monic denominator is a bare power of eps or needs parentheses
-        den_s = str(self.den)
-        if sum(1 for c in self._d if c) > 1:
-            den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
+        return _ratfunc_str(self._n, self._d)
 
     def __repr__(self) -> str:
         return f"RatFunc({str(self)!r})"
@@ -781,18 +839,6 @@ def _as_poly(value) -> Poly:
     if isinstance(value, RatFunc):
         raise TypeError("pass RatFunc values directly, not through Poly slots")
     raise TypeError(f"cannot build Poly from {type(value).__name__}")
-
-
-def _top_level_sum(s: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0:
-            return True
-    return False
 
 
 ZERO = RatFunc(0)
@@ -1085,32 +1131,9 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for expo, coeff in self.sorted_terms():
-            monos = []
-            for name, e in zip(self.names, expo):
-                if e == 1:
-                    monos.append(name)
-                elif e > 1:
-                    monos.append(f"{name}^{e}")
-            mono = "*".join(monos)
-            cs = str(coeff)
-            if not mono:
-                body = f"({cs})" if _top_level_sum(cs) or "/" in cs else cs
-            elif coeff == ONE:
-                body = mono
-            elif coeff == -ONE:
-                body = f"-{mono}"
-            else:
-                cs_wrapped = f"({cs})" if (_top_level_sum(cs) or "/" in cs or "*" in cs) else cs
-                body = f"{cs_wrapped}*{mono}"
-            if parts and not body.startswith("-"):
-                parts.append("+" + body)
-            else:
-                parts.append(body)
-        return "".join(parts)
+        return terms_str(
+            ("*".join(_power(name, e) for name, e in zip(self.names, expo) if e), c)
+            for expo, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"MultiPoly({str(self)!r})"

@@ -46,7 +46,9 @@ from liegeom.scalars import (
 )
 
 import test_properties
-from test_tensor_reference import CORPUS_CASES, CORPUS_IDS, corpus_case, reference_trace
+from test_tensor_reference import (
+    CORPUS_CASES, CORPUS_IDS, corpus_case, reference_gradient, reference_trace)
+from test_walker_reference import almost_abelian_family
 
 
 def F(x):
@@ -475,6 +477,23 @@ def test_energy_family_coefficients(berger_alg):
                 assert fam.grad_gram[i][j] == 2 * fam.rho2_coeff * fam.gram[i][j]
 
 
+def test_null_critical_family_has_the_constant_energy():
+    # X2 - X1 is null for the metric diag(-1, 1, eps): every member V has
+    # g(V, V) = 0, and |nabla V|^2 = 0 by the direct contraction, so its
+    # energy is n/2 whatever the eigenvalue.  These are the only 2 of the
+    # 300 almost-abelian algebras with a null family.
+    family = {alg.name: alg for alg in almost_abelian_family()}
+    for name in ("almost-abelian-3d-24", "almost-abelian-3d-96"):
+        alg = family[name]
+        (null,) = [f for f in energy_report(alg).families if f.rho2_coeff is None]
+        (u,) = null.basis
+        assert vector_str(u) == "-X1+X2"
+        assert alg.inner(u, u).is_zero and reference_gradient(alg, u, u).is_zero
+        (doc,) = [f for f in energy_section(alg)["families"] if f["basis"] == ["-X1+X2"]]
+        assert doc["rho2_coefficient"] is None
+        assert doc["constant_term"] == doc["energy"] == "3/2"
+
+
 def test_harmonicity_is_classified_once_per_algebra(monkeypatch):
     # the harmonic and energy sections share the algebra's one classification
     calls = []
@@ -494,7 +513,7 @@ def test_harmonicity_is_classified_once_per_algebra(monkeypatch):
 def test_trace_flag_sees_the_cross_terms(corpus_alg):
     # on heisenberg the 3-dimensional family has a zero curvature trace at
     # each basis vector but not on their span: the verdict needs the cross
-    # terms u_k^T S[r] u_l, k < l, of the trace forms as well
+    # terms t(u_k, u_l), k < l, of the polarized trace as well
     alg = corpus_alg("heisenberg")
     (fam,) = [f for f in alg.harmonicity.families if len(f.basis) == 3]
     for u in fam.basis:
@@ -507,7 +526,7 @@ ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__",
 
 
 def test_harmonic_and_energy_sections_bound_their_arithmetic(monkeypatch):
-    # the rough Laplacian and the trace forms read one raised connection, the
+    # the rough Laplacian and the trace test read one raised connection, the
     # energy reads the Laplacian, and the section kernel is read off the spectrum:
     # with the tensors built, the two sections took 305, 523 and 365 RatFunc
     # operations on berger, u2 and heisenberg with trace probes and a second

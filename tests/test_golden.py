@@ -17,6 +17,7 @@ prints each file it checked and whether it changed.
 """
 
 import argparse
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ import pytest
 
 from liegeom.catalog import catalog, loads
 from liegeom.geometry import CaseAnalysisIncomplete
-from liegeom.report import full_report, render_json, single_report
+from liegeom.report import full_report, render_json, render_text, single_report
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -38,10 +39,9 @@ CASES = [(key, "full") for key in corpus.TEXTS] + [("r4", "harmonic"), ("r4", "e
 CASE_IDS = {f"{key}-{kind}": (key, kind) for key, kind in CASES}
 
 
-def render_case(key: str, kind: str) -> str:
-    """The report as `liegeom report`/`liegeom <kind>` prints it in JSON; a
-    corpus algebra that is a catalog entry carries its notes, as with
-    `liegeom report --berger`."""
+def report_doc(key: str, kind: str) -> dict:
+    """The report document of one case; a corpus algebra that is a catalog
+    entry carries its notes, as with `liegeom report --berger`."""
     alg = loads(corpus.TEXTS[key])
     entries = catalog()
     try:
@@ -52,13 +52,42 @@ def render_case(key: str, kind: str) -> str:
             doc = single_report(kind, alg)
     except CaseAnalysisIncomplete as exc:
         doc = {"refused": type(exc).__name__}
-    return render_json(doc)
+    return doc
+
+
+def render_case(key: str, kind: str) -> str:
+    """The report as `liegeom report`/`liegeom <kind>` prints it in JSON."""
+    return render_json(report_doc(key, kind))
 
 
 @pytest.mark.parametrize("key,kind", CASES, ids=list(CASE_IDS))
 def test_golden_report(key, kind):
     want = (GOLDEN / f"{key}.{kind}.json").read_text()
     assert render_case(key, kind) == want
+
+
+# sha256 of `render_text` of each case's document, the format `liegeom
+# report` prints without `--format json`.  The goldens above hold the JSON
+# only; a change meant to alter the text must update these, with the reason.
+TEXT_SHA256 = {
+    "berger-full": "0cf56cc8fd09d425feafe6ef4ae85090bb085da0e389ef73c972fd8861070b96",
+    "abelian-full": "c29f94341cd3309eebb34a876f045c20b6d27d9dd7574f66841838fbff9a4089",
+    "sl2r-full": "441e68de3716d7df980d5863f0d3d8fcd506a0f19cb81253990febfe2186c984",
+    "e2-full": "70cf717e20069f3e040ae60223f052e456f4a4f7ba68310bfd1d77ed7180ff70",
+    "heisenberg-full": "28ee70fb2c04fc4337459de4172b8fb268eac4d58f9aacbf4e51647af4f9860c",
+    "u2-full": "7abf68fd93bc08bd5e476ccf8d3d5bcddeecb638adaab4ff94b2b1d4da964eae",
+    "oscillator-full": "ca16f872c00b889a14fa2157ccdf6f2959b2cb9e462ae531783a1a224e578edc",
+    "heisenberg-x-r-full": "ce20ae250f00c3db9d7e0e2b673b3b56773977e8c90255012206cc175ef3ee66",
+    "r4-full": "cd3768a47b5d4a8230be183a80f27d5ab9111333ea0bf46205b921c28460a7c4",
+    "r4-harmonic": "52783ecf068b313f9edb980da5a2a7e4012ecfbfe67268c808682f1d272ea417",
+    "r4-energy": "878be9c3563819bfed6cfa7d76e974b514884d822af87a9a1ffe778df074402a",
+}
+
+
+@pytest.mark.parametrize("key,kind", CASES, ids=list(CASE_IDS))
+def test_text_report_is_pinned(key, kind):
+    text = render_text(report_doc(key, kind))
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_SHA256[f"{key}-{kind}"]
 
 
 def regenerate(argv=None) -> int:

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import test_properties
+from liegeom.algebra import vector_str
+from liegeom.catalog import loads
 from liegeom.scalars import (
     EPS,
     ONE,
@@ -17,6 +20,7 @@ from liegeom.scalars import (
     _zmul,
     _zprs,
     component_names,
+    fraction_str,
     parse_scalar,
     poly_div_exact,
     poly_gcd,
@@ -312,6 +316,186 @@ def test_parser_rejects(bad):
 def test_parser_flags_zero_denominator():
     with pytest.raises(DivisionByZeroFunction):
         parse_scalar("1/(eps-eps)")
+
+
+# ---------------------------------------------------------------------------
+# the printer against the route it replaced
+#
+# The reference prints the way the package printed before the printer read
+# the integer tuples: a RatFunc as its `num` and `den` over Q, each a `Poly`
+# of `Fraction`s, with a text scan for a top-level sum; a MultiPoly term by
+# term from those strings; a vector and a `Poly` over Q(eps) as a MultiPoly.
+
+
+def reference_top_level_sum(s: str) -> bool:
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and i > 0:
+            return True
+    return False
+
+
+def reference_poly_q_str(coeffs) -> str:
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            body = fraction_str(abs(c))
+        else:
+            mono = "eps" if k == 1 else f"eps^{k}"
+            body = mono if abs(c) == 1 else f"{fraction_str(abs(c))}*{mono}"
+        sign = "-" if c < 0 else ("+" if parts else "")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+def reference_ratfunc_str(x: RatFunc) -> str:
+    num_s = reference_poly_q_str(x.num.coeffs)
+    if x.den.degree == 0:
+        return num_s
+    if reference_top_level_sum(num_s):
+        num_s = f"({num_s})"
+    den_s = reference_poly_q_str(x.den.coeffs)
+    if sum(1 for c in x.den.coeffs if c) > 1:
+        den_s = f"({den_s})"
+    return f"{num_s}/{den_s}"
+
+
+def reference_multipoly_str(m: MultiPoly) -> str:
+    parts = []
+    for expo, coeff in m.sorted_terms():
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(m.names, expo) if e)
+        cs = reference_ratfunc_str(coeff)
+        if not mono:
+            body = f"({cs})" if reference_top_level_sum(cs) or "/" in cs else cs
+        elif coeff == ONE:
+            body = mono
+        elif coeff == -ONE:
+            body = f"-{mono}"
+        else:
+            wrap = reference_top_level_sum(cs) or "/" in cs or "*" in cs
+            body = f"({cs})*{mono}" if wrap else f"{cs}*{mono}"
+        parts.append("+" + body if parts and not body.startswith("-") else body)
+    return "".join(parts) or "0"
+
+
+def reference_poly_str(p: Poly) -> str:
+    if p.coeffs and isinstance(p.coeffs[-1], RatFunc):
+        return reference_multipoly_str(MultiPoly(("mu",), {(k,): c for k, c in enumerate(p.coeffs)}))
+    return reference_poly_q_str(p.coeffs)
+
+
+def reference_vector_str(coords) -> str:
+    n = len(coords)
+    names = tuple(f"X{i + 1}" for i in range(n))
+    return reference_multipoly_str(MultiPoly(names, {
+        tuple(int(k == i) for k in range(n)): c for i, c in enumerate(coords)}))
+
+
+def random_int_poly(rng, max_degree):
+    """Sparse small integer coefficients with a content of 1, 2, 6 or -4."""
+    content = rng.choice((1, 1, 2, 6, -4))
+    return [content * rng.choice((0, 0, 1, -1, 2, -3, 5, 12))
+            for _ in range(rng.randrange(max_degree + 1) + 1)]
+
+
+def random_ratfunc(rng) -> RatFunc:
+    """Zero, a constant or a rational function whose denominator is a
+    constant, a c*eps^k or a polynomial that is no monomial, over numerator
+    coefficients scaled by 1, 1/2, 1/3 or 1/10."""
+    num = random_int_poly(rng, 4)
+    shape = rng.randrange(4)
+    if shape == 0:
+        den = [rng.choice((1, 2, 3, 7, -5))]
+    elif shape == 1:
+        den = [0] * rng.randrange(1, 4) + [rng.choice((1, 2, -3))]
+    else:
+        den = random_int_poly(rng, 3)
+        if not any(den):
+            den = [1]
+    scale = Fraction(1, rng.choice((1, 2, 3, 10)))
+    return RatFunc(Poly(c * scale for c in num), Poly(den))
+
+
+def random_coefficient(rng) -> RatFunc:
+    return rng.choice((ONE, -ONE, EPS, -EPS)) if rng.random() < 0.3 else random_ratfunc(rng)
+
+
+def printer_sample(seed=20261019):
+    rng = random.Random(seed)
+    ratfuncs = [ZERO, ONE, -ONE, EPS, -EPS, ONE / EPS, ratfunc(Fraction(-3, 4))]
+    ratfuncs += [random_ratfunc(rng) for _ in range(400)]
+    polys = [Poly(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 6)))
+                  for _ in range(rng.randrange(6))) for _ in range(100)]
+    polys += [Poly(random_coefficient(rng) for _ in range(rng.randrange(5))) for _ in range(100)]
+    multis = []
+    for _ in range(200):
+        names = ("a", "b", "c", "d")[:rng.randrange(1, 5)]
+        terms = {tuple(rng.randrange(3) for _ in names): random_coefficient(rng)
+                 for _ in range(rng.randrange(5))}
+        multis.append(MultiPoly(names, terms))
+    vectors = []
+    for _ in range(200):
+        n = rng.randrange(1, 5)
+        if rng.random() < 0.5:
+            vectors.append([random_coefficient(rng) for _ in range(n)])
+        else:
+            vectors.append([Fraction(rng.choice((0, 0, 1, -1, 3, -7)), rng.choice((1, 1, 2, 5)))
+                            for _ in range(n)])
+    return ratfuncs, polys, multis, vectors
+
+
+def test_printer_matches_the_reference_route():
+    ratfuncs, polys, multis, vectors = printer_sample()
+    for x in ratfuncs:
+        assert str(x) == reference_ratfunc_str(x)
+        assert parse_scalar(str(x)) == x
+    for p in polys:
+        assert str(p) == reference_poly_str(p)
+    for m in multis:
+        assert str(m) == reference_multipoly_str(m)
+    for v in vectors:
+        assert vector_str(v) == reference_vector_str(v)
+    # the sample reaches every shape the printer tells apart
+    texts = [str(x) for x in ratfuncs]
+    assert {"0", "1", "-1", "eps", "-eps"} <= set(texts)
+    assert any("/(" in t for t in texts) and any("/eps" in t for t in texts)
+    assert any(t.startswith("(") for t in texts) and any("*eps" in t for t in texts)
+    multi_texts = [str(m) for m in multis] + [vector_str(v) for v in vectors]
+    assert any(")*" in t for t in multi_texts) and any("+(" in t for t in multi_texts)
+    assert any("*(" not in t and "-" in t for t in multi_texts)
+
+
+def test_printing_builds_no_poly_or_multipoly(monkeypatch):
+    # every scalar of the metric, brackets, connection and curvature tensor
+    # of the 9 corpus algebras, and every row of them as a vector, prints
+    # from the integer tuples alone
+    algebras = [loads(text) for text in test_properties.corpus.TEXTS.values()]
+    rows = []
+    for alg in algebras:
+        rows += list(alg.metric)
+        rows += [v for plane in alg.brackets for v in plane]
+        rows += [v for plane in alg.nabla_basis for v in plane]
+        rows += [row for a in alg.curvature_tensor for b in a for row in b]
+    built = []
+    for cls in (Poly, MultiPoly):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _cls=cls, **kwargs):
+            built.append(_cls.__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    texts = [str(x) for row in rows for x in row]
+    texts += [vector_str(row) for row in rows]
+    assert built == []
+    assert len(rows) >= 500 and any("/" in t for t in texts)
 
 
 # ---------------------------------------------------------------------------

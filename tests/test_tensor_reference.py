@@ -30,8 +30,8 @@ The geodesic and Walker equations are read off `nabla_basis` and
 `metric` as sparse dicts from slot (i, j) to the coefficient of x_i x_j,
 whose layout (i <= j, no zero coefficient, the sum over the slots the
 printed equation) is checked too, and the
-harmonic-map trace flag off the symmetric trace forms built from the
-raised connection and the curvature operators; the references build them as the definitions read, on vectors of `MultiPoly`
+harmonic-map trace flag off the polarized trace, formed from the raised
+connection and the curvature operators; the references build them as the definitions read, on vectors of `MultiPoly`
 indeterminates: nabla_V V, the 2x2 minors of [nabla_{Xi} V, V] and g(V, V),
 and the trace sum_ij g^{ij} R(nabla_{Xi} V, V) Xj on the whole family
 vector sum_k t_k u_k, from `reference_nabla` and `reference_operators`.  A
