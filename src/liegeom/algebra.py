@@ -49,7 +49,6 @@ from .scalars import (
     ONE,
     ZERO,
     ratfunc,
-    scalar_is_zero,
     terms_str,
 )
 
@@ -62,11 +61,15 @@ class SingularMetric(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers, generic over the scalar type
+# small exact matrix helpers over Q(eps)
 #
-# They form no product with a zero factor: `nonzero` lists the nonzero
-# entries of a row, and `add_scaled`/`add_product` accumulate in place over
-# such lists.  An entry that no product reaches is the `RatFunc` ZERO.
+# Entries are `RatFunc`s (a value at one eps is a constant one); the zero
+# test is `.is_zero`, which `MultiPoly` and `Poly` have too, so `bilinear`
+# takes `MultiPoly` components and `mat_det` the `Poly` entries of
+# `solvers.charpoly`.  They form no product with a zero factor: `nonzero`
+# lists the nonzero entries of a row, and `add_scaled`/`add_product`
+# accumulate in place over such lists.  An entry that no product reaches is
+# the `RatFunc` ZERO.
 
 
 def zeros(n: int) -> list[list]:
@@ -75,7 +78,7 @@ def zeros(n: int) -> list[list]:
 
 def nonzero(row) -> list[tuple[int, object]]:
     """The (index, entry) pairs of the nonzero entries of a row."""
-    return [(k, x) for k, x in enumerate(row) if not scalar_is_zero(x)]
+    return [(k, x) for k, x in enumerate(row) if not x.is_zero]
 
 
 def add_scaled(out, s, a) -> None:
@@ -107,7 +110,7 @@ def mat_vec(a, v):
     for row in a:
         acc = ZERO
         for k, y in nz:
-            if not scalar_is_zero(row[k]):
+            if not row[k].is_zero:
                 acc = acc + row[k] * y
         out.append(acc)
     return out
@@ -125,7 +128,7 @@ def bilinear(Q, u, v):
         for q, vq in nv:
             if not Q[p][q].is_zero:
                 w = w + vq * Q[p][q]
-        if not scalar_is_zero(w):
+        if not w.is_zero:
             acc = acc + up * w
     return acc
 
@@ -137,17 +140,17 @@ def transpose(a):
 def mat_det(a):
     """Laplace expansion; fine for the n <= 4 matrices this package sees.
 
-    Entries may be of any exact scalar type, `Poly` over Q(eps) included;
-    the result has the entries' type."""
+    Entries are `RatFunc`s, or the `Poly`s over Q(eps) of `charpoly`; the
+    result has the entries' type."""
     n = len(a)
     if n == 1:
         return a[0][0]
     acc = None
     for j in range(n):
-        if scalar_is_zero(a[0][j]):
+        if a[0][j].is_zero:
             continue
         minor = mat_det([row[:j] + row[j + 1:] for row in a[1:]])
-        if scalar_is_zero(minor):
+        if minor.is_zero:
             continue
         term = a[0][j] * minor
         if j % 2:
@@ -162,7 +165,7 @@ def mat_inv(a) -> list[list[RatFunc]]:
     """Inverse by the adjugate; entries must be RatFunc."""
     n = len(a)
     det = mat_det(a)
-    if scalar_is_zero(det):
+    if det.is_zero:
         raise SingularMetric("matrix determinant is identically zero")
     if n == 1:
         return [[ONE / det]]
@@ -182,8 +185,7 @@ def mat_inv(a) -> list[list[RatFunc]]:
 
 def vector_str(coords: Sequence) -> str:
     """Render a coordinate vector as a combination of X1..Xn, as the linear
-    `MultiPoly` in X1..Xn with these coefficients prints; the coordinates
-    are `RatFunc`s or rationals."""
+    `MultiPoly` in X1..Xn with these coefficients prints."""
     return terms_str((f"X{i+1}", c) for i, c in enumerate(coords))
 
 
@@ -308,7 +310,7 @@ class MetricLieAlgebra:
                         for x, row in terms:
                             if not row[l].is_zero:
                                 acc = acc + x * row[l]
-                        if not scalar_is_zero(acc):
+                        if not acc.is_zero:
                             out.append(Violation(
                                 "jacobi",
                                 f"cyclic bracket sum on (X{i+1},X{j+1},X{k+1}) has nonzero X{l+1} component {acc}",
@@ -319,7 +321,7 @@ class MetricLieAlgebra:
                     out.append(Violation(
                         "metric-symmetry", f"g[{i+1}][{j+1}] != g[{j+1}][{i+1}]"
                     ))
-        if scalar_is_zero(self.metric_det):
+        if self.metric_det.is_zero:
             out.append(Violation(
                 "metric-nondegenerate", "determinant of the metric is identically zero"
             ))
@@ -535,7 +537,7 @@ class MetricLieAlgebra:
         basis = self.lie_derivative_metric_basis
         out = zeros(n)
         for m in range(n):
-            if scalar_is_zero(v[m]):
+            if v[m].is_zero:
                 continue
             for i in range(n):
                 for j in range(n):
@@ -641,7 +643,7 @@ class MetricLieAlgebra:
                 for r in range(n):
                     for s in range(n):
                         w = Pm[r][i] * Pm[s][j]
-                        if scalar_is_zero(w):
+                        if w.is_zero:
                             continue
                         for k in range(n):
                             if not C[r][s][k].is_zero:

@@ -18,7 +18,7 @@ File format for user algebras, line based, '#' comments allowed:
 
     name: my-algebra
     dim: 3
-    basis: X1 X2 X3            # optional display labels
+    basis: X1 X2 X3            # optional; only the label count is checked
     bracket: 1 2 -> 3 : 2      # [X1, X2] has X3-coefficient 2; 1-based, i < j
     bracket: 2 3 -> 1 : 2
     metric:                    # followed by dim rows of scalar entries
@@ -26,7 +26,9 @@ File format for user algebras, line based, '#' comments allowed:
     0 1 0
     0 0 1
 
-Keys may appear in any order; `dim` must appear somewhere.  Scalar entries
+Keys may appear in any order; `dim` must appear somewhere.  The `basis`
+labels are not used: `loads` checks that there are `dim` of them and then
+discards them, and reports always name the basis X1..Xn.  Scalar entries
 use the same syntax the whole package prints: integers, rationals p/q,
 'eps', + - * / ^ and parentheses.
 """

@@ -72,7 +72,6 @@ from .scalars import (
     ZERO,
     component_names,
     ratfunc,
-    scalar_is_zero,
 )
 from .solvers import (
     EigenDecomposition,
@@ -119,25 +118,26 @@ def _terms(entries) -> dict[tuple[int, ...], RatFunc]:
 
 def _polynomial(names: tuple[str, ...], terms: dict[tuple[int, ...], RatFunc]) -> MultiPoly:
     """The `_terms` dict as a `MultiPoly` in the indeterminates `names`;
-    built only to print."""
+    built only to print.  Its coefficients are already nonzero `RatFunc`s
+    under distinct keys, so they are wrapped as they are."""
     def exponent(key):
         expo = [0] * len(names)
         for i in key:
             expo[i] += 1
         return tuple(expo)
-    return MultiPoly(names, {exponent(key): c for key, c in terms.items()})
+    return MultiPoly(names)._with_terms({exponent(key): c for key, c in terms.items()})
 
 
 def _product(x, y):
     """x * y, without forming the product when a factor is zero."""
-    return ZERO if scalar_is_zero(x) or scalar_is_zero(y) else x * y
+    return ZERO if x.is_zero or y.is_zero else x * y
 
 
 @dataclass
 class EinsteinVerdict:
     generic: bool
     lam: RatFunc | None
-    exceptional: list[tuple[Fraction, Fraction]]
+    exceptional: list[tuple[Fraction, RatFunc]]
 
 
 def einstein_check(alg: MetricLieAlgebra) -> EinsteinVerdict:
@@ -164,8 +164,8 @@ def einstein_check(alg: MetricLieAlgebra) -> EinsteinVerdict:
 class SolitonBranch:
     eps: Fraction
     kind: str  # degenerate-metric | einstein | soliton | none
-    lam: Fraction | None
-    witness: list[Fraction] | None
+    lam: RatFunc | None
+    witness: list[RatFunc] | None
     kernel_dim: int
     description: str
 
@@ -253,11 +253,13 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
                 f"no invariant Ricci soliton at eps={eps0}",
             ))
             continue
+        # the branch is solved at eps0: its values are constant `RatFunc`s
         lam0 = res.particular[n]
         coords = res.particular[:n]
         # eps0 is not singular, so no entry of ric or g has a pole there
+        lam_q = lam0.constant_value()
         einstein = all(
-            ric[i][j].eval(eps0) == lam0 * G[i][j].eval(eps0)
+            ric[i][j].eval(eps0) == lam_q * G[i][j].eval(eps0)
             for i in range(n) for j in range(n)
         )
         kind = "einstein" if einstein else "soliton"
@@ -423,7 +425,7 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
 def geodesic_check(alg: MetricLieAlgebra, coords: Sequence) -> bool:
     """Exact test of nabla_V V = 0 for one concrete invariant vector."""
     v = [ratfunc(c) for c in coords]
-    return all(scalar_is_zero(x) for x in alg.nabla(v, v))
+    return all(x.is_zero for x in alg.nabla(v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +436,7 @@ def geodesic_check(alg: MetricLieAlgebra, coords: Sequence) -> bool:
 class WalkerVerdict:
     is_walker: bool
     witness: list[RatFunc] | None
-    equations: list[MultiPoly]
-    components: list[frozenset[str]] | None
-    exceptional: list[tuple[Fraction, bool, list[Fraction] | None]]
+    exceptional: list[tuple[Fraction, bool, list[RatFunc] | None]]
     numeric_checks: list[tuple[Fraction, bool]]
 
 
@@ -510,17 +510,15 @@ def _grid_witness(forms: Sequence, n: int) -> list[RatFunc] | None:
     return None
 
 
-def _null_parallel_witness(forms: Sequence, names) -> tuple[
-    list[RatFunc] | None, list[frozenset[str]] | None
-]:
+def _null_parallel_witness(forms: Sequence, names) -> list[RatFunc] | None:
     """Decide whether the Walker forms have a nonzero common zero.
 
-    Returns (witness, components) with the components of `solve_zero_set`;
-    the witness is None exactly when every component is the origin, and
-    otherwise the unit vector X_p of the first free coordinate p of the
-    first nontrivial component, on which every form vanishes.  When the
-    case analysis is stuck, a grid witness still decides (components None);
-    a stuck analysis without a grid witness raises CaseAnalysisIncomplete.
+    Returns None exactly when every component of `solve_zero_set` is the
+    origin, and otherwise a witness on which every form vanishes: the unit
+    vector X_p of the first free coordinate p of the first nontrivial
+    component.  When the case analysis is stuck, a grid witness still
+    decides; a stuck analysis without a grid witness raises
+    CaseAnalysisIncomplete.
     """
     n = len(names)
     try:
@@ -529,12 +527,12 @@ def _null_parallel_witness(forms: Sequence, names) -> tuple[
         witness = _grid_witness(forms, n)
         if witness is None:
             raise
-        return witness, None
+        return witness
     nontrivial = [c for c in components if len(c) < n]
     if not nontrivial:
-        return None, components
+        return None
     p = next(p for p in range(n) if names[p] not in nontrivial[0])
-    return [ONE if q == p else ZERO for q in range(n)], components
+    return [ONE if q == p else ZERO for q in range(n)]
 
 
 def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
@@ -553,16 +551,16 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
     """
     names = component_names(alg.dim)
     forms = _walker_forms(alg)
-    witness, components = _null_parallel_witness(forms, names)
+    witness = _null_parallel_witness(forms, names)
     verdict = witness is not None
 
     singular = set(alg.singular_parameters())
-    exceptional: list[tuple[Fraction, bool, list[Fraction] | None]] = []
+    exceptional: list[tuple[Fraction, bool, list[RatFunc] | None]] = []
     for eps0 in sorted(_coefficient_roots(forms) - singular):
-        w0, _ = _null_parallel_witness(_at_eps(forms, eps0), names)
+        # a witness at eps0 has constant `RatFunc` coordinates
+        w0 = _null_parallel_witness(_at_eps(forms, eps0), names)
         if (w0 is not None) != verdict:
-            coords = None if w0 is None else [x.constant_value() for x in w0]
-            exceptional.append((eps0, w0 is not None, coords))
+            exceptional.append((eps0, w0 is not None, w0))
 
     numeric_checks: list[tuple[Fraction, bool]] = []
     override = {eps0: v for eps0, v, _ in exceptional}
@@ -578,8 +576,7 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
                 f"the symbolic verdict ({found} vs {expected})"
             )
 
-    eqs = [_polynomial(names, U) for U in forms]
-    return WalkerVerdict(verdict, witness, eqs, components, exceptional, numeric_checks)
+    return WalkerVerdict(verdict, witness, exceptional, numeric_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +808,7 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     the report prints the constant n/2 as its energy.
     """
     n = alg.dim
-    half = Fraction(1, 2)
+    half = ratfunc(Fraction(1, 2))
     density = ratfunc(Fraction(n, 2))
     if not all(x.is_zero for plane in alg.nabla_basis for row in plane for x in row):
         GL = mat_mul(alg.metric, alg.harmonicity.laplacian)

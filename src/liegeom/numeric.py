@@ -11,8 +11,8 @@ Two entry points share the specialization (every entry the correctly
 rounded float of its exact value) and the Koszul formula, both over a
 leading axis of parameter values:
 
-* `evaluate_numeric` builds the whole model at one value (connection,
-  curvature, Ricci, Laplacian) through an orthonormal frame.  The frame
+* `evaluate_numeric` builds the model at one value (connection, Ricci from
+  the curvature, Laplacian) and an orthonormal frame.  The frame
   keeps the basis order when the metric is already diagonal and otherwise
   comes from a symmetric eigendecomposition; its signs determine the
   reported signature.
@@ -61,26 +61,21 @@ def _signature_name(signs: tuple[int, ...]) -> str:
 
 @dataclass
 class NumericModel:
-    """Everything about one metric Lie algebra at one parameter value, in
-    floating point: X-basis tensors, an orthonormal frame, and the frame
-    versions of curvature and Ricci."""
+    """One metric Lie algebra at one parameter value, in floating point: the
+    metric, connection, Ricci and Laplacian in the X basis, an orthonormal
+    frame, and Ricci in that frame."""
 
     eps: Fraction
     dim: int
     signs: tuple[int, ...]
     signature: str
-    brackets: np.ndarray       # C[i, j, k]
     metric: np.ndarray
-    metric_inv: np.ndarray
     frame: np.ndarray          # column a = frame vector e_a in X coordinates
     nabla: np.ndarray          # K[i, j, k]: nabla_{Xi} Xj = sum_k K[i,j,k] Xk
-    connection_ops: np.ndarray # ops[i] = matrix of nabla_{Xi}
-    curvature: np.ndarray      # R4[i, j, k, l] = g(R(Xi,Xj)Xk, Xl)
     ricci: np.ndarray
     scalar_curvature: float
     laplacian: np.ndarray
     laplacian_eigenvalues: list[float]
-    frame_curvature: np.ndarray
     frame_ricci: np.ndarray
 
     def grad_norm_sq(self, coords) -> float:
@@ -163,7 +158,7 @@ def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
 
     K, ops = _koszul(C, G, Ginv)
 
-    R4 = np.zeros((n, n, n, n))
+    R4 = np.zeros((n, n, n, n))  # R4[i, j, k, l] = g(R(Xi,Xj)Xk, Xl)
     for i in range(n):
         for j in range(n):
             op = np.einsum("k,kab->ab", C[i, j], ops) - (ops[i] @ ops[j] - ops[j] @ ops[i])
@@ -181,15 +176,11 @@ def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
     else:
         eigenvalues = sorted(eig, key=lambda z: (z.real, z.imag))
 
-    frame_R4 = np.einsum("ia,jb,kc,ld,ijkl->abcd", E, E, E, E, R4)
-    frame_ricci = E.T @ ricci @ E
-
     return NumericModel(
         eps=eps0, dim=n, signs=signs, signature=_signature_name(signs),
-        brackets=C, metric=G, metric_inv=Ginv, frame=E, nabla=K, connection_ops=ops,
-        curvature=R4, ricci=ricci, scalar_curvature=scal,
+        metric=G, frame=E, nabla=K, ricci=ricci, scalar_curvature=scal,
         laplacian=lap, laplacian_eigenvalues=eigenvalues,
-        frame_curvature=frame_R4, frame_ricci=frame_ricci,
+        frame_ricci=E.T @ ricci @ E,
     )
 
 

@@ -40,8 +40,7 @@ SCHEMA = "1"
 
 
 def _matrix(rows) -> list[list[str]]:
-    # `str` prints a Fraction as `fraction_str` does; no entry is tested
-    # against Fraction, whose `isinstance` goes through an ABC
+    # every entry is a `RatFunc`, and `str` is its canonical printer
     return [[str(x) for x in row] for row in rows]
 
 
@@ -117,7 +116,7 @@ def ricci_section(alg: MetricLieAlgebra) -> dict:
             "generic": ein.generic,
             "lam": scalar_str(ein.lam) if ein.lam is not None else None,
             "exceptional": [
-                {"eps": fraction_str(e), "lam": fraction_str(l)}
+                {"eps": fraction_str(e), "lam": scalar_str(l)}
                 for e, l in ein.exceptional
             ],
         },
@@ -148,7 +147,7 @@ def soliton_section(alg: MetricLieAlgebra, convention: str = "paper") -> dict:
             {
                 "eps": fraction_str(b.eps),
                 "kind": b.kind,
-                "lam": fraction_str(b.lam) if b.lam is not None else None,
+                "lam": scalar_str(b.lam) if b.lam is not None else None,
                 "X": vector_str(b.witness) if b.witness is not None else None,
                 "free_dimension": b.kernel_dim,
                 "description": b.description,
@@ -199,7 +198,7 @@ def walker_section(alg: MetricLieAlgebra) -> dict:
             {
                 "eps": fraction_str(eps),
                 "admits": admits,
-                "witness": vector_str([Fraction(x) for x in coords]) if coords else None,
+                "witness": vector_str(coords) if coords is not None else None,
             }
             for eps, admits, coords in w.exceptional
         ],

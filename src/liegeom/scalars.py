@@ -91,9 +91,11 @@ def fraction_str(q: Fraction) -> str:
 
 
 def scalar_is_zero(x) -> bool:
-    """Exact zero test across every scalar-like type in this package.
-    `RatFunc` is tested first: it is by far the most common, and the
-    `isinstance` test against `Fraction` goes through its ABC metaclass."""
+    """Exact zero test across every scalar-like type in this package, for
+    the coefficients of a `Poly` (rationals or `RatFunc`s); outside this
+    module the engine holds `RatFunc`s and tests `.is_zero`.  `RatFunc` is
+    tested first: the `isinstance` test against `Fraction` goes through its
+    ABC metaclass."""
     if isinstance(x, RatFunc):
         return x.is_zero
     if isinstance(x, (int, Fraction)):

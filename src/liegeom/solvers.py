@@ -8,7 +8,9 @@ system at each rational root of those quantities, and reports the values
 where the outcome genuinely differs from the generic one.  That candidate
 set is provably complete for rational exceptional values: away from the
 recorded roots the specialized elimination performs the identical pivot
-sequence, so rank, consistency, and kernel all specialize.
+sequence, so rank, consistency, and kernel all specialize.  A candidate
+value is re-solved by the same `rref_solve`, on the constant `RatFunc`s of
+the specialized entries, so every result is over Q(eps).
 
 `eigen_analyze` finds the eigenvalues of an operator that are themselves
 rational functions of the parameter.  The characteristic polynomial is
@@ -48,12 +50,11 @@ from .scalars import (
     _zpow,
     _zroots,
     ratfunc,
-    scalar_is_zero,
 )
 
 
 # ---------------------------------------------------------------------------
-# exact reduced-row-echelon solving over any exact field
+# exact reduced-row-echelon solving over Q(eps)
 
 
 @dataclass
@@ -79,8 +80,9 @@ class SolveResult:
         return len(self.kernel)
 
 
-def rref_solve(rows: Sequence[Sequence], rhs: Sequence) -> SolveResult:
-    """Gauss-Jordan elimination over an exact field (Fraction or RatFunc).
+def rref_solve(rows: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFunc]) -> SolveResult:
+    """Gauss-Jordan elimination over Q(eps), on `RatFunc` entries; a system
+    specialized at one eps has constant ones.
 
     The pivots used and the right-hand sides of the identically-zero rows
     come back in `SolveResult.watch`, so that a parametric caller can find
@@ -93,16 +95,16 @@ def rref_solve(rows: Sequence[Sequence], rhs: Sequence) -> SolveResult:
     watch = []
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if not scalar_is_zero(A[i][c])), None)
+        pr = next((i for i in range(r, m) if not A[i][c].is_zero), None)
         if pr is None:
             continue
         A[r], A[pr] = A[pr], A[r]
         pivot = A[r][c]
         watch.append(pivot)
-        A[r] = [x if scalar_is_zero(x) else x / pivot for x in A[r]]
+        A[r] = [x if x.is_zero else x / pivot for x in A[r]]
         prow = nonzero(A[r])
         for i in range(m):
-            if i != r and not scalar_is_zero(A[i][c]):
+            if i != r and not A[i][c].is_zero:
                 f, row = A[i][c], A[i]
                 for k, y in prow:
                     row[k] = row[k] - f * y
@@ -112,18 +114,16 @@ def rref_solve(rows: Sequence[Sequence], rhs: Sequence) -> SolveResult:
             break
     tails = [A[i][n] for i in range(r, m)]
     watch.extend(tails)
-    if not all(scalar_is_zero(t) for t in tails):
+    if not all(t.is_zero for t in tails):
         return SolveResult("inconsistent", r, None, [], watch)
-    zero = rows[0][0] * 0 if m and not isinstance(rows[0][0], RatFunc) else ZERO
-    one = zero + 1
-    particular = [zero for _ in range(n)]
+    particular = [ZERO] * n
     for i, c in enumerate(pivot_cols):
         particular[c] = A[i][n]
     free_cols = [c for c in range(n) if c not in pivot_cols]
     kernel = []
     for fc in free_cols:
-        v = [zero for _ in range(n)]
-        v[fc] = one
+        v = [ZERO] * n
+        v[fc] = ONE
         for i, c in enumerate(pivot_cols):
             v[c] = -A[i][fc]
         kernel.append(v)
@@ -185,8 +185,8 @@ def solve_parametric(
     branches: list[ExceptionalBranch] = []
     for eps0 in sorted(candidates):
         try:
-            srows = [[Fraction(x.eval(eps0)) for x in r] for r in rows]
-            srhs = [Fraction(b.eval(eps0)) for b in rhs]
+            srows = [[ratfunc(x.eval(eps0)) for x in r] for r in rows]
+            srhs = [ratfunc(b.eval(eps0)) for b in rhs]
         except PoleAtEvaluationPoint:
             branches.append(ExceptionalBranch(eps0, "singular", None))
             continue

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liegeom.algebra import MetricLieAlgebra, SingularMetric, mat_inv, vector_str
-from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, scalar_str
+from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, ratfunc, scalar_str
 
 
 def smat(rows):
@@ -214,7 +214,7 @@ def test_transform_basis_preserves_invariants(berger_alg):
 
 
 def test_transform_basis_round_trip(berger_alg):
-    Pr = [[Fraction(x) for x in row] for row in P]
+    Pr = [[ratfunc(x) for x in row] for row in P]
     back = berger_alg.transform_basis(Pr).transform_basis(mat_inv(Pr))
     assert back.brackets == berger_alg.brackets
     assert back.metric == berger_alg.metric

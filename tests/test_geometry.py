@@ -48,7 +48,6 @@ from liegeom.scalars import (
 import test_properties
 from test_tensor_reference import (
     CORPUS_CASES, CORPUS_IDS, corpus_case, reference_gradient, reference_trace)
-from test_walker_reference import almost_abelian_family
 
 
 def F(x):
@@ -153,6 +152,43 @@ def test_killing_abelian(abelian_alg):
     v = killing_solve(abelian_alg)
     assert len(v.basis) == 3
     assert v.exceptional == []
+
+
+def constant_ratfuncs(values):
+    return all(type(x) is RatFunc and x.is_constant for x in values)
+
+
+def test_berger_branch_values_are_constant_ratfuncs(berger_alg):
+    # each candidate eps is re-solved on the constant `RatFunc`s of the
+    # specialized entries, so branch values stay in Q(eps) until printed
+    ein = einstein_check(berger_alg)
+    assert [eps for eps, _ in ein.exceptional] == [F(1)]
+    assert constant_ratfuncs(lam for _, lam in ein.exceptional)
+    assert [scalar_str(lam) for _, lam in ein.exceptional] == ["2"]
+
+    sol = ricci_soliton_solve(berger_alg)
+    (branch,) = [b for b in sol.exceptional if b.lam is not None]
+    assert (branch.eps, branch.kind) == (F(1), "einstein")
+    assert constant_ratfuncs([branch.lam] + branch.witness)
+    assert (scalar_str(branch.lam), vector_str(branch.witness)) == ("2", "0")
+    assert branch.description == "Einstein with lam=2 at eps=1"
+    res = sol.solution.branch_at(1).result
+    assert constant_ratfuncs(res.particular + [x for v in res.kernel for x in v])
+
+    (kil,) = killing_solve(berger_alg).exceptional
+    assert constant_ratfuncs(x for v in kil.result.kernel for x in v)
+    assert [vector_str(v) for v in kil.result.kernel] == ["X1", "X2", "X3"]
+
+
+def test_walker_exceptional_witness_is_constant_ratfuncs():
+    # a grid witness found at eps = -1 only, printed from its `RatFunc`s
+    alg = next(a for a in test_properties.almost_abelian_family(20)
+               if a.name == "almost-abelian-3d-17")
+    v = walker_check(alg)
+    ((eps0, admits, coords),) = v.exceptional
+    assert (eps0, admits) == (F(-1), not v.is_walker)
+    assert constant_ratfuncs(coords)
+    assert walker_section(alg)["exceptional"][0]["witness"] == vector_str(coords) == "X2+X3"
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +518,7 @@ def test_null_critical_family_has_the_constant_energy():
     # g(V, V) = 0, and |nabla V|^2 = 0 by the direct contraction, so its
     # energy is n/2 whatever the eigenvalue.  These are the only 2 of the
     # 300 almost-abelian algebras with a null family.
-    family = {alg.name: alg for alg in almost_abelian_family()}
+    family = {alg.name: alg for alg in test_properties.almost_abelian_family()}
     for name in ("almost-abelian-3d-24", "almost-abelian-3d-96"):
         alg = family[name]
         (null,) = [f for f in energy_report(alg).families if f.rho2_coeff is None]

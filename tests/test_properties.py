@@ -2,8 +2,12 @@
 generators below can produce, not just the catalog entries."""
 
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 import zlib
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +28,7 @@ from liegeom.scalars import (
     parse_scalar,
     poly_div_exact,
     poly_gcd,
+    ratfunc,
     scalar_str,
 )
 from liegeom.solvers import rref_solve
@@ -178,8 +183,8 @@ def abelian(rng):
 
 def random_invertible(rng, n):
     while True:
-        P = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        if mat_det([row[:] for row in P]) != 0:
+        P = [[ratfunc(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if not mat_det(P).is_zero:
             return P
 
 
@@ -196,8 +201,9 @@ def random_algebras(count=20, seed=20260816):
 
 ALGEBRAS = random_algebras()
 
+TESTS = Path(__file__).resolve().parent
 _spec = importlib.util.spec_from_file_location(
-    "bench_corpus", Path(__file__).resolve().parent.parent / "bench" / "corpus.py")
+    "bench_corpus", TESTS.parent / "bench" / "corpus.py")
 corpus = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(corpus)
 
@@ -219,6 +225,42 @@ ALGEBRAS_4D = mixed_4d_algebras()
 GENERATED = {f"{i:02d}-{a.name}": a for i, a in enumerate(ALGEBRAS)}
 GENERATED.update((f"4d-{a.name}", a) for a in ALGEBRAS_4D)
 
+# entries of the almost-abelian derivation D
+D_ENTRIES = (1, -1, 2, Fraction(1, 2), EPS, -EPS, EPS + 1, 2 * EPS)
+
+
+def almost_abelian(rng, n, name):
+    """R x_D R^(n-1): X_n acts on the abelian ideal span(X_1..X_(n-1)) by a
+    random D, about half its entries zero, so [X_a, X_n] = -sum_b D[b][a] X_b
+    (a Lie algebra for every D); a diagonal metric of random signs, one
+    entry scaled by eps."""
+    D = [[rng.choice(D_ENTRIES) if rng.random() < 0.5 else None for _ in range(n - 1)]
+         for _ in range(n - 1)]
+    brackets = {(a, n - 1): {b: -D[b][a] for b in range(n - 1) if D[b][a] is not None}
+                for a in range(n - 1)}
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    p = rng.randrange(n)
+    metric = [[0] * n for _ in range(n)]
+    for i, s in enumerate(signs):
+        metric[i][i] = s * (EPS if i == p else ONE)
+    return MetricLieAlgebra.from_brackets(n, brackets, metric, name=name)
+
+
+def almost_abelian_family(per_dim=150, seed=20261019):
+    """`per_dim` seeded almost-abelian algebras in dimension 3, then in 4,
+    each in its own basis."""
+    rng = random.Random(seed)
+    return [almost_abelian(rng, n, f"almost-abelian-{n}d-{i}")
+            for n in (3, 4) for i in range(per_dim)]
+
+
+def mixed_copies(algebras, seed=7):
+    """Each algebra after a basis change by `corpus.mixing_matrix`, drawn in
+    order from one generator seeded with `seed`."""
+    rng = random.Random(seed)
+    return [alg.transform_basis(corpus.mixing_matrix(rng, alg.dim), name=f"{alg.name}-mixed")
+            for alg in algebras]
+
 ALG_KEYS = ["berger", "abelian-control"] + list(GENERATED)
 
 
@@ -229,6 +271,50 @@ def alg(request, berger_alg, abelian_alg):
     if request.param == "abelian-control":
         return abelian_alg
     return GENERATED[request.param]
+
+
+# Refusals of `almost_abelian_sweep.py` (150 algebras per dimension) by
+# (family, dimension, section), measured when the sweep was added.  Later
+# rules that decide more cases lower them; raising one is a regression.
+SWEEP_REFUSAL_BOUNDS = {
+    ("unmixed", 3, "geodesic"): 91, ("unmixed", 3, "walker"): 36,
+    ("unmixed", 4, "geodesic"): 145, ("unmixed", 4, "walker"): 100,
+    ("mixed", 3, "geodesic"): 133, ("mixed", 3, "walker"): 137,
+    ("mixed", 4, "geodesic"): 149, ("mixed", 4, "walker"): 137,
+}
+
+
+def test_almost_abelian_sweep():
+    """Full reports of the almost-abelian family and its mixed copy: no
+    exception but `CaseAnalysisIncomplete`, the same bytes under two hash
+    seeds (one interpreter each, run side by side), and no more refusals
+    than `SWEEP_REFUSAL_BOUNDS`."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)] + (
+        [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    procs = [subprocess.Popen(
+        [sys.executable, str(TESTS / "almost_abelian_sweep.py")],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) for seed in ("0", "1")]
+    try:
+        outs = [proc.communicate(timeout=300) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    for proc, (_, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+    runs = [out.splitlines() for out, _ in outs]
+    assert len(runs[0]) == 600
+    assert [(a, b) for a, b in zip(*runs) if a != b][:5] == []
+    refusals, completed = Counter(), Counter()
+    for family, dim, _, *status, digest in (line.split() for line in runs[0]):
+        for section, st in zip(("geodesic", "walker"), status):
+            refusals[family, int(dim), section] += st == "refused"
+        completed[family, int(dim)] += digest != "-"
+    over = {key: refusals[key] for key, bound in SWEEP_REFUSAL_BOUNDS.items()
+            if refusals[key] > bound}
+    assert not over, (f"refusals {dict(refusals)}, full reports completed "
+                      f"{dict(completed)}; over the bounds: {over}")
 
 
 def basis_vec(n, i):

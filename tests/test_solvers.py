@@ -15,6 +15,7 @@ from liegeom.scalars import (
     Poly,
     RatFunc,
     parse_scalar,
+    ratfunc,
     scalar_str,
     square_free_part,
 )
@@ -34,29 +35,36 @@ def F(x):
 
 
 # ---------------------------------------------------------------------------
-# elimination over plain rationals
+# elimination over constant rational functions: a system specialized at one eps
+
+
+def consts(values):
+    """Constant `RatFunc`s: a list of rationals, or a list of rows of them."""
+    return [consts(v) if isinstance(v, list) else ratfunc(v) for v in values]
 
 
 def test_rref_unique():
-    res = rref_solve([[F(2), F(1)], [F(1), F(-1)]], [F(3), F(0)])
+    res = rref_solve(consts([[2, 1], [1, -1]]), consts([3, 0]))
     assert res.status == "unique"
-    assert res.particular == [F(1), F(1)]
+    assert res.particular == consts([1, 1])
+    assert all(type(x) is RatFunc for x in res.particular)
     assert res.kernel == []
 
 
 def test_rref_underdetermined():
-    res = rref_solve([[F(1), F(1)], [F(2), F(2)]], [F(2), F(4)])
+    res = rref_solve(consts([[1, 1], [2, 2]]), consts([2, 4]))
     assert res.status == "underdetermined"
     assert res.rank == 1
     assert res.kernel_dim == 1
     x0, k = res.particular, res.kernel[0]
     # back substitution of the particular solution and of the kernel vector
-    assert x0[0] + x0[1] == F(2)
-    assert k[0] + k[1] == F(0) and k != [F(0), F(0)]
+    assert x0[0] + x0[1] == ratfunc(2)
+    assert (k[0] + k[1]).is_zero and k != consts([0, 0])
+    assert all(type(x) is RatFunc for x in x0 + k)
 
 
 def test_rref_inconsistent():
-    res = rref_solve([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)])
+    res = rref_solve(consts([[1, 1], [1, 1]]), consts([1, 2]))
     assert res.status == "inconsistent"
     assert res.particular is None
 
@@ -64,10 +72,8 @@ def test_rref_inconsistent():
 def test_rref_watch_lists_pivots_then_zero_row_right_sides():
     # pivot 2 in column 0, pivot -1/2 in column 1; the third row
     # eliminates to 0 = 1
-    res = rref_solve(
-        [[F(2), F(1)], [F(1), F(0)], [F(3), F(1)]], [F(3), F(1), F(5)]
-    )
-    assert res.watch == [F(2), Fraction(-1, 2), F(1)]
+    res = rref_solve(consts([[2, 1], [1, 0], [3, 1]]), consts([3, 1, 5]))
+    assert res.watch == consts([2, Fraction(-1, 2), 1])
     assert res.status == "inconsistent"
 
 

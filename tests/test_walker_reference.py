@@ -8,21 +8,18 @@ was: one value at a time, the specialization through `Fraction`s, and a
 joint-eigenspace loop that makes one small numpy call per subspace.  Both
 must give the same True/False/None at every sample value of
 `geometry.walker_check`, on the 36 corpus cases (unmixed and under mixing
-seeds 1-3), on the property algebras and on 300 seeded almost-abelian
-algebras R x_D R^(n-1).
+seeds 1-3), on the property algebras and on the 300 seeded almost-abelian
+algebras R x_D R^(n-1) of `test_properties.almost_abelian_family`.
 """
 
 import random
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from liegeom.algebra import MetricLieAlgebra
 from liegeom.geometry import _NUMERIC_EPS_CANDIDATES
 from liegeom.numeric import _specialize, null_parallel_scan
-from liegeom.scalars import EPS, ONE
 
 import test_properties
 from test_tensor_reference import CORPUS_CASES, corpus_case
@@ -116,37 +113,12 @@ def reference_null_parallel(alg, eps0):
 # ---------------------------------------------------------------------------
 # the sweep
 
-D_ENTRIES = (1, -1, 2, Fraction(1, 2), EPS, -EPS, EPS + 1, 2 * EPS)
-
-
-def almost_abelian(rng, n, name):
-    """R x_D R^(n-1): X_n acts on the abelian ideal span(X_1..X_(n-1)) by a
-    random D, about half its entries zero, so [X_a, X_n] = -sum_b D[b][a] X_b
-    (a Lie algebra for every D); a diagonal metric of random signs, one
-    entry scaled by eps."""
-    D = [[rng.choice(D_ENTRIES) if rng.random() < 0.5 else None for _ in range(n - 1)]
-         for _ in range(n - 1)]
-    brackets = {(a, n - 1): {b: -D[b][a] for b in range(n - 1) if D[b][a] is not None}
-                for a in range(n - 1)}
-    signs = [rng.choice((1, -1)) for _ in range(n)]
-    p = rng.randrange(n)
-    metric = [[0] * n for _ in range(n)]
-    for i, s in enumerate(signs):
-        metric[i][i] = s * (EPS if i == p else ONE)
-    return MetricLieAlgebra.from_brackets(n, brackets, metric, name=name)
-
-
-def almost_abelian_family(per_dim=150, seed=20261019):
-    rng = random.Random(seed)
-    return [almost_abelian(rng, n, f"almost-abelian-{n}d-{i}")
-            for n in (3, 4) for i in range(per_dim)]
-
 
 @pytest.fixture(scope="module")
 def sweep_algebras(corpus_alg):
     algebras = [corpus_case(corpus_alg, key, seed) for key, seed in CORPUS_CASES]
     algebras += list(test_properties.GENERATED.values())
-    return algebras + almost_abelian_family()
+    return algebras + test_properties.almost_abelian_family()
 
 
 def test_scan_matches_reference(sweep_algebras):
