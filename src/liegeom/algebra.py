@@ -203,6 +203,20 @@ class Violation:
         return f"{self.law}: {self.detail}"
 
 
+class ValidationFailed(ValueError):
+    """The data is not a metric Lie algebra: `MetricLieAlgebra.validate`
+    found these violations.  `catalog.loads` raises it on such input, and
+    every analysis and every tensor that needs the Jacobi identity raises
+    it through `MetricLieAlgebra.require_valid`."""
+
+    def __init__(self, violations: list[Violation]):
+        super().__init__(
+            "algebra data is not a metric Lie algebra: "
+            + "; ".join(str(v) for v in violations)
+        )
+        self.violations = violations
+
+
 @dataclass(frozen=True)
 class MetricLieAlgebra:
     """A Lie algebra with inner product, in a fixed basis of dim <= 4.
@@ -283,6 +297,13 @@ class MetricLieAlgebra:
         once per algebra.
         """
         return list(self._violations)
+
+    def require_valid(self) -> None:
+        """Raise ValidationFailed unless `validate` finds nothing.  The
+        violations are computed once per algebra, so after the first call
+        (for example by `catalog.loads`) this is one attribute lookup."""
+        if self._violations:
+            raise ValidationFailed(list(self._violations))
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -466,8 +487,12 @@ class MetricLieAlgebra:
         Koszul nabla_{Xi} is g-skew, which needs only an antisymmetric
         bracket and a symmetric metric; so R(Xi, Xj), a combination of
         nabla_{Xk} and commutators of them, is g-skew too.  Neither needs
-        the Jacobi identity, which `from_brackets` does not enforce; pair
-        symmetry and the first Bianchi identity do, so they are not used.
+        the Jacobi identity, so the tensor is exact on any antisymmetric
+        bracket with a symmetric metric, and the curvature section prints it
+        as it is.  Pair symmetry, R4[i][j][k][l] = R4[k][l][i][j], needs the
+        Jacobi identity (through the first Bianchi identity); it is not used
+        here, and `cov_curvature`, which relies on it, checks the identity
+        first.
         """
         n = self.dim
         G = self.metric
@@ -551,18 +576,22 @@ class MetricLieAlgebra:
         the connection terms contribute:
         D[i][j][k] = -(sum_m K[i][j][m] ric[m][k] + sum_m K[i][k][m] ric[j][m]).
 
-        Both sums are K lowered by Ricci once, P[i][j] = ric^T K[i][j] and
-        Q[i][k] = ric K[i][k], so that D[i][j][k] = -(P[i][j][k] + Q[i][k][j]).
-        Every (j, k) is computed, and P and Q are both formed: the symmetry
-        of Ricci needs the Jacobi identity, which `from_brackets` does not
-        enforce.
+        Ricci is symmetric on a Lie algebra (the Jacobi identity, checked
+        here through `require_valid`), so both sums are one lowering of K
+        by Ricci, P[i][j] = ric K[i][j], and
+        D[i][j][k] = -(P[i][j][k] + P[i][k][j]).  D is symmetric in (j, k):
+        the entries j <= k are computed and the others copied.
         """
+        self.require_valid()
         rn = range(self.dim)
-        K, ric = self.nabla_basis, self.ricci
-        ricT = transpose(ric)
-        P = [[mat_vec(ricT, row) for row in plane] for plane in K]
-        Q = [[mat_vec(ric, row) for row in plane] for plane in K]
-        return [[[-(P[i][j][k] + Q[i][k][j]) for k in rn] for j in rn] for i in rn]
+        ric = self.ricci
+        P = [[mat_vec(ric, row) for row in plane] for plane in self.nabla_basis]
+        D = [[[ZERO] * self.dim for _ in rn] for _ in rn]
+        for i in rn:
+            for j in rn:
+                for k in range(j, self.dim):
+                    D[i][j][k] = D[i][k][j] = -(P[i][j][k] + P[i][k][j])
+        return D
 
     @cached_property
     def cov_curvature(self) -> list:
@@ -570,16 +599,17 @@ class MetricLieAlgebra:
         = -sum_m K[i][a][m] R4[m][b][c][d] + K[i][b][m] R4[a][m][c][d]
                  + K[i][c][m] R4[a][b][m][d] + K[i][d][m] R4[a][b][c][m].
 
-        Only the entries with a < b and c < d are computed (144 of 1024 in
-        dimension 4), and in each sum only the terms whose K and R4 factors
-        are both nonzero; the other three signed copies are filled in by
-        sign, and the entries with a = b or c = d are zero.  The sum is
-        antisymmetric in (a, b) and in (c, d) because `curvature_tensor`
-        is, for any antisymmetric bracket and symmetric metric: swapping a
-        and b swaps the first two terms and negates every R4 factor.  Pair
-        symmetry and the Bianchi identities need the Jacobi identity and
-        are not used.
+        Each nabla_{Xi} R has the symmetries of R4: antisymmetry in (a, b)
+        and in (c, d), which hold for any antisymmetric bracket and
+        symmetric metric, and pair symmetry, which needs the Jacobi identity
+        (checked here through `require_valid`).  So only the slots with
+        a < b, c < d and (a, b) <= (c, d) in the order of the index pairs
+        are computed, 21 of the 36 pairs of index pairs per Xi in
+        dimension 4 (6 of 9 in dimension 3), each from the terms whose K
+        and R4 factors are both nonzero; a nonzero slot is copied to its
+        other seven signed places, and every other entry is zero.
         """
+        self.require_valid()
         n = self.dim
         K, R4 = self.nabla_basis, self.curvature_tensor
         out = [
@@ -589,10 +619,10 @@ class MetricLieAlgebra:
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         for i in range(n):
             # nonzero Christoffel entries of nabla_{Xi} Xa, as (m, K[i][a][m])
-            Ki = [[(m, x) for m, x in enumerate(K[i][a]) if not x.is_zero] for a in range(n)]
+            Ki = [nonzero(K[i][a]) for a in range(n)]
             Di = out[i]
-            for a, b in pairs:
-                for c, d in pairs:
+            for p, (a, b) in enumerate(pairs):
+                for c, d in pairs[p:]:
                     acc = ZERO
                     for m, x in Ki[a]:
                         y = R4[m][b][c][d]
@@ -610,9 +640,11 @@ class MetricLieAlgebra:
                         y = R4[a][b][c][m]
                         if not y.is_zero:
                             acc = acc + x * y
+                    if acc.is_zero:
+                        continue
                     neg = -acc
-                    Di[a][b][c][d] = Di[b][a][d][c] = neg
-                    Di[b][a][c][d] = Di[a][b][d][c] = acc
+                    Di[a][b][c][d] = Di[b][a][d][c] = Di[c][d][a][b] = Di[d][c][b][a] = neg
+                    Di[b][a][c][d] = Di[a][b][d][c] = Di[d][c][a][b] = Di[c][d][b][a] = acc
         return out
 
     @cached_property

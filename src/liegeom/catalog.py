@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import MAX_DIM, MetricLieAlgebra, Violation
+from .algebra import MAX_DIM, MetricLieAlgebra, ValidationFailed  # re-exported
 from .scalars import (
     DivisionByZeroFunction,
     ScalarSyntaxError,
@@ -146,15 +146,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class ValidationFailed(ValueError):
-    def __init__(self, violations: list[Violation]):
-        super().__init__(
-            "algebra data is not a metric Lie algebra: "
-            + "; ".join(str(v) for v in violations)
-        )
-        self.violations = violations
 
 
 def _parse_entry(text: str, lineno: int):

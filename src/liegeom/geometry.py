@@ -1,5 +1,10 @@
 """Geometric verdicts: solitons, symmetries, distinguished vector fields.
 
+Every analysis here first checks that its input is a metric Lie algebra
+(`MetricLieAlgebra.require_valid`, cached per algebra) and raises
+`ValidationFailed` otherwise, so the Jacobi identity may be used
+throughout.
+
 Every analysis here follows the same pattern.  Pose the defining condition
 exactly over the scalar field, resolve it symbolically, and report both
 the generic answer and the finitely many rational parameter values where
@@ -71,6 +76,7 @@ from .scalars import (
     RatFunc,
     ZERO,
     component_names,
+    dot,
     ratfunc,
 )
 from .solvers import (
@@ -81,6 +87,10 @@ from .solvers import (
     kernel_basis,
     solve_parametric,
 )
+
+
+# the integer weights of the Ledger contraction, as `RatFunc`s
+_SMALL = {k: ratfunc(k) for k in (-2, -1, 1, 2)}
 
 
 class CaseAnalysisIncomplete(ArithmeticError):
@@ -147,6 +157,7 @@ def einstein_check(alg: MetricLieAlgebra) -> EinsteinVerdict:
     the exceptional values come out of the same complete candidate search
     as every other solve.
     """
+    alg.require_valid()
     ric, G = alg.ricci, alg.metric
     upper = _upper(alg.dim)
     sol = solve_parametric([[G[i][j]] for i, j in upper], [ric[i][j] for i, j in upper], ("lam",))
@@ -204,6 +215,7 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
     choice rescales X and lam but never changes solvability, so the
     exceptional parameter set is convention-independent.
     """
+    alg.require_valid()
     if convention not in SOLITON_CONVENTIONS:
         raise ValueError(f"unknown soliton convention {convention!r}")
     n = alg.dim
@@ -287,6 +299,7 @@ class KillingVerdict:
 
 def killing_solve(alg: MetricLieAlgebra) -> KillingVerdict:
     """Invariant Killing fields: the kernel of X -> Lie_X g."""
+    alg.require_valid()
     n = alg.dim
     names = tuple(f"x{i+1}" for i in range(n))
     lie = alg.lie_derivative_metric_basis
@@ -410,6 +423,7 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
     parameter values where the union changes (for example where every
     equation collapses and all fields become geodesic).
     """
+    alg.require_valid()
     names = component_names(alg.dim)
     forms = _geodesic_forms(alg)
     components = solve_zero_set(forms, names)
@@ -549,6 +563,7 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
     CaseAnalysisIncomplete names the first value that disagrees, rather
     than reporting either answer.
     """
+    alg.require_valid()
     names = component_names(alg.dim)
     forms = _walker_forms(alg)
     witness = _null_parallel_witness(forms, names)
@@ -600,37 +615,101 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
     every X; it is computed as one degree-5 polynomial identity in the
     components of X, so the verdict is exact.
 
-    Order of the contraction: A[a][b] = R(X,Xa,X,Xb) (degree 2) and
-    B[c][d] = (nabla_X R)(X,Xc,X,Xd) (degree 3) are read off the
-    coefficient tensors as one `_terms` dict each; both indices of A are
-    raised by g^{-1} with scalar multiples only, one index at a time, into
-    A^{cd} = sum_ab g^{ac} g^{bd} A[a][b], and only where B[c][d] is
-    nonzero; then l5 = sum_cd A^{cd} B[c][d] is one `_terms` over the
-    concatenated monomial keys.  The sum runs over every (c, d): pair
-    symmetry of A and B needs the Jacobi identity, which a directly built
-    algebra need not satisfy.
+    Both rest on the Jacobi identity, which `require_valid` checks first.
+    Ricci is symmetric, so with P[i][j][k] = sum_m K[i][j][m] ric[m][k]
+    (see `cov_ricci`) the cyclic sum on (i, j, k) is minus the sum of P over
+    the six orderings of (i, j, k).  It is symmetric in (i, j, k), and
+    zero exactly when the sum of P over the distinct orderings is: one
+    `dot` of the K and Ricci entries per multiset {i, j, k}.
+
+    Degree 5 is contracted over its nonzero pieces:
+      * B[c][d] = (nabla_X R)(X,Xc,X,Xd) is symmetric (pair symmetry), so
+        it is built for c <= d only, scaled by 2 - delta_cd, from the
+        nonzero slots DR[m][a][b][e][f] with a < b, e < f and
+        (a, b) <= (e, f) of `cov_curvature`: each is the entry, up to sign,
+        of four (c, d) by antisymmetry and of four more by pair symmetry.
+      * The metric enters once: sum_ab g^{ac} g^{bd} R(X,Xa,X,Xb) =
+        sum_a g^{ac} E[a][d] with E[a][d] = (R(X,Xa)X)^d, the components of
+        the curvature operators themselves (`_curvature_operators`), so
+        neither `curvature_tensor` nor the lowering by g is read.  That
+        raise is formed only for the (c, d) where B[c][d] is nonzero.
+      * l5 = sum_{c <= d} (2 - delta_cd) raised^{cd} B[c][d].
+    Every coefficient of B, of the raised tensor and of l5 is one `dot`,
+    normalized once.
     """
+    alg.require_valid()
+    violations = _cyclic_violations(alg)
+    l5 = _ledger_l5(alg)
+    return LedgerReport(not violations, violations, _polynomial(component_names(alg.dim), l5), not l5)
+
+
+def _dots(terms: dict) -> dict:
+    """The nonzero `dot` of each key's list of (x, y) pairs."""
+    return {key: v for key, pairs in terms.items() if not (v := dot(pairs)).is_zero}
+
+
+def _cyclic_violations(alg: MetricLieAlgebra) -> list[tuple[int, int, int]]:
+    """The 1-based (i, j, k) whose cyclic sum of `cov_ricci` is nonzero, in
+    lexicographic order; one `dot` of K and Ricci entries per multiset."""
+    rn = range(alg.dim)
+    K, ric = alg.nabla_basis, alg.ricci
+    Kn = [[nonzero(v) for v in plane] for plane in K]
+    bad = set()
+    for t in itertools.combinations_with_replacement(rn, 3):
+        cyclic = dot((x, ric[m][c]) for a, b, c in set(itertools.permutations(t))
+                     for m, x in Kn[a][b] if not ric[m][c].is_zero)
+        if not cyclic.is_zero:
+            bad.add(t)
+    return [(i + 1, j + 1, k + 1) for i, j, k in itertools.product(rn, repeat=3)
+            if tuple(sorted((i, j, k))) in bad]
+
+
+def _ledger_l5(alg: MetricLieAlgebra) -> dict[tuple[int, ...], RatFunc]:
+    """The degree-5 Ledger polynomial as a `_terms` dict, contracted as
+    `ledger_check` describes."""
     n = alg.dim
-    D = alg.cov_ricci
-    violations = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        terms = [x for x in (D[i][j][k], D[j][k][i], D[k][i][j]) if not x.is_zero]
-        if not sum(terms, ZERO).is_zero:
-            violations.append((i + 1, j + 1, k + 1))
-    R4, DR = alg.curvature_tensor, alg.cov_curvature
-    ginv = [nonzero(row) for row in alg.metric_inverse]
     rn = range(n)
-    B = {(c, d): Bcd for c in rn for d in rn
-         if (Bcd := _terms(((m, i, k), DR[m][i][c][k][d]) for m in rn for i in rn for k in rn))}
-    A = [[_terms(((i, k), R4[i][a][k][b]) for i in rn for k in rn) for b in rn] for a in rn]
-    # E[a, d] = sum_b g^{bd} A[a][b], then A^{cd} = sum_a g^{ac} E[a, d]
-    E = {(a, d): _terms((key, w * x) for b, w in ginv[d] for key, x in A[a][b].items())
-         for a in rn for d in {d for _, d in B}}
-    raised = {(c, d): _terms((key, w * x) for a, w in ginv[c] for key, x in E[a, d].items())
-              for c, d in B}
-    l5 = _terms((ka + kb, x * y) for cd, Bcd in B.items()
-                for ka, x in raised[cd].items() for kb, y in Bcd.items())
-    return LedgerReport(not violations, violations, _polynomial(component_names(n), l5), not l5)
+    DR = alg.cov_curvature
+    pairs = [(a, b) for a in rn for b in range(a + 1, n)]
+    # the two orders (Xi, Xc) of a pair (a, b), as (c, i, sign of the order)
+    orders = {p: ((p[1], p[0], 1), (p[0], p[1], -1)) for p in pairs}
+    # (2 - delta_cd) B[c][d], c <= d, as the (weight, slot) pairs of each monomial
+    B_terms: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
+    for m in rn:
+        for p, ab in enumerate(pairs):
+            for ef in pairs[p:]:
+                v = DR[m][ab[0]][ab[1]][ef[0]][ef[1]]
+                if v.is_zero:
+                    continue
+                for first, second in ((ab, ef), (ef, ab)) if ab != ef else ((ab, ef),):
+                    for c, i, s1 in orders[first]:
+                        for d, k, s2 in orders[second]:
+                            if c <= d:
+                                w = _SMALL[s1 * s2 * (2 if c < d else 1)]
+                                B_terms.setdefault((c, d), {}).setdefault(
+                                    tuple(sorted((m, i, k))), []).append((w, v))
+    B = {cd: Bcd for cd, terms in B_terms.items() if (Bcd := _dots(terms))}
+
+    ops = alg._curvature_operators
+
+    @functools.cache
+    def e_terms(a, d):
+        """E[a][d] = sum_ik x_i x_k (R(Xi, Xa) Xk)^d as unsummed (monomial,
+        entry) terms; R(Xi, Xa) = -R(Xa, Xi) for i > a."""
+        return [(tuple(sorted((i, k))), z if i < a else -z)
+                for i in rn if i != a for k, z in nonzero(ops[min(i, a), max(i, a)][d])]
+
+    ginv = [nonzero(row) for row in alg.metric_inverse]
+    l5_terms: dict[tuple[int, ...], list] = {}
+    for (c, d), Bcd in B.items():
+        raised: dict[tuple[int, ...], list] = {}  # sum_a g^{ac} E[a][d]
+        for a, w in ginv[c]:
+            for key, z in e_terms(a, d):
+                raised.setdefault(key, []).append((w, z))
+        for ka, x in _dots(raised).items():
+            for kb, y in Bcd.items():
+                l5_terms.setdefault(tuple(sorted(ka + kb)), []).append((x, y))
+    return _dots(l5_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +810,7 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     trivial critical points) are the joint kernel of all covariant
     derivative operators.
     """
+    alg.require_valid()
     L = rough_laplacian(alg)
     decomp = eigen_analyze(L)
     singular = set(alg.singular_parameters())
@@ -807,6 +887,7 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     n/2, which says nothing about lam: its rho^2 coefficient is None, and
     the report prints the constant n/2 as its energy.
     """
+    alg.require_valid()
     n = alg.dim
     half = ratfunc(Fraction(1, 2))
     density = ratfunc(Fraction(n, 2))

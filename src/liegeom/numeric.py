@@ -130,7 +130,10 @@ def _koszul(C, G, Ginv):
 
 
 def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
-    """Specialize exactly, then rebuild the geometry in floating point."""
+    """Specialize exactly, then rebuild the geometry in floating point.
+    Like every analysis, it refuses input that is not a metric Lie algebra
+    (`MetricLieAlgebra.require_valid`)."""
+    alg.require_valid()
     import numpy as np
 
     eps0 = Fraction(eps0)

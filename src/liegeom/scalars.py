@@ -19,10 +19,12 @@ what the geometric verdicts downstream rely on.  A `RatFunc` is stored as
 two integer coefficient tuples N/D, coprime in Z[eps] contents included,
 with lc(D) > 0; its arithmetic cancels common factors with gcds in Z[eps]
 (a shortcut for constant and ``c*eps^k`` operands, the subresultant PRS
-otherwise), so no rational coefficient is ever normalized on the way.  Its
-rational zeros and poles are found on the same integer tuples, by the
-rational root theorem, and its numerator and denominator over Q, with a
-monic denominator, are computed on demand.  Rationals are stdlib
+otherwise), so no rational coefficient is ever normalized on the way.
+`dot` sums many products on the tuples with one normalization at the
+end, for the long contractions of the Ledger conditions.  The rational
+zeros and poles of a `RatFunc` are found on the same integer tuples, by
+the rational root theorem, and its numerator and denominator over Q, with
+a monic denominator, are computed on demand.  Rationals are stdlib
 `fractions.Fraction`.
 
 The text syntax for scalars accepts integers, rationals ``p/q``, the token
@@ -41,6 +43,7 @@ and parentheses from the tuples as well, so no `Fraction`, `Poly` or
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -358,7 +361,8 @@ def _zmul(a: tuple, b: tuple) -> tuple:
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
-        return a if b[0] == 1 else tuple(b[0] * x for x in a)
+        c = b[0]
+        return a if c == 1 else tuple([c * x for x in a])
     if not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -495,6 +499,43 @@ def _times(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFunc":
     if d[-1] < 0:
         n, d = _zneg(n), _zneg(d)
     return _ratfunc(n, d)
+
+
+def _zlcm(a: tuple, b: tuple) -> tuple:
+    """lcm of two polynomials in Z[eps] with lc > 0, content included."""
+    if a == b:
+        return a
+    return _zmul(a, _zdiv_exact(b, _zgcd(a, b)))
+
+
+def dot(pairs: Iterable[tuple["RatFunc", "RatFunc"]]) -> "RatFunc":
+    """sum x * y over the (x, y) pairs of `RatFunc`s, normalized once.
+
+    Each product is formed on the integer tuples, n_x n_y over d_x d_y,
+    with no gcd; the products over one denominator are added, the groups
+    are brought over the lcm of their denominators, and the total is made
+    canonical by one `_canonical`.  The result is the canonical value that
+    the same sum of `RatFunc` products and additions gives, for one gcd
+    per distinct denominator and one at the end instead of up to four per
+    term (two in a product, two in a sum).  That pays on the long sums of
+    a contraction; on a sum of a few terms the gcds of `RatFunc`
+    arithmetic cost no more and keep every operand small.
+    """
+    groups: dict[tuple, tuple] = {}
+    for x, y in pairs:
+        n = _zmul(x._n, y._n)
+        if n:
+            d, e = x._d, y._d
+            d = e if d == (1,) else d if e == (1,) else _zmul(d, e)
+            groups[d] = _zadd(groups[d], n) if d in groups else n
+    groups = {d: n for d, n in groups.items() if n}
+    if not groups:
+        return ZERO
+    den = reduce(_zlcm, groups)
+    num = ()
+    for d, n in groups.items():
+        num = _zadd(num, n if d == den else _zmul(n, _zdiv_exact(den, d)))
+    return _ratfunc(*_canonical(num, den))
 
 
 def _zhomogeneous(a: tuple, p: int, q: int) -> int:

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom import geometry
-from liegeom.algebra import MetricLieAlgebra, vector_str
+from liegeom import geometry, scalars
+from liegeom.algebra import MetricLieAlgebra, ValidationFailed, vector_str
 from liegeom.catalog import berger, loads
 from liegeom.geometry import (
     CaseAnalysisIncomplete,
@@ -25,6 +25,7 @@ from liegeom.geometry import (
     solve_zero_set,
     walker_check,
 )
+from liegeom.numeric import evaluate_numeric
 from liegeom.report import (
     energy_section,
     full_report,
@@ -336,8 +337,12 @@ RATFUNC_OPERATIONS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "
 
 
 def ratfunc_operations(monkeypatch, analysis, alg) -> int:
-    """The number of `RatFunc` arithmetic operations of analysis(alg)."""
+    """The number of `RatFunc` arithmetic operations of analysis(alg).  The
+    fused kernel `scalars.dot` works on the integer tuples, past these
+    methods: it is wrapped in every `liegeom` module that holds it, and
+    counts one operation per product it sums."""
     calls = [0]
+    dot = scalars.dot
 
     def counting(op):
         def counted(self, other):
@@ -345,9 +350,17 @@ def ratfunc_operations(monkeypatch, analysis, alg) -> int:
             return op(self, other)
         return counted
 
+    def counting_dot(pairs):
+        pairs = list(pairs)
+        calls[0] += len(pairs)
+        return dot(pairs)
+
     with monkeypatch.context() as m:
         for name in RATFUNC_OPERATIONS:
             m.setattr(RatFunc, name, counting(getattr(RatFunc, name)))
+        for module in [mod for name, mod in sys.modules.items() if name.startswith("liegeom.")]:
+            if getattr(module, "dot", None) is dot:
+                m.setattr(module, "dot", counting_dot)
         analysis(alg)
     return calls[0]
 
@@ -398,18 +411,35 @@ def test_every_free_unit_vector_zeroes_every_form(corpus_alg):
     assert checked["walker"] >= 2 and checked["geodesic"] >= 130, checked
 
 
+def test_operation_counter_sees_the_fused_kernel(monkeypatch):
+    # `dot` works on the integer tuples, past the `RatFunc` methods: the
+    # counter wraps it where the engine calls it and counts its products
+    pairs = [(EPS, ONE), (ONE, EPS), (ratfunc(2), EPS)]
+    assert ratfunc_operations(monkeypatch, lambda alg: geometry.dot(pairs), None) == 3
+    assert geometry.dot(pairs) == EPS * 4
+
+
+# the counts of the Ledger route below, pinned as bounds
+LEDGER_OPERATIONS = {"berger": 33, "sl2r": 33, "heisenberg": 33, "u2": 33, "oscillator": 0,
+                     "heisenberg-x-r": 33, "r4": 72}
+
+
 @pytest.mark.parametrize(("key", "before"), [
     ("berger", 90), ("sl2r", 90), ("heisenberg", 90), ("u2", 90), ("oscillator", 0),
     ("heisenberg-x-r", 90), ("r4", 165),
 ])
 def test_ledger_ratfunc_operations(monkeypatch, key, before):
-    # with the tensors built, l5 raises both indices of A (degree 2, at most
-    # 10 monomials) where B[c][d] is nonzero, instead of B (degree 3, at most
-    # 20): the counts when B was raised are the bound, and the oscillator,
-    # whose B vanishes, stays at 0
+    # with the tensors built, the Ledger sums K ric products once per
+    # multiset {i, j, k}, builds B[c][d] for c <= d from the independent
+    # slots of `cov_curvature`, raises E[a][d] = (R(X, Xa) X)^d by g^{-1} once
+    # where B[c][d] is nonzero, and sums l5 over c <= d, every sum one `dot`.
+    # `before` is the bound of the earlier route, which raised both indices
+    # of A over every (c, d) and read a prebuilt `cov_ricci` (63 operations
+    # on the five, 132 on r4); the oscillator, whose B vanishes, stays at 0
     alg = loads(test_properties.corpus.TEXTS[key])
     alg.cov_ricci, alg.curvature_tensor, alg.cov_curvature, alg.metric_inverse
-    assert ratfunc_operations(monkeypatch, ledger_check, alg) <= before
+    count = ratfunc_operations(monkeypatch, ledger_check, alg)
+    assert count <= LEDGER_OPERATIONS[key] <= before, count
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +468,62 @@ def test_ledger_violation_detected():
     rep = ledger_check(alg)
     assert not rep.l3_holds
     assert rep.l3_violations
+
+
+def ledger_family():
+    """[X1, X4] = X1, [X2, X4] = eps X2, [X3, X4] = X3 with the identity
+    metric: H^3 x R at eps = 0 and real hyperbolic 4-space at eps = 1, both
+    symmetric spaces (nabla R = 0); generically neither Ledger condition
+    holds."""
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    return MetricLieAlgebra.from_brackets(
+        4, {(0, 3): {0: 1}, (1, 3): {1: "eps"}, (2, 3): {2: 1}}, identity,
+        name="ledger-family")
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["unmixed", "mixed"])
+def test_ledger_at_symmetric_specializations(mixed):
+    # an oracle from outside the engine: a symmetric space has nabla R = 0,
+    # so every Ledger condition holds there; the generic verdict, read at
+    # each eps, agrees with the algebra specialized there
+    alg = ledger_family()
+    if mixed:
+        (alg,) = test_properties.mixed_copies([alg])
+    rep = ledger_check(alg)
+    assert not rep.l3_holds and not rep.l5_holds
+    assert (len(rep.l3_violations), len(rep.l5_poly.terms)) == ((27, 21) if mixed else (9, 9))
+    for v in (0, 1):
+        spec = alg.at_eps(v)
+        assert all(x.is_zero for p in spec.cov_curvature for q in p for r in q for s in r for x in s)
+        at_v = ledger_check(spec)
+        assert at_v.l3_holds and at_v.l5_holds
+        # every generic l5 coefficient has the factor eps (eps - 1)
+        assert all(c.eval(v) == 0 for c in rep.l5_poly.terms.values())
+    for v in (2, -1):
+        at_v = ledger_check(alg.at_eps(v))
+        assert at_v.l3_violations == rep.l3_violations and not at_v.l5_holds
+        assert {e: c.constant_value() for e, c in at_v.l5_poly.terms.items()} == {
+            e: c.eval(v) for e, c in rep.l5_poly.terms.items() if c.eval(v)}
+
+
+def test_analyses_refuse_non_lie_input():
+    # [X1, X2] = X1, [X2, X3] = X2, [X1, X3] = X3 breaks the Jacobi identity;
+    # every analysis refuses, and so do the tensors that rely on the identity
+    alg = MetricLieAlgebra.from_brackets(
+        3, {(0, 1): {0: 1}, (1, 2): {1: 1}, (0, 2): {2: 1}}, [[1, 0, 0], [0, 1, 0], [0, 0, "eps"]])
+    assert [v.law for v in alg.validate()] == ["jacobi"] * 3
+    for analysis in (einstein_check, ricci_soliton_solve, killing_solve, geodesic_classify,
+                     walker_check, ledger_check, harmonicity_classify, energy_report,
+                     lambda alg: evaluate_numeric(alg, 2)):
+        with pytest.raises(ValidationFailed) as exc:
+            analysis(alg)
+        assert exc.value.violations == alg.validate(), analysis
+    for tensor in ("cov_ricci", "cov_curvature", "harmonicity"):
+        with pytest.raises(ValidationFailed):
+            getattr(alg, tensor)
+    # the tensors that need no Jacobi identity still answer
+    assert alg.ricci and alg.curvature_tensor
+    assert sys.modules["liegeom.catalog"].ValidationFailed is ValidationFailed
 
 
 # ---------------------------------------------------------------------------
