@@ -64,9 +64,8 @@ class SingularMetric(ArithmeticError):
 # small exact matrix helpers over Q(eps)
 #
 # Entries are `RatFunc`s (a value at one eps is a constant one); the zero
-# test is `.is_zero`, which `MultiPoly` and `Poly` have too, so `bilinear`
-# takes `MultiPoly` components and `mat_det` the `Poly` entries of
-# `solvers.charpoly`.  They form no product with a zero factor: `nonzero`
+# test is `.is_zero`, which `MultiPoly` has too, so `bilinear` takes
+# `MultiPoly` components.  They form no product with a zero factor: `nonzero`
 # lists the nonzero entries of a row, and `add_scaled`/`add_product`
 # accumulate in place over such lists.  An entry that no product reaches is
 # the `RatFunc` ZERO.
@@ -138,10 +137,8 @@ def transpose(a):
 
 
 def mat_det(a):
-    """Laplace expansion; fine for the n <= 4 matrices this package sees.
-
-    Entries are `RatFunc`s, or the `Poly`s over Q(eps) of `charpoly`; the
-    result has the entries' type."""
+    """Laplace expansion over `RatFunc` entries; fine for the n <= 4
+    matrices this package sees."""
     n = len(a)
     if n == 1:
         return a[0][0]
@@ -156,9 +153,7 @@ def mat_det(a):
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
-    if acc is not None:
-        return acc
-    return ZERO if isinstance(a[0][0], RatFunc) else a[0][0] * 0
+    return ZERO if acc is None else acc
 
 
 def mat_inv(a) -> list[list[RatFunc]]:

@@ -34,7 +34,7 @@ from .geometry import (
     walker_check,
 )
 from .numeric import NumericModel, evaluate_numeric
-from .scalars import fraction_str, scalar_str
+from .scalars import fraction_str, mu_poly_str, scalar_str
 
 SCHEMA = "1"
 
@@ -226,6 +226,7 @@ def ledger_section(alg: MetricLieAlgebra) -> dict:
 
 def harmonic_section(alg: MetricLieAlgebra) -> dict:
     h: HarmonicityReport = alg.harmonicity
+    residual = h.decomposition.residual
     fams = []
     for f in h.families:
         fams.append({
@@ -240,12 +241,8 @@ def harmonic_section(alg: MetricLieAlgebra) -> dict:
     return {
         "laplacian": _matrix(h.laplacian),
         "critical_families": fams,
-        "unresolved_factor_degree": max(h.decomposition.residual.degree, 0),
-        "unresolved_factor": (
-            str(h.decomposition.residual)
-            if h.decomposition.residual.degree > 0
-            else None
-        ),
+        "unresolved_factor_degree": len(residual) - 1,
+        "unresolved_factor": mu_poly_str(residual) if len(residual) > 1 else None,
         "harmonic_sections": _vectors(h.section_kernel) or ["none"],
         "parallel_fields": _vectors(h.parallel_basis) or ["none"],
     }

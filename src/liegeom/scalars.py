@@ -2,17 +2,15 @@
 
 Every symbolic quantity in this package is a rational function of the
 deformation parameter ``eps`` with arbitrary-precision rational
-coefficients.  This module provides that field: dense univariate
-polynomials (`Poly`, lowest degree first, no trailing zero coefficient)
-with coefficients in Q or in Q(eps), their quotients in canonical form
-(`RatFunc`, a coprime pair of integer polynomials in eps), and a sparse
-multivariate layer (`MultiPoly`) whose coefficients are again rational
-functions.  The analyses build their polynomials as monomial dicts of
-`RatFunc` coefficients and turn each into a `MultiPoly` only to print it;
-the `MultiPoly` arithmetic is public API, and the algebra the test
-references build their polynomials with.  A `Poly` over Q is a
-polynomial in eps; a `Poly` over Q(eps) is one in the spectral variable of
-a characteristic polynomial.
+coefficients.  This module provides that field in canonical form
+(`RatFunc`, a coprime pair of integer polynomials in eps), the kernels on
+integer polynomials that it runs on, and a sparse multivariate layer
+(`MultiPoly`) whose coefficients are again rational functions.  The
+analyses build their polynomials as monomial dicts of `RatFunc`
+coefficients and turn each into a `MultiPoly` only to print it; the
+`MultiPoly` arithmetic is public API, and the algebra the test references
+build their polynomials with.  A polynomial in the spectral variable
+``mu`` is a tuple of its `RatFunc` coefficients, lowest degree first.
 
 Canonical forms make equality decidable by structural comparison, which is
 what the geometric verdicts downstream rely on.  A `RatFunc` is stored as
@@ -23,31 +21,26 @@ otherwise), so no rational coefficient is ever normalized on the way.
 `dot` sums many products on the tuples with one normalization at the
 end, for the long contractions of the Ledger conditions.  The rational
 zeros and poles of a `RatFunc` are found on the same integer tuples, by
-the rational root theorem, and its numerator and denominator over Q, with
-a monic denominator, are computed on demand.  Rationals are stdlib
-`fractions.Fraction`.
+the rational root theorem.  Rationals are stdlib `fractions.Fraction`.
 
 The text syntax for scalars accepts integers, rationals ``p/q``, the token
 ``eps``, the operators ``+ - * /``, parentheses, and ``^`` powers, e.g.
 ``(eps^2-2*eps+2)/eps``.  `parse_scalar` and the canonical printer
 (`str` on the value) round-trip.  The printer reads the integer pair
 itself: N and D each over lc(D), every coefficient reduced by one integer
-gcd, through `_eps_poly_str`, the one printer of a polynomial in eps (a
-`Poly` over Q prints through it too, its denominators cleared).
-`terms_str` joins the terms of a `MultiPoly`, of a `Poly` over Q(eps) in
-``mu`` and of `algebra.vector_str`, and decides each coefficient's sign
-and parentheses from the tuples as well, so no `Fraction`, `Poly` or
-`MultiPoly` is built in order to print.
+gcd, through `_eps_poly_str`, the one printer of a polynomial in eps.
+`terms_str` joins the terms of a `MultiPoly`, of a polynomial in ``mu``
+(`mu_poly_str`) and of `algebra.vector_str`, and decides each
+coefficient's sign and parentheses from the tuples as well, so no
+`Fraction` or `MultiPoly` is built in order to print.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Sequence
-
-Rational = Fraction
 
 PARAM = "eps"
 
@@ -76,265 +69,15 @@ def _fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-_ZERO_Q = Fraction(0)
-
-
-def _coefficient(value):
-    if isinstance(value, (Fraction, RatFunc)):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int, Fraction or RatFunc, got {type(value).__name__}")
-
-
 def fraction_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
-def scalar_is_zero(x) -> bool:
-    """Exact zero test across every scalar-like type in this package, for
-    the coefficients of a `Poly` (rationals or `RatFunc`s); outside this
-    module the engine holds `RatFunc`s and tests `.is_zero`.  `RatFunc` is
-    tested first: the `isinstance` test against `Fraction` goes through its
-    ABC metaclass."""
-    if isinstance(x, RatFunc):
-        return x.is_zero
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over Q or Q(eps)
-
-
-class Poly:
-    """Dense polynomial over one coefficient field, lowest degree first.
-
-    Over Q (ints are coerced to `Fraction`) it is a polynomial in `eps`;
-    over Q(eps) (`RatFunc` coefficients) it is a polynomial in the spectral
-    variable of a characteristic polynomial.  Arithmetic, division with
-    remainder, `monic`, `derivative`, `poly_gcd`, `square_free_part` and
-    `str` serve both (over Q(eps) it prints as a `MultiPoly` in ``mu``
-    would);
-    `eval` and `poly_rational_roots` are for Q.
-
-    Invariant: the coefficient tuple never ends in a zero, so the zero
-    polynomial is the empty tuple and `degree` of zero is -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_coefficient(c) for c in coeffs]
-        while cs and scalar_is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, value) -> "Poly":
-        return cls((_fraction(value),))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def check_invariants(self) -> None:
-        """One coefficient type (Fraction or a canonical RatFunc), no
-        trailing zero."""
-        kind = type(self.coeffs[-1]) if self.coeffs else Fraction
-        assert kind in (Fraction, RatFunc)
-        for c in self.coeffs:
-            assert type(c) is kind
-            if kind is RatFunc:
-                c.check_invariants()
-        assert not self.coeffs or not scalar_is_zero(self.coeffs[-1])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly((other,))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly((other,))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero or o.is_zero:
-            return Poly()
-        # the zero of the coefficient field, by type: arithmetic on a
-        # coefficient here would cost one field operation per product
-        zero = ZERO if isinstance(self.coeffs[-1], RatFunc) else _ZERO_Q
-        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        right = [(j, b) for j, b in enumerate(o.coeffs) if not scalar_is_zero(b)]
-        for i, a in enumerate(self.coeffs):
-            if scalar_is_zero(a):
-                continue
-            for j, b in right:
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale(self, factor) -> "Poly":
-        return Poly(tuple(c * factor for c in self.coeffs))
-
-    def pdivmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder over the coefficient
-        field."""
-        if other.is_zero:
-            raise DivisionByZeroFunction("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return Poly(), self
-        quo = [None] * (dq + 1)
-        inv_lead = 1 / div[-1]
-        for k in range(dq, -1, -1):
-            coeff = rem[k + len(div) - 1] * inv_lead
-            quo[k] = coeff
-            if not scalar_is_zero(coeff):
-                for j, d in enumerate(div):
-                    rem[k + j] -= coeff * d
-        return Poly(quo), Poly(rem)
-
-    def eval(self, x: Fraction) -> Fraction:
-        x = _fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
-
-    def __str__(self) -> str:
-        if self.coeffs and isinstance(self.coeffs[-1], RatFunc):
-            return terms_str((_power("mu", k), c) for k, c in reversed(list(enumerate(self.coeffs))))
-        (a,) = _clear_denominators(self)
-        return _eps_poly_str(a, lcm(*(c.denominator for c in self.coeffs)))
-
-    def __repr__(self) -> str:
-        return f"Poly({str(self)!r})"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a.pdivmod(b)[1]
-        b = b.monic() if not b.is_zero else b
-    return a.monic()
-
-
-def poly_div_exact(a: Poly, b: Poly) -> Poly:
-    quo, rem = a.pdivmod(b)
-    if not rem.is_zero:
-        raise ValueError(f"{a} is not divisible by {b}")
-    return quo
-
-
-def square_free_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'), monic; the radical of p."""
-    if p.is_zero:
-        return p
-    return poly_div_exact(p, poly_gcd(p, p.derivative())).monic()
-
-
-def poly_rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots of a polynomial over Q with multiplicities,
-    ascending: `_zroots` on its integer form.  Irrational roots are not
-    isolated; use `square_free_part` on the unfactored remainder to report
-    them as square-free factors.
-
-    Raises ValueError on the zero polynomial (every point is a root).
-    """
-    return _zroots(*_clear_denominators(p))
-
-
 # ---------------------------------------------------------------------------
 # integer polynomial kernels: int tuples, lowest degree first, no trailing
 # zero, the zero polynomial is ()
-
-
-def _clear_denominators(*polys: Poly) -> list[tuple[int, ...]]:
-    """The polynomials over Q times the lcm of all their denominators."""
-    m = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [tuple(c.numerator * (m // c.denominator) for c in p.coeffs) for p in polys]
 
 
 def _zneg(a: tuple) -> tuple:
@@ -645,8 +388,10 @@ def _ratfunc_str(n: tuple, d: tuple) -> str:
 
 def terms_str(terms: Iterable[tuple[str, object]]) -> str:
     """The sum of the (monomial text, coefficient) terms in the order given,
-    as a `MultiPoly` prints: "" is the constant monomial, a coefficient is
-    any scalar `ratfunc` takes, and zero terms are skipped.  A
+    as a `MultiPoly` prints; a polynomial in mu (`mu_poly_str`) and a vector
+    (`algebra.vector_str`) print through it too.  "" is the constant
+    monomial, a coefficient is any scalar `ratfunc` takes, and zero terms
+    are skipped.  A
     coefficient 1 is left off its monomial, -1 leaves a "-"; any other
     coefficient is parenthesized when it is a sum or has a '/' or, in
     front of a monomial, a '*'.  A term joins the ones before it with a
@@ -671,6 +416,12 @@ def terms_str(terms: Iterable[tuple[str, object]]) -> str:
     return "".join(parts) or "0"
 
 
+def mu_poly_str(coeffs: Sequence[RatFunc]) -> str:
+    """The polynomial sum_k coeffs[k] mu^k, highest degree first, as the
+    `MultiPoly` in mu with these coefficients prints."""
+    return terms_str((_power("mu", k), c) for k, c in reversed(list(enumerate(coeffs))))
+
+
 # ---------------------------------------------------------------------------
 # rational functions in canonical form
 
@@ -680,36 +431,25 @@ class RatFunc:
 
     Stored as integer coefficient tuples N/D (lowest degree first, no
     trailing zero) that are coprime in Z[eps] with their contents included,
-    with lc(D) > 0; the zero function is ()/(1,).  Equality and hashing
-    are structural on the pair.  `zeros` and `poles` read the rational roots
-    of N and D off the tuples; `num` and `den` give the same quotient over Q
-    with a monic denominator, as `Poly`s.
+    with lc(D) > 0; the zero function is ()/(1,).  Equality is structural
+    on the pair, and a constant equals, and hashes as, its `Fraction`.
+    `zeros` and `poles` read the rational roots of N and D off the tuples.
+    The constructor takes a rational numerator and denominator; `ratfunc`
+    and `parse_scalar` build the rest.
     """
 
     __slots__ = ("_n", "_d")
 
     def __init__(self, num=0, den=1):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero:
-            raise DivisionByZeroFunction("denominator is identically zero")
-        self._n, self._d = _canonical(*_clear_denominators(num, den))
+        den = _fraction(den)
+        if not den:
+            raise DivisionByZeroFunction("division by zero")
+        q = _fraction(num) / den
+        self._n, self._d = ((q.numerator,) if q else ()), (q.denominator,)
 
     @classmethod
     def eps(cls) -> "RatFunc":
         return _ratfunc((0, 1), (1,))
-
-    @property
-    def num(self) -> Poly:
-        lead = self._d[-1]
-        return Poly(Fraction(c, lead) for c in self._n)
-
-    @property
-    def den(self) -> Poly:
-        if len(self._d) == 1:
-            return _Q_ONE
-        lead = self._d[-1]
-        return Poly(Fraction(c, lead) for c in self._d)
 
     @property
     def is_zero(self) -> bool:
@@ -736,19 +476,14 @@ class RatFunc:
         return Fraction(self._n[0], self._d[0])
 
     def check_invariants(self) -> None:
-        """The integer pair is canonical, and its form over Q is the one
-        Euclid's algorithm over Q gives: coprime, monic denominator."""
+        """The integer pair is canonical: coprime in Z[eps] with the contents
+        included, lc(D) > 0, and the zero function is ()/(1,)."""
         n, d = self._n, self._d
         for t in (n, d):
             assert type(t) is tuple and all(type(c) is int for c in t)
             assert not t or t[-1] != 0
         assert d and d[-1] > 0
-        # with no common factor over Q, Gauss's lemma leaves only the contents
-        assert gcd(*n, *d) == 1
-        num, den = self.num, self.den
-        num.check_invariants()
-        den.check_invariants()
-        assert den.leading == 1 and poly_gcd(num, den) == Poly((1,))
+        assert _zgcd(n, d) == (1,) if n else d == (1,)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -757,7 +492,9 @@ class RatFunc:
         return self._n == o._n and self._d == o._d
 
     def __hash__(self) -> int:
-        return hash(("RatFunc", self._n, self._d))
+        if self.is_constant:
+            return hash(self.constant_value())
+        return hash((self._n, self._d))
 
     @staticmethod
     def _coerce(other):
@@ -767,8 +504,6 @@ class RatFunc:
             return _ratfunc((other,) if other else (), (1,))
         if isinstance(other, Fraction):
             return _ratfunc((other.numerator,) if other else (), (other.denominator,))
-        if isinstance(other, Poly):
-            return RatFunc(other)
         return None
 
     def __add__(self, other):
@@ -872,32 +607,19 @@ class RatFunc:
         return f"RatFunc({str(self)!r})"
 
 
-def _as_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        if value.coeffs and isinstance(value.coeffs[-1], RatFunc):
-            raise TypeError("a Poly over Q(eps) is no element of Q(eps)")
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly((value,))
-    if isinstance(value, RatFunc):
-        raise TypeError("pass RatFunc values directly, not through Poly slots")
-    raise TypeError(f"cannot build Poly from {type(value).__name__}")
-
-
 ZERO = RatFunc(0)
 ONE = RatFunc(1)
 EPS = RatFunc.eps()
-# the `den` of every RatFunc with a constant denominator; no Poly is mutated
-_Q_ONE = Poly((1,))
 
 
 def ratfunc(value) -> RatFunc:
-    """Coerce an int, Fraction, Poly, RatFunc, or scalar text to RatFunc."""
-    if isinstance(value, (RatFunc, int, Fraction)):
-        return RatFunc._coerce(value)
+    """Coerce an int, Fraction, RatFunc, or scalar text to RatFunc."""
     if isinstance(value, str):
         return parse_scalar(value)
-    return RatFunc(value)
+    out = RatFunc._coerce(value)
+    if out is None:
+        raise TypeError(f"cannot make a RatFunc of {type(value).__name__}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1093,7 +815,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self._compat(other)
             return other
-        if isinstance(other, (int, Fraction, Poly, RatFunc)):
+        if isinstance(other, (int, Fraction, RatFunc)):
             return MultiPoly.const(self.names, other)
         return None
 

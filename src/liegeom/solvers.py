@@ -13,15 +13,15 @@ value is re-solved by the same `rref_solve`, on the constant `RatFunc`s of
 the specialized entries, so every result is over Q(eps).
 
 `eigen_analyze` finds the eigenvalues of an operator that are themselves
-rational functions of the parameter.  The characteristic polynomial is
-computed exactly, as a `Poly` over Q(eps) in the spectral variable mu, by
-`mat_det`, and cleared of denominators into a monic polynomial over Z[eps];
-the rest runs on the integer tuples of `scalars`.  The integer roots of its
+rational functions of the parameter.  The operator is written L = N/D
+over Z[eps] once, and the characteristic polynomial det(nu I - N) comes
+from Berkowitz's division-free recurrence on the integer tuples of
+`scalars`, as does everything after it.  The integer roots of its
 squarefree part at one parameter value are Newton-lifted up to a proven
 degree bound, and exact division certifies each lift and counts its
 multiplicity, so the list is complete.  The remaining factor is returned as
-a residual, which prints as a polynomial in mu.  No floating point is
-involved anywhere.
+a residual, a tuple of coefficients in mu that `scalars.mu_poly_str`
+prints.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from fractions import Fraction
 from functools import cmp_to_key, reduce
 from typing import Sequence
 
-from .algebra import mat_det, nonzero
+from .algebra import nonzero
 from .scalars import (
-    Poly,
     PoleAtEvaluationPoint,
     RatFunc,
     ONE,
@@ -45,6 +44,7 @@ from .scalars import (
     _zdiv_exact,
     _zgcd,
     _zhomogeneous,
+    _zlcm,
     _zmul,
     _zneg,
     _zpow,
@@ -210,16 +210,44 @@ def kernel_basis(matrix: Sequence[Sequence[RatFunc]]) -> list[list[RatFunc]]:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials: Poly over Q(eps) in the spectral variable mu
+# characteristic polynomials over Z[eps], division-free
+#
+# A polynomial in nu over Z[eps] is a list of the integer tuples of
+# `scalars`, lowest degree first, with no trailing zero coefficient.
 
 
-def charpoly(matrix: Sequence[Sequence[RatFunc]]) -> Poly:
-    """det(mu I - L) over Q(eps), by `mat_det` on Poly entries."""
-    n = len(matrix)
-    return mat_det([
-        [Poly((-matrix[i][j], ONE) if i == j else (-matrix[i][j],)) for j in range(n)]
-        for i in range(n)
-    ])
+def _zdot(u: Sequence[tuple], v: Sequence[tuple]) -> tuple:
+    """sum_k u[k] v[k] in Z[eps], over the shorter of the two."""
+    return reduce(_zadd, map(_zmul, u, v), ())
+
+
+def charpoly(matrix: Sequence[Sequence[RatFunc]]) -> tuple[list[tuple], tuple]:
+    """(q, D): L = N/D over Z[eps] with D the lcm of the denominators of the
+    entries, and q(nu) = det(nu I - N) = D^n det(nu/D I - L), monic.
+
+    Berkowitz's recurrence (Inf. Process. Lett. 18, 1984) over the leading
+    principal submatrices: with N_k = [[M, c], [r, a]], the coefficients of
+    det(nu I - N_k), highest degree first, are those of det(nu I - M)
+    times the lower triangular Toeplitz matrix whose first column is
+    1, -a, -r c, -r M c, -r M^2 c, ...  It only multiplies and adds.
+    """
+    D = reduce(_zlcm, (x._d for row in matrix for x in row), (1,))
+    N = [[_zmul(x._n, _zdiv_exact(D, x._d)) for x in row] for row in matrix]
+    p = [(1,)]
+    for k in range(len(N)):
+        M, r, c = [row[:k] for row in N[:k]], N[k][:k], [row[k] for row in N[:k]]
+        column = [(1,), _zneg(N[k][k])]
+        for _ in range(k):
+            column.append(_zneg(_zdot(r, c)))
+            c = [_zdot(row, c) for row in M]
+        p = [_zdot(column[i::-1], p) for i in range(k + 2)]
+    return p[::-1], D
+
+
+def _over(q: Sequence[tuple], D: tuple) -> tuple[RatFunc, ...]:
+    """The coefficients in mu of D^-m q(D mu), for q of degree m."""
+    m = len(q) - 1
+    return tuple(_ratfunc(*_canonical(c, _zpow(D, m - k))) for k, c in enumerate(q))
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +265,17 @@ class EigenPair:
 class EigenDecomposition:
     """Certified rational-function spectrum of a parametric operator.
 
-    `pairs` carries every eigenvalue that is a rational function of the
-    parameter, ascending as eps -> +oo; `residual` is the cofactor of the
-    characteristic polynomial that has no such root (constant 1 when the
-    spectrum was fully resolved).  The degrees always satisfy
-    sum(multiplicities) + residual.degree == dim.
+    `charpoly` is det(mu I - L) as its coefficients in mu, lowest degree
+    first.  `pairs` carries every eigenvalue that is a rational function of
+    the parameter, ascending as eps -> +oo; `residual` is the monic cofactor
+    of the characteristic polynomial that has no such root, in the same
+    form ((ONE,) when the spectrum was fully resolved).  The degrees always
+    satisfy sum(multiplicities) + len(residual) - 1 == dim.
     """
 
-    charpoly: Poly
+    charpoly: tuple[RatFunc, ...]
     pairs: list[EigenPair]
-    residual: Poly
-
-
-# polynomials in nu over Z[eps]: lists of the integer tuples of `scalars`,
-# lowest degree first, no trailing zero coefficient
+    residual: tuple[RatFunc, ...]
 
 
 def _zsubs(a: Sequence[tuple], x: tuple, terms: int | None = None) -> tuple:
@@ -316,24 +341,18 @@ def _newton_lift(s: Sequence[tuple], r0: int, slope: int, bound: int) -> tuple |
     return nu
 
 
-def _rational_roots(p: Poly) -> tuple[list[tuple[RatFunc, int]], Poly]:
-    """The roots of a monic p in Q(eps) with multiplicities, ascending as
-    eps -> +oo, and the cofactor of p that has none.
+def _rational_roots(q: list, D: tuple) -> tuple[list[tuple[RatFunc, int]], tuple[RatFunc, ...]]:
+    """The roots in Q(eps) with multiplicities, ascending as eps -> +oo, of
+    the monic p(mu) = D^-m q(D mu), and the cofactor of p that has none.
 
-    With D the lcm of the denominators of p, q(nu) = D^m p(nu/D) is monic
-    over the integrally closed Z[eps]: the roots of p are nu/D for the roots
-    nu in Z[eps] of the squarefree part s of q.  Such a root of degree d
-    makes the top term nu^k of s cancel against some s_j nu^j, so d <=
-    deg s_j / (k - j).  At an integer eps0 where s stays squarefree each
-    root is the Newton lift in eps - eps0 of a simple integer root.  Exact
-    division of q by nu - root certifies a lift and counts its multiplicity;
-    the last quotient, rescaled, is the cofactor.
+    q is monic over the integrally closed Z[eps]: the roots of p are nu/D
+    for the roots nu in Z[eps] of the squarefree part s of q.  Such a root
+    of degree d makes the top term nu^k of s cancel against some s_j nu^j,
+    so d <= deg s_j / (k - j).  At an integer eps0 where s stays squarefree
+    each root is the Newton lift in eps - eps0 of a simple integer root.
+    Exact division of q by nu - root certifies a lift and counts its
+    multiplicity; the last quotient, rescaled, is the cofactor.
     """
-    D = (1,)
-    for c in p.coeffs:
-        D = _zmul(D, _zdiv_exact(c._d, _zgcd(D, c._d)))
-    m = p.degree
-    q = [_zmul(c._n, _zdiv_exact(_zpow(D, m - k), c._d)) for k, c in enumerate(p.coeffs)]
     s = _zsquarefree(q)
     k = len(s) - 1
     bound = max(((len(s[j]) - 1) // (k - j) for j in range(k) if s[j]), default=0)
@@ -362,9 +381,7 @@ def _rational_roots(p: Poly) -> tuple[list[tuple[RatFunc, int]], Poly]:
             roots.append((nu, mult))
     # lc(D) > 0, and distinct roots differ in a nonzero leading coefficient
     roots.sort(key=cmp_to_key(lambda a, b: _zadd(a[0], _zneg(b[0]))[-1]))
-    d = len(q) - 1
-    residual = Poly(_ratfunc(*_canonical(c, _zpow(D, d - j))) for j, c in enumerate(q))
-    return [(_ratfunc(*_canonical(nu, D)), mult) for nu, mult in roots], residual
+    return [(_ratfunc(*_canonical(nu, D)), mult) for nu, mult in roots], _over(q, D)
 
 
 def eigen_analyze(matrix: Sequence[Sequence[RatFunc]]) -> EigenDecomposition:
@@ -378,8 +395,8 @@ def eigen_analyze(matrix: Sequence[Sequence[RatFunc]]) -> EigenDecomposition:
     """
     n = len(matrix)
     matrix = [[ratfunc(x) for x in row] for row in matrix]
-    p = charpoly(matrix)
-    roots, residual = _rational_roots(p)
+    q, D = charpoly(matrix)
+    roots, residual = _rational_roots(q, D)
     pairs: list[EigenPair] = []
     for f, mult in roots:
         vecs = kernel_basis(
@@ -390,5 +407,5 @@ def eigen_analyze(matrix: Sequence[Sequence[RatFunc]]) -> EigenDecomposition:
         )
         pairs.append(EigenPair(f, mult, vecs))
 
-    assert sum(pr.multiplicity for pr in pairs) + max(residual.degree, 0) == n
-    return EigenDecomposition(p, pairs, residual)
+    assert sum(pr.multiplicity for pr in pairs) + len(residual) - 1 == n
+    return EigenDecomposition(_over(q, D), pairs, residual)

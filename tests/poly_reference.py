@@ -1,0 +1,233 @@
+"""Dense polynomials over Q and over Q(eps), the references the tests keep
+for the engine, which works on integer tuples instead.
+
+`Poly` is a polynomial with `Fraction` coefficients (one in eps) or with
+`RatFunc` coefficients (one in the spectral variable mu), lowest degree
+first, with no trailing zero coefficient.  Around it: Euclid's gcd, exact
+division, the squarefree part and the rational roots; a `RatFunc` over Q
+with a monic denominator (`numerator`, `denominator`) and the `RatFunc` of
+two polynomials over Q (`ratfunc_of`); det(mu I - L) by Laplace expansion
+on `Poly` entries (`laplace_charpoly`), the oracle for Berkowitz's
+recurrence in `solvers.charpoly`; and `check`, a value's own
+`check_invariants` plus Euclid's algorithm over Q on every `RatFunc` in it.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from liegeom.scalars import (
+    ONE,
+    DivisionByZeroFunction,
+    MultiPoly,
+    RatFunc,
+    _canonical,
+    _ratfunc,
+    _zroots,
+    mu_poly_str,
+)
+
+
+def is_zero(x) -> bool:
+    """Exact zero test for ints, `Fraction`s and anything with `.is_zero`."""
+    return x.is_zero if hasattr(x, "is_zero") else x == 0
+
+
+class Poly:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        while cs and is_zero(cs[-1]):
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def const(cls, value) -> "Poly":
+        return cls((value,))
+
+    @classmethod
+    def x(cls) -> "Poly":
+        return cls((0, 1))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def leading(self):
+        return self.coeffs[-1]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, Poly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Poly((other,))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        a, b = sorted((self.coeffs, o.coeffs), key=len, reverse=True)
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Poly":
+        return Poly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.is_zero or o.is_zero:
+            return Poly()
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "Poly":
+        result = Poly((1,))
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def scale(self, factor) -> "Poly":
+        return Poly(c * factor for c in self.coeffs)
+
+    def pdivmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Division with remainder over the coefficient field."""
+        if other.is_zero:
+            raise DivisionByZeroFunction("polynomial division by zero")
+        rem, div = list(self.coeffs), other.coeffs
+        quo = [0] * max(len(rem) - len(div) + 1, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            quo[k] = c = rem[k + len(div) - 1] / div[-1]
+            for j, d in enumerate(div):
+                rem[k + j] -= c * d
+        return Poly(quo), Poly(rem)
+
+    def eval(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> "Poly":
+        return Poly(k * c for k, c in enumerate(self.coeffs) if k)
+
+    def monic(self) -> "Poly":
+        return self if self.is_zero else self.scale(1 / self.leading)
+
+    def __str__(self) -> str:
+        if self.coeffs and isinstance(self.leading, RatFunc):
+            return mu_poly_str(self.coeffs)
+        return str(ratfunc_of(self))
+
+    def __repr__(self) -> str:
+        return f"Poly({str(self)!r})"
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm; gcd(0, 0) = 0."""
+    while not b.is_zero:
+        a, b = b, a.pdivmod(b)[1]
+    return a.monic()
+
+
+def poly_div_exact(a: Poly, b: Poly) -> Poly:
+    quo, rem = a.pdivmod(b)
+    if not rem.is_zero:
+        raise ValueError(f"{a} is not divisible by {b}")
+    return quo
+
+
+def square_free_part(p: Poly) -> Poly:
+    """p divided by gcd(p, p'), monic."""
+    return p if p.is_zero else poly_div_exact(p, poly_gcd(p, p.derivative())).monic()
+
+
+def _cleared(*polys: Poly) -> list[tuple[int, ...]]:
+    """Polynomials over Q times the lcm of all their denominators."""
+    m = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [tuple(c.numerator * (m // c.denominator) for c in p.coeffs) for p in polys]
+
+
+def poly_rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
+    """The rational roots of a nonzero polynomial over Q with
+    multiplicities, ascending."""
+    return _zroots(*_cleared(p))
+
+
+def ratfunc_of(num, den=1) -> RatFunc:
+    """num/den for polynomials over Q, ints or `Fraction`s."""
+    num, den = (p if isinstance(p, Poly) else Poly((p,)) for p in (num, den))
+    if den.is_zero:
+        raise DivisionByZeroFunction("denominator is identically zero")
+    return _ratfunc(*_canonical(*_cleared(num, den)))
+
+
+def numerator(f: RatFunc) -> Poly:
+    """The numerator of f over Q, over the monic `denominator(f)`."""
+    return Poly(Fraction(c, f._d[-1]) for c in f._n)
+
+
+def denominator(f: RatFunc) -> Poly:
+    return Poly(Fraction(c, f._d[-1]) for c in f._d)
+
+
+def check(value):
+    """Run the value's `check_invariants` and check every `RatFunc` in it
+    (itself, a `MultiPoly` coefficient, or a coefficient of a `Poly` or a
+    tuple) against Euclid's algorithm over Q: a monic denominator, coprime
+    to the numerator.  The coefficients of a `Poly` or a tuple have one
+    type and no trailing zero.  Hand the value back."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (Poly, tuple)):
+        coeffs = getattr(value, "coeffs", value)
+        assert len({type(c) for c in coeffs}) <= 1 and not (coeffs and is_zero(coeffs[-1]))
+        for c in coeffs:
+            check(c)
+        return value
+    value.check_invariants()
+    for f in value.terms.values() if isinstance(value, MultiPoly) else [value]:
+        den = denominator(f)
+        assert den.leading == 1 and poly_gcd(numerator(f), den) == Poly((1,))
+    return value
+
+
+def _laplace_det(a) -> Poly:
+    if len(a) == 1:
+        return a[0][0]
+    minors = ([row[:j] + row[j + 1:] for row in a[1:]] for j in range(len(a)))
+    return sum((-1) ** j * a[0][j] * _laplace_det(m) for j, m in enumerate(minors))
+
+
+def laplace_charpoly(matrix) -> Poly:
+    """det(mu I - L) over Q(eps), by Laplace expansion on `Poly` entries."""
+    n = len(matrix)
+    return _laplace_det([[Poly((-matrix[i][j], ONE) if i == j else (-matrix[i][j],))
+                          for j in range(n)] for i in range(n)])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,31 @@ def test_at_eps_lorentzian_slice(berger_alg):
     alg = berger_alg.at_eps(Fraction(-1))
     assert alg.metric_det == parse_scalar("-1")
     assert smat(alg.ricci) == [["2", "0", "0"], ["0", "6", "0"], ["0", "0", "6"]]
+
+
+MILNOR_LAMBDAS = (ZERO, ONE, -ONE, 2 * ONE, -2 * ONE, EPS, -EPS, EPS + 1)
+MILNOR_METRIC = (ONE, -ONE, 2 * ONE, EPS, -EPS, EPS * EPS, EPS + 1)
+
+
+def test_unimodular_ricci_matches_milnor():
+    # Milnor (Adv. Math. 21, 1976, section 4): with [X2,X3] = l1 X1,
+    # [X3,X1] = l2 X2, [X1,X2] = l3 X3 and g = diag(a1, a2, a3), ric is
+    # diagonal with ric(X1,X1) = (a1/2)(l1^2 a1/(a2 a3) - l2^2 a2/(a3 a1)
+    # - l3^2 a3/(a1 a2) + 2 l2 l3/a1), and cyclically; an identity in
+    # Q(a, l), so it holds in every signature
+    rng = random.Random(20261019)
+    for _ in range(150):
+        lam = [rng.choice(MILNOR_LAMBDAS) for _ in range(3)]
+        a = [rng.choice(MILNOR_METRIC) for _ in range(3)]
+        alg = MetricLieAlgebra.from_brackets(
+            3, {(1, 2): {0: lam[0]}, (0, 2): {1: -lam[1]}, (0, 1): {2: lam[2]}},
+            [[a[i] if i == j else ZERO for j in range(3)] for i in range(3)])
+        expected = [[ZERO] * 3 for _ in range(3)]
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            expected[i][i] = a[i] / 2 * (
+                lam[i] ** 2 * a[i] / (a[j] * a[k]) - lam[j] ** 2 * a[j] / (a[k] * a[i])
+                - lam[k] ** 2 * a[k] / (a[i] * a[j]) + 2 * lam[j] * lam[k] / a[i])
+        assert alg.ricci == expected, (lam, a)
 
 
 def test_abelian_is_flat(abelian_alg):

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liegeom import scalars, solvers
 from liegeom.algebra import MetricLieAlgebra
 from liegeom.catalog import loads
 from liegeom.geometry import rough_laplacian
@@ -12,12 +14,11 @@ from liegeom.scalars import (
     EPS,
     ONE,
     ZERO,
-    Poly,
     RatFunc,
+    mu_poly_str,
     parse_scalar,
     ratfunc,
     scalar_str,
-    square_free_part,
 )
 from liegeom.solvers import (
     charpoly,
@@ -26,8 +27,17 @@ from liegeom.solvers import (
     rref_solve,
     solve_parametric,
 )
+from poly_reference import (
+    Poly,
+    check,
+    laplace_charpoly,
+    numerator,
+    ratfunc_of,
+    square_free_part,
+)
 
 import test_properties
+from test_tensor_reference import corpus_case
 
 
 def F(x):
@@ -127,9 +137,8 @@ def test_kernel_basis():
 
 
 def test_charpoly_swap_matrix():
-    cp = charpoly([[ZERO, ONE], [ONE, ZERO]])
-    assert str(cp) == "mu^2-1"
-    assert cp.degree == 2
+    assert charpoly([[ZERO, ONE], [ONE, ZERO]]) == ([(-1,), (), (1,)], (1,))
+    assert mu_poly_str(eigen_analyze([[ZERO, ONE], [ONE, ZERO]]).charpoly) == "mu^2-1"
 
 
 def test_residual_prints_as_multipoly_in_mu():
@@ -137,7 +146,97 @@ def test_residual_prints_as_multipoly_in_mu():
     # c*eps^k in front of a power of mu is parenthesized, as in vectors
     dec = eigen_analyze([[2 * EPS, ONE], [ONE, ZERO]])
     assert dec.pairs == []
-    assert str(dec.residual) == "mu^2+(-2*eps)*mu-1"
+    assert mu_poly_str(dec.residual) == "mu^2+(-2*eps)*mu-1"
+
+
+def zpoly(a) -> RatFunc:
+    """The integer tuple a, lowest degree first, as a polynomial in eps."""
+    return sum((c * EPS ** k for k, c in enumerate(a)), ZERO)
+
+
+def dense_matrix(rng, n):
+    """An n x n matrix with no zero entry over Q(eps): numerators of degree
+    at most 2 over denominators eps, eps+1, eps^2-2, 2*eps-3 or a constant,
+    the first two entries over eps and eps+1."""
+    dens = [EPS, EPS + 1, EPS * EPS - 2, 2 * EPS - 3, 3 * ONE, ONE]
+    out = []
+    for k in range(n * n):
+        num = zpoly([rng.randint(-3, 3) for _ in range(3)])
+        out.append((ONE if num.is_zero else num) / (dens[k] if k < 2 else rng.choice(dens)))
+    return [out[i * n:(i + 1) * n] for i in range(n)]
+
+
+DENSE = [dense_matrix(random.Random(seed), 3 + seed % 2) for seed in range(20)]
+
+
+def check_charpoly_against_laplace(L):
+    # q(nu) = det(nu I - D L) = D^n p(nu/D) for p(mu) = det(mu I - L), so
+    # the coefficient of nu^k is D^(n-k) p_k; D is the lcm of the
+    # denominators, so D L is over Z[eps]
+    n, (q, D) = len(L), charpoly(L)
+    assert all((zpoly(D) * x)._d == (1,) for row in L for x in row)
+    p = laplace_charpoly(L).coeffs
+    assert [zpoly(c) for c in q] == [c * zpoly(D) ** (n - k) for k, c in enumerate(p)]
+    assert q[-1] == (1,)
+
+
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
+def test_corpus_charpoly_matches_laplace(corpus_alg, key, seed):
+    check_charpoly_against_laplace(rough_laplacian(corpus_case(corpus_alg, key, seed)))
+
+
+@pytest.mark.parametrize("index", range(len(DENSE)))
+def test_dense_charpoly_matches_laplace(index):
+    L = DENSE[index]
+    assert not any(x.is_zero for row in L for x in row)
+    assert len({x._d for row in L for x in row if len(x._d) > 1}) >= 2
+    check_charpoly_against_laplace(L)
+
+
+def _sympy_ratfunc(sympy, eps, f):
+    """A `RatFunc` as a sympy expression in the symbol eps."""
+    def expr(a):
+        return sum((c * eps**k for k, c in enumerate(a)), start=sympy.Integer(0))
+    return expr(f._n) / expr(f._d)
+
+
+def test_charpoly_matches_sympy(corpus_alg):
+    # sympy's Matrix.charpoly of D L, entries cancelled to polynomials
+    sympy = pytest.importorskip("sympy")
+    eps, nu = sympy.symbols("eps nu")
+    mixed = [rough_laplacian(corpus_case(corpus_alg, key, 1))
+             for key in test_properties.corpus.TEXTS]
+    for L in mixed + DENSE[:6]:
+        q, D = charpoly(L)
+        scale = _sympy_ratfunc(sympy, eps, zpoly(D))
+        N = sympy.Matrix([[sympy.cancel(scale * _sympy_ratfunc(sympy, eps, x)) for x in row]
+                          for row in L])
+        ours = sum(_sympy_ratfunc(sympy, eps, zpoly(c)) * nu**k for k, c in enumerate(q))
+        assert sympy.expand(N.charpoly(nu).as_expr() - ours) == 0
+
+
+def test_charpoly_forms_no_ratfunc(monkeypatch, corpus_alg):
+    # Berkowitz's recurrence runs on integer tuples; over the 9 unmixed
+    # corpus Laplacians, the Laplace expansion on `Poly` entries over Q(eps)
+    # made 84 RatFunc products, 84 sums and 22 normalizations
+    laplacians = [rough_laplacian(corpus_alg(key)) for key in test_properties.corpus.TEXTS]
+    calls = Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    for name in ("__init__", "__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(RatFunc, name, counting(name, getattr(RatFunc, name)))
+    for module in (scalars, solvers):
+        for name in ("_canonical", "_ratfunc"):
+            monkeypatch.setattr(module, name, counting(name, getattr(scalars, name)))
+    results = [charpoly(L) for L in laplacians]
+    assert calls == Counter()
+    assert sum(len(q) - 1 for q, _ in results) == sum(len(L) for L in laplacians)
 
 
 def test_square_free_part_over_q_eps():
@@ -157,20 +256,20 @@ def test_eigen_zero_first_row_in_a_minor():
     M = [[ONE if (i, j) == (0, 1) else ZERO for j in range(4)] for i in range(4)]
     dec = eigen_analyze(M)
     assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [("0", 4)]
-    assert dec.residual.degree == 0
+    assert dec.residual == (ONE,)
 
 
 def test_eigen_identity_matrix():
     dec = eigen_analyze([[ONE, ZERO], [ZERO, ONE]])
     assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [("1", 2)]
-    assert dec.residual.degree <= 0
+    assert dec.residual == (ONE,)
 
 
 def test_eigen_rational_function_values():
     dec = eigen_analyze([[ZERO, EPS * EPS], [ONE, ZERO]])
     assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [
         ("-eps", 1), ("eps", 1)]
-    assert dec.residual.degree <= 0
+    assert dec.residual == (ONE,)
     # eigenvectors actually satisfy M v = mu v
     M = [[ZERO, EPS * EPS], [ONE, ZERO]]
     for pair in dec.pairs:
@@ -183,7 +282,7 @@ def test_eigen_irrational_values_stay_in_residual():
     # mu^2 = eps has no rational-function roots
     dec = eigen_analyze([[ZERO, EPS], [ONE, ZERO]])
     assert dec.pairs == []
-    assert dec.residual.degree == 2
+    assert len(dec.residual) == 3
 
 
 def test_eigen_berger_laplacian_matrix():
@@ -197,7 +296,7 @@ def test_eigen_berger_laplacian_matrix():
 def test_eigen_high_degree_value():
     dec = eigen_analyze([[EPS ** 9]])
     assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [("eps^9", 1)]
-    assert dec.residual.degree == 0
+    assert dec.residual == (ONE,)
 
 
 def test_eigen_crossing_values():
@@ -206,7 +305,7 @@ def test_eigen_crossing_values():
     dec = eigen_analyze(M)
     assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [
         ("5", 1), ("11", 1), ("eps", 1)]
-    assert dec.residual.degree == 0
+    assert dec.residual == (ONE,)
 
 
 def test_eigen_r4_laplacian_fully_resolved():
@@ -217,13 +316,13 @@ def test_eigen_r4_laplacian_fully_resolved():
     dec = eigen_analyze(rough_laplacian(alg))
     assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [
         ("-5-1/25*eps^2", 1), ("-1/25*eps^2", 1), ("-4", 1), ("-1", 1)]
-    assert dec.residual.degree == 0
+    assert dec.residual == (ONE,)
 
 
 small_polys = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=3).map(Poly)
 small_ratfuncs = st.tuples(small_polys, small_polys.filter(lambda p: not p.is_zero)).map(
-    lambda nd: RatFunc(nd[0], nd[1]))
+    lambda nd: ratfunc_of(nd[0], nd[1]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,24 +332,16 @@ def test_eigen_triangular_spectrum_is_the_diagonal(rows):
     n = len(rows)
     M = [[rows[i][j] if j >= i else ZERO for j in range(n)] for i in range(n)]
     dec = eigen_analyze(M)
-    dec.charpoly.check_invariants()
-    dec.residual.check_invariants()
+    check(dec.charpoly)
+    check(dec.residual)
     found = Counter()
     for p in dec.pairs:
         found[p.value] += p.multiplicity
     assert found == Counter(M[i][i] for i in range(n))
-    assert dec.residual.degree == 0
+    assert dec.residual == (ONE,)
     # ascending as eps -> +oo
     for a, b in zip(dec.pairs, dec.pairs[1:]):
-        assert (b.value - a.value).num.leading > 0
-
-
-def _sympy_ratfunc(sympy, eps, f):
-    """A `RatFunc` as a sympy expression in the symbol eps."""
-    def expr(p):
-        return sum((sympy.Rational(c.numerator, c.denominator) * eps**k
-                    for k, c in enumerate(p.coeffs)), start=sympy.Integer(0))
-    return expr(f.num) / expr(f.den)
+        assert numerator(b.value - a.value).leading > 0
 
 
 @pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
@@ -265,8 +356,9 @@ def test_laplacian_spectrum_matches_sympy_factorization(corpus_alg, key):
     n = len(L)
     M = sympy.Matrix([[_sympy_ratfunc(sympy, eps, x) for x in row] for row in L])
     cp = sympy.cancel((mu * sympy.eye(n) - M).det(method="berkowitz"))
+    dec = eigen_analyze(L)
     engine_cp = sum((_sympy_ratfunc(sympy, eps, c) * mu**k
-                     for k, c in enumerate(charpoly(L).coeffs)), start=sympy.Integer(0))
+                     for k, c in enumerate(dec.charpoly)), start=sympy.Integer(0))
     assert sympy.cancel(cp - engine_cp) == 0
     numerator, _ = sympy.fraction(cp)
     roots, rest = [], 0
@@ -277,13 +369,12 @@ def test_laplacian_spectrum_matches_sympy_factorization(corpus_alg, key):
             roots.append((sympy.cancel(-b / a), mult))
         else:
             rest += degree * mult
-    dec = eigen_analyze(L)
     assert len(roots) == len(dec.pairs)
     for pair in dec.pairs:
         value = _sympy_ratfunc(sympy, eps, pair.value)
         (mult,) = [m for r, m in roots if sympy.cancel(r - value) == 0]
         assert mult == pair.multiplicity, scalar_str(pair.value)
-    assert rest == max(dec.residual.degree, 0)
+    assert rest == len(dec.residual) - 1
 
 
 def test_newton_lift_stops_where_a_coefficient_leaves_z():

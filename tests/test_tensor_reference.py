@@ -56,8 +56,9 @@ from liegeom.geometry import (
     ricci_soliton_solve,
     rough_laplacian,
 )
-from liegeom.scalars import ONE, ZERO, MultiPoly, component_names, scalar_is_zero
+from liegeom.scalars import ONE, ZERO, MultiPoly, component_names
 
+from poly_reference import is_zero
 import test_properties
 
 
@@ -266,7 +267,7 @@ def rank_one_conditions(columns):
                 for r2 in range(r1 + 1, nrows):
                     minor = (columns[c1][r1] * columns[c2][r2]
                              - columns[c1][r2] * columns[c2][r1])
-                    if not scalar_is_zero(minor):
+                    if not is_zero(minor):
                         out.append(minor)
     return out
 
@@ -311,7 +312,7 @@ def reference_trace_vanishes(alg, vectors):
     for k, u in enumerate(vectors):
         t = MultiPoly.var(tnames, tnames[k])
         V = [acc + t * x for acc, x in zip(V, u)]
-    return all(scalar_is_zero(x) for x in reference_trace(alg, V))
+    return all(is_zero(x) for x in reference_trace(alg, V))
 
 
 def koszul_geodesic(alg, names):
