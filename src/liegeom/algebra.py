@@ -23,9 +23,10 @@ value in the test suite is pinned to.
 Vector and operator values are plain lists (of scalars, and of rows) with
 `RatFunc` entries: the engine reads every polynomial condition off the
 coefficient tensors instead of passing generic vectors.  The helpers use
-only the arithmetic `RatFunc` shares with `MultiPoly`: `bilinear`, the one
-evaluator of a quadratic form on vectors, takes the `MultiPoly` components
-of `geometry.grad_norm_sq` and of the naive references in the tests.
+only the ring operations of `RatFunc` and `.is_zero`: `bilinear`, the one
+evaluator of a quadratic form on vectors, also takes components of any
+other type with those, such as the polynomials that the naive references
+in the tests pass to `geometry.grad_norm_sq`.
 
 Every contraction runs over the nonzero entries of each factor only (the
 `nonzero` helper), and a tensor contracted more than once is lowered once
@@ -64,8 +65,8 @@ class SingularMetric(ArithmeticError):
 # small exact matrix helpers over Q(eps)
 #
 # Entries are `RatFunc`s (a value at one eps is a constant one); the zero
-# test is `.is_zero`, which `MultiPoly` has too, so `bilinear` takes
-# `MultiPoly` components.  They form no product with a zero factor: `nonzero`
+# test is `.is_zero`, so `bilinear` takes components of any type that has it
+# and the ring operations.  They form no product with a zero factor: `nonzero`
 # lists the nonzero entries of a row, and `add_scaled`/`add_product`
 # accumulate in place over such lists.  An entry that no product reaches is
 # the `RatFunc` ZERO.
@@ -118,8 +119,8 @@ def mat_vec(a, v):
 def bilinear(Q, u, v):
     """u^T Q v, as sum_p u_p (Q v)_p: n products of components, the rest
     scalar multiples.  `Q` has `RatFunc` entries; the components of u and
-    v may be `RatFunc`s or `MultiPoly`s.  A `RatFunc` zero when no term
-    survives."""
+    v may be `RatFunc`s or of any type with the ring operations of
+    `RatFunc` and `.is_zero`.  A `RatFunc` zero when no term survives."""
     nv = nonzero(v)
     acc = ZERO
     for p, up in nonzero(u):
@@ -179,8 +180,9 @@ def mat_inv(a) -> list[list[RatFunc]]:
 
 
 def vector_str(coords: Sequence) -> str:
-    """Render a coordinate vector as a combination of X1..Xn, as the linear
-    `MultiPoly` in X1..Xn with these coefficients prints."""
+    """Render a coordinate vector as a combination of X1..Xn, as
+    `scalars.poly_str` prints the linear polynomial in X1..Xn with these
+    coefficients."""
     return terms_str((f"X{i+1}", c) for i, c in enumerate(coords))
 
 

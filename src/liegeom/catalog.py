@@ -263,8 +263,15 @@ def load(path: str, validate: bool = True) -> MetricLieAlgebra:
 
 
 def dumps(alg: MetricLieAlgebra) -> str:
-    """Serialize; loads(dumps(a)) reproduces the same data exactly."""
-    out = [f"name: {alg.name}", f"dim: {alg.dim}"]
+    """Serialize; loads(dumps(a)) reproduces the same data exactly.
+
+    Raises ValueError on a name that the format cannot carry: an empty one,
+    one with surrounding whitespace, a '#' or a line break.
+    """
+    name = alg.name
+    if name.splitlines() != [name] or name != name.strip() or "#" in name:
+        raise ValueError(f"name {name!r} does not survive the text format")
+    out = [f"name: {name}", f"dim: {alg.dim}"]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             for k in range(alg.dim):

@@ -17,11 +17,11 @@ Every polynomial read off a tensor (these forms, the soliton equations, the
 Ledger l5 and the energy density) is one sparse monomial dict, `_terms`:
 the sorted index tuple of each monomial maps to its nonzero `RatFunc`
 coefficient, so a quadratic form is keyed by its slots (i, j), i <= j.  The
-case analysis reads the slots on the coordinates not yet set to zero, and a
-`MultiPoly` is built from a dict only to print it.  The harmonic-map trace
-is tested on each critical family by polarization: the raised connection
-is contracted with the family vectors first, then with the curvature
-operators, one component of the trace at a time.
+case analysis reads the slots on the coordinates not yet set to zero, the
+verdicts hold the dicts themselves, and `scalars.poly_str` prints them.
+The harmonic-map trace is tested on each critical family by polarization:
+the raised connection is contracted with the family vectors first, then
+with the curvature operators, one component of the trace at a time.
 Verdicts are never sampled or approximated: the Walker analysis adds a
 float cross-check at sample parameter values, but a disagreement there
 refuses rather than decides.  When the polynomial case analysis cannot
@@ -71,12 +71,12 @@ from .algebra import (
 from .numeric import null_parallel_scan
 from .scalars import (
     ONE,
-    MultiPoly,
     PoleAtEvaluationPoint,
     RatFunc,
     ZERO,
     component_names,
     dot,
+    poly_str,
     ratfunc,
 )
 from .solvers import (
@@ -126,18 +126,6 @@ def _terms(entries) -> dict[tuple[int, ...], RatFunc]:
     return terms
 
 
-def _polynomial(names: tuple[str, ...], terms: dict[tuple[int, ...], RatFunc]) -> MultiPoly:
-    """The `_terms` dict as a `MultiPoly` in the indeterminates `names`;
-    built only to print.  Its coefficients are already nonzero `RatFunc`s
-    under distinct keys, so they are wrapped as they are."""
-    def exponent(key):
-        expo = [0] * len(names)
-        for i in key:
-            expo[i] += 1
-        return tuple(expo)
-    return MultiPoly(names)._with_terms({exponent(key): c for key, c in terms.items()})
-
-
 def _product(x, y):
     """x * y, without forming the product when a factor is zero."""
     return ZERO if x.is_zero or y.is_zero else x * y
@@ -185,7 +173,7 @@ class SolitonBranch:
 class SolitonVerdict:
     convention: str
     unknowns: tuple[str, ...]
-    equations: list[MultiPoly]
+    equations: list[dict[tuple[int, ...], RatFunc]]
     solution: ParametricSolution
     generic_soliton: bool
     witness: tuple[list[RatFunc], RatFunc] | None
@@ -234,7 +222,7 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
             rhs.append(b)
     sol = solve_parametric(rows, rhs, names)
     # one affine equation sum_k row[k] * names[k] - b = 0 per row
-    eqs = [_polynomial(names, _terms([((k,), c) for k, c in enumerate(row)] + [((), -b)]))
+    eqs = [_terms([((k,), c) for k, c in enumerate(row)] + [((), -b)])
            for row, b in zip(rows, rhs)]
 
     generic_ok = sol.generic.status != "inconsistent"
@@ -363,7 +351,7 @@ def solve_zero_set(forms: Sequence, names: Sequence[str]) -> list[frozenset[str]
         cross = next((items[0][0] for items in active if len(items) == 1), None)
         if cross is None:
             raise CaseAnalysisIncomplete("no safe rule applies to: " + "; ".join(
-                str(_polynomial(names, dict(items))) for items in active))
+                poly_str(names, dict(items)) for items in active))
         out: list[frozenset[str]] = []
         for var in cross:
             out.extend(recurse(live - {var}, assigned | {names[var]}))
@@ -407,7 +395,7 @@ class GeodesicBranch:
 @dataclass
 class GeodesicClassification:
     names: tuple[str, ...]
-    equations: list[MultiPoly]
+    equations: list[dict[tuple[int, ...], RatFunc]]
     components: list[frozenset[str]]
     exceptional: list[GeodesicBranch]
 
@@ -432,8 +420,7 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
         comp0 = solve_zero_set(_at_eps(forms, eps0), names)
         if comp0 != components:
             branches.append(GeodesicBranch(eps0, comp0))
-    eqs = [_polynomial(names, U) for U in forms]
-    return GeodesicClassification(names, eqs, components, branches)
+    return GeodesicClassification(names, forms, components, branches)
 
 
 def geodesic_check(alg: MetricLieAlgebra, coords: Sequence) -> bool:
@@ -602,7 +589,7 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
 class LedgerReport:
     l3_holds: bool
     l3_violations: list[tuple[int, int, int]]
-    l5_poly: MultiPoly
+    l5_poly: dict[tuple[int, ...], RatFunc]
     l5_holds: bool
 
 
@@ -640,7 +627,7 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
     alg.require_valid()
     violations = _cyclic_violations(alg)
     l5 = _ledger_l5(alg)
-    return LedgerReport(not violations, violations, _polynomial(component_names(alg.dim), l5), not l5)
+    return LedgerReport(not violations, violations, l5, not l5)
 
 
 def _dots(terms: dict) -> dict:
@@ -846,14 +833,15 @@ class FamilyEnergy:
 @dataclass
 class EnergyReport:
     """The energy section.  `density_generic` is n/2 + |nabla V|^2 / 2 as a
-    polynomial in the components of V: a `MultiPoly` whenever the
-    connection is not flat, but the plain `RatFunc` n/2 on a flat one
-    (every nabla_{Xi} Xj = 0), where there is no polynomial part.  The two
-    print differently ("(3/2)" as a MultiPoly constant term, "3/2" as a
-    RatFunc), and the report prints it as it is."""
+    polynomial in the components of V: a verdict polynomial (a monomial
+    dict, see `scalars`) whenever the connection is not flat, but the plain
+    `RatFunc` n/2 on a flat one (every nabla_{Xi} Xj = 0), where there is no
+    polynomial part.  The two print differently ("(3/2)" as a constant
+    term of `poly_str`, "3/2" as a RatFunc), and the report prints it as it
+    is."""
 
     dim: int
-    density_generic: MultiPoly | RatFunc
+    density_generic: dict[tuple[int, ...], RatFunc] | RatFunc
     families: list[FamilyEnergy]
 
 
@@ -862,8 +850,9 @@ def grad_norm_sq(alg: MetricLieAlgebra, V: Sequence):
     -g(LV, V) = -V^T (G L) V with L the rough Laplacian.  Every nabla_X is
     g-skew, so g(nabla_{Xj} V, nabla_{Xi} V) = -g(nabla_{Xi} nabla_{Xj} V, V),
     and the term -nabla_H of L, H = sum_ij g^{ij} nabla_{Xi} Xj, adds
-    g(nabla_H V, V) = 0.  The components of V may be `RatFunc`s or
-    `MultiPoly`s."""
+    g(nabla_H V, V) = 0.  The components of V may be `RatFunc`s or of any
+    type with the ring operations of `RatFunc` and `.is_zero`, such as the
+    polynomials the tests build."""
     return -bilinear(mat_mul(alg.metric, rough_laplacian(alg)), V, V)
 
 
@@ -894,7 +883,7 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     if not all(x.is_zero for plane in alg.nabla_basis for row in plane for x in row):
         GL = mat_mul(alg.metric, alg.harmonicity.laplacian)
         entries = [((p, q), x * -half) for p in range(n) for q, x in nonzero(GL[p])]
-        density = _polynomial(component_names(n), _terms(entries + [((), density)]))
+        density = _terms(entries + [((), density)])
     fams = []
     for fam in alg.harmonicity.families:
         gram = [[alg.inner(u, w) for w in fam.basis] for u in fam.basis]

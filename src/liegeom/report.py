@@ -34,7 +34,7 @@ from .geometry import (
     walker_check,
 )
 from .numeric import NumericModel, evaluate_numeric
-from .scalars import fraction_str, mu_poly_str, scalar_str
+from .scalars import RatFunc, component_names, fraction_str, mu_poly_str, poly_str, scalar_str
 
 SCHEMA = "1"
 
@@ -141,7 +141,7 @@ def soliton_section(alg: MetricLieAlgebra, convention: str = "paper") -> dict:
         "equation": "Lie_X g = lam*g - ric"
         if convention == "paper"
         else "Lie_X g = 2*(lam*g - ric)",
-        "equations": [str(e) for e in v.equations],
+        "equations": [poly_str(v.unknowns, e) for e in v.equations],
         "generic": generic,
         "exceptional": [
             {
@@ -177,7 +177,7 @@ def geodesic_section(alg: MetricLieAlgebra) -> dict:
     g: GeodesicClassification = geodesic_classify(alg)
     return {
         "coefficients": list(g.names),
-        "equations": [str(e) for e in g.equations] or ["0"],
+        "equations": [poly_str(g.names, e) for e in g.equations] or ["0"],
         "solution": g.describe_components(),
         "exceptional": [
             {
@@ -219,8 +219,8 @@ def ledger_section(alg: MetricLieAlgebra) -> dict:
             f"(X{i},X{j},X{k})" for i, j, k in rep.l3_violations
         ]
     if not rep.l5_holds:
-        out["degree5_nonzero_terms"] = len(rep.l5_poly.terms)
-        out["degree5_polynomial"] = str(rep.l5_poly)
+        out["degree5_nonzero_terms"] = len(rep.l5_poly)
+        out["degree5_polynomial"] = poly_str(component_names(alg.dim), rep.l5_poly)
     return out
 
 
@@ -266,8 +266,10 @@ def energy_section(alg: MetricLieAlgebra) -> dict:
                 else fraction_str(f.constant)
             ),
         })
+    density = rep.density_generic
     return {
-        "density_generic": str(rep.density_generic),
+        "density_generic": str(density) if isinstance(density, RatFunc)
+        else poly_str(component_names(rep.dim), density),
         "families": fams,
     }
 

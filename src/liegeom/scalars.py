@@ -4,13 +4,15 @@ Every symbolic quantity in this package is a rational function of the
 deformation parameter ``eps`` with arbitrary-precision rational
 coefficients.  This module provides that field in canonical form
 (`RatFunc`, a coprime pair of integer polynomials in eps), the kernels on
-integer polynomials that it runs on, and a sparse multivariate layer
-(`MultiPoly`) whose coefficients are again rational functions.  The
-analyses build their polynomials as monomial dicts of `RatFunc`
-coefficients and turn each into a `MultiPoly` only to print it; the
-`MultiPoly` arithmetic is public API, and the algebra the test references
-build their polynomials with.  A polynomial in the spectral variable
-``mu`` is a tuple of its `RatFunc` coefficients, lowest degree first.
+integer polynomials that it runs on, and the printers of the two kinds of
+polynomial the engine builds from it.  A verdict polynomial (the soliton
+equations, the geodesic and Walker forms, the Ledger l5 and the energy
+density) is a sparse monomial dict in named indeterminates: the sorted
+index tuple of each monomial, (0, 0, 2) for x0^2 * x2, maps to its nonzero
+`RatFunc` coefficient.  The engine reads each one off the coefficient
+tensors and never adds or multiplies two of them; `poly_str` prints it.
+A polynomial in the spectral variable ``mu`` is a tuple of its `RatFunc`
+coefficients, lowest degree first, and `mu_poly_str` prints it.
 
 Canonical forms make equality decidable by structural comparison, which is
 what the geometric verdicts downstream rely on.  A `RatFunc` is stored as
@@ -29,10 +31,10 @@ The text syntax for scalars accepts integers, rationals ``p/q``, the token
 (`str` on the value) round-trip.  The printer reads the integer pair
 itself: N and D each over lc(D), every coefficient reduced by one integer
 gcd, through `_eps_poly_str`, the one printer of a polynomial in eps.
-`terms_str` joins the terms of a `MultiPoly`, of a polynomial in ``mu``
-(`mu_poly_str`) and of `algebra.vector_str`, and decides each
-coefficient's sign and parentheses from the tuples as well, so no
-`Fraction` or `MultiPoly` is built in order to print.
+`terms_str` joins the terms of a verdict polynomial (`poly_str`), of a
+polynomial in ``mu`` (`mu_poly_str`) and of `algebra.vector_str`, and
+decides each coefficient's sign and parentheses from the tuples as well,
+so no `Fraction` or polynomial object is built in order to print.
 """
 
 from __future__ import annotations
@@ -388,10 +390,10 @@ def _ratfunc_str(n: tuple, d: tuple) -> str:
 
 def terms_str(terms: Iterable[tuple[str, object]]) -> str:
     """The sum of the (monomial text, coefficient) terms in the order given,
-    as a `MultiPoly` prints; a polynomial in mu (`mu_poly_str`) and a vector
-    (`algebra.vector_str`) print through it too.  "" is the constant
-    monomial, a coefficient is any scalar `ratfunc` takes, and zero terms
-    are skipped.  A
+    the one term printer: a verdict polynomial (`poly_str`), a polynomial in
+    mu (`mu_poly_str`) and a vector (`algebra.vector_str`) print through it.
+    "" is the constant monomial, a coefficient is any scalar `ratfunc`
+    takes, and zero terms are skipped.  A
     coefficient 1 is left off its monomial, -1 leaves a "-"; any other
     coefficient is parenthesized when it is a sum or has a '/' or, in
     front of a monomial, a '*'.  A term joins the ones before it with a
@@ -416,9 +418,19 @@ def terms_str(terms: Iterable[tuple[str, object]]) -> str:
     return "".join(parts) or "0"
 
 
+def poly_str(names: Sequence[str], terms: Mapping[tuple[int, ...], RatFunc]) -> str:
+    """The verdict polynomial `terms` (see the module docstring) in the
+    indeterminates `names`: by total degree, highest first, then by
+    exponent tuple, descending; each monomial is its powers of `names`
+    joined by '*'."""
+    expos = ((tuple(key.count(i) for i in range(len(names))), c) for key, c in terms.items())
+    return terms_str(("*".join(_power(x, e) for x, e in zip(names, expo) if e), c)
+                     for expo, c in sorted(expos, key=lambda t: (sum(t[0]), t[0]), reverse=True))
+
+
 def mu_poly_str(coeffs: Sequence[RatFunc]) -> str:
-    """The polynomial sum_k coeffs[k] mu^k, highest degree first, as the
-    `MultiPoly` in mu with these coefficients prints."""
+    """The polynomial sum_k coeffs[k] mu^k, highest degree first, as
+    `poly_str` prints it in the one indeterminate mu."""
     return terms_str((_power("mu", k), c) for k, c in reversed(list(enumerate(coeffs))))
 
 
@@ -737,171 +749,6 @@ def parse_scalar(text: str) -> RatFunc:
 def scalar_str(value: RatFunc) -> str:
     """Canonical printed form; parse_scalar(scalar_str(v)) == v."""
     return str(ratfunc(value))
-
-
-# ---------------------------------------------------------------------------
-# sparse multivariate polynomials over the rational function field
-
-
-class MultiPoly:
-    """Sparse polynomial in a fixed tuple of named indeterminates with
-    `RatFunc` coefficients.  The indeterminate set belongs to the instance
-    (it is fixed per analysis call, not global), terms map exponent tuples
-    to nonzero coefficients.
-    """
-
-    __slots__ = ("names", "terms")
-
-    def __init__(self, names: Sequence[str], terms: Mapping[tuple[int, ...], object] | None = None):
-        self.names = tuple(names)
-        clean: dict[tuple[int, ...], RatFunc] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != len(self.names):
-                    raise ValueError("exponent tuple length does not match indeterminates")
-                if any(e < 0 for e in expo):
-                    raise ValueError("negative exponent")
-                c = ratfunc(coeff)
-                if not c.is_zero:
-                    if expo in clean:
-                        c = clean[expo] + c
-                        if c.is_zero:
-                            del clean[expo]
-                            continue
-                    clean[expo] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, names: Sequence[str]) -> "MultiPoly":
-        return cls(names)
-
-    @classmethod
-    def const(cls, names: Sequence[str], value) -> "MultiPoly":
-        c = ratfunc(value)
-        if c.is_zero:
-            return cls(names)
-        return cls(names, {tuple(0 for _ in names): c})
-
-    @classmethod
-    def var(cls, names: Sequence[str], name: str) -> "MultiPoly":
-        names = tuple(names)
-        idx = names.index(name)
-        expo = tuple(1 if i == idx else 0 for i in range(len(names)))
-        return cls(names, {expo: ONE})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def check_invariants(self) -> None:
-        for expo, coeff in self.terms.items():
-            assert len(expo) == len(self.names) and all(e >= 0 for e in expo)
-            assert isinstance(coeff, RatFunc) and not coeff.is_zero
-            coeff.check_invariants()
-
-    def _with_terms(self, terms: dict[tuple[int, ...], RatFunc]) -> "MultiPoly":
-        """The MultiPoly in the same indeterminates with these clean terms."""
-        result = MultiPoly.__new__(MultiPoly)
-        result.names = self.names
-        result.terms = terms
-        return result
-
-    def _compat(self, other: "MultiPoly") -> None:
-        if self.names != other.names:
-            raise ValueError(f"indeterminate mismatch: {self.names} vs {other.names}")
-
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            self._compat(other)
-            return other
-        if isinstance(other, (int, Fraction, RatFunc)):
-            return MultiPoly.const(self.names, other)
-        return None
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other) if not isinstance(other, MultiPoly) else other
-        if o is None:
-            return NotImplemented
-        return self.names == o.names and self.terms == o.terms
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for expo, coeff in o.terms.items():
-            s = out.get(expo, ZERO) + coeff
-            if s.is_zero:
-                out.pop(expo, None)
-            else:
-                out[expo] = s
-        return self._with_terms(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return self._with_terms({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[tuple[int, ...], RatFunc] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                s = out.get(expo, ZERO) + prod
-                if s.is_zero:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
-        return self._with_terms(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power of a MultiPoly")
-        result = MultiPoly.const(self.names, 1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def evaluate(self, point: Mapping[str, Fraction], eps_value: Fraction) -> Fraction:
-        """Exact value with all indeterminates and eps given."""
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            term = coeff.eval(eps_value)
-            for i, e in enumerate(expo):
-                if e:
-                    term *= _fraction(point[self.names[i]]) ** e
-            total += term
-        return total
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], RatFunc]]:
-        return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
-
-    def __str__(self) -> str:
-        return terms_str(
-            ("*".join(_power(name, e) for name, e in zip(self.names, expo) if e), c)
-            for expo, c in self.sorted_terms())
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({str(self)!r})"
 
 
 def component_names(dim: int) -> tuple[str, ...]:

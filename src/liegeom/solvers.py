@@ -171,8 +171,9 @@ def solve_parametric(
     the poles of the entries and the zeros and poles of the generic
     elimination's `SolveResult.watch`.
     """
-    rows = [[ratfunc(x) for x in r] for r in rows]
-    rhs = [ratfunc(x) for x in rhs]
+    # no equation leaves every unknown free: one zero row says so
+    rows = [[ratfunc(x) for x in r] for r in rows] or [[ZERO] * len(unknowns)]
+    rhs = [ratfunc(x) for x in rhs] or [ZERO]
     candidates = {
         root for r, b in zip(rows, rhs) for x in r + [b] for root, _ in x.poles()
     }

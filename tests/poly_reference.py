@@ -1,5 +1,6 @@
-"""Dense polynomials over Q and over Q(eps), the references the tests keep
-for the engine, which works on integer tuples instead.
+"""Dense polynomials over Q and over Q(eps), and sparse multivariate ones
+over Q(eps): the references the tests keep for the engine, which works on
+integer tuples and monomial dicts instead.
 
 `Poly` is a polynomial with `Fraction` coefficients (one in eps) or with
 `RatFunc` coefficients (one in the spectral variable mu), lowest degree
@@ -10,6 +11,12 @@ two polynomials over Q (`ratfunc_of`); det(mu I - L) by Laplace expansion
 on `Poly` entries (`laplace_charpoly`), the oracle for Berkowitz's
 recurrence in `solvers.charpoly`; and `check`, a value's own
 `check_invariants` plus Euclid's algorithm over Q on every `RatFunc` in it.
+
+`MultiPoly` is a polynomial in named indeterminates with `RatFunc`
+coefficients, with the ring arithmetic that the engine never needs: the
+references build the verdict polynomials with it as the definitions read,
+on vectors of indeterminates, and `from_terms` turns one of the engine's
+monomial dicts into a `MultiPoly` to compare.
 """
 
 from fractions import Fraction
@@ -17,13 +24,15 @@ from math import lcm
 
 from liegeom.scalars import (
     ONE,
+    ZERO,
     DivisionByZeroFunction,
-    MultiPoly,
     RatFunc,
     _canonical,
     _ratfunc,
     _zroots,
     mu_poly_str,
+    ratfunc,
+    terms_str,
 )
 
 
@@ -199,11 +208,11 @@ def denominator(f: RatFunc) -> Poly:
 
 
 def check(value):
-    """Run the value's `check_invariants` and check every `RatFunc` in it
-    (itself, a `MultiPoly` coefficient, or a coefficient of a `Poly` or a
-    tuple) against Euclid's algorithm over Q: a monic denominator, coprime
-    to the numerator.  The coefficients of a `Poly` or a tuple have one
-    type and no trailing zero.  Hand the value back."""
+    """Check every `RatFunc` in the value (itself, a nonzero `MultiPoly`
+    coefficient, or a coefficient of a `Poly` or a tuple): its own
+    `check_invariants`, and Euclid's algorithm over Q, a monic denominator
+    coprime to the numerator.  The coefficients of a `Poly` or a tuple have
+    one type and no trailing zero.  Hand the value back."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (Poly, tuple)):
@@ -212,10 +221,14 @@ def check(value):
         for c in coeffs:
             check(c)
         return value
+    if isinstance(value, MultiPoly):
+        for c in value.terms.values():
+            assert not c.is_zero
+            check(c)
+        return value
     value.check_invariants()
-    for f in value.terms.values() if isinstance(value, MultiPoly) else [value]:
-        den = denominator(f)
-        assert den.leading == 1 and poly_gcd(numerator(f), den) == Poly((1,))
+    den = denominator(value)
+    assert den.leading == 1 and poly_gcd(numerator(value), den) == Poly((1,))
     return value
 
 
@@ -231,3 +244,121 @@ def laplace_charpoly(matrix) -> Poly:
     n = len(matrix)
     return _laplace_det([[Poly((-matrix[i][j], ONE) if i == j else (-matrix[i][j],))
                           for j in range(n)] for i in range(n)])
+
+
+class MultiPoly:
+    """Sparse polynomial in a fixed tuple of named indeterminates: exponent
+    tuples map to nonzero `RatFunc` coefficients."""
+
+    __slots__ = ("names", "terms")
+
+    def __init__(self, names, terms=None):
+        self.names = tuple(names)
+        self.terms = {}
+        for expo, c in (terms or {}).items():
+            if len(expo) != len(self.names) or min(expo, default=0) < 0:
+                raise ValueError(f"exponent tuple {expo} for indeterminates {self.names}")
+            self._add(tuple(expo), ratfunc(c))
+
+    def _add(self, expo, c) -> None:
+        s = self.terms.get(expo, ZERO) + c
+        if s.is_zero:
+            self.terms.pop(expo, None)
+        else:
+            self.terms[expo] = s
+
+    @classmethod
+    def zero(cls, names) -> "MultiPoly":
+        return cls(names)
+
+    @classmethod
+    def const(cls, names, value) -> "MultiPoly":
+        return cls(names, {(0,) * len(names): value})
+
+    @classmethod
+    def var(cls, names, name) -> "MultiPoly":
+        return cls(names, {tuple(int(x == name) for x in names): ONE})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _coerce(self, other):
+        if isinstance(other, MultiPoly):
+            if other.names != self.names:
+                raise ValueError(f"indeterminate mismatch: {self.names} vs {other.names}")
+            return other
+        if isinstance(other, (int, Fraction, RatFunc)):
+            return MultiPoly.const(self.names, other)
+        return None
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.terms == o.terms
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = MultiPoly(self.names)
+        out.terms = dict(self.terms)
+        for expo, c in o.terms.items():
+            out._add(expo, c)
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "MultiPoly":
+        return MultiPoly(self.names, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = MultiPoly(self.names)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in o.terms.items():
+                out._add(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "MultiPoly":
+        result = MultiPoly.const(self.names, 1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def evaluate(self, point, eps_value) -> Fraction:
+        """The exact value with every indeterminate (by name) and eps given."""
+        total = Fraction(0)
+        for expo, c in self.terms.items():
+            term = c.eval(eps_value)
+            for name, e in zip(self.names, expo):
+                term *= Fraction(point[name]) ** e
+            total += term
+        return total
+
+    def sorted_terms(self) -> list:
+        """By total degree, highest first, then by exponent tuple, descending."""
+        return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+
+    def __str__(self) -> str:
+        def mono(expo):
+            return "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(self.names, expo) if e)
+        return terms_str((mono(expo), c) for expo, c in self.sorted_terms())
+
+
+def from_terms(names, terms) -> MultiPoly:
+    """One of the engine's monomial dicts (the sorted index tuple of each
+    monomial to its coefficient) as a `MultiPoly` in `names`."""
+    return MultiPoly(names, {tuple(key.count(i) for i in range(len(names))): c
+                             for key, c in terms.items()})

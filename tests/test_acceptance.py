@@ -32,13 +32,13 @@ from liegeom.scalars import (
     EPS,
     ONE,
     ZERO,
-    MultiPoly,
     component_names,
     parse_scalar,
     scalar_str,
 )
 from liegeom.algebra import vector_str
 from liegeom.solvers import rref_solve
+from poly_reference import MultiPoly, from_terms
 
 import test_properties
 import test_tensor_reference
@@ -140,7 +140,7 @@ def test_criterion_04_soliton_system(berger_alg):
         MultiPoly.const(names, 2 * EPS * EPS) - lam * EPS,   # 2eps^2 - lam*eps = 0
         MultiPoly.const(names, 4 * ONE - 2 * EPS) - lam,     # 4 - 2eps - lam = 0
     ]
-    assert {canon_mod_sign(e) for e in v.equations} == \
+    assert {canon_mod_sign(from_terms(names, e)) for e in v.equations} == \
         {canon_mod_sign(e) for e in published}
     assert not v.generic_soliton
     assert [(b.eps, b.kind) for b in v.exceptional] == [
@@ -185,11 +185,11 @@ def l5_grid_oracle(alg, eps0, radius=3):
     coefficient vectors, and compare with the engine's degree-5 polynomial
     evaluated there.  No multivariate symbols involved on the oracle side.
     Returns the first grid point where the two differ, or None."""
-    l5 = ledger_check(alg).l5_poly
     spec = alg.at_eps(eps0)
     n = spec.dim
     rn = range(n)
     names = component_names(n)
+    l5 = from_terms(names, ledger_check(alg).l5_poly)
     R4s, Ds = test_tensor_reference.reference_tensors(spec)
     R4 = [[[[R4s[i][j][k][l].eval(eps0) for l in rn] for k in rn]
            for j in rn] for i in rn]

@@ -18,7 +18,7 @@ PUBLIC_API = {
     # numeric
     "NumericModel", "SingularMetricAtPoint", "evaluate_numeric", "null_parallel_scan",
     # scalars
-    "DivisionByZeroFunction", "MultiPoly", "PoleAtEvaluationPoint", "RatFunc",
+    "DivisionByZeroFunction", "PoleAtEvaluationPoint", "RatFunc",
     "ScalarSyntaxError", "EPS", "parse_scalar", "scalar_str",
     # solvers
     "EigenDecomposition", "EigenPair", "ParametricSolution", "eigen_analyze",
@@ -30,6 +30,7 @@ PUBLIC_API = {
 def test_public_api_is_pinned():
     assert len(liegeom.__all__) == len(set(liegeom.__all__))
     assert set(liegeom.__all__) == PUBLIC_API
+    assert len(PUBLIC_API) == 53
 
 
 def test_every_public_name_imports():
@@ -40,7 +41,8 @@ def test_every_public_name_imports():
 
 
 def test_removed_names_stay_removed():
-    # the dense polynomial class and the Fraction alias left the package
-    for name in ("Poly", "Rational"):
+    # the dense and the sparse polynomial classes and the Fraction alias
+    # left the package
+    for name in ("Poly", "MultiPoly", "Rational"):
         assert not hasattr(liegeom, name)
         assert not hasattr(liegeom.scalars, name)

@@ -1,4 +1,5 @@
 import textwrap
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +46,18 @@ def test_round_trip_both_entries():
         assert again.name == alg.name
         assert again.brackets == alg.brackets
         assert again.metric == alg.metric
+
+
+@pytest.mark.parametrize("name", ["a#b", " pad ", "", "a\nb"])
+def test_dumps_refuses_a_name_the_format_cannot_carry(name):
+    alg = replace(berger(), name=name)
+    with pytest.raises(ValueError, match="does not survive the text format"):
+        dumps(alg)
+
+
+def test_dumps_round_trips_a_name_with_inner_spaces_and_colons():
+    alg = replace(berger(), name="berger: a b")
+    assert loads(dumps(alg)).name == "berger: a b"
 
 
 def test_load_from_file(tmp_path):

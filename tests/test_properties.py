@@ -22,12 +22,12 @@ from liegeom.scalars import (
     EPS,
     ONE,
     ZERO,
-    MultiPoly,
     parse_scalar,
     ratfunc,
     scalar_str,
 )
 from poly_reference import (
+    MultiPoly,
     Poly,
     check,
     denominator,

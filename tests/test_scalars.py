@@ -4,14 +4,21 @@ from fractions import Fraction
 import pytest
 
 import test_properties
+import test_tensor_reference
 from liegeom.algebra import vector_str
 from liegeom.catalog import loads
+from liegeom.geometry import (
+    _geodesic_forms,
+    _walker_forms,
+    energy_report,
+    ledger_check,
+    ricci_soliton_solve,
+)
 from liegeom.scalars import (
     EPS,
     ONE,
     ZERO,
     DivisionByZeroFunction,
-    MultiPoly,
     PoleAtEvaluationPoint,
     RatFunc,
     ScalarSyntaxError,
@@ -22,11 +29,14 @@ from liegeom.scalars import (
     fraction_str,
     mu_poly_str,
     parse_scalar,
+    poly_str,
     ratfunc,
     scalar_str,
 )
 from poly_reference import (
+    MultiPoly,
     Poly,
+    from_terms,
     check,
     denominator,
     numerator,
@@ -82,7 +92,7 @@ def test_poly_gcd_is_monic():
 
 
 def test_poly_over_q_eps_not_divisible_raises_value_error():
-    # the message prints both polynomials over Q(eps), as MultiPolys in mu
+    # the message prints both polynomials over Q(eps), as polynomials in mu
     with pytest.raises(ValueError, match=r"mu\^2\+eps\*mu\+1 is not divisible by mu\+eps"):
         poly_div_exact(Poly((ONE, EPS, ONE)), Poly((EPS, ONE)))
 
@@ -350,8 +360,8 @@ def test_parser_flags_zero_denominator():
 # The reference prints the way the package printed before the printer read
 # the integer tuples: a RatFunc as its numerator and denominator over Q,
 # each a `Poly` of `Fraction`s, with a text scan for a top-level sum; a
-# MultiPoly term by term from those strings; a vector and a polynomial in mu
-# as a MultiPoly.
+# polynomial in named indeterminates, as a `poly_reference.MultiPoly`, term
+# by term from those strings; a vector and a polynomial in mu as one of them.
 
 
 def reference_top_level_sum(s: str) -> bool:
@@ -464,10 +474,12 @@ def printer_sample(seed=20261019):
     polys += [Poly(random_coefficient(rng) for _ in range(rng.randrange(5))) for _ in range(100)]
     multis = []
     for _ in range(200):
+        # a monomial dict of the engine: sorted index tuple to nonzero coefficient
         names = ("a", "b", "c", "d")[:rng.randrange(1, 5)]
         terms = {tuple(rng.randrange(3) for _ in names): random_coefficient(rng)
                  for _ in range(rng.randrange(5))}
-        multis.append(MultiPoly(names, terms))
+        multis.append((names, {sum(((i,) * e for i, e in enumerate(expo)), ()): c
+                               for expo, c in terms.items() if not c.is_zero}))
     vectors = []
     for _ in range(200):
         n = rng.randrange(1, 5)
@@ -490,8 +502,8 @@ def test_printer_matches_the_reference_route():
         over_q_eps = p.coeffs and isinstance(p.leading, RatFunc)
         text = mu_poly_str(p.coeffs) if over_q_eps else str(ratfunc_of(p))
         assert text == reference_poly_str(p)
-    for m in multis:
-        assert str(m) == reference_multipoly_str(m)
+    for names, terms in multis:
+        assert poly_str(names, terms) == reference_multipoly_str(from_terms(names, terms))
     for v in vectors:
         assert vector_str(v) == reference_vector_str(v)
     # the sample reaches every shape the printer tells apart
@@ -499,9 +511,35 @@ def test_printer_matches_the_reference_route():
     assert {"0", "1", "-1", "eps", "-eps"} <= set(texts)
     assert any("/(" in t for t in texts) and any("/eps" in t for t in texts)
     assert any(t.startswith("(") for t in texts) and any("*eps" in t for t in texts)
-    multi_texts = [str(m) for m in multis] + [vector_str(v) for v in vectors]
+    multi_texts = [poly_str(*m) for m in multis] + [vector_str(v) for v in vectors]
     assert any(")*" in t for t in multi_texts) and any("+(" in t for t in multi_texts)
     assert any("*(" not in t and "-" in t for t in multi_texts)
+
+
+def report_polynomials(alg):
+    """Every verdict polynomial of the full report of `alg` with its
+    indeterminates: the soliton equations, the geodesic and Walker forms,
+    the Ledger l5 and, on a curved connection, the energy density."""
+    names = component_names(alg.dim)
+    soliton = ricci_soliton_solve(alg)
+    density = energy_report(alg).density_generic
+    out = [(soliton.unknowns, e) for e in soliton.equations]
+    out += [(names, U) for U in _geodesic_forms(alg) + _walker_forms(alg)]
+    out.append((names, ledger_check(alg).l5_poly))
+    if isinstance(density, dict):
+        out.append((names, density))
+    return out
+
+
+@pytest.mark.parametrize("seed", [None, 1], ids=["unmixed", "mixed1"])
+def test_report_polynomials_print_as_the_reference_route(corpus_alg, seed):
+    # `poly_str` on the corpus's own polynomials, dense mixed ones included
+    polys = [p for key in test_properties.corpus.TEXTS
+             for p in report_polynomials(test_tensor_reference.corpus_case(corpus_alg, key, seed))]
+    for names, terms in polys:
+        assert poly_str(names, terms) == reference_multipoly_str(from_terms(names, terms))
+    # a nonzero l5 (r4's) is among them
+    assert len(polys) >= 150 and any(len(key) == 5 for _, terms in polys for key in terms)
 
 
 def test_printing_builds_no_poly_or_multipoly(monkeypatch):
@@ -531,7 +569,7 @@ def test_printing_builds_no_poly_or_multipoly(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# MultiPoly
+# the reference MultiPoly
 
 
 def test_multipoly_arithmetic_and_str():

@@ -118,6 +118,14 @@ def test_parametric_no_spurious_branches():
     assert sol.branches == []
 
 
+def test_parametric_without_equations_leaves_every_unknown_free():
+    sol = solve_parametric([], [], ("x", "y"))
+    assert sol.generic.status == "underdetermined"
+    assert sol.generic.particular == [ZERO, ZERO]
+    assert sol.generic.kernel == [[ONE, ZERO], [ZERO, ONE]]
+    assert sol.candidates == [] and sol.branches == []
+
+
 def test_parametric_pole_branch_is_singular():
     sol = solve_parametric([[ONE / EPS]], [ONE], ("x",))
     branch = sol.branch_at(Fraction(0))
