@@ -29,13 +29,15 @@ other type with those, such as the polynomials that the naive references
 in the tests pass to `geometry.grad_norm_sq`.
 
 Every contraction runs over the nonzero entries of each factor only (the
-`nonzero` helper), and a tensor contracted more than once is lowered once
-(`_nabla_lowered`) or raised once (`_nabla_dual`, the only place where
-g^{-1} meets the connection in the harmonic and energy layer).  A
-left-invariant metric in an adapted frame has few nonzero structure
+`scalars.nonzero` helper), and a tensor contracted more than once is
+lowered once (`_nabla_lowered`) or raised once (`_nabla_dual`, the only
+place where g^{-1} meets the connection in the harmonic and energy layer).
+A left-invariant metric in an adapted frame has few nonzero structure
 constants and often a diagonal Gram matrix, so the dense sums were mostly
 products with a zero factor.  Exact arithmetic with canonical `RatFunc`s
-makes the result independent of the order of the terms.
+makes the result independent of the order of the terms.  The modules
+layer as scalars -> solvers -> algebra -> geometry: g^{-1} comes from the
+elimination of `solvers.kernel_basis`.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ from .scalars import (
     RatFunc,
     ONE,
     ZERO,
+    nonzero,
     ratfunc,
     terms_str,
 )
+from .solvers import kernel_basis
 
 MAX_DIM = 4
 _HALF = RatFunc(1, 2)
@@ -66,19 +70,16 @@ class SingularMetric(ArithmeticError):
 #
 # Entries are `RatFunc`s (a value at one eps is a constant one); the zero
 # test is `.is_zero`, so `bilinear` takes components of any type that has it
-# and the ring operations.  They form no product with a zero factor: `nonzero`
-# lists the nonzero entries of a row, and `add_scaled`/`add_product`
-# accumulate in place over such lists.  An entry that no product reaches is
-# the `RatFunc` ZERO.
+# and the ring operations.  They form no product with a zero factor:
+# `scalars.nonzero` lists the nonzero entries of a row, and
+# `add_scaled`/`add_product` accumulate in place over such lists.  An entry
+# that no product reaches is the `RatFunc` ZERO.  The one elimination is
+# `solvers.kernel_basis`: `mat_inv` reads the inverse off it, and the
+# zero-skipping Laplace `mat_det` is the one determinant.
 
 
 def zeros(n: int) -> list[list]:
     return [[ZERO for _ in range(n)] for _ in range(n)]
-
-
-def nonzero(row) -> list[tuple[int, object]]:
-    """The (index, entry) pairs of the nonzero entries of a row."""
-    return [(k, x) for k, x in enumerate(row) if not x.is_zero]
 
 
 def add_scaled(out, s, a) -> None:
@@ -158,25 +159,17 @@ def mat_det(a):
 
 
 def mat_inv(a) -> list[list[RatFunc]]:
-    """Inverse by the adjugate; entries must be RatFunc."""
+    """Inverse of a square `RatFunc` matrix by one elimination: the reduced
+    echelon kernel of [a | -I].  Each kernel vector v has a v[:n] = v[n:],
+    so the v[:n] are the columns of a^{-1} exactly when the v[n:] are the
+    unit vectors e_0..e_{n-1}; otherwise a is singular.  No cofactor and no
+    determinant is formed."""
     n = len(a)
-    det = mat_det(a)
-    if det.is_zero:
+    unit = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    kernel = kernel_basis([list(row) + [-x for x in e] for row, e in zip(a, unit)])
+    if [v[n:] for v in kernel] != unit:
         raise SingularMetric("matrix determinant is identically zero")
-    if n == 1:
-        return [[ONE / det]]
-    out = zeros(n)
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]
-            cof = mat_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof / det
-    return out
+    return transpose([v[:n] for v in kernel])
 
 
 def vector_str(coords: Sequence) -> str:
@@ -405,12 +398,7 @@ class MetricLieAlgebra:
     @cached_property
     def connection_operators(self) -> list[list[list[RatFunc]]]:
         """Matrices of nabla_{Xi}: column j holds nabla_{Xi} Xj."""
-        n = self.dim
-        K = self.nabla_basis
-        return [
-            [[K[i][j][r] for j in range(n)] for r in range(n)]
-            for i in range(n)
-        ]
+        return [transpose(plane) for plane in self.nabla_basis]
 
     @cached_property
     def _nabla_dual(self) -> list[list[list[RatFunc]]]:
@@ -555,16 +543,10 @@ class MetricLieAlgebra:
 
     def lie_derivative_metric(self, v: Sequence) -> list[list]:
         """(Lie_v g) for an invariant vector; linear in the coordinates."""
-        n = self.dim
         basis = self.lie_derivative_metric_basis
-        out = zeros(n)
-        for m in range(n):
-            if v[m].is_zero:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    if not basis[m][i][j].is_zero:
-                        out[i][j] = out[i][j] + v[m] * basis[m][i][j]
+        out = zeros(self.dim)
+        for m, x in nonzero(v):
+            add_scaled(out, x, [nonzero(row) for row in basis[m]])
         return out
 
     @cached_property
@@ -657,31 +639,19 @@ class MetricLieAlgebra:
     def transform_basis(self, P: Sequence[Sequence[object]], name: str | None = None) -> "MetricLieAlgebra":
         """Re-express everything in the basis Yi = sum_r P[r][i] Xr.
 
-        P must be invertible; structure constants and metric transform the
-        usual way, so the geometry is the same object in new coordinates.
+        P must be invertible.  With C_k the matrix of Xk-coefficients of the
+        brackets, [Yi, Yj] has old coordinates (P^T C_k P)[i][j], taken back
+        through P^{-1}; the metric becomes P^T G P.  So the geometry is the
+        same object in new coordinates.
         """
         n = self.dim
         Pm = [[ratfunc(x) for x in row] for row in P]
-        Pinv = mat_inv(Pm)
+        Pinv, Pt = mat_inv(Pm), transpose(Pm)
         C = self.brackets
-        newC = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                # [Yi, Yj] in old coordinates, then back through P^{-1}
-                old = [ZERO] * n
-                for r in range(n):
-                    for s in range(n):
-                        w = Pm[r][i] * Pm[s][j]
-                        if w.is_zero:
-                            continue
-                        for k in range(n):
-                            if not C[r][s][k].is_zero:
-                                old[k] = old[k] + w * C[r][s][k]
-                new = mat_vec(Pinv, old)
-                for m in range(n):
-                    newC[i][j][m] = new[m]
-        G = [list(r) for r in self.metric]
-        newG = mat_mul(transpose(Pm), mat_mul(G, Pm))
+        old = [mat_mul(Pt, mat_mul([[C[r][s][k] for s in range(n)] for r in range(n)], Pm))
+               for k in range(n)]
+        newC = [[mat_vec(Pinv, [ok[i][j] for ok in old]) for j in range(n)] for i in range(n)]
+        newG = mat_mul(Pt, mat_mul([list(r) for r in self.metric], Pm))
         return MetricLieAlgebra(
             name=name or f"{self.name}/basis-change",
             dim=n,

@@ -26,11 +26,12 @@ File format for user algebras, line based, '#' comments allowed:
     0 1 0
     0 0 1
 
-Keys may appear in any order; `dim` must appear somewhere.  The `basis`
-labels are not used: `loads` checks that there are `dim` of them and then
-discards them, and reports always name the basis X1..Xn.  Scalar entries
-use the same syntax the whole package prints: integers, rationals p/q,
-'eps', + - * / ^ and parentheses.
+Keys may appear in any order; `dim` must appear somewhere, and `name`,
+`dim`, `basis`, `metric` and each bracket component at most once.  The
+`basis` labels are not used: `loads` checks that there are `dim` of them
+and then discards them, and reports always name the basis X1..Xn.  Scalar
+entries use the same syntax the whole package prints: integers, rationals
+p/q, 'eps', + - * / ^ and parentheses.
 """
 
 from __future__ import annotations
@@ -184,6 +185,7 @@ def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
         raise ParseError(f"dimension {dim} not in 1..{MAX_DIM}", dim_line)
 
     name = "unnamed"
+    headers: set[str] = set()  # the name and basis lines seen so far
     brackets: dict[tuple[int, int], dict[int, object]] = {}
     metric_rows: list[list] | None = None
     idx = 0
@@ -192,6 +194,11 @@ def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
         idx += 1
         if body.startswith("dim:"):
             continue
+        key = body.split(":", 1)[0]
+        if key in ("name", "basis"):
+            if key in headers:
+                raise ParseError(f"duplicate {key}", lineno)
+            headers.add(key)
         if body.startswith("name:"):
             name = body[5:].strip() or name
             continue

@@ -243,10 +243,8 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
                 f"metric or structure data is singular at eps={eps0}",
             ))
             continue
-        b = sol.branch_at(eps0)
-        if b is None or b.result is None:
-            continue
-        res = b.result
+        # a branch without a result sits at a pole of lie, G or ric: singular
+        res = sol.branch_at(eps0).result
         if res.status == "inconsistent":
             branches.append(SolitonBranch(
                 eps0, "none", None, None, 0,
@@ -282,6 +280,7 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
 class KillingVerdict:
     solution: ParametricSolution
     basis: list[list[RatFunc]]
+    # the branches away from `singular_parameters`, so each has a result
     exceptional: list[ExceptionalBranch]
 
 

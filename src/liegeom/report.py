@@ -165,8 +165,8 @@ def killing_section(alg: MetricLieAlgebra) -> dict:
         "exceptional": [
             {
                 "eps": fraction_str(b.eps),
-                "dimension": b.result.kernel_dim if b.result else 0,
-                "basis": _vectors(b.result.kernel) if b.result else [],
+                "dimension": b.result.kernel_dim,
+                "basis": _vectors(b.result.kernel),
             }
             for b in v.exceptional
         ],

@@ -283,6 +283,11 @@ def dot(pairs: Iterable[tuple["RatFunc", "RatFunc"]]) -> "RatFunc":
     return _ratfunc(*_canonical(num, den))
 
 
+def nonzero(row) -> list[tuple[int, object]]:
+    """The (index, entry) pairs of the nonzero entries of a row."""
+    return [(k, x) for k, x in enumerate(row) if not x.is_zero]
+
+
 def _zhomogeneous(a: tuple, p: int, q: int) -> int:
     """q^deg(a) * a(p/q), by Horner's rule in integers."""
     acc, qk = 0, 1

@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import cmp_to_key, reduce
 from typing import Sequence
 
-from .algebra import nonzero
 from .scalars import (
     PoleAtEvaluationPoint,
     RatFunc,
@@ -49,6 +48,7 @@ from .scalars import (
     _zneg,
     _zpow,
     _zroots,
+    nonzero,
     ratfunc,
 )
 

@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom.algebra import MetricLieAlgebra, SingularMetric, mat_inv, vector_str
+from liegeom import algebra
+from liegeom.algebra import MetricLieAlgebra, SingularMetric, mat_inv, mat_mul, vector_str
 from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, ratfunc, scalar_str
+
+from test_solvers import DENSE, _sympy_ratfunc
+from test_tensor_reference import corpus_case
+import test_properties
 
 
 def smat(rows):
@@ -278,3 +283,84 @@ def test_singular_metric_raised():
     assert alg.singular_parameters() == [Fraction(0)]
     with pytest.raises(SingularMetric):
         mat_inv([[ZERO, ZERO], [ZERO, ZERO]])
+
+
+# ---------------------------------------------------------------------------
+# the inverse by one elimination
+
+INVERSE_SEEDS = (None, 1, 2, 3, 23)
+CORPUS_KEYS = list(test_properties.corpus.TEXTS)
+
+
+def identity(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def inverse_cases(corpus_alg):
+    """The 45 corpus metrics, unmixed and under mixing seeds 1, 2, 3 and 23,
+    then the 20 dense matrices of `test_solvers`."""
+    metrics = [[list(row) for row in corpus_case(corpus_alg, key, seed).metric]
+               for key in CORPUS_KEYS for seed in INVERSE_SEEDS]
+    return metrics + DENSE
+
+
+def test_mat_inv_is_the_inverse(corpus_alg):
+    cases = inverse_cases(corpus_alg)
+    assert len(cases) == 65
+    for A in cases:
+        assert mat_mul(A, mat_inv(A)) == identity(len(A))
+
+
+def test_mat_inv_matches_sympy(corpus_alg):
+    sympy = pytest.importorskip("sympy")
+    eps = sympy.Symbol("eps")
+    for A in inverse_cases(corpus_alg):
+        expect = sympy.Matrix([[_sympy_ratfunc(sympy, eps, x) for x in row] for row in A]).inv()
+        ours = mat_inv(A)
+        assert all(sympy.cancel(_sympy_ratfunc(sympy, eps, x) - expect[i, j]) == 0
+                   for i, row in enumerate(ours) for j, x in enumerate(row))
+
+
+@pytest.mark.parametrize("rows", [
+    [["eps", 1], ["eps^2", "eps"]],
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [[1, 1], [1, 1]],
+])
+def test_mat_inv_refuses_singular_matrices_without_zero_entries(rows):
+    A = [[ratfunc(x) for x in row] for row in rows]
+    assert not any(x.is_zero for row in A for x in row)
+    with pytest.raises(SingularMetric):
+        mat_inv(A)
+
+
+@pytest.mark.parametrize("key", CORPUS_KEYS)
+def test_transform_basis_round_trip_on_the_corpus(corpus_alg, key):
+    alg = corpus_alg(key)
+    for seed in INVERSE_SEEDS[1:]:
+        P = [[ratfunc(x) for x in row]
+             for row in test_properties.corpus.mixing_matrix(random.Random(seed), alg.dim)]
+        back = alg.transform_basis(P).transform_basis(mat_inv(P))
+        assert back.brackets == alg.brackets
+        assert back.metric == alg.metric
+
+
+def test_metric_inverse_computes_no_determinant(monkeypatch, corpus_alg):
+    # mat_inv forms no determinant, so metric_det (cached) is the only one
+    # an algebra computes; minors of the Laplace expansion are not counted
+    calls = []
+    laplace = algebra.mat_det
+
+    def counting(a):
+        calls.append(len(a))
+        return laplace(a)
+
+    monkeypatch.setattr(algebra, "mat_det", counting)
+    for key in CORPUS_KEYS:
+        for seed in INVERSE_SEEDS:
+            case = corpus_case(corpus_alg, key, seed)
+            alg = MetricLieAlgebra(case.name, case.dim, case.brackets, case.metric)
+            calls.clear()
+            assert mat_mul([list(r) for r in alg.metric], alg.metric_inverse) == identity(alg.dim)
+            assert calls == []
+            alg.validate(), alg.singular_parameters(), alg.nabla_basis
+            assert calls.count(alg.dim) == 1

@@ -159,3 +159,15 @@ def test_duplicate_bracket_rejected():
         "metric:\n1 0 0\n0 1 0\n0 0 1\n",
         "bracket",
     )
+
+
+@pytest.mark.parametrize("key, text, line", [
+    ("name", "name: one\nname: two\ndim: 1\nmetric: 1\n", 2),
+    ("basis", "dim: 2\nbasis: A B\n# c\nbasis: C D\nmetric:\n1 0\n0 1\n", 4),
+])
+def test_duplicate_header_rejected_with_its_line(key, text, line):
+    # a second name or basis line would silently replace the first
+    with pytest.raises(ParseError) as exc:
+        loads(text)
+    assert exc.value.line == line
+    assert f"duplicate {key}" in str(exc.value)

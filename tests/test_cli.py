@@ -1,8 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from liegeom.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def python(*args):
+    """Run a Python subprocess that imports liegeom from this checkout's
+    `src`, installed or not."""
+    path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run(capsys, *argv):
@@ -160,10 +174,7 @@ def test_build_parser_prog_name():
 
 
 def test_module_invocation():
-    proc = subprocess.run(
-        [sys.executable, "-m", "liegeom", "report", "--berger", "--format", "json"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = python("-m", "liegeom", "report", "--berger", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == "1"
 
@@ -181,7 +192,5 @@ def test_exact_commands_do_not_import_numpy():
         "main(['eval', '--berger', '--eps', '2'])\n"
         "assert 'numpy' in sys.modules\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-    )
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
