@@ -36,7 +36,8 @@ A left-invariant metric in an adapted frame has few nonzero structure
 constants and often a diagonal Gram matrix, so the dense sums were mostly
 products with a zero factor.  Exact arithmetic with canonical `RatFunc`s
 makes the result independent of the order of the terms.  The modules
-layer as scalars -> solvers -> algebra -> geometry: g^{-1} comes from the
+layer as scalars -> solvers -> algebra -> {catalog, numeric} -> geometry
+-> report -> cli (`tests/test_layers.py`): g^{-1} comes from the
 elimination of `solvers.kernel_basis`.
 """
 

@@ -37,6 +37,7 @@ p/q, 'eps', + - * / ^ and parentheses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .algebra import MAX_DIM, MetricLieAlgebra, ValidationFailed  # re-exported
 from .scalars import (
@@ -164,95 +165,75 @@ def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
     or metric symmetry/nondegeneracy (disable with validate=False).
     """
     lines = text.splitlines()
-    stripped: list[tuple[int, str]] = []
-    for i, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            stripped.append((i, body))
+    stripped = [(i, body) for i, raw in enumerate(lines, start=1)
+                if (body := raw.partition("#")[0].strip())]
 
-    dim = dim_line = None
-    for lineno, body in stripped:
-        if body.startswith("dim:"):
-            if dim is not None:
-                raise ParseError("duplicate dim", lineno)
-            try:
-                dim, dim_line = int(body[4:].strip()), lineno
-            except ValueError:
-                raise ParseError(f"bad dimension {body[4:].strip()!r}", lineno)
-    if dim is None:
+    # keys come in any order, and the bracket and metric checks need dim
+    dims = [(lineno, body[4:].strip()) for lineno, body in stripped if body.startswith("dim:")]
+    if not dims:
         raise ParseError("missing 'dim:' line", len(lines) or 1)
+    dim_line, dim_text = dims[0]
+    try:
+        dim = int(dim_text)
+    except ValueError:
+        raise ParseError(f"bad dimension {dim_text!r}", dim_line)
+    if len(dims) > 1:
+        raise ParseError("duplicate dim", dims[1][0])
     if not 1 <= dim <= MAX_DIM:
         raise ParseError(f"dimension {dim} not in 1..{MAX_DIM}", dim_line)
 
     name = "unnamed"
-    headers: set[str] = set()  # the name and basis lines seen so far
+    seen: set[str] = set()  # the keys read so far that may appear once
     brackets: dict[tuple[int, int], dict[int, object]] = {}
     metric_rows: list[list] | None = None
-    idx = 0
-    while idx < len(stripped):
-        lineno, body = stripped[idx]
-        idx += 1
-        if body.startswith("dim:"):
-            continue
-        key = body.split(":", 1)[0]
-        if key in ("name", "basis"):
-            if key in headers:
-                raise ParseError(f"duplicate {key}", lineno)
-            headers.add(key)
-        if body.startswith("name:"):
-            name = body[5:].strip() or name
-            continue
-        if body.startswith("basis:"):
-            labels = body[6:].split()
-            if len(labels) != dim:
+    rest = iter(stripped)
+    for lineno, body in rest:
+        key, colon, value = body.partition(":")
+        # a bare 'name' or 'basis' after its keyed line is a duplicate; a
+        # bare 'metric' is an unrecognized line
+        if key in seen and key != "metric":
+            raise ParseError(f"duplicate {key}", lineno)
+        if not colon or key not in ("dim", "name", "basis", "bracket", "metric"):
+            raise ParseError(f"unrecognized line {body!r}", lineno)
+        if key in seen:
+            raise ParseError("duplicate metric block", lineno)
+        if key in ("name", "basis", "metric"):
+            seen.add(key)
+        if key == "name":
+            name = value.strip() or name
+        elif key == "basis":
+            if len(value.split()) != dim:
                 raise ParseError(f"expected {dim} basis labels", lineno)
-            continue
-        if body.startswith("bracket:"):
-            spec = body[len("bracket:"):]
-            if "->" not in spec or ":" not in spec.split("->", 1)[1]:
-                raise ParseError(
-                    "bracket syntax is 'bracket: i j -> k : coeff'", lineno
-                )
-            left, rest = spec.split("->", 1)
-            target, coeff_text = rest.split(":", 1)
+        elif key == "bracket":
+            left, arrow, target = value.partition("->")
+            target, colon, coeff_text = target.partition(":")
+            if not arrow or not colon:
+                raise ParseError("bracket syntax is 'bracket: i j -> k : coeff'", lineno)
             try:
-                i, j = (int(t) for t in left.split())
+                i, j = map(int, left.split())
                 k = int(target.strip())
             except ValueError:
                 raise ParseError("bracket indices must be integers", lineno)
             if not (1 <= i < j <= dim) or not 1 <= k <= dim:
-                raise ParseError(
-                    f"bracket indices out of range for dim {dim} (need 1 <= i < j <= dim)",
-                    lineno,
-                )
+                raise ParseError(f"bracket indices out of range for dim {dim} "
+                                 "(need 1 <= i < j <= dim)", lineno)
             coeff = _parse_entry(coeff_text.strip(), lineno)
             slot = brackets.setdefault((i - 1, j - 1), {})
             if k - 1 in slot:
                 raise ParseError(f"duplicate bracket component {i} {j} -> {k}", lineno)
             slot[k - 1] = coeff
-            continue
-        if body == "metric:" or body.startswith("metric:"):
-            if metric_rows is not None:
-                raise ParseError("duplicate metric block", lineno)
-            inline = body[len("metric:"):].strip()
-            row_sources = []
-            if inline:
-                row_sources.append((lineno, inline))
-            while len(row_sources) < dim and idx < len(stripped):
-                row_sources.append(stripped[idx])
-                idx += 1
-            if len(row_sources) < dim:
+        elif key == "metric":
+            rows = [(lineno, value)] if value.strip() else []
+            rows += islice(rest, dim - len(rows))
+            if len(rows) < dim:
                 raise ParseError(f"metric block needs {dim} rows", lineno)
             metric_rows = []
-            for rl, row_text in row_sources:
+            for rl, row_text in rows:
                 entries = row_text.split()
                 if len(entries) != dim:
-                    raise ParseError(
-                        f"metric row has {len(entries)} entries, expected {dim}", rl
-                    )
+                    raise ParseError(f"metric row has {len(entries)} entries, "
+                                     f"expected {dim}", rl)
                 metric_rows.append([_parse_entry(e, rl) for e in entries])
-            continue
-        raise ParseError(f"unrecognized line {body!r}", lineno)
 
     if metric_rows is None:
         raise ParseError("missing 'metric:' block", len(lines) or 1)

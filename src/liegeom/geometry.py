@@ -154,7 +154,7 @@ def einstein_check(alg: MetricLieAlgebra) -> EinsteinVerdict:
     singular = set(alg.singular_parameters())
     exceptional = []
     for b in sol.branches:
-        if b.result is not None and b.result.status == "unique" and b.eps not in singular:
+        if b.status == "unique" and b.eps not in singular:
             exceptional.append((b.eps, b.result.particular[0]))
     return EinsteinVerdict(generic, lam_val, exceptional)
 

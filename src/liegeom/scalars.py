@@ -25,12 +25,13 @@ end, for the long contractions of the Ledger conditions.  The rational
 zeros and poles of a `RatFunc` are found on the same integer tuples, by
 the rational root theorem.  Rationals are stdlib `fractions.Fraction`.
 
-The text syntax for scalars accepts integers, rationals ``p/q``, the token
-``eps``, the operators ``+ - * /``, parentheses, and ``^`` powers, e.g.
-``(eps^2-2*eps+2)/eps``.  `parse_scalar` and the canonical printer
-(`str` on the value) round-trip.  The printer reads the integer pair
-itself: N and D each over lc(D), every coefficient reduced by one integer
-gcd, through `_eps_poly_str`, the one printer of a polynomial in eps.
+The text syntax for scalars accepts integers (runs of decimal digits),
+rationals ``p/q``, the token ``eps``, the operators ``+ - * /``,
+parentheses, and ``^`` powers, e.g. ``(eps^2-2*eps+2)/eps``.
+`parse_scalar` and the canonical printer (`str` on the value) round-trip.
+The printer reads the integer pair itself: N and D each over lc(D), every
+coefficient reduced by one integer gcd, through `_eps_poly_str`, the one
+printer of a polynomial in eps.
 `terms_str` joins the terms of a verdict polynomial (`poly_str`), of a
 polynomial in ``mu`` (`mu_poly_str`) and of `algebra.vector_str`, and
 decides each coefficient's sign and parentheses from the tuples as well,
@@ -39,6 +40,7 @@ so no `Fraction` or polynomial object is built in order to print.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -333,11 +335,9 @@ def _zroots(a: tuple) -> list[tuple[Fraction, int]]:
     a = a[k:]
     if len(a) > 1:
         a = _zdiv_int(a, gcd(*a))
+        qs = _divisors(abs(a[-1]))
         candidates = sorted({
-            Fraction(sign * p, q)
-            for p in _divisors(abs(a[0]))
-            for q in _divisors(abs(a[-1]))
-            for sign in (1, -1)
+            Fraction(sign * p, q) for p in _divisors(abs(a[0])) for q in qs for sign in (1, -1)
         })
         for r in candidates:
             p, q = r.numerator, r.denominator
@@ -643,65 +643,55 @@ def ratfunc(value) -> RatFunc:
 # scalar text syntax
 
 
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\S)")
+
+
 class _ScalarParser:
-    """Recursive descent over: expr := term (('+'|'-') term)*;
+    """Recursive descent over the tokens of the text (runs of decimal
+    digits, identifiers, single characters): expr := term (('+'|'-') term)*;
     term := unary (('*'|'/') unary)*; unary := '-' unary | power;
     power := atom ('^' nonneg_int)?; atom := int | 'eps' | '(' expr ')'.
     """
 
     def __init__(self, text: str):
         self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]  # "" marks the end
         self.pos = 0
 
     def error(self, message: str) -> ScalarSyntaxError:
-        return ScalarSyntaxError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return ScalarSyntaxError(message, starts[self.pos])
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.pos]
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
+    def take(self, *tokens: str) -> str:
+        """The next token, consumed, if it is one of `tokens`; else ''."""
+        token = self.tokens[self.pos]
+        if token in tokens:
             self.pos += 1
-            return True
-        return False
+            return token
+        return ""
 
     def parse(self) -> RatFunc:
         value = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"unexpected character {self.text[self.pos]!r}")
+        if self.peek():
+            raise self.error(f"unexpected character {self.peek()[0]!r}")
         return value
 
     def parse_expr(self) -> RatFunc:
         value = self.parse_term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.parse_term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.parse_term()
-            else:
-                return value
+        while op := self.take("+", "-"):
+            rhs = self.parse_term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def parse_term(self) -> RatFunc:
         value = self.parse_unary()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                value = value * self.parse_unary()
-            elif ch == "/":
-                self.pos += 1
-                value = value / self.parse_unary()
-            else:
-                return value
+        while op := self.take("*", "/"):
+            rhs = self.parse_unary()
+            value = value * rhs if op == "*" else value / rhs
+        return value
 
     def parse_unary(self) -> RatFunc:
         if self.take("-"):
@@ -710,35 +700,26 @@ class _ScalarParser:
 
     def parse_power(self) -> RatFunc:
         base = self.parse_atom()
-        if self.take("^"):
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                raise self.error("expected a nonnegative integer exponent")
-            return base ** int(self.text[start:self.pos])
-        return base
+        if not self.take("^"):
+            return base
+        exponent = self.peek()
+        if not exponent.isdecimal():
+            raise self.error("expected a nonnegative integer exponent")
+        self.pos += 1
+        return base ** int(exponent)
 
     def parse_atom(self) -> RatFunc:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        token = self.peek()
+        if self.take("("):
             value = self.parse_expr()
             if not self.take(")"):
                 raise self.error("expected ')'")
             return value
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return RatFunc(int(self.text[start:self.pos]))
-        if self.text.startswith(PARAM, self.pos):
-            end = self.pos + len(PARAM)
-            if end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-                raise self.error(f"unknown symbol starting at {self.text[self.pos:end+1]!r}")
-            self.pos = end
-            return EPS
+        if token.isdecimal() or token == PARAM:
+            self.pos += 1
+            return EPS if token == PARAM else RatFunc(int(token))
+        if token.startswith(PARAM):
+            raise self.error(f"unknown symbol starting at {token[:len(PARAM) + 1]!r}")
         raise self.error("expected a number, 'eps', or '('")
 
 

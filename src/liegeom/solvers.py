@@ -192,12 +192,8 @@ def solve_parametric(
             branches.append(ExceptionalBranch(eps0, "singular", None))
             continue
         res = rref_solve(srows, srhs)
-        differs = (
-            res.status != generic.status
-            or res.rank != generic.rank
-            or res.kernel_dim != generic.kernel_dim
-        )
-        if differs:
+        # the kernel dimension is n - rank when consistent and 0 when not
+        if res.status != generic.status or res.rank != generic.rank:
             branches.append(ExceptionalBranch(eps0, res.status, res))
     return ParametricSolution(tuple(unknowns), generic, sorted(candidates), branches)
 

@@ -171,3 +171,73 @@ def test_duplicate_header_rejected_with_its_line(key, text, line):
         loads(text)
     assert exc.value.line == line
     assert f"duplicate {key}" in str(exc.value)
+
+
+METRIC_2 = "metric:\n1 0\n0 1\n"
+BRACKET_SYNTAX = "bracket syntax is 'bracket: i j -> k : coeff'"
+OUT_OF_RANGE = "bracket indices out of range for dim 2 (need 1 <= i < j <= dim)"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a key without its colon
+    ("dim 3\n", 1, "missing 'dim:' line"),
+    ("dim: 2\ndim 3\n" + METRIC_2, 2, "unrecognized line 'dim 3'"),
+    ("dim: 2\nmetric\n", 2, "unrecognized line 'metric'"),
+    ("dim: 2\n" + METRIC_2 + "metric\n", 5, "unrecognized line 'metric'"),
+    ("dim: 1\nname\nmetric: 1\n", 2, "unrecognized line 'name'"),
+    ("dim: 1\nname: a\nname\nmetric: 1\n", 3, "duplicate name"),
+    ("dim: 2\nbasis: A B\nbasis\n" + METRIC_2, 3, "duplicate basis"),
+    ("dim: 2\nname :a\n" + METRIC_2, 2, "unrecognized line 'name :a'"),
+    # a key twice
+    ("dim: 2\ndim: 2\n" + METRIC_2, 2, "duplicate dim"),
+    ("dim: 2\ndim: x\n" + METRIC_2, 2, "duplicate dim"),
+    ("dim: x\ndim: 2\n" + METRIC_2, 1, "bad dimension 'x'"),
+    ("dim: 9\ndim: 2\n" + METRIC_2, 2, "duplicate dim"),
+    ("dim: 2\nname: a\nname: b\n" + METRIC_2, 3, "duplicate name"),
+    ("dim: 2\nbasis: A B\nbasis: A B\n" + METRIC_2, 3, "duplicate basis"),
+    ("dim: 2\n" + METRIC_2 + METRIC_2, 5, "duplicate metric block"),
+    # bracket lines
+    ("dim: 2\nbracket: 1 2 : 1\n" + METRIC_2, 2, BRACKET_SYNTAX),
+    ("dim: 2\nbracket: 1 2 -> 1\n" + METRIC_2, 2, BRACKET_SYNTAX),
+    ("dim: 2\nbracket: 1 : 2 -> 1\n" + METRIC_2, 2, BRACKET_SYNTAX),
+    ("dim: 2\nbracket: 1 x -> 1 : 1\n" + METRIC_2, 2, "bracket indices must be integers"),
+    ("dim: 2\nbracket: 1 2 3 -> 1 : 1\n" + METRIC_2, 2, "bracket indices must be integers"),
+    ("dim: 2\nbracket: 1 -> 1 : 1\n" + METRIC_2, 2, "bracket indices must be integers"),
+    ("dim: 2\nbracket: 1 2 -> y : 1\n" + METRIC_2, 2, "bracket indices must be integers"),
+    ("dim: 2\nbracket: 1 2 -> 3 : 1\n" + METRIC_2, 2, OUT_OF_RANGE),
+    ("dim: 2\nbracket: 2 1 -> 1 : 1\n" + METRIC_2, 2, OUT_OF_RANGE),
+    ("dim: 2\nbracket: 0 2 -> 1 : 1\n" + METRIC_2, 2, OUT_OF_RANGE),
+    ("dim: 2\nbracket: 1 2 -> 1 : 1\nbracket: 1 2 -> 1 : x\n" + METRIC_2, 3,
+     "bad scalar 'x': expected a number, 'eps', or '(' (at offset 0)"),
+    ("dim: 2\nbracket: 1 2 -> 1 : 1\nbracket: 1 2 -> 1 : 2\n" + METRIC_2, 3,
+     "duplicate bracket component 1 2 -> 1"),
+    # the metric block
+    ("dim: 2\nmetric:\n1 0\n", 2, "metric block needs 2 rows"),
+    ("dim: 2\nmetric: 1 0\n", 2, "metric block needs 2 rows"),
+    ("dim: 2\nmetric:\n1 0 0\n0 1\n", 3, "metric row has 3 entries, expected 2"),
+    ("dim: 2\nmetric: 1\n0 1\n", 2, "metric row has 1 entries, expected 2"),
+    ("dim: 2\nmetric:\n1 0\n# c\n0 1 2\n", 5, "metric row has 3 entries, expected 2"),
+    ("dim: 2\nmetric:\n1 x\n0 1 2\n", 3,
+     "bad scalar 'x': expected a number, 'eps', or '(' (at offset 0)"),
+    # missing keys
+    ("name: a\n", 1, "missing 'dim:' line"),
+    ("", 1, "missing 'dim:' line"),
+    ("dim: 2\n", 1, "missing 'metric:' block"),
+    ("dim: 2\nname: a\n\n", 3, "missing 'metric:' block"),
+    ("# c\ndim: 0\n", 2, "dimension 0 not in 1..4"),
+    ("dim: 2\nbasis: A\n" + METRIC_2, 2, "expected 2 basis labels"),
+    ("dim: 2\nwhat: ever\n", 2, "unrecognized line 'what: ever'"),
+])
+def test_loads_rejections_are_pinned(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        loads(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_non_decimal_digit_in_a_metric_entry_is_a_parse_error():
+    # '²' passes str.isdigit() but not int()
+    with pytest.raises(ParseError) as exc:
+        loads("dim: 2\nmetric:\n1 0\n0 ²\n")
+    assert exc.value.line == 4
+    assert "bad scalar '²'" in str(exc.value)

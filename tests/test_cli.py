@@ -194,3 +194,13 @@ def test_exact_commands_do_not_import_numpy():
     )
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_non_decimal_digit_in_a_file_is_an_error_line(tmp_path):
+    # '²' passes str.isdigit() but not int(): an error line, no traceback
+    p = tmp_path / "sup.txt"
+    p.write_text("name: sup\ndim: 2\nmetric:\n1 ²\n² 1\n", encoding="utf-8")
+    proc = python("-m", "liegeom", "report", "--algebra", str(p))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line")
+    assert "Traceback" not in proc.stderr

@@ -45,6 +45,7 @@ from liegeom.scalars import (
     ratfunc,
     scalar_str,
 )
+from liegeom.solvers import solve_parametric
 
 from poly_reference import MultiPoly, is_zero
 import test_properties
@@ -154,6 +155,77 @@ def test_killing_abelian(abelian_alg):
     v = killing_solve(abelian_alg)
     assert len(v.basis) == 3
     assert v.exceptional == []
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracles: Killing and Einstein verdicts from brackets and metric
+# alone, without the connection
+
+
+@pytest.fixture(scope="module")
+def oracle_algebras(corpus_alg):
+    """The corpus unmixed and under three mixing seeds, `GENERATED`, 60
+    almost-abelian algebras per dimension and mixed copies of the 3D ones."""
+    family = test_properties.almost_abelian_family(60)
+    return ([corpus_case(corpus_alg, key, seed) for key, seed in CORPUS_CASES]
+            + list(test_properties.GENERATED.values()) + family
+            + test_properties.mixed_copies(family[:60]))
+
+
+def test_oracle_algebras_cover_both_dimensions(oracle_algebras):
+    assert len(oracle_algebras) == 240
+    assert sum(alg.dim == 3 for alg in oracle_algebras) == 160
+
+
+def test_killing_matches_the_ad_skew_oracle(oracle_algebras):
+    # X = sum x_m X_m is Killing iff ad_X is g-skew:
+    # sum_m x_m sum_k (C[m][a][k] g_kb + C[m][b][k] g_ak) = 0 for a <= b
+    for alg in oracle_algebras:
+        n, C, G = alg.dim, alg.brackets, alg.metric
+        rows = [[sum((C[m][a][k] * G[k][b] + C[m][b][k] * G[a][k] for k in range(n)),
+                     start=ZERO) for m in range(n)]
+                for a in range(n) for b in range(a, n)]
+        sol = solve_parametric(rows, [ZERO] * len(rows), component_names(n))
+        singular = set(alg.singular_parameters())
+        v = killing_solve(alg)
+        assert len(v.basis) == sol.generic.kernel_dim, alg.name
+        assert [(b.eps, b.result.kernel_dim) for b in v.exceptional] == [
+            (b.eps, b.result.kernel_dim) for b in sol.branches if b.eps not in singular
+        ], alg.name
+
+
+# Einstein for every eps with lam != 0, which no algebra above is: the
+# round sphere scaled by eps (lam = 2/eps) and hyperbolic space with
+# curvature -eps^2 (lam = -2 eps^2)
+CONSTANT_CURVATURE_3D = [
+    MetricLieAlgebra.from_brackets(
+        3, {(0, 1): {2: 2}, (1, 2): {0: 2}, (0, 2): {1: -2}},
+        [[EPS, 0, 0], [0, EPS, 0], [0, 0, EPS]], name="round-scaled"),
+    MetricLieAlgebra.from_brackets(
+        3, {(0, 2): {0: -EPS}, (1, 2): {1: -EPS}},
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], name="hyperbolic-scaled"),
+]
+
+
+def test_einstein_matches_the_constant_curvature_oracle_in_3d(oracle_algebras):
+    # in dimension 3 Einstein is constant curvature,
+    # R(Xa, Xb, Xc, Xd) = kappa (g_bc g_ad - g_ac g_bd), and then
+    # ric = (1 - n) kappa g = -2 kappa g in this curvature convention
+    assert [str(einstein_check(alg).lam) for alg in CONSTANT_CURVATURE_3D] == ["2/eps", "-2*eps^2"]
+    for alg in [alg for alg in oracle_algebras if alg.dim == 3] + CONSTANT_CURVATURE_3D:
+        R, G, r3 = alg.curvature_tensor, alg.metric, range(3)
+        slots = [(a, b, c, d) for a in r3 for b in r3 for c in r3 for d in r3]
+        sol = solve_parametric([[G[b][c] * G[a][d] - G[a][c] * G[b][d]] for a, b, c, d in slots],
+                               [R[a][b][c][d] for a, b, c, d in slots], ("kappa",))
+        singular = set(alg.singular_parameters())
+        v = einstein_check(alg)
+        assert v.generic == (sol.generic.status == "unique"), alg.name
+        if v.generic:
+            assert v.lam == -2 * sol.generic.particular[0], alg.name
+        assert v.exceptional == [
+            (b.eps, -2 * b.result.particular[0]) for b in sol.branches
+            if b.status == "unique" and b.eps not in singular
+        ], alg.name
 
 
 def constant_ratfuncs(values):

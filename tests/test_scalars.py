@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -341,12 +342,47 @@ def test_parser_accepts_any_term_order():
     assert parse_scalar("( eps - 2 ) ^ 2") == parse_scalar("4-4*eps+eps^2")
 
 
-@pytest.mark.parametrize("bad", ["", "2*", "(", "(1", "eps^-1", "eps^x",
-                                 "foo", "1//2", "1 2", "epsx", "2eps"])
-def test_parser_rejects(bad):
+EXPECTED_ATOM = "expected a number, 'eps', or '('"
+
+
+REJECTED = [
+    ("", 0, EXPECTED_ATOM),
+    ("2*", 2, EXPECTED_ATOM),
+    ("(", 1, EXPECTED_ATOM),
+    ("(1", 2, "expected ')'"),
+    ("eps^-1", 4, "expected a nonnegative integer exponent"),
+    ("eps^x", 4, "expected a nonnegative integer exponent"),
+    ("foo", 0, EXPECTED_ATOM),
+    ("1//2", 2, EXPECTED_ATOM),
+    ("1 2", 2, "unexpected character '2'"),
+    ("epsx", 0, "unknown symbol starting at 'epsx'"),
+    ("2eps", 1, "unexpected character 'e'"),
+]
+
+
+@pytest.mark.parametrize("bad, position, message", REJECTED, ids=[r[0] for r in REJECTED])
+def test_parser_rejects(bad, position, message):
     with pytest.raises(ScalarSyntaxError) as exc:
         parse_scalar(bad)
-    assert isinstance(exc.value.position, int)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at offset {position})"
+
+
+def test_non_decimal_digits_are_syntax_errors():
+    # characters that str.isdigit() accepts and int() does not, such as '²'
+    digits = [chr(c) for c in range(sys.maxunicode + 1)
+              if chr(c).isdigit() and not chr(c).isdecimal()]
+    assert len(digits) == 128 and "\u00b2" in digits
+    for c in digits:
+        for text, position in ((c, 0), ("2" + c, 1), ("eps^" + c, 4)):
+            with pytest.raises(ScalarSyntaxError) as exc:
+                parse_scalar(text)
+            assert exc.value.position == position, text
+
+
+def test_parser_reads_any_decimal_digits():
+    assert parse_scalar("\u0661\u0662") == RatFunc(12)  # Arabic-Indic 12
+    assert parse_scalar("eps^\u0662") == EPS * EPS
 
 
 def test_parser_flags_zero_denominator():
