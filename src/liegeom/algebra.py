@@ -302,7 +302,7 @@ class MetricLieAlgebra:
         n = self.dim
         C, G = self.brackets, self.metric
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 for k in range(n):
                     x, y = C[i][j][k], C[j][i][k]
                     if not (x.is_zero and y.is_zero or (x + y).is_zero):

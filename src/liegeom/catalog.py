@@ -28,10 +28,11 @@ File format for user algebras, line based, '#' comments allowed:
 
 Keys may appear in any order; `dim` must appear somewhere, and `name`,
 `dim`, `basis`, `metric` and each bracket component at most once.  The
-`basis` labels are not used: `loads` checks that there are `dim` of them
-and then discards them, and reports always name the basis X1..Xn.  Scalar
-entries use the same syntax the whole package prints: integers, rationals
-p/q, 'eps', + - * / ^ and parentheses.
+dimension and the bracket indices are runs of decimal digits, with no sign
+or underscore.  The `basis` labels are not used: `loads` checks that there
+are `dim` of them and then discards them, and reports always name the
+basis X1..Xn.  Scalar entries use the same syntax the whole package
+prints: integers, rationals p/q, 'eps', + - * / ^ and parentheses.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .algebra import MAX_DIM, MetricLieAlgebra, ValidationFailed  # re-exported
 from .scalars import (
     DivisionByZeroFunction,
     ScalarSyntaxError,
-    scalar_str,
     parse_scalar,
 )
 
@@ -157,6 +157,13 @@ def _parse_entry(text: str, lineno: int):
         raise ParseError(f"bad scalar {text!r}: {exc}", lineno) from exc
 
 
+def _decimal(text: str) -> int:
+    """`int` of a run of decimal digits only; ValueError otherwise."""
+    if not text.isdecimal():
+        raise ValueError(text)
+    return int(text)
+
+
 def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
     """Parse the line-based algebra format; see the module docstring.
 
@@ -174,7 +181,7 @@ def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
         raise ParseError("missing 'dim:' line", len(lines) or 1)
     dim_line, dim_text = dims[0]
     try:
-        dim = int(dim_text)
+        dim = _decimal(dim_text)
     except ValueError:
         raise ParseError(f"bad dimension {dim_text!r}", dim_line)
     if len(dims) > 1:
@@ -210,8 +217,8 @@ def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
             if not arrow or not colon:
                 raise ParseError("bracket syntax is 'bracket: i j -> k : coeff'", lineno)
             try:
-                i, j = map(int, left.split())
-                k = int(target.strip())
+                i, j = map(_decimal, left.split())
+                k = _decimal(target.strip())
             except ValueError:
                 raise ParseError("bracket indices must be integers", lineno)
             if not (1 <= i < j <= dim) or not 1 <= k <= dim:
@@ -239,9 +246,7 @@ def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
         raise ParseError("missing 'metric:' block", len(lines) or 1)
     alg = MetricLieAlgebra.from_brackets(dim, brackets, metric_rows, name=name)
     if validate:
-        violations = alg.validate()
-        if violations:
-            raise ValidationFailed(violations)
+        alg.require_valid()
     return alg
 
 
@@ -265,8 +270,8 @@ def dumps(alg: MetricLieAlgebra) -> str:
             for k in range(alg.dim):
                 c = alg.brackets[i][j][k]
                 if not c.is_zero:
-                    out.append(f"bracket: {i+1} {j+1} -> {k+1} : {scalar_str(c)}")
+                    out.append(f"bracket: {i+1} {j+1} -> {k+1} : {c}")
     out.append("metric:")
     for row in alg.metric:
-        out.append(" ".join(scalar_str(x) for x in row))
+        out.append(" ".join(str(x) for x in row))
     return "\n".join(out) + "\n"

@@ -50,29 +50,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
 
+    convention = argparse.ArgumentParser(add_help=False)
+    convention.add_argument(
+        "--soliton-convention", choices=SOLITON_CONVENTIONS, default="paper",
+        help="normalization of the soliton equation: 'paper' solves "
+        "Lie_X g = lam*g - ric, 'doubled' doubles the right-hand side",
+    )
+
     parser = argparse.ArgumentParser(
         prog="liegeom",
         description="Exact invariant geometry of low-dimensional metric Lie algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_report = sub.add_parser(
-        "report", parents=[source],
+    sub.add_parser(
+        "report", parents=[source, convention],
         help="run every analysis and print the full report",
     )
-    p_report.add_argument(
-        "--soliton-convention", choices=SOLITON_CONVENTIONS, default="paper",
-        help="normalization of the soliton equation: 'paper' solves "
-        "Lie_X g = lam*g - ric, 'doubled' doubles the right-hand side",
-    )
-
     for name, (blurb, _) in SECTION_COMMANDS.items():
-        p = sub.add_parser(name, parents=[source], help=blurb)
-        if name == "soliton":
-            p.add_argument(
-                "--soliton-convention", choices=SOLITON_CONVENTIONS,
-                default="paper", help="normalization of the soliton equation",
-            )
+        parents = [source, convention] if name == "soliton" else [source]
+        sub.add_parser(name, parents=parents, help=blurb)
 
     sub.add_parser(
         "validate", parents=[source],
@@ -113,12 +110,11 @@ def main(argv=None) -> int:
             doc = validate_report(alg)
         elif args.command == "eval":
             doc = eval_report(alg, args.eps)
-        elif args.command == "soliton":
-            doc = single_report("soliton", alg, convention=args.soliton_convention)
-        elif args.command in SECTION_COMMANDS:
-            doc = single_report(args.command, alg)
-        else:  # pragma: no cover - argparse restricts the choices
-            parser.error(f"unknown command {args.command!r}")
+        else:
+            # the soliton section alone takes an option, its convention
+            options = ({"convention": args.soliton_convention}
+                       if "soliton_convention" in args else {})
+            doc = single_report(args.command, alg, **options)
     except (
         ParseError,
         ValidationFailed,

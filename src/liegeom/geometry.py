@@ -398,9 +398,6 @@ class GeodesicClassification:
     components: list[frozenset[str]]
     exceptional: list[GeodesicBranch]
 
-    def describe_components(self) -> list[str]:
-        return [component_str(c, self.names) for c in self.components]
-
 
 def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
     """All invariant geodesic fields, i.e. solutions of nabla_V V = 0.

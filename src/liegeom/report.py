@@ -34,7 +34,7 @@ from .geometry import (
     walker_check,
 )
 from .numeric import NumericModel, evaluate_numeric
-from .scalars import RatFunc, component_names, fraction_str, mu_poly_str, poly_str, scalar_str
+from .scalars import RatFunc, component_names, mu_poly_str, poly_str
 
 SCHEMA = "1"
 
@@ -69,8 +69,8 @@ def algebra_section(alg: MetricLieAlgebra) -> dict:
         "dim": alg.dim,
         "brackets": brackets,
         "metric": _matrix(alg.metric),
-        "metric_det": scalar_str(alg.metric_det),
-        "singular_eps": [fraction_str(x) for x in alg.singular_parameters()],
+        "metric_det": str(alg.metric_det),
+        "singular_eps": [str(x) for x in alg.singular_parameters()],
         "validation": "ok" if not violations else [str(v) for v in violations],
     }
 
@@ -103,7 +103,7 @@ def curvature_section(alg: MetricLieAlgebra) -> dict:
                 for l in range(k + 1, n):
                     v = R4[i][j][k][l]
                     if not v.is_zero:
-                        comps[f"R(X{i+1},X{j+1},X{k+1},X{l+1})"] = scalar_str(v)
+                        comps[f"R(X{i+1},X{j+1},X{k+1},X{l+1})"] = str(v)
     return {"operators": ops, "components": comps}
 
 
@@ -111,12 +111,12 @@ def ricci_section(alg: MetricLieAlgebra) -> dict:
     ein = einstein_check(alg)
     return {
         "matrix": _matrix(alg.ricci),
-        "scalar_curvature": scalar_str(alg.scalar_curvature),
+        "scalar_curvature": str(alg.scalar_curvature),
         "einstein": {
             "generic": ein.generic,
-            "lam": scalar_str(ein.lam) if ein.lam is not None else None,
+            "lam": str(ein.lam) if ein.lam is not None else None,
             "exceptional": [
-                {"eps": fraction_str(e), "lam": scalar_str(l)}
+                {"eps": str(e), "lam": str(l)}
                 for e, l in ein.exceptional
             ],
         },
@@ -130,7 +130,7 @@ def soliton_section(alg: MetricLieAlgebra, convention: str = "paper") -> dict:
         generic = {
             "exists": True,
             "X": vector_str(coords),
-            "lam": scalar_str(lam),
+            "lam": str(lam),
             "type": v.soliton_type,
             "free_dimension": v.solution.generic.kernel_dim,
         }
@@ -145,9 +145,9 @@ def soliton_section(alg: MetricLieAlgebra, convention: str = "paper") -> dict:
         "generic": generic,
         "exceptional": [
             {
-                "eps": fraction_str(b.eps),
+                "eps": str(b.eps),
                 "kind": b.kind,
-                "lam": scalar_str(b.lam) if b.lam is not None else None,
+                "lam": str(b.lam) if b.lam is not None else None,
                 "X": vector_str(b.witness) if b.witness is not None else None,
                 "free_dimension": b.kernel_dim,
                 "description": b.description,
@@ -164,7 +164,7 @@ def killing_section(alg: MetricLieAlgebra) -> dict:
         "basis": _vectors(v.basis) or ["0"],
         "exceptional": [
             {
-                "eps": fraction_str(b.eps),
+                "eps": str(b.eps),
                 "dimension": b.result.kernel_dim,
                 "basis": _vectors(b.result.kernel),
             }
@@ -178,10 +178,10 @@ def geodesic_section(alg: MetricLieAlgebra) -> dict:
     return {
         "coefficients": list(g.names),
         "equations": [poly_str(g.names, e) for e in g.equations] or ["0"],
-        "solution": g.describe_components(),
+        "solution": [component_str(c, g.names) for c in g.components],
         "exceptional": [
             {
-                "eps": fraction_str(b.eps),
+                "eps": str(b.eps),
                 "solution": [component_str(c, g.names) for c in b.components],
             }
             for b in g.exceptional
@@ -196,14 +196,14 @@ def walker_section(alg: MetricLieAlgebra) -> dict:
         "witness": vector_str(w.witness) if w.witness is not None else None,
         "exceptional": [
             {
-                "eps": fraction_str(eps),
+                "eps": str(eps),
                 "admits": admits,
                 "witness": vector_str(coords) if coords is not None else None,
             }
             for eps, admits, coords in w.exceptional
         ],
         "numeric_cross_checks": [
-            {"eps": fraction_str(eps), "agrees": ok} for eps, ok in w.numeric_checks
+            {"eps": str(eps), "agrees": ok} for eps, ok in w.numeric_checks
         ],
     }
 
@@ -230,13 +230,13 @@ def harmonic_section(alg: MetricLieAlgebra) -> dict:
     fams = []
     for f in h.families:
         fams.append({
-            "eigenvalue": scalar_str(f.eigenvalue),
+            "eigenvalue": str(f.eigenvalue),
             "multiplicity": f.multiplicity,
             "basis": _vectors(f.basis),
             "harmonic_section": f.section_harmonic,
             "curvature_trace_vanishes": f.trace_vanishes,
             "harmonic_map": f.map_harmonic,
-            "harmonic_at_eps": [fraction_str(x) for x in f.harmonic_eps],
+            "harmonic_at_eps": [str(x) for x in f.harmonic_eps],
         })
     return {
         "laplacian": _matrix(h.laplacian),
@@ -253,17 +253,17 @@ def energy_section(alg: MetricLieAlgebra) -> dict:
     fams = []
     for f in rep.families:
         fams.append({
-            "eigenvalue": scalar_str(f.eigenvalue),
+            "eigenvalue": str(f.eigenvalue),
             "basis": _vectors(f.basis),
-            "constant_term": fraction_str(f.constant),
+            "constant_term": str(f.constant),
             "rho2_coefficient": (
-                scalar_str(f.rho2_coeff) if f.rho2_coeff is not None else None
+                str(f.rho2_coeff) if f.rho2_coeff is not None else None
             ),
             # a null family (rho^2 = 0 on every member) has the constant energy
             "energy": (
-                f"{fraction_str(f.constant)} + ({scalar_str(f.rho2_coeff)})*rho^2"
+                f"{f.constant} + ({f.rho2_coeff})*rho^2"
                 if f.rho2_coeff is not None
-                else fraction_str(f.constant)
+                else str(f.constant)
             ),
         })
     density = rep.density_generic
@@ -276,8 +276,8 @@ def energy_section(alg: MetricLieAlgebra) -> dict:
 
 def eval_section(alg: MetricLieAlgebra, eps0: Fraction) -> dict:
     m: NumericModel = evaluate_numeric(alg, eps0)
-    doc = {
-        "eps": fraction_str(m.eps),
+    return {
+        "eps": str(m.eps),
         "signature": m.signature,
         "frame_signs": list(m.signs),
         "frame": [[_float_str(x) for x in row] for row in m.frame],
@@ -289,7 +289,6 @@ def eval_section(alg: MetricLieAlgebra, eps0: Fraction) -> dict:
             for x in m.laplacian_eigenvalues
         ],
     }
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -338,36 +337,31 @@ SECTION_COMMANDS = {
 }
 
 
-def single_report(kind: str, alg: MetricLieAlgebra, **kwargs) -> dict:
-    """The document of one `SECTION_COMMANDS` section; the keyword arguments
-    go to its builder (the soliton section takes `convention`)."""
-    _, build = SECTION_COMMANDS[kind]
+def _document(kind: str, alg: MetricLieAlgebra, **body) -> dict:
+    """A document on one algebra that names it by name and dimension only."""
     return {
         "schema": SCHEMA,
         "report": kind,
         "algebra": {"name": alg.name, "dim": alg.dim},
-        kind: build(alg, **kwargs),
+        **body,
     }
+
+
+def single_report(kind: str, alg: MetricLieAlgebra, **kwargs) -> dict:
+    """The document of one `SECTION_COMMANDS` section; the keyword arguments
+    go to its builder (the soliton section takes `convention`)."""
+    _, build = SECTION_COMMANDS[kind]
+    return _document(kind, alg, **{kind: build(alg, **kwargs)})
 
 
 def validate_report(alg: MetricLieAlgebra) -> dict:
     violations = alg.validate()
-    return {
-        "schema": SCHEMA,
-        "report": "validate",
-        "algebra": {"name": alg.name, "dim": alg.dim},
-        "ok": not violations,
-        "violations": [str(v) for v in violations],
-    }
+    return _document("validate", alg, ok=not violations,
+                     violations=[str(v) for v in violations])
 
 
 def eval_report(alg: MetricLieAlgebra, eps0: Fraction) -> dict:
-    return {
-        "schema": SCHEMA,
-        "report": "eval",
-        "algebra": {"name": alg.name, "dim": alg.dim},
-        "eval": eval_section(alg, eps0),
-    }
+    return _document("eval", alg, eval=eval_section(alg, eps0))
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +372,22 @@ def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _render_fields(fields: dict, indent: int, lines: list[str]) -> None:
+    for k, v in fields.items():
+        _render_value(k, v, indent, lines)
+
+
+def _render_records(records: list[dict], indent: int, lines: list[str]) -> None:
+    for item in records:
+        lines.append("  " * indent + "-")
+        _render_fields(item, indent + 1, lines)
+
+
 def _render_value(key: str, val, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     if isinstance(val, dict):
         lines.append(f"{pad}{key}:")
-        for k, v in val.items():
-            _render_value(k, v, indent + 1, lines)
+        _render_fields(val, indent + 1, lines)
     elif isinstance(val, list):
         if val and all(isinstance(x, list) for x in val):
             lines.append(f"{pad}{key}:")
@@ -391,10 +395,7 @@ def _render_value(key: str, val, indent: int, lines: list[str]) -> None:
                 lines.append(f"{pad}  [" + ", ".join(str(x) for x in row) + "]")
         elif val and all(isinstance(x, dict) for x in val):
             lines.append(f"{pad}{key}:")
-            for item in val:
-                lines.append(f"{pad}  -")
-                for k, v in item.items():
-                    _render_value(k, v, indent + 2, lines)
+            _render_records(val, indent + 1, lines)
         elif not val:
             lines.append(f"{pad}{key}: (none)")
         else:
@@ -408,30 +409,21 @@ def _render_value(key: str, val, indent: int, lines: list[str]) -> None:
 
 
 def render_text(doc: dict) -> str:
+    """Each section under an `== key ==` line; a top-level list prints one
+    item per line, everything else as `_render_value` prints it."""
     lines: list[str] = []
     for key, val in doc.items():
         if key == "schema":
             continue
+        if not isinstance(val, (dict, list)):
+            _render_value(key, val, 0, lines)
+            continue
+        lines.append(f"== {key} ==")
         if isinstance(val, dict):
-            lines.append(f"== {key} ==")
-            for k, v in val.items():
-                _render_value(k, v, 1, lines)
-            lines.append("")
-        elif isinstance(val, list):
-            lines.append(f"== {key} ==")
-            if not val:
-                lines.append("  (none)")
-            elif all(isinstance(x, dict) for x in val):
-                for item in val:
-                    lines.append("  -")
-                    for k, v in item.items():
-                        _render_value(k, v, 2, lines)
-            else:
-                for x in val:
-                    lines.append(f"  {x}")
-            lines.append("")
-        elif isinstance(val, bool):
-            lines.append(f"{key}: {'yes' if val else 'no'}")
+            _render_fields(val, 1, lines)
+        elif val and all(isinstance(x, dict) for x in val):
+            _render_records(val, 1, lines)
         else:
-            lines.append(f"{key}: {val}")
+            lines.extend(f"  {x}" for x in val or ["(none)"])
+        lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"

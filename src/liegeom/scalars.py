@@ -73,12 +73,6 @@ def _fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def fraction_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # integer polynomial kernels: int tuples, lowest degree first, no trailing
 # zero, the zero polynomial is ()
@@ -665,6 +659,16 @@ class _ScalarParser:
     def peek(self) -> str:
         return self.tokens[self.pos]
 
+    def take_int(self) -> int:
+        """The next token, a run of decimal digits, consumed as an int."""
+        token = self.peek()
+        try:
+            value = int(token)
+        except ValueError:  # longer than `sys.get_int_max_str_digits()`
+            raise self.error(f"number of {len(token)} digits is too long") from None
+        self.pos += 1
+        return value
+
     def take(self, *tokens: str) -> str:
         """The next token, consumed, if it is one of `tokens`; else ''."""
         token = self.tokens[self.pos]
@@ -702,11 +706,9 @@ class _ScalarParser:
         base = self.parse_atom()
         if not self.take("^"):
             return base
-        exponent = self.peek()
-        if not exponent.isdecimal():
+        if not self.peek().isdecimal():
             raise self.error("expected a nonnegative integer exponent")
-        self.pos += 1
-        return base ** int(exponent)
+        return base ** self.take_int()
 
     def parse_atom(self) -> RatFunc:
         token = self.peek()
@@ -715,9 +717,10 @@ class _ScalarParser:
             if not self.take(")"):
                 raise self.error("expected ')'")
             return value
-        if token.isdecimal() or token == PARAM:
-            self.pos += 1
-            return EPS if token == PARAM else RatFunc(int(token))
+        if token.isdecimal():
+            return RatFunc(self.take_int())
+        if self.take(PARAM):
+            return EPS
         if token.startswith(PARAM):
             raise self.error(f"unknown symbol starting at {token[:len(PARAM) + 1]!r}")
         raise self.error("expected a number, 'eps', or '('")

@@ -32,6 +32,25 @@ def test_catalog_algebras_validate(berger_alg, abelian_alg):
     assert abelian_alg.validate() == []
 
 
+def test_antisymmetry_violation_reported_once():
+    # built directly, past the antisymmetric fill-in of `from_brackets`:
+    # [X1,X2] = X1 but [X2,X1] = 0, and [X1,X1] = X2
+    def brackets(broken):
+        C = [[[ZERO, ZERO] for _ in range(2)] for _ in range(2)]
+        for i, j, k in broken:
+            C[i][j][k] = ONE
+        return tuple(tuple(tuple(row) for row in plane) for plane in C)
+    identity = ((ONE, ZERO), (ZERO, ONE))
+    alg = MetricLieAlgebra("broken", 2, brackets([(0, 1, 0)]), identity)
+    assert [str(v) for v in alg.validate()] == [
+        "antisymmetry: [X1,X2] and [X2,X1] disagree in the X1 component",
+    ]
+    alg = MetricLieAlgebra("broken", 2, brackets([(0, 0, 1)]), identity)
+    assert [str(v) for v in alg.validate()] == [
+        "antisymmetry: [X1,X1] and [X1,X1] disagree in the X2 component",
+    ]
+
+
 def test_jacobi_violation_detected():
     # su(2) with [X3,X1] = 2 X2 + X3 breaks the cyclic identity
     alg = MetricLieAlgebra.from_brackets(

@@ -192,6 +192,11 @@ OUT_OF_RANGE = "bracket indices out of range for dim 2 (need 1 <= i < j <= dim)"
     ("dim: 2\ndim: 2\n" + METRIC_2, 2, "duplicate dim"),
     ("dim: 2\ndim: x\n" + METRIC_2, 2, "duplicate dim"),
     ("dim: x\ndim: 2\n" + METRIC_2, 1, "bad dimension 'x'"),
+    # the dimension and the bracket indices are runs of decimal digits
+    ("dim: 0_2\n" + METRIC_2, 1, "bad dimension '0_2'"),
+    ("dim: +2\n" + METRIC_2, 1, "bad dimension '+2'"),
+    ("dim: 2\nbracket: +1 2 -> 1 : 1\n" + METRIC_2, 2, "bracket indices must be integers"),
+    ("dim: 2\nbracket: 1 2 -> 1_0 : 1\n" + METRIC_2, 2, "bracket indices must be integers"),
     ("dim: 9\ndim: 2\n" + METRIC_2, 2, "duplicate dim"),
     ("dim: 2\nname: a\nname: b\n" + METRIC_2, 3, "duplicate name"),
     ("dim: 2\nbasis: A B\nbasis: A B\n" + METRIC_2, 3, "duplicate basis"),

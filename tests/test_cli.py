@@ -124,6 +124,17 @@ def test_soliton_convention_flag(capsys):
     assert "-2*lam+(8-4*eps)" in json.loads(doubled)["soliton"]["equations"]
 
 
+def test_soliton_convention_help_is_shared(capsys):
+    # one declaration of the option, so both commands print the same help
+    helps = []
+    for cmd in ("report", "soliton"):
+        assert main([cmd, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        helps.append(out[out.index("--soliton-convention {"):])
+    assert helps[0] == helps[1]
+    assert "'paper' solves Lie_X g = lam*g - ric, 'doubled' doubles" in helps[0]
+
+
 def test_abelian_file_reports_walker(capsys, tmp_path):
     p = tmp_path / "flat.txt"
     p.write_text(
@@ -194,6 +205,17 @@ def test_exact_commands_do_not_import_numpy():
     )
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_overlong_number_in_a_file_is_an_error_line(tmp_path):
+    # longer than int() converts by default: an error line, no traceback
+    p = tmp_path / "long.txt"
+    p.write_text("dim: 1\nmetric:\n" + "1" * 5000 + "\n", encoding="utf-8")
+    proc = python("-X", "int_max_str_digits=4300", "-m", "liegeom", "validate",
+                  "--algebra", str(p))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 3: bad scalar '111")
+    assert proc.stderr.endswith(": number of 5000 digits is too long (at offset 0)\n")
 
 
 def test_non_decimal_digit_in_a_file_is_an_error_line(tmp_path):

@@ -32,7 +32,10 @@ from liegeom.report import (
     full_report,
     geodesic_section,
     harmonic_section,
+    ledger_section,
     render_json,
+    render_text,
+    single_report,
     walker_section,
 )
 from liegeom.scalars import (
@@ -139,6 +142,28 @@ def test_soliton_abelian_is_steady(abelian_alg):
     assert v.soliton_type == "steady"
     coords, lam = v.witness
     assert lam == ZERO
+
+
+IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("alg, lam, soliton_type", [
+    # the round sphere, Einstein with ric = 2g
+    (berger().at_eps(1), "2", "shrinking"),
+    # real hyperbolic 3-space, Einstein with ric = -2g
+    (MetricLieAlgebra.from_brackets(3, {(0, 2): {0: 1}, (1, 2): {1: 1}}, IDENTITY_3),
+     "-2", "expanding"),
+    # the round sphere with metric eps*I: lam depends on eps, so no type
+    (MetricLieAlgebra.from_brackets(
+        3, {(0, 1): {2: 2}, (1, 2): {0: 2}, (0, 2): {1: -2}},
+        [["eps", 0, 0], [0, "eps", 0], [0, 0, "eps"]]),
+     "2/eps", None),
+], ids=["round-sphere", "hyperbolic-3-space", "scaled-round-sphere"])
+def test_soliton_type(alg, lam, soliton_type):
+    v = ricci_soliton_solve(alg)
+    assert v.generic_soliton
+    assert str(v.witness[1]) == lam
+    assert v.soliton_type == soliton_type
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +577,35 @@ def ledger_family():
     return MetricLieAlgebra.from_brackets(
         4, {(0, 3): {0: 1}, (1, 3): {1: "eps"}, (2, 3): {2: 1}}, identity,
         name="ledger-family")
+
+
+def test_ledger_section_when_both_conditions_fail():
+    alg = ledger_family()
+    rep = ledger_check(alg)
+    violations = ["(X1,X1,X4)", "(X1,X4,X1)", "(X2,X2,X4)", "(X2,X4,X2)", "(X3,X3,X4)",
+                  "(X3,X4,X3)", "(X4,X1,X1)", "(X4,X2,X2)", "(X4,X3,X3)"]
+    polynomial = poly_str(("a", "b", "c", "d"), rep.l5_poly)
+    assert ledger_section(alg) == {
+        "degree3_holds": False,
+        "degree5_holds": False,
+        "degree3_violations": violations,
+        "degree5_nonzero_terms": 9,
+        "degree5_polynomial": polynomial,
+    }
+    assert len(rep.l5_poly) == 9
+    assert render_text(single_report("ledger", alg)).splitlines() == [
+        "report: ledger",
+        "== algebra ==",
+        "  name: ledger-family",
+        "  dim: 4",
+        "",
+        "== ledger ==",
+        "  degree3_holds: no",
+        "  degree5_holds: no",
+        "  degree3_violations: " + ", ".join(violations),
+        "  degree5_nonzero_terms: 9",
+        f"  degree5_polynomial: {polynomial}",
+    ]
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["unmixed", "mixed"])

@@ -27,7 +27,6 @@ from liegeom.scalars import (
     _zmul,
     _zprs,
     component_names,
-    fraction_str,
     mu_poly_str,
     parse_scalar,
     poly_str,
@@ -380,6 +379,22 @@ def test_non_decimal_digits_are_syntax_errors():
             assert exc.value.position == position, text
 
 
+def test_overlong_numbers_are_syntax_errors():
+    # a run of digits longer than int() converts, as a number or an exponent
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        ones = "1" * 5000
+        for text, position in ((ones, 0), ("2*" + ones, 2), ("eps^" + ones, 4)):
+            with pytest.raises(ScalarSyntaxError) as exc:
+                parse_scalar(text)
+            assert exc.value.position == position, text
+            assert str(exc.value) == f"number of 5000 digits is too long (at offset {position})"
+        assert parse_scalar("1" * 4300) == RatFunc(int("1" * 4300))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_parser_reads_any_decimal_digits():
     assert parse_scalar("\u0661\u0662") == RatFunc(12)  # Arabic-Indic 12
     assert parse_scalar("eps^\u0662") == EPS * EPS
@@ -418,10 +433,10 @@ def reference_poly_q_str(coeffs) -> str:
         if c == 0:
             continue
         if k == 0:
-            body = fraction_str(abs(c))
+            body = str(abs(c))
         else:
             mono = "eps" if k == 1 else f"eps^{k}"
-            body = mono if abs(c) == 1 else f"{fraction_str(abs(c))}*{mono}"
+            body = mono if abs(c) == 1 else f"{str(abs(c))}*{mono}"
         sign = "-" if c < 0 else ("+" if parts else "")
         parts.append(sign + body)
     return "".join(parts) or "0"
