@@ -148,14 +148,11 @@ def einstein_check(alg: MetricLieAlgebra) -> EinsteinVerdict:
     alg.require_valid()
     ric, G = alg.ricci, alg.metric
     upper = _upper(alg.dim)
-    sol = solve_parametric([[G[i][j]] for i, j in upper], [ric[i][j] for i, j in upper], ("lam",))
+    sol = solve_parametric([[G[i][j]] for i, j in upper], [ric[i][j] for i, j in upper], ("lam",),
+                           alg.singular_parameters())
     generic = sol.generic.status == "unique"
     lam_val = sol.generic.particular[0] if generic else None
-    singular = set(alg.singular_parameters())
-    exceptional = []
-    for b in sol.branches:
-        if b.status == "unique" and b.eps not in singular:
-            exceptional.append((b.eps, b.result.particular[0]))
+    exceptional = [(b.eps, b.result.particular[0]) for b in sol.branches if b.status == "unique"]
     return EinsteinVerdict(generic, lam_val, exceptional)
 
 
@@ -220,7 +217,7 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
         if not (b.is_zero and all(x.is_zero for x in row)):
             rows.append(row)
             rhs.append(b)
-    sol = solve_parametric(rows, rhs, names)
+    sol = solve_parametric(rows, rhs, names, alg.singular_parameters())
     # one affine equation sum_k row[k] * names[k] - b = 0 per row
     eqs = [_terms([((k,), c) for k, c in enumerate(row)] + [((), -b)])
            for row, b in zip(rows, rhs)]
@@ -233,18 +230,15 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
         witness = (part[:n], part[n])
         stype = _soliton_type(part[n])
 
-    singular = set(alg.singular_parameters())
-    branch_eps = {b.eps for b in sol.branches} | singular
     branches: list[SolitonBranch] = []
-    for eps0 in sorted(branch_eps):
-        if eps0 in singular:
+    for b in sol.branches:
+        eps0, res = b.eps, b.result
+        if b.status == "singular":
             branches.append(SolitonBranch(
                 eps0, "degenerate-metric", None, None, 0,
                 f"metric or structure data is singular at eps={eps0}",
             ))
             continue
-        # a branch without a result sits at a pole of lie, G or ric: singular
-        res = sol.branch_at(eps0).result
         if res.status == "inconsistent":
             branches.append(SolitonBranch(
                 eps0, "none", None, None, 0,
@@ -280,7 +274,7 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
 class KillingVerdict:
     solution: ParametricSolution
     basis: list[list[RatFunc]]
-    # the branches away from `singular_parameters`, so each has a result
+    # the branches that are not 'singular', so each has a result
     exceptional: list[ExceptionalBranch]
 
 
@@ -291,9 +285,8 @@ def killing_solve(alg: MetricLieAlgebra) -> KillingVerdict:
     names = tuple(f"x{i+1}" for i in range(n))
     lie = alg.lie_derivative_metric_basis
     rows = [[lie[m][i][j] for m in range(n)] for i, j in _upper(n)]
-    sol = solve_parametric(rows, [ZERO] * len(rows), names)
-    singular = set(alg.singular_parameters())
-    branches = [b for b in sol.branches if b.eps not in singular]
+    sol = solve_parametric(rows, [ZERO] * len(rows), names, alg.singular_parameters())
+    branches = [b for b in sol.branches if b.status != "singular"]
     return KillingVerdict(sol, sol.generic.kernel, branches)
 
 

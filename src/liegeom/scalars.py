@@ -27,7 +27,10 @@ the rational root theorem.  Rationals are stdlib `fractions.Fraction`.
 
 The text syntax for scalars accepts integers (runs of decimal digits),
 rationals ``p/q``, the token ``eps``, the operators ``+ - * /``,
-parentheses, and ``^`` powers, e.g. ``(eps^2-2*eps+2)/eps``.
+parentheses, and ``^`` powers, e.g. ``(eps^2-2*eps+2)/eps``.  A power
+``base^k`` is refused before it is formed when k times the degree of the
+base exceeds 256, or k times the bit length of its largest coefficient
+exceeds 65536.
 `parse_scalar` and the canonical printer (`str` on the value) round-trip.
 The printer reads the integer pair itself: N and D each over lc(D), every
 coefficient reduced by one integer gcd, through `_eps_poly_str`, the one
@@ -533,8 +536,6 @@ class RatFunc:
         g = _zgcd(d1, d2)
         e1, e2 = _zdiv_exact(d1, g), _zdiv_exact(d2, g)
         t = _zadd(_zmul(n1, e2), _zmul(n2, e1))
-        if not t:
-            return ZERO
         t, g = _canonical(t, g)
         return _ratfunc(t, _zmul(_zmul(e1, e2), g))
 
@@ -638,6 +639,7 @@ def ratfunc(value) -> RatFunc:
 
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\S)")
+_MAX_POWER_DEGREE, _MAX_POWER_BITS = 256, 1 << 16
 
 
 class _ScalarParser:
@@ -708,7 +710,13 @@ class _ScalarParser:
             return base
         if not self.peek().isdecimal():
             raise self.error("expected a nonnegative integer exponent")
-        return base ** self.take_int()
+        k = self.take_int()
+        degree = max(len(base._n), len(base._d)) - 1
+        bits = max(abs(c).bit_length() for c in base._n + base._d)
+        if k * degree > _MAX_POWER_DEGREE or k * bits > _MAX_POWER_BITS:
+            self.pos -= 1  # the error points at the exponent
+            raise self.error(f"power ^{k} is too large")
+        return base ** k
 
     def parse_atom(self) -> RatFunc:
         token = self.peek()

@@ -5,10 +5,12 @@ elimination on a linear system whose coefficients are rational functions
 of the parameter, records every quantity whose vanishing could change the
 answer (pivots, cleared denominators, consistency residues), re-solves the
 system at each rational root of those quantities, and reports the values
-where the outcome genuinely differs from the generic one.  That candidate
-set is provably complete for rational exceptional values: away from the
-recorded roots the specialized elimination performs the identical pivot
-sequence, so rank, consistency, and kernel all specialize.  A candidate
+where the outcome genuinely differs from the generic one.  A value where
+the system is undefined, a pole of an entry or one the caller names
+singular, is reported as a 'singular' branch and never solved.  The
+candidate set is provably complete for rational exceptional values: away
+from the recorded roots the specialized elimination performs the identical
+pivot sequence, so rank, consistency, and kernel all specialize.  A candidate
 value is re-solved by the same `rref_solve`, on the constant `RatFunc`s of
 the specialized entries, so every result is over Q(eps).
 
@@ -33,7 +35,6 @@ from functools import cmp_to_key, reduce
 from typing import Sequence
 
 from .scalars import (
-    PoleAtEvaluationPoint,
     RatFunc,
     ONE,
     ZERO,
@@ -163,47 +164,44 @@ def solve_parametric(
     rows: Sequence[Sequence[RatFunc]],
     rhs: Sequence[RatFunc],
     unknowns: Sequence[str],
+    singular: Sequence[Fraction] = (),
 ) -> ParametricSolution:
     """Solve A(eps) x = b(eps), reporting the generic outcome plus every
     rational parameter value where rank, consistency, or kernel dimension
-    changes.  Branches where the system itself is undefined (an entry has
-    a pole) are reported with status 'singular'.  The candidate values are
-    the poles of the entries and the zeros and poles of the generic
-    elimination's `SolveResult.watch`.
+    changes.  The values where the system is undefined, the poles of its
+    entries and the caller's `singular` ones, are each reported as a branch
+    with status 'singular' and are never solved.  The other candidate
+    values are the zeros and poles of the generic elimination's
+    `SolveResult.watch`.
     """
     # no equation leaves every unknown free: one zero row says so
     rows = [[ratfunc(x) for x in r] for r in rows] or [[ZERO] * len(unknowns)]
     rhs = [ratfunc(x) for x in rhs] or [ZERO]
-    candidates = {
+    undefined = {Fraction(x) for x in singular} | {
         root for r, b in zip(rows, rhs) for x in r + [b] for root, _ in x.poles()
     }
     generic = rref_solve(rows, rhs)
-    for v in generic.watch:
-        # a consistency value can be identically zero: no root to record
-        if not v.is_zero:
-            candidates.update(root for root, _ in v.zeros() + v.poles())
+    # a consistency value can be identically zero: no root to record
+    candidates = sorted(undefined | {
+        root for v in generic.watch if not v.is_zero for root, _ in v.zeros() + v.poles()
+    })
 
     branches: list[ExceptionalBranch] = []
-    for eps0 in sorted(candidates):
-        try:
-            srows = [[ratfunc(x.eval(eps0)) for x in r] for r in rows]
-            srhs = [ratfunc(b.eval(eps0)) for b in rhs]
-        except PoleAtEvaluationPoint:
+    for eps0 in candidates:
+        if eps0 in undefined:
             branches.append(ExceptionalBranch(eps0, "singular", None))
             continue
-        res = rref_solve(srows, srhs)
+        res = rref_solve([[ratfunc(x.eval(eps0)) for x in r] for r in rows],
+                         [ratfunc(b.eval(eps0)) for b in rhs])
         # the kernel dimension is n - rank when consistent and 0 when not
         if res.status != generic.status or res.rank != generic.rank:
             branches.append(ExceptionalBranch(eps0, res.status, res))
-    return ParametricSolution(tuple(unknowns), generic, sorted(candidates), branches)
+    return ParametricSolution(tuple(unknowns), generic, candidates, branches)
 
 
 def kernel_basis(matrix: Sequence[Sequence[RatFunc]]) -> list[list[RatFunc]]:
     """Generic kernel of a RatFunc matrix, reduced echelon form."""
-    if not matrix:
-        return []
-    res = rref_solve(matrix, [ZERO] * len(matrix))
-    return res.kernel
+    return rref_solve(matrix, [ZERO] * len(matrix)).kernel
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,17 @@ def test_dimension_range_enforced():
             5, {}, [[ONE if i == j else ZERO for j in range(5)] for i in range(5)])
 
 
+def test_constructors_refuse_mismatched_shapes():
+    identity = [[ONE, ZERO], [ZERO, ONE]]
+    zero_planes = ((ZERO, ZERO), (ZERO, ZERO))
+    with pytest.raises(ValueError, match="tensor shapes do not match the dimension"):
+        MetricLieAlgebra("bad", 2, (zero_planes,), tuple(map(tuple, identity)))
+    with pytest.raises(ValueError, match=r"bracket key \(1, 0\) must satisfy 0 <= i < j < dim"):
+        MetricLieAlgebra.from_brackets(2, {(1, 0): {0: 1}}, identity)
+    with pytest.raises(ValueError, match="metric must be a dim x dim matrix"):
+        MetricLieAlgebra.from_brackets(2, {}, [[ONE], [ONE]])
+
+
 def test_singular_parameters(berger_alg, abelian_alg):
     assert berger_alg.singular_parameters() == [Fraction(0)]
     assert abelian_alg.singular_parameters() == []

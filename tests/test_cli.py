@@ -218,6 +218,16 @@ def test_overlong_number_in_a_file_is_an_error_line(tmp_path):
     assert proc.stderr.endswith(": number of 5000 digits is too long (at offset 0)\n")
 
 
+def test_oversized_power_in_a_file_is_an_error_line(tmp_path):
+    # degree 1600 from 15 characters: refused before it is formed
+    p = tmp_path / "power.txt"
+    p.write_text("dim: 1\nmetric:\n((eps+1)^40)^40\n", encoding="utf-8")
+    proc = python("-m", "liegeom", "validate", "--algebra", str(p))
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: line 3: bad scalar '((eps+1)^40)^40': "
+                           "power ^40 is too large (at offset 13)\n")
+
+
 def test_non_decimal_digit_in_a_file_is_an_error_line(tmp_path):
     # '²' passes str.isdigit() but not int(): an error line, no traceback
     p = tmp_path / "sup.txt"

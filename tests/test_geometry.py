@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from liegeom import geometry, scalars
+from liegeom import geometry, scalars, solvers
 from liegeom.algebra import MetricLieAlgebra, ValidationFailed, vector_str
-from liegeom.catalog import berger, loads
+from liegeom.catalog import abelian_control, berger, loads
 from liegeom.geometry import (
     CaseAnalysisIncomplete,
     component_str,
@@ -48,7 +48,7 @@ from liegeom.scalars import (
     ratfunc,
     scalar_str,
 )
-from liegeom.solvers import solve_parametric
+from liegeom.solvers import rref_solve, solve_parametric
 
 from poly_reference import MultiPoly, is_zero
 import test_properties
@@ -253,6 +253,40 @@ def test_einstein_matches_the_constant_curvature_oracle_in_3d(oracle_algebras):
         ], alg.name
 
 
+def test_linear_analyses_leave_singular_values_unsolved(monkeypatch, corpus_alg):
+    # Einstein, soliton and Killing pass `singular_parameters()`: each such
+    # value is a 'singular' branch with no result, and `rref_solve` runs
+    # once generically and once per other candidate
+    rref_calls, runs = [], []
+    def counting_rref(rows, rhs):
+        rref_calls.append(rows)
+        return rref_solve(rows, rhs)
+    def recording_solve(*args):
+        rref_calls.clear()
+        sol = solve_parametric(*args)
+        runs.append((sol, len(rref_calls)))
+        return sol
+    monkeypatch.setattr(solvers, "rref_solve", counting_rref)
+    monkeypatch.setattr(geometry, "solve_parametric", recording_solve)
+    unsolved = 0
+    for key, seed in CORPUS_CASES:
+        alg = corpus_case(corpus_alg, key, seed)
+        singular = alg.singular_parameters()
+        runs.clear()
+        einstein_check(alg), ricci_soliton_solve(alg), killing_solve(alg)
+        assert len(runs) == 3
+        for sol, count in runs:
+            branches = {b.eps: b for b in sol.branches}
+            assert all(branches[e].status == "singular" and branches[e].result is None
+                       for e in singular), (key, seed)
+            skipped = sum(b.status == "singular" for b in sol.branches)
+            assert count == 1 + len(sol.candidates) - skipped, (key, seed)
+            unsolved += skipped
+    # 18 unsolved branches in each of the 4 bases; 13 of them are candidates
+    # of the elimination as well (of 26 on the unmixed corpus)
+    assert unsolved == 4 * 18
+
+
 def constant_ratfuncs(values):
     return all(type(x) is RatFunc and x.is_constant for x in values)
 
@@ -403,6 +437,28 @@ def test_walker_abelian_witness(abelian_alg):
     # the witness is null and parallel within its own line field
     w = v.witness
     assert abelian_alg.inner(w, w) == ZERO
+
+
+def test_walker_refuses_when_the_numeric_check_disagrees(monkeypatch):
+    scan = geometry.null_parallel_scan
+    monkeypatch.setattr(geometry, "null_parallel_scan", lambda alg, eps_values: [
+        None if found is None else not found for found in scan(alg, eps_values)])
+    with pytest.raises(CaseAnalysisIncomplete) as exc:
+        walker_check(abelian_control())
+    assert str(exc.value) == ("numeric joint-eigenspace check at eps=1 contradicts "
+                              "the symbolic verdict (False vs True)")
+
+
+def test_walker_grid_witness_screens_past_a_pole():
+    # the case analysis is stuck on -a^2+b^2+c^2/(7*eps-101), and the grid's
+    # first screening point, 101/7, is a pole, so it screens at 102/7
+    alg = MetricLieAlgebra.from_brackets(
+        3, {}, [[-1, 0, 0], [0, 1, 0], [0, 0, "1/(7*eps-101)"]])
+    assert alg.singular_parameters() == [Fraction(101, 7)]
+    with pytest.raises(CaseAnalysisIncomplete):
+        solve_zero_set(geometry._walker_forms(alg), component_names(3))
+    v = walker_check(alg)
+    assert v.is_walker and vector_str(v.witness) == "X1+X2"
 
 
 # The geodesic and Walker sections of the 36 corpus cases (unmixed and

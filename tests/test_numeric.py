@@ -60,6 +60,15 @@ def test_singular_point_rejected(berger_alg):
         evaluate_numeric(berger_alg, F(0))
 
 
+def test_nearly_singular_metric_is_refused():
+    # determinant 10^-12 at every eps: exactly nondegenerate, but its
+    # smaller float eigenvalue is below the frame tolerance
+    alg = MetricLieAlgebra.from_brackets(2, {}, [[1, 1], [1, 1 + F(1, 10**12)]])
+    with pytest.raises(SingularMetricAtPoint) as exc:
+        evaluate_numeric(alg, F(1))
+    assert str(exc.value) == "metric eigenvalue below tolerance at eps=1"
+
+
 def neutral_abelian():
     """The flat abelian 4-dimensional algebra with a metric of signature (2, 2)."""
     return MetricLieAlgebra.from_brackets(

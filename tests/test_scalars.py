@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -393,6 +394,56 @@ def test_overlong_numbers_are_syntax_errors():
         assert parse_scalar("1" * 4300) == RatFunc(int("1" * 4300))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("text, position, k", [
+    ("eps^1000000", 4, 1000000),      # degree 10^6
+    ("(eps+1)^2000", 8, 2000),        # degree 2000
+    ("((eps+1)^40)^40", 13, 40),      # degree 1600, from a small exponent
+    ("(((7^99)^99)^99)", 13, 99),     # 99 times 27510 bits
+])
+def test_oversized_powers_are_syntax_errors(text, position, k):
+    # refused at the exponent, before the power is formed
+    with pytest.raises(ScalarSyntaxError) as exc:
+        parse_scalar(text)
+    assert exc.value.position == position
+    assert str(exc.value) == f"power ^{k} is too large (at offset {position})"
+
+
+def test_powers_within_the_bounds_are_formed():
+    # degree 256 and 27522 bits are inside the bounds of 256 and 2^16 bits
+    assert parse_scalar("(eps+1)^256") == (EPS + 1) ** 256
+    assert parse_scalar("((eps+1)^16)^16") == (EPS + 1) ** 256
+    assert parse_scalar("(7^99)^99") == RatFunc(7 ** 9801)
+    assert parse_scalar("1^65536") == ONE
+    for text in ("eps^257", "1^65537"):
+        with pytest.raises(ScalarSyntaxError):
+            parse_scalar(text)
+
+
+def test_ratfunc_negative_powers_keep_the_canonical_sign():
+    x = (1 - EPS) ** -3
+    x.check_invariants()
+    assert x == ONE / (1 - EPS) ** 3
+    assert (-EPS) ** -1 == -1 / EPS
+    with pytest.raises(DivisionByZeroFunction):
+        ZERO ** -1
+
+
+def test_ratfunc_non_constant_and_repr():
+    with pytest.raises(ValueError):
+        EPS.constant_value()
+    assert repr(EPS) == "RatFunc('eps')"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv, operator.pow])
+def test_ratfunc_arithmetic_refuses_strings(op):
+    # a str is not coerced: the text syntax goes through `parse_scalar`
+    for a, b in ((EPS, "eps"), ("eps", EPS)):
+        with pytest.raises(TypeError):
+            op(a, b)
+    assert (EPS == "eps") is False
 
 
 def test_parser_reads_any_decimal_digits():

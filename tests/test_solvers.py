@@ -133,6 +133,26 @@ def test_parametric_pole_branch_is_singular():
     assert branch.result is None
 
 
+def test_parametric_caller_singular_values_are_not_solved(monkeypatch):
+    # (eps-2) x = (eps-2)/(eps-1): a pole at 1 and a rank drop at 2; the
+    # caller's 2 and 3 are listed unsolved, watched by the elimination or not
+    solved = []
+    def counting(rows, rhs):
+        solved.append(rows)
+        return rref_solve(rows, rhs)
+    monkeypatch.setattr(solvers, "rref_solve", counting)
+    sol = solve_parametric([[EPS - 2]], [(EPS - 2) / (EPS - 1)], ("x",), [Fraction(2), 3])
+    assert sol.candidates == [1, 2, 3]
+    assert [(b.eps, b.status, b.result) for b in sol.branches] == [
+        (1, "singular", None), (2, "singular", None), (3, "singular", None)]
+    assert len(solved) == 1
+    assert sol.branch_at(4) is None
+    # without them, 2 is solved and is a rank drop, and 3 is not a candidate
+    sol = solve_parametric([[EPS - 2]], [(EPS - 2) / (EPS - 1)], ("x",))
+    assert [(b.eps, b.status) for b in sol.branches] == [(1, "singular"), (2, "underdetermined")]
+    assert len(solved) == 3
+
+
 def test_kernel_basis():
     ker = kernel_basis([[ONE, ONE, ZERO]])
     assert len(ker) == 2
@@ -291,6 +311,14 @@ def test_eigen_irrational_values_stay_in_residual():
     dec = eigen_analyze([[ZERO, EPS], [ONE, ZERO]])
     assert dec.pairs == []
     assert len(dec.residual) == 3
+
+
+def test_eigen_newton_lift_that_leaves_the_integers_is_rejected():
+    # mu^2 = eps^2+eps+1 is squarefree at eps = 0 with the integer roots
+    # +-1, whose Newton lifts leave Z[eps]: no pair, all of it residual
+    dec = eigen_analyze([[ZERO, EPS * EPS + EPS + 1], [ONE, ZERO]])
+    assert dec.pairs == []
+    assert mu_poly_str(dec.residual) == "mu^2+(-1-eps-eps^2)"
 
 
 def test_eigen_berger_laplacian_matrix():
