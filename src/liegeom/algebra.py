@@ -4,8 +4,8 @@ A `MetricLieAlgebra` is a Lie algebra of dimension at most four together
 with an inner product, both given in a fixed basis X1..Xn by structure
 constants and a Gram matrix whose entries are rational functions of the
 deformation parameter.  All derived objects (connection, curvature, Ricci,
-Lie derivatives of the metric, covariant derivatives) are computed in that
-basis by exact field arithmetic, so equality of tensors is decidable.
+Lie derivatives, covariant derivatives, the rough Laplacian, its spectrum)
+are computed in that basis exactly, so equality of tensors is decidable.
 
 Conventions used throughout:
 
@@ -37,8 +37,9 @@ constants and often a diagonal Gram matrix, so the dense sums were mostly
 products with a zero factor.  Exact arithmetic with canonical `RatFunc`s
 makes the result independent of the order of the terms.  The modules
 layer as scalars -> solvers -> algebra -> {catalog, numeric} -> geometry
--> report -> cli (`tests/test_layers.py`): g^{-1} comes from the
-elimination of `solvers.kernel_basis`.
+-> report -> cli (`tests/test_layers.py`), so the algebra caches tensors,
+never a verdict: g^{-1} comes from `solvers.kernel_basis` and the Laplacian
+spectrum from `solvers.eigen_analyze`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .scalars import (
     ratfunc,
     terms_str,
 )
-from .solvers import kernel_basis
+from .solvers import EigenDecomposition, eigen_analyze, kernel_basis
 
 MAX_DIM = 4
 _HALF = RatFunc(1, 2)
@@ -247,6 +248,8 @@ class MetricLieAlgebra:
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
             for k, coeff in comp.items():
+                if not 0 <= k < dim:
+                    raise ValueError(f"bracket component {k} must satisfy 0 <= k < dim")
                 val = ratfunc(coeff)
                 C[i][j][k] = val
                 C[j][i][k] = -val
@@ -524,7 +527,7 @@ class MetricLieAlgebra:
                     acc = acc + w * ric[i][j]
         return acc
 
-    # -- Lie and covariant derivatives --------------------------------------
+    # -- Lie and covariant derivatives, rough Laplacian ---------------------
 
     @cached_property
     def lie_derivative_metric_basis(self) -> list[list[list[RatFunc]]]:
@@ -628,12 +631,30 @@ class MetricLieAlgebra:
         return out
 
     @cached_property
-    def harmonicity(self):
-        """`geometry.harmonicity_classify` of this algebra, computed once:
-        the harmonic and the energy analyses both read it."""
-        from .geometry import harmonicity_classify  # geometry imports this module
+    def rough_laplacian(self) -> list[list[RatFunc]]:
+        """Matrix of sum_ij g^{ij} (nabla_i nabla_j - nabla_{nabla_i Xj}) acting
+        on invariant fields.
 
-        return harmonicity_classify(self)
+        With M = `_nabla_dual`, B_j the matrix of nabla_{X^j} (column p holds
+        M[j][p]) and H = sum_j M[j][j] the mean-curvature vector, this is
+        L = sum_j B_j A_j - sum_k H_k A_k, A_k the matrix of nabla_{Xk}: n
+        operator products, each formed from the nonzero entries of its factors
+        (the A_k as `_connection_rows`)."""
+        n = self.dim
+        M, rows = self._nabla_dual, self._connection_rows
+        rn = range(n)
+        L = zeros(n)
+        for j in rn:
+            add_product(L, [nonzero([M[j][p][r] for p in rn]) for r in rn], rows[j])
+        H = [sum((M[j][j][k] for j in rn if not M[j][j][k].is_zero), ZERO) for k in rn]
+        for k, h in nonzero(H):
+            add_scaled(L, -h, rows[k])
+        return L
+
+    @cached_property
+    def laplacian_spectrum(self) -> EigenDecomposition:
+        """`solvers.eigen_analyze` of the rough Laplacian: the critical families."""
+        return eigen_analyze(self.rough_laplacian)
 
     # -- basis change --------------------------------------------------------
 

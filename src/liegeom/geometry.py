@@ -58,20 +58,16 @@ from typing import Sequence
 
 from .algebra import (
     MetricLieAlgebra,
-    add_product,
-    add_scaled,
     bilinear,
     mat_mul,
     mat_vec,
     nonzero,
     transpose,
     vector_str,
-    zeros,
 )
 from .numeric import null_parallel_scan
 from .scalars import (
     ONE,
-    PoleAtEvaluationPoint,
     RatFunc,
     ZERO,
     component_names,
@@ -83,7 +79,6 @@ from .solvers import (
     EigenDecomposition,
     ExceptionalBranch,
     ParametricSolution,
-    eigen_analyze,
     kernel_basis,
     solve_parametric,
 )
@@ -476,15 +471,12 @@ def _grid_points(n: int) -> tuple[tuple[int, ...], ...]:
 def _grid_witness(forms: Sequence, n: int) -> list[RatFunc] | None:
     """Search small integer coefficient vectors for an exact solution of
     every form, identically in the parameter.  Each point is screened
-    first at one rational eps0 where no coefficient has a pole, in integers
-    (a form that vanishes identically vanishes there), and only the points
-    that pass are evaluated exactly, in the same order."""
-    for k in itertools.count():  # eps0 = (101 + k)/7, the first without a pole
-        try:
-            at_eps0 = [{s: c.eval(Fraction(101 + k, 7)) for s, c in U.items()} for U in forms]
-            break
-        except PoleAtEvaluationPoint:
-            pass
+    first at eps0, the first (101 + k)/7 that is no pole of a coefficient,
+    in integers (a form that vanishes identically vanishes there), and only
+    the points that pass are evaluated exactly, in the same order."""
+    poles = {r for U in forms for c in U.values() for r, _ in c.poles()}
+    eps0 = next(x for x in (Fraction(101 + k, 7) for k in itertools.count()) if x not in poles)
+    at_eps0 = [{s: c.eval(eps0) for s, c in U.items()} for U in forms]
     screens = []  # each form at eps0, scaled to integer coefficients
     for U0 in at_eps0:
         scale = lcm(*(x.denominator for x in U0.values()))
@@ -533,8 +525,8 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
     minors plus the null condition, generically and at every candidate
     parameter value, with one decision routine.  An independent numeric
     route (`numeric.null_parallel_scan`, from the joint eigenspaces of the
-    float connection operators) decides all the sample parameter values
-    that are not singular in one batched call; it must agree at every one
+    float connection operators) decides all the sample parameter values in
+    one batched call; it must agree at every one that is not singular and
     where the metric is indefinite, in any dimension.  Otherwise
     CaseAnalysisIncomplete names the first value that disagrees, rather
     than reporting either answer.
@@ -555,8 +547,8 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
 
     numeric_checks: list[tuple[Fraction, bool]] = []
     override = {eps0: v for eps0, v, _ in exceptional}
-    samples = [eps0 for eps0 in _NUMERIC_EPS_CANDIDATES if eps0 not in singular]
-    for eps0, found in zip(samples, null_parallel_scan(alg, samples)):
+    scan = null_parallel_scan(alg, _NUMERIC_EPS_CANDIDATES)
+    for eps0, found in zip(_NUMERIC_EPS_CANDIDATES, scan):
         if found is None:
             continue
         expected = override.get(eps0, verdict)
@@ -693,24 +685,8 @@ def _ledger_l5(alg: MetricLieAlgebra) -> dict[tuple[int, ...], RatFunc]:
 
 
 def rough_laplacian(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
-    """Matrix of sum_ij g^{ij} (nabla_i nabla_j - nabla_{nabla_i Xj}) acting
-    on invariant fields.
-
-    With M = `_nabla_dual`, B_j the matrix of nabla_{X^j} (column p holds
-    M[j][p]) and H = sum_j M[j][j] the mean-curvature vector, this is
-    L = sum_j B_j A_j - sum_k H_k A_k, A_k the matrix of nabla_{Xk}: n
-    operator products, each formed from the nonzero entries of its factors
-    (the A_k as `_connection_rows`)."""
-    n = alg.dim
-    M, rows = alg._nabla_dual, alg._connection_rows
-    rn = range(n)
-    L = zeros(n)
-    for j in rn:
-        add_product(L, [nonzero([M[j][p][r] for p in rn]) for r in rn], rows[j])
-    H = [sum((M[j][j][k] for j in rn if not M[j][j][k].is_zero), ZERO) for k in rn]
-    for k, h in nonzero(H):
-        add_scaled(L, -h, rows[k])
-    return L
+    """A fresh copy of the matrix `MetricLieAlgebra.rough_laplacian`."""
+    return [list(row) for row in alg.rough_laplacian]
 
 
 def _trace_vanishes(alg: MetricLieAlgebra, us: list[list[RatFunc]]) -> bool:
@@ -777,18 +753,17 @@ class HarmonicityReport:
 def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     """Critical vector fields of the energy functional and their quality.
 
-    The critical families are the eigenspaces of the rough Laplacian;
-    harmonic sections are its kernel, the eigenspace of the value zero; a
-    family consists of harmonic maps when additionally the curvature trace
-    vanishes on it.  By polarization the trace vanishes on span{u_k} exactly
-    when the polarized trace vanishes on every pair u_k, u_l with k <= l
-    (`_trace_vanishes`).  Parallel fields (the
-    trivial critical points) are the joint kernel of all covariant
+    The critical families are the eigenspaces of the rough Laplacian, read
+    off `alg.laplacian_spectrum`; harmonic sections are its kernel, the
+    eigenspace of the value zero; a family consists of harmonic maps when
+    additionally the curvature trace vanishes on it.  By polarization the
+    trace vanishes on span{u_k} exactly when the polarized trace vanishes on
+    every pair u_k, u_l with k <= l (`_trace_vanishes`).  Parallel fields
+    (the trivial critical points) are the joint kernel of all covariant
     derivative operators.
     """
     alg.require_valid()
-    L = rough_laplacian(alg)
-    decomp = eigen_analyze(L)
+    decomp = alg.laplacian_spectrum
     singular = set(alg.singular_parameters())
     families = []
     for pair in decomp.pairs:
@@ -806,7 +781,7 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
         ))
     section_kernel = next((pair.vectors for pair in decomp.pairs if pair.value.is_zero), [])
     parallel = kernel_basis([row for op in alg.connection_operators for row in op])
-    return HarmonicityReport(L, decomp, families, parallel, section_kernel)
+    return HarmonicityReport(alg.rough_laplacian, decomp, families, parallel, section_kernel)
 
 
 @dataclass
@@ -842,7 +817,7 @@ def grad_norm_sq(alg: MetricLieAlgebra, V: Sequence):
     g(nabla_H V, V) = 0.  The components of V may be `RatFunc`s or of any
     type with the ring operations of `RatFunc` and `.is_zero`, such as the
     polynomials the tests build."""
-    return -bilinear(mat_mul(alg.metric, rough_laplacian(alg)), V, V)
+    return -bilinear(mat_mul(alg.metric, alg.rough_laplacian), V, V)
 
 
 def energy_density(alg: MetricLieAlgebra, V: Sequence):
@@ -854,33 +829,34 @@ def energy_density(alg: MetricLieAlgebra, V: Sequence):
 def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     """Energy along each critical family: n/2 - (lam/2) rho^2.
 
-    With |nabla V|^2 = -g(LV, V) (see `grad_norm_sq`) and L the rough
-    Laplacian of `alg.harmonicity`, the generic density
+    With |nabla V|^2 = -g(LV, V) (see `grad_norm_sq`) and L =
+    `alg.rough_laplacian`, the generic density
     n/2 - (1/2) sum_pq GL[p][q] V_p V_q, GL = G L, is built from the entries
     of GL as one polynomial; (p, q) and (q, p) meet at one sorted slot.  A
-    family is an eigenspace of L with eigenvalue lam, so its gradient Gram
-    matrix is -lam times its Gram matrix, and a member of signed squared
-    length rho^2 = g(V, V) has energy n/2 - (lam/2) rho^2.  On a null family
-    (every Gram entry zero) every member has rho^2 = 0 and energy exactly
-    n/2, which says nothing about lam: its rho^2 coefficient is None, and
-    the report prints the constant n/2 as its energy.
+    family is an eigenspace of `alg.laplacian_spectrum` (no curvature trace
+    is formed) with eigenvalue lam, so its gradient Gram matrix is -lam times
+    its Gram matrix, and a member of signed squared length rho^2 = g(V, V)
+    has energy n/2 - (lam/2) rho^2.  On a null family (every Gram entry
+    zero) every member has rho^2 = 0 and energy exactly n/2, which says
+    nothing about lam: its rho^2 coefficient is None, and the report prints
+    the constant n/2 as its energy.
     """
     alg.require_valid()
     n = alg.dim
     half = ratfunc(Fraction(1, 2))
     density = ratfunc(Fraction(n, 2))
     if not all(x.is_zero for plane in alg.nabla_basis for row in plane for x in row):
-        GL = mat_mul(alg.metric, alg.harmonicity.laplacian)
+        GL = mat_mul(alg.metric, alg.rough_laplacian)
         entries = [((p, q), x * -half) for p in range(n) for q, x in nonzero(GL[p])]
         density = _terms(entries + [((), density)])
     fams = []
-    for fam in alg.harmonicity.families:
-        gram = [[alg.inner(u, w) for w in fam.basis] for u in fam.basis]
-        minus_lam = -fam.eigenvalue
+    for pair in alg.laplacian_spectrum.pairs:
+        gram = [[alg.inner(u, w) for w in pair.vectors] for u in pair.vectors]
+        minus_lam = -pair.value
         null = all(x.is_zero for row in gram for x in row)
         fams.append(FamilyEnergy(
-            eigenvalue=fam.eigenvalue,
-            basis=fam.basis,
+            eigenvalue=pair.value,
+            basis=pair.vectors,
             constant=Fraction(n, 2),
             rho2_coeff=None if null else _product(minus_lam, half),
             gram=gram,

@@ -191,7 +191,7 @@ def null_parallel_scan(alg: MetricLieAlgebra, eps_values) -> list[bool | None]:
     """Whether the specialization at each of eps_values has a null vector
     spanning a parallel line, in any dimension: one answer per value.
 
-    None where the metric degenerates (tested exactly) or is definite.
+    None at every value of `alg.singular_parameters()` and where g is definite.
     Otherwise a null parallel line is a null common eigenvector of the
     connection operators A_i = nabla_{Xi}.  One pass serves every value:
     one specialization, one batched `eigh` of g (definiteness and g^-1), one
@@ -212,7 +212,7 @@ def null_parallel_scan(alg: MetricLieAlgebra, eps_values) -> list[bool | None]:
     import numpy as np
 
     eps_values = [Fraction(x) for x in eps_values]
-    live = [e for e, x in enumerate(eps_values) if alg.metric_det.eval(x) != 0]
+    live = [e for e, x in enumerate(eps_values) if x not in alg._singular_parameters]
     C, G = _specialize(alg, [eps_values[e] for e in live])
     g_vals, U = np.linalg.eigh(G)
     indefinite = (g_vals[:, 0] <= 0) & (g_vals[:, -1] >= 0)

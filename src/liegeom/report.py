@@ -28,6 +28,7 @@ from .geometry import (
     einstein_check,
     energy_report,
     geodesic_classify,
+    harmonicity_classify,
     killing_solve,
     ledger_check,
     ricci_soliton_solve,
@@ -225,7 +226,7 @@ def ledger_section(alg: MetricLieAlgebra) -> dict:
 
 
 def harmonic_section(alg: MetricLieAlgebra) -> dict:
-    h: HarmonicityReport = alg.harmonicity
+    h: HarmonicityReport = harmonicity_classify(alg)
     residual = h.decomposition.residual
     fams = []
     for f in h.families:

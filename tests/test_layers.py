@@ -1,9 +1,8 @@
 """The modules of `liegeom` import each other in one direction only:
 scalars -> solvers -> algebra -> {catalog, numeric} -> geometry -> report
 -> cli, read from the source with `ast`.  A module imports, at its top,
-only modules earlier in that order; `__init__` and `__main__` re-export
-and are exempt.  The one import inside a function is the lazy step back
-from `MetricLieAlgebra.harmonicity` to `geometry`."""
+only modules earlier in that order, and no relative import runs inside a
+function; `__init__` and `__main__` re-export and are exempt."""
 
 import ast
 from pathlib import Path
@@ -56,4 +55,4 @@ def test_imports_point_down_the_layers():
                 assert RANK[target] < RANK[module], f"{module} imports {target}"
             else:
                 lazy.append((module, function, target))
-    assert lazy == [("algebra", "MetricLieAlgebra.harmonicity", "geometry")]
+    assert lazy == []

@@ -102,6 +102,16 @@ def test_null_parallel_scan(berger_alg, abelian_alg, corpus_alg):
     assert scan(berger_alg) == []
 
 
+def test_null_parallel_scan_answers_none_at_a_pole():
+    # a pole of a bracket coefficient or of a metric entry is a singular
+    # value: it answers None and the other values are still decided
+    bracket = MetricLieAlgebra.from_brackets(2, {(0, 1): {0: "1/(eps-3)"}}, [[-1, 0], [0, 1]])
+    assert null_parallel_scan(bracket, [3, 1]) == [None, True]
+    metric = MetricLieAlgebra.from_brackets(2, {(0, 1): {0: 1}}, [[-1, 0], [0, "1/(eps-3)"]])
+    assert null_parallel_scan(metric, [3, 4]) == [None, True]
+    assert null_parallel_scan(metric, [3]) == [None]
+
+
 @pytest.mark.parametrize(("key", "bound"), [
     ("berger", 3), ("abelian", 3), ("sl2r", 3), ("e2", 3), ("heisenberg", 3),
     ("u2", 4), ("oscillator", 4), ("heisenberg-x-r", 4),

@@ -52,6 +52,7 @@ from liegeom.geometry import (
     _walker_forms,
     energy_report,
     grad_norm_sq,
+    harmonicity_classify,
     ledger_check,
     ricci_soliton_solve,
     rough_laplacian,
@@ -357,7 +358,7 @@ def check_conditions_against_reference(alg):
     assert_same_forms(walker, reference_walker(alg, names), names)
     check_form_layout(geodesic, names)
     check_form_layout(walker, names)
-    h = alg.harmonicity
+    h = harmonicity_classify(alg)
     assert [f.trace_vanishes for f in h.families] == [
         reference_trace_vanishes(alg, pair.vectors) for pair in h.decomposition.pairs]
 
