@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .catalog import ParseError, ValidationFailed, catalog, load
 from .geometry import SOLITON_CONVENTIONS, CaseAnalysisIncomplete
-from .numeric import SingularMetricAtPoint
+from .numeric import OutsideFloatRange, SingularMetricAtPoint
 from .report import (
     SECTION_COMMANDS,
     eval_report,
@@ -120,6 +120,7 @@ def main(argv=None) -> int:
         ValidationFailed,
         OSError,
         SingularMetricAtPoint,
+        OutsideFloatRange,
         PoleAtEvaluationPoint,
         DivisionByZeroFunction,
         CaseAnalysisIncomplete,

@@ -76,7 +76,6 @@ from .scalars import (
     ratfunc,
 )
 from .solvers import (
-    EigenDecomposition,
     ExceptionalBranch,
     ParametricSolution,
     kernel_basis,
@@ -119,11 +118,6 @@ def _terms(entries) -> dict[tuple[int, ...], RatFunc]:
                 continue
         terms[key] = c
     return terms
-
-
-def _product(x, y):
-    """x * y, without forming the product when a factor is zero."""
-    return ZERO if x.is_zero or y.is_zero else x * y
 
 
 @dataclass
@@ -684,11 +678,6 @@ def _ledger_l5(alg: MetricLieAlgebra) -> dict[tuple[int, ...], RatFunc]:
 # rough Laplacian, harmonicity, energy
 
 
-def rough_laplacian(alg: MetricLieAlgebra) -> list[list[RatFunc]]:
-    """A fresh copy of the matrix `MetricLieAlgebra.rough_laplacian`."""
-    return [list(row) for row in alg.rough_laplacian]
-
-
 def _trace_vanishes(alg: MetricLieAlgebra, us: list[list[RatFunc]]) -> bool:
     """Whether the harmonic-map trace t(V) = sum_ij g^{ij} R(nabla_{Xi} V, V) Xj
     = sum_j R(nabla_{X^j} V, V) Xj vanishes on span{u_k}.  By polarization it
@@ -743,11 +732,8 @@ class CriticalFamily:
 
 @dataclass
 class HarmonicityReport:
-    laplacian: list[list[RatFunc]]
-    decomposition: EigenDecomposition
     families: list[CriticalFamily]
     parallel_basis: list[list[RatFunc]]
-    section_kernel: list[list[RatFunc]]
 
 
 def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
@@ -763,13 +749,10 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     derivative operators.
     """
     alg.require_valid()
-    decomp = alg.laplacian_spectrum
-    singular = set(alg.singular_parameters())
     families = []
-    for pair in decomp.pairs:
+    for pair in alg.laplacian_spectrum.pairs:
         trace_zero = _trace_vanishes(alg, pair.vectors)
         section = pair.value.is_zero
-        roots = [] if section else [r for r, _ in pair.value.zeros() if r not in singular]
         families.append(CriticalFamily(
             eigenvalue=pair.value,
             multiplicity=pair.multiplicity,
@@ -777,11 +760,11 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
             trace_vanishes=trace_zero,
             section_harmonic=section,
             map_harmonic=section and trace_zero,
-            harmonic_eps=roots if trace_zero else [],
+            harmonic_eps=([r for r, _ in pair.value.zeros() if r not in alg.singular_parameters()]
+                          if trace_zero and not section else []),
         ))
-    section_kernel = next((pair.vectors for pair in decomp.pairs if pair.value.is_zero), [])
     parallel = kernel_basis([row for op in alg.connection_operators for row in op])
-    return HarmonicityReport(alg.rough_laplacian, decomp, families, parallel, section_kernel)
+    return HarmonicityReport(families, parallel)
 
 
 @dataclass
@@ -791,7 +774,6 @@ class FamilyEnergy:
     constant: Fraction
     rho2_coeff: RatFunc | None
     gram: list[list[RatFunc]]
-    grad_gram: list[list[RatFunc]]
 
 
 @dataclass
@@ -852,14 +834,12 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     fams = []
     for pair in alg.laplacian_spectrum.pairs:
         gram = [[alg.inner(u, w) for w in pair.vectors] for u in pair.vectors]
-        minus_lam = -pair.value
         null = all(x.is_zero for row in gram for x in row)
         fams.append(FamilyEnergy(
             eigenvalue=pair.value,
             basis=pair.vectors,
             constant=Fraction(n, 2),
-            rho2_coeff=None if null else _product(minus_lam, half),
+            rho2_coeff=None if null else (ZERO if pair.value.is_zero else pair.value * -half),
             gram=gram,
-            grad_gram=[[_product(minus_lam, x) for x in row] for row in gram],
         ))
     return EnergyReport(n, density, fams)

@@ -22,12 +22,14 @@ leading axis of parameter values:
   of the connection operators, not by sampling the null cone.
 
 Both refuse parameter values where the metric degenerates, tested exactly
-before any float is computed.  numpy is imported inside the functions that
+before any float is computed, and raise `OutsideFloatRange` where floats
+cannot model the values.  numpy is imported inside the functions that
 compute, so importing the package, and every exact analysis, never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -47,6 +49,28 @@ _MIX_SEED = 20240501
 
 class SingularMetricAtPoint(ArithmeticError):
     """The metric determinant vanishes at the requested parameter value."""
+
+
+class OutsideFloatRange(ArithmeticError):
+    """The floats at the requested parameter value cannot model the algebra."""
+
+
+def _in_float_range(compute):
+    """compute(alg, eps), where an exact entry with no finite nonzero float,
+    a float that overflows or is invalid, and a numpy.linalg refusal (of an
+    inf or NaN, or of a singular float g) raise OutsideFloatRange."""
+
+    @functools.wraps(compute)
+    def run(alg: MetricLieAlgebra, eps):
+        import numpy as np
+
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return compute(alg, eps)
+        except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
+            raise OutsideFloatRange(f"{alg.name} leaves the float range: {exc}") from None
+
+    return run
 
 
 def _signature_name(signs: tuple[int, ...]) -> str:
@@ -109,6 +133,8 @@ def _specialize(alg: MetricLieAlgebra, eps_values):
             if not f.is_zero:
                 if f not in values:
                     values[f] = [f.eval_float(x) for x in eps_values]
+                    if any(v == 0 and f.eval(x) for v, x in zip(values[f], eps_values)):
+                        raise FloatingPointError("a nonzero exact entry underflows to 0")
                 out[p] = values[f]
         return out.T.reshape(len(eps_values), *shape)
 
@@ -129,6 +155,7 @@ def _koszul(C, G, Ginv):
     return K, ops
 
 
+@_in_float_range
 def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
     """Specialize exactly, then rebuild the geometry in floating point.
     Like every analysis, it refuses input that is not a metric Lie algebra
@@ -187,6 +214,7 @@ def evaluate_numeric(alg: MetricLieAlgebra, eps0) -> NumericModel:
     )
 
 
+@_in_float_range
 def null_parallel_scan(alg: MetricLieAlgebra, eps_values) -> list[bool | None]:
     """Whether the specialization at each of eps_values has a null vector
     spanning a parallel line, in any dimension: one answer per value.

@@ -227,10 +227,11 @@ def ledger_section(alg: MetricLieAlgebra) -> dict:
 
 def harmonic_section(alg: MetricLieAlgebra) -> dict:
     h: HarmonicityReport = harmonicity_classify(alg)
-    residual = h.decomposition.residual
-    fams = []
-    for f in h.families:
-        fams.append({
+    residual = alg.laplacian_spectrum.residual
+    sections = next((f.basis for f in h.families if f.section_harmonic), [])
+    return {
+        "laplacian": _matrix(alg.rough_laplacian),
+        "critical_families": [{
             "eigenvalue": str(f.eigenvalue),
             "multiplicity": f.multiplicity,
             "basis": _vectors(f.basis),
@@ -238,40 +239,29 @@ def harmonic_section(alg: MetricLieAlgebra) -> dict:
             "curvature_trace_vanishes": f.trace_vanishes,
             "harmonic_map": f.map_harmonic,
             "harmonic_at_eps": [str(x) for x in f.harmonic_eps],
-        })
-    return {
-        "laplacian": _matrix(h.laplacian),
-        "critical_families": fams,
+        } for f in h.families],
         "unresolved_factor_degree": len(residual) - 1,
         "unresolved_factor": mu_poly_str(residual) if len(residual) > 1 else None,
-        "harmonic_sections": _vectors(h.section_kernel) or ["none"],
+        "harmonic_sections": _vectors(sections) or ["none"],
         "parallel_fields": _vectors(h.parallel_basis) or ["none"],
     }
 
 
 def energy_section(alg: MetricLieAlgebra) -> dict:
     rep = energy_report(alg)
-    fams = []
-    for f in rep.families:
-        fams.append({
-            "eigenvalue": str(f.eigenvalue),
-            "basis": _vectors(f.basis),
-            "constant_term": str(f.constant),
-            "rho2_coefficient": (
-                str(f.rho2_coeff) if f.rho2_coeff is not None else None
-            ),
-            # a null family (rho^2 = 0 on every member) has the constant energy
-            "energy": (
-                f"{f.constant} + ({f.rho2_coeff})*rho^2"
-                if f.rho2_coeff is not None
-                else str(f.constant)
-            ),
-        })
     density = rep.density_generic
     return {
         "density_generic": str(density) if isinstance(density, RatFunc)
         else poly_str(component_names(rep.dim), density),
-        "families": fams,
+        "families": [{
+            "eigenvalue": str(f.eigenvalue),
+            "basis": _vectors(f.basis),
+            "constant_term": str(f.constant),
+            "rho2_coefficient": None if f.rho2_coeff is None else str(f.rho2_coeff),
+            # a null family (rho^2 = 0 on every member) has the constant energy
+            "energy": str(f.constant) if f.rho2_coeff is None
+            else f"{f.constant} + ({f.rho2_coeff})*rho^2",
+        } for f in rep.families],
     }
 
 

@@ -297,7 +297,8 @@ def _zhomogeneous(a: tuple, p: int, q: int) -> int:
 
 
 def _divisors(n: int) -> list[int]:
-    # trial division is plenty for the coefficient sizes this package sees
+    # trial division costs ~p steps per prime factor p: the berger text with
+    # metric entry eps-1000000007 takes 31.4 s for a full report (ROADMAP item 2)
     assert n >= 1
     factors: list[tuple[int, int]] = []
     d = 2

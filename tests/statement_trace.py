@@ -12,8 +12,11 @@ that never ran, and a count per module.  Docstrings, bare string statements
 and the ``def`` and ``class`` lines themselves are left out; a compound
 statement counts as run when a line of its header or its first body
 statement ran.  Code run only in a subprocess (a few CLI tests start one)
-is not traced.  The exit status is pytest's.  A run takes about 100 s on a
-2-core machine, 4-5 times the untraced suite.
+is not traced, so the entry points are also run in this process, with
+`runpy` (`test_cli.py::test_entry_points_run_as_main`).  A clean run lists
+no statement: every module prints "0 statements never ran".  The exit
+status is pytest's.  A run took 212 s on a shared 2-core machine, about 3.5
+times the untraced suite (61 s).
 
 The file name does not match pytest's ``test_*.py`` pattern, so the suite
 does not collect it.

@@ -156,7 +156,8 @@ def test_criterion_05_harmonicity(berger_alg):
         (-2 * EPS, 1), (lam2, 2)]
     assert [vector_str(b) for b in rep.families[0].basis] == ["X1"]
     assert [vector_str(b) for b in rep.families[1].basis] == ["X2", "X3"]
-    assert rep.section_kernel == []            # no harmonic sections generically
+    # no harmonic sections generically: no family is the kernel of L
+    assert not any(fam.section_harmonic for fam in rep.families)
     for fam in rep.families:
         assert not fam.map_harmonic            # harmonic-map test fails
         assert fam.harmonic_eps == []

@@ -1,10 +1,16 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import pytest
+
 from liegeom.cli import build_parser, main
+
+import test_properties
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -236,3 +242,77 @@ def test_non_decimal_digit_in_a_file_is_an_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: line")
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# refusals: exit 1 with one error line, never a traceback
+
+
+def refusal(capsys, *argv) -> str:
+    """The stderr of a command that refuses: exit 1 and one `error:` line."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def big_berger(tmp_path, x: str) -> str:
+    """The berger brackets over the metric diag(-1, 1, x), as a file."""
+    p = tmp_path / "big.txt"
+    p.write_text("name: big\ndim: 3\nbracket: 1 2 -> 3 : 2\nbracket: 2 3 -> 1 : 2\n"
+                 f"bracket: 1 3 -> 2 : -2\nmetric:\n-1 0 0\n0 1 0\n0 0 {x}\n",
+                 encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.parametrize(("x", "cause"), [
+    ("10^400", "integer division result too large for a float"),  # no finite float
+    ("1/10^400", "a nonzero exact entry underflows to 0"),         # no nonzero float
+    ("10^200", "overflow encountered in "),                        # squares overflow
+], ids=["10^400", "1/10^400", "10^200"])
+@pytest.mark.parametrize("command", [["walker"], ["report"], ["eval", "--eps", "1"]],
+                         ids=["walker", "report", "eval"])
+def test_values_outside_the_float_range_refuse(capsys, tmp_path, x, cause, command):
+    err = refusal(capsys, *command, "--algebra", big_berger(tmp_path, x))
+    assert err.startswith(f"error: big leaves the float range: {cause}")
+
+
+def test_float_range_refusal_prints_no_numpy_warning(tmp_path):
+    # the overflow raises: no RuntimeWarning reaches stderr before the line
+    proc = python("-m", "liegeom", "walker", "--algebra", big_berger(tmp_path, "10^200"))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: big leaves the float range: overflow encountered in square\n"
+
+
+def test_report_on_r4_refuses(capsys, tmp_path):
+    p = tmp_path / "r4.txt"
+    p.write_text(test_properties.corpus.TEXTS["r4"], encoding="utf-8")
+    err = refusal(capsys, "report", "--algebra", str(p))
+    assert err == "error: no safe rule applies to: (-1/5*eps)*b^2-2*c^2\n"
+
+
+def test_eval_at_a_pole_refuses(capsys, tmp_path):
+    p = tmp_path / "pole.txt"
+    p.write_text("name: pole\ndim: 3\nbracket: 1 2 -> 3 : 1/eps\n"
+                 "metric:\n1 0 0\n0 1 0\n0 0 1\n", encoding="utf-8")
+    err = refusal(capsys, "eval", "--eps", "0", "--algebra", str(p))
+    assert err == "error: 1/eps has a pole at eps=0\n"
+
+
+# ---------------------------------------------------------------------------
+# the entry points, run in this process
+
+
+@pytest.mark.parametrize("module", ["liegeom", "liegeom.cli"])
+def test_entry_points_run_as_main(capsys, monkeypatch, module):
+    # `python -m liegeom` and `python -m liegeom.cli`; the CLI module is
+    # imported already, which runpy warns about
+    monkeypatch.setattr(sys, "argv", [module, "validate", "--berger"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert "ok: yes" in capsys.readouterr().out

@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liegeom.algebra import mat_inv, mat_mul
-from liegeom.geometry import rough_laplacian
 from liegeom.scalars import EPS, ONE, ZERO
 from liegeom.solvers import eigen_analyze
 from poly_reference import (
@@ -121,12 +120,12 @@ def check_spectrum_against_reference(matrix):
 
 @pytest.mark.parametrize(("key", "seed"), CORPUS_CASES, ids=CORPUS_IDS)
 def test_corpus_spectrum_matches_reference(corpus_alg, key, seed):
-    check_spectrum_against_reference(rough_laplacian(corpus_case(corpus_alg, key, seed)))
+    check_spectrum_against_reference(corpus_case(corpus_alg, key, seed).rough_laplacian)
 
 
 @pytest.mark.parametrize("key", list(test_properties.GENERATED))
 def test_property_spectrum_matches_reference(key):
-    check_spectrum_against_reference(rough_laplacian(test_properties.GENERATED[key]))
+    check_spectrum_against_reference(test_properties.GENERATED[key].rough_laplacian)
 
 
 def unimodular(rng, n):

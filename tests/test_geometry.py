@@ -22,7 +22,6 @@ from liegeom.geometry import (
     killing_solve,
     ledger_check,
     ricci_soliton_solve,
-    rough_laplacian,
     solve_zero_set,
     walker_check,
 )
@@ -714,7 +713,7 @@ def test_analyses_refuse_non_lie_input():
 
 
 def test_rough_laplacian_golden(berger_alg):
-    L = rough_laplacian(berger_alg)
+    L = berger_alg.rough_laplacian
     assert [[scalar_str(x) for x in row] for row in L] == [
         ["-2*eps", "0", "0"],
         ["0", "(-4+4*eps-2*eps^2)/eps", "0"],
@@ -734,15 +733,17 @@ def test_harmonicity_berger(berger_alg):
         assert not fam.map_harmonic
         assert fam.harmonic_eps == []
     assert rep.parallel_basis == []
-    assert rep.section_kernel == []
-    assert rep.decomposition.residual == (ONE,)
+    # no harmonic sections: the spectrum has no zero family and no residual
+    assert not any(pair.value.is_zero for pair in berger_alg.laplacian_spectrum.pairs)
+    assert berger_alg.laplacian_spectrum.residual == (ONE,)
 
 
 def test_harmonicity_abelian(abelian_alg):
     # flat case: everything is parallel, hence harmonic
     rep = harmonicity_classify(abelian_alg)
     assert len(rep.parallel_basis) == 3
-    assert len(rep.section_kernel) == 3
+    (zero,) = [pair for pair in abelian_alg.laplacian_spectrum.pairs if pair.value.is_zero]
+    assert len(zero.vectors) == 3
     assert [f.multiplicity for f in rep.families] == [3]
     assert rep.families[0].section_harmonic
     assert rep.families[0].map_harmonic
@@ -775,10 +776,9 @@ def test_energy_family_coefficients(berger_alg):
     assert [f.constant for f in rep.families] == [Fraction(3, 2), Fraction(3, 2)]
     # the gradient Gram form is exactly 2 * coeff * (induced metric Gram)
     for fam in rep.families:
-        k = len(fam.basis)
-        for i in range(k):
-            for j in range(k):
-                assert fam.grad_gram[i][j] == 2 * fam.rho2_coeff * fam.gram[i][j]
+        for i, u in enumerate(fam.basis):
+            for j, w in enumerate(fam.basis):
+                assert reference_gradient(berger_alg, u, w) == 2 * fam.rho2_coeff * fam.gram[i][j]
 
 
 def test_null_critical_family_has_the_constant_energy():
@@ -828,11 +828,26 @@ def test_energy_section_forms_no_harmonic_classification(monkeypatch):
         str(pair.value) for pair in alg.laplacian_spectrum.pairs]
 
 
-def test_rough_laplacian_is_a_fresh_copy_of_the_tensor(berger_alg):
-    L = rough_laplacian(berger_alg)
-    assert L == berger_alg.rough_laplacian and L is not berger_alg.rough_laplacian
-    L[0][0] = ONE
-    assert berger_alg.rough_laplacian[0][0] == -2 * EPS
+def test_harmonic_eps_are_searched_only_where_the_trace_vanishes(monkeypatch, corpus_alg):
+    # the zeros of a nonzero eigenvalue are kept only for a family whose
+    # curvature trace vanishes; the other 6 families with a nonzero
+    # eigenvalue (1 on heisenberg, 1 on heisenberg-x-r, the 4 of r4) had
+    # their zeros searched for nothing
+    searched = []
+    zeros = RatFunc.zeros
+    monkeypatch.setattr(RatFunc, "zeros", lambda self: searched.append(self) or zeros(self))
+    skipped = 0
+    for key in test_properties.corpus.TEXTS:
+        alg = corpus_alg(key)
+        # the cached singular values and spectrum search zeros of their own
+        alg.singular_parameters()
+        alg.laplacian_spectrum
+        searched.clear()
+        families = harmonicity_classify(alg).families
+        assert searched == [f.eigenvalue for f in families
+                            if f.trace_vanishes and not f.eigenvalue.is_zero]
+        skipped += sum(not (f.trace_vanishes or f.eigenvalue.is_zero) for f in families)
+    assert skipped == 6
 
 
 def test_trace_flag_sees_the_cross_terms(corpus_alg):
@@ -942,9 +957,9 @@ def test_full_report_skips_zero_factors_outside_the_tensor_layer(monkeypatch):
 
 def test_full_report_forms_no_zero_factor_products(monkeypatch):
     # the characteristic polynomial forms no RatFunc product (Berkowitz's
-    # recurrence runs on integer tuples), and the energy's -lam * Gram
-    # skips a zero eigenvalue and zero Gram entries: 8 products with a zero
-    # factor were left on berger and 10 on u2
+    # recurrence runs on integer tuples), and the energy's -lam/2 skips a
+    # zero eigenvalue: 8 products with a zero factor were left on berger
+    # and 10 on u2
     sites = []
     originals = {name: getattr(RatFunc, name) for name in ("__mul__", "__rmul__")}
 

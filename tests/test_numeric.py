@@ -6,9 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liegeom import numeric
 from liegeom.algebra import MetricLieAlgebra
-from liegeom.geometry import rough_laplacian, walker_check
-from liegeom.numeric import SingularMetricAtPoint, evaluate_numeric, null_parallel_scan
+from liegeom.geometry import walker_check
+from liegeom.numeric import (
+    OutsideFloatRange,
+    SingularMetricAtPoint,
+    evaluate_numeric,
+    null_parallel_scan,
+)
 from liegeom.scalars import EPS, ONE, ZERO
 
 import test_properties
@@ -112,6 +118,51 @@ def test_null_parallel_scan_answers_none_at_a_pole():
     assert null_parallel_scan(metric, [3]) == [None]
 
 
+def big_berger(x):
+    """The berger brackets over the metric diag(-1, 1, x)."""
+    return MetricLieAlgebra.from_brackets(
+        3, {(0, 1): {2: 2}, (1, 2): {0: 2}, (0, 2): {1: -2}}, [[-1, 0, 0], [0, 1, 0], [0, 0, x]],
+        name="big")
+
+
+@pytest.mark.parametrize("x", [10**400, F(1, 10**400), 10**200],
+                         ids=["10^400", "1/10^400", "10^200"])
+def test_floats_outside_their_range_refuse(x):
+    # an entry with no finite float, one with no nonzero float, and finite
+    # entries whose squares overflow: never an inf or NaN model or verdict
+    alg = big_berger(x)
+    with pytest.raises(OutsideFloatRange, match="^big leaves the float range: "):
+        evaluate_numeric(alg, 1)
+    with pytest.raises(OutsideFloatRange):
+        null_parallel_scan(alg, [1, 2])
+    # the Walker cross-check is not dropped: its refusal propagates
+    with pytest.raises(OutsideFloatRange):
+        walker_check(alg)
+
+
+def test_an_entry_that_vanishes_exactly_is_a_zero_float():
+    # eps - 1 at eps = 1 is exactly 0: a zero float, not an underflow
+    alg = MetricLieAlgebra.from_brackets(2, {(0, 1): {0: EPS - 1}}, [[-1, 0], [0, 1]])
+    assert not evaluate_numeric(alg, 1).nabla.any()
+    assert null_parallel_scan(alg, [1]) == [True]
+
+
+def test_a_connection_that_is_not_finite_refuses(monkeypatch, berger_alg):
+    # numpy's einsum builds the connection without a floating-point error:
+    # a NaN or inf there still refuses, in both entry points
+    koszul = numeric._koszul
+
+    def poisoned(*args):
+        K, ops = koszul(*args)
+        return np.full_like(K, np.nan), np.full_like(ops, np.inf)
+
+    monkeypatch.setattr(numeric, "_koszul", poisoned)
+    with pytest.raises(OutsideFloatRange):
+        evaluate_numeric(berger_alg, -1)
+    with pytest.raises(OutsideFloatRange):
+        null_parallel_scan(berger_alg, [-1])
+
+
 @pytest.mark.parametrize(("key", "bound"), [
     ("berger", 3), ("abelian", 3), ("sl2r", 3), ("e2", 3), ("heisenberg", 3),
     ("u2", 4), ("oscillator", 4), ("heisenberg-x-r", 4),
@@ -193,7 +244,7 @@ def test_exact_engine_matches_numeric(corpus_alg, key, mixed):
     if mixed:
         P = test_properties.corpus.mixing_matrix(rng, alg.dim)
         alg = alg.transform_basis(P, name=f"{key}/mixed")
-    laplacian = rough_laplacian(alg)
+    laplacian = alg.rough_laplacian
     for eps0 in sample_eps(alg, rng):
         m = evaluate_numeric(alg, eps0)
         pairs = [

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from liegeom import scalars, solvers
 from liegeom.algebra import MetricLieAlgebra
 from liegeom.catalog import loads
-from liegeom.geometry import rough_laplacian
 from liegeom.scalars import (
     EPS,
     ONE,
@@ -211,7 +210,7 @@ def check_charpoly_against_laplace(L):
 @pytest.mark.parametrize("seed", [None, 1])
 @pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
 def test_corpus_charpoly_matches_laplace(corpus_alg, key, seed):
-    check_charpoly_against_laplace(rough_laplacian(corpus_case(corpus_alg, key, seed)))
+    check_charpoly_against_laplace(corpus_case(corpus_alg, key, seed).rough_laplacian)
 
 
 @pytest.mark.parametrize("index", range(len(DENSE)))
@@ -233,7 +232,7 @@ def test_charpoly_matches_sympy(corpus_alg):
     # sympy's Matrix.charpoly of D L, entries cancelled to polynomials
     sympy = pytest.importorskip("sympy")
     eps, nu = sympy.symbols("eps nu")
-    mixed = [rough_laplacian(corpus_case(corpus_alg, key, 1))
+    mixed = [corpus_case(corpus_alg, key, 1).rough_laplacian
              for key in test_properties.corpus.TEXTS]
     for L in mixed + DENSE[:6]:
         q, D = charpoly(L)
@@ -248,7 +247,7 @@ def test_charpoly_forms_no_ratfunc(monkeypatch, corpus_alg):
     # Berkowitz's recurrence runs on integer tuples; over the 9 unmixed
     # corpus Laplacians, the Laplace expansion on `Poly` entries over Q(eps)
     # made 84 RatFunc products, 84 sums and 22 normalizations
-    laplacians = [rough_laplacian(corpus_alg(key)) for key in test_properties.corpus.TEXTS]
+    laplacians = [corpus_alg(key).rough_laplacian for key in test_properties.corpus.TEXTS]
     calls = Counter()
 
     def counting(name, function):
@@ -349,7 +348,7 @@ def test_eigen_r4_laplacian_fully_resolved():
     I4 = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
     alg = MetricLieAlgebra.from_brackets(
         4, {(0, 3): {0: 1}, (1, 3): {1: EPS / 5}, (2, 3): {2: 2}}, I4)
-    dec = eigen_analyze(rough_laplacian(alg))
+    dec = eigen_analyze(alg.rough_laplacian)
     assert [(scalar_str(p.value), p.multiplicity) for p in dec.pairs] == [
         ("-5-1/25*eps^2", 1), ("-1/25*eps^2", 1), ("-4", 1), ("-1", 1)]
     assert dec.residual == (ONE,)
@@ -388,7 +387,7 @@ def test_laplacian_spectrum_matches_sympy_factorization(corpus_alg, key):
     # multiplicities are the rational eigenvalues; the rest is the residual.
     sympy = pytest.importorskip("sympy")
     eps, mu = sympy.symbols("eps mu")
-    L = rough_laplacian(corpus_alg(key))
+    L = corpus_alg(key).rough_laplacian
     n = len(L)
     M = sympy.Matrix([[_sympy_ratfunc(sympy, eps, x) for x in row] for row in L])
     cp = sympy.cancel((mu * sympy.eye(n) - M).det(method="berkowitz"))
@@ -449,5 +448,5 @@ def _ratfunc_calls(monkeypatch, run):
 def test_spectral_step_ratfunc_work(monkeypatch, key, before):
     # roots, multiplicities and the residual come from integer tuples; the
     # route over Q(eps) made 305 (u2) and 190 (berger) RatFunc operations
-    L = rough_laplacian(loads(test_properties.corpus.TEXTS[key]))
+    L = loads(test_properties.corpus.TEXTS[key]).rough_laplacian
     assert _ratfunc_calls(monkeypatch, lambda: eigen_analyze(L)) <= before // 2
