@@ -2,8 +2,16 @@
 `__all__` has to leave or join this list too."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import liegeom
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_API = {
     # algebra and catalog
@@ -28,6 +36,16 @@ PUBLIC_API = {
     "solve_parametric",
     "__version__",
 }
+
+
+def python(*args):
+    """Run a Python subprocess that imports liegeom from this checkout's
+    `src`, installed or not."""
+    path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_public_api_is_pinned():
@@ -61,3 +79,49 @@ def test_verdicts_hold_no_copy_of_the_spectrum():
     assert [f.name for f in dataclasses.fields(liegeom.HarmonicityReport)] == [
         "families", "parallel_basis"]
     assert "grad_gram" not in {f.name for f in dataclasses.fields(liegeom.geometry.FamilyEnergy)}
+
+
+def test_dir_lists_every_public_name():
+    # the names that `__getattr__` resolves on first use are listed too
+    assert set(liegeom.__all__) <= set(dir(liegeom))
+
+
+def test_unknown_name_is_an_attribute_error_that_names_it():
+    with pytest.raises(AttributeError, match="has no attribute 'walker'"):
+        liegeom.walker
+
+
+# ---------------------------------------------------------------------------
+# the lazily imported modules, each case in a fresh interpreter
+
+
+def test_submodules_resolve_after_a_bare_import():
+    # `geometry` and `numeric` are not imported by `import liegeom`; the
+    # package still hands them out as attributes
+    code = (
+        "import liegeom\n"
+        "assert liegeom.geometry.walker_check is liegeom.walker_check\n"
+        "assert liegeom.numeric.evaluate_numeric is liegeom.evaluate_numeric\n"
+    )
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("first", [
+    "import liegeom.catalog",
+    "from liegeom.catalog import loads",
+    "import liegeom; liegeom.walker_check",
+])
+def test_catalog_is_the_function_not_the_submodule(first):
+    # the package exports a function `catalog` and has a submodule of that
+    # name: whichever is imported first, the package attribute is the function
+    code = (
+        f"{first}\n"
+        "import types, liegeom\n"
+        "assert isinstance(liegeom.catalog, types.FunctionType), liegeom.catalog\n"
+        "assert 'berger' in liegeom.catalog()\n"
+        "from liegeom import catalog\n"
+        "assert catalog is liegeom.catalog\n"
+    )
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr

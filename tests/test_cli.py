@@ -1,28 +1,14 @@
 import json
-import os
 import runpy
-import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
 from liegeom.cli import build_parser, main
 
 import test_properties
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def python(*args):
-    """Run a Python subprocess that imports liegeom from this checkout's
-    `src`, installed or not."""
-    path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+from test_api import python
 
 
 def run(capsys, *argv):
@@ -211,6 +197,38 @@ def test_exact_commands_do_not_import_numpy():
     )
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def modules_after(statements):
+    """The names in `sys.modules` of a fresh interpreter after `statements`."""
+    proc = python("-c", f"{statements}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def package_modules(modules):
+    return {m for m in modules if m.startswith("liegeom.")}
+
+
+EXACT_MODULES = {"liegeom.scalars", "liegeom.solvers", "liegeom.algebra", "liegeom.catalog"}
+
+
+@pytest.mark.parametrize("entry", ["import liegeom", "from liegeom.catalog import loads"])
+def test_parsing_loads_only_the_exact_modules(entry):
+    # `geometry` and `numeric` wait for the first use of one of their names
+    modules = modules_after(entry)
+    assert package_modules(modules) == EXACT_MODULES
+    assert "numpy" not in modules
+
+
+def test_a_geometry_name_loads_geometry_and_numeric():
+    modules = modules_after("import liegeom\nliegeom.walker_check")
+    assert package_modules(modules) == EXACT_MODULES | {"liegeom.geometry", "liegeom.numeric"}
+    assert "numpy" not in modules
+
+
+def test_the_cli_loads_the_report():
+    assert "liegeom.report" in modules_after("import liegeom.cli")
 
 
 def test_overlong_number_in_a_file_is_an_error_line(tmp_path):

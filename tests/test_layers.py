@@ -2,7 +2,10 @@
 scalars -> solvers -> algebra -> {catalog, numeric} -> geometry -> report
 -> cli, read from the source with `ast`.  A module imports, at its top,
 only modules earlier in that order, and no relative import runs inside a
-function; `__init__` and `__main__` re-export and are exempt."""
+function; `__init__` and `__main__` re-export and are exempt.  `__init__`
+imports `scalars`, `solvers`, `algebra` and `catalog` at its top, and reaches
+`geometry` and `numeric` only through its module `__getattr__`, by
+`importlib`, on the first use of one of their names."""
 
 import ast
 from pathlib import Path
@@ -56,3 +59,10 @@ def test_imports_point_down_the_layers():
             else:
                 lazy.append((module, function, target))
     assert lazy == []
+
+
+def test_init_imports_only_the_exact_modules_at_its_top():
+    # what `import liegeom` compiles: `geometry` and `numeric` load on first use
+    top = {target for function, target in relative_imports(module_trees()["__init__"])
+           if function is None}
+    assert top == {"algebra", "catalog", "scalars", "solvers"}
