@@ -12,6 +12,7 @@ not compile them.
 """
 
 import importlib
+import types
 
 from .algebra import MetricLieAlgebra, SingularMetric, Violation, vector_str
 from .catalog import (
@@ -33,7 +34,6 @@ from .scalars import (
     ScalarSyntaxError,
     EPS,
     parse_scalar,
-    scalar_str,
 )
 from .solvers import (
     EigenDecomposition,
@@ -59,11 +59,8 @@ _LAZY = {
         "SolitonVerdict",
         "WalkerVerdict",
         "einstein_check",
-        "energy_density",
         "energy_report",
-        "geodesic_check",
         "geodesic_classify",
-        "grad_norm_sq",
         "harmonicity_classify",
         "killing_solve",
         "ledger_check",
@@ -98,58 +95,11 @@ def __dir__():
     return sorted(globals().keys() | _LAZY.keys())
 
 
+# the public surface is written once, above: the names of the eager imports
+# and the lazy names that are not submodules
 __all__ = [
-    "MetricLieAlgebra",
-    "SingularMetric",
-    "Violation",
-    "vector_str",
-    "CatalogEntry",
-    "ParseError",
-    "ReferenceNote",
-    "ValidationFailed",
-    "abelian_control",
-    "berger",
-    "catalog",
-    "dumps",
-    "load",
-    "loads",
-    "CaseAnalysisIncomplete",
-    "EinsteinVerdict",
-    "EnergyReport",
-    "GeodesicClassification",
-    "HarmonicityReport",
-    "KillingVerdict",
-    "LedgerReport",
-    "SolitonVerdict",
-    "WalkerVerdict",
-    "einstein_check",
-    "energy_density",
-    "energy_report",
-    "geodesic_check",
-    "geodesic_classify",
-    "grad_norm_sq",
-    "harmonicity_classify",
-    "killing_solve",
-    "ledger_check",
-    "ricci_soliton_solve",
-    "solve_zero_set",
-    "walker_check",
-    "NumericModel",
-    "OutsideFloatRange",
-    "SingularMetricAtPoint",
-    "evaluate_numeric",
-    "null_parallel_scan",
-    "DivisionByZeroFunction",
-    "PoleAtEvaluationPoint",
-    "RatFunc",
-    "ScalarSyntaxError",
-    "EPS",
-    "parse_scalar",
-    "scalar_str",
-    "EigenDecomposition",
-    "EigenPair",
-    "ParametricSolution",
-    "eigen_analyze",
-    "solve_parametric",
+    *(name for name, value in globals().items()
+      if not name.startswith("_") and not isinstance(value, types.ModuleType)),
+    *(name for name, module in _LAZY.items() if name != module),
     "__version__",
 ]

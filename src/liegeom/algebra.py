@@ -25,8 +25,8 @@ Vector and operator values are plain lists (of scalars, and of rows) with
 coefficient tensors instead of passing generic vectors.  The helpers use
 only the ring operations of `RatFunc` and `.is_zero`: `bilinear`, the one
 evaluator of a quadratic form on vectors, also takes components of any
-other type with those, such as the polynomials that the naive references
-in the tests pass to `geometry.grad_norm_sq`.
+other type with those, such as the polynomials that the references in the
+tests pass to it.
 
 Every contraction runs over the nonzero entries of each factor only (the
 `scalars.nonzero` helper), and a tensor contracted more than once is
@@ -543,14 +543,6 @@ class MetricLieAlgebra:
                 for j in range(i, n):
                     mat[i][j] = mat[j][i] = Kl[i][m][j] + Kl[j][m][i]
             out.append(mat)
-        return out
-
-    def lie_derivative_metric(self, v: Sequence) -> list[list]:
-        """(Lie_v g) for an invariant vector; linear in the coordinates."""
-        basis = self.lie_derivative_metric_basis
-        out = zeros(self.dim)
-        for m, x in nonzero(v):
-            add_scaled(out, x, [nonzero(row) for row in basis[m]])
         return out
 
     @cached_property

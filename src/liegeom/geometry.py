@@ -58,7 +58,6 @@ from typing import Sequence
 
 from .algebra import (
     MetricLieAlgebra,
-    bilinear,
     mat_mul,
     mat_vec,
     nonzero,
@@ -399,12 +398,6 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
         if comp0 != components:
             branches.append(GeodesicBranch(eps0, comp0))
     return GeodesicClassification(names, forms, components, branches)
-
-
-def geodesic_check(alg: MetricLieAlgebra, coords: Sequence) -> bool:
-    """Exact test of nabla_V V = 0 for one concrete invariant vector."""
-    v = [ratfunc(c) for c in coords]
-    return all(x.is_zero for x in alg.nabla(v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -791,28 +784,15 @@ class EnergyReport:
     families: list[FamilyEnergy]
 
 
-def grad_norm_sq(alg: MetricLieAlgebra, V: Sequence):
-    """sum_ij g^{ij} g(nabla_{Xi} V, nabla_{Xj} V), the vertical energy, as
-    -g(LV, V) = -V^T (G L) V with L the rough Laplacian.  Every nabla_X is
-    g-skew, so g(nabla_{Xj} V, nabla_{Xi} V) = -g(nabla_{Xi} nabla_{Xj} V, V),
-    and the term -nabla_H of L, H = sum_ij g^{ij} nabla_{Xi} Xj, adds
-    g(nabla_H V, V) = 0.  The components of V may be `RatFunc`s or of any
-    type with the ring operations of `RatFunc` and `.is_zero`, such as the
-    polynomials the tests build."""
-    return -bilinear(mat_mul(alg.metric, alg.rough_laplacian), V, V)
-
-
-def energy_density(alg: MetricLieAlgebra, V: Sequence):
-    """Pointwise energy n/2 + |nabla V|^2 / 2 of the section V."""
-    half = Fraction(1, 2)
-    return grad_norm_sq(alg, V) * half + Fraction(alg.dim, 2)
-
-
 def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     """Energy along each critical family: n/2 - (lam/2) rho^2.
 
-    With |nabla V|^2 = -g(LV, V) (see `grad_norm_sq`) and L =
-    `alg.rough_laplacian`, the generic density
+    The density is n/2 + |nabla V|^2 / 2, |nabla V|^2 =
+    sum_ij g^{ij} g(nabla_{Xi} V, nabla_{Xj} V).  Every nabla_X is g-skew,
+    so g(nabla_{Xj} V, nabla_{Xi} V) = -g(nabla_{Xi} nabla_{Xj} V, V), and
+    the term -nabla_H of L, H = sum_ij g^{ij} nabla_{Xi} Xj, adds
+    g(nabla_H V, V) = 0: |nabla V|^2 = -g(LV, V) with L =
+    `alg.rough_laplacian`.  So the generic density
     n/2 - (1/2) sum_pq GL[p][q] V_p V_q, GL = G L, is built from the entries
     of GL as one polynomial; (p, q) and (q, p) meet at one sorted slot.  A
     family is an eigenspace of `alg.laplacian_spectrum` (no curvature trace

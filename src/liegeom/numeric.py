@@ -102,22 +102,6 @@ class NumericModel:
     laplacian_eigenvalues: list[float]
     frame_ricci: np.ndarray
 
-    def grad_norm_sq(self, coords) -> float:
-        """sum_a s_a g(nabla_{e_a} V, nabla_{e_a} V) in the frame; equals
-        the X-basis contraction with the inverse metric."""
-        import numpy as np
-
-        v = np.asarray(coords, dtype=float)
-        total = 0.0
-        for a in range(self.dim):
-            ea = self.frame[:, a]
-            dV = np.einsum("i,ijk,j->k", ea, self.nabla, v)
-            total += self.signs[a] * float(dV @ self.metric @ dV)
-        return total
-
-    def energy_density(self, coords) -> float:
-        return self.dim / 2 + self.grad_norm_sq(coords) / 2
-
 
 def _specialize(alg: MetricLieAlgebra, eps_values):
     """The brackets C[e, i, j, k] and the metric G[e, i, j] at each

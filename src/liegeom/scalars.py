@@ -298,7 +298,7 @@ def _zhomogeneous(a: tuple, p: int, q: int) -> int:
 
 def _divisors(n: int) -> list[int]:
     # trial division costs ~p steps per prime factor p: the berger text with
-    # metric entry eps-1000000007 takes 31.4 s for a full report (ROADMAP item 2)
+    # metric entry eps-1000000007 takes 31.4 s for a full report (ROADMAP item 15)
     assert n >= 1
     factors: list[tuple[int, int]] = []
     d = 2
@@ -489,16 +489,6 @@ class RatFunc:
         if not self._n:
             return Fraction(0)
         return Fraction(self._n[0], self._d[0])
-
-    def check_invariants(self) -> None:
-        """The integer pair is canonical: coprime in Z[eps] with the contents
-        included, lc(D) > 0, and the zero function is ()/(1,)."""
-        n, d = self._n, self._d
-        for t in (n, d):
-            assert type(t) is tuple and all(type(c) is int for c in t)
-            assert not t or t[-1] != 0
-        assert d and d[-1] > 0
-        assert _zgcd(n, d) == (1,) if n else d == (1,)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -742,11 +732,6 @@ def parse_scalar(text: str) -> RatFunc:
     DivisionByZeroFunction, as in '1/(eps-eps)'.
     """
     return _ScalarParser(text).parse()
-
-
-def scalar_str(value: RatFunc) -> str:
-    """Canonical printed form; parse_scalar(scalar_str(v)) == v."""
-    return str(ratfunc(value))
 
 
 def component_names(dim: int) -> tuple[str, ...]:

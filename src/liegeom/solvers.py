@@ -152,14 +152,6 @@ class ParametricSolution:
     candidates: list[Fraction]
     branches: list[ExceptionalBranch]
 
-    def branch_at(self, eps0) -> ExceptionalBranch | None:
-        eps0 = Fraction(eps0)
-        for b in self.branches:
-            if b.eps == eps0:
-                return b
-        return None
-
-
 def solve_parametric(
     rows: Sequence[Sequence[RatFunc]],
     rhs: Sequence[RatFunc],

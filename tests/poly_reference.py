@@ -9,8 +9,9 @@ division, the squarefree part and the rational roots; a `RatFunc` over Q
 with a monic denominator (`numerator`, `denominator`) and the `RatFunc` of
 two polynomials over Q (`ratfunc_of`); det(mu I - L) by Laplace expansion
 on `Poly` entries (`laplace_charpoly`), the oracle for Berkowitz's
-recurrence in `solvers.charpoly`; and `check`, a value's own
-`check_invariants` plus Euclid's algorithm over Q on every `RatFunc` in it.
+recurrence in `solvers.charpoly`; `check_invariants`, the canonical form of
+a `RatFunc`'s integer pair; and `check`, `check_invariants` plus Euclid's
+algorithm over Q on every `RatFunc` in a value.
 
 `MultiPoly` is a polynomial in named indeterminates with `RatFunc`
 coefficients, with the ring arithmetic that the engine never needs: the
@@ -29,6 +30,7 @@ from liegeom.scalars import (
     RatFunc,
     _canonical,
     _ratfunc,
+    _zgcd,
     _zroots,
     mu_poly_str,
     ratfunc,
@@ -207,9 +209,20 @@ def denominator(f: RatFunc) -> Poly:
     return Poly(Fraction(c, f._d[-1]) for c in f._d)
 
 
+def check_invariants(value: RatFunc) -> None:
+    """The integer pair of a `RatFunc` is canonical: coprime in Z[eps] with
+    the contents included, lc(D) > 0, and the zero function is ()/(1,)."""
+    n, d = value._n, value._d
+    for t in (n, d):
+        assert type(t) is tuple and all(type(c) is int for c in t)
+        assert not t or t[-1] != 0
+    assert d and d[-1] > 0
+    assert _zgcd(n, d) == (1,) if n else d == (1,)
+
+
 def check(value):
     """Check every `RatFunc` in the value (itself, a nonzero `MultiPoly`
-    coefficient, or a coefficient of a `Poly` or a tuple): its own
+    coefficient, or a coefficient of a `Poly` or a tuple):
     `check_invariants`, and Euclid's algorithm over Q, a monic denominator
     coprime to the numerator.  The coefficients of a `Poly` or a tuple have
     one type and no trailing zero.  Hand the value back."""
@@ -226,7 +239,7 @@ def check(value):
             assert not c.is_zero
             check(c)
         return value
-    value.check_invariants()
+    check_invariants(value)
     den = denominator(value)
     assert den.leading == 1 and poly_gcd(numerator(value), den) == Poly((1,))
     return value

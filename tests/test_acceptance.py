@@ -20,7 +20,6 @@ from liegeom.geometry import (
     einstein_check,
     energy_report,
     geodesic_classify,
-    grad_norm_sq,
     harmonicity_classify,
     killing_solve,
     ledger_check,
@@ -34,7 +33,6 @@ from liegeom.scalars import (
     ZERO,
     component_names,
     parse_scalar,
-    scalar_str,
 )
 from liegeom.algebra import vector_str
 from liegeom.solvers import rref_solve
@@ -42,6 +40,7 @@ from poly_reference import MultiPoly, from_terms
 
 import test_properties
 import test_tensor_reference
+from test_numeric import frame_grad_norm_sq
 
 
 def F(*parts):
@@ -260,7 +259,7 @@ def test_criterion_09_energy(berger_alg):
     q_over_eps = parse_scalar("(eps^2-2*eps+2)/eps")
     expected = (a * a * (2 * EPS * EPS)
                 + (b * b + c * c) * (2 * q_over_eps))
-    assert grad_norm_sq(berger_alg, V) == expected
+    assert test_tensor_reference.grad_norm_sq(berger_alg, V) == expected
 
     # frame-converted comparison against the published closed form
     for eps0 in (F(-2), F(-1), F(-1, 2), F(1, 2), F(3)):
@@ -269,7 +268,7 @@ def test_criterion_09_energy(berger_alg):
         e0 = float(eps0)
         for fa, fb, fc in ((1, 0, 0), (0, 1, 0), (1, 2, -1), (0.5, 1/3, 1)):
             coords = [fa * model.frame[0][0], fb, fc]
-            got = model.grad_norm_sq(coords)
+            got = frame_grad_norm_sq(model, coords)
             norm_sq = s1 * fa * fa + fb * fb + fc * fc
             term = ((e0 - 2) ** 2 + e0 ** 2) / e0 * norm_sq
             correction = 4 * (e0 - 1) / e0 * fa * fa
@@ -278,7 +277,7 @@ def test_criterion_09_energy(berger_alg):
 
     # critical-family energies: gradient term exact, constant annotated
     rep = energy_report(berger_alg)
-    assert [scalar_str(f.rho2_coeff) for f in rep.families] == [
+    assert [str(f.rho2_coeff) for f in rep.families] == [
         "eps", "(2-2*eps+eps^2)/eps"]
     assert [f.constant for f in rep.families] == [F(3, 2), F(3, 2)]
     ids = notes_by_id(catalog()["berger"])
@@ -317,8 +316,8 @@ def test_criterion_10_property_suites(berger_alg, abelian_alg):
         # Lie-derivative linearity on a fixed pair of invariant fields
         u = [Fraction(rng.randint(-2, 2)) * ONE for _ in range(n)]
         v = [Fraction(rng.randint(-2, 2)) * ONE for _ in range(n)]
-        Lu, Lv = alg.lie_derivative_metric(u), alg.lie_derivative_metric(v)
-        Ls = alg.lie_derivative_metric([a + b for a, b in zip(u, v)])
+        Lu, Lv = (test_properties.lie_derivative_metric(alg, x) for x in (u, v))
+        Ls = test_properties.lie_derivative_metric(alg, [a + b for a, b in zip(u, v)])
         for i in range(n):
             for j in range(n):
                 assert Ls[i][j] == Lu[i][j] + Lv[i][j]

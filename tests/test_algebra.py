@@ -5,7 +5,7 @@ import pytest
 
 from liegeom import algebra
 from liegeom.algebra import MetricLieAlgebra, SingularMetric, mat_inv, mat_mul, vector_str
-from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, ratfunc, scalar_str
+from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, ratfunc
 
 from test_solvers import DENSE, _sympy_ratfunc
 from test_tensor_reference import corpus_case
@@ -13,7 +13,7 @@ import test_properties
 
 
 def smat(rows):
-    return [[scalar_str(x) for x in row] for row in rows]
+    return [[str(x) for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +199,9 @@ def test_curvature_operators(berger_alg):
 
 def test_curvature_components(berger_alg):
     R4 = berger_alg.curvature_tensor
-    assert scalar_str(R4[0][1][0][1]) == "eps^2"
-    assert scalar_str(R4[0][2][0][2]) == "eps^2"
-    assert scalar_str(R4[1][2][1][2]) == "4-3*eps"
+    assert str(R4[0][1][0][1]) == "eps^2"
+    assert str(R4[0][2][0][2]) == "eps^2"
+    assert str(R4[1][2][1][2]) == "4-3*eps"
     # antisymmetry in both index pairs
     for i in range(3):
         for j in range(3):
@@ -218,7 +218,7 @@ def test_ricci_and_scalar_curvature(berger_alg):
         ["0", "4-2*eps", "0"],
         ["0", "0", "4-2*eps"],
     ]
-    assert scalar_str(berger_alg.scalar_curvature) == "8-2*eps"
+    assert str(berger_alg.scalar_curvature) == "8-2*eps"
 
 
 def test_round_metric_is_einstein(berger_alg):

@@ -1,10 +1,12 @@
 """The public surface of `liegeom`, written out: a name that leaves or joins
 `__all__` has to leave or join this list too."""
 
+import ast
 import dataclasses
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,15 +24,15 @@ PUBLIC_API = {
     "CaseAnalysisIncomplete", "EinsteinVerdict", "EnergyReport",
     "GeodesicClassification", "HarmonicityReport", "KillingVerdict",
     "LedgerReport", "SolitonVerdict", "WalkerVerdict", "einstein_check",
-    "energy_density", "energy_report", "geodesic_check", "geodesic_classify",
-    "grad_norm_sq", "harmonicity_classify", "killing_solve", "ledger_check",
-    "ricci_soliton_solve", "solve_zero_set", "walker_check",
+    "energy_report", "geodesic_classify", "harmonicity_classify",
+    "killing_solve", "ledger_check", "ricci_soliton_solve", "solve_zero_set",
+    "walker_check",
     # numeric
     "NumericModel", "OutsideFloatRange", "SingularMetricAtPoint", "evaluate_numeric",
     "null_parallel_scan",
     # scalars
     "DivisionByZeroFunction", "PoleAtEvaluationPoint", "RatFunc",
-    "ScalarSyntaxError", "EPS", "parse_scalar", "scalar_str",
+    "ScalarSyntaxError", "EPS", "parse_scalar",
     # solvers
     "EigenDecomposition", "EigenPair", "ParametricSolution", "eigen_analyze",
     "solve_parametric",
@@ -51,8 +53,25 @@ def python(*args):
 def test_public_api_is_pinned():
     assert len(liegeom.__all__) == len(set(liegeom.__all__))
     assert set(liegeom.__all__) == PUBLIC_API
-    # 52 names once the alias `rough_laplacian` left, plus `OutsideFloatRange`
-    assert len(PUBLIC_API) == 53
+    # 53 until the four helpers that no code of the package called left:
+    # `energy_density`, `geodesic_check`, `grad_norm_sq` and `scalar_str`
+    assert len(PUBLIC_API) == 49
+
+
+def test_init_writes_each_public_name_once():
+    # `__all__` is built from the eager imports and the names of `_LAZY`,
+    # so each public name is written once, as an imported name or as a
+    # string; `__version__` is assigned, then listed, since `__all__` skips
+    # the underscore names
+    tree = ast.parse((SRC / "liegeom" / "__init__.py").read_text(encoding="utf-8"))
+    written = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            written[node.asname or node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            written[node.value] += 1
+    names = PUBLIC_API - {"__version__"}
+    assert {name: written[name] for name in names} == dict.fromkeys(names, 1)
 
 
 def test_every_public_name_imports():
@@ -71,6 +90,17 @@ def test_removed_names_stay_removed():
     # the copy of the rough Laplacian: `MetricLieAlgebra.rough_laplacian` owns it
     assert not hasattr(liegeom, "rough_laplacian")
     assert not hasattr(liegeom.geometry, "rough_laplacian")
+    # helpers that only the tests used: the oracles among them moved to `tests/`
+    for module, name in [(liegeom.geometry, "energy_density"), (liegeom.geometry, "geodesic_check"),
+                         (liegeom.geometry, "grad_norm_sq"), (liegeom.scalars, "scalar_str")]:
+        assert not hasattr(liegeom, name)
+        assert not hasattr(module, name)
+    for cls, name in [(liegeom.ParametricSolution, "branch_at"),
+                      (liegeom.MetricLieAlgebra, "lie_derivative_metric"),
+                      (liegeom.RatFunc, "check_invariants"),
+                      (liegeom.NumericModel, "grad_norm_sq"),
+                      (liegeom.NumericModel, "energy_density")]:
+        assert not hasattr(cls, name)
 
 
 def test_verdicts_hold_no_copy_of_the_spectrum():

@@ -13,11 +13,8 @@ from liegeom.geometry import (
     CaseAnalysisIncomplete,
     component_str,
     einstein_check,
-    energy_density,
     energy_report,
-    geodesic_check,
     geodesic_classify,
-    grad_norm_sq,
     harmonicity_classify,
     killing_solve,
     ledger_check,
@@ -45,14 +42,13 @@ from liegeom.scalars import (
     component_names,
     poly_str,
     ratfunc,
-    scalar_str,
 )
 from liegeom.solvers import rref_solve, solve_parametric
 
-from poly_reference import MultiPoly, is_zero
+from poly_reference import MultiPoly, from_terms, is_zero
 import test_properties
 from test_tensor_reference import (
-    CORPUS_CASES, CORPUS_IDS, corpus_case, reference_gradient, reference_trace)
+    CORPUS_CASES, CORPUS_IDS, corpus_case, grad_norm_sq, reference_gradient, reference_trace)
 
 
 def F(x):
@@ -296,15 +292,15 @@ def test_berger_branch_values_are_constant_ratfuncs(berger_alg):
     ein = einstein_check(berger_alg)
     assert [eps for eps, _ in ein.exceptional] == [F(1)]
     assert constant_ratfuncs(lam for _, lam in ein.exceptional)
-    assert [scalar_str(lam) for _, lam in ein.exceptional] == ["2"]
+    assert [str(lam) for _, lam in ein.exceptional] == ["2"]
 
     sol = ricci_soliton_solve(berger_alg)
     (branch,) = [b for b in sol.exceptional if b.lam is not None]
     assert (branch.eps, branch.kind) == (F(1), "einstein")
     assert constant_ratfuncs([branch.lam] + branch.witness)
-    assert (scalar_str(branch.lam), vector_str(branch.witness)) == ("2", "0")
+    assert (str(branch.lam), vector_str(branch.witness)) == ("2", "0")
     assert branch.description == "Einstein with lam=2 at eps=1"
-    res = sol.solution.branch_at(1).result
+    (res,) = [b.result for b in sol.solution.branches if b.eps == 1]
     assert constant_ratfuncs(res.particular + [x for v in res.kernel for x in v])
 
     (kil,) = killing_solve(berger_alg).exceptional
@@ -391,9 +387,13 @@ def test_geodesic_berger(berger_alg):
 
 
 def test_geodesic_membership(berger_alg):
-    assert geodesic_check(berger_alg, [F(0), F(2), F(-5)])
-    assert geodesic_check(berger_alg, [F(3), F(0), F(0)])
-    assert not geodesic_check(berger_alg, [F(1), F(1), F(0)])
+    def geodesic(coords):
+        v = [ratfunc(c) for c in coords]
+        return all(x.is_zero for x in berger_alg.nabla(v, v))
+
+    assert geodesic([F(0), F(2), F(-5)])
+    assert geodesic([F(3), F(0), F(0)])
+    assert not geodesic([F(1), F(1), F(0)])
 
 
 def test_geodesic_abelian(abelian_alg):
@@ -432,7 +432,7 @@ def test_walker_numeric_checks_4d(corpus_alg):
 def test_walker_abelian_witness(abelian_alg):
     v = walker_check(abelian_alg)
     assert v.is_walker
-    assert [scalar_str(x) for x in v.witness] == ["1", "0", "1"]
+    assert [str(x) for x in v.witness] == ["1", "0", "1"]
     # the witness is null and parallel within its own line field
     w = v.witness
     assert abelian_alg.inner(w, w) == ZERO
@@ -714,7 +714,7 @@ def test_analyses_refuse_non_lie_input():
 
 def test_rough_laplacian_golden(berger_alg):
     L = berger_alg.rough_laplacian
-    assert [[scalar_str(x) for x in row] for row in L] == [
+    assert [[str(x) for x in row] for row in L] == [
         ["-2*eps", "0", "0"],
         ["0", "(-4+4*eps-2*eps^2)/eps", "0"],
         ["0", "0", "(-4+4*eps-2*eps^2)/eps"],
@@ -723,7 +723,7 @@ def test_rough_laplacian_golden(berger_alg):
 
 def test_harmonicity_berger(berger_alg):
     rep = harmonicity_classify(berger_alg)
-    pairs = [(scalar_str(f.eigenvalue), f.multiplicity) for f in rep.families]
+    pairs = [(str(f.eigenvalue), f.multiplicity) for f in rep.families]
     assert pairs == [("-2*eps", 1), ("(-4+4*eps-2*eps^2)/eps", 2)]
     assert [vector_str(v) for v in rep.families[0].basis] == ["X1"]
     assert [vector_str(v) for v in rep.families[1].basis] == ["X2", "X3"]
@@ -771,7 +771,7 @@ def test_energy_density_is_a_ratfunc_on_a_flat_connection(abelian_alg, berger_al
 
 def test_energy_family_coefficients(berger_alg):
     rep = energy_report(berger_alg)
-    assert [scalar_str(f.rho2_coeff) for f in rep.families] == [
+    assert [str(f.rho2_coeff) for f in rep.families] == [
         "eps", "(2-2*eps+eps^2)/eps"]
     assert [f.constant for f in rep.families] == [Fraction(3, 2), Fraction(3, 2)]
     # the gradient Gram form is exactly 2 * coeff * (induced metric Gram)
@@ -982,7 +982,7 @@ def test_grad_norm_sq_matches_density(berger_alg):
     nm = component_names(3)
     V = [MultiPoly.var(nm, x) for x in nm]
     grad = grad_norm_sq(berger_alg, V)
-    dens = energy_density(berger_alg, V)
+    dens = from_terms(nm, energy_report(berger_alg).density_generic)
     assert dens == grad * Fraction(1, 2) + Fraction(3, 2)
 
 

@@ -32,13 +32,13 @@ from liegeom.scalars import (
     parse_scalar,
     poly_str,
     ratfunc,
-    scalar_str,
 )
 from poly_reference import (
     MultiPoly,
     Poly,
     from_terms,
     check,
+    check_invariants,
     denominator,
     numerator,
     poly_div_exact,
@@ -334,7 +334,7 @@ ROUND_TRIP = [
 
 @pytest.mark.parametrize("text", ROUND_TRIP)
 def test_print_parse_round_trip(text):
-    assert scalar_str(parse_scalar(text)) == text
+    assert str(parse_scalar(text)) == text
 
 
 def test_parser_accepts_any_term_order():
@@ -423,7 +423,7 @@ def test_powers_within_the_bounds_are_formed():
 
 def test_ratfunc_negative_powers_keep_the_canonical_sign():
     x = (1 - EPS) ** -3
-    x.check_invariants()
+    check_invariants(x)
     assert x == ONE / (1 - EPS) ** 3
     assert (-EPS) ** -1 == -1 / EPS
     with pytest.raises(DivisionByZeroFunction):

@@ -45,13 +45,12 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom.algebra import MetricLieAlgebra, ValidationFailed
+from liegeom.algebra import MetricLieAlgebra, ValidationFailed, bilinear, mat_mul
 from liegeom.catalog import loads
 from liegeom.geometry import (
     _geodesic_forms,
     _walker_forms,
     energy_report,
-    grad_norm_sq,
     harmonicity_classify,
     ledger_check,
     ricci_soliton_solve,
@@ -67,6 +66,13 @@ MIXING_SEEDS = (None, 1, 2, 3)
 CORPUS_CASES = [(key, seed) for key in test_properties.corpus.TEXTS for seed in MIXING_SEEDS]
 CORPUS_IDS = [f"{key}-{'unmixed' if seed is None else f'mixed{seed}'}"
               for key, seed in CORPUS_CASES]
+
+
+def grad_norm_sq(alg, V):
+    """|nabla V|^2 as the engine reads it, -g(LV, V) = -V^T (G L) V with L
+    the rough Laplacian (`geometry.energy_report`); the components of V may
+    be `RatFunc`s or `MultiPoly`s."""
+    return -bilinear(mat_mul(alg.metric, alg.rough_laplacian), V, V)
 
 
 def corpus_case(corpus_alg, key, seed):
