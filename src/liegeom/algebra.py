@@ -44,10 +44,9 @@ spectrum from `solvers.eigen_analyze`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
 
 from .scalars import (
     RatFunc,
@@ -55,6 +54,7 @@ from .scalars import (
     ZERO,
     nonzero,
     ratfunc,
+    record,
     terms_str,
 )
 from .solvers import EigenDecomposition, eigen_analyze, kernel_basis
@@ -184,7 +184,7 @@ def vector_str(coords: Sequence) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     """One failed structural law, found by `MetricLieAlgebra.validate`."""
 
@@ -209,7 +209,7 @@ class ValidationFailed(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MetricLieAlgebra:
     """A Lie algebra with inner product, in a fixed basis of dim <= 4.
 

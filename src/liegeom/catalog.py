@@ -37,7 +37,6 @@ prints: integers, rationals p/q, 'eps', + - * / ^ and parentheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .algebra import MAX_DIM, MetricLieAlgebra, ValidationFailed  # re-exported
@@ -45,10 +44,11 @@ from .scalars import (
     DivisionByZeroFunction,
     ScalarSyntaxError,
     parse_scalar,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReferenceNote:
     """One known discrepancy between these results and circulating tables."""
 
@@ -57,12 +57,12 @@ class ReferenceNote:
     text: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatalogEntry:
     key: str
     description: str
     algebra: MetricLieAlgebra
-    notes: tuple[ReferenceNote, ...] = field(default_factory=tuple)
+    notes: tuple[ReferenceNote, ...] = ()
 
 
 def berger() -> MetricLieAlgebra:

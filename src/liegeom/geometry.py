@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .algebra import (
     MetricLieAlgebra,
@@ -73,6 +72,7 @@ from .scalars import (
     dot,
     poly_str,
     ratfunc,
+    record,
 )
 from .solvers import (
     ExceptionalBranch,
@@ -119,7 +119,7 @@ def _terms(entries) -> dict[tuple[int, ...], RatFunc]:
     return terms
 
 
-@dataclass
+@record
 class EinsteinVerdict:
     generic: bool
     lam: RatFunc | None
@@ -144,7 +144,7 @@ def einstein_check(alg: MetricLieAlgebra) -> EinsteinVerdict:
     return EinsteinVerdict(generic, lam_val, exceptional)
 
 
-@dataclass
+@record
 class SolitonBranch:
     eps: Fraction
     kind: str  # degenerate-metric | einstein | soliton | none
@@ -154,7 +154,7 @@ class SolitonBranch:
     description: str
 
 
-@dataclass
+@record
 class SolitonVerdict:
     convention: str
     unknowns: tuple[str, ...]
@@ -258,7 +258,7 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
 # Killing fields
 
 
-@dataclass
+@record
 class KillingVerdict:
     solution: ParametricSolution
     basis: list[list[RatFunc]]
@@ -366,13 +366,13 @@ def _at_eps(forms: Sequence, eps0: Fraction) -> list[dict[tuple[int, int], RatFu
 # geodesic vector fields
 
 
-@dataclass
+@record
 class GeodesicBranch:
     eps: Fraction
     components: list[frozenset[str]]
 
 
-@dataclass
+@record
 class GeodesicClassification:
     names: tuple[str, ...]
     equations: list[dict[tuple[int, ...], RatFunc]]
@@ -404,7 +404,7 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
 # Walker structures: null parallel line fields
 
 
-@dataclass
+@record
 class WalkerVerdict:
     is_walker: bool
     witness: list[RatFunc] | None
@@ -553,7 +553,7 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
 # Ledger conditions
 
 
-@dataclass
+@record
 class LedgerReport:
     l3_holds: bool
     l3_violations: list[tuple[int, int, int]]
@@ -712,7 +712,7 @@ def _trace_vanishes(alg: MetricLieAlgebra, us: list[list[RatFunc]]) -> bool:
     return True
 
 
-@dataclass
+@record
 class CriticalFamily:
     eigenvalue: RatFunc
     multiplicity: int
@@ -723,7 +723,7 @@ class CriticalFamily:
     harmonic_eps: list[Fraction]
 
 
-@dataclass
+@record
 class HarmonicityReport:
     families: list[CriticalFamily]
     parallel_basis: list[list[RatFunc]]
@@ -760,7 +760,7 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     return HarmonicityReport(families, parallel)
 
 
-@dataclass
+@record
 class FamilyEnergy:
     eigenvalue: RatFunc
     basis: list[list[RatFunc]]
@@ -769,7 +769,7 @@ class FamilyEnergy:
     gram: list[list[RatFunc]]
 
 
-@dataclass
+@record
 class EnergyReport:
     """The energy section.  `density_generic` is n/2 + |nabla V|^2 / 2 as a
     polynomial in the components of V: a verdict polynomial (a monomial

@@ -32,10 +32,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MetricLieAlgebra
+from .scalars import record
 
 _FRAME_TOL = 1e-9
 # Walker decision, relative to the largest entry of the connection operators:
@@ -83,7 +83,7 @@ def _signature_name(signs: tuple[int, ...]) -> str:
     return "other"
 
 
-@dataclass
+@record
 class NumericModel:
     """One metric Lie algebra at one parameter value, in floating point: the
     metric, connection, Ricci and Laplacian in the X basis, an orthonormal

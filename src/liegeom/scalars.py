@@ -39,15 +39,20 @@ printer of a polynomial in eps.
 polynomial in ``mu`` (`mu_poly_str`) and of `algebra.vector_str`, and
 decides each coefficient's sign and parentheses from the tuples as well,
 so no `Fraction` or polynomial object is built in order to print.
+
+`record` is the class decorator of every result type of the package (the
+verdicts, `MetricLieAlgebra`, the catalog entries).  It sits in this, the
+lowest, module so that each layer can use it, and builds its methods
+without `exec`, which keeps the cold start of the command line short.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from typing import Iterable, Mapping, Sequence
 
 PARAM = "eps"
 
@@ -738,3 +743,92 @@ def component_names(dim: int) -> tuple[str, ...]:
     """Coordinate indeterminate names for a generic invariant vector (the
     dimension is at most 4, `algebra.MAX_DIM`)."""
     return ("a", "b", "c", "d")[:dim]
+
+
+def record(cls=None, *, frozen=False):
+    """Make a class of annotated fields a plain record, as `@record` or
+    `@record(frozen=True)`.
+
+    The fields are the class's own annotations, in order; a class attribute
+    of a field's name is its default, and defaults trail.  The class gets:
+    an `__init__` that takes the fields by position or keyword (fastest
+    given every field, all by position or all by keyword) and then calls
+    `__post_init__` when the class has one; `__eq__` on the field tuples of
+    two instances of the same class; a `Name(field=value, ...)` `__repr__`;
+    and `__match_args__`.  A frozen record refuses to set or delete an
+    attribute and hashes its field tuple; any other record is unhashable.
+    `functools.cached_property` still caches on a frozen record, since it
+    writes the instance `__dict__` directly.  A method the class defines
+    itself is kept.  The methods are closures over the field names, so
+    defining a record class compiles nothing and imports nothing.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    name = cls.__qualname__
+    fields = tuple(cls.__annotations__)
+    field_set = frozenset(fields)
+    n = len(fields)
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    if any(f not in defaults for f in fields[n - len(defaults):]):
+        raise TypeError(f"{name}: a field without a default follows one with a default")
+    post_init = getattr(cls, "__post_init__", None)
+
+    def values(self) -> tuple:
+        return tuple([getattr(self, f) for f in fields])
+
+    def bind(args: tuple, kwargs: dict) -> list:
+        """The field values of a call that does not give every field once,
+        all by position or all by keyword."""
+        if len(args) > n:
+            raise TypeError(f"{name}() takes {n} positional arguments but {len(args)} were given")
+        bound, missing = list(args), []
+        for f in fields[len(args):]:
+            if f in kwargs:
+                bound.append(kwargs.pop(f))
+            elif f in defaults:
+                bound.append(defaults[f])
+            else:
+                missing.append(f)
+        for key in kwargs:  # left over: given by position as well, or no field
+            problem = "multiple values for" if key in field_set else "an unexpected keyword"
+            raise TypeError(f"{name}() got {problem} argument {key!r}")
+        if missing:
+            raise TypeError(f"{name}() missing required argument(s): "
+                            + ", ".join(map(repr, missing)))
+        return bound
+
+    def __init__(self, *args, **kwargs):
+        if not kwargs and len(args) == n:
+            self.__dict__.update(zip(fields, args))
+        elif not args and kwargs.keys() == field_set:
+            self.__dict__.update(kwargs)
+        else:
+            self.__dict__.update(zip(fields, bind(args, kwargs)))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __repr__(self) -> str:
+        return f"{name}({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__,
+               "__match_args__": fields, "__hash__": None}
+    if frozen:
+        def __setattr__(self, key, value):
+            raise AttributeError(f"cannot set attribute {key!r} of frozen {name}")
+
+        def __delattr__(self, key):
+            raise AttributeError(f"cannot delete attribute {key!r} of frozen {name}")
+
+        def __hash__(self) -> int:
+            return hash(values(self))
+
+        methods.update(__setattr__=__setattr__, __delattr__=__delattr__, __hash__=__hash__)
+    for attr, value in methods.items():
+        if attr not in cls.__dict__:
+            setattr(cls, attr, value)
+    return cls

@@ -29,10 +29,9 @@ prints.  No floating point is involved anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cmp_to_key, reduce
-from typing import Sequence
 
 from .scalars import (
     RatFunc,
@@ -51,6 +50,7 @@ from .scalars import (
     _zroots,
     nonzero,
     ratfunc,
+    record,
 )
 
 
@@ -58,7 +58,7 @@ from .scalars import (
 # exact reduced-row-echelon solving over Q(eps)
 
 
-@dataclass
+@record
 class SolveResult:
     """Outcome of exact elimination on A x = b.
 
@@ -136,7 +136,7 @@ def rref_solve(rows: Sequence[Sequence[RatFunc]], rhs: Sequence[RatFunc]) -> Sol
 # parametric linear systems
 
 
-@dataclass
+@record
 class ExceptionalBranch:
     """The system re-solved at one special parameter value."""
 
@@ -145,7 +145,7 @@ class ExceptionalBranch:
     result: SolveResult | None
 
 
-@dataclass
+@record
 class ParametricSolution:
     unknowns: tuple[str, ...]
     generic: SolveResult
@@ -241,14 +241,14 @@ def _over(q: Sequence[tuple], D: tuple) -> tuple[RatFunc, ...]:
 # rational-function eigenvalues by Newton lifting
 
 
-@dataclass
+@record
 class EigenPair:
     value: RatFunc
     multiplicity: int
     vectors: list[list[RatFunc]]
 
 
-@dataclass
+@record
 class EigenDecomposition:
     """Certified rational-function spectrum of a parametric operator.
 

@@ -5,7 +5,7 @@ import pytest
 
 from liegeom import algebra
 from liegeom.algebra import MetricLieAlgebra, SingularMetric, mat_inv, mat_mul, vector_str
-from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, ratfunc
+from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, ratfunc, record
 
 from test_solvers import DENSE, _sympy_ratfunc
 from test_tensor_reference import corpus_case
@@ -14,6 +14,103 @@ import test_properties
 
 def smat(rows):
     return [[str(x) for x in row] for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# records: `scalars.record` gives every result class its methods
+
+
+@record
+class Pair:
+    left: int
+    right: object = None
+
+
+@record
+class Twin:  # the fields of Pair, and a repr of its own
+    left: int
+    right: object = None
+
+    def __repr__(self):
+        return "twin"
+
+
+@record(frozen=True)
+class Key:
+    name: str
+    parts: tuple = ()
+
+
+def test_record_takes_fields_by_position_keyword_and_default():
+    assert vars(Pair(1, 2)) == {"left": 1, "right": 2}
+    assert vars(Pair(right=2, left=1)) == {"left": 1, "right": 2}
+    assert vars(Pair(1, right=2)) == {"left": 1, "right": 2}
+    assert Pair(right=2, left=1) == Pair(1, right=2) == Pair(1, 2)
+    assert Pair(1).right is None and Pair(left=1).right is None
+    assert Key("k").parts == () and Key("k", parts=(1,)).parts == (1,)
+    assert Pair.__match_args__ == ("left", "right")
+    match Pair(1, 2):
+        case Pair(left, right=r):
+            assert (left, r) == (1, 2)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((), {}, r"Pair\(\) missing required argument\(s\): 'left'"),
+    ((), {"right": 2}, r"Pair\(\) missing required argument\(s\): 'left'"),
+    ((1,), {"middle": 2}, r"Pair\(\) got an unexpected keyword argument 'middle'"),
+    ((1,), {"left": 2}, r"Pair\(\) got multiple values for argument 'left'"),
+    ((1, 2, 3), {}, r"Pair\(\) takes 2 positional arguments but 3 were given"),
+])
+def test_record_refuses_a_missing_unknown_or_repeated_field(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Pair(*args, **kwargs)
+
+
+def test_record_defaults_trail():
+    with pytest.raises(TypeError, match="a field without a default follows one with a default"):
+        @record
+        class Broken:
+            first: int = 0
+            second: int
+
+
+def test_record_equality_and_repr():
+    assert Pair(1, [2]) == Pair(1, [2]) and Pair(1, 2) != Pair(1, 3)
+    # the same fields in another class are not equal
+    assert Pair(1, 2) != Twin(1, 2) and Twin(1, 2) != Pair(1, 2)
+    assert Pair(1, 2).__eq__(Twin(1, 2)) is NotImplemented
+    assert repr(Pair(1, "x")) == "Pair(left=1, right='x')"
+    assert repr(Key("k", (1,))) == "Key(name='k', parts=(1,))"
+    assert repr(Twin(1, 2)) == "twin"
+
+
+def test_frozen_record_refuses_assignment_and_hashes_its_fields():
+    key = Key("k", (1,))
+    with pytest.raises(AttributeError, match="cannot set attribute 'name' of frozen Key"):
+        key.name = "other"
+    with pytest.raises(AttributeError, match="cannot delete attribute 'name' of frozen Key"):
+        del key.name
+    assert key.name == "k"
+    assert hash(key) == hash(Key("k", (1,))) and {key: 1}[Key("k", (1,))] == 1
+
+
+def test_a_mutable_record_is_unhashable():
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(Pair(1, 2))
+    pair = Pair(1, 2)
+    pair.right = 3
+    assert pair == Pair(1, 3)
+
+
+def test_a_frozen_algebra_keeps_its_cached_tensors(berger_alg):
+    alg = MetricLieAlgebra(berger_alg.name, berger_alg.dim, berger_alg.brackets,
+                           berger_alg.metric)
+    assert alg == berger_alg and hash(alg) == hash(berger_alg)
+    ricci = alg.ricci
+    assert alg.__dict__["ricci"] is ricci and alg.ricci is ricci
+    with pytest.raises(AttributeError, match="cannot set attribute 'ricci'"):
+        alg.ricci = None
+    assert alg.ricci is ricci
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +223,13 @@ def test_constructors_refuse_mismatched_shapes():
         MetricLieAlgebra.from_brackets(2, {(1, 0): {0: 1}}, identity)
     with pytest.raises(ValueError, match="metric must be a dim x dim matrix"):
         MetricLieAlgebra.from_brackets(2, {}, [[ONE], [ONE]])
+
+
+def test_the_shape_check_runs_for_keyword_construction():
+    with pytest.raises(ValueError, match="tensor shapes do not match the dimension"):
+        MetricLieAlgebra(name="bad", dim=2, brackets=(), metric=())
+    with pytest.raises(ValueError, match="dimension 5 not in 1..4"):
+        MetricLieAlgebra("bad", metric=(), brackets=(), dim=5)
 
 
 @pytest.mark.parametrize("k", [-1, 3])

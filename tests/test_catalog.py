@@ -1,8 +1,8 @@
 import textwrap
-from dataclasses import replace
 
 import pytest
 
+from liegeom.algebra import MetricLieAlgebra
 from liegeom.catalog import (
     ParseError,
     ValidationFailed,
@@ -48,15 +48,19 @@ def test_round_trip_both_entries():
         assert again.metric == alg.metric
 
 
+def renamed(alg, name):
+    return MetricLieAlgebra(name, alg.dim, alg.brackets, alg.metric)
+
+
 @pytest.mark.parametrize("name", ["a#b", " pad ", "", "a\nb"])
 def test_dumps_refuses_a_name_the_format_cannot_carry(name):
-    alg = replace(berger(), name=name)
+    alg = renamed(berger(), name)
     with pytest.raises(ValueError, match="does not survive the text format"):
         dumps(alg)
 
 
 def test_dumps_round_trips_a_name_with_inner_spaces_and_colons():
-    alg = replace(berger(), name="berger: a b")
+    alg = renamed(berger(), "berger: a b")
     assert loads(dumps(alg)).name == "berger: a b"
 
 

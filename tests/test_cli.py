@@ -199,9 +199,11 @@ def test_exact_commands_do_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def modules_after(statements):
-    """The names in `sys.modules` of a fresh interpreter after `statements`."""
-    proc = python("-c", f"{statements}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+def modules_after(statements, *options):
+    """The names in `sys.modules` of a fresh interpreter, started with
+    `options`, after `statements`."""
+    proc = python(*options, "-c",
+                  f"{statements}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
 
@@ -211,6 +213,9 @@ def package_modules(modules):
 
 
 EXACT_MODULES = {"liegeom.scalars", "liegeom.solvers", "liegeom.algebra", "liegeom.catalog"}
+# `scalars.record` builds the result classes without them: `dataclasses`
+# compiles each method with `exec` and imports `inspect`
+UNUSED_STDLIB = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("entry", ["import liegeom", "from liegeom.catalog import loads"])
@@ -219,6 +224,15 @@ def test_parsing_loads_only_the_exact_modules(entry):
     modules = modules_after(entry)
     assert package_modules(modules) == EXACT_MODULES
     assert "numpy" not in modules
+    assert not modules & UNUSED_STDLIB
+
+
+def test_parsing_loads_no_typing():
+    # the annotations name `collections.abc`; `-S` keeps `site` from
+    # loading `typing` through a `.pth` file first
+    modules = modules_after("from liegeom.catalog import loads", "-S")
+    assert package_modules(modules) == EXACT_MODULES
+    assert "typing" not in modules
 
 
 def test_a_geometry_name_loads_geometry_and_numeric():
@@ -228,7 +242,9 @@ def test_a_geometry_name_loads_geometry_and_numeric():
 
 
 def test_the_cli_loads_the_report():
-    assert "liegeom.report" in modules_after("import liegeom.cli")
+    modules = modules_after("import liegeom.cli")
+    assert "liegeom.report" in modules
+    assert not modules & UNUSED_STDLIB
 
 
 def test_overlong_number_in_a_file_is_an_error_line(tmp_path):
