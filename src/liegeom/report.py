@@ -360,7 +360,52 @@ def eval_report(alg: MetricLieAlgebra, eps0: Fraction) -> dict:
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) and a newline, byte for byte.  With an
+    indent, `json` runs its pure-Python encoder; this writer appends the
+    pieces to one list and leaves only strings to `json`'s C escaper."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the JSON of `value` with `newline` (a line break and the
+    current indent) before each closing bracket; a float, or a value or key
+    of any type not written here, goes through `json.dumps`."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for v in value:
+            out.append(sep + inner)
+            _write_json(v, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for k, v in value.items():
+            # json quotes the JSON of an int, float, bool or None key
+            key = _json_str(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+            out.append(f"{sep}{inner}{key}: ")
+            _write_json(v, inner, out)
+            sep = ","
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
+
+
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _render_fields(fields: dict, indent: int, lines: list[str]) -> None:

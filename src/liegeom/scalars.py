@@ -18,8 +18,10 @@ Canonical forms make equality decidable by structural comparison, which is
 what the geometric verdicts downstream rely on.  A `RatFunc` is stored as
 two integer coefficient tuples N/D, coprime in Z[eps] contents included,
 with lc(D) > 0; its arithmetic cancels common factors with gcds in Z[eps]
-(a shortcut for constant and ``c*eps^k`` operands, the subresultant PRS
-otherwise), so no rational coefficient is ever normalized on the way.
+(none against a denominator 1, one integer gcd for a constant or an
+integer denominator, one root test for a linear primitive part, and the
+subresultant PRS otherwise), so no rational coefficient is ever
+normalized on the way.
 `dot` sums many products on the tuples with one normalization at the
 end, for the long contractions of the Ledger conditions.  The rational
 zeros and poles of a `RatFunc` are found on the same integer tuples, by
@@ -189,8 +191,10 @@ def _zgcd(a: tuple, b: tuple) -> tuple:
 
     eps is prime in Z[eps], so the gcd is eps^min(valuations) times the gcd
     of the parts without the factor eps; when one of those is a constant the
-    rest is the integer gcd of the contents, and otherwise it is the content
-    gcd times the primitive part of the last element of `_zprs`.
+    rest is the integer gcd of the contents.  Otherwise it is the content
+    gcd times the gcd of the primitive parts: a linear part is irreducible,
+    so one test at its root decides between it and 1, and two parts of
+    degree 2 or more take the primitive part of the last element of `_zprs`.
     """
     if len(a) == 1 or len(b) == 1:
         return (gcd(*a, *b),)
@@ -205,20 +209,34 @@ def _zgcd(a: tuple, b: tuple) -> tuple:
     u, v = _zdiv_int(a, ca), _zdiv_int(b, cb)
     if len(u) < len(v):
         u, v = v, u
-    v = _zprs(u, v)[-1]
-    if len(v) == 1:
-        return shift + (c,)
+    if len(v) == 2:
+        if _zhomogeneous(u, -v[0], v[1]):
+            return shift + (c,)
+    else:
+        v = _zprs(u, v)[-1]
+        if len(v) == 1:
+            return shift + (c,)
     pv = gcd(*v) if v[-1] > 0 else -gcd(*v)
     return shift + tuple(c * (x // pv) for x in v)
+
+
+def _cancel(n: tuple, d: tuple) -> tuple[tuple, tuple]:
+    """n and d over their gcd in Z[eps], for nonzero n and d: nothing to
+    do when d is 1, one integer gcd when either is a constant."""
+    if d == (1,):
+        return n, d
+    if len(d) == 1 or len(n) == 1:
+        g = gcd(*d, *n)
+        return (n, d) if g == 1 else (_zdiv_int(n, g), _zdiv_int(d, g))
+    g = _zgcd(n, d)
+    return (n, d) if g == (1,) else (_zdiv_exact(n, g), _zdiv_exact(d, g))
 
 
 def _canonical(n: tuple, d: tuple) -> tuple[tuple, tuple]:
     """n/d with the gcd cancelled and lc(d) > 0; d is nonzero."""
     if not n:
         return (), (1,)
-    g = _zgcd(n, d)
-    if g != (1,):
-        n, d = _zdiv_exact(n, g), _zdiv_exact(d, g)
+    n, d = _cancel(n, d)
     if d[-1] < 0:
         n, d = _zneg(n), _zneg(d)
     return n, d
@@ -238,16 +256,35 @@ def _times(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFunc":
     leaves the product canonical."""
     if not n1 or not n2:
         return ZERO
-    g = _zgcd(n1, d2)
-    if g != (1,):
-        n1, d2 = _zdiv_exact(n1, g), _zdiv_exact(d2, g)
-    g = _zgcd(n2, d1)
-    if g != (1,):
-        n2, d1 = _zdiv_exact(n2, g), _zdiv_exact(d1, g)
-    n, d = _zmul(n1, n2), _zmul(d1, d2)
+    n1, d2 = _cancel(n1, d2)
+    n2, d1 = _cancel(n2, d1)
+    n = _zmul(n1, n2)
+    d = d1 if d2 == (1,) else d2 if d1 == (1,) else _zmul(d1, d2)
     if d[-1] < 0:
         n, d = _zneg(n), _zneg(d)
     return _ratfunc(n, d)
+
+
+def _plus(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFunc":
+    """(n1/d1) + (n2/d2) for canonical pairs."""
+    if not n2:
+        return _ratfunc(n1, d1)
+    if not n1:
+        return _ratfunc(n2, d2)
+    if d1 == d2:
+        return _ratfunc(*_canonical(_zadd(n1, n2), d1))
+    if len(d1) == len(d2) == 1:  # n1*(b/g) + n2*(a/g) over a*b/g, g = gcd(a, b)
+        a, b = d1[0], d2[0]
+        g = gcd(a, b)
+        t = _zadd(_zmul(n1, (b // g,)), _zmul(n2, (a // g,)))
+        return _ratfunc(*_cancel(t, (a // g * b,)))
+    # Henrici: with g = gcd(d1, d2), d1 = g*e1 and d2 = g*e2, the sum is
+    # t / (e1*e2*g) with t = n1*e2 + n2*e1, and t is coprime to e1 and e2
+    g = _zgcd(d1, d2)
+    e1, e2 = _zdiv_exact(d1, g), _zdiv_exact(d2, g)
+    t = _zadd(_zmul(n1, e2), _zmul(n2, e1))
+    t, g = _canonical(t, g)
+    return _ratfunc(t, _zmul(_zmul(e1, e2), g))
 
 
 def _zlcm(a: tuple, b: tuple) -> tuple:
@@ -461,6 +498,9 @@ class RatFunc:
     __slots__ = ("_n", "_d")
 
     def __init__(self, num=0, den=1):
+        if type(num) is type(den) is int and den == 1:
+            self._n, self._d = ((num,) if num else ()), (1,)
+            return
         den = _fraction(den)
         if not den:
             raise DivisionByZeroFunction("division by zero")
@@ -517,23 +557,10 @@ class RatFunc:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        n1, d1, n2, d2 = self._n, self._d, o._n, o._d
-        if not n2:
-            return self
-        if not n1:
-            return o
-        if d1 == d2:
-            return _ratfunc(*_canonical(_zadd(n1, n2), d1))
-        # Henrici: with g = gcd(d1, d2), d1 = g*e1 and d2 = g*e2, the sum is
-        # t / (e1*e2*g) with t = n1*e2 + n2*e1, and t is coprime to e1 and e2
-        g = _zgcd(d1, d2)
-        e1, e2 = _zdiv_exact(d1, g), _zdiv_exact(d2, g)
-        t = _zadd(_zmul(n1, e2), _zmul(n2, e1))
-        t, g = _canonical(t, g)
-        return _ratfunc(t, _zmul(_zmul(e1, e2), g))
+        return _plus(self._n, self._d, o._n, o._d)
 
     __radd__ = __add__
 
@@ -541,19 +568,19 @@ class RatFunc:
         return _ratfunc(_zneg(self._n), self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _plus(self._n, self._d, _zneg(o._n), o._d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _plus(o._n, o._d, _zneg(self._n), self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
         return _times(self._n, self._d, o._n, o._d)
@@ -561,7 +588,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero:

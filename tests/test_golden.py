@@ -19,6 +19,7 @@ prints each file it checked and whether it changed.
 import argparse
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -88,6 +89,26 @@ TEXT_SHA256 = {
 def test_text_report_is_pinned(key, kind):
     text = render_text(report_doc(key, kind))
     assert hashlib.sha256(text.encode()).hexdigest() == TEXT_SHA256[f"{key}-{kind}"]
+
+
+# documents that reach every branch of `render_json`'s writer: empty and
+# nested containers, tuples, strings that need escapes, the constants, ints
+# of every size, and values and keys that it hands to `json.dumps`
+HAND_MADE_DOCS = [
+    {}, [], (), {"a": {}, "b": [], "c": [{}, [[]], {"d": {"e": []}}]},
+    {"quote\"": "back\\slash", "ctrl\n\t\x00\x1f": "\u00e9t\u00e9 \u2603 \U0001d49e", "": ""},
+    [None, True, False, 0, -1, -(10**40), 10**400, ("tuple", (1, ()))],
+    {"float": [1.5, -0.0, 1e300, float("inf"), float("nan")]},
+    {1: "int key", 2.5: "float key", None: "null key", False: "bool key"},
+]
+
+
+def test_render_json_is_json_dumps():
+    # the writer is byte for byte json.dumps(doc, indent=2) and a newline
+    docs = [json.loads(path.read_text()) for path in sorted(GOLDEN.glob("*.json"))]
+    assert len(docs) == len(CASES)
+    for doc in docs + HAND_MADE_DOCS:
+        assert render_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def regenerate(argv=None) -> int:

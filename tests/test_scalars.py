@@ -4,11 +4,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_properties
 import test_tensor_reference
+from liegeom import report, scalars
 from liegeom.algebra import vector_str
-from liegeom.catalog import loads
+from liegeom.catalog import dumps, loads
 from liegeom.geometry import (
     _geodesic_forms,
     _walker_forms,
@@ -123,6 +126,61 @@ def test_integer_gcd_shortcuts_and_prs():
     ]
     assert _zgcd(u, v) == (1,)
     assert _zgcd(_zmul(u, (2, -1)), _zmul(v, (-4, 2))) == (-2, 1)
+    # a primitive part of degree 1 is irreducible: the gcd is that part when
+    # the other vanishes at its root and 1 when not, with no PRS
+    e_minus_1, three_halves = (-1, 1), (-3, 2)          # roots 1 and 3/2
+    quad = _zmul(e_minus_1, (1, 0, 1))                  # (e-1)(e^2+1)
+    assert _zgcd(quad, (-3, 3)) == _zgcd((-3, 3), quad) == e_minus_1
+    assert _zgcd(quad, (1, 1)) == (1,) and _zgcd((2, 3), (1, 1, 1)) == (1,)
+    assert _zgcd(_zmul(three_halves, (5, 1)), (6, -4)) == three_halves
+    assert _zgcd(_zmul(three_halves, (5, 1)), (3, 2)) == (1,)
+    # contents, eps-valuations and a negative leading coefficient
+    a = (0, 0) + _zmul((6,), _zmul(three_halves, (1, 1)))   # 6e^2(2e-3)(e+1)
+    b = (0,) + _zmul((-4,), three_halves)                   # -4e(2e-3)
+    assert _zgcd(a, b) == _zgcd(b, a) == (0, -6, 4)
+    assert _zgcd((0, 0, 1, 1), (0, -2, -2)) == (0, 1, 1)   # linear once eps is out
+    # two linear parts, and a linear part against a cubic with other roots
+    assert _zgcd((6, -4), (-9, 6)) == (-3, 2) and _zgcd((1, 2), (1, 3)) == (1,)
+    assert _zgcd(_zmul((-4, 0, 1), (1, 1)), (-3, 2)) == (1,)
+
+
+# `_zgcd` calls of one basis-mixed benchmark operation (parse the mixed
+# text, build the basis-invariant sections) per corpus algebra, with the
+# shortcuts for a denominator 1, integer denominators and linear primitive
+# parts; without them an operation makes 6 to 107 times as many (berger
+# 1742, abelian 107, r4 1755).  The slack absorbs a change in the order of
+# a set of strings, which varies between processes.
+ZGCD_CALLS = {"berger": 201, "abelian": 1, "sl2r": 271, "e2": 46, "heisenberg": 222,
+              "u2": 167, "oscillator": 35, "heisenberg-x-r": 124, "r4": 90}
+ZGCD_SLACK = 5
+
+
+def test_basis_mixed_operations_bound_their_integer_gcds(monkeypatch, bench_corpus, corpus_alg):
+    rng = random.Random("1-mixing")  # the benchmark's mixing under seed 1
+    texts = {}
+    for key in bench_corpus.WORKLOADS["basis-mixed"]["algebras"]:
+        alg = corpus_alg(key)
+        P = bench_corpus.mixing_matrix(rng, alg.dim)
+        texts[key] = dumps(alg.transform_basis(P, name=f"{alg.name}/mixed"))
+    calls, zgcd = [0], scalars._zgcd
+
+    def counting(a, b):
+        calls[0] += 1
+        return zgcd(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liegeom") and getattr(module, "_zgcd", None) is zgcd:
+            monkeypatch.setattr(module, "_zgcd", counting)
+    counts = {}
+    for key, text in texts.items():
+        calls[0] = 0
+        alg = loads(text)
+        for section in bench_corpus.INVARIANT_SECTIONS:
+            getattr(report, f"{section}_section")(alg)
+        counts[key] = calls[0]
+    assert counts.keys() == ZGCD_CALLS.keys()
+    over = {k: n for k, n in counts.items() if n > ZGCD_CALLS[k] + ZGCD_SLACK}
+    assert not over, f"_zgcd calls per operation {counts}, pinned {ZGCD_CALLS}"
 
 
 def _sympy_zpoly(sympy, e, a):
@@ -162,10 +220,28 @@ def test_integer_gcd_agrees_with_sympy():
     def rand_poly(deg):
         return tuple(rng.randint(-6, 6) for _ in range(deg)) + (rng.choice((-3, -1, 1, 2)),)
 
+    def rand_linear():
+        # a nonzero root p/q, often with q > 1, and either sign of lc
+        return (rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.choice((-3, -2, -1, 1, 2, 3)))
+
+    def scaled(a):
+        # a content and a power of eps
+        return (0,) * rng.randint(0, 2) + _zmul((rng.choice((1, -1, 2, -3, 6)),), a)
+
+    pairs = []
     for _ in range(40):
         common = rand_poly(rng.randint(0, 3))
-        a = _zmul(common, rand_poly(rng.randint(0, 4)))
-        b = _zmul(common, rand_poly(rng.randint(0, 4)))
+        pairs.append((_zmul(common, rand_poly(rng.randint(0, 4))),
+                      _zmul(common, rand_poly(rng.randint(0, 4)))))
+    # one primitive part linear: sharing its root with the other part or not,
+    # against a linear, quadratic or higher part
+    for _ in range(40):
+        linear, other = rand_linear(), rand_poly(rng.randint(1, 4))
+        if rng.random() < 0.5:
+            other = _zmul(other, linear)
+        pairs.append((scaled(linear), scaled(other)) if rng.random() < 0.5
+                     else (scaled(other), scaled(linear)))
+    for a, b in pairs:
         expected = sympy.Poly(sympy.gcd(
             _sympy_zpoly(sympy, e, a), _sympy_zpoly(sympy, e, b)
         ), e)
@@ -269,6 +345,40 @@ def test_ratfunc_coercion():
         assert ratfunc(c) == ratfunc_of(Poly.const(c)) == RatFunc(c)
     assert ratfunc("4-2*eps") == 4 - 2 * EPS
     assert ratfunc(EPS) is EPS
+
+
+# operands of the three classes that the arithmetic takes different routes
+# for: integer constants, polynomials in eps over an integer denominator,
+# and quotients with a denominator that is not constant (or any of them)
+OPERAND_CLASSES = {
+    "constant": st.integers(-12, 12).map(RatFunc),
+    "polynomial": test_properties.polys.map(ratfunc_of),
+    "quotient": test_properties.ratfuncs,
+}
+
+
+@pytest.mark.parametrize("right", OPERAND_CLASSES)
+@pytest.mark.parametrize("left", OPERAND_CLASSES)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_arithmetic_fast_paths_match_euclid_over_q(left, right, data):
+    # every result against the textbook route over Q: the sum, difference,
+    # product or quotient of the two fractions, reduced by Euclid's gcd;
+    # a constant operand is also given as the int or Fraction it equals
+    f, g = data.draw(OPERAND_CLASSES[left]), data.draw(OPERAND_CLASSES[right])
+    (a, b), (c, d) = (numerator(f), denominator(f)), (numerator(g), denominator(g))
+    expected = {operator.add: (a * d + c * b, b * d), operator.sub: (a * d - c * b, b * d),
+                operator.mul: (a * c, b * d)}
+    if not g.is_zero:
+        expected[operator.truediv] = (a * d, b * c)
+    plain = [x.constant_value() if x.is_constant else x for x in (f, g)]
+    plain = [x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x for x in plain]
+    for op, (num, den) in expected.items():
+        want = test_properties.euclid_over_q(num, den)
+        for x, y in ((f, g), (plain[0], g), (f, plain[1])):
+            got = op(x, y)
+            check_invariants(got)
+            assert (numerator(got), denominator(got)) == want, (op.__name__, x, y)
 
 
 def test_ratfunc_zeros_and_poles():
