@@ -417,18 +417,6 @@ class MetricLieAlgebra:
                 add_scaled(M[j], w, Ki)
         return M
 
-    def nabla(self, u: Sequence, v: Sequence) -> list:
-        """nabla_u v for invariant vectors with constant coefficients."""
-        K = self.nabla_basis
-        nv = nonzero(v)
-        out = [ZERO for _ in range(self.dim)]
-        for i, x in nonzero(u):
-            for j, y in nv:
-                w = x * y
-                for k, c in nonzero(K[i][j]):
-                    out[k] = out[k] + w * c
-        return out
-
     @cached_property
     def _connection_rows(self) -> list[list[list[tuple[int, RatFunc]]]]:
         """The `nonzero` lists of the rows of each nabla_{Xi}."""

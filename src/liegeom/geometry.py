@@ -317,16 +317,16 @@ def solve_zero_set(forms: Sequence, names: Sequence[str]) -> list[frozenset[str]
     """
     names = tuple(names)
 
-    def recurse(live: frozenset[int], assigned: frozenset[str]) -> list[frozenset[str]]:
+    def recurse(live: frozenset[int]) -> list[frozenset[str]]:
         active = [items for U in forms
                   if (items := [(ij, c) for ij, c in U.items() if ij[0] in live and ij[1] in live])]
         if not active:
-            return [assigned]
+            return [frozenset(name for i, name in enumerate(names) if i not in live)]
         forced: set[int] = set()
         for items in active:
             forced |= _forced(items) or set()
         if forced:
-            return recurse(live - forced, assigned | {names[i] for i in forced})
+            return recurse(live - forced)
         # branch on the first single cross term x_i x_j
         cross = next((items[0][0] for items in active if len(items) == 1), None)
         if cross is None:
@@ -334,10 +334,10 @@ def solve_zero_set(forms: Sequence, names: Sequence[str]) -> list[frozenset[str]
                 poly_str(names, dict(items)) for items in active))
         out: list[frozenset[str]] = []
         for var in cross:
-            out.extend(recurse(live - {var}, assigned | {names[var]}))
+            out.extend(recurse(live - {var}))
         return out
 
-    components = recurse(frozenset(range(len(names))), frozenset())
+    components = recurse(frozenset(range(len(names))))
     minimal = [
         a for a in set(components)
         if not any(b != a and b <= a for b in components)

@@ -106,20 +106,19 @@ class NumericModel:
 def _specialize(alg: MetricLieAlgebra, eps_values):
     """The brackets C[e, i, j, k] and the metric G[e, i, j] at each
     eps_values[e], every entry the correctly rounded float of its exact
-    value (`RatFunc.eval_float`), each distinct entry evaluated once."""
+    value (`RatFunc.eval_float`)."""
     import numpy as np
 
-    n, values = alg.dim, {}  # nonzero entry -> its floats at eps_values
+    n = alg.dim
 
     def at(entries, *shape):
         out = np.zeros((len(entries), len(eps_values)))
         for p, f in enumerate(entries):
             if not f.is_zero:
-                if f not in values:
-                    values[f] = [f.eval_float(x) for x in eps_values]
-                    if any(v == 0 and f.eval(x) for v, x in zip(values[f], eps_values)):
-                        raise FloatingPointError("a nonzero exact entry underflows to 0")
-                out[p] = values[f]
+                values = [f.eval_float(x) for x in eps_values]
+                if any(v == 0 and f.eval(x) for v, x in zip(values, eps_values)):
+                    raise FloatingPointError("a nonzero exact entry underflows to 0")
+                out[p] = values
         return out.T.reshape(len(eps_values), *shape)
 
     return (at([c for plane in alg.brackets for row in plane for c in row], n, n, n),

@@ -551,7 +551,7 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, int):
-            return _ratfunc((other,) if other else (), (1,))
+            return _ratfunc((int(other),) if other else (), (1,))
         if isinstance(other, Fraction):
             return _ratfunc((other.numerator,) if other else (), (other.denominator,))
         return None

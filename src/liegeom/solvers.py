@@ -320,7 +320,8 @@ def _newton_lift(s: Sequence[tuple], r0: int, slope: int, bound: int) -> tuple |
     nu = (r0,) if r0 else ()
     for j in range(1, bound + 1):
         value = _zsubs(s, nu, j + 1)
-        if len(value) > j and value[j]:
+        # the lift makes every coefficient below t^j 0: value is () or ends at t^j
+        if value:
             c, rest = divmod(-value[j], slope)
             if rest:
                 return None

@@ -18,11 +18,15 @@ coefficients, with the ring arithmetic that the engine never needs: the
 references build the verdict polynomials with it as the definitions read,
 on vectors of indeterminates, and `from_terms` turns one of the engine's
 monomial dicts into a `MultiPoly` to compare.
+
+`nabla(alg, u, v)` is nabla_u v for invariant vectors with `RatFunc` or
+`MultiPoly` components, read off the engine's `connection_operators`.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from liegeom.algebra import mat_vec
 from liegeom.scalars import (
     ONE,
     ZERO,
@@ -375,3 +379,9 @@ def from_terms(names, terms) -> MultiPoly:
     monomial to its coefficient) as a `MultiPoly` in `names`."""
     return MultiPoly(names, {tuple(key.count(i) for i in range(len(names))): c
                              for key, c in terms.items()})
+
+
+def nabla(alg, u, v) -> list:
+    """nabla_u v = sum_i u_i A_i v, with A_i = `alg.connection_operators[i]`."""
+    columns = [[x * w for w in mat_vec(A, v)] for x, A in zip(u, alg.connection_operators)]
+    return [sum(row, ZERO) for row in zip(*columns)]

@@ -7,9 +7,13 @@ imports `scalars`, `solvers`, `algebra` and `catalog` at its top, and reaches
 `geometry` and `numeric` only through its module `__getattr__`, by
 `importlib`, on the first use of one of their names.
 
-Every function, class and method of the package is named by its other
+Every function, class and method of the package is read by its other
 code, so `src/` holds only what the engine runs: a helper that only the
-tests use lives in `tests/`.  `UNNAMED` lists the exceptions."""
+tests use lives in `tests/`.  A name counts only where code reads it (in
+`Load` context, or imported by name), and not as the attribute of a library
+bound by a plain `import`, so neither a field annotation nor `json.dumps`
+stands in for a definition of the same name.  `UNNAMED` lists the
+exceptions."""
 
 import ast
 from pathlib import Path
@@ -20,12 +24,14 @@ PACKAGE = Path(liegeom.__file__).resolve().parent
 RANK = {"scalars": 0, "solvers": 1, "algebra": 2, "catalog": 3, "numeric": 3,
         "geometry": 4, "report": 5, "cli": 6}
 EXEMPT = {"__init__", "__main__"}
-# the definitions that no code of the package names, and why each stays
+# the definitions that no code of the package reads, and why each stays
 UNNAMED = {
     "MetricLieAlgebra.at_eps": "ROADMAP items 6 and 12 specialize through it",
     "MetricLieAlgebra.cov_ricci": "bench/tracer.py reads it from the class dict "
                                   "(test_bench_hooks.py); it leaves with ROADMAP item 4",
     "MetricLieAlgebra.transform_basis": "the basis-mixed benchmark and users call it",
+    "dumps": "catalog.dumps: the basis-mixed benchmark (bench/run.py, build_ops) writes "
+             "its mixed texts with it, and users round-trip loads(dumps(a))",
 }
 
 
@@ -79,21 +85,31 @@ def test_init_imports_only_the_exact_modules_at_its_top():
     assert top == {"algebra", "catalog", "scalars", "solvers"}
 
 
-def test_every_definition_is_named_by_the_package():
-    # a name counts when the code of a module other than `__init__` reads
-    # it (a variable, an attribute or an imported name): a re-export alone
-    # runs nothing.  Dunder methods are called by the language.
-    trees = module_trees()
+def unnamed_definitions(trees):
+    """The qualified names of the top-level functions and classes, and of
+    their methods, that no code of a module other than `__init__` reads.
+
+    A name counts where that code reads it: a variable or an attribute in
+    `Load` context, or a name imported from a module.  A re-export alone
+    runs nothing, and a field annotation or an assignment reads nothing.  An
+    attribute of a name bound by a plain `import` (`json.dumps`, `np.zeros`)
+    belongs to another library, so it does not count either.  Dunder
+    methods are called by the language."""
     named = set()
     for module, tree in trees.items():
-        if module != "__init__":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
+        if module == "__init__":
+            continue
+        libraries = {alias.asname or alias.name.split(".")[0]
+                     for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if not (isinstance(node.value, ast.Name) and node.value.id in libraries):
                     named.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    named.add(node.name)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
     defined = {}  # qualified name -> name
     for tree in trees.values():
         for node in tree.body:
@@ -102,6 +118,36 @@ def test_every_definition_is_named_by_the_package():
             if isinstance(node, ast.ClassDef):
                 defined.update((f"{node.name}.{m.name}", m.name)
                                for m in node.body if isinstance(m, ast.FunctionDef))
-    unnamed = {qualname for qualname, name in defined.items()
-               if name not in named and not (name.startswith("__") and name.endswith("__"))}
-    assert unnamed == set(UNNAMED)
+    return {qualname for qualname, name in defined.items()
+            if name not in named and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_the_guard_counts_only_reads():
+    # a dead method hidden by a field annotation of its name, and a dead
+    # function hidden by a library attribute of its name
+    source = """
+import json
+
+class Model:
+    nabla: float
+
+class Algebra:
+    def nabla(self, u, v):
+        return u
+
+def dumps(doc):
+    return str(doc)
+
+def main(doc):
+    model = Model()
+    model.nabla = 0.0
+    print(json.dumps(doc), model, Algebra())
+
+if __name__ == "__main__":
+    main({})
+"""
+    assert unnamed_definitions({"lib": ast.parse(source)}) == {"Algebra.nabla", "dumps"}
+
+
+def test_every_definition_is_named_by_the_package():
+    assert unnamed_definitions(module_trees()) == set(UNNAMED)

@@ -343,6 +343,12 @@ def test_ratfunc_coercion():
     for c in (0, -7, Fraction(-3, 4)):
         check(ratfunc(c))
         assert ratfunc(c) == ratfunc_of(Poly.const(c)) == RatFunc(c)
+    # a bool is stored as the int it equals
+    for b in (True, False):
+        for x in (ratfunc(b), EPS + b, EPS * b, RatFunc(b)):
+            check(x)
+        assert ratfunc(b) == RatFunc(b) == int(b) and hash(ratfunc(b)) == hash(int(b))
+        assert (EPS + b, EPS * b) == (EPS + int(b), EPS * int(b))
     assert ratfunc("4-2*eps") == 4 - 2 * EPS
     assert ratfunc(EPS) is EPS
 
