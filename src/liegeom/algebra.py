@@ -197,15 +197,17 @@ class Violation:
 
 class ValidationFailed(ValueError):
     """The data is not a metric Lie algebra: `MetricLieAlgebra.validate`
-    found these violations.  `catalog.loads` raises it on such input, and
-    every analysis and every tensor that needs the Jacobi identity raises
-    it through `MetricLieAlgebra.require_valid`."""
+    found these violations, and the constructor refused the data.  It names
+    the refused data by its `name` and `dim`, as the `validate` report
+    does."""
 
-    def __init__(self, violations: list[Violation]):
+    def __init__(self, name: str, dim: int, violations: list[Violation]):
         super().__init__(
             "algebra data is not a metric Lie algebra: "
             + "; ".join(str(v) for v in violations)
         )
+        self.name = name
+        self.dim = dim
         self.violations = violations
 
 
@@ -215,7 +217,10 @@ class MetricLieAlgebra:
 
     `brackets[i][j][k]` is the Xk-coefficient of [Xi, Xj]; `metric[i][j]`
     is g(Xi, Xj).  Entries are `RatFunc`.  Instances are immutable; the
-    derived geometry is computed once and cached.
+    derived geometry is computed once and cached.  The constructor checks
+    the data once (`validate`) and raises `ValidationFailed` on any
+    violation, so every instance is a metric Lie algebra and every analysis
+    may use the Jacobi identity.
     """
 
     name: str
@@ -228,6 +233,9 @@ class MetricLieAlgebra:
             raise ValueError(f"dimension {self.dim} not in 1..{MAX_DIM}")
         if len(self.brackets) != self.dim or len(self.metric) != self.dim:
             raise ValueError("tensor shapes do not match the dimension")
+        violations = self.validate()
+        if violations:
+            raise ValidationFailed(self.name, self.dim, violations)
 
     # -- construction ------------------------------------------------------
 
@@ -266,9 +274,9 @@ class MetricLieAlgebra:
     def at_eps(self, value) -> "MetricLieAlgebra":
         """Specialize the parameter to a rational number, exactly.
 
-        Raises PoleAtEvaluationPoint if any entry has a pole there; the
-        result still degenerates if the metric determinant vanishes at the
-        point, which callers check via `singular_parameters`.
+        Raises PoleAtEvaluationPoint if any entry has a pole there, and
+        ValidationFailed if the metric determinant vanishes at the point:
+        both are among the `singular_parameters`.
         """
         v = Fraction(value)
         spec = lambda f: ratfunc(f.eval(v))
@@ -286,21 +294,9 @@ class MetricLieAlgebra:
     def validate(self) -> list[Violation]:
         """Check antisymmetry, the Jacobi identity, metric symmetry, and
         that the metric is not degenerate for every parameter value.
-        Returns all violations found, empty when the data is a genuine
-        metric Lie algebra: a fresh list each time, of violations computed
-        once per algebra.
+        Returns all violations found.  The constructor runs it once and
+        refuses data with any violation, so on an instance it returns [].
         """
-        return list(self._violations)
-
-    def require_valid(self) -> None:
-        """Raise ValidationFailed unless `validate` finds nothing.  The
-        violations are computed once per algebra, so after the first call
-        (for example by `catalog.loads`) this is one attribute lookup."""
-        if self._violations:
-            raise ValidationFailed(list(self._violations))
-
-    @cached_property
-    def _violations(self) -> tuple[Violation, ...]:
         out: list[Violation] = []
         n = self.dim
         C, G = self.brackets, self.metric
@@ -340,7 +336,7 @@ class MetricLieAlgebra:
             out.append(Violation(
                 "metric-nondegenerate", "determinant of the metric is identically zero"
             ))
-        return tuple(out)
+        return out
 
     def singular_parameters(self) -> list[Fraction]:
         """Rational parameter values where the data stops making sense:
@@ -463,13 +459,10 @@ class MetricLieAlgebra:
         `curvature_operator`.  Antisymmetry in (k, l) holds because every
         Koszul nabla_{Xi} is g-skew, which needs only an antisymmetric
         bracket and a symmetric metric; so R(Xi, Xj), a combination of
-        nabla_{Xk} and commutators of them, is g-skew too.  Neither needs
-        the Jacobi identity, so the tensor is exact on any antisymmetric
-        bracket with a symmetric metric, and the curvature section prints it
-        as it is.  Pair symmetry, R4[i][j][k][l] = R4[k][l][i][j], needs the
-        Jacobi identity (through the first Bianchi identity); it is not used
-        here, and `cov_curvature`, which relies on it, checks the identity
-        first.
+        nabla_{Xk} and commutators of them, is g-skew too.  Pair symmetry,
+        R4[i][j][k][l] = R4[k][l][i][j], needs the Jacobi identity (through
+        the first Bianchi identity), which every instance satisfies; it is
+        not used here, and `cov_curvature` relies on it.
         """
         n = self.dim
         G = self.metric
@@ -495,8 +488,9 @@ class MetricLieAlgebra:
         cancels the lowering by g.  Each R(Xa, Xb), a < b, of
         `_curvature_operators` adds its row b to row a of ric (k = b), and
         as R(Xb, Xa) = -R(Xa, Xb) subtracts its row a from row b (k = a).
-        Neither g^{-1} nor `curvature_tensor` is read, and the Jacobi
-        identity is not used."""
+        Neither g^{-1} nor `curvature_tensor` is read.  The sum does not use
+        the Jacobi identity, but the result is symmetric because every
+        instance satisfies it, and `cov_ricci` relies on that."""
         out = zeros(self.dim)
         for (a, b), op in self._curvature_operators.items():
             for j, x in nonzero(op[b]):
@@ -539,13 +533,12 @@ class MetricLieAlgebra:
         the connection terms contribute:
         D[i][j][k] = -(sum_m K[i][j][m] ric[m][k] + sum_m K[i][k][m] ric[j][m]).
 
-        Ricci is symmetric on a Lie algebra (the Jacobi identity, checked
-        here through `require_valid`), so both sums are one lowering of K
-        by Ricci, P[i][j] = ric K[i][j], and
-        D[i][j][k] = -(P[i][j][k] + P[i][k][j]).  D is symmetric in (j, k):
-        the entries j <= k are computed and the others copied.
+        Ricci is symmetric on a Lie algebra (the Jacobi identity, which the
+        constructor checks), so both sums are one lowering of K by Ricci,
+        P[i][j] = ric K[i][j], and D[i][j][k] = -(P[i][j][k] + P[i][k][j]).
+        D is symmetric in (j, k): the entries j <= k are computed and the
+        others copied.
         """
-        self.require_valid()
         rn = range(self.dim)
         ric = self.ricci
         P = [[mat_vec(ric, row) for row in plane] for plane in self.nabla_basis]
@@ -565,14 +558,13 @@ class MetricLieAlgebra:
         Each nabla_{Xi} R has the symmetries of R4: antisymmetry in (a, b)
         and in (c, d), which hold for any antisymmetric bracket and
         symmetric metric, and pair symmetry, which needs the Jacobi identity
-        (checked here through `require_valid`).  So only the slots with
+        (checked by the constructor).  So only the slots with
         a < b, c < d and (a, b) <= (c, d) in the order of the index pairs
         are computed, 21 of the 36 pairs of index pairs per Xi in
         dimension 4 (6 of 9 in dimension 3), each from the terms whose K
         and R4 factors are both nonzero; a nonzero slot is copied to its
         other seven signed places, and every other entry is zero.
         """
-        self.require_valid()
         n = self.dim
         K, R4 = self.nabla_basis, self.curvature_tensor
         out = [

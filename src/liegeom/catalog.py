@@ -164,12 +164,12 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
+def loads(text: str) -> MetricLieAlgebra:
     """Parse the line-based algebra format; see the module docstring.
 
-    Raises ParseError with the offending line number on malformed input
-    and ValidationFailed if the parsed data breaks antisymmetry, Jacobi,
-    or metric symmetry/nondegeneracy (disable with validate=False).
+    Raises ParseError with the offending line number on malformed input;
+    the `MetricLieAlgebra` constructor raises ValidationFailed if the parsed
+    data breaks antisymmetry, Jacobi, or metric symmetry/nondegeneracy.
     """
     lines = text.splitlines()
     stripped = [(i, body) for i, raw in enumerate(lines, start=1)
@@ -244,15 +244,12 @@ def loads(text: str, validate: bool = True) -> MetricLieAlgebra:
 
     if metric_rows is None:
         raise ParseError("missing 'metric:' block", len(lines) or 1)
-    alg = MetricLieAlgebra.from_brackets(dim, brackets, metric_rows, name=name)
-    if validate:
-        alg.require_valid()
-    return alg
+    return MetricLieAlgebra.from_brackets(dim, brackets, metric_rows, name=name)
 
 
-def load(path: str, validate: bool = True) -> MetricLieAlgebra:
+def load(path: str) -> MetricLieAlgebra:
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read(), validate=validate)
+        return loads(fh.read())
 
 
 def dumps(alg: MetricLieAlgebra) -> str:

@@ -91,8 +91,7 @@ def _load(args) -> tuple:
     if args.berger:
         entry = catalog()["berger"]
         return entry.algebra, entry.notes
-    alg = load(args.algebra, validate=args.command != "validate")
-    return alg, ()
+    return load(args.algebra), ()
 
 
 def main(argv=None) -> int:
@@ -103,18 +102,22 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        alg, notes = _load(args)
-        if args.command == "report":
-            doc = full_report(alg, notes, args.soliton_convention)
-        elif args.command == "validate":
-            doc = validate_report(alg)
-        elif args.command == "eval":
-            doc = eval_report(alg, args.eps)
+        if args.command == "validate":
+            try:
+                doc = validate_report(_load(args)[0])
+            except ValidationFailed as failure:
+                doc = validate_report(failure)
         else:
-            # the soliton section alone takes an option, its convention
-            options = ({"convention": args.soliton_convention}
-                       if "soliton_convention" in args else {})
-            doc = single_report(args.command, alg, **options)
+            alg, notes = _load(args)
+            if args.command == "report":
+                doc = full_report(alg, notes, args.soliton_convention)
+            elif args.command == "eval":
+                doc = eval_report(alg, args.eps)
+            else:
+                # the soliton section alone takes an option, its convention
+                options = ({"convention": args.soliton_convention}
+                           if "soliton_convention" in args else {})
+                doc = single_report(args.command, alg, **options)
     except (
         ParseError,
         ValidationFailed,

@@ -1,8 +1,7 @@
 """Geometric verdicts: solitons, symmetries, distinguished vector fields.
 
-Every analysis here first checks that its input is a metric Lie algebra
-(`MetricLieAlgebra.require_valid`, cached per algebra) and raises
-`ValidationFailed` otherwise, so the Jacobi identity may be used
+Every `MetricLieAlgebra` is a metric Lie algebra (its constructor refuses
+other data with `ValidationFailed`), so the Jacobi identity may be used
 throughout.
 
 Every analysis here follows the same pattern.  Pose the defining condition
@@ -133,7 +132,6 @@ def einstein_check(alg: MetricLieAlgebra) -> EinsteinVerdict:
     the exceptional values come out of the same complete candidate search
     as every other solve.
     """
-    alg.require_valid()
     ric, G = alg.ricci, alg.metric
     upper = _upper(alg.dim)
     sol = solve_parametric([[G[i][j]] for i, j in upper], [ric[i][j] for i, j in upper], ("lam",),
@@ -188,7 +186,6 @@ def ricci_soliton_solve(alg: MetricLieAlgebra, convention: str = "paper") -> Sol
     choice rescales X and lam but never changes solvability, so the
     exceptional parameter set is convention-independent.
     """
-    alg.require_valid()
     if convention not in SOLITON_CONVENTIONS:
         raise ValueError(f"unknown soliton convention {convention!r}")
     n = alg.dim
@@ -268,7 +265,6 @@ class KillingVerdict:
 
 def killing_solve(alg: MetricLieAlgebra) -> KillingVerdict:
     """Invariant Killing fields: the kernel of X -> Lie_X g."""
-    alg.require_valid()
     n = alg.dim
     names = tuple(f"x{i+1}" for i in range(n))
     lie = alg.lie_derivative_metric_basis
@@ -388,7 +384,6 @@ def geodesic_classify(alg: MetricLieAlgebra) -> GeodesicClassification:
     parameter values where the union changes (for example where every
     equation collapses and all fields become geodesic).
     """
-    alg.require_valid()
     names = component_names(alg.dim)
     forms = _geodesic_forms(alg)
     components = solve_zero_set(forms, names)
@@ -518,7 +513,6 @@ def walker_check(alg: MetricLieAlgebra) -> WalkerVerdict:
     CaseAnalysisIncomplete names the first value that disagrees, rather
     than reporting either answer.
     """
-    alg.require_valid()
     names = component_names(alg.dim)
     forms = _walker_forms(alg)
     witness = _null_parallel_witness(forms, names)
@@ -570,10 +564,11 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
     every X; it is computed as one degree-5 polynomial identity in the
     components of X, so the verdict is exact.
 
-    Both rest on the Jacobi identity, which `require_valid` checks first.
-    Ricci is symmetric, so with P[i][j][k] = sum_m K[i][j][m] ric[m][k]
-    (see `cov_ricci`) the cyclic sum on (i, j, k) is minus the sum of P over
-    the six orderings of (i, j, k).  It is symmetric in (i, j, k), and
+    Both rest on the Jacobi identity, which every `MetricLieAlgebra`
+    satisfies.  Ricci is symmetric, so with P[i][j][k] =
+    sum_m K[i][j][m] ric[m][k] (see `cov_ricci`) the cyclic sum on
+    (i, j, k) is minus the sum of P over the six orderings of (i, j, k).
+    It is symmetric in (i, j, k), and
     zero exactly when the sum of P over the distinct orderings is: one
     `dot` of the K and Ricci entries per multiset {i, j, k}.
 
@@ -592,7 +587,6 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
     Every coefficient of B, of the raised tensor and of l5 is one `dot`,
     normalized once.
     """
-    alg.require_valid()
     violations = _cyclic_violations(alg)
     l5 = _ledger_l5(alg)
     return LedgerReport(not violations, violations, l5, not l5)
@@ -741,11 +735,14 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     (the trivial critical points) are the joint kernel of all covariant
     derivative operators.
     """
-    alg.require_valid()
     families = []
+    singular = None  # read once, when the first root is tested
     for pair in alg.laplacian_spectrum.pairs:
         trace_zero = _trace_vanishes(alg, pair.vectors)
         section = pair.value.is_zero
+        roots = [r for r, _ in pair.value.zeros()] if trace_zero and not section else []
+        if roots and singular is None:
+            singular = set(alg.singular_parameters())
         families.append(CriticalFamily(
             eigenvalue=pair.value,
             multiplicity=pair.multiplicity,
@@ -753,8 +750,7 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
             trace_vanishes=trace_zero,
             section_harmonic=section,
             map_harmonic=section and trace_zero,
-            harmonic_eps=([r for r, _ in pair.value.zeros() if r not in alg.singular_parameters()]
-                          if trace_zero and not section else []),
+            harmonic_eps=[r for r in roots if r not in singular],
         ))
     parallel = kernel_basis([row for op in alg.connection_operators for row in op])
     return HarmonicityReport(families, parallel)
@@ -803,7 +799,6 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     nothing about lam: its rho^2 coefficient is None, and the report prints
     the constant n/2 as its energy.
     """
-    alg.require_valid()
     n = alg.dim
     half = ratfunc(Fraction(1, 2))
     density = ratfunc(Fraction(n, 2))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import MetricLieAlgebra, vector_str
+from .algebra import MetricLieAlgebra, ValidationFailed, vector_str
 from .catalog import ReferenceNote
 from .geometry import (
     GeodesicClassification,
@@ -64,7 +64,6 @@ def algebra_section(alg: MetricLieAlgebra) -> dict:
             coords = [alg.brackets[i][j][k] for k in range(alg.dim)]
             if any(not c.is_zero for c in coords):
                 brackets.append(f"[X{i+1},X{j+1}] = {vector_str(coords)}")
-    violations = alg.validate()
     return {
         "name": alg.name,
         "dim": alg.dim,
@@ -72,7 +71,7 @@ def algebra_section(alg: MetricLieAlgebra) -> dict:
         "metric": _matrix(alg.metric),
         "metric_det": str(alg.metric_det),
         "singular_eps": [str(x) for x in alg.singular_parameters()],
-        "validation": "ok" if not violations else [str(v) for v in violations],
+        "validation": "ok",
     }
 
 
@@ -328,8 +327,9 @@ SECTION_COMMANDS = {
 }
 
 
-def _document(kind: str, alg: MetricLieAlgebra, **body) -> dict:
-    """A document on one algebra that names it by name and dimension only."""
+def _document(kind: str, alg: MetricLieAlgebra | ValidationFailed, **body) -> dict:
+    """A document on one algebra (or on data that a constructor refused)
+    that names it by name and dimension only."""
     return {
         "schema": SCHEMA,
         "report": kind,
@@ -345,9 +345,11 @@ def single_report(kind: str, alg: MetricLieAlgebra, **kwargs) -> dict:
     return _document(kind, alg, **{kind: build(alg, **kwargs)})
 
 
-def validate_report(alg: MetricLieAlgebra) -> dict:
-    violations = alg.validate()
-    return _document("validate", alg, ok=not violations,
+def validate_report(checked: MetricLieAlgebra | ValidationFailed) -> dict:
+    """The `validate` document of an algebra, or of the data whose
+    construction raised `checked`: both carry the name and dimension."""
+    violations = checked.violations if isinstance(checked, ValidationFailed) else []
+    return _document("validate", checked, ok=not violations,
                      violations=[str(v) for v in violations])
 
 

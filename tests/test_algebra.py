@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from liegeom import algebra
-from liegeom.algebra import MetricLieAlgebra, SingularMetric, mat_inv, mat_mul, vector_str
+from liegeom.algebra import (
+    MetricLieAlgebra, SingularMetric, ValidationFailed, mat_inv, mat_mul, vector_str)
 from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, ratfunc, record
 
 from test_solvers import DENSE, _sympy_ratfunc
@@ -129,6 +130,13 @@ def test_catalog_algebras_validate(berger_alg, abelian_alg):
     assert abelian_alg.validate() == []
 
 
+def refusal(build, *args, **kwargs) -> ValidationFailed:
+    """The ValidationFailed that `build(*args, **kwargs)` raises."""
+    with pytest.raises(ValidationFailed) as exc:
+        build(*args, **kwargs)
+    return exc.value
+
+
 def test_antisymmetry_violation_reported_once():
     # built directly, past the antisymmetric fill-in of `from_brackets`:
     # [X1,X2] = X1 but [X2,X1] = 0, and [X1,X1] = X2
@@ -138,44 +146,45 @@ def test_antisymmetry_violation_reported_once():
             C[i][j][k] = ONE
         return tuple(tuple(tuple(row) for row in plane) for plane in C)
     identity = ((ONE, ZERO), (ZERO, ONE))
-    alg = MetricLieAlgebra("broken", 2, brackets([(0, 1, 0)]), identity)
-    assert [str(v) for v in alg.validate()] == [
+    failure = refusal(MetricLieAlgebra, "broken", 2, brackets([(0, 1, 0)]), identity)
+    assert (failure.name, failure.dim) == ("broken", 2)
+    assert [str(v) for v in failure.violations] == [
         "antisymmetry: [X1,X2] and [X2,X1] disagree in the X1 component",
     ]
-    alg = MetricLieAlgebra("broken", 2, brackets([(0, 0, 1)]), identity)
-    assert [str(v) for v in alg.validate()] == [
+    failure = refusal(MetricLieAlgebra, "broken", 2, brackets([(0, 0, 1)]), identity)
+    assert [str(v) for v in failure.violations] == [
         "antisymmetry: [X1,X1] and [X1,X1] disagree in the X2 component",
     ]
 
 
 def test_jacobi_violation_detected():
     # su(2) with [X3,X1] = 2 X2 + X3 breaks the cyclic identity
-    alg = MetricLieAlgebra.from_brackets(
+    failure = refusal(
+        MetricLieAlgebra.from_brackets,
         3,
         {(0, 1): {2: 2}, (1, 2): {0: 2}, (0, 2): {1: -2, 2: -1}},
         [[EPS, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]],
     )
-    laws = {v.law for v in alg.validate()}
-    assert laws == {"jacobi"}
-    assert [str(v) for v in alg.validate()] == [
+    assert (failure.name, failure.dim) == ("unnamed", 3)
+    assert {v.law for v in failure.violations} == {"jacobi"}
+    assert [str(v) for v in failure.violations] == [
         "jacobi: cyclic bracket sum on (X1,X2,X3) has nonzero X1 component 2",
     ]
-    # the violations are computed once, and each call hands out a fresh list
-    first = alg.validate()
-    first.clear()
-    assert len(alg.validate()) == 1 and alg.validate() is not alg.validate()
+    assert str(failure) == ("algebra data is not a metric Lie algebra: "
+                            + str(failure.violations[0]))
 
 
 def test_jacobi_violation_messages_4d():
     # every nonzero component of every cyclic sum, in order, with its value
-    alg = MetricLieAlgebra.from_brackets(
+    failure = refusal(
+        MetricLieAlgebra.from_brackets,
         4,
         {(0, 1): {2: 1, 3: 1}, (0, 2): {1: -1, 3: "eps"}, (1, 2): {0: 1, 3: -1},
          (2, 3): {1: 2}, (1, 3): {2: "1/eps"}, (0, 3): {0: 3}},
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "eps", 0], [0, 0, 0, 1]],
     )
     prefix = "jacobi: cyclic bracket sum on"
-    assert [str(v) for v in alg.validate()] == [
+    assert [str(v) for v in failure.violations] == [
         f"{prefix} (X1,X2,X3) has nonzero X1 component -3",
         f"{prefix} (X1,X2,X3) has nonzero X2 component 2",
         f"{prefix} (X1,X2,X3) has nonzero X3 component -1",
@@ -200,12 +209,10 @@ def test_scaling_one_bracket_keeps_jacobi():
 
 
 def test_metric_violations_detected():
-    asym = MetricLieAlgebra.from_brackets(
-        2, {}, [[ONE, ONE], [ZERO, ONE]])
-    assert {v.law for v in asym.validate()} == {"metric-symmetry"}
-    degenerate = MetricLieAlgebra.from_brackets(
-        2, {}, [[ONE, ZERO], [ZERO, ZERO]])
-    assert {v.law for v in degenerate.validate()} == {"metric-nondegenerate"}
+    asym = refusal(MetricLieAlgebra.from_brackets, 2, {}, [[ONE, ONE], [ZERO, ONE]])
+    assert {v.law for v in asym.violations} == {"metric-symmetry"}
+    degenerate = refusal(MetricLieAlgebra.from_brackets, 2, {}, [[ONE, ZERO], [ZERO, ZERO]])
+    assert {v.law for v in degenerate.violations} == {"metric-nondegenerate"}
 
 
 def test_dimension_range_enforced():
@@ -487,8 +494,9 @@ def test_transform_basis_round_trip_on_the_corpus(corpus_alg, key):
 
 
 def test_metric_inverse_computes_no_determinant(monkeypatch, corpus_alg):
-    # mat_inv forms no determinant, so metric_det (cached) is the only one
-    # an algebra computes; minors of the Laplace expansion are not counted
+    # mat_inv forms no determinant, so metric_det (cached, and first read by
+    # the constructor's check) is the only one an algebra computes: one of
+    # full size (besides its Laplace minors) while it is built, none after
     calls = []
     laplace = algebra.mat_det
 
@@ -500,9 +508,10 @@ def test_metric_inverse_computes_no_determinant(monkeypatch, corpus_alg):
     for key in CORPUS_KEYS:
         for seed in INVERSE_SEEDS:
             case = corpus_case(corpus_alg, key, seed)
-            alg = MetricLieAlgebra(case.name, case.dim, case.brackets, case.metric)
             calls.clear()
-            assert mat_mul([list(r) for r in alg.metric], alg.metric_inverse) == identity(alg.dim)
-            assert calls == []
-            alg.validate(), alg.singular_parameters(), alg.nabla_basis
+            alg = MetricLieAlgebra(case.name, case.dim, case.brackets, case.metric)
             assert calls.count(alg.dim) == 1
+            built = len(calls)
+            assert mat_mul([list(r) for r in alg.metric], alg.metric_inverse) == identity(alg.dim)
+            alg.singular_parameters(), alg.nabla_basis
+            assert len(calls) == built

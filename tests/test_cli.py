@@ -75,6 +75,51 @@ def test_validation_failure_exits_one(capsys, tmp_path):
     assert "jacobi" in out
 
 
+JACOBI_VIOLATING = (
+    "dim: 3\nbracket: 1 2 -> 3 : 2\nbracket: 2 3 -> 1 : 2\n"
+    "bracket: 1 3 -> 2 : -2\nbracket: 1 3 -> 3 : -1\n"
+    "metric:\n1 0 0\n0 1 0\n0 0 1\n"
+)
+# the determinant eps^2 - eps * eps is identically zero
+DEGENERATE_METRIC = "name: flat\ndim: 2\nmetric:\n1 eps\neps eps^2\n"
+
+
+def validate_text(name, dim, violations):
+    listed = "".join(f"  {v}\n" for v in violations) or "  (none)\n"
+    return (f"report: validate\n== algebra ==\n  name: {name}\n  dim: {dim}\n\n"
+            f"ok: {'no' if violations else 'yes'}\n== violations ==\n{listed}")
+
+
+def validate_json(name, dim, violations):
+    listed = ("[\n" + ",\n".join(f'    "{v}"' for v in violations) + "\n  ]"
+              if violations else "[]")
+    return ('{\n  "schema": "1",\n  "report": "validate",\n  "algebra": {\n'
+            f'    "name": "{name}",\n    "dim": {dim}\n  }},\n'
+            f'  "ok": {"false" if violations else "true"},\n'
+            f'  "violations": {listed}\n}}\n')
+
+
+@pytest.mark.parametrize(("text", "name", "dim", "violations"), [
+    (JACOBI_VIOLATING, "unnamed", 3,
+     ["jacobi: cyclic bracket sum on (X1,X2,X3) has nonzero X1 component 2"]),
+    (DEGENERATE_METRIC, "flat", 2,
+     ["metric-nondegenerate: determinant of the metric is identically zero"]),
+    (None, "berger-sphere", 3, []),
+], ids=["jacobi", "degenerate", "berger"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_validate_output_bytes(capsys, tmp_path, text, name, dim, violations, fmt):
+    # the exact document `validate` prints, and its exit code, on bad and good input
+    if text is None:
+        source = ["--berger"]
+    else:
+        p = tmp_path / "alg.txt"
+        p.write_text(text, encoding="utf-8")
+        source = ["--algebra", str(p)]
+    rc, out, err = run(capsys, "validate", *source, "--format", fmt)
+    want = (validate_text if fmt == "text" else validate_json)(name, dim, violations)
+    assert (rc, out, err) == (1 if violations else 0, want, "")
+
+
 # ---------------------------------------------------------------------------
 # json output
 

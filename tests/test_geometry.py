@@ -22,7 +22,6 @@ from liegeom.geometry import (
     solve_zero_set,
     walker_check,
 )
-from liegeom.numeric import evaluate_numeric
 from liegeom.report import (
     energy_section,
     full_report,
@@ -688,24 +687,45 @@ def test_ledger_at_symmetric_specializations(mixed):
             e: c.eval(v) for e, c in rep.l5_poly.items() if c.eval(v)}
 
 
-def test_analyses_refuse_non_lie_input():
-    # [X1, X2] = X1, [X2, X3] = X2, [X1, X3] = X3 breaks the Jacobi identity;
-    # every analysis refuses, and so do the tensors that rely on the identity
-    alg = MetricLieAlgebra.from_brackets(
-        3, {(0, 1): {0: 1}, (1, 2): {1: 1}, (0, 2): {2: 1}}, [[1, 0, 0], [0, 1, 0], [0, 0, "eps"]])
-    assert [v.law for v in alg.validate()] == ["jacobi"] * 3
-    for analysis in (einstein_check, ricci_soliton_solve, killing_solve, geodesic_classify,
-                     walker_check, ledger_check, harmonicity_classify, energy_report,
-                     lambda alg: evaluate_numeric(alg, 2)):
+def test_every_constructor_refuses_non_lie_data():
+    # [X1, X2] = X1, [X2, X3] = X2, [X1, X3] = X3 breaks the Jacobi identity:
+    # built directly, from brackets or from text, the data is refused with
+    # the same violations, so no analysis and no tensor can be asked of it
+    brackets = {(0, 1): {0: 1}, (1, 2): {1: 1}, (0, 2): {2: 1}}
+    metric = [[1, 0, 0], [0, 1, 0], [0, 0, "eps"]]
+    C = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j), comp in brackets.items():
+        for k, c in comp.items():
+            C[i][j][k], C[j][i][k] = ratfunc(c), ratfunc(-c)
+    text = ("dim: 3\nbracket: 1 2 -> 1 : 1\nbracket: 1 3 -> 3 : 1\n"
+            "bracket: 2 3 -> 2 : 1\nmetric:\n1 0 0\n0 1 0\n0 0 eps\n")
+    builds = [
+        lambda: MetricLieAlgebra("unnamed", 3, tuple(tuple(map(tuple, p)) for p in C),
+                                 tuple(tuple(map(ratfunc, row)) for row in metric)),
+        lambda: MetricLieAlgebra.from_brackets(3, brackets, metric),
+        lambda: loads(text),
+    ]
+    for build in builds:
         with pytest.raises(ValidationFailed) as exc:
-            analysis(alg)
-        assert exc.value.violations == alg.validate(), analysis
-    for tensor in ("cov_ricci", "cov_curvature"):
-        with pytest.raises(ValidationFailed):
-            getattr(alg, tensor)
-    # the tensors that need no Jacobi identity still answer
-    assert alg.ricci and alg.curvature_tensor
+            build()
+        assert (exc.value.name, exc.value.dim) == ("unnamed", 3)
+        assert [str(v) for v in exc.value.violations] == [
+            "jacobi: cyclic bracket sum on (X1,X2,X3) has nonzero X1 component 1",
+            "jacobi: cyclic bracket sum on (X1,X2,X3) has nonzero X2 component -1",
+            "jacobi: cyclic bracket sum on (X1,X2,X3) has nonzero X3 component -1",
+        ]
     assert sys.modules["liegeom.catalog"].ValidationFailed is ValidationFailed
+
+
+def test_specializing_at_a_zero_of_the_determinant_is_refused():
+    # det g = eps for the Berger sphere: eps = 0 leaves no metric
+    alg = berger()
+    assert alg.singular_parameters() == [0]
+    with pytest.raises(ValidationFailed) as exc:
+        alg.at_eps(0)
+    assert (exc.value.name, exc.value.dim) == ("berger-sphere[eps=0]", 3)
+    assert [str(v) for v in exc.value.violations] == [
+        "metric-nondegenerate: determinant of the metric is identically zero"]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,11 @@ tests use lives in `tests/`.  A name counts only where code reads it (in
 `Load` context, or imported by name), and not as the attribute of a library
 bound by a plain `import`, so neither a field annotation nor `json.dumps`
 stands in for a definition of the same name.  `UNNAMED` lists the
-exceptions."""
+exceptions.
+
+Only `algebra` decides whether data is a metric Lie algebra: the
+`MetricLieAlgebra` constructor runs `validate` once, and no other module
+calls it or defines a second way into the check."""
 
 import ast
 from pathlib import Path
@@ -151,3 +155,18 @@ if __name__ == "__main__":
 
 def test_every_definition_is_named_by_the_package():
     assert unnamed_definitions(module_trees()) == set(UNNAMED)
+
+
+def test_only_algebra_decides_validity():
+    # the `MetricLieAlgebra` constructor checks its data once: no other
+    # module calls `validate`, and no second way into the check is defined
+    calls, defined = [], []
+    for module, tree in module_trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "validate" and module != "algebra"):
+                calls.append(f"{module}:{node.lineno}")
+            elif (isinstance(node, ast.FunctionDef)
+                  and node.name in ("require_valid", "_violations")):
+                defined.append(f"{module}.{node.name}")
+    assert (calls, defined) == ([], [])

@@ -192,9 +192,7 @@ def random_algebras(count=20, seed=20260816):
     out = []
     while len(out) < count:
         base = BASE_BUILDERS[len(out) % len(BASE_BUILDERS)](rng)
-        alg = base.transform_basis(random_invertible(rng, base.dim))
-        if alg.validate() == []:
-            out.append(alg)
+        out.append(base.transform_basis(random_invertible(rng, base.dim)))
     return out
 
 
