@@ -20,38 +20,65 @@ The sign pattern of the curvature convention makes the unit round sphere
 come out Einstein with ric = 2g, which is the normalization every golden
 value in the test suite is pinned to.
 
-Vector and operator values are plain lists (of scalars, and of rows) with
-`RatFunc` entries: the engine reads every polynomial condition off the
-coefficient tensors instead of passing generic vectors.  The helpers use
+The tensor layer runs on integer numerators.  The brackets, the metric
+and g^{-1} (which comes from `solvers.kernel_basis`) are cleared of their
+denominators once (`scalars._clear`), and every tensor after them, the
+lowered and raised connection, the connection along the dual basis, the
+curvature operators, the curvature tensor, Ricci and the rough Laplacian,
+is held as nested lists of Z[eps] tuples over one denominator per tensor.
+Each is formed with the integer kernels `_zmul` and `_zadd` only, over
+the product of its factors' denominators, and then divided once by the
+gcd of its denominator and all its numerators (`_ztensor`), which keeps
+the degrees at those of the canonical entries.  A zero test is a test of
+a numerator.  Every contraction runs over the nonzero entries of each
+factor only (`_znonzero`, `_zscatter`), and a tensor contracted more than
+once is lowered once (`_znabla_lowered`) or raised once (`_znabla_dual`,
+the only place where g^{-1} meets the connection in the harmonic and
+energy layer).  A left-invariant metric in an adapted frame has few
+nonzero structure constants and often a diagonal Gram matrix, so the dense
+sums were mostly products with a zero factor.
+
+The public tensors (`nabla_basis`, `connection_operators`,
+`curvature_operator`, `curvature_tensor`, `ricci`, `rough_laplacian`,
+`lie_derivative_metric_basis`) are views of the integer forms: each entry
+is made a canonical `RatFunc` by one `_canonical`, once, where it is read
+as a `RatFunc`, to be printed or handed to `solve_parametric` or
+`kernel_basis`.  The analyses of `geometry` that only test zeros or build
+a polynomial (the Ledger conditions, the harmonic-map trace, the energy
+density) read the integer forms themselves, and `laplacian_spectrum`
+hands the integer Laplacian to `solvers.eigen_analyze`.  Canonical forms
+make every view independent of the order of the terms.
+
+Vector and operator values outside the tensor layer are plain lists (of
+scalars, and of rows) with `RatFunc` entries.  The helpers on them use
 only the ring operations of `RatFunc` and `.is_zero`: `bilinear`, the one
 evaluator of a quadratic form on vectors, also takes components of any
 other type with those, such as the polynomials that the references in the
-tests pass to it.
-
-Every contraction runs over the nonzero entries of each factor only (the
-`scalars.nonzero` helper), and a tensor contracted more than once is
-lowered once (`_nabla_lowered`) or raised once (`_nabla_dual`, the only
-place where g^{-1} meets the connection in the harmonic and energy layer).
-A left-invariant metric in an adapted frame has few nonzero structure
-constants and often a diagonal Gram matrix, so the dense sums were mostly
-products with a zero factor.  Exact arithmetic with canonical `RatFunc`s
-makes the result independent of the order of the terms.  The modules
-layer as scalars -> solvers -> algebra -> {catalog, numeric} -> geometry
--> report -> cli (`tests/test_layers.py`), so the algebra caches tensors,
-never a verdict: g^{-1} comes from `solvers.kernel_basis` and the Laplacian
-spectrum from `solvers.eigen_analyze`.
+tests pass to it.  The modules layer as scalars -> solvers -> algebra ->
+{catalog, numeric} -> geometry -> report -> cli (`tests/test_layers.py`),
+so the algebra caches tensors, never a verdict.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .scalars import (
     RatFunc,
     ONE,
     ZERO,
+    _canonical,
+    _clear,
+    _ratfunc,
+    _zadd,
+    _zcommon,
+    _zdiv_exact,
+    _zdot,
+    _zlcm,
+    _zmul,
+    _zneg,
     nonzero,
     ratfunc,
     record,
@@ -60,7 +87,6 @@ from .scalars import (
 from .solvers import EigenDecomposition, eigen_analyze, kernel_basis
 
 MAX_DIM = 4
-_HALF = RatFunc(1, 2)
 
 
 class SingularMetric(ArithmeticError):
@@ -73,37 +99,25 @@ class SingularMetric(ArithmeticError):
 # Entries are `RatFunc`s (a value at one eps is a constant one); the zero
 # test is `.is_zero`, so `bilinear` takes components of any type that has it
 # and the ring operations.  They form no product with a zero factor:
-# `scalars.nonzero` lists the nonzero entries of a row, and
-# `add_scaled`/`add_product` accumulate in place over such lists.  An entry
-# that no product reaches is the `RatFunc` ZERO.  The one elimination is
+# `scalars.nonzero` lists the nonzero entries of a row.  An entry that no
+# product reaches is the `RatFunc` ZERO.  The one elimination is
 # `solvers.kernel_basis`: `mat_inv` reads the inverse off it, and the
-# zero-skipping Laplace `mat_det` is the one determinant.
+# zero-skipping Laplace `mat_det` is the one determinant.  The helpers of
+# the integer tensor layer (`_ztensor`, `_zadd_scaled`, `_zscatter`,
+# `_view`) follow.
 
 
 def zeros(n: int) -> list[list]:
     return [[ZERO for _ in range(n)] for _ in range(n)]
 
 
-def add_scaled(out, s, a) -> None:
-    """out += s * a in place; `a` given by the `nonzero` lists of its rows."""
-    for orow, row in zip(out, a):
-        for c, x in row:
-            orow[c] = orow[c] + s * x
-
-
-def add_product(out, a, b, negate: bool = False) -> None:
-    """out += a b in place (out -= a b when `negate`); `a` and `b` given by
-    the `nonzero` lists of their rows."""
-    for orow, row in zip(out, a):
-        for s, x in row:
-            for c, y in b[s]:
-                p = x * y
-                orow[c] = orow[c] - p if negate else orow[c] + p
-
-
 def mat_mul(a, b):
     out = [[ZERO for _ in b[0]] for _ in a]
-    add_product(out, [nonzero(row) for row in a], [nonzero(row) for row in b])
+    nb = [nonzero(row) for row in b]
+    for orow, row in zip(out, a):
+        for s, x in nonzero(row):
+            for c, y in nb[s]:
+                orow[c] = orow[c] + x * y
     return out
 
 
@@ -174,6 +188,74 @@ def mat_inv(a) -> list[list[RatFunc]]:
     return transpose([v[:n] for v in kernel])
 
 
+def _zleaves(T) -> list[tuple]:
+    """The numerators of an integer tensor: nested lists, or a dict of
+    them, whose leaves are `scalars` integer tuples."""
+    T = list(T.values()) if type(T) is dict else T
+    while type(T[0]) is not tuple:
+        T = [x for sub in T for x in sub]
+    return T
+
+
+def _zmap(f, T):
+    """The integer tensor T with f applied to each numerator."""
+    if type(T) is dict:
+        return {key: _zmap(f, x) for key, x in T.items()}
+    if type(T) is tuple:
+        return f(T)
+    if type(T[0]) is tuple:
+        return [f(x) for x in T]
+    return [_zmap(f, x) for x in T]
+
+
+def _ztensor(T, d: tuple):
+    """(T, d) divided by the gcd of d and every numerator of T
+    (`scalars._zcommon`), so that the degrees stay those of the canonical
+    entries."""
+    if not T:
+        return T, d
+    g = _zcommon(d, _zleaves(T))
+    if g == (1,):
+        return T, d
+    return _zmap(lambda x: _zdiv_exact(x, g), T), _zdiv_exact(d, g)
+
+
+def _znonzero(row) -> list[tuple[int, tuple]]:
+    """The (index, numerator) pairs of the nonzero entries of an integer row."""
+    return [(k, x) for k, x in enumerate(row) if x]
+
+
+def _zadd_scaled(out, s: tuple, a) -> None:
+    """out += s a in place, for an integer matrix `a` given by the
+    `_znonzero` lists of its rows."""
+    for orow, row in zip(out, a):
+        for c, y in row:
+            orow[c] = _zadd(orow[c], _zmul(s, y))
+
+
+def _zscatter(out, a, b, s: tuple = (1,)) -> None:
+    """out += s a b in place, for integer matrices: `a` and `b` given by the
+    `_znonzero` lists of their rows."""
+    for orow, row in zip(out, a):
+        for t, x in row:
+            if s != (1,):
+                x = _zmul(s, x)
+            for c, y in b[t]:
+                orow[c] = _zadd(orow[c], _zmul(x, y))
+
+
+def _entry(x: tuple, d: tuple) -> RatFunc:
+    """The `RatFunc` x / d, by one `_canonical`."""
+    return _ratfunc(*_canonical(x, d)) if x else ZERO
+
+
+def _view(T, d: tuple):
+    """The integer tensor (T, d) as nested lists of `RatFunc`s."""
+    if type(T) is tuple:
+        return _entry(T, d)
+    return [_view(x, d) for x in T]
+
+
 def vector_str(coords: Sequence) -> str:
     """Render a coordinate vector as a combination of X1..Xn, as
     `scalars.poly_str` prints the linear polynomial in X1..Xn with these
@@ -231,7 +313,14 @@ class MetricLieAlgebra:
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"dimension {self.dim} not in 1..{MAX_DIM}")
-        if len(self.brackets) != self.dim or len(self.metric) != self.dim:
+        n = self.dim
+
+        def square(rows) -> bool:
+            return type(rows) in (tuple, list) and len(rows) == n
+
+        if not (square(self.metric) and all(map(square, self.metric))
+                and square(self.brackets)
+                and all(square(plane) and all(map(square, plane)) for plane in self.brackets)):
             raise ValueError("tensor shapes do not match the dimension")
         violations = self.validate()
         if violations:
@@ -367,33 +456,121 @@ class MetricLieAlgebra:
     def metric_det(self) -> RatFunc:
         return mat_det([list(r) for r in self.metric])
 
-    # -- connection and curvature ------------------------------------------
+    # -- the tensor layer on integer numerators -----------------------------
+    #
+    # Each tensor is held as (T, d): nested lists of `scalars` integer tuples
+    # over one denominator tuple d, entry x / d.  It is formed from its
+    # factors with `_zmul` and `_zadd` only, over the product of their
+    # denominators, and divided once by the gcd of d and its numerators
+    # (`_ztensor`).  A zero entry is ().  The public tensors are views of
+    # these forms, each entry made a `RatFunc` by one `_canonical`.
 
     @cached_property
-    def _nabla_lowered(self) -> list[list[list[RatFunc]]]:
-        """Kl[i][j][k] = g(nabla_{Xi} Xj, Xk), by the Koszul formula
-        2 Kl[i][j][k] = Cl[i][j][k] - Cl[j][k][i] + Cl[k][i][j] with
-        Cl[i][j][k] = g([Xi, Xj], Xk).  Each bracket is lowered once, and
-        each nonzero entry of Cl is scattered, halved, to the three entries
-        of Kl it appears in."""
+    def _zbrackets(self) -> tuple[list, tuple]:
         n = self.dim
-        Gt = transpose(self.metric)
-        Kl = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                for c, x in nonzero(mat_vec(Gt, self.brackets[a][b])):
-                    h = x * _HALF
-                    Kl[a][b][c] = Kl[a][b][c] + h
-                    Kl[c][a][b] = Kl[c][a][b] - h
-                    Kl[b][c][a] = Kl[b][c][a] + h
-        return Kl
+        C, d = _clear(row for plane in self.brackets for row in plane)
+        return [C[i * n:(i + 1) * n] for i in range(n)], d
+
+    @cached_property
+    def _zmetric(self) -> tuple[list, tuple]:
+        return _clear(self.metric)
+
+    @cached_property
+    def _zmetric_inverse(self) -> tuple[list, tuple]:
+        return _clear(self.metric_inverse)
+
+    @cached_property
+    def _znabla_lowered(self) -> tuple[list, tuple]:
+        """Kl[i][j][k] / d = g(nabla_{Xi} Xj, Xk), by the Koszul formula
+        2 Kl[i][j][k] = Cl[i][j][k] - Cl[j][k][i] + Cl[k][i][j] with
+        Cl[i][j][k] = g([Xi, Xj], Xk), over twice the denominators of C and
+        g.  Each bracket [Xa, Xb], a < b, is lowered once, and each nonzero
+        entry of Cl is scattered to the three entries of Kl it appears in,
+        and with the opposite sign (Cl[b][a] = -Cl[a][b]) to three more."""
+        n = self.dim
+        rn = range(n)
+        (C, c), (G, e) = self._zbrackets, self._zmetric
+        Gt = transpose(G)
+        Kl = [[[()] * n for _ in rn] for _ in rn]
+        for a in rn:
+            for b in range(a + 1, n):
+                if any(C[a][b]):
+                    for k in rn:
+                        if x := _zdot(Gt[k], C[a][b]):
+                            m = _zneg(x)
+                            for (p, q, r), y in (((a, b, k), x), ((k, a, b), m), ((b, k, a), x),
+                                                 ((b, a, k), m), ((k, b, a), x), ((a, k, b), m)):
+                                Kl[p][q][r] = _zadd(Kl[p][q][r], y)
+        return _ztensor(Kl, _zmul((2,), _zmul(c, e)))
+
+    @cached_property
+    def _znabla(self) -> tuple[list, tuple]:
+        """K[i][j][k] / d, the coordinates of nabla_{Xi} Xj: the lowered
+        Koszul values raised by g^{-1}, which is symmetric, so each nonzero
+        Kl[i][j][c] adds its multiple of row c of g^{-1}."""
+        n = self.dim
+        Kl, d = self._znabla_lowered
+        Gi, e = self._zmetric_inverse
+        rows = [_znonzero(row) for row in Gi]
+        K = []
+        for plane in Kl:
+            out = [[()] * n for _ in plane]
+            _zscatter(out, [_znonzero(v) for v in plane], rows)
+            K.append(out)
+        return _ztensor(K, _zmul(d, e))
+
+    @cached_property
+    def _zconnection_rows(self) -> list:
+        """The `_znonzero` lists of the rows of the matrix of each
+        nabla_{Xk} (column j holds nabla_{Xk} Xj), over the denominator of
+        `_znabla`."""
+        return [[_znonzero(row) for row in transpose(plane)] for plane in self._znabla[0]]
+
+    @cached_property
+    def _znabla_dual(self) -> tuple[list, tuple]:
+        """M[j][p] / d = coordinates of nabla_{X^j} Xp = sum_i g^{ij} K[i][p],
+        along the dual basis X^j = sum_i g^{ij} Xi: the rough Laplacian (and
+        through it the energy) and the harmonic-map trace read g^{-1} here."""
+        n = self.dim
+        rn = range(n)
+        K, d = self._znabla
+        Gi, e = self._zmetric_inverse
+        M = [[[()] * n for _ in rn] for _ in rn]
+        for i, grow in enumerate(Gi):
+            Ki = [_znonzero(v) for v in K[i]]
+            for j, w in _znonzero(grow):
+                _zadd_scaled(M[j], w, Ki)
+        return _ztensor(M, _zmul(d, e))
+
+    @cached_property
+    def _zcurvature(self) -> tuple[dict, tuple]:
+        """R[i, j] / d, the matrix of R(Xi, Xj) = nabla_{[Xi,Xj]} -
+        [nabla_{Xi}, nabla_{Xj}] for i < j only, keyed by (i, j).  The
+        first term is over the denominator c of C times that, e, of K, the
+        commutator over e^2; both are brought over e lcm(c, e), which is e^2
+        when C is over 1."""
+        n = self.dim
+        rn = range(n)
+        (C, c), (_, e) = self._zbrackets, self._znabla
+        rows = self._zconnection_rows
+        m = _zlcm(c, e)
+        s1, s2 = _zdiv_exact(m, c), _zdiv_exact(m, e)
+        out = {}
+        for i in rn:
+            for j in range(i + 1, n):
+                acc = [[()] * n for _ in rn]
+                _zscatter(acc, rows[j], rows[i], s2)
+                _zscatter(acc, rows[i], rows[j], _zneg(s2))
+                for k, x in _znonzero(C[i][j]):
+                    _zadd_scaled(acc, _zmul(x, s1), rows[k])
+                out[i, j] = acc
+        return _ztensor(out, _zmul(e, m))
 
     @cached_property
     def nabla_basis(self) -> list[list[list[RatFunc]]]:
         """K[i][j] = coordinates of nabla_{Xi} Xj: the lowered Koszul
-        values raised by g^{-1}."""
-        ginv = self.metric_inverse
-        return [[mat_vec(ginv, row) for row in plane] for plane in self._nabla_lowered]
+        values raised by g^{-1}, a view of `_znabla`."""
+        return _view(*self._znabla)
 
     @cached_property
     def connection_operators(self) -> list[list[list[RatFunc]]]:
@@ -401,38 +578,10 @@ class MetricLieAlgebra:
         return [transpose(plane) for plane in self.nabla_basis]
 
     @cached_property
-    def _nabla_dual(self) -> list[list[list[RatFunc]]]:
-        """M[j][p] = coordinates of nabla_{X^j} Xp = sum_i g^{ij} K[i][p],
-        along the dual basis X^j = sum_i g^{ij} Xi: the rough Laplacian (and
-        through it the energy) and the harmonic-map trace read g^{-1} here."""
-        n = self.dim
-        M = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for i, grow in enumerate(self.metric_inverse):
-            Ki = [nonzero(v) for v in self.nabla_basis[i]]
-            for j, w in nonzero(grow):
-                add_scaled(M[j], w, Ki)
-        return M
-
-    @cached_property
-    def _connection_rows(self) -> list[list[list[tuple[int, RatFunc]]]]:
-        """The `nonzero` lists of the rows of each nabla_{Xi}."""
-        return [[nonzero(row) for row in op] for op in self.connection_operators]
-
-    @cached_property
     def _curvature_operators(self) -> dict[tuple[int, int], list[list[RatFunc]]]:
-        """R(Xi, Xj) for i < j only, keyed by (i, j)."""
-        n = self.dim
-        rows = self._connection_rows
-        out = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = zeros(n)
-                for k, c in nonzero(self.brackets[i][j]):
-                    add_scaled(acc, c, rows[k])
-                add_product(acc, rows[j], rows[i])
-                add_product(acc, rows[i], rows[j], negate=True)
-                out[i, j] = acc
-        return out
+        """R(Xi, Xj) for i < j only, keyed by (i, j): a view of `_zcurvature`."""
+        R, d = self._zcurvature
+        return {key: _view(op, d) for key, op in R.items()}
 
     def curvature_operator(self, i: int, j: int) -> list[list[RatFunc]]:
         """Matrix of R(Xi, Xj) = nabla_{[Xi,Xj]} - [nabla_{Xi}, nabla_{Xj}].
@@ -453,9 +602,10 @@ class MetricLieAlgebra:
     def curvature_tensor(self) -> list:
         """R4[i][j][k][l] = g(R(Xi,Xj) Xk, Xl).
 
-        Only the entries with i < j and k < l are computed; the other three
-        signed copies of each are filled in by sign, and the entries with
-        i = j or k = l are zero.  Antisymmetry in (i, j) is that of
+        Only the entries with i < j and k < l are computed, on the integer
+        curvature operators lowered by g, and made `RatFunc`s; the other
+        three signed copies of each are filled in by sign, and the entries
+        with i = j or k = l are zero.  Antisymmetry in (i, j) is that of
         `curvature_operator`.  Antisymmetry in (k, l) holds because every
         Koszul nabla_{Xi} is g-skew, which needs only an antisymmetric
         bracket and a symmetric metric; so R(Xi, Xj), a combination of
@@ -465,49 +615,60 @@ class MetricLieAlgebra:
         not used here, and `cov_curvature` relies on it.
         """
         n = self.dim
-        G = self.metric
-        R4 = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for (i, j), op in self._curvature_operators.items():
-            for k in range(n):
-                col = [(r, op[r][k]) for r in range(n) if not op[r][k].is_zero]
+        rn = range(n)
+        (R, d), (G, e) = self._zcurvature, self._zmetric
+        low = {}
+        for (i, j), op in R.items():
+            for k in rn:
+                col = [(r, row[k]) for r, row in enumerate(op) if row[k]]
                 for l in range(k + 1, n):
-                    acc = ZERO
-                    for r, x in col:
-                        if not G[r][l].is_zero:
-                            acc = acc + x * G[r][l]
-                    neg = -acc
-                    R4[i][j][k][l] = R4[j][i][l][k] = acc
-                    R4[j][i][k][l] = R4[i][j][l][k] = neg
+                    x = ()
+                    for r, y in col:
+                        if G[r][l]:
+                            x = _zadd(x, _zmul(y, G[r][l]))
+                    low[i, j, k, l] = x
+        low, d = _ztensor(low, _zmul(d, e))
+        R4 = [[[[ZERO] * n for _ in rn] for _ in rn] for _ in rn]
+        for (i, j, k, l), x in low.items():
+            acc = _entry(x, d)
+            neg = -acc
+            R4[i][j][k][l] = R4[j][i][l][k] = acc
+            R4[j][i][k][l] = R4[i][j][l][k] = neg
         return R4
 
     @cached_property
-    def ricci(self) -> list[list[RatFunc]]:
-        """ric[i][j] = sum_k (R(Xi, Xk) Xj)_k, the trace of Z -> R(Xi, Z) Xj.
+    def _zricci(self) -> tuple[list, tuple]:
+        """ric[i][j] / d = sum_k (R(Xi, Xk) Xj)_k, the trace of
+        Z -> R(Xi, Z) Xj.
 
         This is the metric trace sum_{k,l} g^{kl} g(R(Xi, Xk) Xj, Xl): g^{-1}
-        cancels the lowering by g.  Each R(Xa, Xb), a < b, of
-        `_curvature_operators` adds its row b to row a of ric (k = b), and
-        as R(Xb, Xa) = -R(Xa, Xb) subtracts its row a from row b (k = a).
-        Neither g^{-1} nor `curvature_tensor` is read.  The sum does not use
-        the Jacobi identity, but the result is symmetric because every
-        instance satisfies it, and `cov_ricci` relies on that."""
-        out = zeros(self.dim)
-        for (a, b), op in self._curvature_operators.items():
-            for j, x in nonzero(op[b]):
-                out[a][j] = out[a][j] + x
-            for j, x in nonzero(op[a]):
-                out[b][j] = out[b][j] - x
-        return out
+        cancels the lowering by g.  Each R(Xa, Xb), a < b, of `_zcurvature`
+        adds its row b to row a of ric (k = b), and as R(Xb, Xa) =
+        -R(Xa, Xb) subtracts its row a from row b (k = a).  Neither g^{-1}
+        nor `curvature_tensor` is read.  The sum does not use the Jacobi
+        identity, but the result is symmetric because every instance
+        satisfies it, and `cov_ricci` relies on that."""
+        n = self.dim
+        R, d = self._zcurvature
+        out = [[()] * n for _ in range(n)]
+        for (a, b), op in R.items():
+            for j, x in _znonzero(op[b]):
+                out[a][j] = _zadd(out[a][j], x)
+            for j, x in _znonzero(op[a]):
+                out[b][j] = _zadd(out[b][j], _zneg(x))
+        return _ztensor(out, d)
+
+    @cached_property
+    def ricci(self) -> list[list[RatFunc]]:
+        """The Ricci tensor, a view of `_zricci`."""
+        return _view(*self._zricci)
 
     @cached_property
     def scalar_curvature(self) -> RatFunc:
-        ric = self.ricci
-        acc = ZERO
-        for i, row in enumerate(self.metric_inverse):
-            for j, w in nonzero(row):
-                if not ric[i][j].is_zero:
-                    acc = acc + w * ric[i][j]
-        return acc
+        ric, d = self._zricci
+        Gi, e = self._zmetric_inverse
+        return _entry(_zdot([x for row in Gi for x in row], [x for row in ric for x in row]),
+                      _zmul(d, e))
 
     # -- Lie and covariant derivatives, rough Laplacian ---------------------
 
@@ -515,15 +676,16 @@ class MetricLieAlgebra:
     def lie_derivative_metric_basis(self) -> list[list[list[RatFunc]]]:
         """L[m][i][j] = (Lie_{Xm} g)(Xi, Xj) = g(nabla_{Xi}Xm, Xj) + g(Xi, nabla_{Xj}Xm)
         = Kl[i][m][j] + Kl[j][m][i], read off the lowered connection of
-        `_nabla_lowered` (the metric is symmetric); symmetric in i, j."""
+        `_znabla_lowered` (the metric is symmetric); symmetric in i, j, so
+        each entry i <= j is made a `RatFunc` once."""
         n = self.dim
-        Kl = self._nabla_lowered
+        Kl, d = self._znabla_lowered
         out = []
         for m in range(n):
             mat = zeros(n)
             for i in range(n):
                 for j in range(i, n):
-                    mat[i][j] = mat[j][i] = Kl[i][m][j] + Kl[j][m][i]
+                    mat[i][j] = mat[j][i] = _entry(_zadd(Kl[i][m][j], Kl[j][m][i]), d)
             out.append(mat)
         return out
 
@@ -603,30 +765,37 @@ class MetricLieAlgebra:
         return out
 
     @cached_property
-    def rough_laplacian(self) -> list[list[RatFunc]]:
-        """Matrix of sum_ij g^{ij} (nabla_i nabla_j - nabla_{nabla_i Xj}) acting
-        on invariant fields.
+    def _zlaplacian(self) -> tuple[list, tuple]:
+        """L / d, the matrix of sum_ij g^{ij} (nabla_i nabla_j -
+        nabla_{nabla_i Xj}) acting on invariant fields.
 
-        With M = `_nabla_dual`, B_j the matrix of nabla_{X^j} (column p holds
+        With M = `_znabla_dual`, B_j the matrix of nabla_{X^j} (column p holds
         M[j][p]) and H = sum_j M[j][j] the mean-curvature vector, this is
-        L = sum_j B_j A_j - sum_k H_k A_k, A_k the matrix of nabla_{Xk}: n
-        operator products, each formed from the nonzero entries of its factors
-        (the A_k as `_connection_rows`)."""
+        L = sum_j B_j A_j - sum_k H_k A_k, A_k the matrix of nabla_{Xk}
+        (`_zconnection_rows`): n operator products, each formed from the
+        nonzero entries of its factors, all over the denominators of M and K."""
         n = self.dim
-        M, rows = self._nabla_dual, self._connection_rows
         rn = range(n)
-        L = zeros(n)
+        (M, d), (_, e) = self._znabla_dual, self._znabla
+        rows = self._zconnection_rows
+        L = [[()] * n for _ in rn]
         for j in rn:
-            add_product(L, [nonzero([M[j][p][r] for p in rn]) for r in rn], rows[j])
-        H = [sum((M[j][j][k] for j in rn if not M[j][j][k].is_zero), ZERO) for k in rn]
-        for k, h in nonzero(H):
-            add_scaled(L, -h, rows[k])
-        return L
+            _zscatter(L, [_znonzero([M[j][p][r] for p in rn]) for r in rn], rows[j])
+        H = [reduce(_zadd, (M[j][j][k] for j in rn), ()) for k in rn]
+        for k, h in _znonzero(H):
+            _zadd_scaled(L, _zneg(h), rows[k])
+        return _ztensor(L, _zmul(d, e))
+
+    @cached_property
+    def rough_laplacian(self) -> list[list[RatFunc]]:
+        """The rough Laplacian on invariant fields, a view of `_zlaplacian`."""
+        return _view(*self._zlaplacian)
 
     @cached_property
     def laplacian_spectrum(self) -> EigenDecomposition:
-        """`solvers.eigen_analyze` of the rough Laplacian: the critical families."""
-        return eigen_analyze(self.rough_laplacian)
+        """`solvers.eigen_analyze` of the rough Laplacian, on its integer
+        form: the critical families."""
+        return eigen_analyze(*self._zlaplacian)
 
     # -- basis change --------------------------------------------------------
 

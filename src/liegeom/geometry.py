@@ -56,10 +56,9 @@ from math import lcm
 
 from .algebra import (
     MetricLieAlgebra,
-    mat_mul,
-    mat_vec,
-    nonzero,
-    transpose,
+    _entry,
+    _znonzero,
+    _ztensor,
     vector_str,
 )
 from .numeric import null_parallel_scan
@@ -67,8 +66,12 @@ from .scalars import (
     ONE,
     RatFunc,
     ZERO,
+    _clear,
+    _zadd,
+    _zdot,
+    _zmul,
+    _zneg,
     component_names,
-    dot,
     poly_str,
     ratfunc,
     record,
@@ -79,10 +82,6 @@ from .solvers import (
     kernel_basis,
     solve_parametric,
 )
-
-
-# the integer weights of the Ledger contraction, as `RatFunc`s
-_SMALL = {k: ratfunc(k) for k in (-2, -1, 1, 2)}
 
 
 class CaseAnalysisIncomplete(ArithmeticError):
@@ -560,105 +559,122 @@ def ledger_check(alg: MetricLieAlgebra) -> LedgerReport:
 
     Degree 3: the cyclic sum of the covariant derivative of Ricci must
     vanish.  Degree 5: the full contraction
-    sum g^{ac} g^{bd} R(X,Xa,X,Xb)(nabla_X R)(X,Xc,X,Xd) must vanish for
-    every X; it is computed as one degree-5 polynomial identity in the
-    components of X, so the verdict is exact.
+    l5(X) = sum g^{ac} g^{bd} R(X,Xa,X,Xb)(nabla_X R)(X,Xc,X,Xd) must
+    vanish for every X; it is computed as one degree-5 polynomial identity
+    in the components of X, so the verdict is exact.  Both are read off the
+    integer tensors of the algebra (`_znabla`, `_zricci`, `_zcurvature`);
+    a zero test is a test of a numerator, and only the l5 coefficients
+    that survive are made `RatFunc`s.
 
     Both rest on the Jacobi identity, which every `MetricLieAlgebra`
     satisfies.  Ricci is symmetric, so with P[i][j][k] =
     sum_m K[i][j][m] ric[m][k] (see `cov_ricci`) the cyclic sum on
     (i, j, k) is minus the sum of P over the six orderings of (i, j, k).
-    It is symmetric in (i, j, k), and
-    zero exactly when the sum of P over the distinct orderings is: one
-    `dot` of the K and Ricci entries per multiset {i, j, k}.
+    It is symmetric in (i, j, k), and zero exactly when the sum of P over
+    the distinct orderings is: one sum of K and Ricci numerators per
+    multiset {i, j, k}.
 
-    Degree 5 is contracted over its nonzero pieces:
-      * B[c][d] = (nabla_X R)(X,Xc,X,Xd) is symmetric (pair symmetry), so
-        it is built for c <= d only, scaled by 2 - delta_cd, from the
-        nonzero slots DR[m][a][b][e][f] with a < b, e < f and
-        (a, b) <= (e, f) of `cov_curvature`: each is the entry, up to sign,
-        of four (c, d) by antisymmetry and of four more by pair symmetry.
-      * The metric enters once: sum_ab g^{ac} g^{bd} R(X,Xa,X,Xb) =
-        sum_a g^{ac} E[a][d] with E[a][d] = (R(X,Xa)X)^d, the components of
-        the curvature operators themselves (`_curvature_operators`), so
-        neither `curvature_tensor` nor the lowering by g is read.  That
-        raise is formed only for the (c, d) where B[c][d] is nonzero.
-      * l5 = sum_{c <= d} (2 - delta_cd) raised^{cd} B[c][d].
-    Every coefficient of B, of the raised tensor and of l5 is one `dot`,
-    normalized once.
+    Degree 5 is read off the Jacobi operator J = R(X, .)X, and nabla R is
+    never formed.  With W = nabla_X X:
+      * R(X,Xa,X,Xb) = g(J Xa, Xb), and (nabla_X R)(X,Xc,X,Xd) =
+        g(J' Xc, Xd) with J' = (nabla_X R)(X, .)X, so the two raises by
+        g^{-1} leave l5 = tr(J* J'), J* the g-adjoint of J.  J is
+        g-self-adjoint, which is the pair symmetry of R (the Jacobi
+        identity again), so l5 = tr(J J').
+      * For invariant fields, J' = [nabla_X, J] - (R(W, .)X + R(X, .)W).
+      * tr(J [nabla_X, J]) = tr(J nabla_X J) - tr(J J nabla_X) = 0 by the
+        cyclicity of the trace.
+      * J is quadratic in X, and R(W, .)X + R(X, .)W is its derivative
+        along W.  So with f = tr(J^2), a quartic in X,
+        l5 = -tr(J D_W J) = -1/2 D_W f = -1/2 sum_k W_k df/dx_k,
+        where W_k = sum_ij K[i][j][k] x_i x_j are the geodesic forms.
+    f is read off the curvature operators, with no g^{-1}; l5 comes over
+    twice the square of their denominator times that of K, and is divided
+    by the gcd of that and its numerators before its coefficients are made
+    `RatFunc`s.
     """
     violations = _cyclic_violations(alg)
     l5 = _ledger_l5(alg)
     return LedgerReport(not violations, violations, l5, not l5)
 
 
-def _dots(terms: dict) -> dict:
-    """The nonzero `dot` of each key's list of (x, y) pairs."""
-    return {key: v for key, pairs in terms.items() if not (v := dot(pairs)).is_zero}
-
-
 def _cyclic_violations(alg: MetricLieAlgebra) -> list[tuple[int, int, int]]:
     """The 1-based (i, j, k) whose cyclic sum of `cov_ricci` is nonzero, in
-    lexicographic order; one `dot` of K and Ricci entries per multiset."""
+    lexicographic order; one sum of K and Ricci numerators per multiset."""
     rn = range(alg.dim)
-    K, ric = alg.nabla_basis, alg.ricci
-    Kn = [[nonzero(v) for v in plane] for plane in K]
+    K, ric = alg._znabla[0], alg._zricci[0]
+    Kn = [[_znonzero(v) for v in plane] for plane in K]
     bad = set()
     for t in itertools.combinations_with_replacement(rn, 3):
-        cyclic = dot((x, ric[m][c]) for a, b, c in set(itertools.permutations(t))
-                     for m, x in Kn[a][b] if not ric[m][c].is_zero)
-        if not cyclic.is_zero:
+        cyclic = ()
+        for a, b, c in set(itertools.permutations(t)):
+            for m, x in Kn[a][b]:
+                if y := ric[m][c]:
+                    cyclic = _zadd(cyclic, _zmul(x, y))
+        if cyclic:
             bad.add(t)
     return [(i + 1, j + 1, k + 1) for i, j, k in itertools.product(rn, repeat=3)
             if tuple(sorted((i, j, k))) in bad]
 
 
+def _add_term(terms: dict, key, x: tuple) -> None:
+    """terms[key] += x for integer tuples."""
+    terms[key] = _zadd(terms[key], x) if key in terms else x
+
+
 def _ledger_l5(alg: MetricLieAlgebra) -> dict[tuple[int, ...], RatFunc]:
-    """The degree-5 Ledger polynomial as a `_terms` dict, contracted as
-    `ledger_check` describes."""
+    """The degree-5 Ledger polynomial as a `_terms` dict, -1/2 D_W tr(J^2)
+    as `ledger_check` derives it.
+
+    Its polynomials are dicts from a monomial to its integer numerator.  A
+    monomial prod x_i^e_i is coded as the integer sum e_i 8^i (no exponent
+    reaches 8), so the code of a product is the sum of the codes."""
     n = alg.dim
     rn = range(n)
-    DR = alg.cov_curvature
-    pairs = [(a, b) for a in rn for b in range(a + 1, n)]
-    # the two orders (Xi, Xc) of a pair (a, b), as (c, i, sign of the order)
-    orders = {p: ((p[1], p[0], 1), (p[0], p[1], -1)) for p in pairs}
-    # (2 - delta_cd) B[c][d], c <= d, as the (weight, slot) pairs of each monomial
-    B_terms: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
+    (R, d), (K, e) = alg._zcurvature, alg._znabla
+    unit = [8 ** i for i in rn]
+    # J[m][a] = sum_ik x_i x_k (R(Xi, Xa) Xk)^m; R(Xp, Xq), p < q, is read
+    # at a = q with i = p, and negated at a = p with i = q
+    J = [[{} for _ in rn] for _ in rn]
+    for (p, q), op in R.items():
+        for i, a, sign in ((p, q, 1), (q, p, -1)):
+            for k in rn:
+                for m in rn:
+                    if x := op[m][k]:
+                        _add_term(J[m][a], unit[i] + unit[k], x if sign > 0 else _zneg(x))
+    # f = tr(J^2) = sum_m J[m][m]^2 + 2 sum_{m < a} J[m][a] J[a][m]
+    square: dict[int, tuple] = {}
+    cross: dict[int, tuple] = {}
     for m in rn:
-        for p, ab in enumerate(pairs):
-            for ef in pairs[p:]:
-                v = DR[m][ab[0]][ab[1]][ef[0]][ef[1]]
-                if v.is_zero:
-                    continue
-                for first, second in ((ab, ef), (ef, ab)) if ab != ef else ((ab, ef),):
-                    for c, i, s1 in orders[first]:
-                        for d, k, s2 in orders[second]:
-                            if c <= d:
-                                w = _SMALL[s1 * s2 * (2 if c < d else 1)]
-                                B_terms.setdefault((c, d), {}).setdefault(
-                                    tuple(sorted((m, i, k))), []).append((w, v))
-    B = {cd: Bcd for cd, terms in B_terms.items() if (Bcd := _dots(terms))}
-
-    ops = alg._curvature_operators
-
-    @functools.cache
-    def e_terms(a, d):
-        """E[a][d] = sum_ik x_i x_k (R(Xi, Xa) Xk)^d as unsummed (monomial,
-        entry) terms; R(Xi, Xa) = -R(Xa, Xi) for i > a."""
-        return [(tuple(sorted((i, k))), z if i < a else -z)
-                for i in rn if i != a for k, z in nonzero(ops[min(i, a), max(i, a)][d])]
-
-    ginv = [nonzero(row) for row in alg.metric_inverse]
-    l5_terms: dict[tuple[int, ...], list] = {}
-    for (c, d), Bcd in B.items():
-        raised: dict[tuple[int, ...], list] = {}  # sum_a g^{ac} E[a][d]
-        for a, w in ginv[c]:
-            for key, z in e_terms(a, d):
-                raised.setdefault(key, []).append((w, z))
-        for ka, x in _dots(raised).items():
-            for kb, y in Bcd.items():
-                l5_terms.setdefault(tuple(sorted(ka + kb)), []).append((x, y))
-    return _dots(l5_terms)
+        for a in range(m, n):
+            out = square if a == m else cross
+            for c1, x in J[m][a].items():
+                for c2, y in J[a][m].items():
+                    _add_term(out, c1 + c2, _zmul(x, y))
+    for code, x in cross.items():
+        _add_term(square, code, _zmul((2,), x))
+    # W_k = (nabla_X X)^k
+    W = [{} for _ in rn]
+    for i in rn:
+        for j in rn:
+            for k in rn:
+                if x := K[i][j][k]:
+                    _add_term(W[k], unit[i] + unit[j], x)
+    # sum_k W_k df/dx_k = -2 l5
+    l5: dict[int, tuple] = {}
+    for code, x in square.items():
+        if not x:
+            continue
+        for k in rn:
+            power = code // unit[k] % 8
+            if power and W[k]:
+                rest, x_k = code - unit[k], _zmul((power,), x)
+                for wcode, w in W[k].items():
+                    _add_term(l5, rest + wcode, _zmul(x_k, w))
+    l5, den = _ztensor({code: _zneg(x) for code, x in l5.items() if x},
+                       _zmul((2,), _zmul(_zmul(d, d), e)))
+    return {sum(((i,) * (code // unit[i] % 8) for i in rn), ()): _entry(x, den)
+            for code, x in l5.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -672,36 +688,48 @@ def _trace_vanishes(alg: MetricLieAlgebra, us: list[list[RatFunc]]) -> bool:
     R(nabla_{X^j} u_l, u_k) Xj is zero for every k <= l (for k = l one of
     the two equal halves is enough).
 
-    nabla_{X^j} u = sum_p u_p M[j][p], M = `_nabla_dual`, is formed once per
-    vector.  R(x, y) = sum_{a<b} (x_a y_b - x_b y_a) R(Xa, Xb) over
-    `_curvature_operators`, so for each j the wedge coefficients of the pair
-    are formed from the nonzero components, and t(u_k, u_l) one component at
-    a time: the test stops at the first nonzero one."""
+    Only zeros are tested, so every factor is read as its numerators: the
+    u_k cleared of their denominators once, M = `_znabla_dual` and the
+    curvature operators `_zcurvature`.  nabla_{X^j} u = sum_p u_p M[j][p] is
+    formed once per vector.  R(x, y) = sum_{a<b} (x_a y_b - x_b y_a)
+    R(Xa, Xb), so for each j the wedge coefficients of the pair are formed
+    from the nonzero components, and t(u_k, u_l) one component at a time:
+    the test stops at the first nonzero one."""
     n = alg.dim
     rn = range(n)
-    M, ops = alg._nabla_dual, alg._curvature_operators
-    vectors = [nonzero(u) for u in us]
-    # D[k][j] = nabla_{X^j} u_k, as a `nonzero` list
-    D = [[nonzero(mat_vec(transpose(M[j]), u)) for j in rn] for u in us]
+    M, ops = alg._znabla_dual[0], alg._zcurvature[0]
+    Mn = [[_znonzero(v) for v in plane] for plane in M]
+    nz = [_znonzero(u) for u in _clear(us)[0]]
+    # D[k][j] = nabla_{X^j} u_k, as the (index, numerator) of its nonzero components
+    D = []
+    for u in nz:
+        Du = []
+        for j in rn:
+            acc = [()] * n
+            for p, x in u:
+                for r, y in Mn[j][p]:
+                    acc[r] = _zadd(acc[r], _zmul(x, y))
+            Du.append(_znonzero(acc))
+        D.append(Du)
     for k, l in itertools.combinations_with_replacement(range(len(us)), 2):
-        halves = [(D[k], vectors[l])] + ([(D[l], vectors[k])] if k != l else [])
+        halves = [(D[k], nz[l])] + ([(D[l], nz[k])] if k != l else [])
         # W[j][a, b] = the wedge coefficient of R(Xa, Xb) in the j-th term
         W = [{} for _ in rn]
         for Dx, y in halves:
             for j in rn:
                 for a, xa in Dx[j]:
                     for b, yb in y:
-                        if a != b:
-                            key, v = ((a, b), xa * yb) if a < b else ((b, a), -(xa * yb))
-                            W[j][key] = W[j][key] + v if key in W[j] else v
+                        if a < b:
+                            _add_term(W[j], (a, b), _zmul(xa, yb))
+                        elif a > b:
+                            _add_term(W[j], (b, a), _zneg(_zmul(xa, yb)))
         for r in rn:
-            acc = ZERO
+            acc = ()
             for j in rn:
                 for key, w in W[j].items():
-                    z = ops[key][r][j]
-                    if not w.is_zero and not z.is_zero:
-                        acc = acc + w * z
-            if not acc.is_zero:
+                    if w and (z := ops[key][r][j]):
+                        acc = _zadd(acc, _zmul(w, z))
+            if acc:
                 return False
     return True
 
@@ -733,7 +761,10 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
     trace vanishes on span{u_k} exactly when the polarized trace vanishes on
     every pair u_k, u_l with k <= l (`_trace_vanishes`).  Parallel fields
     (the trivial critical points) are the joint kernel of all covariant
-    derivative operators.
+    derivative operators.  A parallel field V has nabla V = 0, so LV = 0:
+    when the spectrum has no eigenvalue 0 (det L is not identically zero,
+    and every rational eigenvalue is found) there is none, and the kernel
+    is not formed.
     """
     families = []
     singular = None  # read once, when the first root is tested
@@ -752,7 +783,8 @@ def harmonicity_classify(alg: MetricLieAlgebra) -> HarmonicityReport:
             map_harmonic=section and trace_zero,
             harmonic_eps=[r for r in roots if r not in singular],
         ))
-    parallel = kernel_basis([row for op in alg.connection_operators for row in op])
+    parallel = (kernel_basis([row for op in alg.connection_operators for row in op])
+                if any(f.section_harmonic for f in families) else [])
     return HarmonicityReport(families, parallel)
 
 
@@ -800,12 +832,18 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
     the constant n/2 as its energy.
     """
     n = alg.dim
+    rn = range(n)
     half = ratfunc(Fraction(1, 2))
     density = ratfunc(Fraction(n, 2))
-    if not all(x.is_zero for plane in alg.nabla_basis for row in plane for x in row):
-        GL = mat_mul(alg.metric, alg.rough_laplacian)
-        entries = [((p, q), x * -half) for p in range(n) for q, x in nonzero(GL[p])]
-        density = _terms(entries + [((), density)])
+    if any(x for plane in alg._znabla[0] for row in plane for x in row):
+        (G, e), (L, d) = alg._zmetric, alg._zlaplacian
+        terms: dict[tuple[int, ...], tuple] = {}
+        for p in rn:
+            for q in rn:
+                if x := _zdot(G[p], [row[q] for row in L]):
+                    _add_term(terms, (p, q) if p <= q else (q, p), x)
+        den = _zmul((2,), _zmul(e, d))
+        density = {key: _entry(_zneg(x), den) for key, x in terms.items() if x} | {(): density}
     fams = []
     for pair in alg.laplacian_spectrum.pairs:
         gram = [[alg.inner(u, w) for w in pair.vectors] for u in pair.vectors]

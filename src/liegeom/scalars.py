@@ -19,13 +19,15 @@ what the geometric verdicts downstream rely on.  A `RatFunc` is stored as
 two integer coefficient tuples N/D, coprime in Z[eps] contents included,
 with lc(D) > 0; its arithmetic cancels common factors with gcds in Z[eps]
 (none against a denominator 1, one integer gcd for a constant or an
-integer denominator, one root test for a linear primitive part, and the
-subresultant PRS otherwise), so no rational coefficient is ever
-normalized on the way.
-`dot` sums many products on the tuples with one normalization at the
-end, for the long contractions of the Ledger conditions.  The rational
-zeros and poles of a `RatFunc` are found on the same integer tuples, by
-the rational root theorem.  Rationals are stdlib `fractions.Fraction`.
+integer denominator, the integer gcd and the lower power of eps against
+c*eps^k, one root test for a linear primitive part, and the subresultant
+PRS otherwise), so no rational coefficient is ever normalized on the way.
+The tensor layer of `algebra` works on the tuples themselves: `_clear`
+writes rows of `RatFunc`s over one denominator, `_zdot` sums products of
+numerators, and `_zcommon` finds the gcd by which a whole tensor is
+divided once.  The rational zeros and poles of a `RatFunc` are found on
+the same integer tuples, by the rational root theorem.  Rationals are
+stdlib `fractions.Fraction`.
 
 The text syntax for scalars accepts integers (runs of decimal digits),
 rationals ``p/q``, the token ``eps``, the operators ``+ - * /``,
@@ -54,7 +56,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 PARAM = "eps"
 
@@ -89,15 +91,19 @@ def _fraction(value) -> Fraction:
 
 
 def _zneg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def _zdiv_int(a: tuple, c: int) -> tuple:
     """a / c for an integer c dividing every coefficient."""
-    return a if c == 1 else tuple(x // c for x in a)
+    return a if c == 1 else tuple([x // c for x in a])
 
 
 def _zadd(a: tuple, b: tuple) -> tuple:
+    if not b:
+        return a
+    if not a:
+        return b
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -135,9 +141,10 @@ def _zpow(a: tuple, n: int) -> tuple:
 
 
 def _zdiv_exact(a: tuple, b: tuple) -> tuple:
-    """a / b for a nonzero b that divides a in Z[eps]."""
-    if len(b) == 1:
-        return _zdiv_int(a, b[0])
+    """a / b for a nonzero b that divides a in Z[eps]; by one integer
+    division per coefficient when b is c*eps^k."""
+    if not any(b[:-1]):
+        return _zdiv_int(a[len(b) - 1:], b[-1])
     db, lb = len(b) - 1, b[-1]
     rem = list(a)
     quo = [0] * (len(a) - db)
@@ -220,16 +227,29 @@ def _zgcd(a: tuple, b: tuple) -> tuple:
     return shift + tuple(c * (x // pv) for x in v)
 
 
+def _zval(a: tuple) -> int:
+    """The power of eps that divides the nonzero a."""
+    return next(i for i, x in enumerate(a) if x)
+
+
 def _cancel(n: tuple, d: tuple) -> tuple[tuple, tuple]:
     """n and d over their gcd in Z[eps], for nonzero n and d: nothing to
-    do when d is 1, one integer gcd when either is a constant."""
+    do when d is 1, one integer gcd when either is a constant, and when
+    either is c*eps^k the integer gcd of the coefficients times eps to the
+    lower valuation; `_zgcd` runs only when neither is a monomial."""
     if d == (1,):
         return n, d
     if len(d) == 1 or len(n) == 1:
         g = gcd(*d, *n)
         return (n, d) if g == 1 else (_zdiv_int(n, g), _zdiv_int(d, g))
-    g = _zgcd(n, d)
-    return (n, d) if g == (1,) else (_zdiv_exact(n, g), _zdiv_exact(d, g))
+    if any(n[:-1]) and any(d[:-1]):
+        g = _zgcd(n, d)
+        return (n, d) if g == (1,) else (_zdiv_exact(n, g), _zdiv_exact(d, g))
+    k = min(_zval(n), _zval(d))
+    g = gcd(*d, *n)
+    if k:
+        n, d = n[k:], d[k:]
+    return (n, d) if g == 1 else (_zdiv_int(n, g), _zdiv_int(d, g))
 
 
 def _canonical(n: tuple, d: tuple) -> tuple[tuple, tuple]:
@@ -288,40 +308,59 @@ def _plus(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFunc":
 
 
 def _zlcm(a: tuple, b: tuple) -> tuple:
-    """lcm of two polynomials in Z[eps] with lc > 0, content included."""
+    """lcm of two polynomials in Z[eps] with lc > 0, content included; of
+    two c*eps^k, the lcm of the constants times the higher power of eps."""
     if a == b:
         return a
+    if not (any(a[:-1]) or any(b[:-1])):
+        return (0,) * (max(len(a), len(b)) - 1) + (lcm(a[-1], b[-1]),)
     return _zmul(a, _zdiv_exact(b, _zgcd(a, b)))
 
 
-def dot(pairs: Iterable[tuple["RatFunc", "RatFunc"]]) -> "RatFunc":
-    """sum x * y over the (x, y) pairs of `RatFunc`s, normalized once.
+def _zdot(u: Iterable[tuple], v: Iterable[tuple]) -> tuple:
+    """sum_k u[k] v[k] in Z[eps], over the shorter of the two, past the
+    terms with a zero factor."""
+    acc = ()
+    for x, y in zip(u, v):
+        if x and y:
+            acc = _zadd(acc, _zmul(x, y))
+    return acc
 
-    Each product is formed on the integer tuples, n_x n_y over d_x d_y,
-    with no gcd; the products over one denominator are added, the groups
-    are brought over the lcm of their denominators, and the total is made
-    canonical by one `_canonical`.  The result is the canonical value that
-    the same sum of `RatFunc` products and additions gives, for one gcd
-    per distinct denominator and one at the end instead of up to four per
-    term (two in a product, two in a sum).  That pays on the long sums of
-    a contraction.  A sum of a few terms is slower here than as `RatFunc`
-    arithmetic (`cov_curvature` took 1.06 ms against 0.64, py3.11, 2 cores).
-    """
-    groups: dict[tuple, tuple] = {}
-    for x, y in pairs:
-        n = _zmul(x._n, y._n)
-        if n:
-            d, e = x._d, y._d
-            d = e if d == (1,) else d if e == (1,) else _zmul(d, e)
-            groups[d] = _zadd(groups[d], n) if d in groups else n
-    groups = {d: n for d, n in groups.items() if n}
-    if not groups:
-        return ZERO
-    den = reduce(_zlcm, groups)
-    num = ()
-    for d, n in groups.items():
-        num = _zadd(num, n if d == den else _zmul(n, _zdiv_exact(den, d)))
-    return _ratfunc(*_canonical(num, den))
+
+def _clear(rows: Iterable[Iterable["RatFunc"]]) -> tuple[list[list[tuple]], tuple]:
+    """(N, D): the rows of `RatFunc`s over one denominator D, the lcm of
+    theirs, so that each entry is N[r][c] / D with N[r][c] in Z[eps].  The
+    integer tensors of `algebra` start here, and `solvers.eigen_analyze`
+    takes an operator in this form."""
+    rows = [list(row) for row in rows]
+    D = reduce(_zlcm, {x._d for row in rows for x in row}, (1,))
+    return [[x._n if x._d == D else _zmul(x._n, _zdiv_exact(D, x._d)) for x in row]
+            for row in rows], D
+
+
+def _zcommon(D: tuple, nums: Iterable[tuple]) -> tuple:
+    """The gcd in Z[eps], lc > 0, of D (lc > 0) and the numerators `nums`.
+
+    Once the gcd so far is c*eps^k, which it is from the start for the
+    denominators the tensor layer meets, the rest is the integer gcd of the
+    coefficients and the lowest valuation, and the scan stops when both
+    reach 1; `_zgcd` runs only before that."""
+    g = D
+    for a in nums:
+        if not a:
+            continue
+        if any(g[:-1]):
+            g = _zgcd(g, a)
+            continue
+        k, c = len(g) - 1, g[-1]
+        if c == 1 and not k:
+            break
+        if c != 1:
+            c = gcd(c, *a)
+        if k:
+            k = 0 if a[0] else min(k, _zval(a))
+        g = (0,) * k + (c,)
+    return g
 
 
 def nonzero(row) -> list[tuple[int, object]]:

@@ -15,8 +15,9 @@ value is re-solved by the same `rref_solve`, on the constant `RatFunc`s of
 the specialized entries, so every result is over Q(eps).
 
 `eigen_analyze` finds the eigenvalues of an operator that are themselves
-rational functions of the parameter.  The operator is written L = N/D
-over Z[eps] once, and the characteristic polynomial det(nu I - N) comes
+rational functions of the parameter.  It takes the operator as L = N/D
+over Z[eps], as `scalars._clear` writes it and as the tensor layer of
+`algebra` holds it, and the characteristic polynomial det(nu I - N) comes
 from Berkowitz's division-free recurrence on the integer tuples of
 `scalars`, as does everything after it.  The integer roots of its
 squarefree part at one parameter value are Newton-lifted up to a proven
@@ -41,9 +42,9 @@ from .scalars import (
     _ratfunc,
     _zadd,
     _zdiv_exact,
+    _zdot,
     _zgcd,
     _zhomogeneous,
-    _zlcm,
     _zmul,
     _zneg,
     _zpow,
@@ -203,14 +204,10 @@ def kernel_basis(matrix: Sequence[Sequence[RatFunc]]) -> list[list[RatFunc]]:
 # `scalars`, lowest degree first, with no trailing zero coefficient.
 
 
-def _zdot(u: Sequence[tuple], v: Sequence[tuple]) -> tuple:
-    """sum_k u[k] v[k] in Z[eps], over the shorter of the two."""
-    return reduce(_zadd, map(_zmul, u, v), ())
-
-
-def charpoly(matrix: Sequence[Sequence[RatFunc]]) -> tuple[list[tuple], tuple]:
-    """(q, D): L = N/D over Z[eps] with D the lcm of the denominators of the
-    entries, and q(nu) = det(nu I - N) = D^n det(nu/D I - L), monic.
+def charpoly(N: Sequence[Sequence[tuple]]) -> list[tuple]:
+    """q(nu) = det(nu I - N) for a square matrix N over Z[eps], monic; for
+    an operator L = N/D in the form of `scalars._clear`, q(nu) =
+    D^n det(nu/D I - L).
 
     Berkowitz's recurrence (Inf. Process. Lett. 18, 1984) over the leading
     principal submatrices: with N_k = [[M, c], [r, a]], the coefficients of
@@ -218,8 +215,6 @@ def charpoly(matrix: Sequence[Sequence[RatFunc]]) -> tuple[list[tuple], tuple]:
     times the lower triangular Toeplitz matrix whose first column is
     1, -a, -r c, -r M c, -r M^2 c, ...  It only multiplies and adds.
     """
-    D = reduce(_zlcm, (x._d for row in matrix for x in row), (1,))
-    N = [[_zmul(x._n, _zdiv_exact(D, x._d)) for x in row] for row in matrix]
     p = [(1,)]
     for k in range(len(N)):
         M, r, c = [row[:k] for row in N[:k]], N[k][:k], [row[k] for row in N[:k]]
@@ -228,7 +223,7 @@ def charpoly(matrix: Sequence[Sequence[RatFunc]]) -> tuple[list[tuple], tuple]:
             column.append(_zneg(_zdot(r, c)))
             c = [_zdot(row, c) for row in M]
         p = [_zdot(column[i::-1], p) for i in range(k + 2)]
-    return p[::-1], D
+    return p[::-1]
 
 
 def _over(q: Sequence[tuple], D: tuple) -> tuple[RatFunc, ...]:
@@ -329,9 +324,10 @@ def _newton_lift(s: Sequence[tuple], r0: int, slope: int, bound: int) -> tuple |
     return nu
 
 
-def _rational_roots(q: list, D: tuple) -> tuple[list[tuple[RatFunc, int]], tuple[RatFunc, ...]]:
+def _rational_roots(q: list, D: tuple) -> tuple[list[tuple[tuple, int]], tuple[RatFunc, ...]]:
     """The roots in Q(eps) with multiplicities, ascending as eps -> +oo, of
-    the monic p(mu) = D^-m q(D mu), and the cofactor of p that has none.
+    the monic p(mu) = D^-m q(D mu), each as the numerator nu of nu/D, and
+    the cofactor of p that has none.
 
     q is monic over the integrally closed Z[eps]: the roots of p are nu/D
     for the roots nu in Z[eps] of the squarefree part s of q.  Such a root
@@ -369,31 +365,32 @@ def _rational_roots(q: list, D: tuple) -> tuple[list[tuple[RatFunc, int]], tuple
             roots.append((nu, mult))
     # lc(D) > 0, and distinct roots differ in a nonzero leading coefficient
     roots.sort(key=cmp_to_key(lambda a, b: _zadd(a[0], _zneg(b[0]))[-1]))
-    return [(_ratfunc(*_canonical(nu, D)), mult) for nu, mult in roots], _over(q, D)
+    return roots, _over(q, D)
 
 
-def eigen_analyze(matrix: Sequence[Sequence[RatFunc]]) -> EigenDecomposition:
-    """Find all eigenvalues of the operator that are rational functions of
-    the parameter, with exact eigenvectors and multiplicities.
+def eigen_analyze(N: Sequence[Sequence[tuple]], D: tuple) -> EigenDecomposition:
+    """Find all eigenvalues of the operator L = N/D that are rational
+    functions of the parameter, with exact eigenvectors and multiplicities.
+    L is given over Z[eps] as `scalars._clear` writes it: N a square matrix
+    of integer tuples, D a nonzero integer tuple with lc(D) > 0.
 
     The characteristic polynomial is computed exactly; its roots in Q(eps),
     their multiplicities and the residual factor come from
-    `_rational_roots`, and each eigenspace is the reduced echelon kernel of
-    L - lambda I.  No floating point is involved.
+    `_rational_roots`.  An eigenvalue is nu/D for a root nu in Z[eps], and
+    its eigenspace is the reduced echelon kernel of L - (nu/D) I, which is
+    that of N - nu I: its entries are polynomials, so each is a `RatFunc`
+    over 1 as it stands.  No floating point is involved.
     """
-    n = len(matrix)
-    matrix = [[ratfunc(x) for x in row] for row in matrix]
-    q, D = charpoly(matrix)
+    n = len(N)
+    q = charpoly(N)
     roots, residual = _rational_roots(q, D)
     pairs: list[EigenPair] = []
-    for f, mult in roots:
-        vecs = kernel_basis(
-            [
-                [matrix[i][j] - f if i == j else matrix[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        pairs.append(EigenPair(f, mult, vecs))
+    for nu, mult in roots:
+        vecs = kernel_basis([
+            [_ratfunc(_zadd(x, _zneg(nu)) if i == j else x, (1,)) for j, x in enumerate(row)]
+            for i, row in enumerate(N)
+        ])
+        pairs.append(EigenPair(_ratfunc(*_canonical(nu, D)), mult, vecs))
 
     assert sum(pr.multiplicity for pr in pairs) + len(residual) - 1 == n
     return EigenDecomposition(_over(q, D), pairs, residual)

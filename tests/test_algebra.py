@@ -232,6 +232,19 @@ def test_constructors_refuse_mismatched_shapes():
         MetricLieAlgebra.from_brackets(2, {}, [[ONE], [ONE]])
 
 
+def test_the_constructor_refuses_ragged_rows():
+    # the inner rows are checked too, before `validate` reads them
+    identity = ((ONE, ZERO), (ZERO, ONE))
+    zero_planes = ((ZERO, ZERO), (ZERO, ZERO))
+    for brackets, metric in [(((ONE,), (ONE,)), identity),
+                             ((ONE, ONE), identity),
+                             ((zero_planes[0], (ZERO,)), identity),
+                             ((zero_planes, zero_planes), ((ONE,), (ZERO, ONE))),
+                             ((zero_planes, zero_planes), (ONE, ONE))]:
+        with pytest.raises(ValueError, match="tensor shapes do not match the dimension"):
+            MetricLieAlgebra("ragged", 2, brackets, metric)
+
+
 def test_the_shape_check_runs_for_keyword_construction():
     with pytest.raises(ValueError, match="tensor shapes do not match the dimension"):
         MetricLieAlgebra(name="bad", dim=2, brackets=(), metric=())

@@ -42,12 +42,13 @@ from liegeom.scalars import (
     poly_str,
     ratfunc,
 )
-from liegeom.solvers import rref_solve, solve_parametric
+from liegeom.solvers import kernel_basis, rref_solve, solve_parametric
 
 from poly_reference import MultiPoly, from_terms, is_zero, nabla
 import test_properties
 from test_tensor_reference import (
-    CORPUS_CASES, CORPUS_IDS, corpus_case, grad_norm_sq, reference_gradient, reference_trace)
+    CORPUS_CASES, CORPUS_IDS, JACOBI_CASES, corpus_case, grad_norm_sq, reference_gradient,
+    reference_trace)
 
 
 def F(x):
@@ -489,12 +490,8 @@ RATFUNC_OPERATIONS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "
 
 
 def ratfunc_operations(monkeypatch, analysis, alg) -> int:
-    """The number of `RatFunc` arithmetic operations of analysis(alg).  The
-    fused kernel `scalars.dot` works on the integer tuples, past these
-    methods: it is wrapped in every `liegeom` module that holds it, and
-    counts one operation per product it sums."""
+    """The number of `RatFunc` arithmetic operations of analysis(alg)."""
     calls = [0]
-    dot = scalars.dot
 
     def counting(op):
         def counted(self, other):
@@ -502,17 +499,9 @@ def ratfunc_operations(monkeypatch, analysis, alg) -> int:
             return op(self, other)
         return counted
 
-    def counting_dot(pairs):
-        pairs = list(pairs)
-        calls[0] += len(pairs)
-        return dot(pairs)
-
     with monkeypatch.context() as m:
         for name in RATFUNC_OPERATIONS:
             m.setattr(RatFunc, name, counting(getattr(RatFunc, name)))
-        for module in [mod for name, mod in sys.modules.items() if name.startswith("liegeom.")]:
-            if getattr(module, "dot", None) is dot:
-                m.setattr(module, "dot", counting_dot)
         analysis(alg)
     return calls[0]
 
@@ -563,17 +552,9 @@ def test_every_free_unit_vector_zeroes_every_form(corpus_alg):
     assert checked["walker"] >= 2 and checked["geodesic"] >= 130, checked
 
 
-def test_operation_counter_sees_the_fused_kernel(monkeypatch):
-    # `dot` works on the integer tuples, past the `RatFunc` methods: the
-    # counter wraps it where the engine calls it and counts its products
-    pairs = [(EPS, ONE), (ONE, EPS), (ratfunc(2), EPS)]
-    assert ratfunc_operations(monkeypatch, lambda alg: geometry.dot(pairs), None) == 3
-    assert geometry.dot(pairs) == EPS * 4
-
-
 # the counts of the Ledger route below, pinned as bounds
-LEDGER_OPERATIONS = {"berger": 33, "sl2r": 33, "heisenberg": 33, "u2": 33, "oscillator": 0,
-                     "heisenberg-x-r": 33, "r4": 72}
+LEDGER_OPERATIONS = {"berger": 0, "sl2r": 0, "heisenberg": 0, "u2": 0, "oscillator": 0,
+                     "heisenberg-x-r": 0, "r4": 0}
 
 
 @pytest.mark.parametrize(("key", "before"), [
@@ -581,15 +562,15 @@ LEDGER_OPERATIONS = {"berger": 33, "sl2r": 33, "heisenberg": 33, "u2": 33, "osci
     ("heisenberg-x-r", 90), ("r4", 165),
 ])
 def test_ledger_ratfunc_operations(monkeypatch, key, before):
-    # with the tensors built, the Ledger sums K ric products once per
-    # multiset {i, j, k}, builds B[c][d] for c <= d from the independent
-    # slots of `cov_curvature`, raises E[a][d] = (R(X, Xa) X)^d by g^{-1} once
-    # where B[c][d] is nonzero, and sums l5 over c <= d, every sum one `dot`.
-    # `before` is the bound of the earlier route, which raised both indices
-    # of A over every (c, d) and read a prebuilt `cov_ricci` (63 operations
-    # on the five, 132 on r4); the oscillator, whose B vanishes, stays at 0
+    # with the integer tensors built, the Ledger sums K ric numerators once
+    # per multiset {i, j, k} and reads l5 off the Jacobi operator on
+    # numerators too: it makes no `RatFunc` operation, and only the l5
+    # coefficients that survive become `RatFunc`s.  `before` is the bound of
+    # the route that contracted nabla R with the raised Jacobi operator,
+    # every sum one `scalars.dot` (33 operations on the five, 72 on r4),
+    # and before that raised both indices over every (c, d)
     alg = loads(test_properties.corpus.TEXTS[key])
-    alg.cov_ricci, alg.curvature_tensor, alg.cov_curvature, alg.metric_inverse
+    alg._znabla, alg._zricci, alg._zcurvature
     count = ratfunc_operations(monkeypatch, ledger_check, alg)
     assert count <= LEDGER_OPERATIONS[key] <= before, count
 
@@ -633,12 +614,35 @@ def ledger_family():
         name="ledger-family")
 
 
+# the degree-5 polynomial of `ledger_family()`, unmixed and after the mixing
+# of `test_properties.mixed_copies`, as the ledger section prints it
+LEDGER_FAMILY_L5 = (
+    "(-2*eps^2+2*eps^3)*a^4*d+(6*eps-6*eps^2-4*eps^3+4*eps^4)*a^2*b^2*d"
+    "+(-4*eps^2+4*eps^3)*a^2*c^2*d+(-2*eps^3+2*eps^4)*a^2*d^3+(4*eps^2-4*eps^3)*b^4*d"
+    "+(6*eps-6*eps^2-4*eps^3+4*eps^4)*b^2*c^2*d+(4*eps-4*eps^2)*b^2*d^3"
+    "+(-2*eps^2+2*eps^3)*c^4*d+(-2*eps^3+2*eps^4)*c^2*d^3"
+)
+LEDGER_FAMILY_MIXED_L5 = (
+    "(8*eps^2-8*eps^3)*a^4*d+(16*eps^2-16*eps^3)*a^3*b*d+(-16*eps^2+16*eps^3)*a^3*c*d"
+    "+(16*eps^2-16*eps^3)*a^2*b^2*d+(-32*eps^2+32*eps^3)*a^2*b*c*d"
+    "+(-12*eps+28*eps^2-8*eps^3-8*eps^4)*a^2*c^2*d+(4*eps^3-4*eps^4)*a^2*d^3"
+    "+(8*eps^2-8*eps^3)*a*b^3*d+(-24*eps^2+24*eps^3)*a*b^2*c*d"
+    "+(-12*eps+36*eps^2-16*eps^3-8*eps^4)*a*b*c^2*d+(4*eps^3-4*eps^4)*a*b*d^3"
+    "+(12*eps-20*eps^2+8*eps^4)*a*c^3*d+(-4*eps^3+4*eps^4)*a*c*d^3"
+    "+(2*eps^2-2*eps^3)*b^4*d+(-8*eps^2+8*eps^3)*b^3*c*d"
+    "+(-6*eps+18*eps^2-8*eps^3-4*eps^4)*b^2*c^2*d+(2*eps^3-2*eps^4)*b^2*d^3"
+    "+(12*eps-20*eps^2+8*eps^4)*b*c^3*d+(-4*eps^3+4*eps^4)*b*c*d^3"
+    "+(-6*eps+4*eps^2+6*eps^3-4*eps^4)*c^4*d+(-4*eps+4*eps^2+2*eps^3-2*eps^4)*c^2*d^3"
+)
+
+
 def test_ledger_section_when_both_conditions_fail():
     alg = ledger_family()
     rep = ledger_check(alg)
     violations = ["(X1,X1,X4)", "(X1,X4,X1)", "(X2,X2,X4)", "(X2,X4,X2)", "(X3,X3,X4)",
                   "(X3,X4,X3)", "(X4,X1,X1)", "(X4,X2,X2)", "(X4,X3,X3)"]
-    polynomial = poly_str(("a", "b", "c", "d"), rep.l5_poly)
+    polynomial = LEDGER_FAMILY_L5
+    assert poly_str(("a", "b", "c", "d"), rep.l5_poly) == polynomial
     assert ledger_section(alg) == {
         "degree3_holds": False,
         "degree5_holds": False,
@@ -673,6 +677,8 @@ def test_ledger_at_symmetric_specializations(mixed):
     rep = ledger_check(alg)
     assert not rep.l3_holds and not rep.l5_holds
     assert (len(rep.l3_violations), len(rep.l5_poly)) == ((27, 21) if mixed else (9, 9))
+    assert ledger_section(alg)["degree5_polynomial"] == (
+        LEDGER_FAMILY_MIXED_L5 if mixed else LEDGER_FAMILY_L5)
     for v in (0, 1):
         spec = alg.at_eps(v)
         assert all(x.is_zero for p in spec.cov_curvature for q in p for r in q for s in r for x in s)
@@ -769,6 +775,21 @@ def test_harmonicity_abelian(abelian_alg):
     assert rep.families[0].map_harmonic
 
 
+def test_parallel_fields_are_the_full_kernel():
+    # a parallel field lies in ker L, so without the eigenvalue 0 the joint
+    # kernel of the nabla_{Xi} is not formed: the verdict is the full kernel
+    # either way
+    skipped = []
+    for alg in JACOBI_CASES:
+        full = kernel_basis([row for op in alg.connection_operators for row in op])
+        assert harmonicity_classify(alg).parallel_basis == full, alg.name
+        if not any(pair.value.is_zero for pair in alg.laplacian_spectrum.pairs):
+            skipped.append(alg.name)
+    # berger, sl2r, heisenberg and r4 in each of their four bases, and more
+    assert {f"{key}-mixed{seed}" for key in ("berger", "sl2r", "heisenberg", "r4")
+            for seed in (1, 2, 3)} | {"berger-sphere", "sl2r", "heisenberg", "r4"} <= set(skipped)
+
+
 # ---------------------------------------------------------------------------
 # energy
 
@@ -823,9 +844,9 @@ def test_harmonicity_is_classified_once_per_algebra(monkeypatch):
     calls = []
     original = algebra.eigen_analyze
 
-    def counting(matrix):
-        calls.append(matrix)
-        return original(matrix)
+    def counting(N, D):
+        calls.append(N)
+        return original(N, D)
 
     monkeypatch.setattr(algebra, "eigen_analyze", counting)
     alg = berger()

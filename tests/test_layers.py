@@ -33,6 +33,10 @@ UNNAMED = {
     "MetricLieAlgebra.at_eps": "ROADMAP items 6 and 12 specialize through it",
     "MetricLieAlgebra.cov_ricci": "bench/tracer.py reads it from the class dict "
                                   "(test_bench_hooks.py); it leaves with ROADMAP item 4",
+    "MetricLieAlgebra.cov_curvature": "bench/tracer.py wraps it in the class dict "
+                                      "(test_bench_hooks.py), and the tests compare it with "
+                                      "the reference nabla R; the Ledger reads l5 off the "
+                                      "Jacobi operator instead",
     "MetricLieAlgebra.transform_basis": "the basis-mixed benchmark and users call it",
     "dumps": "catalog.dumps: the basis-mixed benchmark (bench/run.py, build_ops) writes "
              "its mixed texts with it, and users round-trip loads(dumps(a))",

@@ -27,8 +27,15 @@ from liegeom.scalars import (
     PoleAtEvaluationPoint,
     RatFunc,
     ScalarSyntaxError,
+    _cancel,
+    _clear,
+    _zcommon,
+    _zdiv_exact,
+    _zdot,
     _zgcd,
+    _zlcm,
     _zmul,
+    _zneg,
     _zprs,
     component_names,
     mu_poly_str,
@@ -144,14 +151,54 @@ def test_integer_gcd_shortcuts_and_prs():
     assert _zgcd(_zmul((-4, 0, 1), (1, 1)), (-3, 2)) == (1,)
 
 
+def test_monomial_shortcuts_agree_with_the_general_gcd(monkeypatch):
+    # `_cancel`, `_zlcm` and `_zcommon` settle an operand c*eps^k by the
+    # integer gcd of the coefficients and the lower power of eps, with no
+    # `_zgcd`; the results are those of the general route
+    calls = []
+    monkeypatch.setattr(scalars, "_zgcd", lambda a, b: calls.append((a, b)) or _zgcd(a, b))
+    assert _cancel((0, 0, 6, -4), (0, 2)) == ((0, 3, -2), (1,))
+    assert _cancel((0, 6), (3, 0, 9)) == ((0, 2), (1, 0, 3))
+    assert _cancel((1, 1), (0, 0, 4)) == ((1, 1), (0, 0, 4))
+    assert _zlcm((1,), (5,)) == (5,) and _zlcm((2,), (0, 3)) == (0, 6)
+    assert _zlcm((0, 4), (0, 0, 6)) == (0, 0, 12)
+    assert _zcommon((0, 4), [(), (0, 2, 6), (0, 0, 8)]) == (0, 2)
+    assert _zcommon((0, 0, 4), [(0, 2), (1, 1)]) == (1,)
+    assert calls == []
+    # a denominator that is no monomial takes `_zgcd` until the gcd so far is one
+    assert _zcommon((-1, 0, 1), [(-2, 0, 2), (2, 2)]) == (1, 1)
+    assert _zcommon((2, 2), [(0, 4, 4), (0, 0, 6, 6)]) == (2, 2)
+    # each against the general route, on products of small factors
+    factors = [(1,), (3,), (0, 1), (0, 0, 2), (1, 1), (-2, 1), (1, 0, 1), (0, 6)]
+    for a in factors:
+        for b in factors:
+            for c in factors:
+                n, d = _zmul(a, b), _zmul(b, c) if _zmul(b, c)[-1] > 0 else _zneg(_zmul(b, c))
+                g = _zgcd(n, d)
+                assert _cancel(n, d) == (_zdiv_exact(n, g), _zdiv_exact(d, g))
+                assert _zcommon(d, [n]) == _zgcd(d, n)
+
+
+def test_clear_writes_rows_over_the_lcm_of_their_denominators():
+    half, third = RatFunc(1, 2), parse_scalar("1/(3*eps)")
+    N, D = _clear([[half, ZERO], [third, EPS]])
+    assert D == (0, 6)
+    assert N == [[(0, 3), ()], [(2,), (0, 0, 6)]]
+    assert _zdot(N[0], N[1]) == (0, 6) and _zdot([(1,), ()], [(), (2,)]) == ()
+    assert _clear([]) == ([], (1,))
+
+
 # `_zgcd` calls of one basis-mixed benchmark operation (parse the mixed
 # text, build the basis-invariant sections) per corpus algebra, with the
-# shortcuts for a denominator 1, integer denominators and linear primitive
-# parts; without them an operation makes 6 to 107 times as many (berger
-# 1742, abelian 107, r4 1755).  The slack absorbs a change in the order of
-# a set of strings, which varies between processes.
-ZGCD_CALLS = {"berger": 201, "abelian": 1, "sl2r": 271, "e2": 46, "heisenberg": 222,
-              "u2": 167, "oscillator": 35, "heisenberg-x-r": 124, "r4": 90}
+# shortcuts for a denominator 1, integer denominators, c*eps^k operands and
+# linear primitive parts, and the tensor layer on integer numerators;
+# without the shortcuts an operation makes 6 to 107 times as many as with
+# the first three (berger 1742, abelian 107, r4 1755), and with them but
+# on `RatFunc` tensors berger made 201, sl2r 271 and heisenberg 222.  The
+# slack absorbs a change in the order of a set of strings, which varies
+# between processes.
+ZGCD_CALLS = {"berger": 67, "abelian": 1, "sl2r": 45, "e2": 6, "heisenberg": 18,
+              "u2": 34, "oscillator": 19, "heisenberg-x-r": 8, "r4": 17}
 ZGCD_SLACK = 5
 
 

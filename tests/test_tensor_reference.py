@@ -9,13 +9,16 @@ loops, from `connection_operators` and `brackets` alone, and the tests
 compare the two entry for entry.
 
 The same goes for the two polynomials built from those tensors.  The
-engine contracts g^{-1} into the coefficient tensors and multiplies only
-their coefficients, and reads the energy off the rough Laplacian L as
-|nabla V|^2 = -g(LV, V); the references below multiply polynomials first,
-as the definitions read: the degree-5 Ledger polynomial as every product
-A[a][b] * B[c][d] scaled by g^{ac} g^{bd}, and the energy as
-sum g^{ij} g(nabla_{Xi} u, nabla_{Xj} v) of the covariant derivatives
-themselves, on generic vectors and on every pair of family vectors.
+engine reads the degree-5 Ledger polynomial off the Jacobi operator,
+-1/2 D_W tr(J^2), without forming nabla R, and reads the energy off the
+rough Laplacian L as |nabla V|^2 = -g(LV, V); the references below
+multiply polynomials first, as the definitions read: the Ledger
+polynomial as every product A[a][b] * B[c][d] scaled by g^{ac} g^{bd},
+and the energy as sum g^{ij} g(nabla_{Xi} u, nabla_{Xj} v) of the
+covariant derivatives themselves, on generic vectors and on every pair of
+family vectors.  A second Ledger oracle, `contracted_l5`, contracts
+`cov_curvature` with the raised Jacobi operator over its independent
+slots.
 
 The connection and the tensors contracted from it (`nabla_basis`,
 `lie_derivative_metric_basis`, `ricci`, `cov_ricci`, `rough_laplacian`) are
@@ -48,6 +51,7 @@ import pytest
 from liegeom.algebra import bilinear, mat_mul
 from liegeom.catalog import loads
 from liegeom.geometry import (
+    CaseAnalysisIncomplete,
     _geodesic_forms,
     _walker_forms,
     energy_report,
@@ -55,7 +59,19 @@ from liegeom.geometry import (
     ledger_check,
     ricci_soliton_solve,
 )
-from liegeom.report import energy_section
+from liegeom.report import (
+    algebra_section,
+    connection_section,
+    curvature_section,
+    energy_section,
+    geodesic_section,
+    harmonic_section,
+    killing_section,
+    ledger_section,
+    ricci_section,
+    soliton_section,
+    walker_section,
+)
 from liegeom.scalars import ONE, ZERO, component_names, poly_str
 
 from poly_reference import MultiPoly, from_terms, is_zero, nabla
@@ -523,34 +539,127 @@ def test_almost_abelian_sample_is_not_flat():
     assert len(curved) == 26, curved
 
 
-class SlotRecorder:
-    """A read-only view of a nested list that records the full index of
-    every entry read through it."""
+def contracted_l5(alg):
+    """The degree-5 Ledger polynomial as the engine contracted it before it
+    read l5 off the Jacobi operator: an oracle that forms nabla R.
 
-    def __init__(self, data, reads, index=()):
-        self.data, self.reads, self.index = data, reads, index
+    B[c][d] = (nabla_X R)(X,Xc,X,Xd) is symmetric (pair symmetry), so it is
+    built for c <= d only, scaled by 2 - delta_cd, from the slots
+    DR[m][a][b][e][f] with a < b, e < f and (a, b) <= (e, f) of
+    `cov_curvature`: each is the entry, up to sign, of four (c, d) by
+    antisymmetry and of four more by pair symmetry.  E[a][d] =
+    (R(X,Xa)X)^d is read off the curvature operators and raised once by
+    g^{-1}, sum_a g^{ac} E[a][d], where B[c][d] is nonzero, and
+    l5 = sum_{c <= d} (2 - delta_cd) raised^{cd} B[c][d]."""
+    n = alg.dim
+    rn = range(n)
+    DR = alg.cov_curvature
+    pairs = [(a, b) for a in rn for b in range(a + 1, n)]
+    # the two orders (Xi, Xc) of a pair (a, b), as (c, i, sign of the order)
+    orders = {p: ((p[1], p[0], 1), (p[0], p[1], -1)) for p in pairs}
 
-    def __getitem__(self, k):
-        value = self.data[k]
-        if isinstance(value, list):
-            return SlotRecorder(value, self.reads, self.index + (k,))
-        self.reads.add(self.index + (k,))
-        return value
+    def sums(terms):  # the nonzero sum of each key's list of products
+        return {key: v for key, products in terms.items()
+                if not (v := sum(products, start=ZERO)).is_zero}
+
+    B_terms = {}
+    for m in rn:
+        for p, ab in enumerate(pairs):
+            for ef in pairs[p:]:
+                v = DR[m][ab[0]][ab[1]][ef[0]][ef[1]]
+                if v.is_zero:
+                    continue
+                for first, second in ((ab, ef), (ef, ab)) if ab != ef else ((ab, ef),):
+                    for c, i, s1 in orders[first]:
+                        for d, k, s2 in orders[second]:
+                            if c <= d:
+                                B_terms.setdefault((c, d), {}).setdefault(
+                                    tuple(sorted((m, i, k))), []).append(
+                                        v * (s1 * s2 * (2 if c < d else 1)))
+    B = {cd: Bcd for cd, terms in B_terms.items() if (Bcd := sums(terms))}
+    ops = {(i, j): alg.curvature_operator(i, j) for i in rn for j in rn}
+    ginv = alg.metric_inverse
+    l5_terms = {}
+    for (c, d), Bcd in B.items():
+        raised = {}  # sum_a g^{ac} E[a][d]
+        for a in rn:
+            if ginv[a][c].is_zero:
+                continue
+            for i in rn:
+                for k in rn:
+                    z = ops[i, a][d][k]
+                    if not z.is_zero:
+                        raised.setdefault(tuple(sorted((i, k))), []).append(ginv[a][c] * z)
+        for ka, x in sums(raised).items():
+            for kb, y in Bcd.items():
+                l5_terms.setdefault(tuple(sorted(ka + kb)), []).append(x * y)
+    return sums(l5_terms)
+
+
+def bench_workload_algebras():
+    """The algebras of the three benchmark workloads under seeds 1, 2 and 3:
+    the 9 corpus algebras and the 27 basis-mixed copies, each mixed as
+    `bench/run.py` mixes it (one generator per seed, in corpus order)."""
+    corpus = test_properties.corpus
+    algebras = [loads(corpus.TEXTS[key]) for key in corpus.TEXTS]
+    for seed in (1, 2, 3):
+        rng = random.Random(f"{seed}-mixing")
+        for key in corpus.WORKLOADS["basis-mixed"]["algebras"]:
+            alg = loads(corpus.TEXTS[key])
+            algebras.append(alg.transform_basis(corpus.mixing_matrix(rng, alg.dim),
+                                                name=f"{key}-mixed{seed}"))
+    return algebras
+
+
+JACOBI_CASES = bench_workload_algebras() + list(test_properties.GENERATED.values())
+
+
+@pytest.mark.parametrize("alg", JACOBI_CASES, ids=[a.name for a in JACOBI_CASES])
+def test_jacobi_l5_matches_the_nabla_r_contraction(alg):
+    assert ledger_check(alg).l5_poly == contracted_l5(alg)
+
+
+def test_jacobi_l5_cases_are_not_all_zero():
+    # the comparison above meets nonzero polynomials: r4 and its three
+    # mixed copies, and six of the generated algebras
+    curved = [alg.name for alg in JACOBI_CASES if not ledger_check(alg).l5_holds]
+    assert len(curved) == 10 and {"r4", "r4-mixed1"} <= set(curved), curved
+
+
+@pytest.mark.parametrize("alg", ALMOST_ABELIAN_SAMPLE, ids=[a.name for a in ALMOST_ABELIAN_SAMPLE])
+def test_almost_abelian_jacobi_l5_matches_the_contraction(alg):
+    assert ledger_check(alg).l5_poly == contracted_l5(alg)
 
 
 @pytest.mark.parametrize(("key", "seed"), [(key, seed) for key in test_properties.corpus.TEXTS
                                            for seed in (None, 1)])
-def test_ledger_reads_independent_slots_only(corpus_alg, key, seed):
-    # with `cov_curvature` built, the Ledger reads it only at a < b, c < d,
-    # (a, b) <= (c, d), and never reads `curvature_tensor`
+def test_ledger_forms_no_nabla_r(corpus_alg, key, seed):
+    # with the integer tensors built, the Ledger reads neither `cov_curvature`
+    # nor `curvature_tensor`, g^{-1} nor any `RatFunc` view of a tensor
     alg = corpus_case(corpus_alg, key, seed)
     want = ledger_check(alg)
-    reads = set()
-    alg.__dict__["cov_curvature"] = SlotRecorder(alg.cov_curvature, reads)
-    alg.__dict__["curvature_tensor"] = None
+    alg = corpus_case(corpus_alg, key, seed) if seed else loads(test_properties.corpus.TEXTS[key])
+    alg._znabla, alg._zricci, alg._zcurvature
+    for name in ("cov_curvature", "curvature_tensor", "metric_inverse", "nabla_basis",
+                 "ricci", "_curvature_operators"):
+        alg.__dict__[name] = None
     got = ledger_check(alg)
     assert got.l3_violations == want.l3_violations and got.l5_poly == want.l5_poly
-    assert reads and all(a < b and c < d and (a, b) <= (c, d) for _, a, b, c, d in reads)
+
+
+@pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
+def test_full_report_never_fills_cov_curvature(key):
+    # no section reads nabla R; r4's geodesic section refuses, and the
+    # sections after it still run
+    alg = loads(test_properties.corpus.TEXTS[key])
+    for section in (algebra_section, connection_section, curvature_section, ricci_section,
+                    soliton_section, killing_section, geodesic_section, walker_section,
+                    ledger_section, harmonic_section, energy_section):
+        try:
+            section(alg)
+        except CaseAnalysisIncomplete:
+            assert key == "r4"
+    assert "cov_curvature" not in vars(alg)
 
 
 @pytest.mark.parametrize("key", list(test_properties.corpus.TEXTS))
