@@ -20,9 +20,10 @@ The sign pattern of the curvature convention makes the unit round sphere
 come out Einstein with ric = 2g, which is the normalization every golden
 value in the test suite is pinned to.
 
-The tensor layer runs on integer numerators.  The brackets, the metric
-and g^{-1} (which comes from `solvers.kernel_basis`) are cleared of their
-denominators once (`scalars._clear`), and every tensor after them, the
+The tensor layer runs on integer numerators.  The brackets and the metric
+are cleared of their denominators once (`scalars._clear`); det g is the
+Laplace expansion `_zdet` of the cleared metric, and g^{-1} its adjugate
+over that determinant (`_zinverse`).  Every tensor after them, the
 lowered and raised connection, the connection along the dual basis, the
 curvature operators, the curvature tensor, Ricci and the rough Laplacian,
 is held as nested lists of Z[eps] tuples over one denominator per tensor.
@@ -67,7 +68,6 @@ from functools import cached_property, reduce
 
 from .scalars import (
     RatFunc,
-    ONE,
     ZERO,
     _canonical,
     _clear,
@@ -79,58 +79,37 @@ from .scalars import (
     _zlcm,
     _zmul,
     _zneg,
+    _zpow,
     nonzero,
     ratfunc,
     record,
     terms_str,
 )
-from .solvers import EigenDecomposition, eigen_analyze, kernel_basis
+from .solvers import EigenDecomposition, eigen_analyze
 
 MAX_DIM = 4
 
 
 class SingularMetric(ArithmeticError):
-    """Inversion of a Gram matrix whose determinant is identically zero."""
+    """Inversion of a matrix whose determinant is identically zero: a basis
+    change (`transform_basis`); the constructor refuses a degenerate metric."""
 
 
 # ---------------------------------------------------------------------------
-# small exact matrix helpers over Q(eps)
+# matrix helpers
 #
-# Entries are `RatFunc`s (a value at one eps is a constant one); the zero
-# test is `.is_zero`, so `bilinear` takes components of any type that has it
-# and the ring operations.  They form no product with a zero factor:
-# `scalars.nonzero` lists the nonzero entries of a row.  An entry that no
-# product reaches is the `RatFunc` ZERO.  The one elimination is
-# `solvers.kernel_basis`: `mat_inv` reads the inverse off it, and the
-# zero-skipping Laplace `mat_det` is the one determinant.  The helpers of
-# the integer tensor layer (`_ztensor`, `_zadd_scaled`, `_zscatter`,
-# `_view`) follow.
+# The few helpers on `RatFunc` entries (a value at one eps is a constant
+# one) test zeros by `.is_zero`, so `bilinear` takes components of any type
+# that has it and the ring operations.  Every exact matrix job of the
+# algebra, its tensors, det g, g^{-1} and the basis change, runs on the
+# integer forms of the helpers after them: nested lists of Z[eps] tuples
+# over one denominator (`_ztensor`, `_zadd_scaled`, `_zscatter`), the
+# zero-skipping Laplace determinant `_zdet`, the adjugate inverse
+# `_zinverse`, and `_entry` and `_view`, which make `RatFunc`s of them.
 
 
 def zeros(n: int) -> list[list]:
     return [[ZERO for _ in range(n)] for _ in range(n)]
-
-
-def mat_mul(a, b):
-    out = [[ZERO for _ in b[0]] for _ in a]
-    nb = [nonzero(row) for row in b]
-    for orow, row in zip(out, a):
-        for s, x in nonzero(row):
-            for c, y in nb[s]:
-                orow[c] = orow[c] + x * y
-    return out
-
-
-def mat_vec(a, v):
-    nz = nonzero(v)
-    out = []
-    for row in a:
-        acc = ZERO
-        for k, y in nz:
-            if not row[k].is_zero:
-                acc = acc + row[k] * y
-        out.append(acc)
-    return out
 
 
 def bilinear(Q, u, v):
@@ -152,40 +131,6 @@ def bilinear(Q, u, v):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def mat_det(a):
-    """Laplace expansion over `RatFunc` entries; fine for the n <= 4
-    matrices this package sees."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    acc = None
-    for j in range(n):
-        if a[0][j].is_zero:
-            continue
-        minor = mat_det([row[:j] + row[j + 1:] for row in a[1:]])
-        if minor.is_zero:
-            continue
-        term = a[0][j] * minor
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return ZERO if acc is None else acc
-
-
-def mat_inv(a) -> list[list[RatFunc]]:
-    """Inverse of a square `RatFunc` matrix by one elimination: the reduced
-    echelon kernel of [a | -I].  Each kernel vector v has a v[:n] = v[n:],
-    so the v[:n] are the columns of a^{-1} exactly when the v[n:] are the
-    unit vectors e_0..e_{n-1}; otherwise a is singular.  No cofactor and no
-    determinant is formed."""
-    n = len(a)
-    unit = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
-    kernel = kernel_basis([list(row) + [-x for x in e] for row, e in zip(a, unit)])
-    if [v[n:] for v in kernel] != unit:
-        raise SingularMetric("matrix determinant is identically zero")
-    return transpose([v[:n] for v in kernel])
 
 
 def _zleaves(T) -> list[tuple]:
@@ -242,6 +187,37 @@ def _zscatter(out, a, b, s: tuple = (1,)) -> None:
                 x = _zmul(s, x)
             for c, y in b[t]:
                 orow[c] = _zadd(orow[c], _zmul(x, y))
+
+
+def _zdet(N) -> tuple:
+    """det N of a square integer matrix (1 for the empty one), by Laplace
+    expansion along the first row over its nonzero entries."""
+    if len(N) < 2:
+        return N[0][0] if N else (1,)
+    acc = ()
+    for j, x in _znonzero(N[0]):
+        if minor := _zdet([row[:j] + row[j + 1:] for row in N[1:]]):
+            term = _zmul(x, minor)
+            acc = _zadd(acc, _zneg(term) if j % 2 else term)
+    return acc
+
+
+def _zinverse(N, d: tuple, det: tuple) -> tuple[list, tuple]:
+    """(N / d)^{-1} = d adj(N) / det N for a square integer matrix N over d,
+    given det N (`_zdet`), reduced once by `_ztensor`.  The cofactors are
+    minors, so no second full-size determinant is formed."""
+    if not det:
+        raise SingularMetric("matrix determinant is identically zero")
+    if det[-1] < 0:
+        det, d = _zneg(det), _zneg(d)
+    n, s = len(N), (d, _zneg(d))
+    adj = [[()] * n for _ in range(n)]
+    for i in range(n):
+        rows = N[:i] + N[i + 1:]
+        for j in range(n):
+            if minor := _zdet([row[:j] + row[j + 1:] for row in rows]):
+                adj[j][i] = _zmul(minor, s[(i + j) % 2])
+    return _ztensor(adj, det)
 
 
 def _entry(x: tuple, d: tuple) -> RatFunc:
@@ -421,7 +397,7 @@ class MetricLieAlgebra:
                     out.append(Violation(
                         "metric-symmetry", f"g[{i+1}][{j+1}] != g[{j+1}][{i+1}]"
                     ))
-        if self.metric_det.is_zero:
+        if not self._zmetric_det:
             out.append(Violation(
                 "metric-nondegenerate", "determinant of the metric is identically zero"
             ))
@@ -449,12 +425,9 @@ class MetricLieAlgebra:
         return bilinear(self.metric, u, v)
 
     @cached_property
-    def metric_inverse(self) -> list[list[RatFunc]]:
-        return mat_inv([list(r) for r in self.metric])
-
-    @cached_property
     def metric_det(self) -> RatFunc:
-        return mat_det([list(r) for r in self.metric])
+        """det g = det N / e^n for the cleared metric N / e."""
+        return _entry(self._zmetric_det, _zpow(self._zmetric[1], self.dim))
 
     # -- the tensor layer on integer numerators -----------------------------
     #
@@ -476,8 +449,16 @@ class MetricLieAlgebra:
         return _clear(self.metric)
 
     @cached_property
+    def _zmetric_det(self) -> tuple:
+        """det N of the cleared metric N / e: the one full-size determinant
+        of an algebra, formed by the constructor's check (`validate`) and
+        reused by `_zmetric_inverse` and `metric_det`."""
+        return _zdet(self._zmetric[0])
+
+    @cached_property
     def _zmetric_inverse(self) -> tuple[list, tuple]:
-        return _clear(self.metric_inverse)
+        """g^{-1} = e adj(N) / det N, by `_zinverse`."""
+        return _zinverse(*self._zmetric, self._zmetric_det)
 
     @cached_property
     def _znabla_lowered(self) -> tuple[list, tuple]:
@@ -697,19 +678,19 @@ class MetricLieAlgebra:
 
         Ricci is symmetric on a Lie algebra (the Jacobi identity, which the
         constructor checks), so both sums are one lowering of K by Ricci,
-        P[i][j] = ric K[i][j], and D[i][j][k] = -(P[i][j][k] + P[i][k][j]).
-        D is symmetric in (j, k): the entries j <= k are computed and the
-        others copied.
+        P[i][j] = ric K[i][j], and D[i][j][k] = -(P[i][j][k] + P[i][k][j]):
+        a view of that integer form, over the denominators of `_znabla` and
+        `_zricci`.
         """
         rn = range(self.dim)
-        ric = self.ricci
-        P = [[mat_vec(ric, row) for row in plane] for plane in self.nabla_basis]
-        D = [[[ZERO] * self.dim for _ in rn] for _ in rn]
-        for i in rn:
-            for j in rn:
-                for k in range(j, self.dim):
-                    D[i][j][k] = D[i][k][j] = -(P[i][j][k] + P[i][k][j])
-        return D
+        (K, e), (ric, d) = self._znabla, self._zricci
+        rows = [_znonzero(row) for row in ric]
+        D = []
+        for plane in K:
+            P = [[()] * self.dim for _ in rn]
+            _zscatter(P, [_znonzero(v) for v in plane], rows)
+            D.append([[_zneg(_zadd(P[j][k], P[k][j])) for k in rn] for j in rn])
+        return _view(*_ztensor(D, _zmul(e, d)))
 
     @cached_property
     def cov_curvature(self) -> list:
@@ -802,22 +783,36 @@ class MetricLieAlgebra:
     def transform_basis(self, P: Sequence[Sequence[object]], name: str | None = None) -> "MetricLieAlgebra":
         """Re-express everything in the basis Yi = sum_r P[r][i] Xr.
 
-        P must be invertible.  With C_k the matrix of Xk-coefficients of the
-        brackets, [Yi, Yj] has old coordinates (P^T C_k P)[i][j], taken back
-        through P^{-1}; the metric becomes P^T G P.  So the geometry is the
-        same object in new coordinates.
+        P must be an invertible dim x dim matrix.  With C_k the matrix of
+        Xk-coefficients of the brackets, [Yi, Yj] has old coordinates
+        (P^T C_k P)[i][j], taken back through P^{-1}; the metric becomes
+        P^T G P.  So the geometry is the same object in new coordinates.
+        It runs on P cleared once, and makes each new entry by one `_entry`.
         """
-        n = self.dim
-        Pm = [[ratfunc(x) for x in row] for row in P]
-        Pinv, Pt = mat_inv(Pm), transpose(Pm)
-        C = self.brackets
-        old = [mat_mul(Pt, mat_mul([[C[r][s][k] for s in range(n)] for r in range(n)], Pm))
-               for k in range(n)]
-        newC = [[mat_vec(Pinv, [ok[i][j] for ok in old]) for j in range(n)] for i in range(n)]
-        newG = mat_mul(Pt, mat_mul([list(r) for r in self.metric], Pm))
+        n, rn = self.dim, range(self.dim)
+        if len(P) != n or any(len(row) != n for row in P):
+            raise ValueError("basis change must be a dim x dim matrix")
+        Pz, p = _clear([ratfunc(x) for x in row] for row in P)
+        Q, q = _zinverse(Pz, p, _zdet(Pz))
+        Pt, Pr = [_znonzero(row) for row in transpose(Pz)], [_znonzero(row) for row in Pz]
+
+        def congruent(A):  # P^T A P
+            AP, out = [[()] * n for _ in rn], [[()] * n for _ in rn]
+            _zscatter(AP, [_znonzero(row) for row in A], Pr)
+            _zscatter(out, Pt, [_znonzero(row) for row in AP])
+            return out
+
+        (C, c), (G, e) = self._zbrackets, self._zmetric
+        new = [[[()] * n for _ in rn] for _ in rn]  # new[l] = sum_k Q[l][k] P^T C_k P
+        for k in rn:
+            old = [_znonzero(row) for row in congruent([[C[r][s][k] for s in rn] for r in rn])]
+            for l, x in _znonzero([row[k] for row in Q]):
+                _zadd_scaled(new[l], x, old)
+        pp = _zmul(p, p)
+        dC, dG = _zmul(_zmul(q, c), pp), _zmul(e, pp)
         return MetricLieAlgebra(
-            name=name or f"{self.name}/basis-change",
-            dim=n,
-            brackets=tuple(tuple(tuple(row) for row in plane) for plane in newC),
-            metric=tuple(tuple(row) for row in newG),
+            name=name or f"{self.name}/basis-change", dim=n,
+            brackets=tuple(tuple(tuple(_entry(new[l][i][j], dC) for l in rn) for j in rn)
+                           for i in rn),
+            metric=tuple(tuple(_entry(x, dG) for x in row) for row in congruent(G)),
         )

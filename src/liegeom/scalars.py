@@ -403,7 +403,8 @@ def _zroots(a: tuple) -> list[tuple[Fraction, int]]:
     """Rational roots of a nonzero integer polynomial with multiplicities,
     ascending, by the rational root theorem on its primitive part: each
     candidate p/q is tested by integer Horner and divided out as q*eps - p,
-    which by Gauss's lemma divides exactly in Z[eps].
+    which by Gauss's lemma divides exactly in Z[eps].  The candidates are
+    tested in any order; only the roots found are sorted.
     """
     if len(a) == 1:
         return []
@@ -415,9 +416,9 @@ def _zroots(a: tuple) -> list[tuple[Fraction, int]]:
     if len(a) > 1:
         a = _zdiv_int(a, gcd(*a))
         qs = _divisors(abs(a[-1]))
-        candidates = sorted({
+        candidates = {
             Fraction(sign * p, q) for p in _divisors(abs(a[0])) for q in qs for sign in (1, -1)
-        })
+        }
         for r in candidates:
             p, q = r.numerator, r.denominator
             mult = 0

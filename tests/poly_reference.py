@@ -21,12 +21,19 @@ monomial dicts into a `MultiPoly` to compare.
 
 `nabla(alg, u, v)` is nabla_u v for invariant vectors with `RatFunc` or
 `MultiPoly` components, read off the engine's `connection_operators`.
+
+`mat_det`, `mat_inv`, `mat_mul` and `mat_vec` are matrix helpers over
+`RatFunc` entries: the Laplace determinant, the inverse by one elimination
+(`solvers.kernel_basis` of [a | -I]), products, and the matrix-vector
+product, which also takes a vector of `MultiPoly`s.  The engine runs its
+matrices on integer forms instead (`algebra._zdet`, `algebra._zinverse`);
+`transform_basis` is its basis change, written with these helpers.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from liegeom.algebra import mat_vec
+from liegeom.algebra import MetricLieAlgebra, SingularMetric, transpose
 from liegeom.scalars import (
     ONE,
     ZERO,
@@ -37,9 +44,11 @@ from liegeom.scalars import (
     _zgcd,
     _zroots,
     mu_poly_str,
+    nonzero,
     ratfunc,
     terms_str,
 )
+from liegeom.solvers import kernel_basis
 
 
 def is_zero(x) -> bool:
@@ -385,3 +394,83 @@ def nabla(alg, u, v) -> list:
     """nabla_u v = sum_i u_i A_i v, with A_i = `alg.connection_operators[i]`."""
     columns = [[x * w for w in mat_vec(A, v)] for x, A in zip(u, alg.connection_operators)]
     return [sum(row, ZERO) for row in zip(*columns)]
+
+
+# ---------------------------------------------------------------------------
+# matrices over Q(eps)
+
+
+def mat_mul(a, b):
+    out = [[ZERO for _ in b[0]] for _ in a]
+    nb = [nonzero(row) for row in b]
+    for orow, row in zip(out, a):
+        for s, x in nonzero(row):
+            for c, y in nb[s]:
+                orow[c] = orow[c] + x * y
+    return out
+
+
+def mat_vec(a, v):
+    nz = nonzero(v)
+    out = []
+    for row in a:
+        acc = ZERO
+        for k, y in nz:
+            if not row[k].is_zero:
+                acc = acc + row[k] * y
+        out.append(acc)
+    return out
+
+
+def mat_det(a):
+    """Laplace expansion over `RatFunc` entries; fine for the n <= 4
+    matrices this package sees."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    acc = None
+    for j in range(n):
+        if a[0][j].is_zero:
+            continue
+        minor = mat_det([row[:j] + row[j + 1:] for row in a[1:]])
+        if minor.is_zero:
+            continue
+        term = a[0][j] * minor
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return ZERO if acc is None else acc
+
+
+def mat_inv(a) -> list[list[RatFunc]]:
+    """Inverse of a square `RatFunc` matrix by one elimination: the reduced
+    echelon kernel of [a | -I].  Each kernel vector v has a v[:n] = v[n:],
+    so the v[:n] are the columns of a^{-1} exactly when the v[n:] are the
+    unit vectors e_0..e_{n-1}; otherwise a is singular.  No cofactor and no
+    determinant is formed."""
+    n = len(a)
+    unit = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    kernel = kernel_basis([list(row) + [-x for x in e] for row, e in zip(a, unit)])
+    if [v[n:] for v in kernel] != unit:
+        raise SingularMetric("matrix determinant is identically zero")
+    return transpose([v[:n] for v in kernel])
+
+
+def transform_basis(alg, P, name=None):
+    """`alg` in the basis Yi = sum_r P[r][i] Xr, on `RatFunc` matrices:
+    [Yi, Yj] has old coordinates (P^T C_k P)[i][j], taken back through
+    P^{-1}, and the metric becomes P^T G P."""
+    n = alg.dim
+    Pm = [[ratfunc(x) for x in row] for row in P]
+    Pinv, Pt = mat_inv(Pm), transpose(Pm)
+    C = alg.brackets
+    old = [mat_mul(Pt, mat_mul([[C[r][s][k] for s in range(n)] for r in range(n)], Pm))
+           for k in range(n)]
+    newC = [[mat_vec(Pinv, [ok[i][j] for ok in old]) for j in range(n)] for i in range(n)]
+    newG = mat_mul(Pt, mat_mul([list(r) for r in alg.metric], Pm))
+    return MetricLieAlgebra(
+        name=name or f"{alg.name}/basis-change",
+        dim=n,
+        brackets=tuple(tuple(tuple(row) for row in plane) for plane in newC),
+        metric=tuple(tuple(row) for row in newG),
+    )

@@ -36,7 +36,7 @@ from liegeom.scalars import (
 )
 from liegeom.algebra import vector_str
 from liegeom.solvers import rref_solve
-from poly_reference import MultiPoly, from_terms, nabla
+from poly_reference import MultiPoly, from_terms, mat_inv, nabla
 
 import test_properties
 import test_tensor_reference
@@ -195,7 +195,7 @@ def l5_grid_oracle(alg, eps0, radius=3):
            for j in rn] for i in rn]
     D = [[[[[Ds[i][a][b][c][d].eval(eps0) for d in rn] for c in rn] for b in rn]
           for a in rn] for i in rn]
-    ginv = [[spec.metric_inverse[i][j].eval(eps0) for j in rn] for i in rn]
+    ginv = [[x.eval(eps0) for x in row] for row in mat_inv(spec.metric)]
     for point in itertools.product(range(-radius, radius + 1), repeat=n):
         x = [F(v) for v in point]
         A = [[sum(x[i] * x[j] * R4[i][a][j][b] for i in rn for j in rn)

@@ -5,11 +5,14 @@ import pytest
 
 from liegeom import algebra
 from liegeom.algebra import (
-    MetricLieAlgebra, SingularMetric, ValidationFailed, mat_inv, mat_mul, vector_str)
-from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, ratfunc, record
+    MetricLieAlgebra, SingularMetric, ValidationFailed, _entry, _view, _zdet, _zinverse,
+    vector_str)
+from liegeom.catalog import dumps
+from liegeom.scalars import EPS, ONE, ZERO, _clear, _zpow, parse_scalar, ratfunc, record
 
+from poly_reference import mat_det, mat_inv, mat_mul, transform_basis
 from test_solvers import DENSE, _sympy_ratfunc
-from test_tensor_reference import corpus_case
+from test_tensor_reference import ALMOST_ABELIAN_SAMPLE, corpus_case
 import test_properties
 
 
@@ -443,12 +446,12 @@ def test_singular_metric_raised():
     alg = MetricLieAlgebra.from_brackets(
         2, {}, [[EPS, ZERO], [ZERO, EPS]])
     assert alg.singular_parameters() == [Fraction(0)]
-    with pytest.raises(SingularMetric):
-        mat_inv([[ZERO, ZERO], [ZERO, ZERO]])
+    with pytest.raises(SingularMetric, match="matrix determinant is identically zero"):
+        engine_inverse([[ZERO, ZERO], [ZERO, ZERO]])
 
 
 # ---------------------------------------------------------------------------
-# the inverse by one elimination
+# det and inverse on the integer forms, against the `RatFunc` oracles
 
 INVERSE_SEEDS = (None, 1, 2, 3, 23)
 CORPUS_KEYS = list(test_properties.corpus.TEXTS)
@@ -456,6 +459,19 @@ CORPUS_KEYS = list(test_properties.corpus.TEXTS)
 
 def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def engine_det(A):
+    """det A of a `RatFunc` matrix on the engine's route: `_zdet` of A
+    cleared to N / d, over d^n."""
+    N, d = _clear(A)
+    return _entry(_zdet(N), _zpow(d, len(A)))
+
+
+def engine_inverse(A):
+    """A^{-1} of a `RatFunc` matrix on the engine's route (`_zinverse`)."""
+    N, d = _clear(A)
+    return _view(*_zinverse(N, d, _zdet(N)))
 
 
 def inverse_cases(corpus_alg):
@@ -466,19 +482,19 @@ def inverse_cases(corpus_alg):
     return metrics + DENSE
 
 
-def test_mat_inv_is_the_inverse(corpus_alg):
+def test_inverse_is_the_inverse(corpus_alg):
     cases = inverse_cases(corpus_alg)
     assert len(cases) == 65
     for A in cases:
-        assert mat_mul(A, mat_inv(A)) == identity(len(A))
+        assert mat_mul(A, engine_inverse(A)) == identity(len(A))
 
 
-def test_mat_inv_matches_sympy(corpus_alg):
+def test_inverse_matches_sympy(corpus_alg):
     sympy = pytest.importorskip("sympy")
     eps = sympy.Symbol("eps")
     for A in inverse_cases(corpus_alg):
         expect = sympy.Matrix([[_sympy_ratfunc(sympy, eps, x) for x in row] for row in A]).inv()
-        ours = mat_inv(A)
+        ours = engine_inverse(A)
         assert all(sympy.cancel(_sympy_ratfunc(sympy, eps, x) - expect[i, j]) == 0
                    for i, row in enumerate(ours) for j, x in enumerate(row))
 
@@ -488,11 +504,132 @@ def test_mat_inv_matches_sympy(corpus_alg):
     [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
     [[1, 1], [1, 1]],
 ])
-def test_mat_inv_refuses_singular_matrices_without_zero_entries(rows):
+def test_inverse_refuses_singular_matrices_without_zero_entries(rows):
     A = [[ratfunc(x) for x in row] for row in rows]
     assert not any(x.is_zero for row in A for x in row)
-    with pytest.raises(SingularMetric):
-        mat_inv(A)
+    with pytest.raises(SingularMetric, match="matrix determinant is identically zero"):
+        engine_inverse(A)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0]],
+    [[1, 0], ["eps", 0]],
+    [["eps", 0, 1], [0, 0, 0], [1, 0, "eps"]],
+    [[1, 0, 0, 0], [0, "eps", 1, 0], [0, "eps^2", "eps", 0], [0, 0, 0, 1]],
+])
+def test_inverse_refuses_singular_matrices_with_zero_entries(rows):
+    A = [[ratfunc(x) for x in row] for row in rows]
+    with pytest.raises(SingularMetric, match="matrix determinant is identically zero"):
+        engine_inverse(A)
+
+
+def oracle_metrics(corpus_alg):
+    """The metrics of the corpus and its mixed copies under seeds 1-3,
+    `GENERATED`, `ALMOST_ABELIAN_SAMPLE` and a 1 x 1 algebra."""
+    algebras = [corpus_case(corpus_alg, key, seed) for key in CORPUS_KEYS
+                for seed in (None, 1, 2, 3)]
+    algebras += list(test_properties.GENERATED.values()) + ALMOST_ABELIAN_SAMPLE
+    algebras.append(MetricLieAlgebra.from_brackets(1, {}, [["-2/3*eps"]], name="line"))
+    return algebras
+
+
+def test_det_and_inverse_match_the_oracles(corpus_alg):
+    algebras = oracle_metrics(corpus_alg)
+    assert len(algebras) == 36 + len(test_properties.GENERATED) + 32 + 1
+    for alg in algebras:
+        G = [list(row) for row in alg.metric]
+        assert engine_det(G) == mat_det(G) == alg.metric_det, alg.name
+        assert engine_inverse(G) == mat_inv(G) == _view(*alg._zmetric_inverse), alg.name
+        assert alg._zmetric_inverse[1][-1] > 0  # a denominator of the tensor layer
+    assert {alg.metric_det.is_constant and alg.metric_det.constant_value() < 0
+            for alg in algebras} == {True, False}
+
+
+def test_an_algebra_forms_one_full_size_determinant(monkeypatch, corpus_alg):
+    # metric_det, g^{-1} and the constructor's check share one cached `_zdet`
+    # of the cleared metric: one of full size (besides its Laplace minors and
+    # the cofactors of the adjugate) while the algebra is built, none after
+    calls = []
+    laplace = algebra._zdet
+
+    def counting(N):
+        calls.append(len(N))
+        return laplace(N)
+
+    monkeypatch.setattr(algebra, "_zdet", counting)
+    for key in CORPUS_KEYS:
+        for seed in INVERSE_SEEDS:
+            case = corpus_case(corpus_alg, key, seed)
+            calls.clear()
+            alg = MetricLieAlgebra(case.name, case.dim, case.brackets, case.metric)
+            assert calls.count(alg.dim) == 1
+            alg.nabla_basis
+            assert calls.count(alg.dim) == 1
+            built = len(calls)
+            assert mat_mul([list(r) for r in alg.metric],
+                           _view(*alg._zmetric_inverse)) == identity(alg.dim)
+            alg.singular_parameters(), alg.metric_det, alg.scalar_curvature, alg.rough_laplacian
+            assert len(calls) == built
+
+
+# ---------------------------------------------------------------------------
+# the basis change on the integer forms, against the `RatFunc` reference
+
+P_ENTRIES = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), "eps", "1+eps", "-eps^2")
+
+
+def seeded_basis_changes(key, n):
+    """Six P for one algebra: one with rational entries, two with entries
+    in eps, one `corpus.mixing_matrix`, and two with a duplicated row (one
+    in eps, one unimodular but for that row), which are singular."""
+    rng = random.Random(f"{key}-basis-change")
+    mixing = test_properties.corpus.mixing_matrix
+    out = [[[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+           for entries in (P_ENTRIES[:7], P_ENTRIES, P_ENTRIES, P_ENTRIES)]
+    out[-1][-1] = out[-1][0]
+    out += [mixing(rng, n), mixing(rng, n)]
+    out[-1][0] = out[-1][-1]
+    return out
+
+
+@pytest.mark.parametrize("key", CORPUS_KEYS)
+def test_transform_basis_matches_the_reference(corpus_alg, key):
+    alg = corpus_alg(key)
+    refused = 0
+    for P in seeded_basis_changes(key, alg.dim):
+        try:
+            want = dumps(transform_basis(alg, P, name="moved"))
+        except SingularMetric as exc:
+            with pytest.raises(SingularMetric) as got:
+                alg.transform_basis(P, name="moved")
+            assert str(got.value) == str(exc)
+            refused += 1
+            continue
+        assert dumps(alg.transform_basis(P, name="moved")) == want
+    assert 2 <= refused <= 4
+
+
+@pytest.mark.parametrize("P", [
+    [[1, 0, 0], [0, 1, 0]],
+    [[1, 0], [0, 1], [0, 0]],
+    [[1, 0, 0], [0, 1], [0, 0, 1]],
+    [],
+], ids=["2x3", "3x2", "ragged", "empty"])
+def test_transform_basis_refuses_a_matrix_of_the_wrong_shape(berger_alg, P):
+    with pytest.raises(ValueError, match="basis change must be a dim x dim matrix"):
+        berger_alg.transform_basis(P)
+
+
+def test_transform_basis_refuses_a_singular_square_matrix(berger_alg):
+    with pytest.raises(SingularMetric, match="matrix determinant is identically zero"):
+        berger_alg.transform_basis([[1, 0, 1], [0, "eps", 0], [2, 0, 2]])
+
+
+def test_transform_basis_of_a_line():
+    line = MetricLieAlgebra.from_brackets(1, {}, [["eps"]], name="line")
+    moved = line.transform_basis([["2/eps"]])
+    assert moved.metric == ((parse_scalar("4/eps"),),)
+    assert moved.transform_basis([["eps/2"]]).metric == line.metric
 
 
 @pytest.mark.parametrize("key", CORPUS_KEYS)
@@ -504,27 +641,3 @@ def test_transform_basis_round_trip_on_the_corpus(corpus_alg, key):
         back = alg.transform_basis(P).transform_basis(mat_inv(P))
         assert back.brackets == alg.brackets
         assert back.metric == alg.metric
-
-
-def test_metric_inverse_computes_no_determinant(monkeypatch, corpus_alg):
-    # mat_inv forms no determinant, so metric_det (cached, and first read by
-    # the constructor's check) is the only one an algebra computes: one of
-    # full size (besides its Laplace minors) while it is built, none after
-    calls = []
-    laplace = algebra.mat_det
-
-    def counting(a):
-        calls.append(len(a))
-        return laplace(a)
-
-    monkeypatch.setattr(algebra, "mat_det", counting)
-    for key in CORPUS_KEYS:
-        for seed in INVERSE_SEEDS:
-            case = corpus_case(corpus_alg, key, seed)
-            calls.clear()
-            alg = MetricLieAlgebra(case.name, case.dim, case.brackets, case.metric)
-            assert calls.count(alg.dim) == 1
-            built = len(calls)
-            assert mat_mul([list(r) for r in alg.metric], alg.metric_inverse) == identity(alg.dim)
-            alg.singular_parameters(), alg.nabla_basis
-            assert len(calls) == built

@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liegeom.algebra import mat_inv, mat_mul
 from liegeom.scalars import EPS, ONE, ZERO, _clear
 from liegeom.solvers import eigen_analyze
 from poly_reference import (
@@ -35,6 +34,8 @@ from poly_reference import (
     check,
     denominator,
     laplace_charpoly,
+    mat_inv,
+    mat_mul,
     numerator,
     poly_div_exact,
     poly_gcd,

@@ -516,7 +516,7 @@ def test_case_analysis_ratfunc_operations(monkeypatch, key, geodesic, walker):
     # that share a slot of a form's monomial dict, the divisions of the
     # definite-form rule and the grid witness's evaluations
     alg = loads(test_properties.corpus.TEXTS[key])
-    alg.nabla_basis, alg.metric_inverse, alg.singular_parameters()
+    alg.nabla_basis, alg._zmetric_inverse, alg.singular_parameters()
     counts = [ratfunc_operations(monkeypatch, analysis, alg)
               for analysis in (geodesic_classify, walker_check)]
     assert counts[0] <= geodesic and counts[1] <= walker, counts
@@ -924,7 +924,7 @@ def test_harmonic_and_energy_sections_bound_their_arithmetic(monkeypatch):
                           (lambda: loads(test_properties.corpus.TEXTS["u2"]), 523),
                           (lambda: loads(test_properties.corpus.TEXTS["heisenberg"]), 365)):
         alg = build()
-        alg.nabla_basis, alg.curvature_tensor, alg.metric_inverse, alg.singular_parameters()
+        alg.nabla_basis, alg.curvature_tensor, alg._zmetric_inverse, alg.singular_parameters()
         with monkeypatch.context() as m:
             for name in ARITHMETIC:
                 m.setattr(RatFunc, name, counting(getattr(RatFunc, name)))

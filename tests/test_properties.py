@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liegeom.algebra import MetricLieAlgebra, mat_det
+from liegeom.algebra import MetricLieAlgebra
 from liegeom.catalog import loads
 from liegeom.geometry import einstein_check, killing_solve, ricci_soliton_solve
 from liegeom.scalars import (
@@ -30,6 +30,7 @@ from poly_reference import (
     Poly,
     check,
     denominator,
+    mat_det,
     nabla,
     numerator,
     poly_div_exact,

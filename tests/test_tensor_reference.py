@@ -24,7 +24,8 @@ The connection and the tensors contracted from it (`nabla_basis`,
 `lie_derivative_metric_basis`, `ricci`, `cov_ricci`, `rough_laplacian`) are
 formed over the nonzero entries of each factor only, and some read a
 lowered copy of the connection; their references below are the dense loops
-of each definition, from `brackets`, `metric` and `metric_inverse`, with
+of each definition, from `brackets`, `metric` and its inverse by the tests'
+own elimination (`poly_reference.mat_inv`, not the engine's g^{-1}), with
 the curvature tensor of `reference_tensors`.  The kind of every soliton
 branch is checked against the Ricci tensor of the algebra specialized at
 its eps (`at_eps`), computed anew there.
@@ -48,7 +49,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegeom.algebra import bilinear, mat_mul
+from liegeom.algebra import bilinear
 from liegeom.catalog import loads
 from liegeom.geometry import (
     CaseAnalysisIncomplete,
@@ -74,7 +75,7 @@ from liegeom.report import (
 )
 from liegeom.scalars import ONE, ZERO, component_names, poly_str
 
-from poly_reference import MultiPoly, from_terms, is_zero, nabla
+from poly_reference import MultiPoly, from_terms, is_zero, mat_inv, mat_mul, nabla
 import test_properties
 
 
@@ -174,7 +175,7 @@ def reference_l5(alg):
     names = component_names(n)
     V = [MultiPoly.var(names, nm) for nm in names]
     R4, DR = reference_tensors(alg)
-    ginv = alg.metric_inverse
+    ginv = mat_inv(alg.metric)
     rn = range(n)
     zero = MultiPoly.zero(names)
     A = [[sum((V[i] * V[k] * R4[i][a][k][b] for i in rn for k in rn), start=zero)
@@ -189,7 +190,7 @@ def reference_l5(alg):
 def reference_gradient(alg, u, v):
     """sum_ij g^{ij} g(nabla_{Xi} u, nabla_{Xj} v)."""
     n = alg.dim
-    ginv = alg.metric_inverse
+    ginv = mat_inv(alg.metric)
     basis = [[ONE if k == i else ZERO for k in range(n)] for i in range(n)]
     du = [nabla(alg, e, u) for e in basis]
     dv = [nabla(alg, e, v) for e in basis]
@@ -317,7 +318,7 @@ def reference_trace(alg, V):
     `reference_nabla`, the operator R(nabla_{Xi} V, V) of
     `reference_operator_vec`, and its column j scaled by g^{ij}."""
     n = alg.dim
-    K, ops, ginv = reference_nabla(alg), reference_operators(alg), alg.metric_inverse
+    K, ops, ginv = reference_nabla(alg), reference_operators(alg), mat_inv(alg.metric)
     rn = range(n)
     out = [ZERO] * n
     for i in rn:
@@ -346,7 +347,7 @@ def koszul_geodesic(alg, names):
     for every nondegenerate metric (Kowalski-Szenthe); raising the index with
     g^{-1} gives the components, of which the nonzero ones are kept."""
     n = alg.dim
-    C, G, ginv = alg.brackets, alg.metric, alg.metric_inverse
+    C, G, ginv = alg.brackets, alg.metric, mat_inv(alg.metric)
     V = generic_vector(names)
     rn = range(n)
     zero = MultiPoly.zero(names)
@@ -418,7 +419,7 @@ def reference_nabla(alg):
     2 g(nabla_{Xi} Xj, Xk) = g([Xi,Xj],Xk) - g([Xj,Xk],Xi) + g([Xk,Xi],Xj)
     and g^{-1}."""
     n = alg.dim
-    C, G, ginv = alg.brackets, alg.metric, alg.metric_inverse
+    C, G, ginv = alg.brackets, alg.metric, mat_inv(alg.metric)
     rn = range(n)
     koszul = [[[sum((C[i][j][m] * G[m][k] - C[j][k][m] * G[m][i] + C[k][i][m] * G[m][j]
                      for m in rn), start=ZERO)
@@ -439,7 +440,7 @@ def reference_lie_derivatives(alg, K):
 def reference_ricci(alg, R4):
     """ric[i][j] = sum_kl g^{kl} R4[i][k][j][l]."""
     n = alg.dim
-    ginv = alg.metric_inverse
+    ginv = mat_inv(alg.metric)
     rn = range(n)
     return [[sum((ginv[k][l] * R4[i][k][j][l] for k in rn for l in rn), start=ZERO)
              for j in rn] for i in rn]
@@ -456,7 +457,7 @@ def reference_laplacian(alg, K):
     """sum_ij g^{ij} (A_i A_j - sum_k K[i][j][k] A_k), where the matrix A_i
     of nabla_{Xi} has column j equal to nabla_{Xi} Xj."""
     n = alg.dim
-    ginv = alg.metric_inverse
+    ginv = mat_inv(alg.metric)
     rn = range(n)
     A = [[[K[i][c][r] for c in rn] for r in rn] for i in rn]
     return [[sum((ginv[i][j] * (sum((A[i][r][s] * A[j][s][c] for s in rn), start=ZERO)
@@ -578,7 +579,7 @@ def contracted_l5(alg):
                                         v * (s1 * s2 * (2 if c < d else 1)))
     B = {cd: Bcd for cd, terms in B_terms.items() if (Bcd := sums(terms))}
     ops = {(i, j): alg.curvature_operator(i, j) for i in rn for j in rn}
-    ginv = alg.metric_inverse
+    ginv = mat_inv(alg.metric)
     l5_terms = {}
     for (c, d), Bcd in B.items():
         raised = {}  # sum_a g^{ac} E[a][d]
@@ -640,7 +641,7 @@ def test_ledger_forms_no_nabla_r(corpus_alg, key, seed):
     want = ledger_check(alg)
     alg = corpus_case(corpus_alg, key, seed) if seed else loads(test_properties.corpus.TEXTS[key])
     alg._znabla, alg._zricci, alg._zcurvature
-    for name in ("cov_curvature", "curvature_tensor", "metric_inverse", "nabla_basis",
+    for name in ("cov_curvature", "curvature_tensor", "_zmetric_inverse", "nabla_basis",
                  "ricci", "_curvature_operators"):
         alg.__dict__[name] = None
     got = ledger_check(alg)
