@@ -5,10 +5,10 @@ catalog, or from the text format in `catalog`), then ask geometric
 questions whose answers are exact in the deformation parameter.
 
 Importing the package loads the exact modules that parsing needs
-(`scalars`, `solvers`, `algebra`, `catalog`).  The names of `geometry` and
-`numeric`, and those two submodules, are resolved on first use by the
-module `__getattr__` below (PEP 562), so a caller that only parses does
-not compile them.
+(`zring`, `scalars`, `solvers`, `algebra`, `catalog`).  The names of
+`geometry` and `numeric`, and those two submodules, are resolved on first
+use by the module `__getattr__` below (PEP 562), so a caller that only
+parses does not compile them.
 """
 
 import importlib

@@ -21,18 +21,18 @@ come out Einstein with ric = 2g, which is the normalization every golden
 value in the test suite is pinned to.
 
 The tensor layer runs on integer numerators.  The brackets and the metric
-are cleared of their denominators once (`scalars._clear`); det g is the
-Laplace expansion `_zdet` of the cleared metric, and g^{-1} its adjugate
-over that determinant (`_zinverse`).  Every tensor after them, the
-lowered and raised connection, the connection along the dual basis, the
-curvature operators, the curvature tensor, Ricci and the rough Laplacian,
-is held as nested lists of Z[eps] tuples over one denominator per tensor.
-Each is formed with the integer kernels `_zmul` and `_zadd` only, over
+are cleared of their denominators once (`scalars.clear`); det g is the
+Laplace expansion `zring.zdet` of the cleared metric, and g^{-1} its
+adjugate over that determinant (`zring.zinverse`).  Every tensor after
+them, the lowered and raised connection, the connection along the dual
+basis, the curvature operators, the curvature tensor, Ricci and the rough
+Laplacian, is an integer tensor of `zring` with one denominator per tensor.
+Each is formed with the integer kernels `zmul` and `zadd` only, over
 the product of its factors' denominators, and then divided once by the
-gcd of its denominator and all its numerators (`_ztensor`), which keeps
+gcd of its denominator and all its numerators (`ztensor`), which keeps
 the degrees at those of the canonical entries.  A zero test is a test of
 a numerator.  Every contraction runs over the nonzero entries of each
-factor only (`_znonzero`, `_zscatter`), and a tensor contracted more than
+factor only (`znonzero`, `zscatter`), and a tensor contracted more than
 once is lowered once (`_znabla_lowered`) or raised once (`_znabla_dual`,
 the only place where g^{-1} meets the connection in the harmonic and
 energy layer).  A left-invariant metric in an adapted frame has few
@@ -42,8 +42,8 @@ sums were mostly products with a zero factor.
 The public tensors (`nabla_basis`, `connection_operators`,
 `curvature_operator`, `curvature_tensor`, `ricci`, `rough_laplacian`,
 `lie_derivative_metric_basis`) are views of the integer forms: each entry
-is made a canonical `RatFunc` by one `_canonical`, once, where it is read
-as a `RatFunc`, to be printed or handed to `solve_parametric` or
+is made a canonical `RatFunc` by one `scalars.quotient`, once, where it
+is read as a `RatFunc`, to be printed or handed to `solve_parametric` or
 `kernel_basis`.  The analyses of `geometry` that only test zeros or build
 a polynomial (the Ledger conditions, the harmonic-map trace, the energy
 density) read the integer forms themselves, and `laplacian_spectrum`
@@ -55,9 +55,9 @@ scalars, and of rows) with `RatFunc` entries.  The helpers on them use
 only the ring operations of `RatFunc` and `.is_zero`: `bilinear`, the one
 evaluator of a quadratic form on vectors, also takes components of any
 other type with those, such as the polynomials that the references in the
-tests pass to it.  The modules layer as scalars -> solvers -> algebra ->
-{catalog, numeric} -> geometry -> report -> cli (`tests/test_layers.py`),
-so the algebra caches tensors, never a verdict.
+tests pass to it.  The modules layer as zring -> scalars -> solvers ->
+algebra -> {catalog, numeric} -> geometry -> report -> cli
+(`tests/test_layers.py`), so the algebra caches tensors, never a verdict.
 """
 
 from __future__ import annotations
@@ -66,33 +66,19 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .scalars import (
-    RatFunc,
-    ZERO,
-    _canonical,
-    _clear,
-    _ratfunc,
-    _zadd,
-    _zcommon,
-    _zdiv_exact,
-    _zdot,
-    _zlcm,
-    _zmul,
-    _zneg,
-    _zpow,
-    nonzero,
-    ratfunc,
-    record,
-    terms_str,
-)
+from .scalars import ZERO, RatFunc, clear, nonzero, quotient, ratfunc, record, terms_str
 from .solvers import EigenDecomposition, eigen_analyze
+from .zring import (
+    zadd, zadd_scaled, zdet, zdiv_exact, zdot, zinverse, zlcm, zmul, zneg, znonzero, zpow,
+    zroots, zscatter, ztensor,
+)
 
 MAX_DIM = 4
 
 
 class SingularMetric(ArithmeticError):
-    """Inversion of a matrix whose determinant is identically zero: a basis
-    change (`transform_basis`); the constructor refuses a degenerate metric."""
+    """A basis change (`transform_basis`) by a matrix whose determinant is
+    identically zero; the constructor refuses a degenerate metric."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +88,7 @@ class SingularMetric(ArithmeticError):
 # one) test zeros by `.is_zero`, so `bilinear` takes components of any type
 # that has it and the ring operations.  Every exact matrix job of the
 # algebra, its tensors, det g, g^{-1} and the basis change, runs on the
-# integer forms of the helpers after them: nested lists of Z[eps] tuples
-# over one denominator (`_ztensor`, `_zadd_scaled`, `_zscatter`), the
-# zero-skipping Laplace determinant `_zdet`, the adjugate inverse
-# `_zinverse`, and `_entry` and `_view`, which make `RatFunc`s of them.
+# integer tensors of `zring`, and `_view` makes `RatFunc`s of them.
 
 
 def zeros(n: int) -> list[list]:
@@ -133,102 +116,10 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def _zleaves(T) -> list[tuple]:
-    """The numerators of an integer tensor: nested lists, or a dict of
-    them, whose leaves are `scalars` integer tuples."""
-    T = list(T.values()) if type(T) is dict else T
-    while type(T[0]) is not tuple:
-        T = [x for sub in T for x in sub]
-    return T
-
-
-def _zmap(f, T):
-    """The integer tensor T with f applied to each numerator."""
-    if type(T) is dict:
-        return {key: _zmap(f, x) for key, x in T.items()}
-    if type(T) is tuple:
-        return f(T)
-    if type(T[0]) is tuple:
-        return [f(x) for x in T]
-    return [_zmap(f, x) for x in T]
-
-
-def _ztensor(T, d: tuple):
-    """(T, d) divided by the gcd of d and every numerator of T
-    (`scalars._zcommon`), so that the degrees stay those of the canonical
-    entries."""
-    if not T:
-        return T, d
-    g = _zcommon(d, _zleaves(T))
-    if g == (1,):
-        return T, d
-    return _zmap(lambda x: _zdiv_exact(x, g), T), _zdiv_exact(d, g)
-
-
-def _znonzero(row) -> list[tuple[int, tuple]]:
-    """The (index, numerator) pairs of the nonzero entries of an integer row."""
-    return [(k, x) for k, x in enumerate(row) if x]
-
-
-def _zadd_scaled(out, s: tuple, a) -> None:
-    """out += s a in place, for an integer matrix `a` given by the
-    `_znonzero` lists of its rows."""
-    for orow, row in zip(out, a):
-        for c, y in row:
-            orow[c] = _zadd(orow[c], _zmul(s, y))
-
-
-def _zscatter(out, a, b, s: tuple = (1,)) -> None:
-    """out += s a b in place, for integer matrices: `a` and `b` given by the
-    `_znonzero` lists of their rows."""
-    for orow, row in zip(out, a):
-        for t, x in row:
-            if s != (1,):
-                x = _zmul(s, x)
-            for c, y in b[t]:
-                orow[c] = _zadd(orow[c], _zmul(x, y))
-
-
-def _zdet(N) -> tuple:
-    """det N of a square integer matrix (1 for the empty one), by Laplace
-    expansion along the first row over its nonzero entries."""
-    if len(N) < 2:
-        return N[0][0] if N else (1,)
-    acc = ()
-    for j, x in _znonzero(N[0]):
-        if minor := _zdet([row[:j] + row[j + 1:] for row in N[1:]]):
-            term = _zmul(x, minor)
-            acc = _zadd(acc, _zneg(term) if j % 2 else term)
-    return acc
-
-
-def _zinverse(N, d: tuple, det: tuple) -> tuple[list, tuple]:
-    """(N / d)^{-1} = d adj(N) / det N for a square integer matrix N over d,
-    given det N (`_zdet`), reduced once by `_ztensor`.  The cofactors are
-    minors, so no second full-size determinant is formed."""
-    if not det:
-        raise SingularMetric("matrix determinant is identically zero")
-    if det[-1] < 0:
-        det, d = _zneg(det), _zneg(d)
-    n, s = len(N), (d, _zneg(d))
-    adj = [[()] * n for _ in range(n)]
-    for i in range(n):
-        rows = N[:i] + N[i + 1:]
-        for j in range(n):
-            if minor := _zdet([row[:j] + row[j + 1:] for row in rows]):
-                adj[j][i] = _zmul(minor, s[(i + j) % 2])
-    return _ztensor(adj, det)
-
-
-def _entry(x: tuple, d: tuple) -> RatFunc:
-    """The `RatFunc` x / d, by one `_canonical`."""
-    return _ratfunc(*_canonical(x, d)) if x else ZERO
-
-
 def _view(T, d: tuple):
     """The integer tensor (T, d) as nested lists of `RatFunc`s."""
     if type(T) is tuple:
-        return _entry(T, d)
+        return quotient(T, d)
     return [_view(x, d) for x in T]
 
 
@@ -274,11 +165,12 @@ class MetricLieAlgebra:
     """A Lie algebra with inner product, in a fixed basis of dim <= 4.
 
     `brackets[i][j][k]` is the Xk-coefficient of [Xi, Xj]; `metric[i][j]`
-    is g(Xi, Xj).  Entries are `RatFunc`.  Instances are immutable; the
-    derived geometry is computed once and cached.  The constructor checks
-    the data once (`validate`) and raises `ValidationFailed` on any
-    violation, so every instance is a metric Lie algebra and every analysis
-    may use the Jacobi identity.
+    is g(Xi, Xj).  Entries are `RatFunc` (`TypeError` otherwise;
+    `from_brackets` converts).  Instances are immutable; the derived
+    geometry is computed once and cached.  The constructor checks the data
+    once (`validate`) and raises `ValidationFailed` on any violation, so
+    every instance is a metric Lie algebra and every analysis may use the
+    Jacobi identity.
     """
 
     name: str
@@ -298,6 +190,13 @@ class MetricLieAlgebra:
                 and square(self.brackets)
                 and all(square(plane) and all(map(square, plane)) for plane in self.brackets)):
             raise ValueError("tensor shapes do not match the dimension")
+        entries = [(("brackets", i, j, k), x) for i, plane in enumerate(self.brackets)
+                   for j, row in enumerate(plane) for k, x in enumerate(row)]
+        entries += [(("metric", i, j), x) for i, row in enumerate(self.metric)
+                    for j, x in enumerate(row)]
+        for (field, *index), x in entries:
+            if not isinstance(x, RatFunc):
+                raise TypeError(f"{self.name}: {field}{index} is {type(x).__name__}, not RatFunc")
         violations = self.validate()
         if violations:
             raise ValidationFailed(self.name, self.dim, violations)
@@ -410,13 +309,12 @@ class MetricLieAlgebra:
 
     @cached_property
     def _singular_parameters(self) -> tuple[Fraction, ...]:
-        entries = [c for plane in self.brackets for row in plane for c in row]
-        entries += [x for row in self.metric for x in row]
-        bad = {r for f in entries for r, _ in f.poles()}
-        det = self.metric_det
-        if not det.is_zero:
-            bad.update(r for r, _ in det.zeros() + det.poles())
-        return tuple(sorted(bad))
+        """The roots of the cleared denominators of the brackets and the
+        metric, and of det N: a root of an lcm of canonical denominators is
+        a pole of some entry, and det g = det N / e^n, so a root of det N
+        that e^n cancels is a root of e."""
+        polys = (self._zbrackets[1], self._zmetric[1], self._zmetric_det)
+        return tuple(sorted({r for a in polys for r, _ in zroots(a)}))
 
     # -- basic operations --------------------------------------------------
 
@@ -427,38 +325,34 @@ class MetricLieAlgebra:
     @cached_property
     def metric_det(self) -> RatFunc:
         """det g = det N / e^n for the cleared metric N / e."""
-        return _entry(self._zmetric_det, _zpow(self._zmetric[1], self.dim))
+        return quotient(self._zmetric_det, zpow(self._zmetric[1], self.dim))
 
     # -- the tensor layer on integer numerators -----------------------------
     #
-    # Each tensor is held as (T, d): nested lists of `scalars` integer tuples
-    # over one denominator tuple d, entry x / d.  It is formed from its
-    # factors with `_zmul` and `_zadd` only, over the product of their
-    # denominators, and divided once by the gcd of d and its numerators
-    # (`_ztensor`).  A zero entry is ().  The public tensors are views of
-    # these forms, each entry made a `RatFunc` by one `_canonical`.
+    # Each tensor is held as (T, d), an integer tensor of `zring`.
 
     @cached_property
     def _zbrackets(self) -> tuple[list, tuple]:
         n = self.dim
-        C, d = _clear(row for plane in self.brackets for row in plane)
+        C, d = clear(row for plane in self.brackets for row in plane)
         return [C[i * n:(i + 1) * n] for i in range(n)], d
 
     @cached_property
     def _zmetric(self) -> tuple[list, tuple]:
-        return _clear(self.metric)
+        return clear(self.metric)
 
     @cached_property
     def _zmetric_det(self) -> tuple:
         """det N of the cleared metric N / e: the one full-size determinant
         of an algebra, formed by the constructor's check (`validate`) and
         reused by `_zmetric_inverse` and `metric_det`."""
-        return _zdet(self._zmetric[0])
+        return zdet(self._zmetric[0])
 
     @cached_property
     def _zmetric_inverse(self) -> tuple[list, tuple]:
-        """g^{-1} = e adj(N) / det N, by `_zinverse`."""
-        return _zinverse(*self._zmetric, self._zmetric_det)
+        """g^{-1} = e adj(N) / det N, by `zinverse`; the constructor has
+        refused a metric whose det N is zero."""
+        return zinverse(*self._zmetric, self._zmetric_det)
 
     @cached_property
     def _znabla_lowered(self) -> tuple[list, tuple]:
@@ -477,12 +371,12 @@ class MetricLieAlgebra:
             for b in range(a + 1, n):
                 if any(C[a][b]):
                     for k in rn:
-                        if x := _zdot(Gt[k], C[a][b]):
-                            m = _zneg(x)
+                        if x := zdot(Gt[k], C[a][b]):
+                            m = zneg(x)
                             for (p, q, r), y in (((a, b, k), x), ((k, a, b), m), ((b, k, a), x),
                                                  ((b, a, k), m), ((k, b, a), x), ((a, k, b), m)):
-                                Kl[p][q][r] = _zadd(Kl[p][q][r], y)
-        return _ztensor(Kl, _zmul((2,), _zmul(c, e)))
+                                Kl[p][q][r] = zadd(Kl[p][q][r], y)
+        return ztensor(Kl, zmul((2,), zmul(c, e)))
 
     @cached_property
     def _znabla(self) -> tuple[list, tuple]:
@@ -492,20 +386,20 @@ class MetricLieAlgebra:
         n = self.dim
         Kl, d = self._znabla_lowered
         Gi, e = self._zmetric_inverse
-        rows = [_znonzero(row) for row in Gi]
+        rows = [znonzero(row) for row in Gi]
         K = []
         for plane in Kl:
             out = [[()] * n for _ in plane]
-            _zscatter(out, [_znonzero(v) for v in plane], rows)
+            zscatter(out, [znonzero(v) for v in plane], rows)
             K.append(out)
-        return _ztensor(K, _zmul(d, e))
+        return ztensor(K, zmul(d, e))
 
     @cached_property
     def _zconnection_rows(self) -> list:
-        """The `_znonzero` lists of the rows of the matrix of each
+        """The `znonzero` lists of the rows of the matrix of each
         nabla_{Xk} (column j holds nabla_{Xk} Xj), over the denominator of
         `_znabla`."""
-        return [[_znonzero(row) for row in transpose(plane)] for plane in self._znabla[0]]
+        return [[znonzero(row) for row in transpose(plane)] for plane in self._znabla[0]]
 
     @cached_property
     def _znabla_dual(self) -> tuple[list, tuple]:
@@ -518,10 +412,10 @@ class MetricLieAlgebra:
         Gi, e = self._zmetric_inverse
         M = [[[()] * n for _ in rn] for _ in rn]
         for i, grow in enumerate(Gi):
-            Ki = [_znonzero(v) for v in K[i]]
-            for j, w in _znonzero(grow):
-                _zadd_scaled(M[j], w, Ki)
-        return _ztensor(M, _zmul(d, e))
+            Ki = [znonzero(v) for v in K[i]]
+            for j, w in znonzero(grow):
+                zadd_scaled(M[j], w, Ki)
+        return ztensor(M, zmul(d, e))
 
     @cached_property
     def _zcurvature(self) -> tuple[dict, tuple]:
@@ -534,18 +428,18 @@ class MetricLieAlgebra:
         rn = range(n)
         (C, c), (_, e) = self._zbrackets, self._znabla
         rows = self._zconnection_rows
-        m = _zlcm(c, e)
-        s1, s2 = _zdiv_exact(m, c), _zdiv_exact(m, e)
+        m = zlcm(c, e)
+        s1, s2 = zdiv_exact(m, c), zdiv_exact(m, e)
         out = {}
         for i in rn:
             for j in range(i + 1, n):
                 acc = [[()] * n for _ in rn]
-                _zscatter(acc, rows[j], rows[i], s2)
-                _zscatter(acc, rows[i], rows[j], _zneg(s2))
-                for k, x in _znonzero(C[i][j]):
-                    _zadd_scaled(acc, _zmul(x, s1), rows[k])
+                zscatter(acc, rows[j], rows[i], s2)
+                zscatter(acc, rows[i], rows[j], zneg(s2))
+                for k, x in znonzero(C[i][j]):
+                    zadd_scaled(acc, zmul(x, s1), rows[k])
                 out[i, j] = acc
-        return _ztensor(out, _zmul(e, m))
+        return ztensor(out, zmul(e, m))
 
     @cached_property
     def nabla_basis(self) -> list[list[list[RatFunc]]]:
@@ -606,12 +500,12 @@ class MetricLieAlgebra:
                     x = ()
                     for r, y in col:
                         if G[r][l]:
-                            x = _zadd(x, _zmul(y, G[r][l]))
+                            x = zadd(x, zmul(y, G[r][l]))
                     low[i, j, k, l] = x
-        low, d = _ztensor(low, _zmul(d, e))
+        low, d = ztensor(low, zmul(d, e))
         R4 = [[[[ZERO] * n for _ in rn] for _ in rn] for _ in rn]
         for (i, j, k, l), x in low.items():
-            acc = _entry(x, d)
+            acc = quotient(x, d)
             neg = -acc
             R4[i][j][k][l] = R4[j][i][l][k] = acc
             R4[j][i][k][l] = R4[i][j][l][k] = neg
@@ -633,11 +527,11 @@ class MetricLieAlgebra:
         R, d = self._zcurvature
         out = [[()] * n for _ in range(n)]
         for (a, b), op in R.items():
-            for j, x in _znonzero(op[b]):
-                out[a][j] = _zadd(out[a][j], x)
-            for j, x in _znonzero(op[a]):
-                out[b][j] = _zadd(out[b][j], _zneg(x))
-        return _ztensor(out, d)
+            for j, x in znonzero(op[b]):
+                out[a][j] = zadd(out[a][j], x)
+            for j, x in znonzero(op[a]):
+                out[b][j] = zadd(out[b][j], zneg(x))
+        return ztensor(out, d)
 
     @cached_property
     def ricci(self) -> list[list[RatFunc]]:
@@ -648,8 +542,8 @@ class MetricLieAlgebra:
     def scalar_curvature(self) -> RatFunc:
         ric, d = self._zricci
         Gi, e = self._zmetric_inverse
-        return _entry(_zdot([x for row in Gi for x in row], [x for row in ric for x in row]),
-                      _zmul(d, e))
+        return quotient(zdot([x for row in Gi for x in row], [x for row in ric for x in row]),
+                      zmul(d, e))
 
     # -- Lie and covariant derivatives, rough Laplacian ---------------------
 
@@ -666,7 +560,7 @@ class MetricLieAlgebra:
             mat = zeros(n)
             for i in range(n):
                 for j in range(i, n):
-                    mat[i][j] = mat[j][i] = _entry(_zadd(Kl[i][m][j], Kl[j][m][i]), d)
+                    mat[i][j] = mat[j][i] = quotient(zadd(Kl[i][m][j], Kl[j][m][i]), d)
             out.append(mat)
         return out
 
@@ -684,13 +578,13 @@ class MetricLieAlgebra:
         """
         rn = range(self.dim)
         (K, e), (ric, d) = self._znabla, self._zricci
-        rows = [_znonzero(row) for row in ric]
+        rows = [znonzero(row) for row in ric]
         D = []
         for plane in K:
             P = [[()] * self.dim for _ in rn]
-            _zscatter(P, [_znonzero(v) for v in plane], rows)
-            D.append([[_zneg(_zadd(P[j][k], P[k][j])) for k in rn] for j in rn])
-        return _view(*_ztensor(D, _zmul(e, d)))
+            zscatter(P, [znonzero(v) for v in plane], rows)
+            D.append([[zneg(zadd(P[j][k], P[k][j])) for k in rn] for j in rn])
+        return _view(*ztensor(D, zmul(e, d)))
 
     @cached_property
     def cov_curvature(self) -> list:
@@ -761,11 +655,11 @@ class MetricLieAlgebra:
         rows = self._zconnection_rows
         L = [[()] * n for _ in rn]
         for j in rn:
-            _zscatter(L, [_znonzero([M[j][p][r] for p in rn]) for r in rn], rows[j])
-        H = [reduce(_zadd, (M[j][j][k] for j in rn), ()) for k in rn]
-        for k, h in _znonzero(H):
-            _zadd_scaled(L, _zneg(h), rows[k])
-        return _ztensor(L, _zmul(d, e))
+            zscatter(L, [znonzero([M[j][p][r] for p in rn]) for r in rn], rows[j])
+        H = [reduce(zadd, (M[j][j][k] for j in rn), ()) for k in rn]
+        for k, h in znonzero(H):
+            zadd_scaled(L, zneg(h), rows[k])
+        return ztensor(L, zmul(d, e))
 
     @cached_property
     def rough_laplacian(self) -> list[list[RatFunc]]:
@@ -787,32 +681,34 @@ class MetricLieAlgebra:
         Xk-coefficients of the brackets, [Yi, Yj] has old coordinates
         (P^T C_k P)[i][j], taken back through P^{-1}; the metric becomes
         P^T G P.  So the geometry is the same object in new coordinates.
-        It runs on P cleared once, and makes each new entry by one `_entry`.
+        It runs on P cleared once, and makes each new entry by one `quotient`.
         """
         n, rn = self.dim, range(self.dim)
         if len(P) != n or any(len(row) != n for row in P):
             raise ValueError("basis change must be a dim x dim matrix")
-        Pz, p = _clear([ratfunc(x) for x in row] for row in P)
-        Q, q = _zinverse(Pz, p, _zdet(Pz))
-        Pt, Pr = [_znonzero(row) for row in transpose(Pz)], [_znonzero(row) for row in Pz]
+        Pz, p = clear([ratfunc(x) for x in row] for row in P)
+        if not (det := zdet(Pz)):
+            raise SingularMetric("matrix determinant is identically zero")
+        Q, q = zinverse(Pz, p, det)
+        Pt, Pr = [znonzero(row) for row in transpose(Pz)], [znonzero(row) for row in Pz]
 
         def congruent(A):  # P^T A P
             AP, out = [[()] * n for _ in rn], [[()] * n for _ in rn]
-            _zscatter(AP, [_znonzero(row) for row in A], Pr)
-            _zscatter(out, Pt, [_znonzero(row) for row in AP])
+            zscatter(AP, [znonzero(row) for row in A], Pr)
+            zscatter(out, Pt, [znonzero(row) for row in AP])
             return out
 
         (C, c), (G, e) = self._zbrackets, self._zmetric
         new = [[[()] * n for _ in rn] for _ in rn]  # new[l] = sum_k Q[l][k] P^T C_k P
         for k in rn:
-            old = [_znonzero(row) for row in congruent([[C[r][s][k] for s in rn] for r in rn])]
-            for l, x in _znonzero([row[k] for row in Q]):
-                _zadd_scaled(new[l], x, old)
-        pp = _zmul(p, p)
-        dC, dG = _zmul(_zmul(q, c), pp), _zmul(e, pp)
+            old = [znonzero(row) for row in congruent([[C[r][s][k] for s in rn] for r in rn])]
+            for l, x in znonzero([row[k] for row in Q]):
+                zadd_scaled(new[l], x, old)
+        pp = zmul(p, p)
+        dC, dG = zmul(zmul(q, c), pp), zmul(e, pp)
         return MetricLieAlgebra(
             name=name or f"{self.name}/basis-change", dim=n,
-            brackets=tuple(tuple(tuple(_entry(new[l][i][j], dC) for l in rn) for j in rn)
+            brackets=tuple(tuple(tuple(quotient(new[l][i][j], dC) for l in rn) for j in rn)
                            for i in rn),
-            metric=tuple(tuple(_entry(x, dG) for x in row) for row in congruent(G)),
+            metric=tuple(tuple(quotient(x, dG) for x in row) for row in congruent(G)),
         )

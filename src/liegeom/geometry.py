@@ -54,25 +54,16 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from .algebra import (
-    MetricLieAlgebra,
-    _entry,
-    _znonzero,
-    _ztensor,
-    vector_str,
-)
+from .algebra import MetricLieAlgebra, vector_str
 from .numeric import null_parallel_scan
 from .scalars import (
     ONE,
     RatFunc,
     ZERO,
-    _clear,
-    _zadd,
-    _zdot,
-    _zmul,
-    _zneg,
+    clear,
     component_names,
     poly_str,
+    quotient,
     ratfunc,
     record,
 )
@@ -82,6 +73,7 @@ from .solvers import (
     kernel_basis,
     solve_parametric,
 )
+from .zring import zadd, zdot, zmul, zneg, znonzero, ztensor
 
 
 class CaseAnalysisIncomplete(ArithmeticError):
@@ -603,14 +595,14 @@ def _cyclic_violations(alg: MetricLieAlgebra) -> list[tuple[int, int, int]]:
     lexicographic order; one sum of K and Ricci numerators per multiset."""
     rn = range(alg.dim)
     K, ric = alg._znabla[0], alg._zricci[0]
-    Kn = [[_znonzero(v) for v in plane] for plane in K]
+    Kn = [[znonzero(v) for v in plane] for plane in K]
     bad = set()
     for t in itertools.combinations_with_replacement(rn, 3):
         cyclic = ()
         for a, b, c in set(itertools.permutations(t)):
             for m, x in Kn[a][b]:
                 if y := ric[m][c]:
-                    cyclic = _zadd(cyclic, _zmul(x, y))
+                    cyclic = zadd(cyclic, zmul(x, y))
         if cyclic:
             bad.add(t)
     return [(i + 1, j + 1, k + 1) for i, j, k in itertools.product(rn, repeat=3)
@@ -619,7 +611,7 @@ def _cyclic_violations(alg: MetricLieAlgebra) -> list[tuple[int, int, int]]:
 
 def _add_term(terms: dict, key, x: tuple) -> None:
     """terms[key] += x for integer tuples."""
-    terms[key] = _zadd(terms[key], x) if key in terms else x
+    terms[key] = zadd(terms[key], x) if key in terms else x
 
 
 def _ledger_l5(alg: MetricLieAlgebra) -> dict[tuple[int, ...], RatFunc]:
@@ -641,7 +633,7 @@ def _ledger_l5(alg: MetricLieAlgebra) -> dict[tuple[int, ...], RatFunc]:
             for k in rn:
                 for m in rn:
                     if x := op[m][k]:
-                        _add_term(J[m][a], unit[i] + unit[k], x if sign > 0 else _zneg(x))
+                        _add_term(J[m][a], unit[i] + unit[k], x if sign > 0 else zneg(x))
     # f = tr(J^2) = sum_m J[m][m]^2 + 2 sum_{m < a} J[m][a] J[a][m]
     square: dict[int, tuple] = {}
     cross: dict[int, tuple] = {}
@@ -650,9 +642,9 @@ def _ledger_l5(alg: MetricLieAlgebra) -> dict[tuple[int, ...], RatFunc]:
             out = square if a == m else cross
             for c1, x in J[m][a].items():
                 for c2, y in J[a][m].items():
-                    _add_term(out, c1 + c2, _zmul(x, y))
+                    _add_term(out, c1 + c2, zmul(x, y))
     for code, x in cross.items():
-        _add_term(square, code, _zmul((2,), x))
+        _add_term(square, code, zmul((2,), x))
     # W_k = (nabla_X X)^k
     W = [{} for _ in rn]
     for i in rn:
@@ -668,12 +660,12 @@ def _ledger_l5(alg: MetricLieAlgebra) -> dict[tuple[int, ...], RatFunc]:
         for k in rn:
             power = code // unit[k] % 8
             if power and W[k]:
-                rest, x_k = code - unit[k], _zmul((power,), x)
+                rest, x_k = code - unit[k], zmul((power,), x)
                 for wcode, w in W[k].items():
-                    _add_term(l5, rest + wcode, _zmul(x_k, w))
-    l5, den = _ztensor({code: _zneg(x) for code, x in l5.items() if x},
-                       _zmul((2,), _zmul(_zmul(d, d), e)))
-    return {sum(((i,) * (code // unit[i] % 8) for i in rn), ()): _entry(x, den)
+                    _add_term(l5, rest + wcode, zmul(x_k, w))
+    l5, den = ztensor({code: zneg(x) for code, x in l5.items() if x},
+                      zmul((2,), zmul(zmul(d, d), e)))
+    return {sum(((i,) * (code // unit[i] % 8) for i in rn), ()): quotient(x, den)
             for code, x in l5.items()}
 
 
@@ -698,8 +690,8 @@ def _trace_vanishes(alg: MetricLieAlgebra, us: list[list[RatFunc]]) -> bool:
     n = alg.dim
     rn = range(n)
     M, ops = alg._znabla_dual[0], alg._zcurvature[0]
-    Mn = [[_znonzero(v) for v in plane] for plane in M]
-    nz = [_znonzero(u) for u in _clear(us)[0]]
+    Mn = [[znonzero(v) for v in plane] for plane in M]
+    nz = [znonzero(u) for u in clear(us)[0]]
     # D[k][j] = nabla_{X^j} u_k, as the (index, numerator) of its nonzero components
     D = []
     for u in nz:
@@ -708,8 +700,8 @@ def _trace_vanishes(alg: MetricLieAlgebra, us: list[list[RatFunc]]) -> bool:
             acc = [()] * n
             for p, x in u:
                 for r, y in Mn[j][p]:
-                    acc[r] = _zadd(acc[r], _zmul(x, y))
-            Du.append(_znonzero(acc))
+                    acc[r] = zadd(acc[r], zmul(x, y))
+            Du.append(znonzero(acc))
         D.append(Du)
     for k, l in itertools.combinations_with_replacement(range(len(us)), 2):
         halves = [(D[k], nz[l])] + ([(D[l], nz[k])] if k != l else [])
@@ -720,15 +712,15 @@ def _trace_vanishes(alg: MetricLieAlgebra, us: list[list[RatFunc]]) -> bool:
                 for a, xa in Dx[j]:
                     for b, yb in y:
                         if a < b:
-                            _add_term(W[j], (a, b), _zmul(xa, yb))
+                            _add_term(W[j], (a, b), zmul(xa, yb))
                         elif a > b:
-                            _add_term(W[j], (b, a), _zneg(_zmul(xa, yb)))
+                            _add_term(W[j], (b, a), zneg(zmul(xa, yb)))
         for r in rn:
             acc = ()
             for j in rn:
                 for key, w in W[j].items():
                     if w and (z := ops[key][r][j]):
-                        acc = _zadd(acc, _zmul(w, z))
+                        acc = zadd(acc, zmul(w, z))
             if acc:
                 return False
     return True
@@ -840,10 +832,10 @@ def energy_report(alg: MetricLieAlgebra) -> EnergyReport:
         terms: dict[tuple[int, ...], tuple] = {}
         for p in rn:
             for q in rn:
-                if x := _zdot(G[p], [row[q] for row in L]):
+                if x := zdot(G[p], [row[q] for row in L]):
                     _add_term(terms, (p, q) if p <= q else (q, p), x)
-        den = _zmul((2,), _zmul(e, d))
-        density = {key: _entry(_zneg(x), den) for key, x in terms.items() if x} | {(): density}
+        den = zmul((2,), zmul(e, d))
+        density = {key: quotient(zneg(x), den) for key, x in terms.items() if x} | {(): density}
     fams = []
     for pair in alg.laplacian_spectrum.pairs:
         gram = [[alg.inner(u, w) for w in pair.vectors] for u in pair.vectors]

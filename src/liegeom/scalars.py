@@ -3,31 +3,30 @@
 Every symbolic quantity in this package is a rational function of the
 deformation parameter ``eps`` with arbitrary-precision rational
 coefficients.  This module provides that field in canonical form
-(`RatFunc`, a coprime pair of integer polynomials in eps), the kernels on
-integer polynomials that it runs on, and the printers of the two kinds of
-polynomial the engine builds from it.  A verdict polynomial (the soliton
-equations, the geodesic and Walker forms, the Ledger l5 and the energy
-density) is a sparse monomial dict in named indeterminates: the sorted
-index tuple of each monomial, (0, 0, 2) for x0^2 * x2, maps to its nonzero
-`RatFunc` coefficient.  The engine reads each one off the coefficient
+(`RatFunc`, a coprime pair of integer polynomials in eps, on the kernels
+of `zring`) and the printers of the two kinds of polynomial the engine
+builds from it.  A verdict polynomial (the soliton equations, the
+geodesic and Walker forms, the Ledger l5 and the energy density) is a
+sparse monomial dict in named indeterminates: the sorted index tuple of
+each monomial, (0, 0, 2) for x0^2 * x2, maps to its nonzero `RatFunc`
+coefficient.  The engine reads each one off the coefficient
 tensors and never adds or multiplies two of them; `poly_str` prints it.
 A polynomial in the spectral variable ``mu`` is a tuple of its `RatFunc`
 coefficients, lowest degree first, and `mu_poly_str` prints it.
 
 Canonical forms make equality decidable by structural comparison, which is
 what the geometric verdicts downstream rely on.  A `RatFunc` is stored as
-two integer coefficient tuples N/D, coprime in Z[eps] contents included,
+two Z[eps] tuples of `zring` N/D, coprime in Z[eps] contents included,
 with lc(D) > 0; its arithmetic cancels common factors with gcds in Z[eps]
 (none against a denominator 1, one integer gcd for a constant or an
 integer denominator, the integer gcd and the lower power of eps against
 c*eps^k, one root test for a linear primitive part, and the subresultant
 PRS otherwise), so no rational coefficient is ever normalized on the way.
-The tensor layer of `algebra` works on the tuples themselves: `_clear`
-writes rows of `RatFunc`s over one denominator, `_zdot` sums products of
-numerators, and `_zcommon` finds the gcd by which a whole tensor is
-divided once.  The rational zeros and poles of a `RatFunc` are found on
-the same integer tuples, by the rational root theorem.  Rationals are
-stdlib `fractions.Fraction`.
+The integer forms of the other layers cross into `RatFunc`s here: `clear`
+writes rows of `RatFunc`s over one denominator, and `quotient` makes the
+canonical `RatFunc` of a numerator over a denominator.  The rational zeros
+and poles of a `RatFunc` are the roots of N and D (`zring.zroots`).
+Rationals are stdlib `fractions.Fraction`.
 
 The text syntax for scalars accepts integers (runs of decimal digits),
 rationals ``p/q``, the token ``eps``, the operators ``+ - * /``,
@@ -45,9 +44,9 @@ decides each coefficient's sign and parentheses from the tuples as well,
 so no `Fraction` or polynomial object is built in order to print.
 
 `record` is the class decorator of every result type of the package (the
-verdicts, `MetricLieAlgebra`, the catalog entries).  It sits in this, the
-lowest, module so that each layer can use it, and builds its methods
-without `exec`, which keeps the cold start of the command line short.
+verdicts, `MetricLieAlgebra`, the catalog entries).  It sits in this module,
+below every layer that defines one, and builds its methods without
+`exec`, which keeps the cold start of the command line short.
 """
 
 from __future__ import annotations
@@ -56,7 +55,11 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
+
+from .zring import (
+    zadd, zdiv_exact, zdiv_int, zgcd, zhomogeneous, zlcm, zmul, zneg, zpow, zroots, zval,
+)
 
 PARAM = "eps"
 
@@ -86,170 +89,27 @@ def _fraction(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial kernels: int tuples, lowest degree first, no trailing
-# zero, the zero polynomial is ()
-
-
-def _zneg(a: tuple) -> tuple:
-    return tuple([-x for x in a])
-
-
-def _zdiv_int(a: tuple, c: int) -> tuple:
-    """a / c for an integer c dividing every coefficient."""
-    return a if c == 1 else tuple([x // c for x in a])
-
-
-def _zadd(a: tuple, b: tuple) -> tuple:
-    if not b:
-        return a
-    if not a:
-        return b
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _zmul(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        c = b[0]
-        return a if c == 1 else tuple([c * x for x in a])
-    if not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _zpow(a: tuple, n: int) -> tuple:
-    result = (1,)
-    while n:
-        if n & 1:
-            result = _zmul(result, a)
-        a = _zmul(a, a)
-        n >>= 1
-    return result
-
-
-def _zdiv_exact(a: tuple, b: tuple) -> tuple:
-    """a / b for a nonzero b that divides a in Z[eps]; by one integer
-    division per coefficient when b is c*eps^k."""
-    if not any(b[:-1]):
-        return _zdiv_int(a[len(b) - 1:], b[-1])
-    db, lb = len(b) - 1, b[-1]
-    rem = list(a)
-    quo = [0] * (len(a) - db)
-    for k in range(len(quo) - 1, -1, -1):
-        q = rem[k + db] // lb
-        quo[k] = q
-        if q:
-            for j, y in enumerate(b):
-                rem[k + j] -= q * y
-    return tuple(quo)
-
-
-def _zprem(u: tuple, v: tuple) -> tuple:
-    """Pseudo-remainder: lc(v)^(deg u - deg v + 1) * u mod v."""
-    dv, lv = len(v) - 1, v[-1]
-    r = list(u)
-    for k in range(len(u) - len(v), -1, -1):
-        q = r[k + dv]
-        r = [lv * x for x in r[:k + dv]]
-        for j in range(dv):
-            r[k + j] -= q * v[j]
-    while r and not r[-1]:
-        r.pop()
-    return tuple(r)
-
-
-def _zprs(u: tuple, v: tuple) -> list[tuple]:
-    """Subresultant PRS of u and v, deg u >= deg v > 0 (Knuth, TAOCP vol. 2,
-    4.6.1, Algorithm C): u, v, then every nonzero pseudo-remainder divided
-    by g*h^delta, so its coefficients stay the size of the subresultants.
-    The last element is a gcd of u and v up to content.
-    """
-    seq = [u, v]
-    g = h = 1
-    while True:
-        delta = len(u) - len(v)
-        r = _zprem(u, v)
-        if not r:
-            return seq
-        u, v = v, _zdiv_int(r, g * h**delta)
-        seq.append(v)
-        if len(v) == 1:
-            return seq
-        g = u[-1]
-        if delta:
-            h = g**delta // h ** (delta - 1)
-
-
-def _zgcd(a: tuple, b: tuple) -> tuple:
-    """gcd of two nonzero polynomials in Z[eps], content included, lc > 0.
-
-    eps is prime in Z[eps], so the gcd is eps^min(valuations) times the gcd
-    of the parts without the factor eps; when one of those is a constant the
-    rest is the integer gcd of the contents.  Otherwise it is the content
-    gcd times the gcd of the primitive parts: a linear part is irreducible,
-    so one test at its root decides between it and 1, and two parts of
-    degree 2 or more take the primitive part of the last element of `_zprs`.
-    """
-    if len(a) == 1 or len(b) == 1:
-        return (gcd(*a, *b),)
-    va = next(i for i, x in enumerate(a) if x)
-    vb = next(i for i, x in enumerate(b) if x)
-    a, b = a[va:], b[vb:]
-    shift = (0,) * min(va, vb)
-    ca, cb = gcd(*a), gcd(*b)
-    c = gcd(ca, cb)
-    if len(a) == 1 or len(b) == 1:
-        return shift + (c,)
-    u, v = _zdiv_int(a, ca), _zdiv_int(b, cb)
-    if len(u) < len(v):
-        u, v = v, u
-    if len(v) == 2:
-        if _zhomogeneous(u, -v[0], v[1]):
-            return shift + (c,)
-    else:
-        v = _zprs(u, v)[-1]
-        if len(v) == 1:
-            return shift + (c,)
-    pv = gcd(*v) if v[-1] > 0 else -gcd(*v)
-    return shift + tuple(c * (x // pv) for x in v)
-
-
-def _zval(a: tuple) -> int:
-    """The power of eps that divides the nonzero a."""
-    return next(i for i, x in enumerate(a) if x)
+# canonical pairs of Z[eps] tuples (`zring`)
 
 
 def _cancel(n: tuple, d: tuple) -> tuple[tuple, tuple]:
     """n and d over their gcd in Z[eps], for nonzero n and d: nothing to
     do when d is 1, one integer gcd when either is a constant, and when
     either is c*eps^k the integer gcd of the coefficients times eps to the
-    lower valuation; `_zgcd` runs only when neither is a monomial."""
+    lower valuation; `zgcd` runs only when neither is a monomial."""
     if d == (1,):
         return n, d
     if len(d) == 1 or len(n) == 1:
         g = gcd(*d, *n)
-        return (n, d) if g == 1 else (_zdiv_int(n, g), _zdiv_int(d, g))
+        return (n, d) if g == 1 else (zdiv_int(n, g), zdiv_int(d, g))
     if any(n[:-1]) and any(d[:-1]):
-        g = _zgcd(n, d)
-        return (n, d) if g == (1,) else (_zdiv_exact(n, g), _zdiv_exact(d, g))
-    k = min(_zval(n), _zval(d))
+        g = zgcd(n, d)
+        return (n, d) if g == (1,) else (zdiv_exact(n, g), zdiv_exact(d, g))
+    k = min(zval(n), zval(d))
     g = gcd(*d, *n)
     if k:
         n, d = n[k:], d[k:]
-    return (n, d) if g == 1 else (_zdiv_int(n, g), _zdiv_int(d, g))
+    return (n, d) if g == 1 else (zdiv_int(n, g), zdiv_int(d, g))
 
 
 def _canonical(n: tuple, d: tuple) -> tuple[tuple, tuple]:
@@ -258,7 +118,7 @@ def _canonical(n: tuple, d: tuple) -> tuple[tuple, tuple]:
         return (), (1,)
     n, d = _cancel(n, d)
     if d[-1] < 0:
-        n, d = _zneg(n), _zneg(d)
+        n, d = zneg(n), zneg(d)
     return n, d
 
 
@@ -270,6 +130,12 @@ def _ratfunc(n: tuple, d: tuple) -> "RatFunc":
     return out
 
 
+def quotient(n: tuple, d: tuple) -> "RatFunc":
+    """The `RatFunc` n / d of a numerator and a nonzero denominator, by one
+    `_canonical`: the one way back from the integer forms."""
+    return _ratfunc(*_canonical(n, d)) if n else ZERO
+
+
 def _times(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFunc":
     """(n1/d1) * (n2/d2) for canonical pairs up to the sign of d2: each
     numerator is cancelled against the other denominator (Henrici), which
@@ -278,10 +144,10 @@ def _times(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFunc":
         return ZERO
     n1, d2 = _cancel(n1, d2)
     n2, d1 = _cancel(n2, d1)
-    n = _zmul(n1, n2)
-    d = d1 if d2 == (1,) else d2 if d1 == (1,) else _zmul(d1, d2)
+    n = zmul(n1, n2)
+    d = d1 if d2 == (1,) else d2 if d1 == (1,) else zmul(d1, d2)
     if d[-1] < 0:
-        n, d = _zneg(n), _zneg(d)
+        n, d = zneg(n), zneg(d)
     return _ratfunc(n, d)
 
 
@@ -292,142 +158,35 @@ def _plus(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "RatFunc":
     if not n1:
         return _ratfunc(n2, d2)
     if d1 == d2:
-        return _ratfunc(*_canonical(_zadd(n1, n2), d1))
+        return _ratfunc(*_canonical(zadd(n1, n2), d1))
     if len(d1) == len(d2) == 1:  # n1*(b/g) + n2*(a/g) over a*b/g, g = gcd(a, b)
         a, b = d1[0], d2[0]
         g = gcd(a, b)
-        t = _zadd(_zmul(n1, (b // g,)), _zmul(n2, (a // g,)))
+        t = zadd(zmul(n1, (b // g,)), zmul(n2, (a // g,)))
         return _ratfunc(*_cancel(t, (a // g * b,)))
     # Henrici: with g = gcd(d1, d2), d1 = g*e1 and d2 = g*e2, the sum is
     # t / (e1*e2*g) with t = n1*e2 + n2*e1, and t is coprime to e1 and e2
-    g = _zgcd(d1, d2)
-    e1, e2 = _zdiv_exact(d1, g), _zdiv_exact(d2, g)
-    t = _zadd(_zmul(n1, e2), _zmul(n2, e1))
+    g = zgcd(d1, d2)
+    e1, e2 = zdiv_exact(d1, g), zdiv_exact(d2, g)
+    t = zadd(zmul(n1, e2), zmul(n2, e1))
     t, g = _canonical(t, g)
-    return _ratfunc(t, _zmul(_zmul(e1, e2), g))
+    return _ratfunc(t, zmul(zmul(e1, e2), g))
 
 
-def _zlcm(a: tuple, b: tuple) -> tuple:
-    """lcm of two polynomials in Z[eps] with lc > 0, content included; of
-    two c*eps^k, the lcm of the constants times the higher power of eps."""
-    if a == b:
-        return a
-    if not (any(a[:-1]) or any(b[:-1])):
-        return (0,) * (max(len(a), len(b)) - 1) + (lcm(a[-1], b[-1]),)
-    return _zmul(a, _zdiv_exact(b, _zgcd(a, b)))
-
-
-def _zdot(u: Iterable[tuple], v: Iterable[tuple]) -> tuple:
-    """sum_k u[k] v[k] in Z[eps], over the shorter of the two, past the
-    terms with a zero factor."""
-    acc = ()
-    for x, y in zip(u, v):
-        if x and y:
-            acc = _zadd(acc, _zmul(x, y))
-    return acc
-
-
-def _clear(rows: Iterable[Iterable["RatFunc"]]) -> tuple[list[list[tuple]], tuple]:
+def clear(rows: Iterable[Iterable["RatFunc"]]) -> tuple[list[list[tuple]], tuple]:
     """(N, D): the rows of `RatFunc`s over one denominator D, the lcm of
     theirs, so that each entry is N[r][c] / D with N[r][c] in Z[eps].  The
     integer tensors of `algebra` start here, and `solvers.eigen_analyze`
     takes an operator in this form."""
     rows = [list(row) for row in rows]
-    D = reduce(_zlcm, {x._d for row in rows for x in row}, (1,))
-    return [[x._n if x._d == D else _zmul(x._n, _zdiv_exact(D, x._d)) for x in row]
+    D = reduce(zlcm, {x._d for row in rows for x in row}, (1,))
+    return [[x._n if x._d == D else zmul(x._n, zdiv_exact(D, x._d)) for x in row]
             for row in rows], D
-
-
-def _zcommon(D: tuple, nums: Iterable[tuple]) -> tuple:
-    """The gcd in Z[eps], lc > 0, of D (lc > 0) and the numerators `nums`.
-
-    Once the gcd so far is c*eps^k, which it is from the start for the
-    denominators the tensor layer meets, the rest is the integer gcd of the
-    coefficients and the lowest valuation, and the scan stops when both
-    reach 1; `_zgcd` runs only before that."""
-    g = D
-    for a in nums:
-        if not a:
-            continue
-        if any(g[:-1]):
-            g = _zgcd(g, a)
-            continue
-        k, c = len(g) - 1, g[-1]
-        if c == 1 and not k:
-            break
-        if c != 1:
-            c = gcd(c, *a)
-        if k:
-            k = 0 if a[0] else min(k, _zval(a))
-        g = (0,) * k + (c,)
-    return g
 
 
 def nonzero(row) -> list[tuple[int, object]]:
     """The (index, entry) pairs of the nonzero entries of a row."""
     return [(k, x) for k, x in enumerate(row) if not x.is_zero]
-
-
-def _zhomogeneous(a: tuple, p: int, q: int) -> int:
-    """q^deg(a) * a(p/q), by Horner's rule in integers."""
-    acc, qk = 0, 1
-    for c in reversed(a):
-        acc = acc * p + c * qk
-        qk *= q
-    return acc
-
-
-def _divisors(n: int) -> list[int]:
-    # trial division costs ~p steps per prime factor p: the berger text with
-    # metric entry eps-1000000007 takes 31.4 s for a full report (ROADMAP item 15)
-    assert n >= 1
-    factors: list[tuple[int, int]] = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors.append((n, 1))
-    divs = [1]
-    for prime, exp in factors:
-        divs = [v * prime**k for v in divs for k in range(exp + 1)]
-    return sorted(divs)
-
-
-def _zroots(a: tuple) -> list[tuple[Fraction, int]]:
-    """Rational roots of a nonzero integer polynomial with multiplicities,
-    ascending, by the rational root theorem on its primitive part: each
-    candidate p/q is tested by integer Horner and divided out as q*eps - p,
-    which by Gauss's lemma divides exactly in Z[eps].  The candidates are
-    tested in any order; only the roots found are sorted.
-    """
-    if len(a) == 1:
-        return []
-    if not a:
-        raise ValueError("the zero polynomial has every rational root")
-    k = next(i for i, x in enumerate(a) if x)
-    roots = [(Fraction(0), k)] if k else []
-    a = a[k:]
-    if len(a) > 1:
-        a = _zdiv_int(a, gcd(*a))
-        qs = _divisors(abs(a[-1]))
-        candidates = {
-            Fraction(sign * p, q) for p in _divisors(abs(a[0])) for q in qs for sign in (1, -1)
-        }
-        for r in candidates:
-            p, q = r.numerator, r.denominator
-            mult = 0
-            while len(a) > 1 and _zhomogeneous(a, p, q) == 0:
-                a = _zdiv_exact(a, (-p, q))
-                mult += 1
-            if mult:
-                roots.append((r, mult))
-    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +285,8 @@ def mu_poly_str(coeffs: Sequence[RatFunc]) -> str:
 class RatFunc:
     """Quotient of two polynomials in eps in canonical form.
 
-    Stored as integer coefficient tuples N/D (lowest degree first, no
-    trailing zero) that are coprime in Z[eps] with their contents included,
-    with lc(D) > 0; the zero function is ()/(1,).  Equality is structural
+    Stored as `zring` tuples N/D that are coprime in Z[eps] with their
+    contents included, with lc(D) > 0; the zero function is ()/(1,).  Equality is structural
     on the pair, and a constant equals, and hashes as, its `Fraction`.
     `zeros` and `poles` read the rational roots of N and D off the tuples.
     The constructor takes a rational numerator and denominator; `ratfunc`
@@ -562,11 +320,11 @@ class RatFunc:
     def zeros(self) -> list[tuple[Fraction, int]]:
         """Rational roots of the numerator with multiplicities, ascending.
         Raises ValueError on the zero function, which vanishes everywhere."""
-        return _zroots(self._n)
+        return zroots(self._n)
 
     def poles(self) -> list[tuple[Fraction, int]]:
         """Rational roots of the denominator with multiplicities, ascending."""
-        return _zroots(self._d)
+        return zroots(self._d)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -605,19 +363,19 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return _ratfunc(_zneg(self._n), self._d)
+        return _ratfunc(zneg(self._n), self._d)
 
     def __sub__(self, other):
         o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        return _plus(self._n, self._d, _zneg(o._n), o._d)
+        return _plus(self._n, self._d, zneg(o._n), o._d)
 
     def __rsub__(self, other):
         o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        return _plus(o._n, o._d, _zneg(self._n), self._d)
+        return _plus(o._n, o._d, zneg(self._n), self._d)
 
     def __mul__(self, other):
         o = other if type(other) is RatFunc else self._coerce(other)
@@ -647,19 +405,19 @@ class RatFunc:
             if self.is_zero:
                 raise DivisionByZeroFunction("negative power of zero")
             num, den, n = den, num, -n
-        num, den = _zpow(num, n), _zpow(den, n)
+        num, den = zpow(num, n), zpow(den, n)
         if den[-1] < 0:
-            num, den = _zneg(num), _zneg(den)
+            num, den = zneg(num), zneg(den)
         return _ratfunc(num, den)
 
     def _eval_ints(self, x: Fraction) -> tuple[int, int]:
         """Integers (a, b) with a / b the value at x."""
         p, q = x.numerator, x.denominator
-        dv = _zhomogeneous(self._d, p, q)
+        dv = zhomogeneous(self._d, p, q)
         if dv == 0:
             raise PoleAtEvaluationPoint(f"{self} has a pole at {PARAM}={x}")
         # N(x) / D(x) = q^(deg D - deg N) * nv / dv
-        nv = _zhomogeneous(self._n, p, q)
+        nv = zhomogeneous(self._n, p, q)
         shift = len(self._d) - len(self._n)
         if shift >= 0:
             return nv * q**shift, dv

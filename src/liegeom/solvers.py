@@ -16,13 +16,13 @@ the specialized entries, so every result is over Q(eps).
 
 `eigen_analyze` finds the eigenvalues of an operator that are themselves
 rational functions of the parameter.  It takes the operator as L = N/D
-over Z[eps], as `scalars._clear` writes it and as the tensor layer of
+over Z[eps], as `scalars.clear` writes it and as the tensor layer of
 `algebra` holds it, and the characteristic polynomial det(nu I - N) comes
-from Berkowitz's division-free recurrence on the integer tuples of
-`scalars`, as does everything after it.  The integer roots of its
-squarefree part at one parameter value are Newton-lifted up to a proven
-degree bound, and exact division certifies each lift and counts its
-multiplicity, so the list is complete.  The remaining factor is returned as
+from Berkowitz's division-free recurrence on the tuples of `zring`, as
+does everything after it.  The integer roots of its squarefree part at
+one parameter value are Newton-lifted up to a proven degree bound, and
+exact division certifies each lift and counts its multiplicity, so the
+list is complete.  The remaining factor is returned as
 a residual, a tuple of coefficients in mu that `scalars.mu_poly_str`
 prints.  No floating point is involved anywhere.
 """
@@ -32,26 +32,11 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key
 
-from .scalars import (
-    RatFunc,
-    ONE,
-    ZERO,
-    _canonical,
-    _ratfunc,
-    _zadd,
-    _zdiv_exact,
-    _zdot,
-    _zgcd,
-    _zhomogeneous,
-    _zmul,
-    _zneg,
-    _zpow,
-    _zroots,
-    nonzero,
-    ratfunc,
-    record,
+from .scalars import ONE, ZERO, RatFunc, nonzero, quotient, ratfunc, record
+from .zring import (
+    zadd, zdot, zgcd, zhomogeneous, zneg, zpdivmod, zpow, zroots, zshift, zsquarefree, zsubs,
 )
 
 
@@ -199,14 +184,11 @@ def kernel_basis(matrix: Sequence[Sequence[RatFunc]]) -> list[list[RatFunc]]:
 
 # ---------------------------------------------------------------------------
 # characteristic polynomials over Z[eps], division-free
-#
-# A polynomial in nu over Z[eps] is a list of the integer tuples of
-# `scalars`, lowest degree first, with no trailing zero coefficient.
 
 
 def charpoly(N: Sequence[Sequence[tuple]]) -> list[tuple]:
     """q(nu) = det(nu I - N) for a square matrix N over Z[eps], monic; for
-    an operator L = N/D in the form of `scalars._clear`, q(nu) =
+    an operator L = N/D in the form of `scalars.clear`, q(nu) =
     D^n det(nu/D I - L).
 
     Berkowitz's recurrence (Inf. Process. Lett. 18, 1984) over the leading
@@ -218,18 +200,18 @@ def charpoly(N: Sequence[Sequence[tuple]]) -> list[tuple]:
     p = [(1,)]
     for k in range(len(N)):
         M, r, c = [row[:k] for row in N[:k]], N[k][:k], [row[k] for row in N[:k]]
-        column = [(1,), _zneg(N[k][k])]
+        column = [(1,), zneg(N[k][k])]
         for _ in range(k):
-            column.append(_zneg(_zdot(r, c)))
-            c = [_zdot(row, c) for row in M]
-        p = [_zdot(column[i::-1], p) for i in range(k + 2)]
+            column.append(zneg(zdot(r, c)))
+            c = [zdot(row, c) for row in M]
+        p = [zdot(column[i::-1], p) for i in range(k + 2)]
     return p[::-1]
 
 
 def _over(q: Sequence[tuple], D: tuple) -> tuple[RatFunc, ...]:
     """The coefficients in mu of D^-m q(D mu), for q of degree m."""
     m = len(q) - 1
-    return tuple(_ratfunc(*_canonical(c, _zpow(D, m - k))) for k, c in enumerate(q))
+    return tuple(quotient(c, zpow(D, m - k)) for k, c in enumerate(q))
 
 
 # ---------------------------------------------------------------------------
@@ -260,61 +242,13 @@ class EigenDecomposition:
     residual: tuple[RatFunc, ...]
 
 
-def _zsubs(a: Sequence[tuple], x: tuple, terms: int | None = None) -> tuple:
-    """sum_k a[k] x^k in Z[eps], each partial sum cut to `terms` terms."""
-    acc = ()
-    for c in reversed(a):
-        acc = _zadd(_zmul(acc, x), c)[:terms]
-    return acc
-
-
-def _zshift(a: tuple, c: int) -> tuple:
-    """a(eps + c)."""
-    return _zsubs([(x,) if x else () for x in a], (c, 1))
-
-
-def _zpdivmod(u: list, v: list) -> tuple[list, list]:
-    """The remainder of lc(v)^(deg u - deg v + 1) u by v (`scalars._zprem`
-    one level up), and the quotient, which is exact when v is monic."""
-    dv = len(v) - 1
-    r, quo = list(u), []
-    for k in range(len(u) - 1 - dv, -1, -1):
-        c = r[k + dv]
-        quo.append(c)
-        r = [_zmul(v[-1], x) for x in r[:k + dv]]
-        for j in range(dv):
-            r[k + j] = _zadd(r[k + j], _zneg(_zmul(c, v[j])))
-    while r and not r[-1]:
-        r.pop()
-    return quo[::-1], r
-
-
-def _zprimitive(a: list) -> list:
-    """a divided by the gcd in Z[eps] of its coefficients, lc(lc(a)) > 0."""
-    g = reduce(_zgcd, (c for c in a if c))
-    g = _zneg(g) if (g[-1] < 0) != (a[-1][-1] < 0) else g
-    return a if g == (1,) else [_zdiv_exact(c, g) for c in a]
-
-
-def _zsquarefree(q: list) -> list:
-    """q / gcd(q, dq/dnu) for a monic q, by the primitive pseudo-remainder
-    sequence.  The primitive gcd divides q, so it is monic too."""
-    u, v = q, _zprimitive([_zmul((k,), q[k]) for k in range(1, len(q))])
-    while len(v) > 1:
-        r = _zpdivmod(u, v)[1]
-        if not r:
-            return _zpdivmod(q, v)[0]
-        u, v = v, _zprimitive(r)
-    return q
-
-
 def _newton_lift(s: Sequence[tuple], r0: int, slope: int, bound: int) -> tuple | None:
     """The root in Z[t] of s(t, nu) through the simple root nu(0) = r0, where
     ds/dnu(0, r0) = slope, up to t^bound; None when a coefficient of the
     Newton lift leaves Z, and then s has no root in Z[t] there."""
     nu = (r0,) if r0 else ()
     for j in range(1, bound + 1):
-        value = _zsubs(s, nu, j + 1)
+        value = zsubs(s, nu, j + 1)
         # the lift makes every coefficient below t^j 0: value is () or ends at t^j
         if value:
             c, rest = divmod(-value[j], slope)
@@ -337,41 +271,41 @@ def _rational_roots(q: list, D: tuple) -> tuple[list[tuple[tuple, int]], tuple[R
     Exact division of q by nu - root certifies a lift and counts its
     multiplicity; the last quotient, rescaled, is the cofactor.
     """
-    s = _zsquarefree(q)
+    s = zsquarefree(q)
     k = len(s) - 1
     bound = max(((len(s[j]) - 1) // (k - j) for j in range(k) if s[j]), default=0)
     # 0, 1, -1, 2, -2, ...: s is squarefree, so only the finitely many roots
     # of its discriminant fail
     for i in itertools.count():
         eps0 = (i + 1) // 2 * (1 if i % 2 else -1)
-        s0 = tuple(_zhomogeneous(c, eps0, 1) for c in s)
+        s0 = tuple(zhomogeneous(c, eps0, 1) for c in s)
         ds0 = tuple(j * c for j, c in enumerate(s0))[1:]
-        if len(_zgcd(s0, ds0)) == 1:
+        if len(zgcd(s0, ds0)) == 1:
             break
-    shifted = [_zshift(c, eps0) for c in s]
+    shifted = [zshift(c, eps0) for c in s]
     roots = []
-    for r0, _ in _zroots(s0):
-        nu = _newton_lift(shifted, int(r0), _zhomogeneous(ds0, int(r0), 1), bound)
+    for r0, _ in zroots(s0):
+        nu = _newton_lift(shifted, int(r0), zhomogeneous(ds0, int(r0), 1), bound)
         if nu is None:
             continue
-        nu, mult = _zshift(nu, -eps0), 0
+        nu, mult = zshift(nu, -eps0), 0
         # the remainder of the first division is q(nu), the certificate
         while len(q) > 1:
-            quo, rem = _zpdivmod(q, [_zneg(nu), (1,)])
+            quo, rem = zpdivmod(q, [zneg(nu), (1,)])
             if rem:
                 break
             q, mult = quo, mult + 1
         if mult:
             roots.append((nu, mult))
     # lc(D) > 0, and distinct roots differ in a nonzero leading coefficient
-    roots.sort(key=cmp_to_key(lambda a, b: _zadd(a[0], _zneg(b[0]))[-1]))
+    roots.sort(key=cmp_to_key(lambda a, b: zadd(a[0], zneg(b[0]))[-1]))
     return roots, _over(q, D)
 
 
 def eigen_analyze(N: Sequence[Sequence[tuple]], D: tuple) -> EigenDecomposition:
     """Find all eigenvalues of the operator L = N/D that are rational
     functions of the parameter, with exact eigenvectors and multiplicities.
-    L is given over Z[eps] as `scalars._clear` writes it: N a square matrix
+    L is given over Z[eps] as `scalars.clear` writes it: N a square matrix
     of integer tuples, D a nonzero integer tuple with lc(D) > 0.
 
     The characteristic polynomial is computed exactly; its roots in Q(eps),
@@ -387,10 +321,10 @@ def eigen_analyze(N: Sequence[Sequence[tuple]], D: tuple) -> EigenDecomposition:
     pairs: list[EigenPair] = []
     for nu, mult in roots:
         vecs = kernel_basis([
-            [_ratfunc(_zadd(x, _zneg(nu)) if i == j else x, (1,)) for j, x in enumerate(row)]
+            [quotient(zadd(x, zneg(nu)) if i == j else x, (1,)) for j, x in enumerate(row)]
             for i, row in enumerate(N)
         ])
-        pairs.append(EigenPair(_ratfunc(*_canonical(nu, D)), mult, vecs))
+        pairs.append(EigenPair(quotient(nu, D), mult, vecs))
 
     assert sum(pr.multiplicity for pr in pairs) + len(residual) - 1 == n
     return EigenDecomposition(_over(q, D), pairs, residual)

@@ -26,7 +26,7 @@ monomial dicts into a `MultiPoly` to compare.
 `RatFunc` entries: the Laplace determinant, the inverse by one elimination
 (`solvers.kernel_basis` of [a | -I]), products, and the matrix-vector
 product, which also takes a vector of `MultiPoly`s.  The engine runs its
-matrices on integer forms instead (`algebra._zdet`, `algebra._zinverse`);
+matrices on integer forms instead (`zring.zdet`, `zring.zinverse`);
 `transform_basis` is its basis change, written with these helpers.
 """
 
@@ -39,16 +39,14 @@ from liegeom.scalars import (
     ZERO,
     DivisionByZeroFunction,
     RatFunc,
-    _canonical,
-    _ratfunc,
-    _zgcd,
-    _zroots,
     mu_poly_str,
     nonzero,
+    quotient,
     ratfunc,
     terms_str,
 )
 from liegeom.solvers import kernel_basis
+from liegeom.zring import zgcd, zroots
 
 
 def is_zero(x) -> bool:
@@ -202,7 +200,7 @@ def _cleared(*polys: Poly) -> list[tuple[int, ...]]:
 def poly_rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     """The rational roots of a nonzero polynomial over Q with
     multiplicities, ascending."""
-    return _zroots(*_cleared(p))
+    return zroots(*_cleared(p))
 
 
 def ratfunc_of(num, den=1) -> RatFunc:
@@ -210,7 +208,7 @@ def ratfunc_of(num, den=1) -> RatFunc:
     num, den = (p if isinstance(p, Poly) else Poly((p,)) for p in (num, den))
     if den.is_zero:
         raise DivisionByZeroFunction("denominator is identically zero")
-    return _ratfunc(*_canonical(*_cleared(num, den)))
+    return quotient(*_cleared(num, den))
 
 
 def numerator(f: RatFunc) -> Poly:
@@ -230,7 +228,7 @@ def check_invariants(value: RatFunc) -> None:
         assert type(t) is tuple and all(type(c) is int for c in t)
         assert not t or t[-1] != 0
     assert d and d[-1] > 0
-    assert _zgcd(n, d) == (1,) if n else d == (1,)
+    assert zgcd(n, d) == (1,) if n else d == (1,)
 
 
 def check(value):

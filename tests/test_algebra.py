@@ -1,18 +1,17 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from liegeom import algebra
-from liegeom.algebra import (
-    MetricLieAlgebra, SingularMetric, ValidationFailed, _entry, _view, _zdet, _zinverse,
-    vector_str)
+from liegeom import algebra, zring
+from liegeom.algebra import MetricLieAlgebra, SingularMetric, ValidationFailed, _view, vector_str
 from liegeom.catalog import dumps
-from liegeom.scalars import EPS, ONE, ZERO, _clear, _zpow, parse_scalar, ratfunc, record
+from liegeom.scalars import EPS, ONE, ZERO, parse_scalar, ratfunc, record
 
 from poly_reference import mat_det, mat_inv, mat_mul, transform_basis
-from test_solvers import DENSE, _sympy_ratfunc
 from test_tensor_reference import ALMOST_ABELIAN_SAMPLE, corpus_case
+from test_zring import INVERSE_SEEDS, engine_det, engine_inverse, identity
 import test_properties
 
 
@@ -248,6 +247,23 @@ def test_the_constructor_refuses_ragged_rows():
             MetricLieAlgebra("ragged", 2, brackets, metric)
 
 
+@pytest.mark.parametrize("entry", [1, Fraction(1, 2), "eps"], ids=["int", "Fraction", "str"])
+def test_the_constructor_refuses_entries_that_are_not_ratfuncs(entry):
+    # `validate` reads `.is_zero` off every entry: a direct caller that
+    # skips `ratfunc` is told which entry, not met by an AttributeError
+    planes = [[[ZERO, ZERO], [ZERO, ZERO]] for _ in range(2)]
+    planes[1][0][1] = entry
+    brackets = tuple(tuple(map(tuple, plane)) for plane in planes)
+    with pytest.raises(TypeError, match=rf"^x: brackets\[1, 0, 1\] is {type(entry).__name__}, "
+                                        "not RatFunc$"):
+        MetricLieAlgebra("x", 2, brackets, ((ONE, ZERO), (ZERO, ONE)))
+    with pytest.raises(TypeError, match=rf"^x: metric\[0, 0\] is {type(entry).__name__}, "
+                                        "not RatFunc$"):
+        MetricLieAlgebra("x", 1, (((ZERO,),),), ((entry,),))
+    with pytest.raises(TypeError, match=r"^x: brackets\[0, 0, 0\] is int, not RatFunc$"):
+        MetricLieAlgebra("x", 1, (((0,),),), ((1,),))
+
+
 def test_the_shape_check_runs_for_keyword_construction():
     with pytest.raises(ValueError, match="tensor shapes do not match the dimension"):
         MetricLieAlgebra(name="bad", dim=2, brackets=(), metric=())
@@ -447,56 +463,19 @@ def test_singular_metric_raised():
         2, {}, [[EPS, ZERO], [ZERO, EPS]])
     assert alg.singular_parameters() == [Fraction(0)]
     with pytest.raises(SingularMetric, match="matrix determinant is identically zero"):
-        engine_inverse([[ZERO, ZERO], [ZERO, ZERO]])
+        alg.transform_basis([[ZERO, ZERO], [ZERO, ZERO]])
 
 
 # ---------------------------------------------------------------------------
-# det and inverse on the integer forms, against the `RatFunc` oracles
+# det g and g^{-1} on the integer forms, against the `RatFunc` oracles
 
-INVERSE_SEEDS = (None, 1, 2, 3, 23)
 CORPUS_KEYS = list(test_properties.corpus.TEXTS)
 
 
-def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def engine_det(A):
-    """det A of a `RatFunc` matrix on the engine's route: `_zdet` of A
-    cleared to N / d, over d^n."""
-    N, d = _clear(A)
-    return _entry(_zdet(N), _zpow(d, len(A)))
-
-
-def engine_inverse(A):
-    """A^{-1} of a `RatFunc` matrix on the engine's route (`_zinverse`)."""
-    N, d = _clear(A)
-    return _view(*_zinverse(N, d, _zdet(N)))
-
-
-def inverse_cases(corpus_alg):
-    """The 45 corpus metrics, unmixed and under mixing seeds 1, 2, 3 and 23,
-    then the 20 dense matrices of `test_solvers`."""
-    metrics = [[list(row) for row in corpus_case(corpus_alg, key, seed).metric]
-               for key in CORPUS_KEYS for seed in INVERSE_SEEDS]
-    return metrics + DENSE
-
-
-def test_inverse_is_the_inverse(corpus_alg):
-    cases = inverse_cases(corpus_alg)
-    assert len(cases) == 65
-    for A in cases:
-        assert mat_mul(A, engine_inverse(A)) == identity(len(A))
-
-
-def test_inverse_matches_sympy(corpus_alg):
-    sympy = pytest.importorskip("sympy")
-    eps = sympy.Symbol("eps")
-    for A in inverse_cases(corpus_alg):
-        expect = sympy.Matrix([[_sympy_ratfunc(sympy, eps, x) for x in row] for row in A]).inv()
-        ours = engine_inverse(A)
-        assert all(sympy.cancel(_sympy_ratfunc(sympy, eps, x) - expect[i, j]) == 0
-                   for i, row in enumerate(ours) for j, x in enumerate(row))
+def flat(n):
+    """The abelian algebra of dimension n with the identity metric."""
+    return MetricLieAlgebra.from_brackets(n, {}, [[int(i == j) for j in range(n)]
+                                                  for i in range(n)])
 
 
 @pytest.mark.parametrize("rows", [
@@ -504,11 +483,11 @@ def test_inverse_matches_sympy(corpus_alg):
     [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
     [[1, 1], [1, 1]],
 ])
-def test_inverse_refuses_singular_matrices_without_zero_entries(rows):
-    A = [[ratfunc(x) for x in row] for row in rows]
-    assert not any(x.is_zero for row in A for x in row)
+def test_transform_basis_refuses_singular_matrices_without_zero_entries(rows):
+    P = [[ratfunc(x) for x in row] for row in rows]
+    assert not any(x.is_zero for row in P for x in row)
     with pytest.raises(SingularMetric, match="matrix determinant is identically zero"):
-        engine_inverse(A)
+        flat(len(P)).transform_basis(P)
 
 
 @pytest.mark.parametrize("rows", [
@@ -517,10 +496,9 @@ def test_inverse_refuses_singular_matrices_without_zero_entries(rows):
     [["eps", 0, 1], [0, 0, 0], [1, 0, "eps"]],
     [[1, 0, 0, 0], [0, "eps", 1, 0], [0, "eps^2", "eps", 0], [0, 0, 0, 1]],
 ])
-def test_inverse_refuses_singular_matrices_with_zero_entries(rows):
-    A = [[ratfunc(x) for x in row] for row in rows]
+def test_transform_basis_refuses_singular_matrices_with_zero_entries(rows):
     with pytest.raises(SingularMetric, match="matrix determinant is identically zero"):
-        engine_inverse(A)
+        flat(len(rows)).transform_basis(rows)
 
 
 def oracle_metrics(corpus_alg):
@@ -545,18 +523,39 @@ def test_det_and_inverse_match_the_oracles(corpus_alg):
             for alg in algebras} == {True, False}
 
 
+def test_singular_parameters_are_the_poles_and_the_zeros_of_det_g(corpus_alg):
+    # read off the three cleared denominators and det N, the same list as
+    # the definition: the poles of every entry, and the zeros and poles of det g
+    poles_only = [  # a pole that only a bracket, or only the metric, has
+        MetricLieAlgebra.from_brackets(2, {(0, 1): {0: "1/(eps+2)"}}, [[1, 0], [0, 1]]),
+        MetricLieAlgebra.from_brackets(2, {}, [["1/(eps-1)", 0], [0, "1/(eps-1)"]]),
+    ]
+    assert [alg.singular_parameters() for alg in poles_only] == [[-2], [1]]
+    for alg in oracle_metrics(corpus_alg) + poles_only:
+        entries = [c for plane in alg.brackets for row in plane for c in row]
+        entries += [x for row in alg.metric for x in row]
+        bad = {r for f in entries for r, _ in f.poles()}
+        bad.update(r for r, _ in alg.metric_det.zeros() + alg.metric_det.poles())
+        assert alg.singular_parameters() == sorted(bad), alg.name
+
+
 def test_an_algebra_forms_one_full_size_determinant(monkeypatch, corpus_alg):
-    # metric_det, g^{-1} and the constructor's check share one cached `_zdet`
+    # metric_det, g^{-1} and the constructor's check share one cached `zdet`
     # of the cleared metric: one of full size (besides its Laplace minors and
-    # the cofactors of the adjugate) while the algebra is built, none after
+    # the cofactors of the adjugate) while the algebra is built, none after.
+    # Every module holding `zdet` is patched, so the recursion and the
+    # determinants `zinverse` forms are counted too.
     calls = []
-    laplace = algebra._zdet
+    laplace = zring.zdet
 
     def counting(N):
         calls.append(len(N))
         return laplace(N)
 
-    monkeypatch.setattr(algebra, "_zdet", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liegeom") and getattr(module, "zdet", None) is laplace:
+            monkeypatch.setattr(module, "zdet", counting)
+    assert zring.zdet is counting and algebra.zdet is counting
     for key in CORPUS_KEYS:
         for seed in INVERSE_SEEDS:
             case = corpus_case(corpus_alg, key, seed)

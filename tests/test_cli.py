@@ -257,7 +257,8 @@ def package_modules(modules):
     return {m for m in modules if m.startswith("liegeom.")}
 
 
-EXACT_MODULES = {"liegeom.scalars", "liegeom.solvers", "liegeom.algebra", "liegeom.catalog"}
+EXACT_MODULES = {"liegeom.zring", "liegeom.scalars", "liegeom.solvers", "liegeom.algebra",
+                 "liegeom.catalog"}
 # `scalars.record` builds the result classes without them: `dataclasses`
 # compiles each method with `exec` and imports `inspect`
 UNUSED_STDLIB = {"dataclasses", "inspect"}

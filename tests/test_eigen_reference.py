@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liegeom.scalars import EPS, ONE, ZERO, _clear
+from liegeom.scalars import EPS, ONE, ZERO, clear
 from liegeom.solvers import eigen_analyze
 from poly_reference import (
     Poly,
@@ -112,7 +112,7 @@ def reference_spectrum(matrix):
 
 
 def check_spectrum_against_reference(matrix):
-    dec = eigen_analyze(*_clear(matrix))
+    dec = eigen_analyze(*clear(matrix))
     pairs, residual = reference_spectrum(matrix)
     assert [(p.value, p.multiplicity) for p in dec.pairs] == pairs
     assert dec.residual == residual.coeffs
@@ -158,6 +158,6 @@ def conjugated_triangular(draw):
 def test_conjugated_triangular_spectrum_matches_reference(case):
     matrix, diagonal = case
     check_spectrum_against_reference(matrix)
-    dec = eigen_analyze(*_clear(matrix))
+    dec = eigen_analyze(*clear(matrix))
     assert sorted(str(p.value) for p in dec.pairs for _ in range(p.multiplicity)) == sorted(
         str(x) for x in diagonal)

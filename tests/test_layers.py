@@ -1,11 +1,14 @@
 """The modules of `liegeom` import each other in one direction only:
-scalars -> solvers -> algebra -> {catalog, numeric} -> geometry -> report
--> cli, read from the source with `ast`.  A module imports, at its top,
-only modules earlier in that order, and no relative import runs inside a
-function; `__init__` and `__main__` re-export and are exempt.  `__init__`
-imports `scalars`, `solvers`, `algebra` and `catalog` at its top, and reaches
-`geometry` and `numeric` only through its module `__getattr__`, by
-`importlib`, on the first use of one of their names.
+zring -> scalars -> solvers -> algebra -> {catalog, numeric} -> geometry
+-> report -> cli, read from the source with `ast`.  A module imports, at
+its top, only modules earlier in that order, and no relative import runs
+inside a function; `__init__` and `__main__` re-export and are exempt.
+`zring`, the Z[eps] layer, imports no module of the package, and no module
+imports a name with a leading underscore from another: what a module shares
+it names publicly.  `__init__` imports `scalars`, `solvers`, `algebra` and
+`catalog` at its top, and reaches `geometry` and `numeric` only through its
+module `__getattr__`, by `importlib`, on the first use of one of their
+names.
 
 Every function, class and method of the package is read by its other
 code, so `src/` holds only what the engine runs: a helper that only the
@@ -25,8 +28,8 @@ from pathlib import Path
 import liegeom
 
 PACKAGE = Path(liegeom.__file__).resolve().parent
-RANK = {"scalars": 0, "solvers": 1, "algebra": 2, "catalog": 3, "numeric": 3,
-        "geometry": 4, "report": 5, "cli": 6}
+RANK = {"zring": 0, "scalars": 1, "solvers": 2, "algebra": 3, "catalog": 4, "numeric": 4,
+        "geometry": 5, "report": 6, "cli": 7}
 EXEMPT = {"__init__", "__main__"}
 # the definitions that no code of the package reads, and why each stays
 UNNAMED = {
@@ -84,6 +87,32 @@ def test_imports_point_down_the_layers():
             else:
                 lazy.append((module, function, target))
     assert lazy == []
+
+
+def private_imports(trees):
+    """(module, imported module, name) for every name with a leading
+    underscore that a module imports from another module of the package."""
+    return [(module, node.module, alias.name)
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    source = "from .scalars import _clear, clear\nfrom . import _zring\nfrom math import _x\n"
+    assert private_imports({"lib": ast.parse(source)}) == [
+        ("lib", "scalars", "_clear"), ("lib", None, "_zring")]
+    assert private_imports(module_trees()) == []
+
+
+def test_zring_imports_no_module_of_the_package():
+    tree = module_trees()["zring"]
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level]
+    assert relative_imports(tree) == []
+    assert [m for m in absolute if m.split(".")[0] == "liegeom"] == []
 
 
 def test_init_imports_only_the_exact_modules_at_its_top():

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 import test_properties
 import test_tensor_reference
-from liegeom import report, scalars
 from liegeom.algebra import vector_str
-from liegeom.catalog import dumps, loads
+from liegeom.catalog import loads
 from liegeom.geometry import (
     _geodesic_forms,
     _walker_forms,
@@ -27,22 +26,14 @@ from liegeom.scalars import (
     PoleAtEvaluationPoint,
     RatFunc,
     ScalarSyntaxError,
-    _cancel,
-    _clear,
-    _zcommon,
-    _zdiv_exact,
-    _zdot,
-    _zgcd,
-    _zlcm,
-    _zmul,
-    _zneg,
-    _zprs,
+    clear,
     component_names,
     mu_poly_str,
     parse_scalar,
     poly_str,
     ratfunc,
 )
+from liegeom.zring import zdot
 from poly_reference import (
     MultiPoly,
     Poly,
@@ -53,7 +44,6 @@ from poly_reference import (
     numerator,
     poly_div_exact,
     poly_gcd,
-    poly_rational_roots,
     ratfunc_of,
 )
 
@@ -108,206 +98,13 @@ def test_poly_over_q_eps_not_divisible_raises_value_error():
         poly_div_exact(Poly((ONE, EPS, ONE)), Poly((EPS, ONE)))
 
 
-KNUTH_PRS_PAIR = ((-5, 2, 8, -3, -3, 0, 1, 0, 1), (21, -9, -4, 0, 5, 0, 3))
-
-
-def test_integer_gcd_shortcuts_and_prs():
-    # a constant operand: the integer gcd of all the coefficients
-    assert _zgcd((6,), (4, 8)) == (2,)
-    assert _zgcd((-3, 6), (-9,)) == (3,)
-    # c*eps^k operands: eps^min(valuations) times the gcd of the contents
-    assert _zgcd((0, 0, 6), (0, 3, 9)) == (0, 3)
-    assert _zgcd((0, 0, -4), (0, 0, 0, 2, 2)) == (0, 0, 2)
-    assert _zgcd((0, 5), (1, 1)) == (1,)
-    # general case, content included and leading coefficient made positive
-    a = _zmul(_zmul((6,), (1, 1)), _zmul((1, 1), (-2, 1)))  # 6(1+e)^2(e-2)
-    b = _zmul((-4,), _zmul((1, 1), (1, 0, 1)))              # -4(1+e)(1+e^2)
-    assert _zgcd(a, b) == (2, 2)
-    assert _zgcd((0, 0) + a, (0,) + b) == (0, 2, 2)
-    assert _zgcd((1, 0, 1), (-1, 1)) == (1,)
-    # Knuth's example (TAOCP 4.6.1): every remainder drops two degrees, and
-    # each is divided by exactly g*h^delta, so a wrong h changes the sequence
-    u, v = KNUTH_PRS_PAIR
-    assert _zprs(u, v) == [
-        u, v, (-9, 0, 3, 0, -15), (-245, 125, 65), (12300, -9326), (260708,)
-    ]
-    assert _zgcd(u, v) == (1,)
-    assert _zgcd(_zmul(u, (2, -1)), _zmul(v, (-4, 2))) == (-2, 1)
-    # a primitive part of degree 1 is irreducible: the gcd is that part when
-    # the other vanishes at its root and 1 when not, with no PRS
-    e_minus_1, three_halves = (-1, 1), (-3, 2)          # roots 1 and 3/2
-    quad = _zmul(e_minus_1, (1, 0, 1))                  # (e-1)(e^2+1)
-    assert _zgcd(quad, (-3, 3)) == _zgcd((-3, 3), quad) == e_minus_1
-    assert _zgcd(quad, (1, 1)) == (1,) and _zgcd((2, 3), (1, 1, 1)) == (1,)
-    assert _zgcd(_zmul(three_halves, (5, 1)), (6, -4)) == three_halves
-    assert _zgcd(_zmul(three_halves, (5, 1)), (3, 2)) == (1,)
-    # contents, eps-valuations and a negative leading coefficient
-    a = (0, 0) + _zmul((6,), _zmul(three_halves, (1, 1)))   # 6e^2(2e-3)(e+1)
-    b = (0,) + _zmul((-4,), three_halves)                   # -4e(2e-3)
-    assert _zgcd(a, b) == _zgcd(b, a) == (0, -6, 4)
-    assert _zgcd((0, 0, 1, 1), (0, -2, -2)) == (0, 1, 1)   # linear once eps is out
-    # two linear parts, and a linear part against a cubic with other roots
-    assert _zgcd((6, -4), (-9, 6)) == (-3, 2) and _zgcd((1, 2), (1, 3)) == (1,)
-    assert _zgcd(_zmul((-4, 0, 1), (1, 1)), (-3, 2)) == (1,)
-
-
-def test_monomial_shortcuts_agree_with_the_general_gcd(monkeypatch):
-    # `_cancel`, `_zlcm` and `_zcommon` settle an operand c*eps^k by the
-    # integer gcd of the coefficients and the lower power of eps, with no
-    # `_zgcd`; the results are those of the general route
-    calls = []
-    monkeypatch.setattr(scalars, "_zgcd", lambda a, b: calls.append((a, b)) or _zgcd(a, b))
-    assert _cancel((0, 0, 6, -4), (0, 2)) == ((0, 3, -2), (1,))
-    assert _cancel((0, 6), (3, 0, 9)) == ((0, 2), (1, 0, 3))
-    assert _cancel((1, 1), (0, 0, 4)) == ((1, 1), (0, 0, 4))
-    assert _zlcm((1,), (5,)) == (5,) and _zlcm((2,), (0, 3)) == (0, 6)
-    assert _zlcm((0, 4), (0, 0, 6)) == (0, 0, 12)
-    assert _zcommon((0, 4), [(), (0, 2, 6), (0, 0, 8)]) == (0, 2)
-    assert _zcommon((0, 0, 4), [(0, 2), (1, 1)]) == (1,)
-    assert calls == []
-    # a denominator that is no monomial takes `_zgcd` until the gcd so far is one
-    assert _zcommon((-1, 0, 1), [(-2, 0, 2), (2, 2)]) == (1, 1)
-    assert _zcommon((2, 2), [(0, 4, 4), (0, 0, 6, 6)]) == (2, 2)
-    # each against the general route, on products of small factors
-    factors = [(1,), (3,), (0, 1), (0, 0, 2), (1, 1), (-2, 1), (1, 0, 1), (0, 6)]
-    for a in factors:
-        for b in factors:
-            for c in factors:
-                n, d = _zmul(a, b), _zmul(b, c) if _zmul(b, c)[-1] > 0 else _zneg(_zmul(b, c))
-                g = _zgcd(n, d)
-                assert _cancel(n, d) == (_zdiv_exact(n, g), _zdiv_exact(d, g))
-                assert _zcommon(d, [n]) == _zgcd(d, n)
-
-
 def test_clear_writes_rows_over_the_lcm_of_their_denominators():
     half, third = RatFunc(1, 2), parse_scalar("1/(3*eps)")
-    N, D = _clear([[half, ZERO], [third, EPS]])
+    N, D = clear([[half, ZERO], [third, EPS]])
     assert D == (0, 6)
     assert N == [[(0, 3), ()], [(2,), (0, 0, 6)]]
-    assert _zdot(N[0], N[1]) == (0, 6) and _zdot([(1,), ()], [(), (2,)]) == ()
-    assert _clear([]) == ([], (1,))
-
-
-# `_zgcd` calls of one basis-mixed benchmark operation (parse the mixed
-# text, build the basis-invariant sections) per corpus algebra, with the
-# shortcuts for a denominator 1, integer denominators, c*eps^k operands and
-# linear primitive parts, the tensor layer on integer numerators, and
-# g^{-1} by the adjugate on the cleared metric (berger made 67, heisenberg
-# 18 and oscillator 19 with g^{-1} by elimination over `RatFunc`s);
-# without the shortcuts an operation makes 6 to 107 times as many as with
-# the first three (berger 1742, abelian 107, r4 1755), and with them but
-# on `RatFunc` tensors berger made 201, sl2r 271 and heisenberg 222.  The
-# slack absorbs a change in the order of a set of strings, which varies
-# between processes.
-ZGCD_CALLS = {"berger": 41, "abelian": 1, "sl2r": 31, "e2": 4, "heisenberg": 5,
-              "u2": 32, "oscillator": 1, "heisenberg-x-r": 7, "r4": 17}
-ZGCD_SLACK = 5
-
-
-def test_basis_mixed_operations_bound_their_integer_gcds(monkeypatch, bench_corpus, corpus_alg):
-    rng = random.Random("1-mixing")  # the benchmark's mixing under seed 1
-    texts = {}
-    for key in bench_corpus.WORKLOADS["basis-mixed"]["algebras"]:
-        alg = corpus_alg(key)
-        P = bench_corpus.mixing_matrix(rng, alg.dim)
-        texts[key] = dumps(alg.transform_basis(P, name=f"{alg.name}/mixed"))
-    calls, zgcd = [0], scalars._zgcd
-
-    def counting(a, b):
-        calls[0] += 1
-        return zgcd(a, b)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("liegeom") and getattr(module, "_zgcd", None) is zgcd:
-            monkeypatch.setattr(module, "_zgcd", counting)
-    counts = {}
-    for key, text in texts.items():
-        calls[0] = 0
-        alg = loads(text)
-        for section in bench_corpus.INVARIANT_SECTIONS:
-            getattr(report, f"{section}_section")(alg)
-        counts[key] = calls[0]
-    assert counts.keys() == ZGCD_CALLS.keys()
-    over = {k: n for k, n in counts.items() if n > ZGCD_CALLS[k] + ZGCD_SLACK}
-    assert not over, f"_zgcd calls per operation {counts}, pinned {ZGCD_CALLS}"
-
-
-def _sympy_zpoly(sympy, e, a):
-    return sympy.Poly(list(reversed(a)), e, domain="ZZ")
-
-
-def test_prs_agrees_with_sympy_subresultants():
-    sympy = pytest.importorskip("sympy")
-    e = sympy.Symbol("e")
-    rng = random.Random(11)
-
-    def rand_poly(deg):
-        return tuple(rng.randint(-6, 6) for _ in range(deg)) + (rng.choice((-3, -1, 1, 2)),)
-
-    pairs = [KNUTH_PRS_PAIR]
-    for _ in range(30):
-        common = rand_poly(rng.randint(0, 2))
-        a = _zmul(common, rand_poly(rng.randint(2, 6)))
-        b = _zmul(common, rand_poly(rng.randint(1, 4)))
-        pairs.append((a, b) if len(a) >= len(b) else (b, a))
-    for u, v in pairs:
-        expected = sympy.subresultants(
-            _sympy_zpoly(sympy, e, u).as_expr(), _sympy_zpoly(sympy, e, v).as_expr(), e
-        )
-        got = _zprs(u, v)
-        assert len(got) == len(expected)
-        for r, s in zip(got, expected):
-            s = tuple(int(c) for c in reversed(sympy.Poly(s, e).all_coeffs()))
-            assert r in (s, tuple(-c for c in s))
-
-
-def test_integer_gcd_agrees_with_sympy():
-    sympy = pytest.importorskip("sympy")
-    e = sympy.Symbol("e")
-    rng = random.Random(7)
-
-    def rand_poly(deg):
-        return tuple(rng.randint(-6, 6) for _ in range(deg)) + (rng.choice((-3, -1, 1, 2)),)
-
-    def rand_linear():
-        # a nonzero root p/q, often with q > 1, and either sign of lc
-        return (rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.choice((-3, -2, -1, 1, 2, 3)))
-
-    def scaled(a):
-        # a content and a power of eps
-        return (0,) * rng.randint(0, 2) + _zmul((rng.choice((1, -1, 2, -3, 6)),), a)
-
-    pairs = []
-    for _ in range(40):
-        common = rand_poly(rng.randint(0, 3))
-        pairs.append((_zmul(common, rand_poly(rng.randint(0, 4))),
-                      _zmul(common, rand_poly(rng.randint(0, 4)))))
-    # one primitive part linear: sharing its root with the other part or not,
-    # against a linear, quadratic or higher part
-    for _ in range(40):
-        linear, other = rand_linear(), rand_poly(rng.randint(1, 4))
-        if rng.random() < 0.5:
-            other = _zmul(other, linear)
-        pairs.append((scaled(linear), scaled(other)) if rng.random() < 0.5
-                     else (scaled(other), scaled(linear)))
-    for a, b in pairs:
-        expected = sympy.Poly(sympy.gcd(
-            _sympy_zpoly(sympy, e, a), _sympy_zpoly(sympy, e, b)
-        ), e)
-        if expected.LC() < 0:
-            expected = -expected
-        assert _zgcd(a, b) == tuple(int(c) for c in reversed(expected.all_coeffs()))
-
-
-def test_rational_roots_with_multiplicity():
-    x = Poly.x()
-    assert poly_rational_roots(2 * x ** 2 - 4 * x) == [
-        (Fraction(0), 1),
-        (Fraction(2), 1),
-    ]
-    p = (x - 1) ** 2 * (2 * x + 3)
-    assert poly_rational_roots(p) == [(Fraction(-3, 2), 1), (Fraction(1), 2)]
-    assert poly_rational_roots(x ** 2 + 1) == []
+    assert zdot(N[0], N[1]) == (0, 6)
+    assert clear([]) == ([], (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from liegeom.scalars import (
     ZERO,
     RatFunc,
     mu_poly_str,
-    _clear,
+    clear,
     parse_scalar,
     ratfunc,
 )
@@ -163,15 +163,15 @@ def test_kernel_basis():
 
 
 def test_charpoly_swap_matrix():
-    assert _clear([[ZERO, ONE], [ONE, ZERO]]) == ([[(), (1,)], [(1,), ()]], (1,))
+    assert clear([[ZERO, ONE], [ONE, ZERO]]) == ([[(), (1,)], [(1,), ()]], (1,))
     assert charpoly([[(), (1,)], [(1,), ()]]) == [(-1,), (), (1,)]
-    assert mu_poly_str(eigen_analyze(*_clear([[ZERO, ONE], [ONE, ZERO]])).charpoly) == "mu^2-1"
+    assert mu_poly_str(eigen_analyze(*clear([[ZERO, ONE], [ONE, ZERO]])).charpoly) == "mu^2-1"
 
 
 def test_residual_prints_as_multipoly_in_mu():
     # mu^2 - 2*eps*mu - 1 has no rational-function root; a coefficient
     # c*eps^k in front of a power of mu is parenthesized, as in vectors
-    dec = eigen_analyze(*_clear([[2 * EPS, ONE], [ONE, ZERO]]))
+    dec = eigen_analyze(*clear([[2 * EPS, ONE], [ONE, ZERO]]))
     assert dec.pairs == []
     assert mu_poly_str(dec.residual) == "mu^2+(-2*eps)*mu-1"
 
@@ -200,7 +200,7 @@ def check_charpoly_against_laplace(L):
     # q(nu) = det(nu I - D L) = D^n p(nu/D) for p(mu) = det(mu I - L), so
     # the coefficient of nu^k is D^(n-k) p_k; D is the lcm of the
     # denominators, so D L is over Z[eps]
-    (N, D), n = _clear(L), len(L)
+    (N, D), n = clear(L), len(L)
     q = charpoly(N)
     assert all((zpoly(D) * x)._d == (1,) for row in L for x in row)
     p = laplace_charpoly(L).coeffs
@@ -236,7 +236,7 @@ def test_charpoly_matches_sympy(corpus_alg):
     mixed = [corpus_case(corpus_alg, key, 1).rough_laplacian
              for key in test_properties.corpus.TEXTS]
     for L in mixed + DENSE[:6]:
-        N, D = _clear(L)
+        N, D = clear(L)
         q = charpoly(N)
         scale = _sympy_ratfunc(sympy, eps, zpoly(D))
         N = sympy.Matrix([[sympy.cancel(scale * _sympy_ratfunc(sympy, eps, x)) for x in row]
@@ -260,10 +260,9 @@ def test_charpoly_forms_no_ratfunc(monkeypatch, corpus_alg):
 
     for name in ("__init__", "__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(RatFunc, name, counting(name, getattr(RatFunc, name)))
-    for module in (scalars, solvers):
-        for name in ("_canonical", "_ratfunc"):
-            monkeypatch.setattr(module, name, counting(name, getattr(scalars, name)))
-    results = [charpoly(_clear(L)[0]) for L in laplacians]
+    for module, name in ((scalars, "_canonical"), (scalars, "_ratfunc"), (solvers, "quotient")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    results = [charpoly(clear(L)[0]) for L in laplacians]
     assert calls == Counter()
     assert sum(len(q) - 1 for q in results) == sum(len(L) for L in laplacians)
 
@@ -283,19 +282,19 @@ def test_poly_over_q_eps_does_not_mix_with_ratfunc():
 def test_eigen_zero_first_row_in_a_minor():
     # in det(mu*I - M) the minor of the -1 entry starts with a zero row
     M = [[ONE if (i, j) == (0, 1) else ZERO for j in range(4)] for i in range(4)]
-    dec = eigen_analyze(*_clear(M))
+    dec = eigen_analyze(*clear(M))
     assert [(str(p.value), p.multiplicity) for p in dec.pairs] == [("0", 4)]
     assert dec.residual == (ONE,)
 
 
 def test_eigen_identity_matrix():
-    dec = eigen_analyze(*_clear([[ONE, ZERO], [ZERO, ONE]]))
+    dec = eigen_analyze(*clear([[ONE, ZERO], [ZERO, ONE]]))
     assert [(str(p.value), p.multiplicity) for p in dec.pairs] == [("1", 2)]
     assert dec.residual == (ONE,)
 
 
 def test_eigen_rational_function_values():
-    dec = eigen_analyze(*_clear([[ZERO, EPS * EPS], [ONE, ZERO]]))
+    dec = eigen_analyze(*clear([[ZERO, EPS * EPS], [ONE, ZERO]]))
     assert [(str(p.value), p.multiplicity) for p in dec.pairs] == [
         ("-eps", 1), ("eps", 1)]
     assert dec.residual == (ONE,)
@@ -309,7 +308,7 @@ def test_eigen_rational_function_values():
 
 def test_eigen_irrational_values_stay_in_residual():
     # mu^2 = eps has no rational-function roots
-    dec = eigen_analyze(*_clear([[ZERO, EPS], [ONE, ZERO]]))
+    dec = eigen_analyze(*clear([[ZERO, EPS], [ONE, ZERO]]))
     assert dec.pairs == []
     assert len(dec.residual) == 3
 
@@ -317,7 +316,7 @@ def test_eigen_irrational_values_stay_in_residual():
 def test_eigen_newton_lift_that_leaves_the_integers_is_rejected():
     # mu^2 = eps^2+eps+1 is squarefree at eps = 0 with the integer roots
     # +-1, whose Newton lifts leave Z[eps]: no pair, all of it residual
-    dec = eigen_analyze(*_clear([[ZERO, EPS * EPS + EPS + 1], [ONE, ZERO]]))
+    dec = eigen_analyze(*clear([[ZERO, EPS * EPS + EPS + 1], [ONE, ZERO]]))
     assert dec.pairs == []
     assert mu_poly_str(dec.residual) == "mu^2+(-1-eps-eps^2)"
 
@@ -325,13 +324,13 @@ def test_eigen_newton_lift_that_leaves_the_integers_is_rejected():
 def test_eigen_berger_laplacian_matrix():
     lam2 = parse_scalar("(-4+4*eps-2*eps^2)/eps")
     M = [[-2 * EPS, ZERO, ZERO], [ZERO, lam2, ZERO], [ZERO, ZERO, lam2]]
-    dec = eigen_analyze(*_clear(M))
+    dec = eigen_analyze(*clear(M))
     assert [(str(p.value), p.multiplicity) for p in dec.pairs] == [
         ("-2*eps", 1), ("(-4+4*eps-2*eps^2)/eps", 2)]
 
 
 def test_eigen_high_degree_value():
-    dec = eigen_analyze(*_clear([[EPS ** 9]]))
+    dec = eigen_analyze(*clear([[EPS ** 9]]))
     assert [(str(p.value), p.multiplicity) for p in dec.pairs] == [("eps^9", 1)]
     assert dec.residual == (ONE,)
 
@@ -339,7 +338,7 @@ def test_eigen_high_degree_value():
 def test_eigen_crossing_values():
     # eps crosses 5 and 11 between small sample points; all three are found
     M = [[EPS, ZERO, ZERO], [ZERO, 5 * ONE, ZERO], [ZERO, ZERO, 11 * ONE]]
-    dec = eigen_analyze(*_clear(M))
+    dec = eigen_analyze(*clear(M))
     assert [(str(p.value), p.multiplicity) for p in dec.pairs] == [
         ("5", 1), ("11", 1), ("eps", 1)]
     assert dec.residual == (ONE,)
@@ -368,7 +367,7 @@ small_ratfuncs = st.tuples(small_polys, small_polys.filter(lambda p: not p.is_ze
 def test_eigen_triangular_spectrum_is_the_diagonal(rows):
     n = len(rows)
     M = [[rows[i][j] if j >= i else ZERO for j in range(n)] for i in range(n)]
-    dec = eigen_analyze(*_clear(M))
+    dec = eigen_analyze(*clear(M))
     check(dec.charpoly)
     check(dec.residual)
     found = Counter()
@@ -393,7 +392,7 @@ def test_laplacian_spectrum_matches_sympy_factorization(corpus_alg, key):
     n = len(L)
     M = sympy.Matrix([[_sympy_ratfunc(sympy, eps, x) for x in row] for row in L])
     cp = sympy.cancel((mu * sympy.eye(n) - M).det(method="berkowitz"))
-    dec = eigen_analyze(*_clear(L))
+    dec = eigen_analyze(*clear(L))
     engine_cp = sum((_sympy_ratfunc(sympy, eps, c) * mu**k
                      for k, c in enumerate(dec.charpoly)), start=sympy.Integer(0))
     assert sympy.cancel(cp - engine_cp) == 0
@@ -451,4 +450,4 @@ def test_spectral_step_ratfunc_work(monkeypatch, key, before):
     # roots, multiplicities and the residual come from integer tuples; the
     # route over Q(eps) made 305 (u2) and 190 (berger) RatFunc operations
     L = loads(test_properties.corpus.TEXTS[key]).rough_laplacian
-    assert _ratfunc_calls(monkeypatch, lambda: eigen_analyze(*_clear(L))) <= before // 2
+    assert _ratfunc_calls(monkeypatch, lambda: eigen_analyze(*clear(L))) <= before // 2
